@@ -4,9 +4,9 @@ Historically this package grew one entry point per subsystem: engines
 behind :class:`~repro.engine.runner.IndexGenerator`, persistence split
 across four save/load functions, querying split between
 :class:`~repro.query.evaluator.QueryEngine`,
-:class:`~repro.query.cache.CachingQueryEngine` and
-:class:`~repro.index.incremental.IncrementalIndexer`.  :class:`Search`
-folds that into a single session object::
+:class:`~repro.query.cache.CachingQueryEngine` and a separate
+incremental indexer.  :class:`Search` folds that into a single session
+object::
 
     from repro import Search
 
@@ -25,16 +25,16 @@ behaviour, ``cache`` the LRU result-cache capacity.  The historical
 entry points keep working (the top-level legacy names re-export with a
 ``DeprecationWarning``; see ``docs/api.md`` for the migration table).
 
-Since the segmented-index rework the session's source of truth is an
-immutable :class:`~repro.index.segments.SegmentManifest` maintained by
-a :class:`~repro.index.segments.SegmentedIndexer`: ``refresh()`` seals
-the filesystem delta into a new segment (reading only changed files),
-deletions become tombstones, and :meth:`compact` (or a
-:meth:`start_compactor` background thread) folds segments back down
-with layered k-way merges.  Queries evaluate directly over the
-manifest; :attr:`index` materializes a flat
-:class:`~repro.index.inverted.InvertedIndex` on demand (cached per
-generation) for persistence and legacy callers.
+The session's source of truth is an immutable
+:class:`~repro.index.segments.SegmentManifest` maintained by a
+:class:`~repro.index.segments.SegmentedIndexer`: the built index is
+adopted by reference as segment 0, ``refresh()`` seals the filesystem
+delta into a new segment (reading only changed files), deletions
+become tombstones, and :meth:`compact` (or a :meth:`start_compactor`
+background thread) folds segments back down with layered k-way merges.
+Queries evaluate directly over the manifest; :attr:`index` is the lone
+segment's own :class:`~repro.index.inverted.InvertedIndex` while there
+is one, and a merge of the segments (cached per generation) otherwise.
 
 Sessions allow one writer at a time: ``refresh``/``rebuild``/``compact``
 serialize on an internal lock (so a background compactor never races a
@@ -57,12 +57,12 @@ from repro.engine.runner import IndexGenerator
 from repro.engine.sequential import SequentialIndexer
 from repro.extract.registry import resolve_extractor
 from repro.fsmodel.realfs import OsFileSystem
-from repro.index.incremental import ChangeReport
 from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_indices
 from repro.index.multi import MultiIndex
 from repro.index.segments import (
     BackgroundCompactor,
+    ChangeReport,
     CompactionPolicy,
     SegmentedIndexer,
     SegmentManifest,
@@ -291,14 +291,20 @@ class Search:
 
     @property
     def index(self) -> InvertedIndex:
-        """The session's current state, flattened into one index.
+        """The session's current state as one index.
 
-        Materialized from the manifest on demand and cached until the
-        next index change.  Treat as frozen: refresh, rebuild and
-        compact replace it rather than mutate it.
+        A manifest of one segment and no tombstone *is* that segment's
+        index, returned as is; anything else is merged on demand and
+        cached until the next index change.  Frozen either way:
+        refresh, rebuild and compact replace it, never mutate it, so
+        an index captured here stays what it was.
         """
         if self._index_cache_generation != self._generation:
-            self._index_cache = self._segmented.manifest.materialize()
+            manifest = self._segmented.manifest
+            if manifest.segment_count == 1 and not manifest.tombstones:
+                self._index_cache = manifest.segments[0].index
+            else:
+                self._index_cache = manifest.materialize()
             self._index_cache_generation = self._generation
         return self._index_cache
 

@@ -275,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True,
                    help="index file (.idx); created on first run")
     p.add_argument("--state", required=True,
-                   help="snapshot state file (JSON); created on first run")
+                   help="fingerprint state file (JSON); created on first run")
     _add_observability_args(p)
     p.set_defaults(func=_cmd_refresh)
 
@@ -917,35 +917,56 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_fingerprints(state_path: str):
+    """The ``refresh`` state file as a fingerprint map, or None.
+
+    Anything but ``{path: [size, stamp, hash]}`` with integer fields
+    (a missing file, another tool's JSON, a pre-3.0 ``[size, hash]``
+    state) reads as absent: the caller re-indexes and rewrites it.
+    """
+    import json
+
+    try:
+        with open(state_path, "r", encoding="utf-8") as fh:
+            state = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(state, dict):
+        return None
+    for entry in state.values():
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(type(field) is int for field in entry)
+        ):
+            return None
+    return {path: tuple(entry) for path, entry in state.items()}
+
+
 def _cmd_refresh(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.index import IncrementalIndexer
-    from repro.index.incremental import IncrementalIndex
+    from repro.index import SegmentedIndexer
 
     observing = _observability_requested(args)
-    fs = OsFileSystem(args.directory)
-    if os.path.exists(args.index) and os.path.exists(args.state):
-        index = IncrementalIndex.from_inverted(load_index(args.index))
-        with open(args.state, "r", encoding="utf-8") as fh:
-            snapshot = {
-                path: tuple(entry) for path, entry in json.load(fh).items()
-            }
-        indexer = IncrementalIndexer(fs, index=index, snapshot=snapshot)
-    else:
-        indexer = IncrementalIndexer(fs)
+    indexer = SegmentedIndexer(OsFileSystem(args.directory))
+    fingerprints = _load_fingerprints(args.state)
+    if fingerprints is not None and os.path.exists(args.index):
+        indexer.adopt(load_index(args.index), fingerprints)
 
     report = indexer.refresh()
     print(f"refresh: +{len(report.added)} added, "
           f"-{len(report.removed)} removed, "
           f"~{len(report.modified)} modified")
 
+    # Index first, fingerprints second: a crash in between replays the
+    # delta against the newer index, which converges.
     if os.path.exists(args.index):
         os.remove(args.index)
-    save_index(indexer.index.index, args.index)
+    save_index(indexer.manifest.materialize(), args.index)
     with open(args.state, "w", encoding="utf-8") as fh:
-        json.dump({p: list(e) for p, e in indexer.snapshot.items()}, fh)
+        json.dump({p: list(e) for p, e in indexer.fingerprints.items()}, fh)
     print(f"index: {args.index}, state: {args.state}")
     if observing:
         _emit_observability(args)

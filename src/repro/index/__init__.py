@@ -27,11 +27,6 @@ from repro.index.binfmt import (
     merge_wire_replica,
     save_index_binary,
 )
-from repro.index.incremental import (
-    ChangeReport,
-    IncrementalIndex,
-    IncrementalIndexer,
-)
 from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_indices, join_pairwise_tree, merge_into
 from repro.index.multi import MultiIndex
@@ -41,6 +36,7 @@ from repro.index.postings import PostingsList
 from repro.index.replica import ReplicaBuilder
 from repro.index.segments import (
     BackgroundCompactor,
+    ChangeReport,
     CompactionPolicy,
     DiskSegment,
     MemorySegment,
@@ -71,8 +67,6 @@ __all__ = [
     "SegmentManifest",
     "SegmentedIndexer",
     "INDEX_FORMATS",
-    "IncrementalIndex",
-    "IncrementalIndexer",
     "IndexFormatError",
     "InvertedIndex",
     "MmapPostingsReader",

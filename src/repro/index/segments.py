@@ -1,10 +1,11 @@
 """LSM-style segmented incremental indexing.
 
-``Search.refresh()`` used to mutate one monolithic in-memory index —
-fine for thousands of files, a dead end for millions.  This module
-restructures incremental maintenance the way easily-updatable full-text
-indexes are actually built (run→merge, cf. PAPERS.md and the
-Web-Search-Engine pipeline in SNIPPETS.md §3):
+Incremental maintenance the way easily-updatable full-text indexes are
+actually built (immutable index parts plus a merge, cf. PAPERS.md and
+the Web-Search-Engine pipeline in SNIPPETS.md §3).  A segment *is* an
+index — an :class:`~repro.index.inverted.InvertedIndex` held by
+reference, or an mmap'd RIDX2 file — plus the set of paths sealed in
+it; no second, per-document copy is kept beside the postings:
 
 * **immutable sealed segments** — each refresh seals the batch of
   changed documents into a new :class:`MemorySegment` (or, once
@@ -21,7 +22,8 @@ Web-Search-Engine pipeline in SNIPPETS.md §3):
   stays one pointer store;
 * **layered k-way compaction** — :func:`compact_manifest` merges runs
   of segments ``fanin`` at a time (the ``parallel_merge --fanin``
-  pattern), newest-wins within each group, dropping tombstoned docs.
+  pattern) with the one postings-wise newest-wins merge,
+  :func:`merge_postings`, dropping tombstoned docs.
   Merge groups are independent, so they run on the fault-tolerant
   process pool (:class:`~repro.engine.procbackend.CompactionExecutor`)
   with an in-parent fallback.  A fully compacted manifest's canonical
@@ -44,14 +46,28 @@ Refresh correctness (the bugfix half of this layer):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.hashing import fnv1a_64
-from repro.index.binfmt import dump_index_ridx2, load_index_ridx2
-from repro.index.incremental import ChangeReport
+from repro.index.binfmt import (
+    dump_index_ridx2,
+    dump_index_wire,
+    load_index_ridx2,
+    load_index_wire,
+)
 from repro.index.inverted import InvertedIndex
 from repro.index.ondisk import MmapPostingsReader
+from repro.index.postings import PostingsList
 from repro.obs import recorder as obsrec
 from repro.text.termblock import TermBlock
 from repro.text.tokenizer import Tokenizer
@@ -64,104 +80,136 @@ Fingerprint = Tuple[int, int, int]
 FingerprintMap = Dict[str, Fingerprint]
 
 
+@dataclass
+class ChangeReport:
+    """What one refresh did."""
+
+    added: List[str] = field(default_factory=list)
+    removed: List[str] = field(default_factory=list)
+    modified: List[str] = field(default_factory=list)
+
+    @property
+    def total(self) -> int:
+        """Number of documents touched."""
+        return len(self.added) + len(self.removed) + len(self.modified)
+
+
 # -- segments -----------------------------------------------------------------
 
 
-class MemorySegment:
-    """An immutable sealed batch of documents with its own tiny index."""
+def forward_view(postings) -> Dict[str, Tuple[str, ...]]:
+    """Transpose ``(term, paths)`` pairs into path -> its terms.
 
-    def __init__(self, segment_id: int, docs: Mapping[str, TermBlock]) -> None:
+    The only forward (document -> terms) structure in the system, and
+    only :meth:`SegmentedIndexer.reconcile` ever asks for one: queries,
+    refreshes and merges all work on postings.
+    """
+    by_path: Dict[str, List[str]] = {}
+    for term, paths in postings:
+        for path in paths:
+            by_path.setdefault(path, []).append(term)
+    return {path: tuple(terms) for path, terms in by_path.items()}
+
+
+class _SealedSegment:
+    """What both segment kinds are: an index, the paths sealed in it,
+    and a forward view built on first use.
+
+    ``paths`` may name documents with no postings at all (an emptied
+    file): they still shadow the path's older revisions.
+    """
+
+    def __init__(self, segment_id: int, source, paths: Iterable[str]) -> None:
         self.segment_id = segment_id
-        self._docs: Dict[str, TermBlock] = {
-            path: docs[path] for path in sorted(docs)
-        }
-        self._index = InvertedIndex()
-        for block in self._docs.values():
-            self._index.add_block(block)
+        self._source = source
+        # Sorted once, immutable from here: iteration order and O(1)
+        # membership from one structure.
+        self._paths: Dict[str, None] = dict.fromkeys(sorted(paths))
+        self._forward: Optional[Dict[str, Tuple[str, ...]]] = None
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._paths)
 
     def __contains__(self, path: str) -> bool:
-        return path in self._docs
+        return path in self._paths
 
     def doc_paths(self) -> List[str]:
         """Paths in this segment, sorted."""
-        return list(self._docs)
+        return list(self._paths)
 
     def doc_terms(self, path: str) -> Tuple[str, ...]:
         """The de-duplicated terms of ``path``'s sealed revision."""
-        return self._docs[path].terms
+        if path not in self._paths:
+            raise KeyError(path)
+        if self._forward is None:
+            self._forward = forward_view(self.postings())
+        return self._forward.get(path, ())
 
     def lookup(self, term: str) -> List[str]:
-        return self._index.lookup(term)
+        return self._source.lookup(term)
 
     def terms(self) -> Iterable[str]:
-        return self._index.terms()
+        return self._source.terms()
 
-    def approx_bytes(self) -> int:
-        """Rough payload size, for compaction accounting."""
-        return sum(
-            len(path) + sum(len(t) + 1 for t in block.terms)
-            for path, block in self._docs.items()
-        )
+    def postings(self) -> Iterator[Tuple[str, Iterable[str]]]:
+        """Every ``(term, paths)`` pair of the segment."""
+        raise NotImplementedError
+
+
+class MemorySegment(_SealedSegment):
+    """An immutable sealed batch of documents: an index held by reference.
+
+    The segment *is* ``index`` — nothing is copied, so whoever hands an
+    index over must stop mutating it.  ``paths`` lists the sealed
+    documents when the caller knows them; by default they are the paths
+    the postings mention.
+    """
+
+    def __init__(
+        self,
+        segment_id: int,
+        index: InvertedIndex,
+        paths: Optional[Iterable[str]] = None,
+    ) -> None:
+        if paths is None:
+            paths = set()
+            for _term, postings in index.items():
+                paths.update(postings)
+        super().__init__(segment_id, index, paths)
+        self.index = index
+
+    def postings(self):
+        return self.index.items()
 
     def to_ridx2(self) -> bytes:
         """Canonical RIDX2 serialization of this segment alone."""
-        return dump_index_ridx2(self._index)
-
-    @classmethod
-    def from_ridx2(cls, segment_id: int, data: bytes) -> "MemorySegment":
-        """Rehydrate a segment from RIDX2 bytes (a compaction product)."""
-        return cls(segment_id, _transpose(load_index_ridx2(data)))
+        return dump_index_ridx2(self.index)
 
     def __repr__(self) -> str:
-        return f"MemorySegment(id={self.segment_id}, docs={len(self._docs)})"
+        return f"MemorySegment(id={self.segment_id}, docs={len(self)})"
 
 
-class DiskSegment:
+class DiskSegment(_SealedSegment):
     """A sealed segment served off an mmap'd RIDX2 file.
 
-    Query-path calls (``lookup``/``terms``) go straight to the
-    :class:`~repro.index.ondisk.MmapPostingsReader`; the per-document
-    transposition needed by compaction is materialized lazily and
-    cached — compaction is the only consumer.
+    Every call goes straight to the
+    :class:`~repro.index.ondisk.MmapPostingsReader`; only the path set
+    is read up front (a sealed segment's paths never change).
     """
 
     def __init__(self, segment_id: int, path: str) -> None:
-        self.segment_id = segment_id
         self.path = path
         self._reader = MmapPostingsReader(path)
-        self._doc_terms: Optional[Dict[str, Tuple[str, ...]]] = None
+        super().__init__(segment_id, self._reader, self._reader.doc_paths())
 
-    def __len__(self) -> int:
-        return self._reader.doc_count
+    @property
+    def index(self) -> InvertedIndex:
+        """The segment as an in-memory index, decoded in full per call."""
+        return load_index_ridx2(self.to_ridx2())
 
-    def __contains__(self, path: str) -> bool:
-        return path in set(self._reader.doc_paths())
-
-    def doc_paths(self) -> List[str]:
-        return self._reader.doc_paths()
-
-    def doc_terms(self, path: str) -> Tuple[str, ...]:
-        if self._doc_terms is None:
-            transposed: Dict[str, List[str]] = {}
-            for term in self._reader.terms():
-                for doc in self._reader.lookup(term):
-                    transposed.setdefault(doc, []).append(term)
-            self._doc_terms = {
-                doc: tuple(terms) for doc, terms in transposed.items()
-            }
-        return self._doc_terms[path]
-
-    def lookup(self, term: str) -> List[str]:
-        return self._reader.lookup(term)
-
-    def terms(self) -> Iterable[str]:
-        return self._reader.terms()
-
-    def approx_bytes(self) -> int:
-        return os.path.getsize(self.path)
+    def postings(self):
+        reader = self._reader
+        return ((term, reader.lookup(term)) for term in reader.terms())
 
     def to_ridx2(self) -> bytes:
         with open(self.path, "rb") as fh:
@@ -174,15 +222,46 @@ class DiskSegment:
         return f"DiskSegment(id={self.segment_id}, path={self.path!r})"
 
 
-def _transpose(index: InvertedIndex) -> Dict[str, TermBlock]:
-    by_path: Dict[str, List[str]] = {}
-    for term, postings in index.items():
-        for path in postings:
-            by_path.setdefault(path, []).append(term)
-    return {
-        path: TermBlock(path, tuple(terms))
-        for path, terms in by_path.items()
-    }
+def _resolve_owners(
+    segments: Sequence, tombstones: Iterable[str]
+) -> Dict[str, int]:
+    """path -> position of the newest segment holding it; tombstoned
+    paths are simply absent."""
+    owner: Dict[str, int] = {}
+    for position, segment in enumerate(segments):
+        for path in segment.doc_paths():
+            owner[path] = position
+    for path in tombstones:
+        owner.pop(path, None)
+    return owner
+
+
+def merge_postings(
+    sources: Sequence, owner: Mapping[str, int]
+) -> InvertedIndex:
+    """The one merge: newest-wins over ``sources`` (oldest→newest).
+
+    Each source yields a segment's ``(term, paths)`` pairs and
+    ``owner`` maps every live path to the position of the source that
+    holds its newest revision (:func:`_resolve_owners`).  Postings-wise:
+    a source's postings are filtered down to the paths it owns,
+    concatenated per term and sorted, so a document's terms are never
+    regrouped and no posting is inserted twice.  Serves
+    :meth:`SegmentManifest.materialize` and every compaction group,
+    in-process or in a pool worker.  The inputs are only read.
+    """
+    merged: Dict[str, List[str]] = {}
+    for position, postings in enumerate(sources):
+        for term, paths in postings:
+            kept = [p for p in paths if owner.get(p) == position]
+            if kept:
+                merged.setdefault(term, []).extend(kept)
+    index = InvertedIndex()
+    for term, paths in merged.items():
+        paths.sort()
+        index._map[term] = PostingsList(paths)
+    index._block_count = len(owner)
+    return index
 
 
 # -- the manifest -------------------------------------------------------------
@@ -209,15 +288,8 @@ class SegmentManifest:
         self.segments: Tuple = tuple(segments)
         self.tombstones = frozenset(tombstones)
         self.generation = generation
-        # Ownership resolved once: path -> position of its newest
-        # segment.  Tombstoned paths are simply absent.
-        owner: Dict[str, int] = {}
-        for position, segment in enumerate(self.segments):
-            for path in segment.doc_paths():
-                owner[path] = position
-        for path in self.tombstones:
-            owner.pop(path, None)
-        self._owner = owner
+        # Ownership resolved once, at construction.
+        self._owner = _resolve_owners(self.segments, self.tombstones)
 
     # -- index protocol (QueryEngine duck type) ------------------------
 
@@ -276,13 +348,10 @@ class SegmentManifest:
         )
 
     def materialize(self) -> InvertedIndex:
-        """Flatten the live view into one plain :class:`InvertedIndex`."""
-        index = InvertedIndex()
-        for path in sorted(self._owner):
-            index.add_block(
-                TermBlock(path, tuple(self.doc_terms(path)))
-            )
-        return index
+        """Flatten the live view into one fresh :class:`InvertedIndex`."""
+        return merge_postings(
+            [segment.postings() for segment in self.segments], self._owner
+        )
 
     def to_ridx2(self) -> bytes:
         """Canonical RIDX2 bytes of the live view.
@@ -346,36 +415,18 @@ class CompactionPolicy:
 
 
 def merge_segment_payload(payload) -> bytes:
-    """Merge one compaction group into canonical RIDX2 bytes.
+    """Merge one compaction group in a pool worker; RWIRE1 in and out.
 
-    ``payload`` is picklable plain data — ``(groups, tombstones)``
-    where ``groups`` is a list of segments oldest→newest, each a list
-    of ``(path, terms_tuple)`` documents.  Newest-wins is resolved by
-    dict overwrite in order; tombstoned paths are dropped last.  Runs
-    in pool workers, so it must stay a module-level function of plain
+    ``payload`` is picklable plain data — ``(wires, owner)``: the
+    group's segment indexes oldest→newest as RWIRE1 bytes, and the
+    group's ownership map.  The worker runs the same
+    :func:`merge_postings` the parent would, so the in-parent fallback
+    is result-identical.  Must stay a module-level function of plain
     data.
     """
-    groups, tombstones = payload
-    dead = set(tombstones)
-    docs: Dict[str, Tuple[str, ...]] = {}
-    for group in groups:
-        for path, terms in group:
-            docs[path] = tuple(terms)
-    index = InvertedIndex()
-    for path in sorted(docs):
-        if path in dead:
-            continue
-        index.add_block(TermBlock(path, docs[path]))
-    return dump_index_ridx2(index)
-
-
-def _group_payload(segments: Sequence, tombstones: frozenset):
-    return (
-        [
-            [(path, segment.doc_terms(path)) for path in segment.doc_paths()]
-            for segment in segments
-        ],
-        sorted(tombstones),
+    wires, owner = payload
+    return dump_index_wire(
+        merge_postings([load_index_wire(w).items() for w in wires], owner)
     )
 
 
@@ -388,18 +439,19 @@ def compact_manifest(
     """Layered k-way merge down to a single sealed segment.
 
     Each round groups consecutive segments ``fanin`` at a time and
-    merges every group independently — on ``executor`` (a
-    :class:`~repro.engine.procbackend.CompactionExecutor`) when given,
-    in-process otherwise.  Tombstones are applied during the merges,
-    so the compacted manifest carries none.  With ``segment_dir`` the
-    final product is written as an RIDX2 file and served as a
-    :class:`DiskSegment`; otherwise it stays in memory.
+    merges every group independently with :func:`merge_postings` —
+    directly when in-process, and on ``executor`` (a
+    :class:`~repro.engine.procbackend.CompactionExecutor`) through
+    :func:`merge_segment_payload`.  Tombstones are applied during the
+    merges, so the compacted manifest carries none.  With
+    ``segment_dir`` the final product is written as an RIDX2 file and
+    served as a :class:`DiskSegment`; otherwise it stays in memory.
     """
     policy = policy or CompactionPolicy()
     segments: List = list(manifest.segments)
     tombstones = manifest.tombstones
     next_id = manifest.next_segment_id
-    merged_bytes = 0
+    merged_postings = 0
     rounds = 0
     with obsrec.span(
         "compaction.run",
@@ -413,24 +465,34 @@ def compact_manifest(
                 segments[i : i + policy.fanin]
                 for i in range(0, len(segments), policy.fanin)
             ] or [[]]
-            payloads = [_group_payload(g, tombstones) for g in groups]
+            owners = [_resolve_owners(g, tombstones) for g in groups]
             with obsrec.span(
                 "compaction.round", round=rounds, groups=len(groups)
             ):
                 if executor is not None:
-                    blobs = executor.run(merge_segment_payload, payloads)
+                    blobs = executor.run(
+                        merge_segment_payload,
+                        [
+                            ([dump_index_wire(s.index) for s in g], owner)
+                            for g, owner in zip(groups, owners)
+                        ],
+                    )
+                    products = [load_index_wire(blob) for blob in blobs]
                 else:
-                    blobs = [merge_segment_payload(p) for p in payloads]
-            merged_bytes += sum(len(b) for b in blobs)
+                    products = [
+                        merge_postings([s.postings() for s in g], owner)
+                        for g, owner in zip(groups, owners)
+                    ]
+            merged_postings += sum(p.posting_count for p in products)
+            # A product keeps its group's live paths, postings or not:
+            # an emptied file must go on shadowing older revisions in
+            # the next round.
             segments = [
-                segment
-                for segment in (
-                    MemorySegment.from_ridx2(next_id + i, blob)
-                    for i, blob in enumerate(blobs)
-                )
-                if len(segment)
+                MemorySegment(next_id + i, product, owner)
+                for i, (product, owner) in enumerate(zip(products, owners))
+                if owner
             ]
-            next_id += len(blobs)
+            next_id += len(products)
             # Tombstoned paths are gone from every merged product.
             tombstones = frozenset()
     if segment_dir is not None and segments:
@@ -445,7 +507,7 @@ def compact_manifest(
     if obsrec.enabled():
         metrics = obsrec.metrics()
         metrics.counter("compaction.runs").inc()
-        metrics.counter("compaction.merged_bytes").inc(merged_bytes)
+        metrics.counter("compaction.merged_postings").inc(merged_postings)
     compacted = SegmentManifest(
         segments, frozenset(), manifest.generation + 1
     )
@@ -505,9 +567,11 @@ class SegmentedIndexer:
     def adopt(
         self, index: InvertedIndex, fingerprints: FingerprintMap
     ) -> SegmentManifest:
-        """Adopt a bulk-built index as segment 0 of a fresh manifest."""
-        segment = MemorySegment(0, _transpose(index))
-        self._manifest = SegmentManifest([segment], frozenset(), 0)
+        """Adopt a bulk-built index as segment 0 of a fresh manifest.
+
+        The index is held by reference and must not be mutated again.
+        """
+        self._manifest = SegmentManifest([MemorySegment(0, index)])
         self._fingerprints = dict(fingerprints)
         self._manifest.record_metrics()
         return self._manifest
@@ -575,7 +639,15 @@ class SegmentedIndexer:
 
             added = sorted(p for p in changed if p not in previous)
             modified = sorted(p for p in changed if p in previous)
-            removed = sorted(p for p in previous if p not in fingerprints)
+            # Every indexed path the scan did not see goes — the
+            # fingerprinted ones and, after a crash between persisting
+            # an index and its fingerprints, any the manifest holds
+            # beyond them.
+            removed = sorted(
+                p
+                for p in previous.keys() | manifest.live_paths()
+                if p not in fingerprints
+            )
             self.apply_delta(changed, removed, fingerprints)
         self.last_scan_stats = {
             "files_seen": files_seen,
@@ -652,8 +724,11 @@ class SegmentedIndexer:
         segments = manifest.segments
         if changed:
             with obsrec.span("segments.seal", docs=len(changed)):
+                sealed = InvertedIndex()
+                for path in sorted(changed):
+                    sealed.add_block(changed[path])
                 segments = segments + (
-                    MemorySegment(manifest.next_segment_id, dict(changed)),
+                    MemorySegment(manifest.next_segment_id, sealed, changed),
                 )
         successor = SegmentManifest(
             segments, tombstones, manifest.generation + 1

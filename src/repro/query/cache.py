@@ -7,7 +7,7 @@ caching conditions.  :class:`QueryCache` is a from-scratch LRU keyed by
 :class:`CachingQueryEngine` wraps a
 :class:`~repro.query.evaluator.QueryEngine` with it and exposes
 :meth:`~CachingQueryEngine.invalidate` for the moment the index changes
-(e.g. after an :meth:`~repro.index.incremental.IncrementalIndexer.refresh`).
+(e.g. after a :meth:`~repro.index.segments.SegmentedIndexer.refresh`).
 
 Normalization runs the query optimizer first, so ``a AND a`` and ``a``
 share a cache entry.  The ranking mode and top-K are part of the key

@@ -11,8 +11,8 @@ changing.  This package is that layer, in the mould of the query-broker
   never tear a result;
 * :class:`~repro.service.service.SearchService` — a thread pool of
   query workers in front of the current snapshot.  Updates (full
-  rebuilds or :class:`~repro.index.incremental.IncrementalIndexer`
-  deltas) are computed in the background and published with a single
+  rebuilds or :class:`~repro.index.segments.SegmentedIndexer` deltas)
+  are computed in the background and published with a single
   atomic reference swap through the
   :class:`~repro.concurrency.provider.SyncProvider` seam, so the
   schedule checker can sweep the swap/read interleavings;

@@ -13,7 +13,7 @@ is safe to hammer from every thread a desktop search runs on:
 3. copy-in/copy-out semantics: caller-side mutation of inserted or
    returned lists must never corrupt later hits.
 
-Plus the invalidation integration: after an incremental refresh,
+Plus the invalidation integration: after a segmented refresh,
 ``CachingQueryEngine.invalidate()`` must guarantee no stale postings.
 """
 
@@ -213,15 +213,23 @@ class TestCopySemantics:
 class TestInvalidateAfterRefresh:
     def build(self):
         from repro.fsmodel import VirtualFileSystem
-        from repro.index.incremental import IncrementalIndexer
+        from repro.index.segments import SegmentedIndexer
 
         fs = VirtualFileSystem()
         fs.write_file("a.txt", b"needle here")
         fs.write_file("b.txt", b"just hay")
-        indexer = IncrementalIndexer(fs)
+        indexer = SegmentedIndexer(fs)
         indexer.refresh()
-        caching = CachingQueryEngine(QueryEngine(indexer.index.index))
+        caching = CachingQueryEngine(QueryEngine(indexer.manifest))
         return fs, indexer, caching
+
+    @staticmethod
+    def refresh(indexer, caching):
+        """A refresh swaps in a new immutable manifest; the engine
+        follows it.  Invalidation stays the caller's move."""
+        report = indexer.refresh()
+        caching.engine = QueryEngine(indexer.manifest)
+        return report
 
     def test_add_modify_remove_never_served_stale(self):
         fs, indexer, caching = self.build()
@@ -230,7 +238,7 @@ class TestInvalidateAfterRefresh:
         fs.write_file("c.txt", b"fresh needle")   # add
         fs.replace_file("b.txt", b"needle now")   # modify
         fs.remove_file("a.txt")                   # remove
-        report = indexer.refresh()
+        report = self.refresh(indexer, caching)
         assert report.added and report.modified and report.removed
         caching.invalidate()
         assert caching.search("needle") == ["b.txt", "c.txt"]
@@ -243,7 +251,7 @@ class TestInvalidateAfterRefresh:
         fs, indexer, caching = self.build()
         assert caching.search("needle") == ["a.txt"]
         fs.write_file("c.txt", b"fresh needle")
-        indexer.refresh()
+        self.refresh(indexer, caching)
         assert caching.search("needle") == ["a.txt"]  # stale hit
         caching.invalidate()
         assert caching.search("needle") == ["a.txt", "c.txt"]

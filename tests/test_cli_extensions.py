@@ -80,8 +80,24 @@ class TestRankedSearch:
         assert capsys.readouterr().out.strip()
 
 
+@pytest.fixture
+def cli_reads(monkeypatch):
+    """Every path the CLI reads through its filesystem, in order."""
+    from repro.fsmodel import OsFileSystem
+
+    reads = []
+
+    class Recording(OsFileSystem):
+        def read_file(self, path):
+            reads.append(path)
+            return super().read_file(path)
+
+    monkeypatch.setattr("repro.cli.OsFileSystem", Recording)
+    return reads
+
+
 class TestRefresh:
-    def test_refresh_lifecycle(self, tmp_path, capsys):
+    def test_refresh_lifecycle(self, tmp_path, capsys, cli_reads):
         corpus = str(tmp_path / "corpus")
         main(["generate-corpus", corpus, "--scale", "0.001"])
         index_file = str(tmp_path / "state.idx")
@@ -91,11 +107,14 @@ class TestRefresh:
                      "--state", state_file]) == 0
         out = capsys.readouterr().out
         assert "+51 added" in out
+        assert len(cli_reads) == 51
 
-        # No changes: second refresh is a no-op.
+        # No changes: second refresh is a no-op that opens no file.
+        del cli_reads[:]
         assert main(["refresh", corpus, "--index", index_file,
                      "--state", state_file]) == 0
         assert "+0 added, -0 removed, ~0 modified" in capsys.readouterr().out
+        assert cli_reads == []
 
         # Add a file, then find it through the refreshed index.
         with open(os.path.join(corpus, "novel.txt"), "w") as fh:
@@ -103,6 +122,7 @@ class TestRefresh:
         assert main(["refresh", corpus, "--index", index_file,
                      "--state", state_file]) == 0
         assert "+1 added" in capsys.readouterr().out
+        assert cli_reads == ["novel.txt"]
         assert main(["search", index_file, "uniquemarkerterm"]) == 0
         assert "novel.txt" in capsys.readouterr().out
 
@@ -110,6 +130,28 @@ class TestRefresh:
         with open(state_file) as fh:
             state = json.load(fh)
         assert "novel.txt" in state
+        size, stamp, digest = state["novel.txt"]
+        assert size == len("uniquemarkerterm appears here") and stamp > 0
+
+    def test_foreign_state_file_is_rewritten(self, tmp_path, capsys):
+        """A state file of any other shape — here the pre-3.0
+        ``[size, hash]`` entries — reads as absent: everything is
+        re-indexed and the file rewritten as fingerprints."""
+        corpus = str(tmp_path / "corpus")
+        main(["generate-corpus", corpus, "--scale", "0.001"])
+        index_file = str(tmp_path / "i.ridx")
+        state_file = str(tmp_path / "s.json")
+        main(["refresh", corpus, "--index", index_file, "--state", state_file])
+        with open(state_file) as fh:
+            fingerprints = json.load(fh)
+        with open(state_file, "w") as fh:
+            json.dump({p: [e[0], e[2]] for p, e in fingerprints.items()}, fh)
+        capsys.readouterr()
+        assert main(["refresh", corpus, "--index", index_file,
+                     "--state", state_file]) == 0
+        assert "+51 added" in capsys.readouterr().out
+        with open(state_file) as fh:
+            assert json.load(fh) == fingerprints
 
     def test_refresh_detects_removal(self, tmp_path, capsys):
         corpus = str(tmp_path / "corpus2")

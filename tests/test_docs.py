@@ -94,6 +94,20 @@ class TestRepoLayout:
                      "tools/reproduce.sh"):
             assert os.path.exists(os.path.join(REPO, name)), name
 
+    def test_version_is_single_sourced(self):
+        """pyproject.toml carries no version of its own: the one the
+        package is built with is ``repro.__version__``."""
+        tomllib = pytest.importorskip("tomllib")
+        import repro
+
+        with open(os.path.join(REPO, "pyproject.toml"), "rb") as fh:
+            pyproject = tomllib.load(fh)
+        assert "version" not in pyproject["project"]
+        assert pyproject["project"]["dynamic"] == ["version"]
+        source = pyproject["tool"]["setuptools"]["dynamic"]["version"]
+        assert source == {"attr": "repro.__version__"}
+        assert repro.__version__.split(".")[0] == "3"
+
     def test_every_package_has_docstring(self):
         import repro
 

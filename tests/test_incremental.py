@@ -1,20 +1,22 @@
-"""Tests for incremental index maintenance.
+"""Incremental maintenance, document by document and scan by scan.
 
-The defining invariant: after any sequence of filesystem changes and
-refreshes, the incremental index equals a from-scratch rebuild.
+These are the invariants the pre-3.0 ``repro.index.incremental`` module
+was tested for, re-expressed on the path that replaced it: per-document
+add / remove / update is :meth:`SegmentedIndexer.apply_delta`, change
+detection is the fingerprint scan inside :meth:`SegmentedIndexer.refresh`.
+The defining invariant is unchanged: after any sequence of filesystem
+changes and refreshes, the index equals a from-scratch rebuild.
+(``tests/test_segments*.py`` pin the segment mechanics themselves:
+ownership, tombstones, compaction bytes, crash atomicity.)
 """
 
 import pytest
 
 from repro.corpus import CorpusGenerator, TINY_PROFILE
 from repro.engine import SequentialIndexer
-from repro.index.incremental import (
-    ChangeReport,
-    IncrementalIndex,
-    IncrementalIndexer,
-    diff_snapshots,
-    take_snapshot,
-)
+from repro.fsmodel import VirtualFileSystem
+from repro.index import InvertedIndex
+from repro.index.segments import ChangeReport, SegmentedIndexer
 from repro.text import TermBlock
 
 
@@ -22,144 +24,170 @@ def block(path, *terms):
     return TermBlock(path, tuple(terms))
 
 
+class DocumentStore:
+    """add / remove / update of single documents as one-document deltas."""
+
+    def __init__(self):
+        self.indexer = SegmentedIndexer(None)
+
+    def upsert(self, *blocks):
+        self.indexer.apply_delta({b.path: b for b in blocks}, [], {})
+
+    def remove(self, path):
+        self.indexer.apply_delta({}, [path], {})
+
+    def lookup(self, term):
+        return self.indexer.manifest.lookup(term)
+
+    @property
+    def manifest(self):
+        return self.indexer.manifest
+
+
 class TestIncrementalIndex:
     def test_add_and_lookup(self):
-        index = IncrementalIndex()
-        index.add(block("f1", "cat", "dog"))
-        assert index.lookup("cat") == ["f1"]
-        assert "f1" in index
-        assert len(index) == 1
-
-    def test_duplicate_add_rejected(self):
-        index = IncrementalIndex()
-        index.add(block("f", "x"))
-        with pytest.raises(ValueError):
-            index.add(block("f", "y"))
+        store = DocumentStore()
+        store.upsert(block("f1", "cat", "dog"))
+        assert store.lookup("cat") == ["f1"]
+        assert "f1" in store.manifest
+        assert len(store.manifest) == 1
 
     def test_remove(self):
-        index = IncrementalIndex()
-        index.add(block("f1", "cat", "dog"))
-        index.add(block("f2", "cat"))
-        assert index.remove("f1") is True
-        assert index.lookup("cat") == ["f2"]
-        assert index.lookup("dog") == []
-        assert "dog" not in index.index  # empty postings pruned
+        store = DocumentStore()
+        store.upsert(block("f1", "cat", "dog"), block("f2", "cat"))
+        store.remove("f1")
+        assert store.lookup("cat") == ["f2"]
+        assert store.lookup("dog") == []
+        # No dead term survives, in the live view or the flattened one.
+        assert "dog" not in store.manifest.terms()
+        assert "dog" not in store.manifest.materialize()
 
     def test_remove_missing(self):
-        assert IncrementalIndex().remove("ghost") is False
+        store = DocumentStore()
+        store.upsert(block("f", "x"))
+        store.remove("ghost")
+        assert store.manifest.document_paths() == ["f"]
+        store.indexer.compact()
+        assert not store.manifest.tombstones
+        assert store.lookup("x") == ["f"]
 
     def test_remove_then_readd(self):
-        index = IncrementalIndex()
-        index.add(block("f", "x"))
-        index.remove("f")
-        index.add(block("f", "y"))
-        assert index.lookup("y") == ["f"]
-        assert index.lookup("x") == []
+        store = DocumentStore()
+        store.upsert(block("f", "x"))
+        store.remove("f")
+        assert "f" not in store.manifest
+        store.upsert(block("f", "y"))
+        assert store.lookup("y") == ["f"]
+        assert store.lookup("x") == []
 
     def test_update_delta(self):
-        index = IncrementalIndex()
-        index.add(block("f", "keep", "drop"))
-        index.update(block("f", "keep", "gain"))
-        assert index.lookup("keep") == ["f"]
-        assert index.lookup("gain") == ["f"]
-        assert index.lookup("drop") == []
+        store = DocumentStore()
+        store.upsert(block("f", "keep", "drop"))
+        store.upsert(block("f", "keep", "gain"))
+        assert store.lookup("keep") == ["f"]
+        assert store.lookup("gain") == ["f"]
+        assert store.lookup("drop") == []
 
     def test_update_unknown_adds(self):
-        index = IncrementalIndex()
-        index.update(block("f", "x"))
-        assert index.lookup("x") == ["f"]
+        store = DocumentStore()
+        store.upsert(block("f", "x"))
+        assert store.lookup("x") == ["f"]
 
     def test_update_does_not_duplicate_kept_terms(self):
-        index = IncrementalIndex()
-        index.add(block("f", "stable"))
-        index.update(block("f", "stable", "new"))
-        assert index.lookup("stable") == ["f"]
-        assert index.index.posting_count == 2
+        store = DocumentStore()
+        store.upsert(block("f", "stable"))
+        store.upsert(block("f", "stable", "new"))
+        assert store.lookup("stable") == ["f"]
+        assert store.manifest.materialize().posting_count == 2
 
     def test_document_paths(self):
-        index = IncrementalIndex()
-        index.add(block("a", "x"))
-        index.add(block("b", "y"))
-        assert sorted(index.document_paths()) == ["a", "b"]
+        store = DocumentStore()
+        store.upsert(block("a", "x"))
+        store.upsert(block("b", "y"))
+        assert sorted(store.manifest.document_paths()) == ["a", "b"]
 
     def test_matches_bulk_rebuild_after_churn(self):
-        """Random-ish churn, then compare against a fresh index."""
         operations = [
-            ("add", block("f1", "a", "b")),
-            ("add", block("f2", "b", "c")),
-            ("add", block("f3", "a")),
+            ("upsert", block("f1", "a", "b")),
+            ("upsert", block("f2", "b", "c")),
+            ("upsert", block("f3", "a")),
             ("remove", "f2"),
-            ("update", block("f1", "a", "z")),
-            ("add", block("f4", "c", "z")),
+            ("upsert", block("f1", "a", "z")),
+            ("upsert", block("f4", "c", "z")),
             ("remove", "f3"),
-            ("update", block("f4", "c")),
+            ("upsert", block("f4", "c")),
         ]
-        incremental = IncrementalIndex()
+        store = DocumentStore()
         live = {}
         for op, arg in operations:
-            if op == "add":
-                incremental.add(arg)
+            if op == "upsert":
+                store.upsert(arg)
                 live[arg.path] = arg
-            elif op == "remove":
-                incremental.remove(arg)
-                live.pop(arg, None)
             else:
-                incremental.update(arg)
-                live[arg.path] = arg
-        from repro.index import InvertedIndex
-
+                store.remove(arg)
+                live.pop(arg, None)
         rebuilt = InvertedIndex()
         for b in live.values():
             rebuilt.add_block(b)
-        assert incremental.index == rebuilt
+        assert store.manifest.materialize() == rebuilt
+        store.indexer.compact()
+        assert store.manifest.materialize() == rebuilt
+
+
+def two_files():
+    fs = VirtualFileSystem()
+    fs.write_file("a.txt", b"alpha words")
+    fs.write_file("b.txt", b"beta words")
+    return fs
+
+
+def scanned(fs):
+    indexer = SegmentedIndexer(fs)
+    indexer.refresh()
+    return indexer
+
+
+def rebuilt(fs):
+    return SequentialIndexer(fs, naive=False).build().index
 
 
 class TestSnapshots:
-    def make_fs(self):
-        from repro.fsmodel import VirtualFileSystem
-
-        fs = VirtualFileSystem()
-        fs.write_file("a.txt", b"alpha")
-        fs.write_file("b.txt", b"beta")
-        return fs
-
     def test_snapshot_covers_all_files(self):
-        snapshot = take_snapshot(self.make_fs())
-        assert set(snapshot) == {"a.txt", "b.txt"}
+        fs = two_files()
+        fingerprints = SegmentedIndexer(fs).fingerprint_corpus()
+        assert set(fingerprints) == {"a.txt", "b.txt"}
+        assert fingerprints == scanned(fs).fingerprints
 
     def test_no_change(self):
-        fs = self.make_fs()
-        assert diff_snapshots(take_snapshot(fs), take_snapshot(fs)) == (
-            [], [], [],
-        )
+        indexer = scanned(two_files())
+        before = indexer.fingerprints
+        assert indexer.refresh() == ChangeReport()
+        assert indexer.fingerprints == before
 
     def test_added_detected(self):
-        fs = self.make_fs()
-        old = take_snapshot(fs)
+        fs = two_files()
+        indexer = scanned(fs)
         fs.write_file("c.txt", b"gamma")
-        added, removed, modified = diff_snapshots(old, take_snapshot(fs))
-        assert added == ["c.txt"] and not removed and not modified
+        assert indexer.refresh() == ChangeReport(added=["c.txt"])
 
     def test_removed_detected(self):
-        fs = self.make_fs()
-        old = take_snapshot(fs)
+        fs = two_files()
+        indexer = scanned(fs)
         fs.remove_file("a.txt")
-        added, removed, modified = diff_snapshots(old, take_snapshot(fs))
-        assert removed == ["a.txt"] and not added and not modified
+        assert indexer.refresh() == ChangeReport(removed=["a.txt"])
 
     def test_modified_detected(self):
-        fs = self.make_fs()
-        old = take_snapshot(fs)
+        fs = two_files()
+        indexer = scanned(fs)
         fs.replace_file("b.txt", b"beta changed")
-        added, removed, modified = diff_snapshots(old, take_snapshot(fs))
-        assert modified == ["b.txt"] and not added and not removed
+        assert indexer.refresh() == ChangeReport(modified=["b.txt"])
 
     def test_same_size_different_content_detected(self):
-        fs = self.make_fs()
-        old = take_snapshot(fs)
-        fs.replace_file("a.txt", b"alphA")  # same length
-        _, _, modified = diff_snapshots(old, take_snapshot(fs))
-        assert modified == ["a.txt"]
+        fs = two_files()
+        indexer = scanned(fs)
+        fs.replace_file("a.txt", b"alphA words")  # same length
+        assert indexer.refresh() == ChangeReport(modified=["a.txt"])
+        assert indexer.manifest.lookup("alpha") == ["a.txt"]  # case-folded
 
 
 class TestIncrementalIndexer:
@@ -168,25 +196,18 @@ class TestIncrementalIndexer:
         return CorpusGenerator(TINY_PROFILE).generate().fs
 
     def test_first_refresh_indexes_everything(self, fs):
-        indexer = IncrementalIndexer(fs)
-        report = indexer.refresh()
+        report = SegmentedIndexer(fs).refresh()
         assert len(report.added) == TINY_PROFILE.file_count
         assert report.total == len(report.added)
 
     def test_refresh_idempotent(self, fs):
-        indexer = IncrementalIndexer(fs)
-        indexer.refresh()
-        assert indexer.refresh().total == 0
+        assert scanned(fs).refresh().total == 0
 
     def test_matches_bulk_build(self, fs):
-        indexer = IncrementalIndexer(fs)
-        indexer.refresh()
-        bulk = SequentialIndexer(fs, naive=False).build()
-        assert indexer.index.index == bulk.index
+        assert scanned(fs).manifest.materialize() == rebuilt(fs)
 
     def test_tracks_changes_and_matches_rebuild(self, fs):
-        indexer = IncrementalIndexer(fs)
-        indexer.refresh()
+        indexer = scanned(fs)
 
         some_file = next(iter(fs.list_files())).path
         fs.replace_file(some_file, b"totally new words here")
@@ -198,19 +219,16 @@ class TestIncrementalIndexer:
         assert report.added == ["brand_new.txt"]
         assert report.removed == [victim]
         assert report.modified == [some_file]
-
-        bulk = SequentialIndexer(fs, naive=False).build()
-        assert indexer.index.index == bulk.index
+        assert indexer.manifest.materialize() == rebuilt(fs)
 
     def test_queries_follow_changes(self, fs):
-        indexer = IncrementalIndexer(fs)
-        indexer.refresh()
+        indexer = scanned(fs)
         fs.write_file("needle.txt", b"xyzzyneedle appears here")
         indexer.refresh()
-        assert indexer.index.lookup("xyzzyneedle") == ["needle.txt"]
+        assert indexer.manifest.lookup("xyzzyneedle") == ["needle.txt"]
         fs.remove_file("needle.txt")
         indexer.refresh()
-        assert indexer.index.lookup("xyzzyneedle") == []
+        assert indexer.manifest.lookup("xyzzyneedle") == []
 
     def test_change_report_totals(self):
         report = ChangeReport(added=["a"], removed=["b", "c"], modified=[])
@@ -218,72 +236,60 @@ class TestIncrementalIndexer:
 
 
 class TestRefreshCorrectness:
-    """The replay-idempotency and read-once fixes, pinned."""
-
-    def make_fs(self):
-        from repro.fsmodel import VirtualFileSystem
-
-        fs = VirtualFileSystem()
-        fs.write_file("a.txt", b"alpha words")
-        fs.write_file("b.txt", b"beta words")
-        return fs
+    """Replay idempotency and read-once scanning, pinned."""
 
     def test_replay_after_partial_refresh_converges(self):
-        """A crashed refresh leaves the index part-mutated and the
-        snapshot stale; re-running must not raise 'already indexed'."""
-        from repro.text.termblock import TermBlock
-
-        fs = self.make_fs()
-        indexer = IncrementalIndexer(fs)
-        indexer.refresh()
-        # Simulate a refresh that crashed after applying half its
-        # delta: c.txt was added to the index, d.txt too, but the
-        # snapshot swap never happened — and d.txt has since vanished.
+        """A refresh whose index was persisted but whose fingerprints
+        were not (``repro-cli refresh`` writes two files) restarts with
+        an index *ahead* of its fingerprints; the replay must converge,
+        sweeping what the lost refresh indexed and has since vanished."""
+        fs = two_files()
+        first = scanned(fs)
+        stale_fingerprints = first.fingerprints
         fs.write_file("c.txt", b"gamma words")
-        indexer.index.add(TermBlock("c.txt", ("gamma", "words")))
-        indexer.index.add(TermBlock("d.txt", ("delta",)))
-        report = indexer.refresh()
+        fs.write_file("d.txt", b"delta")
+        first.refresh()  # indexed c.txt and d.txt ...
+        fs.remove_file("d.txt")
+        replay = SegmentedIndexer(fs)  # ... but only the index survived
+        replay.adopt(first.manifest.materialize(), stale_fingerprints)
+        report = replay.refresh()
         assert report.added == ["c.txt"]
-        bulk = SequentialIndexer(fs, naive=False).build()
-        assert indexer.index.index == bulk.index
-        assert indexer.index.lookup("delta") == []
+        assert report.removed == ["d.txt"]
+        assert replay.manifest.materialize() == rebuilt(fs)
+        assert replay.manifest.lookup("delta") == []
 
     def test_replay_after_crashed_refresh_with_faultfs(self):
         """End to end: a fault aborts refresh mid-scan; the retry
         (fault cleared) converges to the from-scratch rebuild."""
-        import pytest as _pytest
-
         from repro.fsmodel.faultfs import FaultInjectingFileSystem, FaultSpec
 
-        fs = self.make_fs()
-        clean = IncrementalIndexer(fs)
-        clean.refresh()
+        fs = two_files()
+        clean = scanned(fs)
         fs.replace_file("a.txt", b"alpha rewritten")
         fs.write_file("c.txt", b"gamma words")
         faulty = FaultInjectingFileSystem(
             fs, {"c.txt": FaultSpec(action="error", exc_type=OSError)}
         )
-        crashed = IncrementalIndexer(
-            faulty, index=clean.index, snapshot=clean.snapshot
+        crashed = SegmentedIndexer(
+            faulty, manifest=clean.manifest, fingerprints=clean.fingerprints
         )
-        with _pytest.raises(OSError):
+        with pytest.raises(OSError):
             crashed.refresh()
         # Retry against the healthy filesystem, same persisted state.
-        retry = IncrementalIndexer(
-            fs, index=crashed.index, snapshot=crashed.snapshot
+        retry = SegmentedIndexer(
+            fs, manifest=crashed.manifest, fingerprints=crashed.fingerprints
         )
         report = retry.refresh()
         assert report.added == ["c.txt"]
         assert report.modified == ["a.txt"]
-        bulk = SequentialIndexer(fs, naive=False).build()
-        assert retry.index.index == bulk.index
+        assert retry.manifest.materialize() == rebuilt(fs)
 
     def test_each_file_read_once_per_refresh(self):
-        """The fingerprint and the indexed content come from one read —
-        the TOCTOU double-read is gone."""
+        """The fingerprint and the indexed content come from one read,
+        and a file whose stat is unchanged is not read at all."""
         from collections import Counter
 
-        fs = self.make_fs()
+        fs = two_files()
 
         class CountingFs:
             def __init__(self, inner):
@@ -298,39 +304,35 @@ class TestRefreshCorrectness:
                 return getattr(self.inner, name)
 
         counting = CountingFs(fs)
-        indexer = IncrementalIndexer(counting)
+        indexer = SegmentedIndexer(counting)
         indexer.refresh()
-        assert set(counting.reads.values()) == {1}
+        assert counting.reads == {"a.txt": 1, "b.txt": 1}
         counting.reads.clear()
         fs.replace_file("a.txt", b"alpha rewritten")
         indexer.refresh()
-        assert counting.reads["a.txt"] == 1
-        assert counting.reads["b.txt"] == 1  # no stat support: hashed once
+        assert counting.reads == {"a.txt": 1}
 
     def test_removals_apply_before_adds(self):
-        """A path removed while a differently-cased sibling appears in
-        the same interval must never be doubly live; removals land
-        first, then upserts."""
-        fs = self.make_fs()
-        indexer = IncrementalIndexer(fs)
-        indexer.refresh()
+        """Content that moves to a new path in one interval is never
+        doubly live: the old path is tombstoned, the new one sealed."""
+        fs = two_files()
+        indexer = scanned(fs)
         content = fs.read_file("a.txt")
         fs.remove_file("a.txt")
         fs.write_file("a2.txt", content)
         report = indexer.refresh()
         assert report.removed == ["a.txt"]
         assert report.added == ["a2.txt"]
-        assert indexer.index.lookup("alpha") == ["a2.txt"]
-        bulk = SequentialIndexer(fs, naive=False).build()
-        assert indexer.index.index == bulk.index
+        assert indexer.manifest.lookup("alpha") == ["a2.txt"]
+        assert indexer.manifest.materialize() == rebuilt(fs)
 
     def test_remove_and_readd_identical_content_is_noop(self):
-        fs = self.make_fs()
-        indexer = IncrementalIndexer(fs)
-        indexer.refresh()
+        fs = two_files()
+        indexer = scanned(fs)
+        before = indexer.manifest
         content = fs.read_file("b.txt")
         fs.remove_file("b.txt")
         fs.write_file("b.txt", content)
-        report = indexer.refresh()
-        assert report.total == 0
-        assert indexer.index.lookup("beta") == ["b.txt"]
+        assert indexer.refresh().total == 0
+        assert indexer.manifest is before
+        assert indexer.manifest.lookup("beta") == ["b.txt"]

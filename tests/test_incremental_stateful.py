@@ -1,13 +1,16 @@
-"""Stateful property testing of incremental index maintenance.
+"""Stateful property testing of *resumed* incremental maintenance.
 
-Hypothesis drives a random interleaving of filesystem operations
-(create, edit, delete) and indexer refreshes against a live
-:class:`~repro.index.incremental.IncrementalIndexer`; after every
-refresh, the incremental index must equal a from-scratch rebuild of the
-current filesystem state, and every lookup must agree with a naive
-reference model.
+``tests/test_segments_stateful.py`` drives one long-lived indexer.  This
+machine drives the ``repro-cli refresh`` lifecycle instead: every
+refresh starts in a fresh :class:`~repro.index.segments.SegmentedIndexer`
+that adopts what the previous one persisted — the flattened index as
+file bytes and the fingerprint map as JSON — and a run may lose the
+fingerprint write, restarting with an index ahead of its fingerprints.
+After every refresh the index must equal a from-scratch rebuild of the
+current filesystem state.
 """
 
+import json
 import string
 
 from hypothesis import settings
@@ -21,7 +24,8 @@ from hypothesis.stateful import (
 
 from repro.engine import SequentialIndexer
 from repro.fsmodel import VirtualFileSystem
-from repro.index.incremental import IncrementalIndexer
+from repro.index import index_from_bytes, index_to_bytes
+from repro.index.segments import SegmentedIndexer
 
 words = st.lists(
     st.text(alphabet=string.ascii_lowercase, min_size=2, max_size=6),
@@ -31,12 +35,13 @@ words = st.lists(
 names = st.integers(min_value=0, max_value=9).map(lambda i: f"file{i}.txt")
 
 
-class IncrementalMachine(RuleBasedStateMachine):
+class ResumedRefreshMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.fs = VirtualFileSystem()
-        self.indexer = IncrementalIndexer(self.fs)
-        self.refreshed = True  # empty snapshot == empty fs
+        self.index_bytes = None
+        self.state_json = json.dumps({})
+        self.refreshed = True  # nothing persisted == empty fs
 
     @rule(name=names, content=words)
     def create_or_edit(self, name, content):
@@ -53,27 +58,34 @@ class IncrementalMachine(RuleBasedStateMachine):
             self.fs.remove_file(name)
             self.refreshed = False
 
-    @rule()
-    def refresh(self):
-        self.indexer.refresh()
+    @rule(fingerprints_persisted=st.booleans())
+    def refresh(self, fingerprints_persisted):
+        indexer = SegmentedIndexer(self.fs)
+        if self.index_bytes is not None:
+            fingerprints = {
+                path: tuple(entry)
+                for path, entry in json.loads(self.state_json).items()
+            }
+            indexer.adopt(index_from_bytes(self.index_bytes), fingerprints)
+        indexer.refresh()
+        self.index_bytes = index_to_bytes(
+            indexer.manifest.materialize(), format="binary"
+        )
+        if fingerprints_persisted:
+            self.state_json = json.dumps(
+                {p: list(e) for p, e in indexer.fingerprints.items()}
+            )
         self.refreshed = True
 
     @invariant()
     def index_matches_rebuild_after_refresh(self):
-        if not self.refreshed:
+        if not self.refreshed or self.index_bytes is None:
             return
         rebuilt = SequentialIndexer(self.fs, naive=False).build().index
-        assert self.indexer.index.index == rebuilt
-
-    @invariant()
-    def document_store_consistent(self):
-        if not self.refreshed:
-            return
-        live = sorted(ref.path for ref in self.fs.list_files())
-        assert sorted(self.indexer.index.document_paths()) == live
+        assert index_from_bytes(self.index_bytes) == rebuilt
 
 
-TestIncrementalStateful = IncrementalMachine.TestCase
+TestIncrementalStateful = ResumedRefreshMachine.TestCase
 TestIncrementalStateful.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )

@@ -17,7 +17,7 @@ from repro.index.binfmt import (
     encode_varint,
     load_index_bytes,
 )
-from repro.index.incremental import IncrementalIndex
+from repro.index.segments import CompactionPolicy, SegmentedIndexer
 from repro.query.wildcard import PrefixDictionary
 from repro.text import TermBlock
 
@@ -129,30 +129,29 @@ def churn_operations(draw):
 
 
 class TestIncrementalProperties:
-    @given(churn_operations())
+    @given(churn_operations(), st.integers(min_value=2, max_value=4))
     @settings(max_examples=60, deadline=None)
-    def test_always_equals_rebuild(self, operations):
-        incremental = IncrementalIndex()
+    def test_always_equals_rebuild(self, operations, fanin):
+        """One-document deltas through ``apply_delta``: the live view,
+        and the compacted one, always equal a rebuild of what is live."""
+        indexer = SegmentedIndexer(None)
         live = {}
         for kind, path, block_terms in operations:
-            block = TermBlock(path, tuple(block_terms))
-            if kind == "add":
-                if path in live:
-                    incremental.update(block)
-                else:
-                    incremental.add(block)
-                live[path] = block
-            elif kind == "remove":
-                incremental.remove(path)
+            if kind == "remove":
+                indexer.apply_delta({}, [path], {})
                 live.pop(path, None)
             else:
-                incremental.update(block)
+                block = TermBlock(path, tuple(block_terms))
+                indexer.apply_delta({path: block}, [], {})
                 live[path] = block
         rebuilt = InvertedIndex()
         for block in live.values():
             rebuilt.add_block(block)
-        assert incremental.index == rebuilt
-        assert sorted(incremental.document_paths()) == sorted(live)
+        assert indexer.manifest.materialize() == rebuilt
+        assert sorted(indexer.manifest.document_paths()) == sorted(live)
+        indexer.compact(policy=CompactionPolicy(fanin=fanin))
+        assert indexer.manifest.materialize() == rebuilt
+        assert sorted(indexer.manifest.document_paths()) == sorted(live)
 
 
 class TestWildcardProperties:

@@ -125,18 +125,20 @@ class TestCachingQueryEngine:
         assert caching.cache.misses == 2
 
     def test_incremental_workflow(self):
-        """Cache + incremental index: invalidate after refresh."""
+        """Cache + segmented refresh: the refreshed manifest gets a new
+        engine, and the cache is invalidated with the swap."""
         from repro.fsmodel import VirtualFileSystem
-        from repro.index.incremental import IncrementalIndexer
+        from repro.index.segments import SegmentedIndexer
 
         fs = VirtualFileSystem()
         fs.write_file("a.txt", b"needle here")
-        indexer = IncrementalIndexer(fs)
+        indexer = SegmentedIndexer(fs)
         indexer.refresh()
-        caching = CachingQueryEngine(QueryEngine(indexer.index.index))
+        caching = CachingQueryEngine(QueryEngine(indexer.manifest))
         assert caching.search("needle") == ["a.txt"]
 
         fs.write_file("b.txt", b"another needle")
         indexer.refresh()
+        caching.engine = QueryEngine(indexer.manifest)
         caching.invalidate()
         assert caching.search("needle") == ["a.txt", "b.txt"]

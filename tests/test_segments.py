@@ -11,11 +11,12 @@ The two load-bearing invariants:
 
 import pytest
 
+from repro.api import Search
 from repro.engine.procbackend import CompactionExecutor
 from repro.engine.sequential import SequentialIndexer
 from repro.fsmodel.faultfs import FaultInjectingFileSystem, FaultSpec
 from repro.fsmodel.vfs import VirtualFileSystem
-from repro.index.binfmt import dump_index_ridx2
+from repro.index.binfmt import dump_index_ridx2, dump_index_wire
 from repro.index.inverted import InvertedIndex
 from repro.index.segments import (
     BackgroundCompactor,
@@ -51,10 +52,10 @@ def bootstrapped(fs):
 
 
 def seg(segment_id, docs):
-    return MemorySegment(
-        segment_id,
-        {path: TermBlock(path, tuple(terms)) for path, terms in docs.items()},
-    )
+    index = InvertedIndex()
+    for path, terms in docs.items():
+        index.add_block(TermBlock(path, tuple(terms)))
+    return MemorySegment(segment_id, index, docs)
 
 
 class TestSegmentManifest:
@@ -247,8 +248,8 @@ class TestCompaction:
         monkeypatch.setattr(pb.multiprocessing, "get_context", broken)
         executor = CompactionExecutor(max_workers=2, oversubscribe=True)
         payloads = [
-            ([[("a.txt", ("cat",))]], []),
-            ([[("b.txt", ("dog",))]], []),
+            ([dump_index_wire(seg(0, {path: [term]}).index)], {path: 0})
+            for path, term in (("a.txt", "cat"), ("b.txt", "dog"))
         ]
         blobs = executor.run(merge_segment_payload, payloads)
         assert executor.fallbacks == 1
@@ -297,6 +298,41 @@ class TestCompaction:
         indexer.compact()
         assert indexer.manifest.to_ridx2() == rebuild_bytes(fs)
 
+    def test_disk_segment_membership_reads_the_doc_table_once(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "s.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(seg(0, {"a.txt": ["cat"], "b.txt": ["dog"]}).to_ridx2())
+        segment = DiskSegment(0, path)
+        try:
+            monkeypatch.setattr(
+                type(segment._reader),
+                "doc_paths",
+                lambda self: pytest.fail("doc_paths() called again"),
+            )
+            assert "a.txt" in segment
+            assert "ghost.txt" not in segment
+            assert len(segment) == 2
+        finally:
+            segment.close()
+
+    def test_emptied_file_stays_shadowed_across_merge_rounds(self):
+        """x.txt's emptied revision lands in a later merge group than
+        its old one; the old postings must not come back."""
+        fs = VirtualFileSystem()
+        indexer = SegmentedIndexer(fs)
+        fs.write_file("x.txt", b"cat dog")
+        indexer.refresh()
+        fs.write_file("y.txt", b"bird")
+        indexer.refresh()
+        fs.replace_file("x.txt", b"")
+        indexer.refresh()
+        indexer.compact(policy=CompactionPolicy(fanin=2))
+        assert indexer.manifest.segment_count == 1
+        assert indexer.manifest.lookup("cat") == []
+        assert indexer.manifest.to_ridx2() == rebuild_bytes(fs)
+
     def test_compact_manifest_pure_function(self):
         manifest = SegmentManifest(
             [
@@ -328,13 +364,82 @@ class TestCompaction:
             metrics = recorder.metrics
             assert metrics.gauge("segments.count").value == 1
             assert metrics.gauge("segments.tombstones").value == 0
-            assert metrics.counter("compaction.merged_bytes").value > 0
+            # d.txt's one posting joins the seven of the base segment.
+            assert metrics.counter("compaction.merged_postings").value == 8
             assert metrics.counter("segments.files_read").value >= 1
             names = [s.name for s in recorder.spans]
             assert "segments.refresh" in names
             assert "compaction.run" in names
         finally:
             obsrec.set_recorder(previous)
+
+
+class TestSegmentsAreTheIndex:
+    """A sealed segment is the index it serves: adopted and merged
+    indexes are held by reference and never mutated, and nothing builds
+    a forward (path -> terms) view unless ``reconcile`` asks."""
+
+    def churn(self, fs, step):
+        fs.write_file(f"new{step}.txt", f"word{step} cat".encode())
+        fs.replace_file("a.txt", f"rewritten{step} dog".encode())
+        if fs.exists("b.txt"):
+            fs.remove_file("b.txt")
+
+    def test_captured_indexes_stay_frozen(self):
+        fs = make_fs()
+        session = Search.build(fs)
+        captured = [session.index, session.report.index]
+        assert captured[0] is captured[1]  # adopted, not copied
+        copies = [index.copy() for index in captured]
+        for step in range(3):
+            self.churn(fs, step)
+            session.refresh()
+            # A merged view and a compaction product are captured too.
+            captured.append(session.index)
+            copies.append(session.index.copy())
+            assert captured == copies
+            session.compact()
+            captured.append(session.index)
+            copies.append(session.index.copy())
+            assert captured == copies
+        assert session.index == SequentialIndexer(fs, naive=False).build().index
+
+    def test_forward_view_is_built_only_by_reconcile(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.index.segments as segments
+
+        built = []
+        real = segments.forward_view
+
+        def counting(postings):
+            built.append(1)
+            return real(postings)
+
+        monkeypatch.setattr(segments, "forward_view", counting)
+        fs = make_fs()
+        session = Search.build(fs)
+        assert session.query("cat AND NOT dog").paths == ["c.txt"]
+        for step in range(2):
+            self.churn(fs, step)
+            assert session.refresh().total > 0
+            assert session.query(f"word{step}").paths == [f"new{step}.txt"]
+        session.compact()
+        saved = str(tmp_path / "saved.ridx")
+        session.save(saved)
+        assert built == []
+
+        self.churn(fs, 2)
+        reopened = Search.open(saved, source=fs)
+        assert reopened.query("word1").paths == ["new1.txt"]
+        assert built == []
+        change = reopened.refresh()
+        assert change.added == ["new2.txt"] and change.modified == ["a.txt"]
+        assert built == [1]
+        # From here on the session has fingerprints: stat-first again.
+        self.churn(fs, 3)
+        reopened.refresh()
+        assert built == [1]
 
 
 class TestBackgroundCompactor:

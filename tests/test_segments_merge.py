@@ -1,0 +1,132 @@
+"""The one merge against the merge it replaced.
+
+Until 3.0 segments were flattened document by document: regroup every
+document's terms, resolve newest-wins by dict overwrite, re-insert each
+surviving term block.  :func:`~repro.index.segments.merge_postings`
+does the same job postings-wise.  The old routine lives on here,
+verbatim, as the reference oracle: over random segment stacks with
+overlapping paths, emptied documents and tombstones the two must agree,
+and compaction must produce the oracle's canonical bytes on every path
+— in-process, through the executor's RWIRE1 payloads, at any fan-in.
+"""
+
+import string
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine.procbackend import CompactionExecutor
+from repro.index.binfmt import dump_index_ridx2
+from repro.index.inverted import InvertedIndex
+from repro.index.segments import (
+    CompactionPolicy,
+    MemorySegment,
+    SegmentManifest,
+    compact_manifest,
+)
+from repro.text.termblock import TermBlock
+
+
+def docwise_merge(segments, tombstones):
+    """The pre-3.0 ``_group_payload`` + ``merge_segment_payload``."""
+    groups = [
+        [(path, segment.doc_terms(path)) for path in segment.doc_paths()]
+        for segment in segments
+    ]
+    dead = set(tombstones)
+    docs = {}
+    for group in groups:
+        for path, terms in group:
+            docs[path] = tuple(terms)
+    index = InvertedIndex()
+    for path in sorted(docs):
+        if path in dead:
+            continue
+        index.add_block(TermBlock(path, docs[path]))
+    return index
+
+
+paths = st.integers(min_value=0, max_value=7).map(lambda i: f"doc{i}.txt")
+terms = st.lists(
+    st.text(alphabet=string.ascii_lowercase[:6], min_size=1, max_size=2),
+    max_size=5,
+    unique=True,
+)
+stacks = st.lists(
+    st.dictionaries(paths, terms, min_size=1, max_size=6),
+    min_size=1,
+    max_size=6,
+)
+
+
+def sealed(stack):
+    segments = []
+    for segment_id, docs in enumerate(stack):
+        index = InvertedIndex()
+        for path, doc_terms in docs.items():
+            index.add_block(TermBlock(path, tuple(doc_terms)))
+        segments.append(MemorySegment(segment_id, index, docs))
+    return segments
+
+
+@given(stack=stacks, tombstones=st.sets(paths, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_materialize_equals_the_docwise_merge(stack, tombstones):
+    segments = sealed(stack)
+    manifest = SegmentManifest(segments, tombstones)
+    merged = manifest.materialize()
+    oracle = docwise_merge(segments, tombstones)
+    assert merged == oracle
+    assert dump_index_ridx2(merged) == dump_index_ridx2(oracle)
+    for term, postings in merged.items():
+        assert postings.paths() == sorted(postings.paths()), term
+
+
+def check_compaction(stack, tombstones, fanin):
+    segments = sealed(stack)
+    manifest = SegmentManifest(segments, tombstones)
+    oracle = dump_index_ridx2(docwise_merge(segments, tombstones))
+    policy = CompactionPolicy(fanin=fanin)
+    executor = CompactionExecutor(max_workers=2, oversubscribe=True)
+    in_process = compact_manifest(manifest, policy)
+    pooled = compact_manifest(manifest, policy, executor=executor)
+    assert in_process.to_ridx2() == oracle
+    assert pooled.to_ridx2() == oracle
+    for compacted in (in_process, pooled):
+        assert compacted.segment_count <= 1
+        assert not compacted.tombstones
+        assert compacted.live_paths() == manifest.live_paths()
+    return executor
+
+
+compactions = dict(
+    stack=stacks,
+    tombstones=st.sets(paths, max_size=3),
+    fanin=st.integers(min_value=2, max_value=4),
+)
+
+
+@given(**compactions)
+@settings(max_examples=100, deadline=None)
+def test_compaction_equals_the_docwise_merge_when_the_pool_cannot_start(
+    stack, tombstones, fanin
+):
+    """The executor's in-parent fallback runs the very payloads a pool
+    worker would get, so this sweeps the RWIRE1 path widely."""
+    import repro.engine.procbackend as pb
+
+    with mock.patch.object(
+        pb.multiprocessing, "get_context", side_effect=OSError("no pool")
+    ):
+        executor = check_compaction(stack, tombstones, fanin)
+    multi_group_rounds = len(stack) > fanin
+    assert (executor.fallbacks > 0) == multi_group_rounds
+
+
+@given(**compactions)
+@settings(max_examples=5, deadline=None)
+def test_compaction_equals_the_docwise_merge_on_the_pool(
+    stack, tombstones, fanin
+):
+    check_compaction(stack, tombstones, fanin)
