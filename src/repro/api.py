@@ -57,6 +57,11 @@ from repro.engine.runner import IndexGenerator
 from repro.engine.sequential import SequentialIndexer
 from repro.extract.registry import resolve_extractor
 from repro.fsmodel.realfs import OsFileSystem
+from repro.index.fingerprint import (
+    load_fingerprints,
+    save_fingerprints,
+    state_path,
+)
 from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_indices
 from repro.index.multi import MultiIndex
@@ -195,9 +200,6 @@ class Search:
             root=root,
             segment_dir=segment_dir,
         )
-        # Fingerprint first: a file modified while the build runs is
-        # then seen as changed by the next refresh, never silently lost.
-        fingerprints = segmented.fingerprint_corpus()
         if config is None:
             report = SequentialIndexer(
                 fs,
@@ -222,7 +224,10 @@ class Search:
                 extractor=extractor,
                 split_threshold=split_threshold,
             ).build(implementation, config, root)
-        segmented.adopt(_flatten(report.index), fingerprints)
+        # The engine fingerprinted each file by the read it indexed, so
+        # a file modified while the build runs is seen as changed by
+        # the next refresh, never silently lost.
+        segmented.adopt(_flatten(report.index), report.fingerprints)
         return cls(
             segmented,
             fs=fs,
@@ -255,8 +260,10 @@ class Search:
     ) -> "Search":
         """Load a saved index (any format, sniffed; replica directories
         join).  Pass ``source`` — the indexed directory or filesystem —
-        to re-enable :meth:`refresh`; the first refresh reconciles the
-        index against the live filesystem state.
+        to re-enable :meth:`refresh`: with the fingerprints
+        :meth:`save` left beside the index the first refresh reads only
+        what changed since, without them it reconciles the index
+        against every live file.
         """
         if os.path.isdir(path):
             index = _flatten(load_multi_index(path))
@@ -270,7 +277,11 @@ class Search:
             root=root,
             segment_dir=segment_dir,
         )
-        segmented.adopt(index, {})
+        # Only a session that can refresh has a use for the state file.
+        fingerprints = None
+        if fs is not None:
+            fingerprints = load_fingerprints(state_path(path))
+        segmented.adopt(index, fingerprints or {})
         return cls(
             segmented,
             fs=fs,
@@ -457,8 +468,14 @@ class Search:
 
     def save(self, path: str, format: str = "auto") -> int:
         """Persist the index; returns bytes written.  ``format="auto"``
-        writes binary for ``.ridx``/``.bin`` paths, JSON-lines else."""
-        return save_index(self.index, path, format=format)
+        writes binary for ``.ridx``/``.bin`` paths, JSON-lines else.
+
+        The session's fingerprints go beside it (``path`` + ``.state``),
+        index first: :meth:`open` with ``source=`` resumes from them.
+        """
+        written = save_index(self.index, path, format=format)
+        save_fingerprints(self._segmented.fingerprints, state_path(path))
+        return written
 
     # -- serving ----------------------------------------------------------
 

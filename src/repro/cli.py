@@ -917,41 +917,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_fingerprints(state_path: str):
-    """The ``refresh`` state file as a fingerprint map, or None.
-
-    Anything but ``{path: [size, stamp, hash]}`` with integer fields
-    (a missing file, another tool's JSON, a pre-3.0 ``[size, hash]``
-    state) reads as absent: the caller re-indexes and rewrites it.
-    """
-    import json
-
-    try:
-        with open(state_path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(state, dict):
-        return None
-    for entry in state.values():
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 3
-            and all(type(field) is int for field in entry)
-        ):
-            return None
-    return {path: tuple(entry) for path, entry in state.items()}
-
-
 def _cmd_refresh(args: argparse.Namespace) -> int:
-    import json
     import os
 
     from repro.index import SegmentedIndexer
+    from repro.index.fingerprint import load_fingerprints, save_fingerprints
 
     observing = _observability_requested(args)
     indexer = SegmentedIndexer(OsFileSystem(args.directory))
-    fingerprints = _load_fingerprints(args.state)
+    fingerprints = load_fingerprints(args.state)
     if fingerprints is not None and os.path.exists(args.index):
         indexer.adopt(load_index(args.index), fingerprints)
 
@@ -965,8 +939,7 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
     if os.path.exists(args.index):
         os.remove(args.index)
     save_index(indexer.manifest.materialize(), args.index)
-    with open(args.state, "w", encoding="utf-8") as fh:
-        json.dump({p: list(e) for p, e in indexer.fingerprints.items()}, fh)
+    save_fingerprints(indexer.fingerprints, args.state)
     print(f"index: {args.index}, state: {args.state}")
     if observing:
         _emit_observability(args)

@@ -31,6 +31,11 @@ from repro.engine.results import BuildReport, StageTimings, build_metrics
 from repro.extract.registry import resolve_extractor
 from repro.extract.split import SplitJoiner, expand_file_refs, read_chunk
 from repro.fsmodel.nodes import ChunkRef, FileRef
+from repro.index.fingerprint import (
+    FingerprintMap,
+    read_fingerprinted,
+    unhashed_fingerprint,
+)
 from repro.obs import recorder as obsrec
 from repro.text.dedup import dedup_terms
 from repro.text.termblock import TermBlock
@@ -118,6 +123,10 @@ class ThreadedIndexerBase:
             )
         self.on_error = on_error
         self.last_failures: List[FileFailure] = []
+        # Fingerprints of the files the current build has indexed, set
+        # by the extractor threads (a dict store is atomic under the
+        # GIL and every path is one thread's); reset at each build().
+        self._fingerprints: FingerprintMap = {}
         # The current build's span recorder; replaced at each build()
         # so stage helpers always have somewhere to record.
         self._recorder = obsrec.Recorder()
@@ -125,6 +134,7 @@ class ThreadedIndexerBase:
         # build actually splits files (None otherwise).
         self._split_joiner: Optional[SplitJoiner] = None
         self._split_lock = None
+        self._split_fingerprints: FingerprintMap = {}
 
     # -- public API ------------------------------------------------------
 
@@ -132,6 +142,7 @@ class ThreadedIndexerBase:
         """Run the full pipeline under ``config`` and report the result."""
         config.validate_for(self.implementation)
         self.last_failures = []
+        self._fingerprints = {}
         rec = self._recorder = obsrec.Recorder()
 
         root_span = rec.span(
@@ -169,6 +180,7 @@ class ThreadedIndexerBase:
             posting_count=index.posting_count,
             extractor_times=list(getattr(self, "last_extractor_times", [])),
             failures=list(self.last_failures),
+            fingerprints=self._fingerprints,
             spans=spans,
             metrics=metrics,
         )
@@ -210,7 +222,10 @@ class ThreadedIndexerBase:
         """
         extractor = self.extractor
         if self.on_error != "skip":
-            content = self.fs.read_file(ref.path)
+            # Strict: any error aborts the build, report and all.
+            content, self._fingerprints[ref.path] = read_fingerprinted(
+                self.fs, ref.path
+            )
             return TermBlock(
                 path=ref.path,
                 terms=dedup_terms(
@@ -218,7 +233,7 @@ class ThreadedIndexerBase:
                 ),
             )
         try:
-            content = self.fs.read_file(ref.path)
+            content, fingerprint = read_fingerprinted(self.fs, ref.path)
         except Exception as exc:
             # list.append is atomic under the GIL, so extractor threads
             # can record failures without a lock.
@@ -234,7 +249,7 @@ class ThreadedIndexerBase:
             )
             return None
         try:
-            return TermBlock(
+            block = TermBlock(
                 path=ref.path, terms=dedup_terms(extractor.tokenize(content))
             )
         except Exception as exc:
@@ -242,6 +257,8 @@ class ThreadedIndexerBase:
                 FileFailure.from_exception(ref.path, "tokenize", exc)
             )
             return None
+        self._fingerprints[ref.path] = fingerprint
+        return block
 
     def _extract_chunk_inner(self, ref: ChunkRef) -> Optional[TermBlock]:
         """Stage 2 for one chunk of a split file.
@@ -289,6 +306,7 @@ class ThreadedIndexerBase:
             )
         if whole is None:
             return None
+        self._fingerprints[ref.path] = self._split_fingerprints[ref.path]
         return TermBlock(path=ref.path, terms=dedup_terms(whole))
 
     def _record_chunk_failure(self, ref: ChunkRef, stage: str, exc) -> None:
@@ -331,6 +349,11 @@ class ThreadedIndexerBase:
             if split_paths:
                 self._split_joiner = SplitJoiner()
                 self._split_lock = self.sync.lock("split-joiner")
+                # Statted here, before any chunk of the file is read.
+                self._split_fingerprints = {
+                    path: unhashed_fingerprint(self.fs, path)
+                    for path in split_paths
+                }
                 obsrec.metrics().counter("extract.files_split").inc(
                     len(split_paths)
                 )

@@ -83,6 +83,7 @@ from repro.obs import recorder as obsrec
 from repro.obs.spans import rebase_spans
 from repro.fsmodel.nodes import ChunkRef, FileRef
 from repro.index.binfmt import load_index_wire, merge_wire_replica
+from repro.index.fingerprint import FingerprintMap, unhashed_fingerprint
 from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_pairwise_tree
 from repro.text.dedup import dedup_terms
@@ -216,6 +217,7 @@ class ProcessReplicatedIndexer:
         self.last_failures: List = []
         self.last_retries = 0
         self._succeeded_paths: set = set()
+        self._fingerprints: FingerprintMap = {}
         self._recorder = obsrec.Recorder()
         if start_method is not None:
             if start_method not in multiprocessing.get_all_start_methods():
@@ -243,6 +245,7 @@ class ProcessReplicatedIndexer:
         self.last_failures = []
         self.last_retries = 0
         self._succeeded_paths = set()
+        self._fingerprints = {}
         self._chunk_blocks: List[TermBlock] = []
         rec = self._recorder = obsrec.Recorder()
 
@@ -291,6 +294,7 @@ class ProcessReplicatedIndexer:
             posting_count=index.posting_count,
             extractor_times=list(self.last_extractor_times),
             failures=list(self.last_failures),
+            fingerprints=self._fingerprints,
             retries=self.last_retries,
             spans=spans,
             metrics=metrics,
@@ -369,6 +373,7 @@ class ProcessReplicatedIndexer:
         """
         workers = config.extractors
         policy = self.policy
+        split_fingerprints: FingerprintMap = {}
         if self.split_threshold is not None:
             # Huge-file divide-and-conquer: chunks of an oversized file
             # distribute across worker slots like ordinary files, so
@@ -380,6 +385,11 @@ class ProcessReplicatedIndexer:
                 obsrec.metrics().counter("extract.files_split").inc(
                     len(split_paths)
                 )
+                # Statted here, before any chunk of the file is read.
+                split_fingerprints = {
+                    path: unhashed_fingerprint(self.fs, path)
+                    for path in split_paths
+                }
         distribution = self.strategy.distribute(files, workers)
         fs_spec = FilesystemSpec.from_filesystem(self.fs)
         extractor_spec = self.extractor.spec()
@@ -480,8 +490,14 @@ class ProcessReplicatedIndexer:
                         )
                     )
                     self._succeeded_paths.add(result.path)
+                    self._fingerprints[result.path] = split_fingerprints[
+                        result.path
+                    ]
                 return
+            # Only a result that reaches this line is merged, so a batch
+            # the ladder re-runs contributes its fingerprints once.
             blobs.append(result.replica)
+            self._fingerprints.update(result.fingerprints)
             self.last_extractor_times[job.slot] += result.elapsed
             self.last_failures.extend(result.failures)
             # Paths the batch indexed (vs. recorded as failures); used

@@ -35,6 +35,7 @@ from typing import List, Optional, Tuple
 from repro.engine.faults import ERROR_POLICIES, FileFailure
 from repro.extract.base import ExtractorSpec
 from repro.extract.split import read_chunk
+from repro.index.fingerprint import Fingerprint, read_fingerprinted
 from repro.index.replica import ReplicaBuilder
 from repro.obs.recorder import NULL_SPAN, Recorder
 from repro.obs.spans import SpanRecord, rebase_spans
@@ -185,6 +186,10 @@ class WorkerResult:
     elapsed: float
     file_count: int
     failures: Tuple[FileFailure, ...] = ()
+    # (path, fingerprint) of every file in the replica, hashed here in
+    # the worker from the bytes it indexed; travels beside the RWIRE1
+    # blob, not in it.
+    fingerprints: Tuple[Tuple[str, Fingerprint], ...] = ()
     # Spans recorded inside the worker, with ``start`` *relative to the
     # worker body's start* so the parent can re-base them onto its own
     # perf_counter timeline (clocks are not comparable across
@@ -213,13 +218,13 @@ def build_replica(batch: WorkerBatch) -> WorkerResult:
     with worker_span:
         fs = batch.fs.open()
         extractor = batch.extractor.build()
-        read = fs.read_file
         prepare = extractor.prepare
         tokenize = extractor.tokenize
         builder = ReplicaBuilder()
         add_scan = builder.add_scan
         trace = batch.trace
         failures: List[FileFailure] = []
+        fingerprints: List[Tuple[str, Fingerprint]] = []
         if batch.on_error == "skip":
             for path in batch.paths:
                 file_span = (
@@ -227,7 +232,7 @@ def build_replica(batch: WorkerBatch) -> WorkerResult:
                 )
                 with file_span:
                     try:
-                        content = read(path)
+                        content, fingerprint = read_fingerprinted(fs, path)
                     except Exception as exc:
                         failures.append(
                             FileFailure.from_exception(path, "read", exc)
@@ -251,19 +256,25 @@ def build_replica(batch: WorkerBatch) -> WorkerResult:
                         )
                         continue
                     add_scan(path, terms)
+                    fingerprints.append((path, fingerprint))
         elif trace:
             for path in batch.paths:
                 with rec.span("extract.file", path=path):
-                    add_scan(path, tokenize(prepare(path, read(path))))
+                    content, fingerprint = read_fingerprinted(fs, path)
+                    add_scan(path, tokenize(prepare(path, content)))
+                    fingerprints.append((path, fingerprint))
         else:
             for path in batch.paths:
-                add_scan(path, tokenize(prepare(path, read(path))))
+                content, fingerprint = read_fingerprinted(fs, path)
+                add_scan(path, tokenize(prepare(path, content)))
+                fingerprints.append((path, fingerprint))
         blob = builder.to_bytes()
     return WorkerResult(
         replica=blob,
         elapsed=time.perf_counter() - started,
         file_count=len(batch.paths),
         failures=tuple(failures),
+        fingerprints=tuple(fingerprints),
         spans=tuple(rebase_spans(rec.spans, -started)),
     )
 

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.engine.config import Implementation, ThreadConfig
 from repro.engine.faults import FileFailure
+from repro.index.fingerprint import FingerprintMap
 from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
 from repro.obs.spans import SpanRecord
@@ -131,6 +132,10 @@ class BuildReport:
     # Files the build skipped under on_error="skip" (empty under
     # "strict", which aborts on the first error instead).
     failures: List[FileFailure] = field(default_factory=list)
+    # path -> (size, stamp, content hash) of every file the build
+    # indexed, taken by the read that was indexed (see
+    # repro.index.fingerprint); a skipped file has none.
+    fingerprints: FingerprintMap = field(default_factory=dict)
     # Batches the process backend re-dispatched after a worker crash or
     # a batch timeout (0 for the threaded engines).
     retries: int = 0

@@ -18,13 +18,18 @@ paid), summed back into stage totals by
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.engine.base import warn_legacy_extraction_kwargs
 from repro.engine.config import Implementation, ThreadConfig
 from repro.engine.faults import ERROR_POLICIES, FileFailure
 from repro.engine.results import BuildReport, StageTimings, build_metrics
 from repro.extract.registry import resolve_extractor
+from repro.index.fingerprint import (
+    Fingerprint,
+    FingerprintMap,
+    read_fingerprinted,
+)
 from repro.index.inverted import InvertedIndex
 from repro.obs import recorder as obsrec
 from repro.text.dedup import dedup_terms
@@ -60,19 +65,21 @@ class SequentialIndexer:
         self.on_error = on_error
         self.last_failures: List[FileFailure] = []
 
-    def _load(self, path: str) -> Optional[bytes]:
-        """Read (and format-convert) one file, honouring ``on_error``."""
+    def _load(self, path: str) -> Optional[Tuple[bytes, Fingerprint]]:
+        """Read (and format-convert) one file, honouring ``on_error``:
+        the prepared content and the raw bytes' fingerprint."""
         if self.on_error != "skip":
-            return self.extractor.prepare(path, self.fs.read_file(path))
+            content, fingerprint = read_fingerprinted(self.fs, path)
+            return self.extractor.prepare(path, content), fingerprint
         try:
-            content = self.fs.read_file(path)
+            content, fingerprint = read_fingerprinted(self.fs, path)
         except Exception as exc:
             self.last_failures.append(
                 FileFailure.from_exception(path, "read", exc)
             )
             return None
         try:
-            return self.extractor.prepare(path, content)
+            return self.extractor.prepare(path, content), fingerprint
         except Exception as exc:
             self.last_failures.append(
                 FileFailure.from_exception(path, "extract", exc)
@@ -91,11 +98,13 @@ class SequentialIndexer:
                 files = list(self.fs.list_files(root))
 
             index = InvertedIndex()
+            fingerprints: FingerprintMap = {}
             for ref in files:
                 extracted = False
                 with rec.span("phase.extract"):
-                    content = self._load(ref.path)
-                    if content is not None:
+                    loaded = self._load(ref.path)
+                    if loaded is not None:
+                        content, fingerprint = loaded
                         try:
                             if self.naive:
                                 terms = self.extractor.tokenize(content)
@@ -117,6 +126,7 @@ class SequentialIndexer:
                             )
                 if not extracted:
                     continue
+                fingerprints[ref.path] = fingerprint
                 with rec.span("phase.update"):
                     if self.naive:
                         for term in terms:
@@ -147,6 +157,7 @@ class SequentialIndexer:
             term_count=len(index),
             posting_count=index.posting_count,
             failures=list(self.last_failures),
+            fingerprints=fingerprints,
             spans=spans,
             metrics=metrics,
         )

@@ -100,15 +100,20 @@ class OsFileSystem:
         same round-robin assignment.
         """
         start = self._full(path) if path else self.base
+        prefix = len(os.path.join(self.base, ""))
         stack = [start]
         while stack:
-            current = stack.pop()
             subdirs = []
-            for name in sorted(os.listdir(current)):
-                full = os.path.join(current, name)
-                if os.path.isdir(full):
-                    subdirs.append(full)
-                elif os.path.isfile(full):
-                    rel = os.path.relpath(full, self.base)
-                    yield FileRef(rel.replace(os.sep, "/"), os.path.getsize(full))
+            # One scandir per directory: the entry type comes with the
+            # listing, so a regular file costs one stat (its size) and a
+            # directory none.  Symlinks are followed, broken ones skipped.
+            with os.scandir(stack.pop()) as entries:
+                for entry in sorted(entries, key=lambda e: e.name):
+                    if entry.is_dir():
+                        subdirs.append(entry.path)
+                    elif entry.is_file():
+                        yield FileRef(
+                            entry.path[prefix:].replace(os.sep, "/"),
+                            entry.stat().st_size,
+                        )
             stack.extend(reversed(subdirs))

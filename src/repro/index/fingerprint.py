@@ -1,0 +1,132 @@
+"""File fingerprints: what a refresh compares, taken by the one read.
+
+A fingerprint is ``(size, stamp, content hash)``: size and stamp decide
+*whether to read* a file, the hash decides *whether its content actually
+changed* once read.  Every site that reads a file for indexing — the
+engines' extraction pass, ``refresh``, ``reconcile`` — goes through
+:func:`read_fingerprinted`, so the fingerprint always describes exactly
+the bytes that were indexed and a build needs no second walk over the
+corpus to bootstrap incremental refresh.
+
+The content hash is 64-bit BLAKE2b (``hashlib``, hashed in C).  FNV-1a
+stays where the paper put it, in the ADTs (:mod:`repro.hashing`).
+
+This module also owns the one persisted form of a fingerprint map
+(:func:`save_fingerprints` / :func:`load_fingerprints`): JSON with a
+header naming the hash, so a state written under another hash reads as
+absent instead of as "every file changed".
+"""
+
+from __future__ import annotations
+
+import json
+from hashlib import blake2b
+from typing import Dict, Optional, Tuple
+
+#: path -> (size, stamp, content hash).  The stamp is ``st_mtime_ns``
+#: on a real filesystem and the VFS's logical clock in memory; 0 when
+#: the backend cannot stat.
+Fingerprint = Tuple[int, int, int]
+FingerprintMap = Dict[str, Fingerprint]
+
+#: The hash named in the state-file header.
+HASH_NAME = "blake2b-64"
+
+#: "Hash unknown": the fingerprint of a file indexed from chunks
+#: (``split_threshold=``), whose bytes no single reader ever held.
+#: Equal to no real hash, so an unchanged stat still skips the file and
+#: a changed one can only be settled by re-indexing — never by calling
+#: the file unchanged.
+HASH_UNKNOWN = -1
+
+
+def content_hash(content: bytes) -> int:
+    """64-bit BLAKE2b of ``content`` as an unsigned int."""
+    return int.from_bytes(blake2b(content, digest_size=8).digest(), "big")
+
+
+def stat_fingerprint(fs, path: str) -> Tuple[int, int]:
+    """``(size, stamp)`` of ``path``; ``(0, 0)`` when the backend cannot
+    stat (stamp 0 makes every refresh re-read the file)."""
+    stat = getattr(fs, "stat", None)
+    if stat is None:
+        return (0, 0)
+    try:
+        return stat(path)
+    except OSError:
+        return (0, 0)
+
+
+def read_fingerprinted(
+    fs, path: str, stamp: Optional[int] = None
+) -> Tuple[bytes, Fingerprint]:
+    """Stat, then read, then hash the raw bytes: ``(content, fingerprint)``.
+
+    The stamp is the one taken *before* the read: a writer that lands
+    between the stat and the read leaves a newer stamp on disk than the
+    one recorded, so the next refresh re-examines the file — a change
+    can be looked at twice, never missed.  A caller that has just
+    statted ``path`` passes that ``stamp`` instead of paying for another.
+    """
+    if stamp is None:
+        _, stamp = stat_fingerprint(fs, path)
+    content = fs.read_file(path)
+    return content, (len(content), stamp, content_hash(content))
+
+
+def unhashed_fingerprint(fs, path: str) -> Fingerprint:
+    """The :data:`HASH_UNKNOWN` fingerprint of a file about to be read
+    in chunks: stat now, before the first chunk read."""
+    size, stamp = stat_fingerprint(fs, path)
+    return (size, stamp, HASH_UNKNOWN)
+
+
+# -- the persisted form -------------------------------------------------------
+
+
+def state_path(index_path: str) -> str:
+    """Where ``Search.save`` keeps the fingerprints of the index at
+    ``index_path``."""
+    return f"{index_path}.state"
+
+
+def save_fingerprints(fingerprints: FingerprintMap, path: str) -> None:
+    """Write ``fingerprints`` as the JSON state file at ``path``.
+
+    Callers persist the index first and this second: an index ahead of
+    its fingerprints converges on the next refresh, the reverse does
+    not.
+    """
+    state = {
+        "hash": HASH_NAME,
+        "files": {p: list(entry) for p, entry in fingerprints.items()},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state, fh)
+
+
+def load_fingerprints(path: str) -> Optional[FingerprintMap]:
+    """The state file at ``path`` as a fingerprint map, or ``None``.
+
+    Anything but this module's own format under :data:`HASH_NAME` — a
+    missing file, another tool's JSON, a 3.0.0 state of FNV hashes —
+    reads as absent: the caller re-indexes and rewrites it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            state = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(state, dict) or state.get("hash") != HASH_NAME:
+        return None
+    files = state.get("files")
+    if not isinstance(files, dict):
+        return None
+    for entry in files.values():
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(type(field) is int for field in entry)
+        ):
+            return None
+    return {p: tuple(entry) for p, entry in files.items()}

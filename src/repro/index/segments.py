@@ -58,12 +58,16 @@ from typing import (
     Tuple,
 )
 
-from repro.hashing import fnv1a_64
 from repro.index.binfmt import (
     dump_index_ridx2,
     dump_index_wire,
     load_index_ridx2,
     load_index_wire,
+)
+from repro.index.fingerprint import (
+    FingerprintMap,
+    read_fingerprinted,
+    stat_fingerprint,
 )
 from repro.index.inverted import InvertedIndex
 from repro.index.ondisk import MmapPostingsReader
@@ -71,13 +75,6 @@ from repro.index.postings import PostingsList
 from repro.obs import recorder as obsrec
 from repro.text.termblock import TermBlock
 from repro.text.tokenizer import Tokenizer
-
-#: path -> (size, stamp, content hash).  The stamp is ``st_mtime_ns``
-#: on a real filesystem and the VFS's logical clock in memory; 0 when
-#: the backend cannot stat.  size+stamp decide *whether to read*, the
-#: hash decides *whether content actually changed* once read.
-Fingerprint = Tuple[int, int, int]
-FingerprintMap = Dict[str, Fingerprint]
 
 
 @dataclass
@@ -577,17 +574,16 @@ class SegmentedIndexer:
         return self._manifest
 
     def fingerprint_corpus(self) -> FingerprintMap:
-        """Fingerprint every file (reading each once) — bootstrap path."""
-        fingerprints: FingerprintMap = {}
-        for ref in self.fs.list_files(self.root):
-            stamp = self._stat_stamp(ref.path)
-            content = self.fs.read_file(ref.path)
-            fingerprints[ref.path] = (
-                len(content),
-                stamp,
-                fnv1a_64(content),
-            )
-        return fingerprints
+        """Fingerprint every file, reading each once.
+
+        A build needs no such walk — its engine's
+        ``BuildReport.fingerprints`` come from the extraction pass; this
+        is the standalone form, for an index obtained some other way.
+        """
+        return {
+            ref.path: read_fingerprinted(self.fs, ref.path)[1]
+            for ref in self.fs.list_files(self.root)
+        }
 
     # -- refresh --------------------------------------------------------
 
@@ -610,7 +606,7 @@ class SegmentedIndexer:
         with obsrec.span("segments.refresh", generation=manifest.generation):
             for ref in self.fs.list_files(self.root):
                 files_seen += 1
-                stamp = self._stat_stamp(ref.path)
+                _, stamp = stat_fingerprint(self.fs, ref.path)
                 old = previous.get(ref.path)
                 if (
                     old is not None
@@ -621,15 +617,18 @@ class SegmentedIndexer:
                     # Unchanged by stat: not read, not re-hashed.
                     fingerprints[ref.path] = old
                     continue
-                content = self.fs.read_file(ref.path)
+                content, fingerprint = read_fingerprinted(
+                    self.fs, ref.path, stamp
+                )
                 files_read += 1
-                digest = fnv1a_64(content)
-                # The *pre-read* stamp is recorded: if a writer lands
-                # between stat and read, the next scan sees a newer
-                # stamp and re-checks — a change can be re-examined,
-                # never missed.
-                fingerprints[ref.path] = (len(content), stamp, digest)
-                if old is not None and old[0] == len(content) and old[2] == digest:
+                fingerprints[ref.path] = fingerprint
+                # A HASH_UNKNOWN old hash (a chunk-split build) equals
+                # no real one: such a file is re-indexed, not skipped.
+                if (
+                    old is not None
+                    and old[0] == fingerprint[0]
+                    and old[2] == fingerprint[2]
+                ):
                     # Same bytes as the indexed revision (e.g. removed
                     # and re-added identical content, or a bare mtime
                     # bump): refresh the stamp, skip re-indexing, and —
@@ -676,12 +675,8 @@ class SegmentedIndexer:
         added: List[str] = []
         with obsrec.span("segments.reconcile", live=len(live)):
             for ref in self.fs.list_files(self.root):
-                stamp = self._stat_stamp(ref.path)
-                content = self.fs.read_file(ref.path)
-                fingerprints[ref.path] = (
-                    len(content),
-                    stamp,
-                    fnv1a_64(content),
+                content, fingerprints[ref.path] = read_fingerprinted(
+                    self.fs, ref.path
                 )
                 block = self._extract(ref.path, content)
                 if ref.path in live:
@@ -762,16 +757,6 @@ class SegmentedIndexer:
         return True
 
     # -- internals ------------------------------------------------------
-
-    def _stat_stamp(self, path: str) -> int:
-        stat = getattr(self.fs, "stat", None)
-        if stat is None:
-            return 0
-        try:
-            _, stamp = stat(path)
-        except OSError:
-            return 0
-        return stamp
 
     def _extract(self, path: str, content: bytes) -> TermBlock:
         return self.extractor.term_block(path, content)

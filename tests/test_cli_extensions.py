@@ -126,32 +126,55 @@ class TestRefresh:
         assert main(["search", index_file, "uniquemarkerterm"]) == 0
         assert "novel.txt" in capsys.readouterr().out
 
-        # The state file is valid JSON with fingerprints.
+        # The state file is JSON: the hash's name, then the fingerprints.
         with open(state_file) as fh:
             state = json.load(fh)
-        assert "novel.txt" in state
-        size, stamp, digest = state["novel.txt"]
+        assert state["hash"] == "blake2b-64"
+        size, stamp, digest = state["files"]["novel.txt"]
         assert size == len("uniquemarkerterm appears here") and stamp > 0
 
-    def test_foreign_state_file_is_rewritten(self, tmp_path, capsys):
-        """A state file of any other shape — here the pre-3.0
-        ``[size, hash]`` entries — reads as absent: everything is
-        re-indexed and the file rewritten as fingerprints."""
+    def check_foreign_state_is_rewritten(self, tmp_path, capsys, foreign):
         corpus = str(tmp_path / "corpus")
         main(["generate-corpus", corpus, "--scale", "0.001"])
         index_file = str(tmp_path / "i.ridx")
         state_file = str(tmp_path / "s.json")
         main(["refresh", corpus, "--index", index_file, "--state", state_file])
         with open(state_file) as fh:
-            fingerprints = json.load(fh)
+            state = json.load(fh)
         with open(state_file, "w") as fh:
-            json.dump({p: [e[0], e[2]] for p, e in fingerprints.items()}, fh)
+            json.dump(foreign(state["files"]), fh)
         capsys.readouterr()
         assert main(["refresh", corpus, "--index", index_file,
                      "--state", state_file]) == 0
         assert "+51 added" in capsys.readouterr().out
         with open(state_file) as fh:
-            assert json.load(fh) == fingerprints
+            assert json.load(fh) == state
+
+    def test_foreign_state_file_is_rewritten(self, tmp_path, capsys):
+        """A state file of any other shape — here the pre-3.0
+        ``[size, hash]`` entries — reads as absent: everything is
+        re-indexed and the file rewritten as fingerprints."""
+        self.check_foreign_state_is_rewritten(
+            tmp_path,
+            capsys,
+            lambda files: {p: [e[0], e[2]] for p, e in files.items()},
+        )
+
+    @pytest.mark.parametrize(
+        "foreign",
+        [
+            lambda files: files,
+            lambda files: {"hash": "fnv1a-64", "files": files},
+        ],
+        ids=["3.0.0-headerless", "other-hash"],
+    )
+    def test_state_under_another_hash_is_rewritten(
+        self, tmp_path, capsys, foreign
+    ):
+        """So does a well-formed state whose hashes are not this
+        version's: the headerless 3.0.0 map (FNV), or a header naming
+        any hash but blake2b-64 — never "every file changed"."""
+        self.check_foreign_state_is_rewritten(tmp_path, capsys, foreign)
 
     def test_refresh_detects_removal(self, tmp_path, capsys):
         corpus = str(tmp_path / "corpus2")

@@ -215,6 +215,70 @@ class TestOsFileSystem:
         assert [r.path for r in refs] == ["sub/f.txt"]
         assert refs[0].size == 7
 
+    def test_scandir_listing_matches_the_per_entry_stat_listing(
+        self, tmp_path
+    ):
+        """``list_files`` walks with ``os.scandir``; this is the listing
+        it replaced (``listdir`` + ``isdir``/``isfile``/``getsize`` per
+        entry), kept as the reference: same refs, same depth-first
+        sorted order, symlinks followed, broken ones skipped."""
+        import os
+
+        from repro.fsmodel import FileRef, OsFileSystem
+
+        def reference_listing(base, start):
+            stack = [start]
+            while stack:
+                current = stack.pop()
+                subdirs = []
+                for name in sorted(os.listdir(current)):
+                    full = os.path.join(current, name)
+                    if os.path.isdir(full):
+                        subdirs.append(full)
+                    elif os.path.isfile(full):
+                        rel = os.path.relpath(full, base)
+                        yield FileRef(
+                            rel.replace(os.sep, "/"), os.path.getsize(full)
+                        )
+                stack.extend(reversed(subdirs))
+
+        root = tmp_path / "root"
+        for directory in ("b/deep/deeper", "a", "empty", "b/void", "Z"):
+            (root / directory).mkdir(parents=True)
+        for name, content in {
+            "top.txt": b"top",
+            "a/one.txt": b"1",
+            "a/two.txt": b"22",
+            "b/deep/x.txt": b"x" * 10,
+            "b/deep/deeper/y.txt": b"",
+            "b/b.txt": b"bb",
+            "Z/upper.txt": b"sorts before lower-case",
+            "a.txt": b"a file next to directory a",
+        }.items():
+            (root / name).write_bytes(content)
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / "far.txt").write_bytes(b"via a linked dir")
+        os.symlink(root / "top.txt", root / "link-to-file")
+        os.symlink(tmp_path / "outside", root / "a" / "link-to-dir")
+        os.symlink(root / "nowhere", root / "broken-link")
+
+        fs = OsFileSystem(str(root))
+        listed = list(fs.list_files())
+        assert listed == list(reference_listing(fs.base, fs.base))
+        assert FileRef("link-to-file", 3) in listed
+        assert FileRef("a/link-to-dir/far.txt", 16) in listed
+        assert not any("broken" in ref.path for ref in listed)
+        assert not any("empty" in ref.path for ref in listed)
+        # A sub-tree listing keeps root-relative paths.
+        assert list(fs.list_files("b")) == list(
+            reference_listing(fs.base, os.path.join(fs.base, "b"))
+        )
+        assert [r.path for r in fs.list_files("b")] == [
+            "b/b.txt",
+            "b/deep/x.txt",
+            "b/deep/deeper/y.txt",
+        ]
+
     def test_escape_rejected(self, tmp_path):
         from repro.fsmodel import OsFileSystem
 

@@ -9,6 +9,8 @@ The two load-bearing invariants:
   rebuild's, whether the merges ran in-process or on the process pool.
 """
 
+import os
+
 import pytest
 
 from repro.api import Search
@@ -17,6 +19,7 @@ from repro.engine.sequential import SequentialIndexer
 from repro.fsmodel.faultfs import FaultInjectingFileSystem, FaultSpec
 from repro.fsmodel.vfs import VirtualFileSystem
 from repro.index.binfmt import dump_index_ridx2, dump_index_wire
+from repro.index.fingerprint import state_path
 from repro.index.inverted import InvertedIndex
 from repro.index.segments import (
     BackgroundCompactor,
@@ -429,6 +432,9 @@ class TestSegmentsAreTheIndex:
         session.save(saved)
         assert built == []
 
+        # Without the saved fingerprints the reopened session has only
+        # the index to diff against: the reconcile path.
+        os.remove(state_path(saved))
         self.churn(fs, 2)
         reopened = Search.open(saved, source=fs)
         assert reopened.query("word1").paths == ["new1.txt"]

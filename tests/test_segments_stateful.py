@@ -25,7 +25,13 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.engine import SequentialIndexer
+from repro.api import Search
+from repro.engine import (
+    Implementation,
+    SequentialIndexer,
+    ThreadConfig,
+    available_cpus,
+)
 from repro.fsmodel import VirtualFileSystem
 from repro.fsmodel.faultfs import FaultInjectingFileSystem, FaultSpec
 from repro.index.binfmt import dump_index_ridx2
@@ -37,6 +43,30 @@ words = st.lists(
     max_size=6,
 )
 names = st.integers(min_value=0, max_value=9).map(lambda i: f"file{i}.txt")
+#: ``Search.build`` keywords: the sequential engine, the three threaded
+#: implementations, the process backend.
+builds = st.sampled_from(
+    [
+        {},
+        dict(
+            implementation=Implementation.SHARED_LOCKED,
+            config=ThreadConfig(2, 1, 0),
+        ),
+        dict(
+            implementation=Implementation.REPLICATED_JOINED,
+            config=ThreadConfig(2, 0, 1),
+        ),
+        dict(
+            implementation=Implementation.REPLICATED_UNJOINED,
+            config=ThreadConfig(2, 2, 0),
+        ),
+        dict(
+            config=ThreadConfig(
+                min(2, available_cpus()), 0, 1, backend="process"
+            )
+        ),
+    ]
+)
 
 
 class SegmentedMachine(RuleBasedStateMachine):
@@ -68,6 +98,16 @@ class SegmentedMachine(RuleBasedStateMachine):
     @rule()
     def refresh(self):
         self.indexer.refresh()
+        self.refreshed = True
+
+    @rule(build=builds)
+    def rebuild_on_some_backend(self, build):
+        """Start over from a full build on a random backend: what it
+        adopts — the index and the fingerprints its extraction pass took
+        — must carry the churn and refreshes that follow exactly like
+        state grown by refreshes alone."""
+        self.indexer = Search.build(self.fs, cache=0, **build)._segmented
+        assert self.indexer.refresh().total == 0
         self.refreshed = True
 
     @rule(name=names)
