@@ -21,7 +21,7 @@ from typing import (
     Union,
 )
 
-from repro.hashing import fnv1a_64
+from repro.hashing import fnv1a_interned
 
 Key = Union[str, bytes]
 V = TypeVar("V")
@@ -57,13 +57,13 @@ class FnvHashMap(Generic[V]):
         return self._size > 0
 
     def __contains__(self, key: Key) -> bool:
-        h = fnv1a_64(key)
+        h = fnv1a_interned(key)
         buckets = self._buckets
         bucket = buckets[h % len(buckets)]
         return any(eh == h and ek == key for eh, ek, _ in bucket)
 
     def __getitem__(self, key: Key) -> V:
-        h = fnv1a_64(key)
+        h = fnv1a_interned(key)
         buckets = self._buckets
         bucket = buckets[h % len(buckets)]
         for eh, ek, value in bucket:
@@ -72,7 +72,7 @@ class FnvHashMap(Generic[V]):
         raise KeyError(key)
 
     def __setitem__(self, key: Key, value: V) -> None:
-        h = fnv1a_64(key)
+        h = fnv1a_interned(key)
         buckets = self._buckets
         bucket = buckets[h % len(buckets)]
         for i, (eh, ek, _) in enumerate(bucket):
@@ -85,14 +85,7 @@ class FnvHashMap(Generic[V]):
             self._grow()
 
     def __delitem__(self, key: Key) -> None:
-        h = fnv1a_64(key)
-        bucket = self._buckets[h % len(self._buckets)]
-        for i, (eh, ek, _) in enumerate(bucket):
-            if eh == h and ek == key:
-                bucket.pop(i)
-                self._size -= 1
-                return
-        raise KeyError(key)
+        self.pop(key)
 
     def __iter__(self) -> Iterator[Key]:
         return self.keys()
@@ -103,15 +96,21 @@ class FnvHashMap(Generic[V]):
         return f"FnvHashMap({{{preview}{suffix}}}, size={self._size})"
 
     def get(self, key: Key, default: Optional[V] = None) -> Optional[V]:
-        """Value for ``key``, or ``default`` when absent."""
-        try:
-            return self[key]
-        except KeyError:
-            return default
+        """Value for ``key``, or ``default`` when absent.
+
+        One hash, one probe, and a miss raises nothing: most probes of
+        a delta segment in a multi-segment manifest are misses.
+        """
+        h = fnv1a_interned(key)
+        buckets = self._buckets
+        for eh, ek, value in buckets[h % len(buckets)]:
+            if eh == h and ek == key:
+                return value
+        return default
 
     def setdefault(self, key: Key, default: V) -> V:
         """Return the value for ``key``, inserting ``default`` if absent."""
-        h = fnv1a_64(key)
+        h = fnv1a_interned(key)
         buckets = self._buckets
         bucket = buckets[h % len(buckets)]
         for eh, ek, value in bucket:
@@ -131,7 +130,7 @@ class FnvHashMap(Generic[V]):
         default value is only *constructed* when the key is actually
         missing (``setdefault`` forces callers to allocate it up front).
         """
-        h = fnv1a_64(key)
+        h = fnv1a_interned(key)
         buckets = self._buckets
         bucket = buckets[h % len(buckets)]
         for eh, ek, value in bucket:
@@ -152,7 +151,7 @@ class FnvHashMap(Generic[V]):
         the index join to keep its move-semantics fast path without the
         get-then-set double probe.
         """
-        h = fnv1a_64(key)
+        h = fnv1a_interned(key)
         buckets = self._buckets
         bucket = buckets[h % len(buckets)]
         for eh, ek, existing in bucket:
@@ -170,14 +169,16 @@ class FnvHashMap(Generic[V]):
         With a second positional argument, return it instead of raising
         when the key is absent (mirrors ``dict.pop``).
         """
-        try:
-            value = self[key]
-        except KeyError:
-            if default:
-                return default[0]
-            raise
-        del self[key]
-        return value
+        h = fnv1a_interned(key)
+        bucket = self._buckets[h % len(self._buckets)]
+        for i, (eh, ek, value) in enumerate(bucket):
+            if eh == h and ek == key:
+                bucket.pop(i)
+                self._size -= 1
+                return value
+        if default:
+            return default[0]
+        raise KeyError(key)
 
     def keys(self) -> Iterator[Key]:
         """Iterate over keys in bucket order."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, List
 
-from repro.hashing import fnv1a_64
+from repro.hashing import fnv1a_interned
 
 
 class ShardedLock:
@@ -40,7 +40,7 @@ class ShardedLock:
 
     def shard_for(self, key: str) -> int:
         """The shard index ``key`` hashes to."""
-        return fnv1a_64(key) % len(self._locks)
+        return fnv1a_interned(key) % len(self._locks)
 
     @contextmanager
     def locked(self, key: str) -> Iterator[None]:

@@ -16,13 +16,23 @@ they produce must come back as bytes.  This module is that boundary:
 
 The worker pipeline is deliberately lean.  Where the threaded engine
 routes every file through ``FnvHashSet`` de-duplication and an
-``FnvHashMap``-backed index — per-term FNV-1a hashes computed byte by
-byte in Python — a worker feeds the tokenizer straight into a
-:class:`~repro.index.replica.ReplicaBuilder`, which de-duplicates with
-a native set and stores postings as doc-id arrays.  The output is
-identical (the merge-equivalence tests prove it); only the constant
-factor differs, and on a multi-core machine the workers additionally
-run truly in parallel because each owns its own interpreter and GIL.
+``FnvHashMap``-backed index — chained containers probed by Python
+loops, one frame per posting — a worker feeds the tokenizer straight
+into a :class:`~repro.index.replica.ReplicaBuilder`, which
+de-duplicates with a native set and stores postings as doc-id arrays.
+The output is identical (the merge-equivalence tests prove it); only
+the constant factor differs, and on a multi-core machine the workers
+additionally run truly in parallel because each owns its own
+interpreter and GIL.
+
+The factor, measured in one process on the ``build_paper`` corpus
+(102 files, 1.7 MB; tokenize → de-dup → update, best of 15 interleaved
+reps): the FNV path used to take 6.8× the lean pipeline (0.47–0.53 s
+against 0.07 s) when it evaluated FNV-1a byte by byte for every term
+occurrence; with the hash interned (:func:`repro.hashing.fnv1a_interned`)
+and de-duplication in one frame per file it takes 4.0× (0.28–0.30 s).
+What is left is the price of containers written in Python, not of the
+hash, so the two paths stay separate.
 """
 
 from __future__ import annotations

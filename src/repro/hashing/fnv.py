@@ -7,13 +7,18 @@ avalanche behaviour on short keys.  The constants below are the official
 ones from Noll's reference page.
 
 The functions accept ``str`` (hashed as UTF-8) or ``bytes`` and return a
-non-negative int that fits the requested width, making them directly
-usable as bucket hashes in :mod:`repro.adt`.
+non-negative int that fits the requested width.
+
+The per-byte loops below are the executable specification.  The hash
+containers in :mod:`repro.adt` and the shard selectors do not call them
+directly: they go through :func:`fnv1a_interned`, which returns the very
+same 64-bit FNV-1a values but evaluates the loop once per distinct term
+per process instead of once per occurrence.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Dict, Union
 
 FNV_32_PRIME = 0x01000193
 FNV1_32_INIT = 0x811C9DC5
@@ -70,6 +75,46 @@ def fnv1a_64(data: HashInput) -> int:
     for byte in _as_bytes(data):
         h ^= byte
         h = (h * FNV_64_PRIME) & _MASK_64
+    return h
+
+
+#: Most distinct terms :func:`fnv1a_interned` remembers.  A constant, not a
+#: knob: 64 Ki entries (about 8 MB when full, keys included) hold the
+#: vocabulary of a desktop-sized corpus, and a larger vocabulary only pays
+#: one more evaluation per term each time the table starts over.
+_INTERN_LIMIT = 1 << 16
+
+#: ``str -> fnv1a_64(str)``.  Process-wide on purpose: an entry is a pure
+#: function of its key, so sharing the table between indexes, threads and
+#: tests can change how often the loop runs but never what a caller sees.
+_interned: Dict[str, int] = {}
+
+
+def fnv1a_interned(data: HashInput) -> int:
+    """:func:`fnv1a_64` of ``data``, evaluated once per distinct ``str``.
+
+    A term occurs about twenty times in a corpus for every time it is
+    new, and the byte loop above is the dearest step of de-duplication
+    and index update, so the result is remembered in a bounded table
+    that is cleared when full.  Anything that is not a ``str`` is hashed
+    directly.  The table never decides an order or a bucket: those come
+    from the returned value alone, which is bit-identical to the spec's.
+
+    Safe to call from several threads without a lock: reading, storing
+    and clearing a dict are each atomic, and every writer of a key
+    stores the same value, so a lost or repeated store is harmless.  Two
+    threads that miss at the same moment may overshoot the limit by an
+    entry each before the next miss clears the table.
+    """
+    try:
+        return _interned[data]
+    except (KeyError, TypeError):  # new term, or an unhashable bytearray
+        pass
+    h = fnv1a_64(data)
+    if isinstance(data, str):
+        if len(_interned) >= _INTERN_LIMIT:
+            _interned.clear()
+        _interned[data] = h
     return h
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 from repro.concurrency.provider import THREADING_SYNC
-from repro.hashing import fnv1a_64
+from repro.hashing import fnv1a_interned
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingsList
 from repro.text.termblock import TermBlock
@@ -48,7 +48,7 @@ class ShardedInvertedIndex:
 
     def shard_for(self, term: str) -> int:
         """The shard a term routes to."""
-        return fnv1a_64(term) % len(self._shards)
+        return fnv1a_interned(term) % len(self._shards)
 
     def add_block(self, block: TermBlock) -> None:
         """Thread-safe en-bloc update: lock only the shards touched.

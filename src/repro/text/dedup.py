@@ -15,12 +15,7 @@ from repro.text.tokenizer import Tokenizer
 
 def dedup_terms(terms: Iterable[str]) -> Tuple[str, ...]:
     """Distinct terms in first-seen order, de-duplicated via FnvHashSet."""
-    seen = FnvHashSet()
-    ordered = []
-    for term in terms:
-        if seen.add(term):
-            ordered.append(term)
-    return tuple(ordered)
+    return tuple(FnvHashSet().add_all(terms))
 
 
 def extract_term_block(path: str, content: bytes, tokenizer: Tokenizer) -> TermBlock:

@@ -12,9 +12,9 @@ Fast path
 Extraction dominates build time (paper Table 1), so the hot path is
 *vectorized*: a precompiled 256-byte :func:`bytes.translate` table maps
 every separator byte to a single delimiter (space) **and** folds
-``A-Z`` to ``a-z`` in the same pass, after which :meth:`bytes.split`
-yields the lower-cased word runs — both loops run in C instead of
-per-byte Python.  Length filtering, ``max_length`` truncation and the
+``A-Z`` to ``a-z`` in the same pass; the result is pure ASCII, so it
+is decoded once and :meth:`str.split` yields the lower-cased word runs
+— every loop runs in C instead of per-byte Python.  Length filtering, ``max_length`` truncation and the
 stopword check then touch only whole words.
 
 The original per-byte loop survives as
@@ -114,21 +114,18 @@ class Tokenizer:
         """
         min_length = self.min_length
         max_length = self.max_length
-        words = content.translate(self._table).split()
+        # The translated buffer holds word bytes and spaces only, so it is
+        # pure ASCII and one decode serves every word.
+        words = content.translate(self._table).decode("ascii").split()
         if self.stopwords:
             stopwords = self.stopwords
             return [
                 term
                 for word in words
                 if len(word) >= min_length
-                and (term := word[:max_length].decode("ascii"))
-                not in stopwords
+                and (term := word[:max_length]) not in stopwords
             ]
-        return [
-            word[:max_length].decode("ascii")
-            for word in words
-            if len(word) >= min_length
-        ]
+        return [word[:max_length] for word in words if len(word) >= min_length]
 
     def iter_terms(self, content: bytes) -> Iterator[str]:
         """Terms of ``content`` in order of appearance.
@@ -165,8 +162,8 @@ class Tokenizer:
 
     def count_terms(self, content: bytes) -> int:
         """Number of terms without materializing them (for workload stats)."""
-        min_length = self.min_length
-        words = content.translate(self._table).split()
         if self.stopwords:
             return len(self.tokenize(content))
+        min_length = self.min_length
+        words = content.translate(self._table).split()
         return sum(1 for word in words if len(word) >= min_length)

@@ -2,7 +2,26 @@
 
 import pytest
 
-from repro.adt import FnvHashMap
+from repro.adt import FnvHashMap, hashmap
+
+#: Iteration order of the keys ``term0`` .. ``term199`` inserted in that
+#: order, recorded at the commit before hashing was interned.  JSON-lines
+#: output and ``InvertedIndex.terms()`` follow bucket order, so hash
+#: values, bucket choice and growth schedule must never move it.
+PINNED_ORDER = [
+    7, 12, 142, 55, 105, 180, 26, 84, 176, 75, 125, 42, 112, 48, 118, 199, 4,
+    11, 141, 35, 93, 165, 50, 100, 154, 23, 81, 173, 189, 78, 128, 47, 117, 68,
+    138, 1, 14, 144, 62, 132, 190, 30, 96, 160, 98, 151, 20, 82, 170, 184, 88,
+    71, 121, 67, 137, 195, 33, 95, 163, 39, 169, 152, 54, 104, 183, 27, 85, 177,
+    74, 124, 43, 113, 49, 119, 64, 134, 196, 5, 10, 140, 34, 92, 164, 59, 109,
+    53, 103, 155, 24, 86, 174, 188, 77, 127, 44, 114, 8, 69, 139, 2, 17, 147,
+    63, 133, 191, 37, 91, 167, 158, 156, 21, 83, 171, 187, 89, 70, 120, 60, 130,
+    192, 32, 94, 162, 38, 168, 153, 57, 107, 182, 28, 178, 73, 123, 40, 110, 19,
+    149, 65, 135, 197, 6, 13, 143, 58, 108, 52, 102, 181, 25, 87, 175, 76, 126,
+    45, 115, 9, 198, 3, 16, 146, 36, 90, 166, 159, 51, 101, 157, 22, 80, 172,
+    186, 79, 129, 46, 116, 0, 15, 145, 61, 131, 193, 31, 97, 161, 99, 150, 56,
+    106, 185, 29, 179, 72, 122, 41, 111, 18, 148, 66, 136, 194,
+]
 
 
 class TestBasicOperations:
@@ -100,6 +119,30 @@ class TestDictProtocolHelpers:
         assert len(m) == 0
         assert m.bucket_count == 16
 
+    def test_get_and_pop_probe_once_and_raise_nothing(self, monkeypatch):
+        # A miss used to be answered by raising and catching KeyError in
+        # __getitem__, and pop hashed and walked the bucket twice.
+        def forbidden(self, key):
+            raise AssertionError("get/pop must not go through __getitem__")
+
+        hashes = []
+
+        def counting(key):
+            hashes.append(key)
+            return real(key)
+
+        real = hashmap.fnv1a_interned
+        m = FnvHashMap(iter([("k", 3), ("j", 4)]))
+        monkeypatch.setattr(FnvHashMap, "__getitem__", forbidden)
+        monkeypatch.setattr(hashmap, "fnv1a_interned", counting)
+        assert m.get("missing") is None
+        assert m.get("missing", 7) == 7
+        assert m.get("k") == 3
+        assert m.pop("missing", 42) == 42
+        assert m.pop("k") == 3
+        assert hashes == ["missing", "missing", "k", "missing", "k"]
+        assert len(m) == 1 and list(m.items()) == [("j", 4)]
+
 
 class TestSingleProbeHelpers:
     def test_get_or_insert_calls_factory_once_when_missing(self):
@@ -161,6 +204,14 @@ class TestIteration:
         assert sorted(m.keys()) == sorted(data.keys())
         assert sorted(m.values()) == sorted(data.values())
         assert dict(m.items()) == data
+
+    def test_bucket_order_is_pinned(self):
+        m = FnvHashMap()
+        for i in range(200):
+            m[f"term{i}"] = i
+        assert list(m.values()) == PINNED_ORDER
+        assert [int(k[4:]) for k in m] == PINNED_ORDER
+        assert m.bucket_count == 256
 
     def test_iter_is_keys(self):
         m = FnvHashMap()

@@ -1,15 +1,23 @@
 """Tests for the FNV hash functions."""
 
+import sys
+import threading
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.hashing import (
     FNV1_32_INIT,
     FNV1_64_INIT,
     IncrementalFnv1a,
+    fnv,
     fnv1_32,
     fnv1_64,
     fnv1a_32,
     fnv1a_64,
+    fnv1a_interned,
 )
 
 
@@ -109,3 +117,90 @@ class TestIncremental:
         assert mid == fnv1a_64(b"foo")
         hasher.update(b"bar")
         assert hasher.digest() == fnv1a_64(b"foobar")
+
+
+class TestInterned:
+    """``fnv1a_interned`` against the per-byte spec, ``fnv1a_64``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(max_size=40))
+    @example(text="")
+    @example(text="héllo wörld ✓")
+    @example(text="x" * 1000)
+    def test_equals_spec_before_and_after_eviction(self, text):
+        want = fnv1a_64(text)
+        assert fnv1a_interned(text) == want  # miss or hit
+        assert fnv1a_interned(text) == want  # hit
+        with mock.patch.object(fnv, "_INTERN_LIMIT", 2):
+            for filler in ("evict-a", "evict-b", "evict-c"):
+                assert fnv1a_interned(filler) == fnv1a_64(filler)
+            assert fnv1a_interned(text) == want  # re-evaluated
+            assert fnv1a_interned(text) == want
+
+    def test_table_never_exceeds_its_limit(self):
+        limit = 50
+        keys = [f"bound{i}" for i in range(limit + 1)]
+        fnv._interned.clear()
+        with mock.patch.object(fnv, "_INTERN_LIMIT", limit):
+            for key in keys:
+                assert fnv1a_interned(key) == fnv1a_64(key)
+                assert len(fnv._interned) <= limit
+            assert len(fnv._interned) == 1  # started over on key limit+1
+            assert all(fnv1a_interned(k) == fnv1a_64(k) for k in keys)
+        assert all(fnv._interned[k] == fnv1a_64(k) for k in fnv._interned)
+
+    def test_spec_runs_once_per_distinct_str(self):
+        fnv._interned.clear()
+        with mock.patch.object(fnv, "fnv1a_64", wraps=fnv1a_64) as spec:
+            for _ in range(20):
+                fnv1a_interned("once")
+                fnv1a_interned("twice")
+        assert spec.call_count == 2
+
+    def test_only_str_is_remembered(self):
+        fnv._interned.clear()
+        assert fnv1a_interned(b"raw") == fnv1a_64(b"raw")
+        assert fnv1a_interned(bytearray(b"raw")) == fnv1a_64(b"raw")
+        assert fnv1a_interned(memoryview(b"raw")) == fnv1a_64(b"raw")
+        assert not fnv._interned
+        assert fnv1a_interned("raw") == fnv1a_64(b"raw")
+        assert list(fnv._interned) == ["raw"]
+
+    def test_rejects_what_the_spec_rejects(self):
+        with pytest.raises(TypeError):
+            fnv1a_interned(12345)
+        with pytest.raises(TypeError):
+            fnv1a_interned(None)
+
+    def test_threads_on_overlapping_keys_agree_with_spec(self):
+        # A small limit keeps the table starting over while the threads
+        # run, so hits, misses, stores and clears all interleave.
+        keys = [f"race{i}" for i in range(300)]
+        want = {k: fnv1a_64(k) for k in keys}
+        errors = []
+
+        def hammer(offset):
+            try:
+                for _ in range(15):
+                    for key in keys[offset : offset + 200]:
+                        if fnv1a_interned(key) != want[key]:
+                            errors.append(key)
+            except Exception as exc:  # reported below, in the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(o,)) for o in (0, 30, 60, 100)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(fnv, "_INTERN_LIMIT", 64):
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(fnv._interned[k] == want[k] for k in list(fnv._interned))

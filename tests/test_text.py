@@ -1,6 +1,8 @@
 """Tests for scanning, tokenization, de-duplication and term blocks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.text import (
     TermBlock,
@@ -59,6 +61,27 @@ class TestTokenizer:
         content = b"some words repeated words some"
         tokenizer = Tokenizer()
         assert tokenizer.count_terms(content) == len(tokenizer.tokenize(content))
+
+    @settings(max_examples=100, deadline=None)
+    @given(content=st.binary(max_size=300))
+    def test_count_terms_matches_tokenize_under_stopwords(self, content):
+        tokenizer = Tokenizer(min_length=1, stopwords={"a", "the", "aa", "0"})
+        assert tokenizer.count_terms(content) == len(tokenizer.tokenize(content))
+
+    @pytest.mark.parametrize("stopwords", [None, {"the"}])
+    def test_count_terms_scans_the_content_once(self, stopwords):
+        class CountingBytes(bytes):
+            scans = 0
+
+            def translate(self, table):
+                CountingBytes.scans += 1
+                return bytes.translate(self, table)
+
+        content = CountingBytes(b"the cat and the hat")
+        assert Tokenizer(stopwords=stopwords).count_terms(content) == (
+            3 if stopwords else 5
+        )
+        assert CountingBytes.scans == 1
 
     def test_duplicates_preserved(self):
         assert Tokenizer().tokenize(b"dup dup dup") == ["dup"] * 3
