@@ -6,9 +6,13 @@ why the timing reproduction lives in the simulator); what these
 benchmarks document is the relative cost of the real code paths.
 """
 
+import itertools
+
 import pytest
 
 from repro.adt import FnvHashMap
+from repro.api import Search
+from repro.corpus import PAPER_PROFILE, CorpusGenerator
 from repro.engine import (
     Implementation,
     IndexGenerator,
@@ -143,3 +147,71 @@ class TestQueryCost:
         term = next(iter(report.index.replicas[0].terms()))
         hits = benchmark(query_engine.search, term, True)
         assert hits
+
+
+class TestPrefixQueryAfterIndexChange:
+    """The first wildcard query after the index changes, beside the
+    same query in steady state, on the ``--scale 0.002`` corpus.
+
+    A sealed segment's term dictionary is sorted by the first prefix
+    query that needs it, so "first after a change" pays one sort — of
+    the compaction product at one segment, of the newest delta alone at
+    three — and nothing per segment carried over.  Before segments owned
+    their dictionaries this query probed vocabulary × segments postings
+    (48-116 ms here); the pipeline harness sees it once per query pass.
+    """
+
+    @pytest.fixture
+    def churning(self):
+        fs = CorpusGenerator(
+            PAPER_PROFILE.scaled(0.002, name="prefix-bench")
+        ).generate().fs
+        session = Search.build(fs, cache=0)
+        terms = sorted(session.index.terms())
+        text = terms[len(terms) // 2][:2] + "*"
+        victims = sorted(ref.path for ref in fs.list_files())[:5]
+        rounds = itertools.count()
+
+        def change_index(segments):
+            """Leave ``segments`` segments, only the newest one's
+            dictionary unbuilt — what a refresh leaves behind (at one
+            segment: what a compaction does)."""
+
+            def edit_and_refresh():
+                stamp = f" round{next(rounds)}".encode()
+                for path in victims:
+                    fs.replace_file(path, fs.read_file(path) + stamp)
+                session.refresh()
+
+            edit_and_refresh()
+            session.compact()
+            for _ in range(segments - 1):
+                session.query(text)
+                edit_and_refresh()
+            assert session.manifest.segment_count == segments
+
+        return session, text, change_index
+
+    @pytest.mark.parametrize("segments", [1, 3])
+    def test_bench_first_prefix_query_after_change(
+        self, benchmark, churning, segments
+    ):
+        session, text, change_index = churning
+
+        def setup():
+            change_index(segments)
+            return (text,), {}
+
+        result = benchmark.pedantic(
+            session.query, setup=setup, rounds=5, iterations=1
+        )
+        assert result.paths
+
+    @pytest.mark.parametrize("segments", [1, 3])
+    def test_bench_steady_state_prefix_query(
+        self, benchmark, churning, segments
+    ):
+        session, text, change_index = churning
+        change_index(segments)
+        session.query(text)
+        assert benchmark(session.query, text).paths

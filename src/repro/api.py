@@ -38,10 +38,11 @@ is one, and a merge of the segments (cached per generation) otherwise.
 
 Sessions allow one writer at a time: ``refresh``/``rebuild``/``compact``
 serialize on an internal lock (so a background compactor never races a
-refresh), and ``query`` may race against ``refresh`` only through
-:meth:`Search.serve`, whose
-:class:`~repro.service.service.SearchService` isolates readers on
-immutable snapshots.
+refresh).  ``query`` takes no lock: every index change publishes its
+engine, generation and an empty result cache as one store, and a query
+reads all three once, so one that races a writer (the refresher of
+:meth:`Search.serve`, the compactor) answers from — and is labelled
+with — exactly one generation.
 """
 
 from __future__ import annotations
@@ -73,8 +74,10 @@ from repro.index.segments import (
     SegmentManifest,
 )
 from repro.index.serialize import load_index, load_multi_index, save_index
-from repro.query.cache import QueryCache, cache_key, normalize_query
+from repro.query.cache import QueryCache, cache_key
 from repro.query.evaluator import QueryEngine
+from repro.query.optimizer import optimize
+from repro.query.parser import parse_query
 from repro.service.frontend import AsyncSearchFrontend
 from repro.service.service import SearchService
 from repro.service.snapshot import IndexSnapshot, QueryResult
@@ -151,10 +154,10 @@ class Search:
         else:
             sync_provider = sync
         self._write_lock = sync_provider.lock("search.write-lock")
-        self._cache = QueryCache(cache, sync=sync) if cache else None
+        self._cache_capacity = cache
         self._index_cache: Optional[InvertedIndex] = None
         self._index_cache_generation = -1
-        self._engine = self._make_engine()
+        self._publish()
 
     # -- constructors -----------------------------------------------------
 
@@ -339,24 +342,32 @@ class Search:
 
     def query(self, query_text: str, parallel: bool = False) -> QueryResult:
         """Evaluate a boolean/wildcard/phrase query; memoized in the
-        session's LRU cache (normalized on the optimized AST)."""
+        session's LRU cache (normalized on the optimized AST).
+
+        The text is parsed once: the optimized AST names the cache
+        entry and is what the engine evaluates on a miss.  The result's
+        ``generation`` is the one the answer was computed on, even when
+        an index change lands mid-query (see :meth:`_publish`).
+        """
         started = time.perf_counter()
-        if self._cache is not None:
-            key = cache_key(self._normalize(query_text), parallel)
-            hit = self._cache.get(key)
+        engine, generation, cache = self._serving
+        query = optimize(parse_query(query_text))
+        if cache is not None:
+            key = cache_key(str(query), parallel)
+            hit = cache.get(key)
             if hit is not None:
                 return QueryResult(
                     paths=hit,
-                    generation=self._generation,
+                    generation=generation,
                     elapsed_s=time.perf_counter() - started,
                     cached=True,
                 )
-        paths = self._engine.search(query_text, parallel=parallel)
-        if self._cache is not None:
-            self._cache.put(key, paths)
+        paths = engine.search_ast(query, parallel=parallel)
+        if cache is not None:
+            cache.put(key, paths)
         return QueryResult(
             paths=paths,
-            generation=self._generation,
+            generation=generation,
             elapsed_s=time.perf_counter() - started,
         )
 
@@ -635,18 +646,26 @@ class Search:
 
     # -- internals --------------------------------------------------------
 
-    def _make_engine(self) -> QueryEngine:
+    def _publish(self) -> None:
+        """Swap in what :meth:`query` reads, as one store: an engine
+        over the current manifest, the generation it answers for, and
+        an empty result cache that lives exactly as long — a cached
+        answer can never outlive the index it was computed on."""
         manifest = self._segmented.manifest
-        return QueryEngine(manifest, universe=manifest.document_paths())
+        self._serving = (
+            QueryEngine(manifest, universe=manifest.document_paths()),
+            self._generation,
+            QueryCache(self._cache_capacity, sync=self._sync)
+            if self._cache_capacity
+            else None,
+        )
 
     def _bump(self, why: str) -> None:
         """Advance the session past an index change (caller holds the
         write lock)."""
         self._generation += 1
         self._provenance = why
-        self._engine = self._make_engine()
-        if self._cache is not None:
-            self._cache.clear()
+        self._publish()
 
     def _require_fs(self, operation: str):
         if self._fs is None:
@@ -656,11 +675,6 @@ class Search:
                 "source=directory) to re-attach the filesystem"
             )
         return self._fs
-
-    @staticmethod
-    def _normalize(query_text: str) -> str:
-        """Canonical cache key: the optimized AST, stringified."""
-        return normalize_query(query_text)
 
     def __repr__(self) -> str:
         return (

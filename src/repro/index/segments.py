@@ -46,7 +46,10 @@ Refresh correctness (the bugfix half of this layer):
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     Dict,
     Iterable,
@@ -110,7 +113,7 @@ def forward_view(postings) -> Dict[str, Tuple[str, ...]]:
 
 class _SealedSegment:
     """What both segment kinds are: an index, the paths sealed in it,
-    and a forward view built on first use.
+    and a term dictionary and a forward view built on first use.
 
     ``paths`` may name documents with no postings at all (an emptied
     file): they still shadow the path's older revisions.
@@ -123,6 +126,7 @@ class _SealedSegment:
         # membership from one structure.
         self._paths: Dict[str, None] = dict.fromkeys(sorted(paths))
         self._forward: Optional[Dict[str, Tuple[str, ...]]] = None
+        self._dictionary: Optional[List[str]] = None
 
     def __len__(self) -> int:
         return len(self._paths)
@@ -147,6 +151,26 @@ class _SealedSegment:
 
     def terms(self) -> Iterable[str]:
         return self._source.terms()
+
+    def dictionary(self) -> List[str]:
+        """The segment's term dictionary: its terms, sorted.
+
+        Built by the first caller and kept for the segment's lifetime —
+        a sealed segment never changes, so there is nothing to
+        invalidate, and every manifest that carries the segment forward
+        shares the one list.  Lock-free on purpose: two readers racing
+        to build it compute equal lists and the attribute store is
+        atomic, so whichever lands last changes nothing.  Treat the
+        list as read-only.
+        """
+        dictionary = self._dictionary
+        if dictionary is None:
+            dictionary = self._dictionary = self._sorted_terms()
+        return dictionary
+
+    def _sorted_terms(self) -> List[str]:
+        # An RIDX2 lexicon already comes in this order: one linear pass.
+        return sorted(self.terms())
 
     def postings(self) -> Iterator[Tuple[str, Iterable[str]]]:
         """Every ``(term, paths)`` pair of the segment."""
@@ -301,11 +325,62 @@ class SegmentManifest:
         return hits
 
     def terms(self) -> List[str]:
-        """Terms with at least one live posting, sorted."""
-        candidates = set()
+        """Terms with at least one live posting, sorted.
+
+        A segment that owns every path sealed in it contributes its
+        whole dictionary; any other is walked once, postings-wise, for
+        the terms it still owns a path of.
+        """
+        owner = self._owner
+        owned = Counter(owner.values())
+        live = set()
+        for position, segment in enumerate(self.segments):
+            if owned[position] == len(segment):
+                live.update(segment.dictionary())
+                continue
+            for term, paths in segment.postings():
+                if term not in live and any(
+                    owner.get(path) == position for path in paths
+                ):
+                    live.add(term)
+        return sorted(live)
+
+    def expand(self, prefix: str, limit: int = 1000) -> List[str]:
+        """Terms starting with ``prefix``, sorted, at most ``limit``.
+
+        The manifest is its own term dictionary (what
+        :func:`~repro.query.wildcard.expand_prefixes` asks for): the
+        prefix is a bisected range of each sealed segment's
+        :meth:`~_SealedSegment.dictionary`, and the ranges are united.
+        Nothing is kept per manifest, so a refresh costs the next
+        prefix query one sort of the new segment's terms and nothing
+        for the segments carried over.
+
+        Liveness rule: when the united range fits in ``limit`` it is
+        returned whole and may name terms whose every posting is
+        shadowed or tombstoned — :meth:`lookup` gives those no paths,
+        so a query over the expansion answers as if they were absent.
+        Past ``limit`` the choice of terms matters, so each candidate is
+        checked in order and exactly the first ``limit`` terms with a
+        live posting are returned.
+        """
+        if not prefix:
+            raise ValueError("empty prefix")
+        stop = prefix + "\U0010ffff"
+        ranges = []
         for segment in self.segments:
-            candidates.update(segment.terms())
-        return sorted(t for t in candidates if self.lookup(t))
+            terms = segment.dictionary()
+            low = bisect_left(terms, prefix)
+            high = bisect_left(terms, stop, low)
+            if low < high:
+                ranges.append(terms[low:high])
+        if len(ranges) == 1:
+            candidates = ranges[0]
+        else:
+            candidates = sorted(set().union(*ranges))
+        if len(candidates) <= limit:
+            return candidates
+        return list(islice(filter(self.lookup, candidates), limit))
 
     # -- corpus protocol -----------------------------------------------
 

@@ -184,11 +184,19 @@ class CachingQueryEngine:
         """Like :meth:`QueryEngine.search`, memoized on the normalized
         query."""
         with obsrec.span("query.cached_search", parallel=parallel):
-            key = cache_key(self._normalize(query_text), parallel)
+            # Parsed once: the optimized AST names the cache entry and,
+            # on a miss, is what the engine evaluates.
+            query = optimize(parse_query(query_text))
+            key = cache_key(str(query), parallel)
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-            result = self.engine.search(query_text, parallel=parallel)
+            search_ast = getattr(self.engine, "search_ast", None)
+            if search_ast is None:
+                # An engine that only takes text (DaatQueryEngine).
+                result = self.engine.search(query_text, parallel=parallel)
+            else:
+                result = search_ast(query, parallel=parallel)
             self.cache.put(key, result)
             return result
 
@@ -201,7 +209,7 @@ class CachingQueryEngine:
         """
         with obsrec.span("query.cached_search", mode="bm25", topk=topk):
             key = cache_key(
-                self._normalize(query_text), False, "bm25", topk
+                normalize_query(query_text), False, "bm25", topk
             )
             cached = self.cache.get(key)
             if cached is not None:
@@ -225,8 +233,3 @@ class CachingQueryEngine:
     def invalidate(self) -> None:
         """Call whenever the underlying index changes."""
         self.cache.clear()
-
-    @staticmethod
-    def _normalize(query_text: str) -> str:
-        """Canonical string of the optimized AST."""
-        return normalize_query(query_text)

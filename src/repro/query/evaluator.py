@@ -20,6 +20,7 @@ from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
 from repro.obs import recorder as obsrec
 from repro.query.ast import And, Not, Or, Phrase, Query, Term
+from repro.query.optimizer import optimize as optimize_query
 from repro.query.parser import parse_query
 from repro.query.wildcard import PrefixDictionary, expand_prefixes, has_prefixes
 
@@ -44,36 +45,59 @@ class QueryEngine:
         self._universe: Optional[FrozenSet[str]] = (
             frozenset(universe) if universe is not None else None
         )
-        self._prefix_dictionary: Optional[PrefixDictionary] = None
+        self._prefix_dictionary = None
 
     def search(
         self, query_text: str, parallel: bool = False, optimize: bool = True
     ) -> List[str]:
         """Parse and evaluate ``query_text``; returns sorted file paths.
 
-        With ``parallel=True`` and a multi-index, the term postings are
-        fetched with one thread per replica before evaluation.  Wildcard
-        terms (``inter*``) are expanded against the index's term
-        dictionary, built lazily on the first wildcard query.  The AST
-        is simplified first (``optimize=False`` disables, for tests).
+        Parse, simplify the AST (``optimize=False`` skips that, for
+        tests), then :meth:`search_ast`.  A caller that has already
+        parsed the text — for a cache key, say — should hand the AST to
+        :meth:`search_ast` instead of having it parsed twice.  A
+        malformed query raises :class:`~repro.query.parser.ParseError`
+        before anything is evaluated or counted.
         """
-        from repro.query.optimizer import optimize as optimize_query
+        query = parse_query(query_text)
+        if optimize:
+            query = optimize_query(query)
+        return self.search_ast(query, parallel=parallel)
 
+    def search_ast(self, query: Query, parallel: bool = False) -> List[str]:
+        """Evaluate a parsed query; returns sorted file paths.
+
+        The one evaluation entry point: one ``query.search`` span and
+        one ``query.searches`` count per call.  Wildcard terms
+        (``inter*``) are expanded against :meth:`prefix_dictionary`.
+        With ``parallel=True`` and a multi-index, the term postings are
+        fetched with one thread per replica before evaluation.
+        """
         with obsrec.span("query.search", parallel=parallel):
             obsrec.metrics().counter("query.searches").inc()
-            query = parse_query(query_text)
             if has_prefixes(query):
                 query = expand_prefixes(query, self.prefix_dictionary())
-            if optimize:
-                query = optimize_query(query)
             with obsrec.span("query.fetch"):
                 postings = self._fetch_postings(query.terms(), parallel)
             return sorted(self._evaluate(query, postings))
 
-    def prefix_dictionary(self) -> PrefixDictionary:
-        """The index's term dictionary (built lazily, then cached)."""
+    def prefix_dictionary(self):
+        """What :func:`~repro.query.wildcard.expand_prefixes` expands
+        against: anything with ``expand(prefix, limit)``.
+
+        An index that keeps its own term dictionary — a
+        :class:`~repro.index.segments.SegmentManifest` answers
+        ``expand`` from its sealed segments' — is used as is; for any
+        other a :class:`~repro.query.wildcard.PrefixDictionary` is
+        built from ``terms()`` on the first wildcard query and cached.
+        """
         if self._prefix_dictionary is None:
-            self._prefix_dictionary = PrefixDictionary(self.index.terms())
+            index = self.index
+            self._prefix_dictionary = (
+                index
+                if hasattr(index, "expand")
+                else PrefixDictionary(index.terms())
+            )
         return self._prefix_dictionary
 
     # -- internals --------------------------------------------------------

@@ -6,6 +6,12 @@ over which a prefix is a binary-searchable range.  Expansion rewrites
 each :class:`~repro.query.ast.Prefix` node into an ``Or`` of concrete
 terms, after which the ordinary boolean evaluator (including its
 parallel multi-index fetch) applies unchanged.
+
+:class:`PrefixDictionary` is that list for an index that keeps none of
+its own.  :func:`expand_prefixes` asks only for ``expand(prefix,
+limit)``, so an index that can answer it directly — a
+:class:`~repro.index.segments.SegmentManifest`, from its sealed
+segments' dictionaries — stands in for one.
 """
 
 from __future__ import annotations
@@ -49,8 +55,10 @@ def expand_prefixes(
 ) -> Query:
     """Rewrite every Prefix node into an Or over matching terms.
 
-    A prefix matching nothing becomes a term that cannot match
-    (wildcards never raise; they just find nothing).
+    ``dictionary`` is a :class:`PrefixDictionary` or anything else with
+    its ``expand(prefix, limit)``.  A prefix matching nothing becomes a
+    term that cannot match (wildcards never raise; they just find
+    nothing).
     """
     if isinstance(query, Prefix):
         matches = dictionary.expand(query.value, limit)

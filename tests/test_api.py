@@ -115,6 +115,40 @@ class TestRefresh:
         assert before.search("ferret") == []
         assert session.query("ferret").paths == ["docs/new.txt"]
 
+    @pytest.mark.parametrize("update", ["refresh", "rebuild"])
+    def test_index_change_mid_query_is_neither_relabelled_nor_cached(
+        self, update
+    ):
+        # An index change landing while a query is in flight (a serve()
+        # refresher, the background compactor): the old answer must keep
+        # the old generation's label and must not be stored where the
+        # next asker, on the new generation, finds it.  Scripted, no
+        # threads: the first posting lookup performs the update.
+        fs = VirtualFileSystem()
+        fs.write_file("a.txt", b"alpha beta")
+        session = Search.build(fs)
+        manifest = session.manifest
+        real_lookup = manifest.lookup
+
+        def lookup_then_update(term):
+            hits = real_lookup(term)
+            if fs.exists("b.txt"):
+                return hits
+            fs.write_file("b.txt", b"alpha gamma")
+            getattr(session, update)()
+            return hits
+
+        manifest.lookup = lookup_then_update
+        in_flight = session.query("alpha")
+        assert in_flight.paths == ["a.txt"]
+        assert in_flight.generation == 0
+        assert session.generation == 1
+        after = session.query("alpha")
+        assert after.paths == ["a.txt", "b.txt"]
+        assert after.generation == 1
+        assert not after.cached
+        assert session.query("alpha").cached
+
 
 class TestSaveAndOpen:
     def test_round_trip_binary_and_json(self, small_fs, tmp_path):

@@ -2,8 +2,9 @@
 
 Hypothesis drives random filesystem churn (create, edit, delete),
 refreshes, crash-injected refreshes, and periodic compactions against a
-live :class:`~repro.index.segments.SegmentedIndexer`.  Two invariants
-hold at every step:
+live :class:`~repro.index.segments.SegmentedIndexer`, with a wildcard
+query over whatever segment stack results.  Two invariants hold at every
+step:
 
 * the manifest's live view always equals a from-scratch rebuild of the
   current filesystem state (checked as index equality after every
@@ -141,6 +142,26 @@ class SegmentedMachine(RuleBasedStateMachine):
         assert not manifest.tombstones
         rebuilt = SequentialIndexer(self.fs, naive=False).build().index
         assert manifest.to_ridx2() == dump_index_ridx2(rebuilt)
+
+    @rule(
+        prefix=st.text(
+            alphabet=string.ascii_lowercase, min_size=1, max_size=3
+        )
+    )
+    @precondition(lambda self: self.refreshed)
+    def prefix_query(self, prefix):
+        """A wildcard over whatever segment stack the steps so far
+        left, against a scan of the model's own sorted terms."""
+        holders = {}
+        for ref in self.fs.list_files():
+            for word in self.fs.read_file(ref.path).decode().split():
+                holders.setdefault(word, set()).add(ref.path)
+        expected = set()
+        for term in sorted(holders):
+            if term.startswith(prefix):
+                expected |= holders[term]
+        session = Search(self.indexer, fs=self.fs, cache=0)
+        assert session.query(prefix + "*").paths == sorted(expected)
 
     # -- the oracle ----------------------------------------------------
 
