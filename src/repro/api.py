@@ -38,11 +38,12 @@ is one, and a merge of the segments (cached per generation) otherwise.
 
 Sessions allow one writer at a time: ``refresh``/``rebuild``/``compact``
 serialize on an internal lock (so a background compactor never races a
-refresh).  ``query`` takes no lock: every index change publishes its
-engine, generation and an empty result cache as one store, and a query
-reads all three once, so one that races a writer (the refresher of
-:meth:`Search.serve`, the compactor) answers from — and is labelled
-with — exactly one generation.
+refresh).  ``query`` takes no lock: every index change publishes one
+:class:`~repro.service.snapshot.IndexSnapshot` (also what
+:meth:`Search.snapshot` and the serving doors hand on) and an empty
+result cache as one store, and a query reads both once, so one that
+races a writer (the refresher of :meth:`Search.serve`, the compactor)
+answers from — and is labelled with — exactly one generation.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from repro.index.segments import (
 )
 from repro.index.serialize import load_index, load_multi_index, save_index
 from repro.query.cache import QueryCache, cache_key
-from repro.query.evaluator import QueryEngine
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
 from repro.service.frontend import AsyncSearchFrontend
@@ -350,7 +350,8 @@ class Search:
         an index change lands mid-query (see :meth:`_publish`).
         """
         started = time.perf_counter()
-        engine, generation, cache = self._serving
+        snapshot, cache = self._published
+        generation = snapshot.generation
         query = optimize(parse_query(query_text))
         if cache is not None:
             key = cache_key(str(query), parallel)
@@ -362,7 +363,7 @@ class Search:
                     elapsed_s=time.perf_counter() - started,
                     cached=True,
                 )
-        paths = engine.search_ast(query, parallel=parallel)
+        paths = snapshot.engine.search_ast(query, parallel=parallel)
         if cache is not None:
             cache.put(key, paths)
         return QueryResult(
@@ -491,19 +492,11 @@ class Search:
     # -- serving ----------------------------------------------------------
 
     def snapshot(self) -> IndexSnapshot:
-        """The session's current state as an immutable snapshot.
-
-        The snapshot wraps the segment manifest directly — manifests
-        are immutable, so snapshot isolation needs no copying at all.
-        """
-        manifest = self._segmented.manifest
-        return IndexSnapshot(
-            index=manifest,
-            generation=self._generation,
-            provenance=self._provenance,
-            universe=manifest.live_paths(),
-            report=self._report,
-        )
+        """The session's current state as an immutable snapshot — the
+        one :meth:`query` evaluates on, replaced by the next index
+        change.  It wraps the segment manifest directly: manifests are
+        immutable, so snapshot isolation needs no copying at all."""
+        return self._published[0]
 
     def serve(
         self,
@@ -521,13 +514,8 @@ class Search:
 
             def refresher():
                 change = self.refresh()
-                manifest = self._segmented.manifest
-                return (
-                    manifest,
-                    manifest.live_paths(),
-                    self._report,
-                    change,
-                )
+                view = self.snapshot()
+                return view.index, view.universe, view.report, change
 
         return SearchService(
             self.snapshot(),
@@ -544,13 +532,12 @@ class Search:
         max_inflight: int = 32,
         batch_window: float = 0.0,
         single_flight: bool = True,
-        stage_workers: int = 1,
         sync=None,
     ) -> AsyncSearchFrontend:
         """An :class:`~repro.service.frontend.AsyncSearchFrontend` over
         this session: single-flight coalescing of duplicate in-flight
-        queries, batched admission (one snapshot load per burst), and
-        pipelined parse → plan → evaluate stages, with an awaitable
+        queries and batched admission (the batcher plans a burst and
+        admits it against one snapshot load), with an awaitable
         ``query_async`` face.  The frontend owns its backing
         :class:`~repro.service.service.SearchService` (built via
         :meth:`serve`), so one ``close()`` — or leaving the context
@@ -566,7 +553,6 @@ class Search:
             batch_window=batch_window,
             single_flight=single_flight,
             workers=workers,
-            stage_workers=stage_workers,
             max_inflight=max_inflight,
             own_service=True,
             sync=sync if sync is not None else self._sync,
@@ -629,7 +615,7 @@ class Search:
             ridx2_dir = tempfile.mkdtemp(prefix="repro-shards-")
         return build_sharded_service(
             self.index,
-            self._segmented.manifest.live_paths(),
+            self.snapshot().universe,
             shards=shards,
             replicas=replicas,
             strategy=strategy,
@@ -647,14 +633,17 @@ class Search:
     # -- internals --------------------------------------------------------
 
     def _publish(self) -> None:
-        """Swap in what :meth:`query` reads, as one store: an engine
-        over the current manifest, the generation it answers for, and
-        an empty result cache that lives exactly as long — a cached
-        answer can never outlive the index it was computed on."""
-        manifest = self._segmented.manifest
-        self._serving = (
-            QueryEngine(manifest, universe=manifest.document_paths()),
-            self._generation,
+        """Swap in what :meth:`query` reads, as one store: a snapshot
+        of the current manifest (engine, universe, generation) and an
+        empty result cache that lives exactly as long — a cached answer
+        can never outlive the index it was computed on."""
+        self._published = (
+            IndexSnapshot(
+                index=self._segmented.manifest,
+                generation=self._generation,
+                provenance=self._provenance,
+                report=self._report,
+            ),
             QueryCache(self._cache_capacity, sync=self._sync)
             if self._cache_capacity
             else None,

@@ -191,12 +191,7 @@ class CachingQueryEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-            search_ast = getattr(self.engine, "search_ast", None)
-            if search_ast is None:
-                # An engine that only takes text (DaatQueryEngine).
-                result = self.engine.search(query_text, parallel=parallel)
-            else:
-                result = search_ast(query, parallel=parallel)
+            result = self.engine.search_ast(query, parallel=parallel)
             self.cache.put(key, result)
             return result
 

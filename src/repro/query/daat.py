@@ -34,8 +34,9 @@ from typing import Dict, List, Optional
 from repro.index.ondisk import DONE, BlockCursor, MmapPostingsReader
 from repro.obs import recorder as obsrec
 from repro.query.ast import And, Not, Or, Phrase, Query, Term
+from repro.query.optimizer import optimize as optimize_query
 from repro.query.parser import parse_query
-from repro.query.ranking import BM25_B, BM25_K1, RankedHit
+from repro.query.ranking import BM25_B, BM25_K1, RankedHit, scoring_terms
 from repro.query.wildcard import PrefixDictionary, expand_prefixes, has_prefixes
 
 
@@ -141,14 +142,24 @@ class DaatQueryEngine:
     def search(
         self, query_text: str, parallel: bool = False, optimize: bool = True
     ) -> List[str]:
-        """Parse and evaluate ``query_text``; returns sorted file paths."""
+        """Parse, optimise, :meth:`search_ast` — the contract of
+        :meth:`repro.query.evaluator.QueryEngine.search`, ``ParseError``
+        before anything is evaluated or counted included."""
+        query = parse_query(query_text)
+        if optimize:
+            query = optimize_query(query)
+        return self.search_ast(query, parallel=parallel)
+
+    def search_ast(self, query: Query, parallel: bool = False) -> List[str]:
+        """Evaluate a parsed query; returns sorted file paths.  Wildcards
+        are expanded here, *after* the caller's optimisation, so the
+        optimiser never walks the expanded ``Or``."""
         with obsrec.span("query.daat", parallel=parallel):
             obsrec.metrics().counter("query.daat.searches").inc()
-            query, _ = self._prepare(query_text, optimize)
             reader = self.reader
             return [
                 reader.doc_path(doc_id)
-                for doc_id in self._match_ids(query)
+                for doc_id in self._match_ids(self._expand(query))
             ]
 
     def search_bm25(
@@ -168,11 +179,8 @@ class DaatQueryEngine:
         if topk < 1:
             raise ValueError(f"topk must be at least 1, got {topk}")
         with obsrec.span("query.bm25", topk=topk):
-            query, expanded = self._prepare(query_text, optimize=True)
-            # Score over the *expanded, unoptimized* term set — the
-            # same set search_ranked/search_bm25 use in-memory, so the
-            # accumulation order (sorted terms) matches float for float.
-            terms = sorted(expanded.terms())
+            terms = scoring_terms(self, query_text)
+            query = self._expand(optimize_query(parse_query(query_text)))
             reader = self.reader
             n = reader.doc_count
             avgdl = reader.average_document_length
@@ -217,17 +225,10 @@ class DaatQueryEngine:
 
     # -- internals --------------------------------------------------------
 
-    def _prepare(self, query_text: str, optimize: bool):
-        """Returns ``(evaluation query, expanded-unoptimized query)``."""
-        from repro.query.optimizer import optimize as optimize_query
-
-        query = parse_query(query_text)
+    def _expand(self, query: Query) -> Query:
         if has_prefixes(query):
             query = expand_prefixes(query, self.prefix_dictionary())
-        expanded = query
-        if optimize:
-            query = optimize_query(query)
-        return query, expanded
+        return query
 
     def _match_ids(self, query: Query):
         """Yield matching doc ids in ascending order (one DAAT sweep)."""

@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.adt import FnvHashMap
 from repro.query.parser import parse_query
+from repro.query.wildcard import expand_prefixes, has_prefixes
 from repro.text.tokenizer import Tokenizer
 
 #: The standard Okapi BM25 knobs: term-frequency saturation and
@@ -186,10 +187,15 @@ class BM25Ranker:
         df = self.frequencies.df(term)
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
-    def score(self, path: str, terms: Sequence[str]) -> float:
-        """BM25 score of one document against the query terms."""
+    def score(
+        self, path: str, terms: Sequence[str], avgdl: Optional[float] = None
+    ) -> float:
+        """BM25 score of one document against the query terms
+        (``avgdl``: the mean document length, when the caller — see
+        :meth:`rank` — has it; reading it sums every length)."""
         frequencies = self.frequencies
-        avgdl = frequencies.average_document_length
+        if avgdl is None:
+            avgdl = frequencies.average_document_length
         length = frequencies.document_length(path)
         norm = self.k1 * (
             1.0 - self.b + self.b * (length / avgdl if avgdl else 0.0)
@@ -206,9 +212,26 @@ class BM25Ranker:
         topk: Optional[int] = None,
     ) -> List[RankedHit]:
         """Top-``topk`` hits by (score desc, path asc); all if None."""
-        hits = [RankedHit(path, self.score(path, terms)) for path in paths]
+        avgdl = self.frequencies.average_document_length
+        hits = [
+            RankedHit(path, self.score(path, terms, avgdl)) for path in paths
+        ]
         hits.sort(key=lambda hit: (-hit.score, hit.path))
         return hits if topk is None else hits[:topk]
+
+
+def scoring_terms(engine, query_text: str) -> List[str]:
+    """The terms a ranked query is scored over, sorted: those of the
+    parsed, **un**optimised query (absorption turns ``a AND (a OR b)``
+    into ``a`` and would drop ``b`` from the score), wildcards expanded
+    against the engine's dictionary so their matches score too.  The
+    in-memory rankers and :meth:`repro.query.daat.DaatQueryEngine.
+    search_bm25` all accumulate over this list, in this order, which
+    keeps their scores float-identical."""
+    query = parse_query(query_text)
+    if has_prefixes(query):
+        query = expand_prefixes(query, engine.prefix_dictionary())
+    return sorted(query.terms())
 
 
 def search_ranked(
@@ -218,16 +241,9 @@ def search_ranked(
 
     The query's positive terms drive the scoring; operators only decide
     the match set (a NOT-ed term contributes no score to survivors).
-    Wildcards are expanded against the engine's term dictionary so
-    their concrete matches are scored too.
     """
-    from repro.query.wildcard import expand_prefixes, has_prefixes
-
     paths = engine.search(query_text, parallel=parallel)
-    query = parse_query(query_text)
-    if has_prefixes(query):
-        query = expand_prefixes(query, engine.prefix_dictionary())
-    return ranker.rank(paths, sorted(query.terms()))
+    return ranker.rank(paths, scoring_terms(engine, query_text))
 
 
 def search_bm25(
@@ -244,12 +260,7 @@ def search_bm25(
     top-K.  Its on-disk twin is
     :meth:`repro.query.daat.DaatQueryEngine.search_bm25`.
     """
-    from repro.query.wildcard import expand_prefixes, has_prefixes
-
     if topk < 1:
         raise ValueError(f"topk must be at least 1, got {topk}")
     paths = engine.search(query_text, parallel=parallel)
-    query = parse_query(query_text)
-    if has_prefixes(query):
-        query = expand_prefixes(query, engine.prefix_dictionary())
-    return ranker.rank(paths, sorted(query.terms()), topk=topk)
+    return ranker.rank(paths, scoring_terms(engine, query_text), topk=topk)

@@ -23,7 +23,7 @@ changing.  This package is that layer, in the mould of the query-broker
 * graceful shutdown — :meth:`~repro.service.service.SearchService.close`
   drains every accepted query before the workers exit;
 * :class:`~repro.service.frontend.AsyncSearchFrontend` — the batched,
-  single-flight, stage-pipelined front end over a service: duplicate
+  single-flight front end over a service: duplicate
   in-flight queries coalesce onto one evaluation, bursts are admitted
   with one snapshot load and one queue transaction, and an asyncio
   face keeps thousands of queries in flight from one event loop.  The

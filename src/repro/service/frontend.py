@@ -1,12 +1,11 @@
-"""The batched, coalescing, pipelined query front end.
+"""The batched, coalescing query front end.
 
 :class:`~repro.service.service.SearchService` answers one query per
-caller thread: each ``query()`` pays its own snapshot pointer load, its
-own admission transaction, and its own parse — and two callers asking
-the *same* question evaluate it twice.  Under open-loop traffic those
-per-query costs dominate the tail.  :class:`AsyncSearchFrontend` is the
-serving-side analogue of what the build side got from batching and
-pipelining:
+caller thread: each ``query()`` pays its own snapshot pointer load and
+its own admission transaction — and two callers asking the *same*
+question evaluate it twice.  Under open-loop traffic those per-query
+costs dominate the tail.  :class:`AsyncSearchFrontend` is the
+serving-side analogue of what the build side got from batching:
 
 * **single-flight coalescing** — duplicate in-flight queries share one
   evaluation.  The key is the ranking-aware
@@ -16,22 +15,22 @@ pipelining:
   *own* :class:`~repro.service.snapshot.QueryResult` — same paths/hits/
   generation, their own ``elapsed_s`` (time *they* waited, not the
   leader's evaluation time), and ``coalesced=True``;
-* **batched admission** — planned queries park in a batch queue; the
-  batcher thread flushes a whole burst with **one** snapshot pointer
-  load and **one** queue transaction, instead of one of each per query.
-  ``batch_window`` > 0 holds the flush open briefly so a burst
-  accumulates; 0 flushes as soon as the batcher wakes.  Admission
-  control happens at the flush: leaders beyond the in-flight budget are
-  shed (:class:`~repro.service.service.ServiceOverloadedError`) along
-  with their followers, each affected caller counted exactly once;
-* **pipelined stages** — ``submit()`` only enqueues; dedicated stage
-  workers run parse → plan (normalize + single-flight registration) and
-  evaluation workers run evaluate, so independent stages of *distinct*
-  queries overlap: one query's parse proceeds while another's
-  evaluation runs.  Each stage is a span (``frontend.parse``,
-  ``frontend.plan``, ``frontend.evaluate``) and every caller's full
-  sojourn is recorded as a ``frontend.query`` span, which is what the
-  load harness reads its percentiles from;
+* **batched admission** — ``submit()`` only enqueues; the batcher
+  thread takes everything that has arrived, plans it (parse + key,
+  outside the lock) and then registers single-flight and admits the
+  whole burst with **one** snapshot pointer load and **one** queue
+  transaction, instead of one of each per query.  ``batch_window`` > 0
+  holds the flush open briefly so a burst accumulates; 0 flushes as
+  soon as the batcher wakes.  Admission control happens at the flush:
+  leaders beyond the in-flight budget are shed
+  (:class:`~repro.service.service.ServiceOverloadedError`) along with
+  their followers, each affected caller counted exactly once;
+* **two thread roles** — one batcher, ``workers`` evaluators.  Planning
+  is 1–1.5 % of a sojourn and cannot overlap evaluation under the GIL,
+  so, like the paper's filename generation, it gets no threads of its
+  own (``docs/serving_latency.md``).  Each step is still a span
+  (``frontend.parse``/``.plan``/``.evaluate``) and each caller's sojourn
+  a ``frontend.query`` span, which the load harness's percentiles read;
 * **deterministic shutdown** — :meth:`close` stops intake
   (:class:`~repro.service.service.ServiceClosedError` for late
   submitters), then either drains (default: every accepted ticket
@@ -108,12 +107,20 @@ class QueryTicket:
     def result(self, timeout: Optional[float] = None) -> QueryResult:
         """Block until resolution; returns the result or raises."""
         frontend = self._frontend
+        # One deadline, however often the shared done-condition wakes
+        # this waiter for somebody else's ticket.
+        deadline = None if timeout is None else time.perf_counter() + timeout
         with frontend._lock:
             while not self.done:
-                if not frontend._done.wait(timeout=timeout):
-                    raise TimeoutError(
-                        f"query {self.text!r} unresolved after {timeout}s"
-                    )
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.perf_counter()
+                    if remaining <= 0:
+                        raise TimeoutError(
+                            f"query {self.text!r} unresolved after "
+                            f"{timeout}s"
+                        )
+                frontend._done.wait(timeout=remaining)
         if self.error is not None:
             raise self.error
         return self.value
@@ -131,13 +138,13 @@ class QueryTicket:
 
 
 class AsyncSearchFrontend:
-    """Single-flight, batch-admitted, stage-pipelined serving front end.
+    """Single-flight, batch-admitted serving front end.
 
     Sits in front of a :class:`~repro.service.service.SearchService`
     and evaluates directly against its published snapshots (one pointer
-    load per admitted *batch*).  ``workers`` evaluation threads and
-    ``stage_workers`` parse/plan threads plus one batcher thread come
-    from the ``sync`` provider.  ``max_inflight`` bounds admitted,
+    load per admitted *batch*).  ``workers`` evaluation threads plus
+    one batcher thread, which plans what it flushes, come from the
+    ``sync`` provider.  ``max_inflight`` bounds admitted,
     unresolved leaders (coalesced followers ride free — that is the
     point); beyond it the flush sheds.  ``own_service=True`` makes
     :meth:`close` also close the wrapped service.
@@ -149,17 +156,13 @@ class AsyncSearchFrontend:
         batch_window: float = 0.0,
         single_flight: bool = True,
         workers: int = 2,
-        stage_workers: int = 1,
         max_inflight: Optional[int] = None,
         own_service: bool = False,
         sync=None,
         name: str = "frontend",
     ) -> None:
-        if workers < 1 or stage_workers < 1:
-            raise ValueError(
-                f"workers and stage_workers must be at least 1, got "
-                f"{workers} and {stage_workers}"
-            )
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         if batch_window < 0:
             raise ValueError(
                 f"batch_window must be non-negative, got {batch_window}"
@@ -183,19 +186,16 @@ class AsyncSearchFrontend:
         self._sync = sync
 
         # One lock guards all frontend state; three conditions fan the
-        # wakeups out by role (stage workers / batcher / result waiters).
+        # wakeups out by role (batcher / evaluators / result waiters).
         self._lock = sync.lock(f"{name}.state-lock")
-        self._stage_work = sync.condition(self._lock, f"{name}.stage-cond")
         self._flush = sync.condition(self._lock, f"{name}.flush-cond")
         self._eval_work = sync.condition(self._lock, f"{name}.eval-cond")
         self._done = sync.condition(self._lock, f"{name}.done-cond")
 
-        self._stageq: Deque[QueryTicket] = deque()   # awaiting parse/plan
-        self._pending: List[QueryTicket] = []        # planned, awaiting flush
+        self._arrivals: List[QueryTicket] = []       # awaiting the batcher
         self._evalq: Deque[QueryTicket] = deque()    # admitted, awaiting eval
         self._inflight_map: Dict[CacheKey, QueryTicket] = {}
         self._inflight = 0            # admitted, unresolved leaders
-        self._staging = 0             # popped from _stageq, not yet planned
         self._closing = False
         self._drain_on_close = True
         self._batcher_done = False
@@ -208,16 +208,11 @@ class AsyncSearchFrontend:
         self._evaluations = 0
 
         self._threads = [
-            sync.thread(self._stage_loop, name=f"{name}-stage-{i}")
-            for i in range(stage_workers)
-        ]
-        self._threads.append(
             sync.thread(self._batcher_loop, name=f"{name}-batcher")
-        )
-        self._threads.extend(
+        ] + [
             sync.thread(self._eval_loop, name=f"{name}-eval-{i}")
             for i in range(workers)
-        )
+        ]
         for thread in self._threads:
             thread.start()
 
@@ -246,10 +241,10 @@ class AsyncSearchFrontend:
                 raise ServiceClosedError(f"{self.name} is shut down")
             self._submitted += 1
             self._sync.access(f"{self.name}.batch-queue", write=True)
-            self._stageq.append(ticket)
+            self._arrivals.append(ticket)
             metrics.counter(f"{self.name}.queries").inc()
             self._set_depth_gauge_locked(metrics)
-            self._stage_work.notify()
+            self._flush.notify()
         return ticket
 
     def query(
@@ -317,7 +312,6 @@ class AsyncSearchFrontend:
                 return
             self._closing = True
             self._drain_on_close = drain
-            self._stage_work.notify_all()
             self._flush.notify_all()
             self._eval_work.notify_all()
             self._done.notify_all()
@@ -349,7 +343,7 @@ class AsyncSearchFrontend:
                 "frontend.evaluations": float(self._evaluations),
                 "frontend.inflight": float(self._inflight),
                 "frontend.queue_depth": float(
-                    len(self._stageq) + len(self._pending) + len(self._evalq)
+                    len(self._arrivals) + len(self._evalq)
                 ),
             }
         submitted = snapshot["frontend.submitted"]
@@ -358,46 +352,78 @@ class AsyncSearchFrontend:
         )
         return snapshot
 
-    # -- stage 1+2: parse and plan ---------------------------------------
+    # -- the batcher: plan, coalesce, admit --------------------------------
 
-    def _stage_loop(self) -> None:
+    def _batcher_loop(self) -> None:
         metrics = obsrec.metrics()
         while True:
             with self._lock:
-                while not self._stageq and not self._closing:
-                    self._stage_work.wait()
-                if not self._stageq:
-                    # Closing and nothing left to plan: tell the batcher
-                    # the stage pipeline cannot produce more work.
-                    self._flush.notify_all()
+                while not self._arrivals and not self._closing:
+                    self._flush.wait()
+                if not self._arrivals:
+                    # Closing: submit() accepts nothing more.
+                    self._batcher_done = True
+                    self._eval_work.notify_all()
                     return
+                if self.batch_window > 0 and not self._closing:
+                    # Hold the flush open so a burst accumulates into
+                    # one admission transaction.
+                    self._flush.wait(timeout=self.batch_window)
                 self._sync.access(f"{self.name}.batch-queue", write=True)
-                ticket = self._stageq.popleft()
-                self._staging += 1
-            try:
-                with obsrec.span(f"{self.name}.parse"):
-                    normalized = normalize_query(ticket.text)
-                with obsrec.span(f"{self.name}.plan"):
-                    # The topology scope keeps keys from crossing
-                    # serving topologies: a sharded BM25 result (scored
-                    # with shard-local statistics) must never satisfy an
-                    # unsharded waiter or one from a different shard
-                    # count.  Unsharded services expose no scope (None).
-                    ticket.key = cache_key(
-                        normalized,
-                        ticket.parallel,
-                        ticket.rank,
-                        ticket.topk if ticket.rank == "bm25" else None,
-                        getattr(self.service, "cache_scope", None),
-                    )
-            except Exception as exc:  # ParseError etc. → the caller
-                with self._lock:
-                    self._staging -= 1
-                    self._flush.notify_all()
-                self._resolve(ticket, error=exc)
-                continue
-            with self._lock:
-                self._staging -= 1
+                arrived, self._arrivals = self._arrivals, []
+                shedding = self._closing and not self._drain_on_close
+            if shedding:  # the un-admitted remainder goes unparsed
+                shed = arrived
+            else:
+                # Planned outside the lock, on this thread: submitters
+                # are never held up by a parse.
+                shed = self._admit(
+                    [ticket for ticket in arrived if self._plan(ticket)],
+                    metrics,
+                )
+            for ticket in shed:
+                self._resolve(
+                    ticket,
+                    error=ServiceOverloadedError(
+                        f"{self.name}: not admitted (in-flight bound "
+                        f"{self.max_inflight} reached, or closed without "
+                        "draining)"
+                    ),
+                )
+
+    def _plan(self, ticket: QueryTicket) -> bool:
+        """Parse and key one ticket; a bad query resolves on its own
+        ticket (False) and never holds up the rest of the burst."""
+        try:
+            with obsrec.span(f"{self.name}.parse"):
+                normalized = normalize_query(ticket.text)
+            with obsrec.span(f"{self.name}.plan"):
+                # The topology scope keeps keys from crossing serving
+                # topologies: a sharded BM25 result (scored with
+                # shard-local statistics) must never satisfy an
+                # unsharded waiter or one from a different shard count.
+                # Unsharded services expose no scope (None).
+                ticket.key = cache_key(
+                    normalized,
+                    ticket.parallel,
+                    ticket.rank,
+                    ticket.topk if ticket.rank == "bm25" else None,
+                    getattr(self.service, "cache_scope", None),
+                )
+        except Exception as exc:  # ParseError etc. → the caller
+            self._resolve(ticket, error=exc)
+            return False
+        return True
+
+    def _admit(self, planned: List[QueryTicket], metrics) -> List[QueryTicket]:
+        """Single-flight registration and admission for a whole batch
+        in one transaction; returns the leaders to shed.  What fits the
+        in-flight budget is admitted against ONE snapshot pointer load.
+        A draining close admits all it accepted; a non-draining one
+        that landed during planning sheds all not yet admitted."""
+        with self._lock:
+            batch: List[QueryTicket] = []
+            for ticket in planned:
                 if self.single_flight:
                     self._sync.access(f"{self.name}.inflight-map",
                                       write=False)
@@ -412,131 +438,57 @@ class AsyncSearchFrontend:
                     self._sync.access(f"{self.name}.inflight-map",
                                       write=True)
                     self._inflight_map[ticket.key] = ticket
+                batch.append(ticket)
+            if self._closing:
+                admit_count = len(batch) if self._drain_on_close else 0
+            else:
+                admit_count = max(
+                    0, min(len(batch), self.max_inflight - self._inflight)
+                )
+            admitted = batch[:admit_count]
+            if admitted:
+                snapshot = self.service.snapshot  # one pointer load
+                for ticket in admitted:
+                    ticket.snapshot = snapshot
                 self._sync.access(f"{self.name}.batch-queue", write=True)
-                self._pending.append(ticket)
+                self._evalq.extend(admitted)
+                self._inflight += len(admitted)
+                self._batches += 1
+                metrics.counter(f"{self.name}.batches").inc()
+                metrics.gauge(f"{self.name}.batch_size").set(len(admitted))
+                metrics.gauge(f"{self.name}.inflight").set(self._inflight)
                 self._set_depth_gauge_locked(metrics)
-                self._flush.notify()
+                self._eval_work.notify_all()
+            return batch[admit_count:]
 
-    # -- stage 3: batched admission ---------------------------------------
-
-    def _batcher_loop(self) -> None:
-        metrics = obsrec.metrics()
-        while True:
-            with self._lock:
-                while not self._pending and not self._closing:
-                    self._flush.wait()
-                if self._closing and not self._pending:
-                    if self._stageq or self._staging:
-                        # Stage workers are still planning accepted
-                        # tickets; wait for them to land in _pending.
-                        self._flush.wait()
-                        continue
-                    self._batcher_done = True
-                    self._eval_work.notify_all()
-                    return
-                if self.batch_window > 0 and not self._closing:
-                    # Hold the flush open so a burst accumulates into
-                    # one admission transaction.
-                    self._flush.wait(timeout=self.batch_window)
-                self._sync.access(f"{self.name}.batch-queue", write=True)
-                batch = self._pending
-                self._pending = []
-                # Admission for the whole batch in one transaction:
-                # whatever fits the in-flight budget is admitted against
-                # ONE snapshot pointer load; the excess is shed.  A
-                # draining close admits everything it accepted; a
-                # non-draining close sheds everything not yet admitted.
-                if self._closing:
-                    admit_count = len(batch) if self._drain_on_close else 0
-                    shed_reason = f"{self.name}: closed before admission"
-                else:
-                    admit_count = max(
-                        0, min(len(batch),
-                               self.max_inflight - self._inflight)
-                    )
-                    shed_reason = (
-                        f"{self.name}: admission batch over the "
-                        f"in-flight bound {self.max_inflight}"
-                    )
-                admitted = batch[:admit_count]
-                shed = batch[admit_count:]
-                if admitted:
-                    snapshot = self.service.snapshot  # one pointer load
-                    for ticket in admitted:
-                        ticket.snapshot = snapshot
-                    self._evalq.extend(admitted)
-                    self._inflight += len(admitted)
-                    self._batches += 1
-                    metrics.counter(f"{self.name}.batches").inc()
-                    metrics.gauge(f"{self.name}.batch_size").set(
-                        len(admitted)
-                    )
-                    metrics.gauge(f"{self.name}.inflight").set(
-                        self._inflight
-                    )
-                    self._set_depth_gauge_locked(metrics)
-                    self._eval_work.notify_all()
-            for ticket in shed:
-                self._resolve(ticket,
-                              error=ServiceOverloadedError(shed_reason))
-
-    # -- stage 4: evaluate -------------------------------------------------
+    # -- the evaluators ----------------------------------------------------
 
     def _eval_loop(self) -> None:
         metrics = obsrec.metrics()
         while True:
             with self._lock:
-                while not self._evalq and not (
-                    self._closing and self._batcher_done
-                ):
+                while not self._evalq and not self._batcher_done:
                     self._eval_work.wait()
                 if not self._evalq:
-                    return  # closing, batcher finished, fully drained
+                    return  # closed, batcher finished, fully drained
                 self._sync.access(f"{self.name}.batch-queue", write=True)
                 ticket = self._evalq.popleft()
                 self._set_depth_gauge_locked(metrics)
             snapshot = ticket.snapshot
-            started = time.perf_counter()
             try:
                 with obsrec.span(
                     f"{self.name}.evaluate",
                     generation=snapshot.generation,
                     rank=ticket.rank,
                 ):
-                    if ticket.rank == "bm25":
-                        hits = snapshot.search_bm25(
-                            ticket.text, topk=ticket.topk
-                        )
-                        result = QueryResult(
-                            paths=[hit.path for hit in hits],
-                            generation=snapshot.generation,
-                            elapsed_s=time.perf_counter() - started,
-                            hits=hits,
-                            shards_ok=getattr(hits, "shards_ok", None),
-                            shards_total=getattr(
-                                hits, "shards_total", None
-                            ),
-                        )
-                    else:
-                        paths = snapshot.search(
-                            ticket.text, parallel=ticket.parallel
-                        )
-                        result = QueryResult(
-                            paths=paths,
-                            generation=snapshot.generation,
-                            elapsed_s=time.perf_counter() - started,
-                            shards_ok=getattr(paths, "shards_ok", None),
-                            shards_total=getattr(
-                                paths, "shards_total", None
-                            ),
-                        )
+                    result = snapshot.answer(
+                        ticket.text, ticket.parallel, ticket.rank, ticket.topk
+                    )
             except BaseException as exc:
                 metrics.counter(f"{self.name}.errors").inc()
                 self._resolve(ticket, error=exc, admitted=True)
             else:
                 self._resolve(ticket, value=result, admitted=True)
-            with self._lock:
-                self._evaluations += 1
 
     # -- resolution --------------------------------------------------------
 
@@ -594,6 +546,7 @@ class AsyncSearchFrontend:
                 waiter._callbacks = []
                 self._record_sojourn(waiter, now)
             if admitted:
+                self._evaluations += 1
                 self._inflight -= 1
                 metrics.gauge(f"{self.name}.inflight").set(self._inflight)
             self._done.notify_all()
@@ -617,5 +570,5 @@ class AsyncSearchFrontend:
 
     def _set_depth_gauge_locked(self, metrics) -> None:
         metrics.gauge(f"{self.name}.queue_depth").set(
-            len(self._stageq) + len(self._pending) + len(self._evalq)
+            len(self._arrivals) + len(self._evalq)
         )

@@ -29,7 +29,6 @@ period in a background thread, which is what ``repro-cli serve
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
@@ -380,28 +379,13 @@ class SearchService:
                     len(self._queue)
                 )
             snapshot = self.snapshot
-            started = time.perf_counter()
             with obsrec.span(
                 f"{self.name}.query", generation=snapshot.generation
             ):
                 try:
-                    if job.rank == "bm25":
-                        hits = snapshot.search_bm25(job.text, topk=job.topk)
-                        job.result = QueryResult(
-                            paths=[hit.path for hit in hits],
-                            generation=snapshot.generation,
-                            elapsed_s=time.perf_counter() - started,
-                            hits=hits,
-                        )
-                    else:
-                        paths = snapshot.search(
-                            job.text, parallel=job.parallel
-                        )
-                        job.result = QueryResult(
-                            paths=paths,
-                            generation=snapshot.generation,
-                            elapsed_s=time.perf_counter() - started,
-                        )
+                    job.result = snapshot.answer(
+                        job.text, job.parallel, job.rank, job.topk
+                    )
                 except BaseException as exc:  # propagate to the caller
                     job.error = exc
                     metrics.counter(f"{self.name}.errors").inc()

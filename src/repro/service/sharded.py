@@ -75,7 +75,6 @@ import heapq
 import itertools
 import time
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -383,36 +382,18 @@ class ShardGroup:
             replica.close()
 
 
-# -- gathered results -----------------------------------------------------
-
-
-class GatheredPaths(list):
-    """A merged boolean result list carrying the shard health tuple."""
-
-    def __init__(self, paths, shards_ok: int, shards_total: int) -> None:
-        super().__init__(paths)
-        self.shards_ok = shards_ok
-        self.shards_total = shards_total
-
-
-class GatheredHits(list):
-    """A merged BM25 hit list carrying the shard health tuple."""
-
-    def __init__(self, hits, shards_ok: int, shards_total: int) -> None:
-        super().__init__(hits)
-        self.shards_ok = shards_ok
-        self.shards_total = shards_total
+# -- the broker's view ---------------------------------------------------
 
 
 class ShardedSnapshot:
     """The broker's immutable topology view, wearing the snapshot face.
 
-    Exposes ``generation`` / ``search`` / ``search_bm25`` like an
+    Exposes ``generation`` / ``answer`` like an
     :class:`~repro.service.snapshot.IndexSnapshot`, which is exactly
     what lets :class:`~repro.service.frontend.AsyncSearchFrontend`
     seat on a broker with zero changes to its batch/eval machinery:
     the frontend loads one snapshot pointer per admitted batch and
-    evaluates against it; here "evaluating" is the scatter-gather.
+    asks it for the answer; here "answering" is the scatter-gather.
 
     The object itself is immutable (the shard set is fixed at
     construction); *health* is read live from the shard groups at
@@ -441,8 +422,8 @@ class ShardedSnapshot:
     def shards_ok(self) -> int:
         return sum(1 for group in self.groups if group.alive)
 
-    def _scatter(self, probe: Callable[[ShardGroup], QueryResult]):
-        """Fan ``probe`` out to every shard; gather and classify.
+    def _scatter(self, query_text: str, parallel: bool, rank: str, topk: int):
+        """Fan the request out to every shard; gather and classify.
 
         Returns ``(per_shard_results, shards_ok)`` over the shards
         that answered.  :class:`ShardDeadError` from a shard is
@@ -458,7 +439,9 @@ class ShardedSnapshot:
 
         def run(i: int, group: ShardGroup) -> None:
             try:
-                results[i] = probe(group)
+                results[i] = group.query(
+                    query_text, parallel=parallel, rank=rank, topk=topk
+                )
             except BaseException as exc:  # classified in the gather
                 errors[i] = exc
 
@@ -502,33 +485,41 @@ class ShardedSnapshot:
                 )
             return answered, len(groups) - dead
 
-    def search(self, query_text: str, parallel: bool = False) -> GatheredPaths:
-        """Scatter a boolean query; merge by sorted set-union."""
-        answered, shards_ok = self._scatter(
-            lambda group: group.query(query_text, parallel=parallel)
-        )
-        merged = set()
-        for result in answered:
-            merged.update(result.paths)
-        return GatheredPaths(sorted(merged), shards_ok, self.shards_total)
+    def answer(
+        self,
+        query_text: str,
+        parallel: bool = False,
+        rank: str = "bool",
+        topk: int = 10,
+    ) -> QueryResult:
+        """:meth:`IndexSnapshot.answer <repro.service.snapshot.
+        IndexSnapshot.answer>` by scatter-gather, plus the health tuple.
 
-    def search_bm25(self, query_text: str, topk: int = 10) -> GatheredHits:
-        """Scatter a BM25 query; heap-merge the per-shard top-K.
-
-        Each shard returns its local top-``topk`` ordered by
-        ``(score desc, path asc)``; the global answer is the first
-        ``topk`` of the k-way merge under the same ordering — the
-        documented permutation-stable prefix.
+        Boolean answers merge by sorted set-union.  For BM25 each shard
+        returns its local top-``topk`` ordered by ``(score desc, path
+        asc)``; the global answer is the first ``topk`` of the k-way
+        merge under the same ordering — the documented
+        permutation-stable prefix.
         """
-        answered, shards_ok = self._scatter(
-            lambda group: group.query(query_text, rank="bm25", topk=topk)
-        )
-        merged = heapq.merge(
-            *[result.hits for result in answered],
-            key=lambda hit: (-hit.score, hit.path),
-        )
-        return GatheredHits(
-            itertools.islice(merged, topk), shards_ok, self.shards_total
+        started = time.perf_counter()
+        answered, shards_ok = self._scatter(query_text, parallel, rank, topk)
+        hits = None
+        if rank == "bm25":
+            merged = heapq.merge(
+                *[result.hits for result in answered],
+                key=lambda hit: (-hit.score, hit.path),
+            )
+            hits = list(itertools.islice(merged, topk))
+            paths = [hit.path for hit in hits]
+        else:
+            paths = sorted(set().union(*[r.paths for r in answered]))
+        return QueryResult(
+            paths=paths,
+            generation=self.generation,
+            elapsed_s=time.perf_counter() - started,
+            hits=hits,
+            shards_ok=shards_ok,
+            shards_total=self.shards_total,
         )
 
 
@@ -640,31 +631,11 @@ class ScatterGatherBroker:
                 raise ServiceClosedError(f"{self.name} is shut down")
         metrics = obsrec.metrics()
         metrics.counter(f"{self.name}.queries").inc()
-        snapshot = self.snapshot
-        started = time.perf_counter()
         try:
             with obsrec.span(
                 f"{self.name}.query", rank=rank, shards=len(self.groups)
             ):
-                if rank == "bm25":
-                    hits = snapshot.search_bm25(query_text, topk=topk)
-                    result = QueryResult(
-                        paths=[hit.path for hit in hits],
-                        generation=snapshot.generation,
-                        elapsed_s=time.perf_counter() - started,
-                        hits=list(hits),
-                        shards_ok=hits.shards_ok,
-                        shards_total=hits.shards_total,
-                    )
-                else:
-                    paths = snapshot.search(query_text, parallel=parallel)
-                    result = QueryResult(
-                        paths=list(paths),
-                        generation=snapshot.generation,
-                        elapsed_s=time.perf_counter() - started,
-                        shards_ok=paths.shards_ok,
-                        shards_total=paths.shards_total,
-                    )
+                result = self.snapshot.answer(query_text, parallel, rank, topk)
         except ServiceOverloadedError:
             with self._lock:
                 self._shed += 1

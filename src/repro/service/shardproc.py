@@ -59,12 +59,11 @@ def shard_worker_main(ridx2_path: str, requests, responses) -> None:
             return
         req_id, text, parallel, rank, topk = item
         try:
+            result = snapshot.answer(text, parallel, rank, topk)
             if rank == "bm25":
-                hits = snapshot.search_bm25(text, topk=topk)
-                payload = ("hits", [(hit.path, hit.score) for hit in hits])
+                payload = ("hits", [(h.path, h.score) for h in result.hits])
             else:
-                paths = snapshot.search(text, parallel=parallel)
-                payload = ("paths", list(paths))
+                payload = ("paths", result.paths)
         except Exception as exc:
             payload = ("error", f"{type(exc).__name__}: {exc}")
         responses.put((req_id,) + payload)

@@ -18,6 +18,7 @@ is immutable by construction, which is snapshot isolation for free.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Union
 
@@ -29,7 +30,11 @@ AnyIndex = Union[InvertedIndex, MultiIndex]
 
 
 def universe_of(index: AnyIndex) -> FrozenSet[str]:
-    """Every indexed path, collected by transposing the postings."""
+    """Every indexed path: asked of an index that knows its documents
+    (a manifest's ``live_paths()``), else transposed from the postings."""
+    live_paths = getattr(index, "live_paths", None)
+    if live_paths is not None:
+        return live_paths()
     paths = set()
     replicas = index.replicas if isinstance(index, MultiIndex) else [index]
     for replica in replicas:
@@ -105,6 +110,31 @@ class IndexSnapshot:
                 "on-disk (IndexSnapshot.from_ondisk) for BM25"
             )
         return self.engine.search_bm25(query_text, topk=topk)
+
+    def answer(
+        self,
+        query_text: str,
+        parallel: bool = False,
+        rank: str = "bool",
+        topk: int = 10,
+    ) -> "QueryResult":
+        """One request answered against this snapshot, timed and
+        labelled with its generation — the face every serving door
+        calls, shared with the broker's
+        :class:`~repro.service.sharded.ShardedSnapshot`."""
+        started = time.perf_counter()
+        hits = None
+        if rank == "bm25":
+            hits = self.search_bm25(query_text, topk=topk)
+            paths = [hit.path for hit in hits]
+        else:
+            paths = self.search(query_text, parallel=parallel)
+        return QueryResult(
+            paths=paths,
+            generation=self.generation,
+            elapsed_s=time.perf_counter() - started,
+            hits=hits,
+        )
 
     def next(
         self,

@@ -19,13 +19,14 @@ Four layers of evidence:
    tracer — the sweep's silence is informed silence;
 3. a mutation run with the snapshot lock broken that *does* race on
    the swap seam the batcher's one-pointer-load-per-batch depends on.
-   (The frontend's own state lock cannot be no-op'd this way: its four
+   (The frontend's own state lock cannot be no-op'd this way: its three
    conditions are built on it, and a condition over a no-op lock is
    structurally invalid rather than racy);
 4. drain-correctness sweeps — ``close(drain=True/False)`` races the
    submitters under the deterministic scheduler (no sleeps): queued,
    coalesced-waiter and mid-batch tickets all resolve, with exactly
-   the contract's outcome split.
+   the contract's outcome split — including the schedules where the
+   close lands while the batcher is planning a batch outside the lock.
 
 A real-thread stress run closes the loop at OS speed.
 """
@@ -37,6 +38,7 @@ import threading
 import pytest
 
 from repro.index.inverted import InvertedIndex
+from repro.query import ParseError
 from repro.schedcheck import (
     CooperativeScheduler,
     InstrumentedSyncProvider,
@@ -78,7 +80,6 @@ def make_stack(provider, max_inflight: int = 8):
         service,
         batch_window=0.0,
         workers=1,
-        stage_workers=1,
         max_inflight=max_inflight,
         own_service=True,
         sync=provider,
@@ -124,6 +125,15 @@ def frontend_scenario(provider):
     return frontend
 
 
+def submit_each(frontend, texts, accepted, closed_out) -> None:
+    """Submit ``texts`` in order; a submit refused by a close is noted."""
+    for text in texts:
+        try:
+            accepted.append(frontend.submit(text))
+        except ServiceClosedError:
+            closed_out.append(text)
+
+
 def drain_scenario(provider, drain: bool):
     """``close(drain=...)`` races two submitters mid-burst.
 
@@ -136,24 +146,19 @@ def drain_scenario(provider, drain: bool):
     accepted = []
     closed_out = []
 
-    def submitter(texts) -> None:
-        for text in texts:
-            try:
-                accepted.append(frontend.submit(text))
-            except ServiceClosedError:
-                closed_out.append(text)
-
     threads = [
         # Same answer at every generation, three distinct cache keys —
         # so schedules produce queued, coalesced and mid-batch tickets.
         provider.thread(
-            submitter,
-            args=(("probe", "probe", "probe AND probe"),),
+            submit_each,
+            args=(frontend, ("probe", "probe", "probe AND probe"),
+                  accepted, closed_out),
             name="submit-a",
         ),
         provider.thread(
-            submitter,
-            args=(("probe", "probe OR probe", "probe AND probe"),),
+            submit_each,
+            args=(frontend, ("probe", "probe OR probe", "probe AND probe"),
+                  accepted, closed_out),
             name="submit-b",
         ),
     ]
@@ -178,6 +183,88 @@ def drain_scenario(provider, drain: bool):
     completed = sum(1 for t in accepted if t.error is None)
     assert completed + stats["frontend.shed"] == len(accepted)
     return frontend
+
+
+def planning_close_scenario(provider, drain: bool) -> bool:
+    """``close(drain=...)`` against a batcher that is mid-plan.
+
+    The batcher plans a batch outside the state lock, where nothing
+    synchronises — so the scenario gives each ticket's planning one
+    scheduling point (a declared read of a location only the batcher
+    touches), and a malformed query mid-burst adds the lock round-trip
+    of its own resolution.  Returns whether, in this schedule, the
+    close landed between the batcher taking a batch and admitting it.
+    """
+    frontend, _service = make_stack(provider)
+    real_plan, real_admit = frontend._plan, frontend._admit
+    batch = {"closing_at_take": None, "close_landed_mid_plan": False}
+
+    def plan(ticket):
+        provider.access("test.batcher-planning", write=False)
+        if batch["closing_at_take"] is None:
+            batch["closing_at_take"] = frontend._closing
+        return real_plan(ticket)
+
+    def admit(planned, metrics):
+        if frontend._closing and batch["closing_at_take"] is False:
+            batch["close_landed_mid_plan"] = True
+        batch["closing_at_take"] = None
+        return real_admit(planned, metrics)
+
+    frontend._plan, frontend._admit = plan, admit
+    accepted = []
+    closed_out = []
+
+    threads = [
+        provider.thread(
+            submit_each,
+            args=(frontend, ("probe", "AND AND", "probe OR probe"),
+                  accepted, closed_out),
+            name="submit-a",
+        ),
+        provider.thread(
+            submit_each,
+            args=(frontend, ("probe AND probe", "probe", "NOT NOT probe"),
+                  accepted, closed_out),
+            name="submit-b",
+        ),
+    ]
+    for thread in threads:
+        thread.start()
+    # Give way (boundedly — a PCT schedule may keep this thread on top)
+    # until the batcher is inside a plan, then close on top of it.
+    for _ in range(40):
+        if batch["closing_at_take"] is False:
+            break
+        provider.access("test.closer-waiting", write=False)
+    frontend.close(drain=drain)
+    for thread in threads:
+        thread.join()
+
+    assert len(accepted) + len(closed_out) == 6
+    outcomes = {"result": 0, "parse": 0, "shed": 0}
+    for ticket in accepted:
+        assert ticket.done  # never a hang, never unresolved
+        if ticket.error is None:
+            assert ticket.text != "AND AND"
+            assert ticket.value.paths == EXPECTED[ticket.value.generation]
+            outcomes["result"] += 1
+        elif isinstance(ticket.error, ParseError):
+            assert ticket.text == "AND AND"  # its own, nobody else's
+            outcomes["parse"] += 1
+        else:
+            assert isinstance(ticket.error, ServiceOverloadedError)
+            assert not drain  # a draining close completes what it took
+            outcomes["shed"] += 1
+    stats = frontend.stats()
+    assert stats["frontend.served"] == len(accepted)
+    assert stats["frontend.shed"] == outcomes["shed"]
+    if drain:  # nothing shed: every result was evaluated or coalesced
+        assert (
+            stats["frontend.evaluations"] + stats["frontend.coalesced"]
+            == outcomes["result"]
+        )
+    return batch["close_landed_mid_plan"]
 
 
 class TestScheduleSweep:
@@ -240,6 +327,26 @@ class TestDrainCorrectness:
                                             scheduler=scheduler)
         provider.run(lambda: drain_scenario(provider, drain))
         assert find_races(tracer) == []
+
+
+    @pytest.mark.parametrize("drain", (True, False))
+    def test_close_while_the_batcher_is_planning(self, drain):
+        landed = 0
+        for strategy in ("random", "pct"):
+            for seed in range(8):
+                tracer = Tracer()
+                scheduler = CooperativeScheduler(
+                    make_strategy(strategy, seed)
+                )
+                provider = InstrumentedSyncProvider(
+                    tracer=tracer, scheduler=scheduler
+                )
+                landed += provider.run(
+                    lambda: planning_close_scenario(provider, drain)
+                )
+                assert find_races(tracer) == []
+        # Informed silence: some schedules did put the close mid-plan.
+        assert landed > 0
 
 
 class TestRealThreadStress:

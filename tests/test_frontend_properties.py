@@ -90,7 +90,6 @@ class TestCoalescingTransparency:
             service,
             single_flight=single_flight,
             workers=2,
-            stage_workers=2,
             own_service=True,
         )
         try:

@@ -400,7 +400,7 @@ class TestParseOnce:
         assert caching.cache.hits == 3 and caching.cache.misses == 3
 
     def test_caching_engine_still_drives_a_text_only_engine(self, tmp_path):
-        # DaatQueryEngine has no AST entry point and is not given one.
+        # The on-disk engine behind the same cache.
         session = small_session()
         file = str(tmp_path / "index.ridx2")
         with open(file, "wb") as fh:
