@@ -11,11 +11,7 @@ import os
 import pytest
 
 from repro.engine import SequentialIndexer
-from repro.index.binfmt import (
-    dump_index_bytes,
-    load_index_bytes,
-    save_index_binary,
-)
+from repro.index.binfmt import dump_index_bytes, load_index_bytes
 from repro.index.serialize import load_index, save_index
 
 
@@ -41,7 +37,7 @@ class TestPersistenceFormats:
         def save():
             if os.path.exists(target):
                 os.remove(target)
-            save_index_binary(built_index, target)
+            save_index(built_index, target)
 
         benchmark(save)
 
@@ -62,7 +58,7 @@ class TestPersistenceFormats:
         json_path = str(directory / "index.idx")
         binary_path = str(directory / "index.ridx")
         save_index(built_index, json_path)
-        save_index_binary(built_index, binary_path)
+        save_index(built_index, binary_path)
         json_size = os.path.getsize(json_path)
         binary_size = os.path.getsize(binary_path)
         pairs = built_index.posting_count

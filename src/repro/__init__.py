@@ -33,7 +33,7 @@ the simulator names, ...) still import from here but now raise a
 or migrate to :class:`Search`; ``docs/api.md`` has the table.
 """
 
-__version__ = "3.0.0"
+__version__ = "3.1.0"
 
 from repro.api import Search
 from repro.engine.config import Implementation, ThreadConfig

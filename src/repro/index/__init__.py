@@ -21,11 +21,9 @@ from repro.index.binfmt import (
     IndexFormatError,
     dump_index_ridx2,
     dump_index_wire,
-    load_index_binary,
     load_index_ridx2,
     load_index_wire,
     merge_wire_replica,
-    save_index_binary,
 )
 from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_indices, join_pairwise_tree, merge_into
@@ -83,7 +81,6 @@ __all__ = [
     "join_indices",
     "join_pairwise_tree",
     "load_index",
-    "load_index_binary",
     "load_index_ridx2",
     "load_index_wire",
     "load_multi_index",
@@ -91,7 +88,6 @@ __all__ = [
     "merge_segment_payload",
     "merge_wire_replica",
     "save_index",
-    "save_index_binary",
     "save_multi_index",
     "sniff_format",
 ]

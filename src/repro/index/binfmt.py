@@ -49,50 +49,50 @@ wire format preserves build order, which is what makes encoding cheap
 and lets the parent's merge reproduce exactly what a threaded join
 would have produced.
 
-The third format, **RIDX2**, is the serving-oriented successor of
-RIDX1: postings are split into fixed-size *blocks* (``block_size``
-postings each, varbyte gap-coded doc ids plus varbyte per-doc term
-frequencies), every section is reachable through fixed-width offset
-tables, and the lexicon is sorted so a reader can binary-search a term
-in O(log B) *without parsing the file* — which is what lets
-:class:`repro.index.ondisk.MmapPostingsReader` serve queries straight
-off ``mmap``.  Layout (all integers little-endian, offsets absolute)::
+The third format, **RIDX2** (revision 2; ``docs/ondisk.md`` has the
+rationale), is the serving-oriented successor of RIDX1: postings are
+split into fixed-size *blocks* (``block_size`` postings each, varbyte
+gap-coded doc ids plus varbyte ``tf - 1`` frequencies), and a term's
+blocks are the tail of its record in a sorted lexicon reachable through
+a fixed-width offset table — so a reader binary-searches a term in
+O(log B) and lands on its postings *without parsing the file*, which
+is what lets :class:`repro.index.ondisk.MmapPostingsReader` serve
+queries straight off ``mmap``.  Layout (all integers little-endian,
+offsets absolute; the four sections tile the file in this order)::
 
     magic        "RIDX2"
-    header       u8 version, u8 flags (bit 0: real term frequencies),
-                 u16 block_size,
-                 u32 doc_count, u32 term_count,
-                 u64 total_doc_len,
-                 u64 x 6 section offsets (doc offsets, doc data,
-                     lexicon offsets, lexicon data, block directory,
-                     block data)
+    header       u8 revision, u8 flags (bit 0: real term frequencies),
+                 u16 block_size, u32 doc_count, u32 term_count,
+                 u64 total_doc_len, u64 x 4 section offsets,
+                 u32 CRC-32 of every other byte of the file
     doc offsets  u32[doc_count + 1] into the doc-data section
     doc data     per doc: varint path length, path bytes,
                  varint document length (term occurrences)
     lex offsets  u32[term_count + 1] into the lexicon-data section
-    lex data     per term, sorted by UTF-8 bytes:
-                 varint term length, term bytes,
-                 varint df, varint first block, varint block count
-    directory    per block: u64 offset (into block data),
-                 u32 last_docid, u32 count, u32 doc_bytes,
-                 u32 freq_bytes, u8 codec
-    block data   per block: gap-coded doc ids (``doc_bytes`` bytes),
-                 then varbyte ``tf - 1`` values (``freq_bytes`` bytes)
+    lex data     per term, sorted by UTF-8 bytes: varint term length,
+                 term bytes, varint df, then
+                 df <= block_size: one block — gap-coded doc ids, and
+                     what is left of the record is its frequencies;
+                 df > block_size: per block varint ``last_docid`` gap,
+                     ``doc_bytes``, ``freq_bytes``; then the blocks
 
-Every block is self-contained (its first doc id is gap-coded against
--1), so a reader can decode any block without touching the previous
-one — the precondition for ``last_docid`` block skipping.  Doc ids are
-dense and assigned in sorted-path order, making doc-id order equal to
-sorted-path order; the DAAT evaluator exploits this for byte-identical
-results against the in-memory engine.
+A block whose every tf is 1 stores no frequency bytes.  Every block is
+self-contained (its first doc id is gap-coded against -1), so a reader
+can decode any block without touching the previous one — the
+precondition for ``last_docid`` block skipping.  Doc ids are dense and
+assigned in sorted-path order, making doc-id order equal to sorted-path
+order; the DAAT evaluator exploits this for byte-identical results
+against the in-memory engine.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
+import zlib
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.index.inverted import InvertedIndex
@@ -377,23 +377,18 @@ def load_index_wire(data: bytes) -> InvertedIndex:
 
 # -- RIDX2: blocked, compressed, mmap-servable postings ------------------
 
-RIDX2_VERSION = 1
+RIDX2_VERSION = 2
 RIDX2_FLAG_FREQS = 1
-RIDX2_CODEC_VARBYTE = 0
+RIDX2_CODEC_VARBYTE = 0  #: in no file: a new codec is a new revision
 RIDX2_DEFAULT_BLOCK = 128
 
 #: Fixed-width header following the 5 magic bytes: version, flags,
-#: block_size, doc_count, term_count, total_doc_len, then the six
-#: absolute section offsets (doc offsets, doc data, lexicon offsets,
-#: lexicon data, block directory, block data).
-RIDX2_HEADER = struct.Struct("<BBHIIQQQQQQQ")
-
-#: One block-directory record: offset into the block-data section,
-#: last_docid, postings count, doc-id bytes, frequency bytes, codec.
-RIDX2_DIR_ENTRY = struct.Struct("<QIIIIB")
-
-#: Offset-table entries (doc and lexicon sections).
-_OFF = struct.Struct("<I")
+#: block_size, doc_count, term_count, total_doc_len, the four absolute
+#: section offsets (doc offsets, doc data, lexicon offsets, lexicon
+#: data), then the CRC-32 of every other byte of the file.
+RIDX2_HEADER = struct.Struct("<BBHIIQQQQQI")
+_HEADER_END = len(MAGIC2) + RIDX2_HEADER.size
+_CRC_OFF = _HEADER_END - 4
 
 
 @dataclass(frozen=True)
@@ -410,8 +405,7 @@ class Ridx2Header:
     doc_data_off: int
     lex_offsets_off: int
     lex_data_off: int
-    dir_off: int
-    blocks_off: int
+    crc32: int
 
     @property
     def has_freqs(self) -> bool:
@@ -421,15 +415,52 @@ class Ridx2Header:
 
 
 def parse_ridx2_header(data) -> Ridx2Header:
-    """Parse the leading RIDX2 magic + header of ``data`` (bytes or mmap)."""
-    if len(data) < len(MAGIC2) or bytes(data[: len(MAGIC2)]) != MAGIC2:
+    """Parse and check the RIDX2 magic + header of ``data`` (bytes or mmap).
+
+    O(1): the revision must be the one this module writes and the four
+    sections must tile the file, the last lexicon offset landing on its
+    last byte — so a file cut anywhere is refused here.  The checksum
+    is not read (:func:`check_ridx2_crc` does that, in O(file)).
+    """
+    size = len(data)
+    if bytes(data[: len(MAGIC2)]) != MAGIC2:
         raise IndexFormatError("not an RIDX2 on-disk index")
-    if len(data) < len(MAGIC2) + RIDX2_HEADER.size:
+    if size > len(MAGIC2) and data[len(MAGIC2)] != RIDX2_VERSION:
         raise IndexFormatError(
-            f"truncated RIDX2 header: need {len(MAGIC2) + RIDX2_HEADER.size} "
-            f"bytes, file has {len(data)}"
+            f"RIDX2 revision {data[len(MAGIC2)]} file; this reader reads "
+            f"revision {RIDX2_VERSION} only: re-save or rebuild the index"
         )
-    return Ridx2Header(*RIDX2_HEADER.unpack_from(data, len(MAGIC2)))
+    if size >= _HEADER_END:
+        h = Ridx2Header(*RIDX2_HEADER.unpack_from(data, len(MAGIC2)))
+        doc_table_end = _HEADER_END + 4 * (h.doc_count + 1)
+        lex_table_end = h.lex_offsets_off + 4 * (h.term_count + 1)
+        if (
+            h.doc_offsets_off == _HEADER_END
+            and h.doc_data_off == doc_table_end <= h.lex_offsets_off
+            and h.lex_data_off == lex_table_end <= size
+            and doc_table_end + _U32.unpack_from(data, doc_table_end - 4)[0]
+            == h.lex_offsets_off
+            and lex_table_end + _U32.unpack_from(data, lex_table_end - 4)[0]
+            == size
+        ):
+            return h
+    raise IndexFormatError(
+        f"truncated or corrupt RIDX2 file: a {_HEADER_END}-byte header "
+        f"and the sections it names do not tile its {size} bytes"
+    )
+
+
+def check_ridx2_crc(data, header: Ridx2Header) -> None:
+    """Raise :class:`IndexFormatError` unless ``data`` (bytes or mmap)
+    matches the checksum in its header — the CRC-32 of the bytes on both
+    sides of that field: one C-speed pass over the file."""
+    with memoryview(data) as view:
+        found = zlib.crc32(view[_HEADER_END:], zlib.crc32(view[:_CRC_OFF]))
+    if found != header.crc32:
+        raise IndexFormatError(
+            f"corrupt RIDX2 file: CRC-32 is {found:#010x}, the header "
+            f"recorded {header.crc32:#010x}"
+        )
 
 
 def encode_posting_blocks(
@@ -440,10 +471,11 @@ def encode_posting_blocks(
     """Split one posting list into self-contained fixed-size blocks.
 
     Returns ``(entries, blob)``: the concatenated block bytes plus one
-    directory tuple ``(offset, last_docid, count, doc_bytes,
-    freq_bytes, codec)`` per block, offsets relative to ``blob``.
-    ``freqs`` (aligned with ``doc_ids``, every value >= 1) are stored
-    as varbyte ``tf - 1``; ``None`` stores tf = 1 throughout.
+    tuple ``(offset, last_docid, count, doc_bytes, freq_bytes, codec)``
+    per block, offsets relative to ``blob``.  ``freqs`` (aligned with
+    ``doc_ids``, every value >= 1) are stored as varbyte ``tf - 1``; a
+    block whose every tf is 1 — all of them when ``freqs`` is ``None``
+    — stores no frequency bytes at all (``freq_bytes`` 0).
     """
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
@@ -452,15 +484,13 @@ def encode_posting_blocks(
     for start in range(0, len(doc_ids), block_size):
         chunk = list(doc_ids[start : start + block_size])
         doc_blob = encode_gaps(chunk)
-        if freqs is None:
-            freq_blob = b"\x00" * len(chunk)
-        else:
-            parts = []
-            for tf in freqs[start : start + len(chunk)]:
-                if tf < 1:
-                    raise ValueError(f"term frequencies must be >= 1, got {tf}")
-                parts.append(encode_varint(tf - 1))
-            freq_blob = b"".join(parts)
+        freq_blob = b""
+        if freqs is not None:
+            tfs = freqs[start : start + len(chunk)]
+            if min(tfs) < 1:
+                raise ValueError(f"term frequencies must be >= 1, got {min(tfs)}")
+            if max(tfs) > 1:
+                freq_blob = b"".join(encode_varint(tf - 1) for tf in tfs)
         entries.append(
             (
                 len(blob),
@@ -487,7 +517,10 @@ def decode_block_docids(data, offset: int, count: int, doc_bytes: int) -> List[i
 
 
 def decode_block_freqs(data, offset: int, count: int, freq_bytes: int) -> List[int]:
-    """Decode one block's ``tf`` values from ``data`` (bytes or mmap)."""
+    """Decode one block's ``tf`` values from ``data`` (bytes or mmap);
+    no frequency bytes means every tf is 1."""
+    if not freq_bytes:
+        return [1] * count
     blob = bytes(data[offset : offset + freq_bytes])
     freqs: List[int] = []
     position = 0
@@ -501,15 +534,48 @@ def decode_block_freqs(data, offset: int, count: int, freq_bytes: int) -> List[i
     return freqs
 
 
-def _offset_table(lengths: Iterable[int]) -> bytes:
+def decode_single_block(data, start: int, end: int, count: int):
+    """Decode a ``df <= block_size`` payload ``data[start:end]`` into
+    ``(ids, doc_bytes)``: ``count`` gap varints, and what is left are
+    the frequency bytes — none (all ones) or at least one per posting."""
+    ids, doc_bytes = decode_gaps(bytes(data[start:end]), 0, count)
+    spare = end - start - doc_bytes
+    if spare and spare < count:
+        raise IndexFormatError(
+            f"RIDX2 block of {count} postings has {spare} frequency bytes"
+        )
+    return ids, doc_bytes
+
+
+def decode_block_table(data, start: int, df: int, block_size: int):
+    """Decode the block table heading a ``df > block_size`` payload into
+    ``(blocks, lasts)``: per block ``(absolute offset, count, doc_bytes,
+    freq_bytes)``, and the ``last_docid`` keys that ``seek`` bisects."""
+    blocks: List[Tuple[int, int, int, int]] = []
+    lasts: List[int] = []
+    last, relative, offset = -1, 0, start
+    for first in range(0, df, block_size):
+        gap, offset = decode_varint(data, offset)
+        doc_bytes, offset = decode_varint(data, offset)
+        freq_bytes, offset = decode_varint(data, offset)
+        last += gap + 1
+        lasts.append(last)
+        count = min(block_size, df - first)
+        blocks.append((relative, count, doc_bytes, freq_bytes))
+        relative += doc_bytes + freq_bytes
+    # The blocks start where the table ends.
+    return [(offset + r, c, d, f) for r, c, d, f in blocks], lasts
+
+
+def _offset_table(lengths: Iterable[int], section: str) -> bytes:
     """A u32 running-offset table with a trailing end sentinel."""
-    out = bytearray()
-    position = 0
-    out += _OFF.pack(0)
-    for length in lengths:
-        position += length
-        out += _OFF.pack(position)
-    return bytes(out)
+    offsets = list(accumulate(lengths, initial=0))
+    if offsets[-1] > 0xFFFFFFFF:
+        raise ValueError(
+            f"RIDX2 {section} section is {offsets[-1]} bytes; its u32 "
+            "offset table addresses at most 4 GiB"
+        )
+    return _u32s_to_bytes(offsets)
 
 
 def dump_index_ridx2(
@@ -525,7 +591,8 @@ def dump_index_ridx2(
     off the file alone; without it every tf is 1 and a document's
     length is its distinct-term count.  Terms whose postings are empty
     (tombstoned away by incremental maintenance) are canonicalized out.
-    Output is canonical: equal indices produce equal bytes.
+    Output is canonical: equal indices produce equal bytes.  A doc or
+    lexicon section past its u32 offset table's 4 GiB is a ``ValueError``.
     """
     if block_size < 1 or block_size > 0xFFFF:
         raise ValueError(
@@ -560,89 +627,78 @@ def dump_index_ridx2(
         )
 
     lex_records = []
-    directory = bytearray()
-    blocks = bytearray()
-    block_first = 0
     for term, ids in term_ids:
         tfs = None
         if frequencies is not None:
             tfs = [max(1, frequencies.tf(term, paths[i])) for i in ids]
         entries, blob = encode_posting_blocks(ids, tfs, block_size)
-        for offset, last, count, doc_bytes, freq_bytes, codec in entries:
-            directory += RIDX2_DIR_ENTRY.pack(
-                offset + len(blocks), last, count, doc_bytes, freq_bytes, codec
-            )
         encoded = term.encode("utf-8")
-        lex_records.append(
-            encode_varint(len(encoded))
-            + encoded
-            + encode_varint(len(ids))
-            + encode_varint(block_first)
-            + encode_varint(len(entries))
-        )
-        blocks += blob
-        block_first += len(entries)
+        record = bytearray(encode_varint(len(encoded)))
+        record += encoded
+        record += encode_varint(len(ids))
+        if len(ids) > block_size:
+            previous = -1
+            for _offset, last, _count, doc_bytes, freq_bytes, _codec in entries:
+                record += encode_varint(last - previous - 1)
+                record += encode_varint(doc_bytes)
+                record += encode_varint(freq_bytes)
+                previous = last
+        record += blob
+        lex_records.append(record)
 
-    doc_offsets = _offset_table(map(len, doc_records))
-    lex_offsets = _offset_table(map(len, lex_records))
+    doc_offsets = _offset_table(map(len, doc_records), "doc")
+    lex_offsets = _offset_table(map(len, lex_records), "lexicon")
     doc_blob = b"".join(doc_records)
     lex_blob = b"".join(lex_records)
 
-    position = len(MAGIC2) + RIDX2_HEADER.size
-    doc_offsets_off = position
-    position += len(doc_offsets)
-    doc_data_off = position
-    position += len(doc_blob)
-    lex_offsets_off = position
-    position += len(lex_offsets)
-    lex_data_off = position
-    position += len(lex_blob)
-    dir_off = position
-    position += len(directory)
-    blocks_off = position
-
-    flags = RIDX2_FLAG_FREQS if frequencies is not None else 0
-    header = RIDX2_HEADER.pack(
+    doc_data_off = _HEADER_END + len(doc_offsets)
+    lex_offsets_off = doc_data_off + len(doc_blob)
+    head = MAGIC2 + RIDX2_HEADER.pack(
         RIDX2_VERSION,
-        flags,
+        RIDX2_FLAG_FREQS if frequencies is not None else 0,
         block_size,
         len(paths),
         len(term_ids),
         sum(doc_lengths),
-        doc_offsets_off,
+        _HEADER_END,
         doc_data_off,
         lex_offsets_off,
-        lex_data_off,
-        dir_off,
-        blocks_off,
-    )
-    return b"".join(
-        (
-            MAGIC2,
-            header,
-            doc_offsets,
-            doc_blob,
-            lex_offsets,
-            lex_blob,
-            bytes(directory),
-            bytes(blocks),
-        )
-    )
+        lex_offsets_off + len(lex_offsets),
+        0,  # the CRC: of everything before and after this field
+    )[:-4]
+    body = (doc_offsets, doc_blob, lex_offsets, lex_blob)
+    crc = zlib.crc32(head)
+    for part in body:
+        crc = zlib.crc32(part, crc)
+    return b"".join((head, _U32.pack(crc), *body))
 
 
-def iter_ridx2_lexicon(data, header: Optional[Ridx2Header] = None):
-    """Yield ``(term, df, block_first, block_count)`` in sorted order."""
-    h = header or parse_ridx2_header(data)
+def iter_ridx2_lexicon(data, h: Ridx2Header):
+    """Yield ``(term, df, start, end)`` in sorted term order, where
+    ``data[start:end]`` is the term's postings payload."""
+    base = h.lex_data_off
+    offsets = _u32s_from_bytes(bytes(data[h.lex_offsets_off : base]))
     for i in range(h.term_count):
-        start = _OFF.unpack_from(data, h.lex_offsets_off + 4 * i)[0]
-        offset = h.lex_data_off + start
+        offset = base + offsets[i]
         length, offset = decode_varint(data, offset)
         term = bytes(data[offset : offset + length]).decode("utf-8")
-        offset += length
-        df, offset = decode_varint(data, offset)
-        block_first, offset = decode_varint(data, offset)
-        block_count, offset = decode_varint(data, offset)
-        yield term, df, block_first, block_count
+        df, offset = decode_varint(data, offset + length)
+        yield term, df, offset, base + offsets[i + 1]
+
+
+def iter_ridx2_postings(data, header: Ridx2Header):
+    """Yield ``(term, doc ids)`` for every term in one sequential walk
+    (:func:`load_index_ridx2`, ``MmapPostingsReader.postings``)."""
+    block_size = header.block_size
+    for term, df, start, end in iter_ridx2_lexicon(data, header):
+        if df <= block_size:
+            ids, _doc_bytes = decode_single_block(data, start, end, df)
+        else:
+            ids = []
+            blocks, _lasts = decode_block_table(data, start, df, block_size)
+            for offset, count, doc_bytes, _freq_bytes in blocks:
+                ids += decode_block_docids(data, offset, count, doc_bytes)
+        yield term, ids
 
 
 def read_ridx2_doc(data, header: Ridx2Header, doc_id: int) -> Tuple[str, int]:
@@ -651,7 +707,7 @@ def read_ridx2_doc(data, header: Ridx2Header, doc_id: int) -> Tuple[str, int]:
         raise IndexError(
             f"doc id {doc_id} out of range [0, {header.doc_count})"
         )
-    start = _OFF.unpack_from(data, header.doc_offsets_off + 4 * doc_id)[0]
+    start = _U32.unpack_from(data, header.doc_offsets_off + 4 * doc_id)[0]
     offset = header.doc_data_off + start
     length, offset = decode_varint(data, offset)
     path = bytes(data[offset : offset + length]).decode("utf-8")
@@ -663,68 +719,16 @@ def load_index_ridx2(data: bytes) -> InvertedIndex:
     """Fully materialize RIDX2 bytes into an in-memory index.
 
     The transparent counterpart of
-    :class:`repro.index.ondisk.MmapPostingsReader`: decodes every block
-    eagerly (dropping frequencies — the in-memory index is boolean).
+    :class:`repro.index.ondisk.MmapPostingsReader`: checks the CRC (it
+    reads every byte anyway), then decodes every block eagerly
+    (dropping frequencies — the in-memory index is boolean).
     """
     header = parse_ridx2_header(data)
+    check_ridx2_crc(data, header)
     paths = [
         read_ridx2_doc(data, header, i)[0] for i in range(header.doc_count)
     ]
     index = InvertedIndex()
-    for term, df, block_first, block_count in iter_ridx2_lexicon(data, header):
-        ids: List[int] = []
-        for b in range(block_first, block_first + block_count):
-            offset, _last, count, doc_bytes, _freq_bytes, codec = (
-                RIDX2_DIR_ENTRY.unpack_from(
-                    data, header.dir_off + RIDX2_DIR_ENTRY.size * b
-                )
-            )
-            if codec != RIDX2_CODEC_VARBYTE:
-                raise IndexFormatError(f"unknown RIDX2 block codec {codec}")
-            ids.extend(
-                decode_block_docids(
-                    data, header.blocks_off + offset, count, doc_bytes
-                )
-            )
-        if len(ids) != df:
-            raise IndexFormatError(
-                f"RIDX2 term {term!r}: lexicon says df={df}, "
-                f"blocks hold {len(ids)}"
-            )
+    for term, ids in iter_ridx2_postings(data, header):
         index._map[term] = PostingsList(paths[i] for i in ids)
     return index
-
-
-def save_index_binary(index: InvertedIndex, path: str) -> int:
-    """Deprecated alias of ``save_index(..., format="binary")``.
-
-    Kept so historical import sites keep working; new code should call
-    :func:`repro.index.serialize.save_index` with the ``format``
-    keyword (or let ``format="auto"`` pick binary from the extension).
-    """
-    import warnings
-
-    warnings.warn(
-        "save_index_binary() is deprecated; use "
-        "repro.index.save_index(index, path, format='binary')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.index.serialize import save_index
-
-    return save_index(index, path, format="binary")
-
-
-def load_index_binary(path: str) -> InvertedIndex:
-    """Deprecated alias of ``load_index(..., format="binary")``."""
-    import warnings
-
-    warnings.warn(
-        "load_index_binary() is deprecated; use "
-        "repro.index.load_index(path) (the format is sniffed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.index.serialize import load_index
-
-    return load_index(path, format="binary")

@@ -3,14 +3,14 @@
 The in-memory :class:`~repro.index.inverted.InvertedIndex` caps corpus
 size at RAM and index-open time at full-file decode.
 :class:`MmapPostingsReader` removes both limits for serving: opening an
-RIDX2 file maps it and parses only the 73-byte header; terms are found
+RIDX2 file maps it and parses only the 61-byte header; terms are found
 by binary search over the sorted on-disk lexicon (O(log B) record
 probes, no lexicon materialization); postings are decoded one
 fixed-size block at a time, on demand, through :class:`BlockCursor`.
 
 A cursor is the document-at-a-time primitive: ``docid()`` / ``next()``
 walk forward, and ``seek(target)`` advances to the first posting >=
-``target`` using the block directory's ``last_docid`` keys to *skip*
+``target`` using the block table's ``last_docid`` keys to *skip*
 whole blocks without decoding them.  The reader counts blocks read vs
 skipped (also published as ``ondisk.blocks_read`` /
 ``ondisk.blocks_skipped`` counters), which is how the benchmark and the
@@ -26,18 +26,20 @@ from __future__ import annotations
 
 import mmap
 import os
+import struct
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.index.binfmt import (
-    _OFF,
-    RIDX2_CODEC_VARBYTE,
-    RIDX2_DIR_ENTRY,
     IndexFormatError,
+    check_ridx2_crc,
     decode_block_docids,
     decode_block_freqs,
+    decode_block_table,
+    decode_single_block,
     decode_varint,
     iter_ridx2_lexicon,
+    iter_ridx2_postings,
     parse_ridx2_header,
     read_ridx2_doc,
 )
@@ -46,40 +48,33 @@ from repro.obs import recorder as obsrec
 #: Sentinel doc id: past every real doc id (they are u32).
 DONE = 1 << 32
 
+#: A lexicon offset and the next one: where a record starts and ends.
+_SPAN = struct.Struct("<II")
 
-class TermInfo:
-    """One lexicon entry: where a term's postings live."""
 
-    __slots__ = ("term", "df", "block_first", "block_count")
+class TermInfo(NamedTuple):
+    """One lexicon entry: a term's df and the file span ``start:end``
+    of its postings payload (the tail of its lexicon record)."""
 
-    def __init__(
-        self, term: str, df: int, block_first: int, block_count: int
-    ) -> None:
-        self.term = term
-        self.df = df
-        self.block_first = block_first
-        self.block_count = block_count
-
-    def __repr__(self) -> str:
-        return (
-            f"TermInfo({self.term!r}, df={self.df}, "
-            f"blocks={self.block_first}..{self.block_first + self.block_count})"
-        )
+    term: str
+    df: int
+    start: int
+    end: int
 
 
 class BlockCursor:
     """A forward iterator over one term's posting blocks.
 
-    Decodes at most one block at a time; ``seek`` consults the
-    directory's ``last_docid`` keys first, so blocks wholly below the
-    target are skipped, never decoded.  Frequencies are decoded lazily
-    per block, only when :meth:`freq` is called (boolean queries never
-    pay for them).
+    Decodes at most one block at a time; ``seek`` consults the block
+    table's ``last_docid`` keys first (a list of at most ``block_size``
+    postings is one block, no table), so blocks wholly below the target
+    are skipped, never decoded.  Frequencies are decoded lazily per
+    block, only when :meth:`freq` is called (boolean queries never pay).
     """
 
     __slots__ = (
         "_reader",
-        "_entries",
+        "_blocks",
         "_lasts",
         "_block",
         "_ids",
@@ -90,14 +85,22 @@ class BlockCursor:
 
     def __init__(self, reader: "MmapPostingsReader", info: TermInfo) -> None:
         self._reader = reader
-        self._entries = reader._directory_entries(info)
-        self._lasts = [entry[1] for entry in self._entries]
-        self._block = -1
-        self._ids: List[int] = []
         self._freqs: Optional[List[int]] = None
         self._pos = 0
         self._done = False
-        self._load_block(0)
+        _term, df, start, end = info
+        if df <= reader.block_size:
+            ids, doc_bytes = decode_single_block(reader._mm, start, end, df)
+            self._blocks = [(start, df, doc_bytes, end - start - doc_bytes)]
+            self._lasts = [ids[-1]]
+            self._ids: List[int] = ids
+            self._block = 0
+            reader._count_read(1)
+        else:
+            self._blocks, self._lasts = decode_block_table(
+                reader._mm, start, df, reader.block_size
+            )
+            self._load_block(0)
 
     def docid(self) -> int:
         """The current doc id, or :data:`DONE` when exhausted."""
@@ -108,14 +111,9 @@ class BlockCursor:
         if self._done:
             raise IndexError("cursor is exhausted")
         if self._freqs is None:
-            offset, _last, count, doc_bytes, freq_bytes, _codec = (
-                self._entries[self._block]
-            )
+            offset, count, doc_bytes, freq_bytes = self._blocks[self._block]
             self._freqs = decode_block_freqs(
-                self._reader._mm,
-                self._reader._header.blocks_off + offset + doc_bytes,
-                count,
-                freq_bytes,
+                self._reader._mm, offset + doc_bytes, count, freq_bytes
             )
         return self._freqs[self._pos]
 
@@ -133,7 +131,7 @@ class BlockCursor:
 
         Already-positioned cursors are a no-op; block skipping happens
         here: every block whose ``last_docid`` is below the target is
-        jumped over via the directory, without decoding.
+        jumped over via the block table, without decoding.
         """
         if self._done or self._ids[self._pos] >= target:
             return self.docid()
@@ -154,21 +152,15 @@ class BlockCursor:
     # -- internals --------------------------------------------------------
 
     def _load_block(self, block: int) -> None:
-        if block >= len(self._entries):
+        if block >= len(self._blocks):
             self._done = True
             self._ids = []
             self._freqs = None
             self._pos = 0
             return
-        offset, _last, count, doc_bytes, _freq_bytes, codec = self._entries[
-            block
-        ]
-        if codec != RIDX2_CODEC_VARBYTE:
-            raise IndexFormatError(f"unknown RIDX2 block codec {codec}")
+        offset, count, doc_bytes, _freq_bytes = self._blocks[block]
         reader = self._reader
-        self._ids = decode_block_docids(
-            reader._mm, reader._header.blocks_off + offset, count, doc_bytes
-        )
+        self._ids = decode_block_docids(reader._mm, offset, count, doc_bytes)
         self._freqs = None
         self._pos = 0
         self._block = block
@@ -178,9 +170,10 @@ class BlockCursor:
 class MmapPostingsReader:
     """Query-serving view of an RIDX2 file, backed by ``mmap``.
 
-    Opening parses only the fixed-size header — postings, lexicon and
-    doc table all stay on disk until a query touches them.  Use as a
-    context manager or call :meth:`close`.
+    Opening parses only the fixed-size header, which refuses another
+    revision or a cut file — postings, lexicon and doc table all stay
+    on disk until a query touches them, the checksum until
+    :meth:`verify`.  Use as a context manager or call :meth:`close`.
     """
 
     def __init__(self, path: str) -> None:
@@ -191,10 +184,10 @@ class MmapPostingsReader:
                 size = os.fstat(self._file.fileno()).st_size
                 if size == 0:
                     raise IndexFormatError(f"{path}: empty file")
-                self._mm = mmap.mmap(
+                self._map: Optional[mmap.mmap] = mmap.mmap(
                     self._file.fileno(), 0, access=mmap.ACCESS_READ
                 )
-                self._header = parse_ridx2_header(self._mm)
+                self._header = parse_ridx2_header(self._map)
             except Exception:
                 self._file.close()
                 raise
@@ -211,10 +204,21 @@ class MmapPostingsReader:
         return cls(path)
 
     def close(self) -> None:
-        if self._mm is not None:
-            self._mm.close()
+        if self._map is not None:
+            self._map.close()
             self._file.close()
-            self._mm = None
+            self._map = None
+
+    @property
+    def _mm(self) -> mmap.mmap:
+        if self._map is None:
+            raise ValueError(f"{self!r} is closed")
+        return self._map
+
+    def verify(self) -> None:
+        """Check the file against its header's CRC-32 (``IndexFormatError``
+        on a mismatch): a pass over every byte, so opening never does it."""
+        check_ridx2_crc(self._mm, self._header)
 
     def __enter__(self) -> "MmapPostingsReader":
         return self
@@ -273,9 +277,10 @@ class MmapPostingsReader:
         only return a few hits never need this.
         """
         if self._paths is None:
+            mm, header = self._mm, self._header
             self._paths = [
-                read_ridx2_doc(self._mm, self._header, i)[0]
-                for i in range(self._header.doc_count)
+                read_ridx2_doc(mm, header, i)[0]
+                for i in range(header.doc_count)
             ]
         return list(self._paths)
 
@@ -286,10 +291,11 @@ class MmapPostingsReader:
         probe = term.encode("utf-8")
         mm = self._mm
         header = self._header
+        span_at = _SPAN.unpack_from
         lo, hi = 0, header.term_count
         while lo < hi:
             mid = (lo + hi) // 2
-            start = _u32_at(mm, header.lex_offsets_off + 4 * mid)
+            start, end = span_at(mm, header.lex_offsets_off + 4 * mid)
             offset = header.lex_data_off + start
             length, offset = decode_varint(mm, offset)
             found = bytes(mm[offset : offset + length])
@@ -298,11 +304,8 @@ class MmapPostingsReader:
             elif found > probe:
                 hi = mid
             else:
-                offset += length
-                df, offset = decode_varint(mm, offset)
-                block_first, offset = decode_varint(mm, offset)
-                block_count, offset = decode_varint(mm, offset)
-                return TermInfo(term, df, block_first, block_count)
+                df, offset = decode_varint(mm, offset + length)
+                return TermInfo(term, df, offset, header.lex_data_off + end)
         return None
 
     def __contains__(self, term: str) -> bool:
@@ -315,10 +318,17 @@ class MmapPostingsReader:
 
     def terms(self) -> Iterator[str]:
         """All terms in sorted order (sequential lexicon walk)."""
-        for term, _df, _first, _count in iter_ridx2_lexicon(
+        for term, _df, _start, _end in iter_ridx2_lexicon(
             self._mm, self._header
         ):
             yield term
+
+    def postings(self) -> Iterator[Tuple[str, List[str]]]:
+        """Every ``(term, paths)`` pair in one sequential lexicon walk: no
+        per-term binary search (a bulk decode, outside the block counters)."""
+        paths = self.doc_paths()
+        for term, ids in iter_ridx2_postings(self._mm, self._header):
+            yield term, [paths[i] for i in ids]
 
     def lookup(self, term: str) -> List[str]:
         """Paths containing ``term`` — the InvertedIndex-compatible
@@ -355,12 +365,6 @@ class MmapPostingsReader:
             self._doc_cache[doc_id] = record
         return record
 
-    def _directory_entries(self, info: TermInfo):
-        header = self._header
-        start = header.dir_off + RIDX2_DIR_ENTRY.size * info.block_first
-        end = start + RIDX2_DIR_ENTRY.size * info.block_count
-        return list(RIDX2_DIR_ENTRY.iter_unpack(self._mm[start:end]))
-
     def _count_read(self, n: int) -> None:
         self.blocks_read += n
         self._read_counter.inc(n)
@@ -368,7 +372,3 @@ class MmapPostingsReader:
     def _count_skipped(self, n: int) -> None:
         self.blocks_skipped += n
         self._skip_counter.inc(n)
-
-
-def _u32_at(mm, offset: int) -> int:
-    return _OFF.unpack_from(mm, offset)[0]

@@ -229,8 +229,7 @@ class DiskSegment(_SealedSegment):
         return load_index_ridx2(self.to_ridx2())
 
     def postings(self):
-        reader = self._reader
-        return ((term, reader.lookup(term)) for term in reader.terms())
+        return self._reader.postings()
 
     def to_ridx2(self) -> bytes:
         with open(self.path, "rb") as fh:

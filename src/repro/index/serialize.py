@@ -8,8 +8,8 @@ Three single-index encodings exist:
 * ``"binary"`` — the compact RIDX1 encoding from
   :mod:`repro.index.binfmt` (delta-compressed postings, ~1 byte per
   entry);
-* ``"ridx2"`` — the blocked, mmap-servable RIDX2 encoding (fixed-size
-  varbyte posting blocks + block directory + sorted lexicon), which
+* ``"ridx2"`` — the blocked, mmap-servable RIDX2 encoding (a sorted
+  lexicon whose records end in the term's varbyte posting blocks), which
   :class:`repro.index.ondisk.MmapPostingsReader` serves without
   loading; ``load_index`` still materializes it when asked.
 
@@ -20,10 +20,7 @@ sniffs the leading magic bytes, so a loader never needs to know what
 it holds; RWIRE1 wire bytes load too).  Unrecognized leading bytes
 raise :class:`IndexFormatError` naming the bytes found and the
 supported formats, instead of whatever decode error would otherwise
-escape.  The historical per-format entry points
-:func:`repro.index.binfmt.save_index_binary` /
-:func:`~repro.index.binfmt.load_index_binary` remain as deprecated
-aliases of these two.
+escape.
 
 A :class:`~repro.index.multi.MultiIndex` is saved as one file per
 replica inside a directory, so Implementation 3's unjoined output can

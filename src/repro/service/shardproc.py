@@ -5,7 +5,7 @@ LocalShardReplica`) shares this process's GIL; real horizontal scaling
 puts each shard replica in its **own process**, the serving-side
 analogue of the build's "Join Forces" multiprocessing backend.  A
 :class:`ProcessShardReplica` spawns one worker process that mmaps the
-shard's RIDX2 file (73-byte open, page cache shared between replicas of
+shard's RIDX2 file (61-byte open, page cache shared between replicas of
 the same shard) and answers queries over a request/response queue pair.
 
 Death is detected, never waited out: every response wait is bounded,

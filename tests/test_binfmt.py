@@ -10,11 +10,9 @@ from repro.index.binfmt import (
     dump_index_bytes,
     encode_gaps,
     encode_varint,
-    load_index_binary,
     load_index_bytes,
-    save_index_binary,
 )
-from repro.index.serialize import save_index
+from repro.index.serialize import load_index, save_index
 from repro.text import TermBlock
 
 
@@ -87,9 +85,9 @@ class TestIndexRoundTrip:
     def test_file_round_trip(self, tmp_path):
         index = self.make_index()
         path = str(tmp_path / "index.ridx")
-        written = save_index_binary(index, path)
+        written = save_index(index, path)
         assert written > 0
-        assert load_index_binary(path) == index
+        assert load_index(path) == index
 
     def test_empty_index(self):
         assert load_index_bytes(dump_index_bytes(InvertedIndex())) == (
@@ -116,7 +114,7 @@ class TestIndexRoundTrip:
         json_path = str(tmp_path / "index.idx")
         binary_path = str(tmp_path / "index.ridx")
         save_index(index, json_path)
-        save_index_binary(index, binary_path)
+        save_index(index, binary_path)
         assert os.path.getsize(binary_path) < os.path.getsize(json_path) / 2
 
     def test_real_corpus_round_trip(self, tiny_fs):

@@ -138,3 +138,30 @@ class TestServeOndisk:
     def test_bm25_needs_ondisk(self, corpus_dir, capsys):
         assert main(["serve", corpus_dir, "--rank", "bm25"]) == 2
         assert "--ondisk" in capsys.readouterr().err
+
+
+class TestCutFile:
+    """A file cut short — what a crash mid-save leaves — is refused at
+    open with an ``error:`` line and exit status 2, not a traceback."""
+
+    @pytest.fixture
+    def cut_path(self, ridx2_path, tmp_path):
+        with open(ridx2_path, "rb") as fh:
+            data = fh.read()
+        path = str(tmp_path / "cut.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) * 2 // 3])
+        return path
+
+    def test_search_ondisk(self, cut_path, capsys):
+        assert main(["search", cut_path, "the", "--ondisk"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated" in err
+
+    def test_serve_ondisk(self, corpus_dir, cut_path, tmp_path, capsys):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("the\n")
+        assert main(["serve", corpus_dir, "--index", cut_path,
+                     "--ondisk", "--queries", str(queries)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated" in err

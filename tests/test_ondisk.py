@@ -11,7 +11,11 @@ block cursors, block-skip accounting, and frequency storage.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.index import (
     IndexFormatError,
@@ -25,6 +29,7 @@ from repro.index import (
 )
 from repro.index.binfmt import (
     RIDX2_DEFAULT_BLOCK,
+    RIDX2_HEADER,
     decode_block_docids,
     decode_block_freqs,
     dump_index_bytes,
@@ -348,3 +353,341 @@ class TestBlockSkipping:
             cursor = reader.cursor("common")
             assert cursor.seek(500) == 500
             assert cursor.seek(100) == 500  # never rewinds
+
+
+# -- revision 2: postings inside the lexicon record --------------------------
+
+
+def varint_len(value):
+    size = 1
+    while value >= 128:
+        value >>= 7
+        size += 1
+    return size
+
+
+def gaps_len(ids, previous=-1):
+    total = 0
+    for doc_id in ids:
+        total += varint_len(doc_id - previous - 1)
+        previous = doc_id
+    return total
+
+
+def record_len(term, ids, tfs, block_size):
+    """The byte length of one lexicon record, from docs/ondisk.md alone:
+    term, df, a block table only when df > block_size, then per block
+    the gap-coded ids and — unless every tf in it is 1 — its ``tf - 1``
+    varints."""
+    encoded = len(term.encode("utf-8"))
+    total = varint_len(encoded) + encoded + varint_len(len(ids))
+    previous_last = -1
+    for start in range(0, len(ids), block_size):
+        chunk = ids[start : start + block_size]
+        chunk_tfs = tfs[start : start + block_size]
+        doc_bytes = gaps_len(chunk)
+        freq_bytes = 0
+        if any(tf != 1 for tf in chunk_tfs):
+            freq_bytes = sum(varint_len(tf - 1) for tf in chunk_tfs)
+        if len(ids) > block_size:
+            total += (
+                varint_len(chunk[-1] - previous_last - 1)
+                + varint_len(doc_bytes)
+                + varint_len(freq_bytes)
+            )
+            previous_last = chunk[-1]
+        total += doc_bytes + freq_bytes
+    return total
+
+
+def expected_file_len(docs, block_size, with_frequencies):
+    """docs: {path: term occurrences}.  Header + doc table + lexicon."""
+    paths = sorted(docs)
+    total = 5 + RIDX2_HEADER.size + 4 * (len(paths) + 1)
+    for path in paths:
+        encoded = len(path.encode("utf-8"))
+        length = len(docs[path]) if with_frequencies else len(set(docs[path]))
+        total += varint_len(encoded) + encoded + varint_len(length)
+    terms = sorted({t for occurrences in docs.values() for t in occurrences})
+    total += 4 * (len(terms) + 1)
+    for term in terms:
+        ids = [i for i, p in enumerate(paths) if term in docs[p]]
+        tfs = [
+            docs[paths[i]].count(term) if with_frequencies else 1 for i in ids
+        ]
+        total += record_len(term, ids, tfs, block_size)
+    return total
+
+
+#: ``dump_index_ridx2`` of the four-document fruit corpus with its
+#: frequency sidecar.  A change to these bytes is a format change: bump
+#: RIDX2_VERSION and docs/ondisk.md with it.
+GOLDEN_FRUIT = (
+    b'RIDX2\x02\x01\x80\x00\x04\x00\x00\x00\x07\x00\x00\x00\x10\x00\x00'
+    b'\x00\x00\x00\x00\x00=\x00\x00\x00\x00\x00\x00\x00Q\x00\x00\x00\x00'
+    b'\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00\xa0\x00\x00\x00\x00'
+    b'\x00\x00\x00\xbc\xb4\x1d\xda\x00\x00\x00\x00\x0b\x00\x00\x00\x16'
+    b'\x00\x00\x00#\x00\x00\x00/\x00\x00\x00\ta/one.txt\x04\tb/two.txt'
+    b'\x03\x0bc/three.txt\x04\nd/four.txt\x05\x00\x00\x00\x00\r\x00\x00'
+    b'\x00\x18\x00\x00\x00"\x00\x00\x00)\x00\x00\x006\x00\x00\x00<\x00'
+    b'\x00\x00E\x00\x00\x00\x05apple\x03\x00\x01\x00\x01\x00\x02\x06banan'
+    b'a\x03\x00\x00\x01\x06cherry\x02\x00\x01\x04date\x01\x01\nelderberry'
+    b'\x01\x01\x03fig\x01\x02\x05grape\x02\x02\x00'
+)
+
+#: What the parent commit (revision 1) wrote for the two-document index
+#: {a.txt: x y, b.txt: y}: the header alone is enough to be refused.
+REVISION_1_FILE = (
+    b"RIDX2\x01\x00\x80\x00\x02\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00\x00"
+    b"\x00\x00\x00\x00I\x00\x00\x00\x00\x00\x00\x00U\x00\x00\x00\x00\x00\x00"
+    b"\x00c\x00\x00\x00\x00\x00\x00\x00o\x00\x00\x00\x00\x00\x00\x00y\x00\x00"
+    b"\x00\x00\x00\x00\x00\xab\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    b"\x07\x00\x00\x00\x0e\x00\x00\x00\x05a.txt\x02\x05b.txt\x01\x00\x00\x00"
+    b"\x00\x05\x00\x00\x00\n\x00\x00\x00\x01x\x01\x00\x01\x01y\x02\x01\x01"
+    b"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x01"
+    b"\x00\x00\x00\x01\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x01"
+    b"\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00"
+    b"\x00\x00\x00\x00\x00"
+)
+
+
+class TestRevision2Layout:
+    @pytest.mark.parametrize("block_size", [1, 2, 3, 128])
+    @pytest.mark.parametrize("with_frequencies", [True, False])
+    def test_file_length_is_header_tables_and_records(
+        self, fruit_docs, block_size, with_frequencies
+    ):
+        docs = dict(fruit_docs)
+        docs["e/five.txt"] = ["apple"] * 200 + ["kiwi"]  # a two-byte tf - 1
+        index, frequencies = build_index(docs)
+        data = dump_index_ridx2(
+            index,
+            frequencies=frequencies if with_frequencies else None,
+            block_size=block_size,
+        )
+        assert len(data) == expected_file_len(
+            docs, block_size, with_frequencies
+        )
+
+    def test_a_singleton_term_costs_its_length_plus_three_bytes(self):
+        docs = {"a.txt": ["other", "solo"], "b.txt": ["other"]}
+        with_solo = dump_index_ridx2(build_index(docs)[0])
+        docs["a.txt"] = ["other"]
+        without = dump_index_ridx2(build_index(docs)[0])
+        # term length, term, df, one gap — and its 4-byte table offset;
+        # the doc table and the other record are the same size in both.
+        assert len(with_solo) - len(without) == len("solo") + 3 + 4
+
+    def test_no_sidecar_means_no_frequency_bytes(self, fruit_docs):
+        from repro.index.binfmt import decode_block_table, iter_ridx2_lexicon
+
+        index, _ = build_index(fruit_docs)
+        data = dump_index_ridx2(index, block_size=2)
+        assert len(data) == expected_file_len(fruit_docs, 2, False)
+        header = parse_ridx2_header(data)
+        paths = sorted(fruit_docs)
+        for term, df, start, end in iter_ridx2_lexicon(data, header):
+            ids = [i for i, p in enumerate(paths) if term in fruit_docs[p]]
+            if df <= 2:
+                assert end - start == gaps_len(ids)
+            else:
+                blocks, _lasts = decode_block_table(data, start, df, 2)
+                assert [b[3] for b in blocks] == [0] * len(blocks)
+                assert blocks[-1][0] + blocks[-1][2] == end
+
+    def test_golden_bytes(self, fruit_docs):
+        index, frequencies = build_index(fruit_docs)
+        assert dump_index_ridx2(index, frequencies=frequencies) == GOLDEN_FRUIT
+
+    def test_equal_indices_equal_bytes(self, fruit_docs):
+        forward, frequencies = build_index(fruit_docs)
+        backward = InvertedIndex()
+        for path in sorted(fruit_docs, reverse=True):
+            terms = tuple(sorted(set(fruit_docs[path]), reverse=True))
+            backward.add_block(TermBlock(path, terms))
+        assert dump_index_ridx2(
+            forward, frequencies=frequencies
+        ) == dump_index_ridx2(backward, frequencies=frequencies)
+
+    def test_section_past_4_gib_is_a_value_error_naming_the_limit(self):
+        from repro.index.binfmt import _offset_table
+
+        with pytest.raises(ValueError, match="4 GiB"):
+            _offset_table([2**31, 2**31], "lexicon")
+        assert len(_offset_table([2**31, 2**31 - 1], "lexicon")) == 12
+
+
+class TestRefusals:
+    @pytest.fixture
+    def small(self, fruit_docs):
+        index, frequencies = build_index(fruit_docs)
+        return dump_index_ridx2(index, frequencies=frequencies, block_size=2)
+
+    def test_every_prefix_is_a_typed_error(self, tmp_path, small):
+        path = str(tmp_path / "cut.ridx2")
+        for length in range(len(small)):
+            with open(path, "wb") as fh:
+                fh.write(small[:length])
+            with pytest.raises(IndexFormatError):
+                MmapPostingsReader(path)
+            with pytest.raises(IndexFormatError):
+                load_index(path)
+        with open(path, "wb") as fh:
+            fh.write(small)
+        with MmapPostingsReader(path) as reader:
+            reader.verify()
+        assert load_index(path) == load_index_ridx2(small)
+
+    def test_revision_1_file_says_re_save(self, tmp_path):
+        path = str(tmp_path / "old.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(REVISION_1_FILE)
+        for opener in (MmapPostingsReader, load_index):
+            with pytest.raises(IndexFormatError) as excinfo:
+                opener(path)
+            message = str(excinfo.value)
+            assert "revision 1" in message and "revision 2" in message
+            assert "re-save" in message
+
+    def test_unknown_revision_is_refused(self, small):
+        stamped = small[:5] + b"\x09" + small[6:]
+        with pytest.raises(IndexFormatError, match="revision 9"):
+            parse_ridx2_header(stamped)
+
+    def test_every_body_bit_flip_fails_load_index(self, tmp_path, small):
+        path = str(tmp_path / "flipped.ridx2")
+        header_end = 5 + RIDX2_HEADER.size
+        positions = range(header_end, len(small), 3)
+        assert len(positions) >= 60
+        for n, position in enumerate(positions):
+            flipped = bytearray(small)
+            flipped[position] ^= 1 << (n % 8)
+            with open(path, "wb") as fh:
+                fh.write(flipped)
+            with pytest.raises(IndexFormatError):
+                load_index(path)
+
+    def test_header_bit_flips_fail_load_index(self, small):
+        # The CRC covers the header fields too: a flipped flag or
+        # block_size would otherwise decode into a different index.
+        for position in range(5, 5 + RIDX2_HEADER.size):
+            flipped = bytearray(small)
+            flipped[position] ^= 0x10
+            with pytest.raises(IndexFormatError):
+                load_index_ridx2(bytes(flipped))
+
+    def test_verify_is_on_demand_and_open_never_reads_the_crc(
+        self, tmp_path, small
+    ):
+        flipped = bytearray(small)
+        flipped[-1] ^= 0x01  # a frequency byte: structure intact
+        path = str(tmp_path / "rot.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(flipped)
+        with MmapPostingsReader(path) as reader:  # opens: O(1), no CRC
+            with pytest.raises(IndexFormatError, match="CRC"):
+                reader.verify()
+
+    def test_closed_reader_raises_value_error(self, fruit_file):
+        reader = MmapPostingsReader(fruit_file)
+        reader.close()
+        reader.close()  # idempotent
+        for use in (
+            lambda: reader.term_info("apple"),
+            lambda: reader.lookup("apple"),
+            lambda: list(reader.terms()),
+            lambda: list(reader.postings()),
+            lambda: reader.doc_length(0),
+            reader.verify,
+        ):
+            with pytest.raises(ValueError, match="is closed"):
+                use()
+
+
+class TestPostingsWalk:
+    def test_postings_equal_lookup_per_term(self, fruit_file):
+        with MmapPostingsReader(fruit_file) as reader:
+            walked = list(reader.postings())
+            assert walked == [(t, reader.lookup(t)) for t in reader.terms()]
+
+
+# -- hypothesis: the reader against a list model, around the block seams -----
+
+
+@st.composite
+def posting_lists(draw):
+    block_size = draw(st.sampled_from([1, 2, 7, 128]))
+    seams = [
+        max(1, block_size - 1),
+        block_size,
+        block_size + 1,
+        2 * block_size,
+        2 * block_size + 1,
+    ]
+    lists = {}
+    for n in range(draw(st.integers(1, 3))):
+        df = draw(st.one_of(st.sampled_from(seams), st.integers(1, 12)))
+        universe = df + draw(st.integers(0, 40))
+        ids = sorted(
+            draw(st.permutations(range(universe)).map(lambda p: p[:df]))
+        )
+        mode = draw(st.sampled_from(["ones", "some-blocks", "mixed", "big"]))
+        if mode == "ones":
+            tfs = [1] * df
+        elif mode == "some-blocks":
+            # every other block is all ones, the rest carry a 2
+            tfs = [1 + (i // block_size) % 2 for i in range(df)]
+        elif mode == "mixed":
+            tfs = draw(st.lists(st.integers(1, 5), min_size=df, max_size=df))
+        else:
+            tfs = [1] * df
+            tfs[draw(st.integers(0, df - 1))] = draw(st.integers(129, 400))
+        lists[f"t{n}"] = (ids, tfs)
+    return block_size, lists, draw(st.booleans())
+
+
+class TestDifferentialSeams:
+    @settings(max_examples=60, deadline=None)
+    @given(posting_lists(), st.randoms(use_true_random=False))
+    def test_reader_matches_list_model(self, tmp_path_factory, case, rng):
+        block_size, lists, with_sidecar = case
+        universe = 1 + max(ids[-1] for ids, _ in lists.values())
+        docs = {f"d{i:04d}": ["filler"] for i in range(universe)}
+        for term, (ids, tfs) in lists.items():
+            for doc_id, tf in zip(ids, tfs):
+                docs[f"d{doc_id:04d}"].extend([term] * tf)
+        index, frequencies = build_index(docs)
+        data = dump_index_ridx2(
+            index,
+            frequencies=frequencies if with_sidecar else None,
+            block_size=block_size,
+        )
+        assert load_index_ridx2(data) == index
+        assert len(data) == expected_file_len(docs, block_size, with_sidecar)
+        path = str(tmp_path_factory.mktemp("seams") / "i.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        paths = sorted(docs)
+        with MmapPostingsReader(path) as reader:
+            reader.verify()
+            for term, (ids, tfs) in lists.items():
+                if not with_sidecar:
+                    tfs = [1] * len(ids)
+                assert reader.term_info(term).df == len(ids)
+                assert reader.lookup(term) == [paths[i] for i in ids]
+                # A random seek/next/freq walk against the list model.
+                cursor = reader.cursor(term)
+                position = 0
+                while position < len(ids):
+                    assert cursor.docid() == ids[position]
+                    assert cursor.freq() == tfs[position]
+                    if rng.random() < 0.5:
+                        position += 1
+                        got = cursor.next()
+                    else:
+                        target = ids[position] + rng.randint(0, 2 * block_size + 3)
+                        position = bisect_left(ids, target)
+                        got = cursor.seek(target)
+                    expected = ids[position] if position < len(ids) else DONE
+                    assert got == expected
+                assert cursor.docid() == DONE

@@ -256,7 +256,7 @@ class TestProcessBackendCli:
 
     def test_index_with_process_backend(self, corpus_dir, tmp_path, capsys):
         from repro.cli import main
-        from repro.index import load_index_binary
+        from repro.index import load_index
 
         save = str(tmp_path / "out.ridx")
         assert main([
@@ -266,7 +266,7 @@ class TestProcessBackendCli:
         output = capsys.readouterr().out
         assert "Implementation 2" in output
         assert "[process]" in output
-        assert len(load_index_binary(save)) > 0
+        assert len(load_index(save)) > 0
 
     def test_cli_defaults_resolve_per_backend(self, corpus_dir, capsys):
         from repro.cli import main

@@ -320,6 +320,33 @@ class TestCompaction:
         finally:
             segment.close()
 
+    def test_disk_segment_postings_is_one_walk(self, tmp_path, monkeypatch):
+        """The merge input of a disk segment is one lexicon walk: no
+        per-term binary search (it used to cost ``term_count`` of them)."""
+        docs = {"a.txt": ["cat", "dog"], "b.txt": ["dog"], "c.txt": ["emu"]}
+        path = str(tmp_path / "s.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(seg(0, docs).to_ridx2())
+        segment = DiskSegment(0, path)
+        try:
+            reader = type(segment._reader)
+            real, calls = reader.term_info, []
+
+            def counting(self, term):
+                calls.append(term)
+                return real(self, term)
+
+            monkeypatch.setattr(reader, "term_info", counting)
+            walked = [(term, list(paths)) for term, paths in segment.postings()]
+            assert calls == []
+            assert walked == [
+                ("cat", ["a.txt"]),
+                ("dog", ["a.txt", "b.txt"]),
+                ("emu", ["c.txt"]),
+            ]
+        finally:
+            segment.close()
+
     def test_emptied_file_stays_shadowed_across_merge_rounds(self):
         """x.txt's emptied revision lands in a later merge group than
         its old one; the old postings must not come back."""

@@ -4,8 +4,7 @@
 points.  Covered here: explicit ``"json"``/``"binary"`` selection,
 extension-driven auto on save, magic-driven auto on load (including
 raw RWIRE1 wire bytes and renamed files), loud mismatch failures, and
-the deprecated ``*_binary`` aliases that must keep working while
-warning.
+the removal of the ``*_binary`` aliases 3.0.0 had deprecated.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from repro.index import (
     InvertedIndex,
     index_to_bytes,
     load_index,
-    load_index_binary,
     save_index,
-    save_index_binary,
 )
 from repro.text.termblock import TermBlock
 
@@ -116,17 +113,21 @@ class TestMismatchesFailLoudly:
             load_index(path, format="json")
 
 
-class TestDeprecatedAliases:
-    def test_save_alias_warns_and_writes_binary(self, index, tmp_path):
-        path = str(tmp_path / "legacy.ridx")
-        with pytest.warns(DeprecationWarning, match="save_index"):
-            written = save_index_binary(index, path)
-        assert written > 0
-        with open(path, "rb") as fh:
-            assert fh.read(5) == b"RIDX1"
+class TestRemovedAliases:
+    """3.1.0 removed the per-format entry points 3.0.0 had deprecated."""
 
-    def test_load_alias_warns_and_round_trips(self, index, tmp_path):
-        path = str(tmp_path / "legacy.ridx")
-        save_index(index, path, format="binary")
-        with pytest.warns(DeprecationWarning, match="load_index"):
-            assert load_index_binary(path) == index
+    def test_save_index_binary_is_gone(self):
+        import repro.index
+        import repro.index.binfmt
+
+        assert not hasattr(repro.index, "save_index_binary")
+        assert not hasattr(repro.index.binfmt, "save_index_binary")
+        assert "save_index_binary" not in repro.index.__all__
+
+    def test_load_index_binary_is_gone(self):
+        import repro.index
+        import repro.index.binfmt
+
+        assert not hasattr(repro.index, "load_index_binary")
+        assert not hasattr(repro.index.binfmt, "load_index_binary")
+        assert "load_index_binary" not in repro.index.__all__
