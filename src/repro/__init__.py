@@ -23,7 +23,7 @@ The front door is the :class:`Search` session (:mod:`repro.api`)::
     session = Search.build("~/documents", config=ThreadConfig(3, 2, 0))
     hits = session.query("cat AND dog")
     session.refresh()                    # pick up filesystem changes
-    session.save("documents.ridx")
+    session.save("documents.ridx")       # RIDX2; Search.open maps it
     service = session.serve(workers=4)   # concurrent serving
 
 The historical entry points (``IndexGenerator``, ``CorpusGenerator``,
@@ -33,7 +33,7 @@ the simulator names, ...) still import from here but now raise a
 or migrate to :class:`Search`; ``docs/api.md`` has the table.
 """
 
-__version__ = "3.1.0"
+__version__ = "3.2.0"
 
 from repro.api import Search
 from repro.engine.config import Implementation, ThreadConfig

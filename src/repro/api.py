@@ -14,7 +14,7 @@ object::
     hits = session.query("cat AND dog")         # typed QueryResult
     session.refresh()                           # incremental delta
     session.compact()                           # fold segments back to one
-    session.save("documents.ridx")              # format sniffed back on open
+    session.save("documents.ridx")              # RIDX2: open() maps it
     service = session.serve(workers=4)          # long-running SearchService
     frontend = session.serve_async(workers=4)   # batched/coalescing front end
 
@@ -71,10 +71,16 @@ from repro.index.segments import (
     BackgroundCompactor,
     ChangeReport,
     CompactionPolicy,
+    DiskSegment,
     SegmentedIndexer,
     SegmentManifest,
 )
-from repro.index.serialize import load_index, load_multi_index, save_index
+from repro.index.serialize import (
+    load_index,
+    load_multi_index,
+    save_index,
+    sniff_file,
+)
 from repro.query.cache import QueryCache, cache_key
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
@@ -261,17 +267,29 @@ class Search:
         extractor=None,
         split_threshold: Optional[int] = None,
     ) -> "Search":
-        """Load a saved index (any format, sniffed; replica directories
-        join).  Pass ``source`` — the indexed directory or filesystem —
-        to re-enable :meth:`refresh`: with the fingerprints
-        :meth:`save` left beside the index the first refresh reads only
-        what changed since, without them it reconciles the index
-        against every live file.
+        """Open a saved index; the file's leading bytes decide how.
+
+        An RIDX2 file (what :meth:`save` writes for ``.ridx``) is not
+        loaded: it is mapped and adopted as the manifest's one
+        :class:`~repro.index.segments.DiskSegment` after a checksum
+        pass (``IndexFormatError`` on a cut or flipped file), so no
+        posting is decoded before a query asks.  Queries run off the
+        map until the first :meth:`compact`; an uncached one costs
+        about 2.4 times the in-memory map's (``docs/api.md``).  Every
+        other format loads eagerly; replica directories join.  Pass
+        ``source`` — the indexed directory or filesystem — to re-enable
+        :meth:`refresh`: with the fingerprints :meth:`save` left beside
+        the index the first refresh reads only what changed since,
+        without them it reconciles the index against every live file.
         """
         if os.path.isdir(path):
             index = _flatten(load_multi_index(path))
         else:
-            index = load_index(path)
+            format = sniff_file(path)
+            if format == "ridx2":
+                index = DiskSegment(0, path)
+            else:
+                index = load_index(path, format)
         fs = _as_filesystem(source) if source is not None else None
         extractor = resolve_extractor(extractor, tokenizer, registry)
         segmented = SegmentedIndexer(
@@ -480,10 +498,12 @@ class Search:
 
     def save(self, path: str, format: str = "auto") -> int:
         """Persist the index; returns bytes written.  ``format="auto"``
-        writes binary for ``.ridx``/``.bin`` paths, JSON-lines else.
+        writes RIDX2 (which :meth:`open` serves in place) for ``.ridx``/
+        ``.bin``/``.ridx2`` paths, JSON-lines else; ``"binary"`` RIDX1.
 
         The session's fingerprints go beside it (``path`` + ``.state``),
         index first: :meth:`open` with ``source=`` resumes from them.
+        Both are replaced atomically: ``path`` may be a mapped file.
         """
         written = save_index(self.index, path, format=format)
         save_fingerprints(self._segmented.fingerprints, state_path(path))

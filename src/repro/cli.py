@@ -5,13 +5,15 @@ Subcommands:
 * ``generate-corpus`` — materialize a synthetic benchmark corpus on disk
   (optionally mixed-format);
 * ``index`` — build an index over a directory with one of the three
-  implementations (or sequentially) and optionally save it (JSON, the
-  compact binary format, or blocked RIDX2 for ``.ridx2`` paths —
-  RIDX2 additionally bakes in term frequencies for BM25);
+  implementations (or sequentially) and optionally save it (blocked
+  RIDX2 for ``.ridx``/``.bin``/``.ridx2`` paths — ``.ridx2``
+  additionally bakes in term frequencies for BM25 — JSON-lines
+  otherwise, compact RIDX1 with ``--binary``);
 * ``search`` — run a boolean/wildcard query against a saved index,
-  optionally ranked (tf-idf or BM25 top-K) and optionally ``--ondisk``:
-  an RIDX2 file is then served straight off ``mmap`` without loading
-  postings into memory;
+  opened the way ``Search.open`` opens it (an RIDX2 file is mapped, not
+  loaded; a replica directory is searched unjoined), optionally ranked
+  (tf-idf or BM25 top-K) and optionally ``--ondisk``: the document-at-
+  a-time engine over the mapped file, with BM25 off its frequencies;
 * ``serve`` — long-running query serving over a directory: a
   :class:`~repro.service.service.SearchService` answers a query stream
   concurrently while ``--watch`` refreshes the index in the background;
@@ -25,6 +27,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -49,6 +52,7 @@ from repro.index import (
     load_multi_index,
     save_index,
     save_multi_index,
+    sniff_file,
 )
 from repro.platforms import ALL_PLATFORMS, platform_by_name
 from repro.query import QueryEngine
@@ -115,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save", help="file (impl 1/2) or directory (impl 3) "
                    "to save the index to")
     p.add_argument("--binary", action="store_true",
-                   help="save in the compact binary format (impl 1/2 only)")
+                   help="save in the compact RIDX1 format instead of what "
+                   "the extension means (impl 1/2 only)")
     p.add_argument("--formats", action="store_true",
                    help="extract text per file format (HTML, DocZ, ...) "
                    "before tokenizing")
@@ -517,25 +522,17 @@ def _cmd_index(args: argparse.Namespace) -> int:
             print(f"index saved to {args.save} ({written} bytes, "
                   "RIDX2 with frequencies)")
         else:
-            # --binary forces the compact encoding; otherwise the
-            # extension decides (.ridx/.bin binary, .ridx2 blocked,
-            # anything else JSON).
+            # --binary forces the compact RIDX1 encoding; otherwise the
+            # extension decides (.ridx/.bin RIDX2, anything else JSON).
             written = save_index(
                 report.index,
                 args.save,
                 format="binary" if args.binary else "auto",
             )
-            print(f"index saved to {args.save} ({written} bytes)")
+            wrote = {"binary": "RIDX1", "ridx2": "RIDX2", "json": "JSON-lines"}
+            print(f"index saved to {args.save} ({written} bytes, "
+                  f"{wrote[sniff_file(args.save)]})")
     return 0
-
-
-def _load_any_index(path: str):
-    import os
-
-    if os.path.isdir(path):
-        return load_multi_index(path)
-    # load_index sniffs the leading bytes, so renamed files still load.
-    return load_index(path)
 
 
 def _print_ranked_hits(hits) -> None:
@@ -578,8 +575,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
             _emit_observability(args)
         return 0
 
-    index = _load_any_index(args.index_path)
-    engine = QueryEngine(index)
+    if os.path.isdir(args.index_path):
+        # Implementation 3's unjoined replicas: searched as they are.
+        engine = QueryEngine(load_multi_index(args.index_path))
+    else:
+        # A file opens the way the library opens it: RIDX2 is mapped,
+        # not loaded, and the query decodes only the lists it touches.
+        from repro.api import Search
+
+        engine = Search.open(args.index_path, cache=0).snapshot().engine
     if args.rank == "bm25":
         from repro.query import BM25Ranker, FrequencyIndex, search_bm25
 
@@ -896,7 +900,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     observing = _observability_requested(args)
-    index = _load_any_index(args.index_path)
+    # Whole-index statistics: every format loads in full, sniffed.
+    load = load_multi_index if os.path.isdir(args.index_path) else load_index
+    index = load(args.index_path)
     stats = analyze(index)
     print(f"terms:            {stats.term_count}")
     print(f"postings:         {stats.posting_count}")
@@ -918,8 +924,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_refresh(args: argparse.Namespace) -> int:
-    import os
-
     from repro.index import SegmentedIndexer
     from repro.index.fingerprint import load_fingerprints, save_fingerprints
 
@@ -935,9 +939,8 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
           f"~{len(report.modified)} modified")
 
     # Index first, fingerprints second: a crash in between replays the
-    # delta against the newer index, which converges.
-    if os.path.exists(args.index):
-        os.remove(args.index)
+    # delta against the newer index, which converges.  Each write
+    # replaces its file atomically, so no crash leaves the path empty.
     save_index(indexer.manifest.materialize(), args.index)
     save_fingerprints(indexer.fingerprints, args.state)
     print(f"index: {args.index}, state: {args.state}")

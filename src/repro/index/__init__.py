@@ -51,6 +51,7 @@ from repro.index.serialize import (
     load_multi_index,
     save_index,
     save_multi_index,
+    sniff_file,
     sniff_format,
 )
 from repro.index.sharded import ShardedInvertedIndex
@@ -89,5 +90,6 @@ __all__ = [
     "merge_wire_replica",
     "save_index",
     "save_multi_index",
+    "sniff_file",
     "sniff_format",
 ]

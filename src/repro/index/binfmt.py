@@ -686,19 +686,24 @@ def iter_ridx2_lexicon(data, h: Ridx2Header):
         yield term, df, offset, base + offsets[i + 1]
 
 
+def decode_payload_docids(data, start: int, end: int, df: int, block_size: int):
+    """Decode every doc id of the postings payload ``data[start:end]``,
+    whole blocks at a time: ``(ids, blocks decoded)``."""
+    if df <= block_size:
+        return decode_single_block(data, start, end, df)[0], 1
+    ids: List[int] = []
+    blocks, _lasts = decode_block_table(data, start, df, block_size)
+    for offset, count, doc_bytes, _freq_bytes in blocks:
+        ids += decode_block_docids(data, offset, count, doc_bytes)
+    return ids, len(blocks)
+
+
 def iter_ridx2_postings(data, header: Ridx2Header):
     """Yield ``(term, doc ids)`` for every term in one sequential walk
     (:func:`load_index_ridx2`, ``MmapPostingsReader.postings``)."""
     block_size = header.block_size
     for term, df, start, end in iter_ridx2_lexicon(data, header):
-        if df <= block_size:
-            ids, _doc_bytes = decode_single_block(data, start, end, df)
-        else:
-            ids = []
-            blocks, _lasts = decode_block_table(data, start, df, block_size)
-            for offset, count, doc_bytes, _freq_bytes in blocks:
-                ids += decode_block_docids(data, offset, count, doc_bytes)
-        yield term, ids
+        yield term, decode_payload_docids(data, start, end, df, block_size)[0]
 
 
 def read_ridx2_doc(data, header: Ridx2Header, doc_id: int) -> Tuple[str, int]:

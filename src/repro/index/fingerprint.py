@@ -23,6 +23,8 @@ import json
 from hashlib import blake2b
 from typing import Dict, Optional, Tuple
 
+from repro.index.atomic import atomic_write
+
 #: path -> (size, stamp, content hash).  The stamp is ``st_mtime_ns``
 #: on a real filesystem and the VFS's logical clock in memory; 0 when
 #: the backend cannot stat.
@@ -95,13 +97,13 @@ def save_fingerprints(fingerprints: FingerprintMap, path: str) -> None:
 
     Callers persist the index first and this second: an index ahead of
     its fingerprints converges on the next refresh, the reverse does
-    not.
+    not.  Replaced atomically: a crash leaves the old state or the new.
     """
     state = {
         "hash": HASH_NAME,
         "files": {p: list(entry) for p, entry in fingerprints.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, text=True) as fh:
         json.dump(state, fh)
 
 

@@ -36,6 +36,7 @@ from repro.index.binfmt import (
     decode_block_docids,
     decode_block_freqs,
     decode_block_table,
+    decode_payload_docids,
     decode_single_block,
     decode_varint,
     iter_ridx2_lexicon,
@@ -179,17 +180,18 @@ class MmapPostingsReader:
     def __init__(self, path: str) -> None:
         with obsrec.span("ondisk.open", path=path):
             self.path = path
-            self._file = open(path, "rb")
-            try:
-                size = os.fstat(self._file.fileno()).st_size
-                if size == 0:
+            # The map holds its own descriptor: the file object goes as
+            # soon as the map exists, so a reader costs one, not two.
+            with open(path, "rb") as file:
+                if os.fstat(file.fileno()).st_size == 0:
                     raise IndexFormatError(f"{path}: empty file")
                 self._map: Optional[mmap.mmap] = mmap.mmap(
-                    self._file.fileno(), 0, access=mmap.ACCESS_READ
+                    file.fileno(), 0, access=mmap.ACCESS_READ
                 )
+            try:
                 self._header = parse_ridx2_header(self._map)
             except Exception:
-                self._file.close()
+                self.close()
                 raise
         self._paths: Optional[List[str]] = None
         self._doc_cache: Dict[int, Tuple[str, int]] = {}
@@ -206,7 +208,6 @@ class MmapPostingsReader:
     def close(self) -> None:
         if self._map is not None:
             self._map.close()
-            self._file.close()
             self._map = None
 
     @property
@@ -332,16 +333,21 @@ class MmapPostingsReader:
 
     def lookup(self, term: str) -> List[str]:
         """Paths containing ``term`` — the InvertedIndex-compatible
-        entry point (decodes all of the term's blocks)."""
-        cursor = self.cursor(term)
-        if cursor is None:
+        entry point (decodes all of the term's blocks, a block at a
+        time, no cursor stepping)."""
+        info = self.term_info(term)
+        if info is None:
             return []
-        paths = []
-        doc_id = cursor.docid()
-        while doc_id < DONE:
-            paths.append(self.doc_path(doc_id))
-            doc_id = cursor.next()
-        return paths
+        _term, df, start, end = info
+        ids, blocks = decode_payload_docids(
+            self._mm, start, end, df, self.block_size
+        )
+        self._count_read(blocks)
+        paths = self._paths
+        if paths is not None:
+            return [paths[i] for i in ids]
+        doc = self._doc
+        return [doc(i)[0] for i in ids]
 
     def stats(self) -> Dict[str, int]:
         """Block-level I/O counters since open."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.adt import FnvHashMap
+from repro.index.atomic import atomic_write
 from repro.text.tokenizer import Tokenizer
 
 
@@ -107,7 +108,7 @@ class PositionalIndex:
         """Write the positional index as JSON lines (one term per line)."""
         import json
 
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, text=True) as fh:
             fh.write(json.dumps({
                 "format": "repro-positions-v1",
                 "documents": self._document_count,

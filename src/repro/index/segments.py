@@ -61,6 +61,7 @@ from typing import (
     Tuple,
 )
 
+from repro.index.atomic import atomic_write
 from repro.index.binfmt import (
     dump_index_ridx2,
     dump_index_wire,
@@ -215,13 +216,22 @@ class DiskSegment(_SealedSegment):
 
     Every call goes straight to the
     :class:`~repro.index.ondisk.MmapPostingsReader`; only the path set
-    is read up front (a sealed segment's paths never change).
+    is read up front (a sealed segment's paths never change), after the
+    one checksum pass a file gets: a cut or bit-flipped file is an
+    :class:`~repro.index.binfmt.IndexFormatError` here, not a wrong
+    answer later.
     """
 
     def __init__(self, segment_id: int, path: str) -> None:
         self.path = path
         self._reader = MmapPostingsReader(path)
-        super().__init__(segment_id, self._reader, self._reader.doc_paths())
+        try:
+            self._reader.verify()
+            paths = self._reader.doc_paths()
+        except Exception:
+            self._reader.close()
+            raise
+        super().__init__(segment_id, self._reader, paths)
 
     @property
     def index(self) -> InvertedIndex:
@@ -234,6 +244,10 @@ class DiskSegment(_SealedSegment):
     def to_ridx2(self) -> bytes:
         with open(self.path, "rb") as fh:
             return fh.read()
+
+    def stats(self) -> Dict[str, int]:
+        """The reader's block counters since the file was adopted."""
+        return self._reader.stats()
 
     def close(self) -> None:
         self._reader.close()
@@ -572,7 +586,7 @@ def compact_manifest(
         path = os.path.join(
             segment_dir, f"segment-{final.segment_id:08d}.ridx2"
         )
-        with open(path, "wb") as fh:
+        with atomic_write(path) as fh:
             fh.write(final.to_ridx2())
         segments[-1] = DiskSegment(final.segment_id, path)
     if obsrec.enabled():
@@ -635,14 +649,13 @@ class SegmentedIndexer:
 
     # -- bootstrap ------------------------------------------------------
 
-    def adopt(
-        self, index: InvertedIndex, fingerprints: FingerprintMap
-    ) -> SegmentManifest:
-        """Adopt a bulk-built index as segment 0 of a fresh manifest.
-
-        The index is held by reference and must not be mutated again.
-        """
-        self._manifest = SegmentManifest([MemorySegment(0, index)])
+    def adopt(self, index, fingerprints: FingerprintMap) -> SegmentManifest:
+        """Adopt a bulk-built index, or a sealed segment (the
+        :class:`DiskSegment` over a saved file), as segment 0 of a
+        fresh manifest; held by reference, not to be mutated again."""
+        if not isinstance(index, _SealedSegment):
+            index = MemorySegment(0, index)
+        self._manifest = SegmentManifest([index])
         self._fingerprints = dict(fingerprints)
         self._manifest.record_metrics()
         return self._manifest

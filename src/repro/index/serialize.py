@@ -11,16 +11,21 @@ Three single-index encodings exist:
 * ``"ridx2"`` — the blocked, mmap-servable RIDX2 encoding (a sorted
   lexicon whose records end in the term's varbyte posting blocks), which
   :class:`repro.index.ondisk.MmapPostingsReader` serves without
-  loading; ``load_index`` still materializes it when asked.
+  loading — what ``Search.open`` adopts as a mapped segment;
+  ``load_index`` still materializes it when asked.
 
 :func:`save_index` and :func:`load_index` take a ``format`` keyword
 covering all three (plus ``"auto"``: save picks by file extension —
-``.ridx`` means binary, ``.ridx2`` the blocked format — and load
+``.ridx``, ``.bin`` and ``.ridx2`` mean RIDX2, anything else
+JSON-lines; RIDX1 is written only on ``format="binary"`` — and load
 sniffs the leading magic bytes, so a loader never needs to know what
 it holds; RWIRE1 wire bytes load too).  Unrecognized leading bytes
 raise :class:`IndexFormatError` naming the bytes found and the
 supported formats, instead of whatever decode error would otherwise
-escape.
+escape.  Every write goes through
+:func:`~repro.index.atomic.atomic_write`: the path holds the old file
+or the new one, never a cut one, and a reader mapping the old file is
+not disturbed.
 
 A :class:`~repro.index.multi.MultiIndex` is saved as one file per
 replica inside a directory, so Implementation 3's unjoined output can
@@ -39,6 +44,7 @@ import json
 import os
 from typing import List, Optional, Tuple
 
+from repro.index.atomic import atomic_write
 from repro.index.binfmt import IndexFormatError
 from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
@@ -49,10 +55,9 @@ _FORMAT = "repro-index-v1"
 #: The on-disk encodings ``save_index``/``load_index`` understand.
 INDEX_FORMATS: Tuple[str, ...] = ("json", "binary", "ridx2", "auto")
 
-#: File extensions ``format="auto"`` maps to each binary encoding on
-#: save.  ``.ridx2`` must be checked before ``.ridx``-style suffixes.
-_RIDX2_EXTENSIONS = (".ridx2",)
-_BINARY_EXTENSIONS = (".ridx", ".bin")
+#: File extensions ``format="auto"`` saves as RIDX2, the format a
+#: session opens in place; every other extension means JSON-lines.
+_RIDX2_EXTENSIONS = (".ridx", ".bin", ".ridx2")
 
 #: What the sniffing loader accepts, for error messages.
 _SUPPORTED = "JSON-lines, RIDX1, RIDX2, RWIRE1"
@@ -130,49 +135,46 @@ def save_index(
     ``format="json"`` writes the JSON-lines encoding, ``"binary"`` the
     compact RIDX1 encoding, ``"ridx2"`` the blocked mmap-servable
     encoding, and ``"auto"`` (the default) picks by extension:
-    ``.ridx2`` means RIDX2, ``.ridx``/``.bin`` mean binary, anything
-    else JSON-lines.  ``frequencies`` (a
+    ``.ridx``, ``.bin`` and ``.ridx2`` mean RIDX2, anything else
+    JSON-lines (RIDX1 only on request).  ``frequencies`` (a
     :class:`~repro.query.ranking.FrequencyIndex`) only applies to
     RIDX2 and bakes real term frequencies and document lengths in for
-    exact BM25 scoring off the file.
+    exact BM25 scoring off the file.  The file is replaced atomically
+    (:func:`~repro.index.atomic.atomic_write`), so saving over an index
+    some session has mapped is safe.
     """
     _check_format(format)
     if format == "auto":
-        lowered = path.lower()
-        if lowered.endswith(_RIDX2_EXTENSIONS):
-            format = "ridx2"
-        elif lowered.endswith(_BINARY_EXTENSIONS):
-            format = "binary"
-        else:
-            format = "json"
+        ridx2 = path.lower().endswith(_RIDX2_EXTENSIONS)
+        format = "ridx2" if ridx2 else "json"
     if frequencies is not None and format != "ridx2":
         raise ValueError(
             "frequencies are only stored by the RIDX2 format; "
             f"requested format {format!r} cannot carry them"
         )
+    if format == "json":
+        with atomic_write(path, text=True) as fh:
+            header = {
+                "format": _FORMAT,
+                "terms": len(index),
+                "postings": index.posting_count,
+                "blocks": index.block_count,
+            }
+            written = fh.write(json.dumps(header) + "\n")
+            for term, postings in index.items():
+                written += fh.write(
+                    json.dumps([term, postings.paths()]) + "\n"
+                )
+        return written
     if format == "ridx2":
         from repro.index.binfmt import dump_index_ridx2
 
         data = dump_index_ridx2(index, frequencies=frequencies)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        return len(data)
-    if format == "binary":
+    else:
         data = index_to_bytes(index)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        return len(data)
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": _FORMAT,
-            "terms": len(index),
-            "postings": index.posting_count,
-            "blocks": index.block_count,
-        }
-        written = fh.write(json.dumps(header) + "\n")
-        for term, postings in index.items():
-            written += fh.write(json.dumps([term, postings.paths()]) + "\n")
-    return written
+    with atomic_write(path) as fh:
+        fh.write(data)
+    return len(data)
 
 
 def sniff_format(head: bytes) -> Optional[str]:
@@ -195,8 +197,27 @@ def sniff_format(head: bytes) -> Optional[str]:
     return None
 
 
+def sniff_file(path: str) -> str:
+    """:func:`sniff_format` of the file at ``path``; bytes that match
+    nothing raise :class:`IndexFormatError` naming what was found."""
+    with open(path, "rb") as probe:
+        head = probe.read(8)
+    sniffed = sniff_format(head)
+    if sniffed is None:
+        detail = (
+            "file is empty"
+            if not head
+            else f"leading bytes {head!r} match no known magic"
+        )
+        raise IndexFormatError(
+            f"{path}: not a recognized index file ({detail}); "
+            f"supported formats: {_SUPPORTED}"
+        )
+    return sniffed
+
+
 def load_index(path: str, format: str = "auto") -> InvertedIndex:
-    """Read an index saved in any single-index format.
+    """Read an index saved in any single-index format, in full.
 
     With ``format="auto"`` (the default) the leading bytes decide:
     RIDX1/RWIRE1 magic means binary, RIDX2 magic the blocked format,
@@ -207,20 +228,7 @@ def load_index(path: str, format: str = "auto") -> InvertedIndex:
     """
     _check_format(format)
     if format == "auto":
-        with open(path, "rb") as probe:
-            head = probe.read(8)
-        sniffed = sniff_format(head)
-        if sniffed is None:
-            detail = (
-                f"file is empty"
-                if not head
-                else f"leading bytes {head!r} match no known magic"
-            )
-            raise IndexFormatError(
-                f"{path}: not a recognized index file ({detail}); "
-                f"supported formats: {_SUPPORTED}"
-            )
-        format = sniffed
+        format = sniff_file(path)
     if format == "ridx2":
         from repro.index.binfmt import load_index_ridx2
 

@@ -8,16 +8,32 @@ historical import sites working.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api import Search
+from repro.engine import SequentialIndexer
 from repro.engine.config import ThreadConfig
 from repro.fsmodel import VirtualFileSystem
+from repro.index import (
+    DiskSegment,
+    IndexFormatError,
+    MemorySegment,
+    dump_index_ridx2,
+)
+from repro.index.fingerprint import (
+    load_fingerprints,
+    save_fingerprints,
+    state_path,
+)
 from repro.service import SearchService
 from repro.service.snapshot import QueryResult
+from tests.test_fingerprint import CountingFs
 
 
 @pytest.fixture
@@ -193,6 +209,262 @@ class TestSaveAndOpen:
         assert report.file_count == 4
         assert session.generation == 1
         assert session.query("ferret").paths == ["docs/new.txt"]
+
+
+class TestOpenAdoptsTheFile:
+    """``Search.open`` of an RIDX2 file maps it as segment 0; the
+    file's magic — not an argument — picks mapped or eager."""
+
+    def test_ridx_is_mapped_and_other_formats_load(self, small_fs, tmp_path):
+        session = Search.build(small_fs)
+        shapes = {}
+        for name, format in (
+            ("a.ridx", "auto"),
+            ("b.bin", "auto"),
+            ("c.ridx2", "auto"),
+            ("d.ridx", "binary"),
+            ("e.jsonl", "auto"),
+        ):
+            path = str(tmp_path / name)
+            session.save(path, format=format)
+            (segment,) = Search.open(path).manifest.segments
+            shapes[name] = type(segment)
+        assert shapes == {
+            "a.ridx": DiskSegment,
+            "b.bin": DiskSegment,
+            "c.ridx2": DiskSegment,
+            "d.ridx": MemorySegment,
+            "e.jsonl": MemorySegment,
+        }
+
+    def test_saved_bytes_are_the_canonical_ridx2(self, small_fs, tmp_path):
+        session = Search.build(small_fs)
+        path = str(tmp_path / "x.ridx")
+        written = session.save(path)
+        with open(path, "rb") as fh:
+            assert fh.read() == dump_index_ridx2(session.index)
+        assert written == os.path.getsize(path)
+
+    def test_open_decodes_nothing_and_one_query_reads_one_block(
+        self, small_fs, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "x.ridx")
+        Search.build(small_fs).save(path)
+
+        def eager(*_args, **_kwargs):
+            raise AssertionError("Search.open loaded an RIDX2 file eagerly")
+
+        monkeypatch.setattr("repro.api.load_index", eager)
+        session = Search.open(path)
+        (segment,) = session.manifest.segments
+        assert segment.stats()["ondisk.blocks_read"] == 0
+        assert session.query("cat").paths == ["docs/both.txt", "docs/cats.txt"]
+        assert segment.stats()["ondisk.blocks_read"] == 1
+
+    def test_index_property_decodes_on_demand(self, small_fs, tmp_path):
+        built = Search.build(small_fs)
+        path = str(tmp_path / "x.ridx")
+        built.save(path)
+        session = Search.open(path)
+        assert session.index == built.index
+        assert session.index is session.index  # cached per generation
+
+    def test_every_prefix_and_bit_flip_is_a_typed_refusal(
+        self, small_fs, tmp_path
+    ):
+        good = str(tmp_path / "good.ridx")
+        Search.build(small_fs).save(good)
+        with open(good, "rb") as fh:
+            data = fh.read()
+        bad = str(tmp_path / "bad.ridx")
+        for length in range(len(data)):
+            with open(bad, "wb") as fh:
+                fh.write(data[:length])
+            with pytest.raises(IndexFormatError):
+                Search.open(bad)
+        positions = range(0, len(data), max(1, len(data) // 90))
+        assert len(positions) >= 60
+        for n, position in enumerate(positions):
+            flipped = bytearray(data)
+            flipped[position] ^= 1 << (n % 8)
+            with open(bad, "wb") as fh:
+                fh.write(flipped)
+            with pytest.raises(IndexFormatError):
+                Search.open(bad)
+        assert len(Search.open(good)) == 3
+
+    def test_state_file_makes_the_first_refresh_read_only_the_delta(
+        self, small_fs, tmp_path
+    ):
+        path = str(tmp_path / "x.ridx")
+        Search.build(small_fs).save(path)
+        small_fs.write_file("docs/late.txt", b"gecko")
+        small_fs.replace_file("docs/cats.txt", b"cat purr")
+        small_fs.remove_file("docs/dogs.txt")
+
+        counting = CountingFs(small_fs)
+        session = Search.open(path, source=counting)
+        change = session.refresh()
+        assert sorted(counting.reads) == ["docs/cats.txt", "docs/late.txt"]
+        assert (change.added, change.modified, change.removed) == (
+            ["docs/late.txt"], ["docs/cats.txt"], ["docs/dogs.txt"]
+        )
+        assert session.manifest.segment_count == 2
+        assert isinstance(session.manifest.segments[0], DiskSegment)
+
+        os.remove(state_path(path))
+        counting = CountingFs(small_fs)
+        reconciled = Search.open(path, source=counting)
+        assert reconciled.refresh().total == 3
+        assert sorted(counting.reads) == sorted(
+            ref.path for ref in small_fs.list_files()
+        )
+        assert reconciled.index == session.index
+
+    def test_compact_after_refresh_equals_a_from_scratch_build(
+        self, small_fs, tmp_path
+    ):
+        path = str(tmp_path / "x.ridx")
+        Search.build(small_fs).save(path)
+        session = Search.open(path, source=small_fs)
+        small_fs.write_file("docs/late.txt", b"gecko cat")
+        small_fs.remove_file("docs/dogs.txt")
+        session.refresh()
+        assert session.compact()
+        (segment,) = session.manifest.segments
+        assert isinstance(segment, MemorySegment)
+        rebuilt = SequentialIndexer(small_fs, naive=False).build().index
+        assert session.manifest.to_ridx2() == dump_index_ridx2(rebuilt)
+
+
+class TestWritesReplaceNeverTruncate:
+    """Every index and state write is temp -> fsync -> os.replace."""
+
+    def test_saving_over_the_mapped_file_keeps_both_sessions_answering(
+        self, small_fs, tmp_path
+    ):
+        # With an in-place write this is a SIGBUS, not a failed assert:
+        # the session below serves the very file it then saves over.
+        path = str(tmp_path / "x.ridx")
+        Search.build(small_fs).save(path)
+        session = Search.open(path, source=small_fs)
+        assert isinstance(session.manifest.segments[0], DiskSegment)
+        small_fs.write_file("docs/late.txt", b"gecko cat")
+        assert session.refresh().added == ["docs/late.txt"]
+        session.save(path)
+        assert session.query("cat AND NOT dog").paths == [
+            "docs/cats.txt", "docs/late.txt",
+        ]
+        assert session.query("feline").paths == ["docs/cats.txt"]
+        reopened = Search.open(path, source=small_fs)
+        assert reopened.query("gecko").paths == ["docs/late.txt"]
+        assert len(reopened) == 4
+        assert reopened.refresh().total == 0
+
+    def test_a_failed_replace_leaves_index_and_state_as_they_were(
+        self, small_fs, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "x.ridx")
+        session = Search.build(small_fs)
+        session.save(path)
+        before = {}
+        for name in (path, state_path(path)):
+            with open(name, "rb") as fh:
+                before[name] = fh.read()
+        small_fs.write_file("docs/late.txt", b"gecko")
+        session.refresh()
+
+        def crash(_src, _dst):
+            raise OSError("crashed between write and rename")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "replace", crash)
+            with pytest.raises(OSError, match="crashed"):
+                session.save(path)
+            with pytest.raises(OSError, match="crashed"):
+                save_fingerprints(
+                    session._segmented.fingerprints, state_path(path)
+                )
+        for name, data in before.items():
+            with open(name, "rb") as fh:
+                assert fh.read() == data
+        assert sorted(os.listdir(tmp_path)) == ["x.ridx", "x.ridx.state"]
+        assert len(Search.open(path)) == 3
+        assert len(load_fingerprints(state_path(path))) == 3
+
+
+WORDS = ("cat", "dog", "feline", "canine", "truce", "gecko", "absent")
+
+
+def _queries():
+    leaf = st.sampled_from(WORDS) | st.sampled_from(
+        ("ca*", "d*", "tr*", "zz*")
+    )
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: f"({p[0]} AND {p[1]})"),
+            st.tuples(inner, inner).map(lambda p: f"({p[0]} OR {p[1]})"),
+            st.tuples(inner, inner).map(lambda p: f"{p[0]} AND NOT {p[1]}"),
+            inner.map(lambda q: f"NOT ({q})"),
+        ),
+        max_leaves=5,
+    )
+
+
+class TestOpenedFormatsAgree:
+    """One index saved three ways: whatever ``Search.open`` makes of
+    each file — a mapped segment or a loaded one — answers alike."""
+
+    @pytest.fixture(scope="class")
+    def doors(self, tmp_path_factory):
+        fs = VirtualFileSystem()
+        fs.mkdir("docs")
+        fs.write_file("docs/cats.txt", b"cat feline whiskers")
+        fs.write_file("docs/dogs.txt", b"dog canine bark")
+        fs.write_file("docs/both.txt", b"cat dog truce")
+        fs.write_file("docs/late.txt", b"gecko cat canine")
+        built = Search.build(fs)
+        work = tmp_path_factory.mktemp("formats")
+        sessions = {"built": built}
+        for name, format in (
+            ("x.ridx", "auto"), ("y.ridx", "binary"), ("z.jsonl", "auto")
+        ):
+            path = str(work / name)
+            built.save(path, format=format)
+            sessions[name] = Search.open(path)
+        assert isinstance(
+            sessions["x.ridx"].manifest.segments[0], DiskSegment
+        )
+        opened = []
+        for name, session in sessions.items():
+            opened.append((f"{name}:query", session.query, None))
+            for door in (
+                session.serve(),
+                session.serve_async(),
+                session.serve_sharded(2),
+            ):
+                opened.append((f"{name}:{type(door).__name__}", door.query, door))
+        yield sessions, opened
+        for _label, _ask, door in opened:
+            if door is not None:
+                door.close()
+
+    def test_same_shape(self, doors):
+        sessions, _ = doors
+        built = sessions["built"]
+        for session in sessions.values():
+            assert len(session) == len(built)
+            assert session.universe == built.universe
+            assert session.index == built.index
+
+    @settings(max_examples=60, deadline=None)
+    @given(query=_queries())
+    def test_same_answers_through_every_door(self, doors, query):
+        _, opened = doors
+        answers = {label: ask(query).paths for label, ask, _ in opened}
+        expected = answers["built:query"]
+        assert answers == dict.fromkeys(answers, expected)
 
 
 class TestServe:

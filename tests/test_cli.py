@@ -64,6 +64,34 @@ class TestSearchCommand:
         assert "file(s)" in err
         assert out.strip()
 
+    def test_search_opens_a_file_the_way_the_library_does(
+        self, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        """A saved ``.ridx`` is RIDX2 and ``search`` maps it: no eager
+        load, the same hits as the loaded index, and NOT has the
+        file's universe to complement against."""
+        from repro.index import load_index
+
+        save = str(tmp_path / "search.ridx")
+        assert main(["index", corpus_dir, "--sequential",
+                     "--save", save]) == 0
+        assert "RIDX2" in capsys.readouterr().out
+        index = load_index(save)
+        term = max(index.terms(), key=lambda t: len(index.lookup(t)))
+
+        def eager(_path):
+            raise AssertionError("search loaded an RIDX2 file eagerly")
+
+        monkeypatch.setattr("repro.cli.load_index", eager)
+        monkeypatch.setattr("repro.api.load_index", eager)
+        assert main(["search", save, term]) == 0
+        out, _err = capsys.readouterr()
+        assert out.split() == sorted(index.lookup(term))
+        assert main(["search", save, f"NOT {term}"]) == 0
+        out, _err = capsys.readouterr()
+        everything = {p for t in index.terms() for p in index.lookup(t)}
+        assert out.split() == sorted(everything - set(index.lookup(term)))
+
     def test_search_multi_parallel(self, corpus_dir, tmp_path, capsys):
         save = str(tmp_path / "replicas")
         main(["index", corpus_dir, "-i", "3", "-x", "2", "-y", "2",

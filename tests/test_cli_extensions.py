@@ -133,6 +133,39 @@ class TestRefresh:
         size, stamp, digest = state["files"]["novel.txt"]
         assert size == len("uniquemarkerterm appears here") and stamp > 0
 
+    def test_a_crashed_refresh_keeps_the_previous_index(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``refresh`` used to remove the index and then write it: a
+        crash in between left no index.  Now the old bytes stay at the
+        path until the new file is renamed over them."""
+        corpus = str(tmp_path / "corpus")
+        main(["generate-corpus", corpus, "--scale", "0.001"])
+        index_file = str(tmp_path / "i.ridx")
+        state_file = str(tmp_path / "s.json")
+        arguments = ["refresh", corpus, "--index", index_file,
+                     "--state", state_file]
+        assert main(arguments) == 0
+        with open(index_file, "rb") as fh:
+            before = fh.read()
+        assert before[:5] == b"RIDX2"
+        with open(os.path.join(corpus, "novel.txt"), "w") as fh:
+            fh.write("uniquemarkerterm appears here")
+
+        def crash(_src, _dst):
+            raise OSError("crashed between write and rename")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "replace", crash)
+            with pytest.raises(OSError, match="crashed"):
+                main(arguments)
+        with open(index_file, "rb") as fh:
+            assert fh.read() == before
+        assert sorted(os.listdir(tmp_path)) == ["corpus", "i.ridx", "s.json"]
+        capsys.readouterr()
+        assert main(arguments) == 0  # the replay converges
+        assert "+1 added" in capsys.readouterr().out
+
     def check_foreign_state_is_rewritten(self, tmp_path, capsys, foreign):
         corpus = str(tmp_path / "corpus")
         main(["generate-corpus", corpus, "--scale", "0.001"])

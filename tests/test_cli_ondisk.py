@@ -67,9 +67,10 @@ class TestSearchOndisk:
 
     def test_ondisk_rejects_non_ridx2(self, corpus_dir, tmp_path, capsys):
         save = str(tmp_path / "plain.ridx")
+        # --binary: RIDX1, the non-RIDX2 case (.ridx alone means RIDX2).
         assert main(["index", corpus_dir, "--sequential",
-                     "--save", save]) == 0
-        capsys.readouterr()
+                     "--save", save, "--binary"]) == 0
+        assert "RIDX1" in capsys.readouterr().out
         assert main(["search", save, "anything", "--ondisk"]) == 2
         assert "RIDX2" in capsys.readouterr().err
 

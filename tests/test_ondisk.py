@@ -11,6 +11,9 @@ block cursors, block-skip accounting, and frequency storage.
 
 from __future__ import annotations
 
+import gc
+import os
+import warnings
 from bisect import bisect_left
 
 import pytest
@@ -278,6 +281,25 @@ class TestMmapPostingsReader:
                 p for p, t in fruit_docs.items() if "apple" in t
             )
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_a_reader_holds_one_descriptor_and_drops_silently(
+        self, fruit_file
+    ):
+        """The map owns a descriptor of its own; the file object that
+        made it is closed at once, so nothing is left for the garbage
+        collector to warn about."""
+        before = len(os.listdir("/proc/self/fd"))
+        reader = MmapPostingsReader(fruit_file)
+        assert len(os.listdir("/proc/self/fd")) == before + 1
+        assert reader.lookup("banana")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            del reader
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_open_rejects_non_ridx2(self, tmp_path, fruit_docs):
         index, _ = build_index(fruit_docs)
         path = str(tmp_path / "old.ridx")
@@ -331,6 +353,28 @@ class TestBlockSkipping:
             assert stats["ondisk.blocks_skipped"] > 100
             # Only the first and the target block were decoded.
             assert stats["ondisk.blocks_read"] == 2
+
+    def test_lookup_decodes_whole_blocks_and_counts_each_once(
+        self, skippy_file
+    ):
+        """``lookup`` reads a list block by block, not posting by
+        posting; the counter says what the cursor walk said."""
+        with MmapPostingsReader(skippy_file) as reader:
+            assert reader.lookup("rare") == ["doc-0000", "doc-0900"]
+            assert reader.blocks_read == 1  # an inline list: one block
+            expected = [f"doc-{i:04d}" for i in range(901)]
+            assert reader.lookup("common") == expected  # no doc table yet
+            assert reader.blocks_read == 1 + -(-901 // 8)
+            reader.doc_paths()  # the materialized table answers the same
+            assert reader.lookup("common") == expected
+            before = reader.blocks_read
+            walked, cursor = [], reader.cursor("common")
+            while cursor.docid() < DONE:
+                walked.append(reader.doc_path(cursor.docid()))
+                cursor.next()
+            assert walked == expected
+            assert reader.blocks_read - before == -(-901 // 8)
+            assert reader.blocks_skipped == 0
 
     def test_and_query_skips(self, skippy_file):
         from repro.query.daat import DaatQueryEngine

@@ -14,7 +14,10 @@ step:
   regardless of the segment/tombstone history that led there.
 """
 
+import os
+import shutil
 import string
+import tempfile
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -76,6 +79,10 @@ class SegmentedMachine(RuleBasedStateMachine):
         self.fs = VirtualFileSystem()
         self.indexer = SegmentedIndexer(self.fs)
         self.refreshed = True  # empty manifest == empty fs
+        self.work = tempfile.mkdtemp(prefix="segmented-machine-")
+
+    def teardown(self):
+        shutil.rmtree(getattr(self, "work", ""), ignore_errors=True)
 
     # -- filesystem churn ----------------------------------------------
 
@@ -110,6 +117,23 @@ class SegmentedMachine(RuleBasedStateMachine):
         self.indexer = Search.build(self.fs, cache=0, **build)._segmented
         assert self.indexer.refresh().total == 0
         self.refreshed = True
+
+    @rule()
+    def save_and_reopen(self):
+        """Persist whatever the steps so far left — refreshed or not —
+        over the file the previous reopen may still have mapped, and go
+        on from the reopened session: the mapped segment 0 plus the
+        state file must carry the churn that follows exactly like the
+        state they were saved from."""
+        path = os.path.join(self.work, "index.ridx")
+        Search(self.indexer, fs=self.fs, cache=0).save(path)
+        live = self.indexer.manifest.live_paths()
+        self.indexer = Search.open(path, source=self.fs, cache=0)._segmented
+        manifest = self.indexer.manifest
+        assert [type(s).__name__ for s in manifest.segments] == ["DiskSegment"]
+        # An emptied file has no posting to be saved by; its fingerprint
+        # still is, so the next refresh does not re-read it.
+        assert manifest.live_paths() <= live
 
     @rule(name=names)
     def crashed_refresh_then_replay(self, name):

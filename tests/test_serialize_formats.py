@@ -60,7 +60,13 @@ class TestAutoSave:
     @pytest.mark.parametrize("name", ("out.ridx", "out.bin", "OUT.RIDX"))
     def test_binary_extensions_choose_binary(self, index, tmp_path, name):
         path = str(tmp_path / name)
+        # Ids kept from when these extensions meant RIDX1: since 3.2.0
+        # they mean the binary format a session opens in place, RIDX2;
+        # RIDX1 is written on format="binary" only.
         save_index(index, path)
+        with open(path, "rb") as fh:
+            assert fh.read(5) == b"RIDX2"
+        save_index(index, path, format="binary")
         with open(path, "rb") as fh:
             assert fh.read(5) == b"RIDX1"
 
