@@ -1,17 +1,18 @@
-"""On-disk serving smoke test: 100 mixed queries answered off mmap.
+"""On-disk serving smoke test: 140 mixed queries answered off mmap.
 
 Builds an index over a synthetic corpus, saves it as RIDX2 (with term
 frequencies baked in), then stands up a
 :class:`~repro.service.service.SearchService` over an mmap-backed
 snapshot — postings are decoded block-by-block from the file, never
-materialized into dicts.  One hundred mixed boolean/BM25 queries drawn
-from the corpus's own vocabulary are served, and every answer is
-differentially checked against the in-memory engine: boolean results
-must be list-identical, BM25 results identical down to the float.
+materialized into dicts.  140 mixed boolean/BM25 queries, nested ones
+included, drawn from the corpus's own vocabulary are served, and every
+answer is differentially checked against the in-memory engine: boolean
+results must be list-identical, BM25 results identical down to the
+float.
 
-The run also asserts that the block-skipping machinery actually fired
+The run also asserts that block skipping actually fired
 (``blocks_skipped > 0``) — a smoke that passes by decoding everything
-would not be testing the tentpole.
+would not be testing it — and prints the blocks read per query.
 
 Run:  PYTHONPATH=src python examples/ondisk_smoke.py [index.ridx2]
 """
@@ -28,34 +29,45 @@ from repro.query import BM25Ranker, FrequencyIndex, QueryEngine, search_bm25
 from repro.service import SearchService
 from repro.service.snapshot import IndexSnapshot
 
-TOTAL_QUERIES = 100
+TOTAL_QUERIES = 140
 TOPK = 10
 
 
 def build_queries(index):
-    """50 boolean + 50 ranked queries over the corpus's real vocabulary.
+    """80 boolean + 60 ranked queries over the corpus's real vocabulary.
 
     Deterministic: drawn from the document-frequency extremes so the
-    battery exercises long multi-block postings (frequent terms), seeks
-    into them (AND with rare terms), complements, and wildcards.
+    battery exercises long multi-block postings (frequent terms),
+    filters through them (AND with rare terms), complements, nested
+    AND / OR / NOT, and wildcards.
     """
     by_df = sorted(index.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     frequent = [term for term, _ in by_df[:10]]
     rare = [term for term, _ in by_df[-10:]]
     boolean = []
     for i in range(10):
-        boolean.append(frequent[i])
-        boolean.append(rare[i])
-        boolean.append(f"{frequent[i]} AND {rare[i]}")
-        boolean.append(f"{frequent[i]} AND NOT {frequent[(i + 1) % 10]}")
-        boolean.append(f"{rare[i]} OR {rare[(i + 1) % 10]}")
+        f, f2 = frequent[i], frequent[(i + 1) % 10]
+        r, r2 = rare[i], rare[(i + 1) % 10]
+        boolean.append(f)
+        boolean.append(r)
+        boolean.append(f"{f} AND {r}")
+        boolean.append(f"{f} AND NOT {f2}")
+        boolean.append(f"{r} OR {r2}")
+        # Nested: an Or driving a NOT filter, a bare complement, and a
+        # frequent list filtered by the union of two rare ones.
+        boolean.append(f"({f} OR {r}) AND NOT {f2}")
+        boolean.append(f"NOT {r}")
+        boolean.append(f"{f} AND ({r} OR {r2})")
     ranked = []
     for i in range(10):
-        ranked.append(frequent[i])
-        ranked.append(rare[i])
-        ranked.append(f"{frequent[i]} OR {rare[i]}")
-        ranked.append(f"{frequent[i]} AND {frequent[(i + 1) % 10]}")
-        ranked.append(f"{frequent[i][:3]}*")
+        f, f2 = frequent[i], frequent[(i + 1) % 10]
+        r, r2 = rare[i], rare[(i + 1) % 10]
+        ranked.append(f)
+        ranked.append(r)
+        ranked.append(f"{f} OR {r}")
+        ranked.append(f"{f} AND {f2}")
+        ranked.append(f"{f[:3]}*")
+        ranked.append(f"{f} AND ({r} OR {r2})")
     assert len(boolean) + len(ranked) == TOTAL_QUERIES
     return boolean, ranked
 
@@ -100,7 +112,8 @@ def main(path: str | None = None) -> int:
 
     print(f"served {TOTAL_QUERIES} queries ({len(boolean)} boolean, "
           f"{len(ranked)} bm25); service stats: {stats}")
-    print(f"blocks: {blocks['ondisk.blocks_read']} read, "
+    print(f"blocks: {blocks['ondisk.blocks_read']} read "
+          f"({blocks['ondisk.blocks_read'] / TOTAL_QUERIES:.2f} per query), "
           f"{blocks['ondisk.blocks_skipped']} skipped")
 
     if mismatches:

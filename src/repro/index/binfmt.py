@@ -93,6 +93,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.index.inverted import InvertedIndex
@@ -114,6 +115,7 @@ assert array("I").itemsize == 4, "wire format requires 4-byte unsigned ints"
 
 _U32 = struct.Struct("<I")
 _SWAP = sys.byteorder == "big"
+_ONE_MORE = (1).__add__  # a stored ``tf - 1`` byte -> tf
 
 
 def _u32s_to_bytes(values: Iterable[int]) -> bytes:
@@ -506,9 +508,27 @@ def encode_posting_blocks(
     return entries, bytes(blob)
 
 
+def _decode_block_gaps(blob: bytes, count: int) -> Tuple[List[int], int]:
+    """:func:`decode_gaps` of ``count`` ids at the start of ``blob``.
+
+    When every gap after the first is one byte (all of them below 128:
+    ``bytes.isascii``), the ids are a running sum done in C — the first
+    gap is decoded as a varint on its own, because it is the block's
+    first doc id and large.  Any other block takes the loop, which is
+    the reference and raises whatever a malformed block raises."""
+    if count > 0:
+        first, offset = decode_varint(blob, 0)
+        end = offset + count - 1
+        rest = blob[offset:end]
+        if len(rest) == count - 1 and rest.isascii():
+            sums = accumulate(rest, initial=first)
+            return list(map(add, sums, range(count))), end
+    return decode_gaps(blob, 0, count)
+
+
 def decode_block_docids(data, offset: int, count: int, doc_bytes: int) -> List[int]:
     """Decode one block's doc ids from ``data`` (bytes or mmap)."""
-    ids, end = decode_gaps(bytes(data[offset : offset + doc_bytes]), 0, count)
+    ids, end = _decode_block_gaps(bytes(data[offset : offset + doc_bytes]), count)
     if end != doc_bytes:
         raise IndexFormatError(
             f"RIDX2 block doc ids consumed {end} of {doc_bytes} bytes"
@@ -518,10 +538,13 @@ def decode_block_docids(data, offset: int, count: int, doc_bytes: int) -> List[i
 
 def decode_block_freqs(data, offset: int, count: int, freq_bytes: int) -> List[int]:
     """Decode one block's ``tf`` values from ``data`` (bytes or mmap);
-    no frequency bytes means every tf is 1."""
+    no frequency bytes means every tf is 1.  A block whose every
+    ``tf - 1`` is one byte decodes in C; any other takes the loop."""
     if not freq_bytes:
         return [1] * count
     blob = bytes(data[offset : offset + freq_bytes])
+    if freq_bytes == count == len(blob) and blob.isascii():
+        return list(map(_ONE_MORE, blob))
     freqs: List[int] = []
     position = 0
     for _ in range(count):
@@ -538,7 +561,7 @@ def decode_single_block(data, start: int, end: int, count: int):
     """Decode a ``df <= block_size`` payload ``data[start:end]`` into
     ``(ids, doc_bytes)``: ``count`` gap varints, and what is left are
     the frequency bytes — none (all ones) or at least one per posting."""
-    ids, doc_bytes = decode_gaps(bytes(data[start:end]), 0, count)
+    ids, doc_bytes = _decode_block_gaps(bytes(data[start:end]), count)
     spare = end - start - doc_bytes
     if spare and spare < count:
         raise IndexFormatError(

@@ -6,20 +6,21 @@ size at RAM and index-open time at full-file decode.
 RIDX2 file maps it and parses only the 61-byte header; terms are found
 by binary search over the sorted on-disk lexicon (O(log B) record
 probes, no lexicon materialization); postings are decoded one
-fixed-size block at a time, on demand, through :class:`BlockCursor`.
+fixed-size block at a time, on demand.
 
-A cursor is the document-at-a-time primitive: ``docid()`` / ``next()``
-walk forward, and ``seek(target)`` advances to the first posting >=
-``target`` using the block table's ``last_docid`` keys to *skip*
-whole blocks without decoding them.  The reader counts blocks read vs
-skipped (also published as ``ondisk.blocks_read`` /
-``ondisk.blocks_skipped`` counters), which is how the benchmark and the
-CI smoke prove skipping actually happens.
+:meth:`MmapPostingsReader.read_postings` is the list-at-a-time
+primitive the query evaluator runs on: a term's whole list, or only
+the blocks whose ``last_docid`` range holds one of a set of candidate
+doc ids — the blocks in between are *skipped*, never decoded.
+:class:`BlockCursor` walks one list a posting at a time (``docid()`` /
+``next()`` / ``seek(target)``, skipping by the same keys).  The reader
+counts blocks read vs skipped (also published as
+``ondisk.blocks_read`` / ``ondisk.blocks_skipped`` counters), which is
+how the benchmark and the CI smoke prove skipping actually happens.
 
-Readers are single-threaded per cursor but cursors are independent;
-the :class:`~repro.service.service.SearchService` integration gives
-each query its own cursors over one shared read-only mapping, which the
-OS page cache deduplicates across queries and processes.
+Neither keeps per-query state on the reader, so queries on several
+threads share one read-only mapping, which the OS page cache
+deduplicates across queries and processes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.index.binfmt import (
@@ -36,7 +37,6 @@ from repro.index.binfmt import (
     decode_block_docids,
     decode_block_freqs,
     decode_block_table,
-    decode_payload_docids,
     decode_single_block,
     decode_varint,
     iter_ridx2_lexicon,
@@ -194,6 +194,7 @@ class MmapPostingsReader:
                 self.close()
                 raise
         self._paths: Optional[List[str]] = None
+        self._lengths: Optional[List[int]] = None
         self._doc_cache: Dict[int, Tuple[str, int]] = {}
         self.blocks_read = 0
         self.blocks_skipped = 0
@@ -269,44 +270,56 @@ class MmapPostingsReader:
 
     def doc_length(self, doc_id: int) -> int:
         """Term occurrences in ``doc_id``."""
+        if self._lengths is not None:
+            return self._lengths[doc_id]
         return self._doc(doc_id)[1]
 
     def doc_paths(self) -> List[str]:
         """Every indexed path in doc-id order == sorted-path order.
 
-        Materializes the doc table once and caches it; queries that
-        only return a few hits never need this.
+        Materializes the doc table once and caches it — the document
+        lengths with it, read in the same pass; queries that only
+        return a few hits never need this.
         """
         if self._paths is None:
             mm, header = self._mm, self._header
-            self._paths = [
-                read_ridx2_doc(mm, header, i)[0]
-                for i in range(header.doc_count)
+            records = [
+                read_ridx2_doc(mm, header, i) for i in range(header.doc_count)
             ]
+            paths, lengths = zip(*records) if records else ((), ())
+            self._lengths = list(lengths)
+            self._paths = list(paths)
         return list(self._paths)
 
     # -- terms -------------------------------------------------------------
 
     def term_info(self, term: str) -> Optional[TermInfo]:
-        """Binary-search the on-disk lexicon; None when absent."""
+        """Binary-search the on-disk lexicon; None when absent.  A probe
+        compares the record's term bytes in place (an mmap slice is
+        ``bytes``); a term under 128 bytes has a one-byte length."""
         probe = term.encode("utf-8")
         mm = self._mm
         header = self._header
         span_at = _SPAN.unpack_from
+        table, base = header.lex_offsets_off, header.lex_data_off
         lo, hi = 0, header.term_count
         while lo < hi:
             mid = (lo + hi) // 2
-            start, end = span_at(mm, header.lex_offsets_off + 4 * mid)
-            offset = header.lex_data_off + start
-            length, offset = decode_varint(mm, offset)
-            found = bytes(mm[offset : offset + length])
+            start, end = span_at(mm, table + 4 * mid)
+            offset = base + start
+            length = mm[offset]
+            if length < 0x80:
+                offset += 1
+            else:
+                length, offset = decode_varint(mm, offset)
+            found = mm[offset : offset + length]
             if found < probe:
                 lo = mid + 1
             elif found > probe:
                 hi = mid
             else:
                 df, offset = decode_varint(mm, offset + length)
-                return TermInfo(term, df, offset, header.lex_data_off + end)
+                return TermInfo(term, df, offset, base + end)
         return None
 
     def __contains__(self, term: str) -> bool:
@@ -316,6 +329,60 @@ class MmapPostingsReader:
         """A fresh posting cursor for ``term``; None when absent."""
         info = self.term_info(term)
         return BlockCursor(self, info) if info is not None else None
+
+    def read_postings(
+        self,
+        info: TermInfo,
+        candidates: Optional[List[int]] = None,
+        with_freqs: bool = False,
+    ):
+        """One term's postings, decoded a whole block at a time.
+
+        With ``candidates`` (ascending doc ids) only the blocks whose
+        ``last_docid`` range holds a candidate are decoded — found by
+        bisecting the block table — and the answer is the candidates
+        the list holds, ascending; without, it is every doc id of the
+        list.  ``with_freqs`` answers ``{doc id: tf}`` for every posting
+        of the decoded blocks instead.  A decoded block counts as
+        *read*; a block a filter jumps over — below the block that
+        holds its last candidate, or anywhere when that candidate lies
+        past the list — counts as *skipped*, the leapfrog's accounting.
+        """
+        _term, df, start, end = info
+        mm = self._mm
+        if df <= self.block_size:
+            if candidates is not None and not candidates:
+                return {} if with_freqs else []
+            ids, doc_bytes = decode_single_block(mm, start, end, df)
+            blocks = [(start, df, doc_bytes, end - start - doc_bytes)]
+            self._count_read(1)
+        else:
+            blocks, lasts = decode_block_table(mm, start, df, self.block_size)
+            if candidates is not None:
+                chosen, block, i = [], 0, 0
+                while i < len(candidates):
+                    block = bisect_left(lasts, candidates[i], block)
+                    if block == len(blocks):
+                        break
+                    chosen.append(blocks[block])
+                    i = bisect_right(candidates, lasts[block], i + 1)
+                    block += 1
+                if block > len(chosen):
+                    self._count_skipped(block - len(chosen))
+                blocks = chosen
+            self._count_read(len(blocks))
+            ids = []
+            for offset, count, doc_bytes, _freq_bytes in blocks:
+                ids += decode_block_docids(mm, offset, count, doc_bytes)
+        if with_freqs:
+            tfs: List[int] = []
+            for offset, count, doc_bytes, freq_bytes in blocks:
+                offset += doc_bytes
+                tfs += decode_block_freqs(mm, offset, count, freq_bytes)
+            return dict(zip(ids, tfs))
+        if candidates is None:
+            return ids
+        return sorted(set(ids).intersection(candidates))
 
     def terms(self) -> Iterator[str]:
         """All terms in sorted order (sequential lexicon walk)."""
@@ -338,11 +405,7 @@ class MmapPostingsReader:
         info = self.term_info(term)
         if info is None:
             return []
-        _term, df, start, end = info
-        ids, blocks = decode_payload_docids(
-            self._mm, start, end, df, self.block_size
-        )
-        self._count_read(blocks)
+        ids = self.read_postings(info)
         paths = self._paths
         if paths is not None:
             return [paths[i] for i in ids]

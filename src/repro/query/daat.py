@@ -1,128 +1,59 @@
-"""Document-at-a-time evaluation over mmap-backed posting cursors.
+"""List-at-a-time evaluation over an mmap'd RIDX2 file.
 
 The in-memory :class:`~repro.query.evaluator.QueryEngine` fetches each
 term's *entire* postings into a Python set and then does set algebra —
 fine when the index is already dict-resident, a dead end when postings
 live on disk.  :class:`DaatQueryEngine` evaluates the same boolean
 query language against an RIDX2 file through
-:class:`~repro.index.ondisk.BlockCursor` seeks instead: every AST node
-becomes a *stream* with a ``seek(target)`` operation, conjunctions
-leapfrog their operands to a common doc id, and cursor seeks translate
-into ``last_docid`` block skips — postings that cannot match are never
-decoded, let alone materialized.
+:meth:`~repro.index.ondisk.MmapPostingsReader.read_postings`: every AST
+node yields an ascending doc-id list, built from whole decoded blocks,
+so the per-posting work runs in C (block decode, set union and
+intersection) and only the per-node and per-block steps are Python.
 
-Doc ids in RIDX2 are assigned in sorted-path order, so emitting
-matches in doc-id order and mapping them to paths reproduces the
-in-memory engine's ``sorted(paths)`` output *byte for byte* — the
-differential property the test suite pins across every build backend.
+* A ``Term`` decodes its list; an ``Or`` is the union of its operands'
+  lists; a ``Not`` is the complement against ``range(doc_count)``.
+* An ``And`` evaluates its cheapest operand (by df; an ``Or`` costs
+  the sum of its operands; a ``Not`` drives only when every operand is
+  one) and passes the candidates through the other operands, cheapest
+  first, in *filter* mode: a ``Term`` then decodes only the blocks
+  whose ``last_docid`` range holds a candidate — the blocks in between
+  are skipped, never decoded — a ``Not`` drops what its operand keeps,
+  and ``And`` / ``Or`` recurse.
+
+Each query resolves each distinct term once (one ``term_info`` probe)
+into a map that is passed down the recursion and never stored on the
+engine, which several service workers share.
+
+Doc ids in RIDX2 are assigned in sorted-path order, so ascending doc
+ids mapped to paths reproduce the in-memory engine's ``sorted(paths)``
+output *byte for byte* — the differential property the test suite pins
+across every build backend.
 
 BM25 ranking rides the same machinery: :meth:`DaatQueryEngine.
-search_bm25` computes the boolean match set DAAT-style, then scores
-survivors with per-term frequency cursors (monotone seeks, so the
-second pass is one forward sweep) into a bounded top-K heap.  The
-scoring formula and iteration order mirror
-:class:`~repro.query.ranking.BM25Ranker` exactly, so ondisk and
-in-memory BM25 agree to the last float.
+search_bm25` computes the boolean match list, decodes ``{doc id: tf}``
+of each scoring term from only the blocks holding a match, and scores
+the matches into a bounded top-K heap.  The scoring formula and the
+term accumulation order mirror :class:`~repro.query.ranking.BM25Ranker`
+exactly, so ondisk and in-memory BM25 agree to the last float.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import filterfalse
 from typing import Dict, List, Optional
 
-from repro.index.ondisk import DONE, BlockCursor, MmapPostingsReader
+from repro.index.ondisk import MmapPostingsReader, TermInfo
 from repro.obs import recorder as obsrec
 from repro.query.ast import And, Not, Or, Phrase, Query, Term
 from repro.query.optimizer import optimize as optimize_query
 from repro.query.parser import parse_query
-from repro.query.ranking import BM25_B, BM25_K1, RankedHit, scoring_terms
+from repro.query.ranking import BM25_B, BM25_K1, RankedHit
 from repro.query.wildcard import PrefixDictionary, expand_prefixes, has_prefixes
 
-
-class _TermStream:
-    """One term's cursor as a stream (absent terms match nothing)."""
-
-    __slots__ = ("cursor", "docid")
-
-    def __init__(self, cursor: Optional[BlockCursor]) -> None:
-        self.cursor = cursor
-        self.docid = -1 if cursor is not None else DONE
-
-    def seek(self, target: int) -> int:
-        if self.docid < target:
-            self.docid = self.cursor.seek(target)
-        return self.docid
-
-
-class _AndStream:
-    """Leapfrog intersection: operands chase the maximum candidate."""
-
-    __slots__ = ("children", "docid")
-
-    def __init__(self, children: List[object]) -> None:
-        self.children = children
-        self.docid = -1
-
-    def seek(self, target: int) -> int:
-        if self.docid >= target:
-            return self.docid
-        candidate = target
-        while candidate < DONE:
-            for child in self.children:
-                found = child.seek(candidate)
-                if found > candidate:
-                    candidate = found
-                    break
-            else:
-                break
-        self.docid = candidate
-        return candidate
-
-
-class _OrStream:
-    """Union: the minimum of the children's frontiers."""
-
-    __slots__ = ("children", "docid")
-
-    def __init__(self, children: List[object]) -> None:
-        self.children = children
-        self.docid = -1
-
-    def seek(self, target: int) -> int:
-        if self.docid >= target:
-            return self.docid
-        minimum = DONE
-        for child in self.children:
-            found = child.docid
-            if found < target:
-                found = child.seek(target)
-            if found < minimum:
-                minimum = found
-        self.docid = minimum
-        return minimum
-
-
-class _NotStream:
-    """Complement against the dense doc-id universe [0, doc_count)."""
-
-    __slots__ = ("child", "doc_count", "docid")
-
-    def __init__(self, child: object, doc_count: int) -> None:
-        self.child = child
-        self.doc_count = doc_count
-        self.docid = -1
-
-    def seek(self, target: int) -> int:
-        if self.docid >= target:
-            return self.docid
-        candidate = target
-        while candidate < self.doc_count:
-            if self.child.seek(candidate) != candidate:
-                break
-            candidate += 1
-        self.docid = candidate if candidate < self.doc_count else DONE
-        return self.docid
+#: One query's term map: each distinct term's lexicon entry, or None.
+Infos = Dict[str, Optional[TermInfo]]
 
 
 class DaatQueryEngine:
@@ -156,11 +87,9 @@ class DaatQueryEngine:
         optimiser never walks the expanded ``Or``."""
         with obsrec.span("query.daat", parallel=parallel):
             obsrec.metrics().counter("query.daat.searches").inc()
-            reader = self.reader
-            return [
-                reader.doc_path(doc_id)
-                for doc_id in self._match_ids(self._expand(query))
-            ]
+            query = self._expand(query)
+            ids = self._match(query, self._infos(query))
+            return list(map(self.reader.doc_path, ids))
 
     def search_bm25(
         self,
@@ -169,43 +98,48 @@ class DaatQueryEngine:
         k1: float = BM25_K1,
         b: float = BM25_B,
     ) -> List[RankedHit]:
-        """Boolean match, then BM25 top-``topk`` over the survivors.
+        """Boolean match, then BM25 top-``topk`` over the matches.
 
         Matches :func:`repro.query.ranking.search_bm25` (same formula,
         same sorted-term accumulation order, same (score desc, path
         asc) ordering), so the two paths produce identical hits when
-        the RIDX2 file was dumped with the same frequency sidecar.
+        the RIDX2 file was dumped with the same frequency sidecar.  The
+        text is parsed and expanded once, and not optimised: the
+        scoring terms are those of the un-optimised query
+        (:func:`~repro.query.ranking.scoring_terms`), and the optimiser
+        never changes which documents match.
         """
         if topk < 1:
             raise ValueError(f"topk must be at least 1, got {topk}")
         with obsrec.span("query.bm25", topk=topk):
-            terms = scoring_terms(self, query_text)
-            query = self._expand(optimize_query(parse_query(query_text)))
+            query = self._expand(parse_query(query_text))
+            infos = self._infos(query)
+            matches = self._match(query, infos)
+            if not matches:
+                return []
             reader = self.reader
             n = reader.doc_count
             avgdl = reader.average_document_length
-            idf: Dict[str, float] = {}
             scorers: List[tuple] = []
-            for term in terms:
-                info = reader.term_info(term)
-                df = info.df if info is not None else 0
-                idf[term] = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            for term in sorted(infos):
+                info = infos[term]
                 if info is not None:
-                    scorers.append((term, BlockCursor(reader, info)))
+                    df = info.df
+                    idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                    tfs = reader.read_postings(info, matches, with_freqs=True)
+                    scorers.append((idf, tfs))
             # Min-heap of (score, -doc_id): among equal scores the
             # larger doc id (later path) is evicted first, matching the
             # in-memory ranker's (score desc, path asc) tie-break.
             heap: List[tuple] = []
-            for doc_id in self._match_ids(query):
+            for doc_id in matches:
                 length = reader.doc_length(doc_id)
                 norm = k1 * (1.0 - b + b * (length / avgdl if avgdl else 0.0))
                 score = 0.0
-                for term, cursor in scorers:
-                    if cursor.docid() < doc_id:
-                        cursor.seek(doc_id)
-                    if cursor.docid() == doc_id:
-                        tf = cursor.freq()
-                        score += idf[term] * (tf * (k1 + 1.0)) / (tf + norm)
+                for idf, tfs in scorers:
+                    tf = tfs.get(doc_id)
+                    if tf:
+                        score += idf * (tf * (k1 + 1.0)) / (tf + norm)
                 entry = (score, -doc_id)
                 if len(heap) < topk:
                     heapq.heappush(heap, entry)
@@ -226,33 +160,73 @@ class DaatQueryEngine:
     # -- internals --------------------------------------------------------
 
     def _expand(self, query: Query) -> Query:
-        if has_prefixes(query):
-            query = expand_prefixes(query, self.prefix_dictionary())
-        return query
-
-    def _match_ids(self, query: Query):
-        """Yield matching doc ids in ascending order (one DAAT sweep)."""
-        stream = self._build(query)
-        doc_id = stream.seek(0)
-        while doc_id < DONE:
-            yield doc_id
-            doc_id = stream.seek(doc_id + 1)
-
-    def _build(self, query: Query):
-        if isinstance(query, Term):
-            return _TermStream(self.reader.cursor(query.value))
-        if isinstance(query, And):
-            return _AndStream([self._build(op) for op in query.operands])
-        if isinstance(query, Or):
-            return _OrStream([self._build(op) for op in query.operands])
-        if isinstance(query, Not):
-            return _NotStream(
-                self._build(query.operand), self.reader.doc_count
-            )
-        if isinstance(query, Phrase):
+        """Prefixes expanded; a phrase anywhere is refused up front, as
+        evaluation may never reach it (an empty ``And`` stops early)."""
+        if _has_phrase(query):
             raise ValueError(
                 "phrase queries need a positional index, which the RIDX2 "
                 "on-disk format does not carry; evaluate phrases with the "
                 "in-memory QueryEngine"
             )
+        if has_prefixes(query):
+            query = expand_prefixes(query, self.prefix_dictionary())
+        return query
+
+    def _infos(self, query: Query) -> Infos:
+        """One lexicon probe per distinct term of the (expanded) query."""
+        term_info = self.reader.term_info
+        return {term: term_info(term) for term in query.terms()}
+
+    def _cost(self, query: Query, infos: Infos) -> int:
+        """An upper bound on how many doc ids ``query`` matches."""
+        if isinstance(query, Term):
+            info = infos[query.value]
+            return info.df if info is not None else 0
+        if isinstance(query, Or):
+            return sum(self._cost(op, infos) for op in query.operands)
+        if isinstance(query, And):
+            return min(self._cost(op, infos) for op in query.operands)
+        return self.reader.doc_count
+
+    def _match(
+        self, query: Query, infos: Infos, candidates: Optional[List[int]] = None
+    ) -> List[int]:
+        """The ascending doc ids ``query`` matches: all of them, or — in
+        filter mode — those of the ascending ``candidates``."""
+        if isinstance(query, Term):
+            info = infos[query.value]
+            if info is None:
+                return []
+            return self.reader.read_postings(info, candidates)
+        if isinstance(query, And):
+            ids = candidates
+            for operand in sorted(
+                query.operands,
+                key=lambda op: (isinstance(op, Not), self._cost(op, infos)),
+            ):
+                ids = self._match(operand, infos, ids)
+                if not ids:
+                    break
+            return ids
+        if isinstance(query, Or):
+            matched = (self._match(op, infos, candidates) for op in query.operands)
+            lists = [ids for ids in matched if ids]
+            if len(lists) == 1:
+                return lists[0]
+            return sorted(set().union(*lists))
+        if isinstance(query, Not):
+            drop = set(self._match(query.operand, infos, candidates))
+            if candidates is None:
+                candidates = range(self.reader.doc_count)
+            return list(filterfalse(drop.__contains__, candidates))
         raise TypeError(f"unknown query node: {type(query).__name__}")
+
+
+def _has_phrase(query: Query) -> bool:
+    if isinstance(query, Phrase):
+        return True
+    if isinstance(query, (And, Or)):
+        return any(_has_phrase(op) for op in query.operands)
+    if isinstance(query, Not):
+        return _has_phrase(query.operand)
+    return False

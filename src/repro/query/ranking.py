@@ -226,8 +226,9 @@ def scoring_terms(engine, query_text: str) -> List[str]:
     into ``a`` and would drop ``b`` from the score), wildcards expanded
     against the engine's dictionary so their matches score too.  The
     in-memory rankers and :meth:`repro.query.daat.DaatQueryEngine.
-    search_bm25` all accumulate over this list, in this order, which
-    keeps their scores float-identical."""
+    search_bm25` (which derives the same list from its one parse) all
+    accumulate over this list, in this order, which keeps their scores
+    float-identical."""
     query = parse_query(query_text)
     if has_prefixes(query):
         query = expand_prefixes(query, engine.prefix_dictionary())

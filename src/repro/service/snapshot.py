@@ -80,8 +80,8 @@ class IndexSnapshot:
         """A snapshot served straight off an mmap'd RIDX2 file.
 
         ``reader`` is an :class:`~repro.index.ondisk.MmapPostingsReader`;
-        the snapshot's engine is a DAAT evaluator over its block
-        cursors, so queries never materialize postings.  The reader
+        the snapshot's engine is a DAAT evaluator over its posting
+        blocks, so queries never materialize the index.  The reader
         doubles as the ``index`` (it speaks ``lookup``/``terms``); the
         universe comes from the file's doc table, giving ``NOT`` the
         same complement the in-memory engine would compute.

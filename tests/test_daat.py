@@ -4,15 +4,23 @@ The anchor for the on-disk read path: for every build backend and a
 battery of boolean/wildcard queries, the DAAT engine over an mmap'd
 RIDX2 file must return *byte-for-byte* the same sorted path list as the
 in-memory :class:`QueryEngine`, and its BM25 scorer must agree with the
-in-memory :class:`BM25Ranker` to the last float.  Also covered: the
-phrase-query refusal, the ranking-mode-aware cache keys (a BM25 result
-must never satisfy a boolean lookup), and serving a
-:class:`SearchService` from an on-disk snapshot.
+in-memory :class:`BM25Ranker` to the last float — on that battery, and
+on drawn nested queries (depth <= 3, top-level NOT, Ands of NOTs,
+absent terms and prefixes) over drawn corpora at block sizes 1 to 128.
+Also covered: the phrase-query refusal, the ranking-mode-aware cache
+keys (a BM25 result must never satisfy a boolean lookup), serving a
+:class:`SearchService` from an on-disk snapshot, and four threads
+sharing one engine.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     Implementation,
@@ -20,7 +28,13 @@ from repro.engine import (
     SequentialIndexer,
     ThreadConfig,
 )
-from repro.index import MmapPostingsReader, join_indices, save_index
+from repro.index import (
+    InvertedIndex,
+    MmapPostingsReader,
+    dump_index_ridx2,
+    join_indices,
+    save_index,
+)
 from repro.index.multi import MultiIndex
 from repro.query import (
     BM25Ranker,
@@ -30,10 +44,13 @@ from repro.query import (
     cache_key,
     search_bm25,
 )
+from repro.query.ast import And, Not, Or, Prefix, Term
 from repro.query.cache import QueryCache
 from repro.query.daat import DaatQueryEngine
+from repro.query.parser import parse_query
 from repro.service import SearchService
 from repro.service.snapshot import IndexSnapshot
+from repro.text.termblock import TermBlock
 
 QUERIES = [
     "the",
@@ -247,3 +264,193 @@ class TestOndiskService:
         snapshot = IndexSnapshot(index=report.index)
         with pytest.raises(ValueError, match="rank"):
             snapshot.search_bm25("the")
+
+
+# -- nested queries, drawn: the list-at-a-time evaluator against the set one --
+
+#: The drawn corpora's vocabulary; every document also holds "every",
+#: a list of many blocks at the small block sizes.  "zzz" and the
+#: prefix "qq" match nothing.
+VOCABULARY = ["alpha", "alpine", "beta", "bet", "gamma"]
+QUERY_TERMS = VOCABULARY + ["every", "zzz"]
+PREFIXES = ["al", "be", "ev", "qq"]
+
+
+def write_corpus(directory, docs, block_size):
+    """docs: {path: term occurrences} -> (in-memory engine, frequencies,
+    RIDX2 path written at ``block_size``)."""
+    index = InvertedIndex()
+    frequencies = FrequencyIndex()
+    for path in sorted(docs):
+        index.add_block(TermBlock(path, tuple(sorted(set(docs[path])))))
+        frequencies.add_document(path, docs[path])
+    path = str(directory / "drawn.ridx2")
+    with open(path, "wb") as fh:
+        fh.write(dump_index_ridx2(index, frequencies, block_size=block_size))
+    return QueryEngine(index, universe=frozenset(docs)), frequencies, path
+
+
+@st.composite
+def corpora(draw):
+    block_size = draw(st.sampled_from([1, 2, 8, 128]))
+    bodies = draw(
+        st.lists(
+            st.lists(st.sampled_from(VOCABULARY), max_size=6),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    docs = {f"d{i:03d}.txt": ["every"] + body for i, body in enumerate(bodies)}
+    return block_size, docs
+
+
+def query_asts(depth):
+    """Term / prefix leaves under And / Or / Not, at most ``depth`` deep."""
+    leaf = st.one_of(
+        st.sampled_from(QUERY_TERMS).map(Term),
+        st.sampled_from(PREFIXES).map(Prefix),
+    )
+    if depth == 0:
+        return leaf
+    below = query_asts(depth - 1)
+    operands = st.lists(below, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        leaf, operands.map(And), operands.map(Or), below.map(Not)
+    )
+
+
+nested_queries = st.one_of(
+    query_asts(3),
+    query_asts(2).map(Not),  # a top-level NOT
+    st.lists(query_asts(1).map(Not), min_size=2, max_size=3).map(
+        lambda nots: And(tuple(nots))  # an And of Nots: a Not drives
+    ),
+)
+
+
+class TestNestedDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(corpora(), nested_queries)
+    def test_paths_and_bm25_equal_in_memory(
+        self, tmp_path_factory, corpus, query
+    ):
+        block_size, docs = corpus
+        memory, frequencies, path = write_corpus(
+            tmp_path_factory.mktemp("nested"), docs, block_size
+        )
+        text = str(query)  # renders in the parser's own syntax
+        with MmapPostingsReader(path) as reader:
+            daat = DaatQueryEngine(reader)
+            assert daat.search(text) == memory.search(text)
+            # Un-optimised: nested Ands, duplicates and Nots as drawn.
+            assert daat.search_ast(query) == memory.search_ast(query)
+            expected = search_bm25(memory, BM25Ranker(frequencies), text, topk=5)
+            got = daat.search_bm25(text, topk=5)
+            assert [(h.path, h.score) for h in got] == [
+                (h.path, h.score) for h in expected
+            ]
+
+
+class TestSharedEngine:
+    QUERIES = [
+        "alpha AND beta",
+        "every AND NOT gamma",
+        "(alpha OR beta) AND NOT bet",
+        "al* AND every",
+        "NOT alpha",
+        "gamma AND (alpha OR alpine)",
+        "NOT alpha AND NOT beta",
+    ]
+
+    def test_threads_sharing_one_engine_answer_as_one_thread(self, tmp_path):
+        """Four threads on one engine get the single-threaded answers:
+        a query's term map lives in its own call, not on the engine."""
+        docs = {
+            f"d{i:03d}.txt": ["every"]
+            + ["alpha"] * (i % 3 == 0)
+            + ["beta"] * (i % 5 == 0) * 2
+            + ["bet"] * (i % 2 == 0)
+            + ["gamma"] * (i % 7 in (0, 1))
+            + ["alpine"] * (i % 11 == 0)
+            for i in range(120)
+        }
+        memory, _frequencies, path = write_corpus(tmp_path, docs, 4)
+        with MmapPostingsReader(path) as reader:
+            reader.doc_paths()  # what IndexSnapshot.from_ondisk does
+            engine = DaatQueryEngine(reader)
+            expected = [
+                (engine.search(q), engine.search_bm25(q, topk=5))
+                for q in self.QUERIES
+            ]
+            assert [paths for paths, _ in expected] == [
+                memory.search(q) for q in self.QUERIES
+            ]
+            failures = []
+
+            def worker(shift):
+                try:
+                    for round_ in range(25):
+                        for k in range(len(self.QUERIES)):
+                            i = (k + shift + round_) % len(self.QUERIES)
+                            query = self.QUERIES[i]
+                            got = (
+                                engine.search(query),
+                                engine.search_bm25(query, topk=5),
+                            )
+                            if got != expected[i]:
+                                failures.append((query, got))
+                except Exception as exc:  # reported below, not lost
+                    failures.append(("raised", exc))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(shift,))
+                    for shift in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+
+
+class TestTermProbes:
+    def test_one_lexicon_probe_per_distinct_expanded_term(self, tmp_path):
+        """An And probes a term once however often it occurs; a ranked
+        query probes each scoring term once, not once to score and once
+        to evaluate."""
+        docs = {"a.txt": ["alpha", "beta"], "b.txt": ["alpine", "every"]}
+        _memory, _frequencies, path = write_corpus(tmp_path, docs, 2)
+        with MmapPostingsReader(path) as reader:
+            engine = DaatQueryEngine(reader)
+            probes = []
+            probe = reader.term_info
+            reader.term_info = lambda term: probes.append(term) or probe(term)
+            engine.search_ast(
+                parse_query("alpha AND (alpha OR beta) AND NOT beta")
+            )
+            assert sorted(probes) == ["alpha", "beta"]
+            probes.clear()
+            engine.search_bm25("al* AND alpha OR zzz")
+            assert sorted(probes) == ["alpha", "alpine", "zzz"]
+
+
+class TestNestedPhraseRefusal:
+    @pytest.mark.parametrize(
+        "query", ['zzz AND "alpha beta"', 'alpha AND NOT (zzz OR "alpha beta")']
+    )
+    def test_a_phrase_anywhere_raises(self, tmp_path, query):
+        """Refused up front, though an And whose cheapest operand matches
+        nothing would stop before it reached the phrase."""
+        docs = {"a.txt": ["alpha", "beta"], "b.txt": ["every"]}
+        _memory, _frequencies, path = write_corpus(tmp_path, docs, 2)
+        with MmapPostingsReader(path) as reader:
+            engine = DaatQueryEngine(reader)
+            for evaluate in (engine.search, engine.search_bm25):
+                with pytest.raises(ValueError, match="positional"):
+                    evaluate(query)

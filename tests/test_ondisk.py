@@ -2,11 +2,13 @@
 
 Covers the format's edge cases (empty index, one term, a term spanning
 many blocks, doc-id gaps wider than 2^28, empty postings dropped at
-dump time), the codec round-trips at the block level, the header and
+dump time), the codec round-trips at the block level, the block
+decoders' one-byte-gap path against the varint loop, the header and
 magic sniffing failure modes (:class:`IndexFormatError` for
 RIDX1/RIDX2/RWIRE1/JSON/unknown/truncated), and the
 :class:`MmapPostingsReader` serving surface — lexicon binary search,
-block cursors, block-skip accounting, and frequency storage.
+block cursors, block-skip accounting (exact per query), and frequency
+storage.
 """
 
 from __future__ import annotations
@@ -35,9 +37,13 @@ from repro.index.binfmt import (
     RIDX2_HEADER,
     decode_block_docids,
     decode_block_freqs,
+    decode_gaps,
+    decode_single_block,
+    decode_varint,
     dump_index_bytes,
     dump_index_wire,
     encode_posting_blocks,
+    encode_varint,
     parse_ridx2_header,
 )
 from repro.index.ondisk import DONE
@@ -122,6 +128,95 @@ class TestPostingBlockCodec:
     def test_rejects_unsorted_ids(self):
         with pytest.raises(ValueError):
             encode_posting_blocks([5, 3])
+
+
+# -- the block decoders against the varint loop, their reference -------------
+
+
+def loop_block_docids(data, offset, count, doc_bytes):
+    ids, end = decode_gaps(bytes(data[offset : offset + doc_bytes]), 0, count)
+    if end != doc_bytes:
+        raise IndexFormatError("doc ids")
+    return ids
+
+
+def loop_single_block(data, start, end, count):
+    ids, doc_bytes = decode_gaps(bytes(data[start:end]), 0, count)
+    spare = end - start - doc_bytes
+    if spare and spare < count:
+        raise IndexFormatError("frequency bytes")
+    return ids, doc_bytes
+
+
+def loop_block_freqs(data, offset, count, freq_bytes):
+    if not freq_bytes:
+        return [1] * count
+    blob = bytes(data[offset : offset + freq_bytes])
+    freqs, position = [], 0
+    for _ in range(count):
+        value, position = decode_varint(blob, position)
+        freqs.append(value + 1)
+    if position != freq_bytes:
+        raise IndexFormatError("frequencies")
+    return freqs
+
+
+def outcome(decode, *args):
+    try:
+        return "ok", decode(*args)
+    except Exception as exc:  # the class is what is compared
+        return "raised", type(exc)
+
+
+@st.composite
+def decoder_cases(draw):
+    """``(data, offset, count, byte length)`` for a block decoder: an
+    encoded gap run — a multi-byte first gap, one-byte gaps after it
+    but now and then a wider one — cut or padded, or noise (ASCII or
+    not); counts and lengths the true ones or anything near them."""
+    offset = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["gaps", "ascii", "binary"]))
+    if kind == "gaps":
+        rest = draw(st.lists(st.integers(0, 127), max_size=30))
+        if rest and draw(st.booleans()):
+            wide = draw(st.integers(128, 2**14))
+            rest[draw(st.integers(0, len(rest) - 1))] = wide
+        gaps = [draw(st.integers(0, 2**21))] + rest
+        body = b"".join(map(encode_varint, gaps))
+        body = body[: len(body) - draw(st.integers(0, 3))]
+        body += draw(st.binary(max_size=3))
+        natural = len(gaps)
+    else:
+        if kind == "ascii":
+            body = bytes(draw(st.lists(st.integers(0, 127), max_size=40)))
+        else:
+            body = draw(st.binary(max_size=40))
+        natural = len(body)
+    data = draw(st.binary(min_size=offset, max_size=offset)) + body
+    count = draw(st.one_of(st.just(natural), st.integers(0, 40)))
+    length = draw(
+        st.one_of(st.just(len(body)), st.just(count), st.integers(0, 50))
+    )
+    return data, offset, count, length
+
+
+class TestBlockDecodersMatchTheLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(decoder_cases())
+    def test_same_values_or_same_exception_class(self, case):
+        """The one-byte-gap path is picked by the bytes alone and keeps
+        every refusal of the loop it stands in for."""
+        data, offset, count, length = case
+        assert outcome(decode_block_docids, data, offset, count, length) == (
+            outcome(loop_block_docids, data, offset, count, length)
+        )
+        assert outcome(decode_block_freqs, data, offset, count, length) == (
+            outcome(loop_block_freqs, data, offset, count, length)
+        )
+        end = offset + length
+        assert outcome(decode_single_block, data, offset, end, count) == (
+            outcome(loop_single_block, data, offset, end, count)
+        )
 
 
 class TestRidx2RoundTrip:
@@ -397,6 +492,59 @@ class TestBlockSkipping:
             cursor = reader.cursor("common")
             assert cursor.seek(500) == 500
             assert cursor.seek(100) == 500  # never rewinds
+
+
+class TestQueryBlockCounts:
+    """Exact blocks read and skipped per query on TestBlockSkipping's
+    file: "rare" is in docs 0 and 900, "common" in all 901, 8-posting
+    blocks — common is 113 blocks, rare one inline block."""
+
+    @pytest.fixture
+    def skippy_file(self, tmp_path):
+        docs = {f"doc-{i:04d}": ["common"] for i in range(901)}
+        docs["doc-0000"].append("rare")
+        docs["doc-0900"].append("rare")
+        path = str(tmp_path / "skippy.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(dump_index_ridx2(build_index(docs)[0], block_size=8))
+        return path
+
+    @pytest.mark.parametrize(
+        "query, hits, read, skipped",
+        [
+            # rare's block, then only common's first and last: the 111
+            # between hold no candidate.
+            ("rare AND common", 2, 3, 111),
+            ("common AND rare", 2, 3, 111),
+            # Every common block holds a candidate; rare's is read once.
+            ("common AND NOT rare", 899, 114, 0),
+            ("rare OR common", 901, 114, 0),
+            # A NOT filters rare's two candidates through common's blocks
+            # (the per-posting leapfrog read all 114).
+            ("rare AND NOT common", 0, 3, 111),
+        ],
+    )
+    def test_counts(self, skippy_file, query, hits, read, skipped):
+        from repro.query.daat import DaatQueryEngine
+
+        with MmapPostingsReader(skippy_file) as reader:
+            assert len(DaatQueryEngine(reader).search(query)) == hits
+            assert (reader.blocks_read, reader.blocks_skipped) == (
+                read,
+                skipped,
+            )
+
+    def test_a_candidate_past_the_list_skips_its_rest_as_a_seek_does(
+        self, skippy_file
+    ):
+        with MmapPostingsReader(skippy_file) as reader:
+            info = reader.term_info("common")
+            assert reader.read_postings(info, [3, 5000]) == [3]
+            assert (reader.blocks_read, reader.blocks_skipped) == (1, 112)
+        with MmapPostingsReader(skippy_file) as reader:
+            cursor = reader.cursor("common")
+            assert (cursor.seek(3), cursor.seek(5000)) == (3, DONE)
+            assert (reader.blocks_read, reader.blocks_skipped) == (1, 112)
 
 
 # -- revision 2: postings inside the lexicon record --------------------------
