@@ -9,7 +9,11 @@ checks the health signals rather than the performance claims —
   ``loadgen.query`` obs spans, cross-checked against the driver);
 * the shed rate is sane (within [0, 1], and zero at this easy load);
 * single-flight actually engaged (coalescing counter > 0);
-* every accepted query resolved — completed + shed + errors == issued.
+* every accepted query resolved — completed + shed + errors == issued;
+* a ``Search.serve_async`` leg over a session snapshot, which carries
+  the result cache: repeats are answered from it (``frontend.cached``
+  > 0), every caller is counted once (evaluations + coalesced + cached
+  == served), and every answer equals ``snapshot.search``.
 
 Writes the digest as JSON (default ``serving-latency-smoke.json``) for
 the CI artifact upload.
@@ -24,7 +28,7 @@ import math
 import sys
 import time
 
-from repro import obs
+from repro import Search, obs
 from repro.engine import SequentialIndexer
 from repro.fsmodel import VirtualFileSystem
 from repro.obs import recorder as obsrec
@@ -53,6 +57,26 @@ def _corpus() -> VirtualFileSystem:
         picks = [WORDS[(i + k * 7) % len(WORDS)] for k in range(6)]
         fs.write_file(f"doc{i:05d}.txt", (" ".join(picks) + f" doc{i}").encode())
     return fs
+
+
+def serve_async_leg(specs) -> dict:
+    """Bursts of the workload through ``Search.serve_async``; returns
+    the front end's counters and how many answers differed from
+    ``snapshot.search``."""
+    session = Search.build(_corpus())
+    snapshot = session.snapshot()
+    assert snapshot.cache is not None
+    wrong = 0
+    with session.serve_async(workers=2) as frontend:
+        for _ in range(4):
+            for at in range(0, len(specs), 8):
+                burst = specs[at : at + 8]
+                tickets = [frontend.submit(spec.text) for spec in burst]
+                for spec, ticket in zip(burst, tickets):
+                    result = ticket.result(timeout=30)
+                    wrong += result.paths != snapshot.search(spec.text)
+        stats = frontend.stats()
+    return {**stats, "wrong_answers": float(wrong)}
 
 
 def main(out_path: str = "serving-latency-smoke.json") -> int:
@@ -89,6 +113,7 @@ def main(out_path: str = "serving-latency-smoke.json") -> int:
     finally:
         frontend.close()
     spans = summarize_spans(obsrec.get_recorder().spans, label="frontend")
+    cached_leg = serve_async_leg(specs)
 
     digest = {
         "smoke": "serving_latency",
@@ -96,6 +121,7 @@ def main(out_path: str = "serving-latency-smoke.json") -> int:
         "run": result.to_dict(),
         "frontend_stats": {k: round(v, 4) for k, v in stats.items()},
         "spans_crosscheck": {k: round(v, 4) for k, v in spans.items()},
+        "serve_async": {k: round(v, 4) for k, v in cached_leg.items()},
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(digest, fh, indent=2, sort_keys=True)
@@ -117,6 +143,18 @@ def main(out_path: str = "serving-latency-smoke.json") -> int:
         failures.append("not every issued query resolved")
     if spans["count"] != result.measured:
         failures.append("span cross-check disagrees with the driver")
+    if cached_leg["frontend.cached"] <= 0:
+        failures.append("serve_async never answered a repeat from the cache")
+    accounted = sum(
+        cached_leg[f"frontend.{name}"]
+        for name in ("evaluations", "coalesced", "cached")
+    )
+    if accounted != cached_leg["frontend.served"]:
+        failures.append(
+            "evaluations + coalesced + cached != served in serve_async"
+        )
+    if cached_leg["wrong_answers"]:
+        failures.append("a serve_async answer differs from snapshot.search")
 
     if failures:
         for failure in failures:
@@ -124,6 +162,7 @@ def main(out_path: str = "serving-latency-smoke.json") -> int:
         return 1
     print(f"OK: p99={result.p99_ms:.2f} ms, "
           f"{int(stats['frontend.coalesced'])} coalesced, "
+          f"{int(cached_leg['frontend.cached'])} cached (serve_async), "
           f"shed_rate={result.shed_rate:.3f} -> {out_path}")
     return 0
 

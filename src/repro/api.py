@@ -40,16 +40,16 @@ Sessions allow one writer at a time: ``refresh``/``rebuild``/``compact``
 serialize on an internal lock (so a background compactor never races a
 refresh).  ``query`` takes no lock: every index change publishes one
 :class:`~repro.service.snapshot.IndexSnapshot` (also what
-:meth:`Search.snapshot` and the serving doors hand on) and an empty
-result cache as one store, and a query reads both once, so one that
+:meth:`Search.snapshot` and the serving doors hand on) owning an empty
+result cache, as one store, and a query reads it once, so one that
 races a writer (the refresher of :meth:`Search.serve`, the compactor)
-answers from — and is labelled with — exactly one generation.
+answers from — and is labelled with — exactly one generation.  The
+serving doors answer repeats from that same cache.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import List, Optional, Union
 
 from repro.engine.config import Implementation, ThreadConfig
@@ -81,9 +81,7 @@ from repro.index.serialize import (
     save_index,
     sniff_file,
 )
-from repro.query.cache import QueryCache, cache_key
-from repro.query.optimizer import optimize
-from repro.query.parser import parse_query
+from repro.query.cache import QueryCache
 from repro.service.frontend import AsyncSearchFrontend
 from repro.service.service import SearchService
 from repro.service.snapshot import IndexSnapshot, QueryResult
@@ -359,36 +357,13 @@ class Search:
         return len(self._segmented.manifest)
 
     def query(self, query_text: str, parallel: bool = False) -> QueryResult:
-        """Evaluate a boolean/wildcard/phrase query; memoized in the
-        session's LRU cache (normalized on the optimized AST).
-
-        The text is parsed once: the optimized AST names the cache
-        entry and is what the engine evaluates on a miss.  The result's
+        """Evaluate a boolean/wildcard/phrase query: the published
+        snapshot's ``answer``, parsed once and memoized in its LRU
+        cache (normalized on the optimized AST).  The result's
         ``generation`` is the one the answer was computed on, even when
         an index change lands mid-query (see :meth:`_publish`).
         """
-        started = time.perf_counter()
-        snapshot, cache = self._published
-        generation = snapshot.generation
-        query = optimize(parse_query(query_text))
-        if cache is not None:
-            key = cache_key(str(query), parallel)
-            hit = cache.get(key)
-            if hit is not None:
-                return QueryResult(
-                    paths=hit,
-                    generation=generation,
-                    elapsed_s=time.perf_counter() - started,
-                    cached=True,
-                )
-        paths = snapshot.engine.search_ast(query, parallel=parallel)
-        if cache is not None:
-            cache.put(key, paths)
-        return QueryResult(
-            paths=paths,
-            generation=generation,
-            elapsed_s=time.perf_counter() - started,
-        )
+        return self._published.answer(query_text, parallel)
 
     # -- updating ---------------------------------------------------------
 
@@ -516,7 +491,7 @@ class Search:
         one :meth:`query` evaluates on, replaced by the next index
         change.  It wraps the segment manifest directly: manifests are
         immutable, so snapshot isolation needs no copying at all."""
-        return self._published[0]
+        return self._published
 
     def serve(
         self,
@@ -654,17 +629,15 @@ class Search:
 
     def _publish(self) -> None:
         """Swap in what :meth:`query` reads, as one store: a snapshot
-        of the current manifest (engine, universe, generation) and an
-        empty result cache that lives exactly as long — a cached answer
-        can never outlive the index it was computed on."""
-        self._published = (
-            IndexSnapshot(
-                index=self._segmented.manifest,
-                generation=self._generation,
-                provenance=self._provenance,
-                report=self._report,
-            ),
-            QueryCache(self._cache_capacity, sync=self._sync)
+        of the current manifest (engine, universe, generation) owning
+        an empty result cache that lives exactly as long — a cached
+        answer can never outlive the index it was computed on."""
+        self._published = IndexSnapshot(
+            index=self._segmented.manifest,
+            generation=self._generation,
+            provenance=self._provenance,
+            report=self._report,
+            cache=QueryCache(self._cache_capacity, sync=self._sync)
             if self._cache_capacity
             else None,
         )

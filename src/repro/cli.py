@@ -868,7 +868,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fstats = frontend.stats()
             print(f"-- frontend: {fstats['frontend.batches']:.0f} "
                   f"batch(es), {fstats['frontend.coalesced']:.0f} "
-                  f"coalesced, {fstats['frontend.shed']:.0f} shed, "
+                  f"coalesced, {fstats['frontend.cached']:.0f} cached, "
+                  f"{fstats['frontend.shed']:.0f} shed, "
                   f"{fstats['frontend.evaluations']:.0f} evaluation(s)",
                   file=sys.stderr)
         if reader is not None:

@@ -3,7 +3,8 @@
 Desktop-search users repeat queries (retyping, paging, live-search
 keystrokes), and the index between refreshes is immutable — ideal
 caching conditions.  :class:`QueryCache` is a from-scratch LRU keyed by
-(normalized query, parallel flag, ranking mode, top-K, topology scope);
+(normalized query, parallel flag, ranking mode, top-K, topology scope)
+that a published :class:`~repro.service.snapshot.IndexSnapshot` owns;
 :class:`CachingQueryEngine` wraps a
 :class:`~repro.query.evaluator.QueryEngine` with it and exposes
 :meth:`~CachingQueryEngine.invalidate` for the moment the index changes
@@ -30,9 +31,10 @@ later hit observes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import recorder as obsrec
+from repro.query.ast import Query
 from repro.query.evaluator import QueryEngine
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
@@ -64,12 +66,33 @@ def normalize_query(query_text: str) -> str:
     """The canonical string of the optimized AST.
 
     This is the normalization every cache-key producer must share —
-    the session cache, :class:`CachingQueryEngine` and the serving
+    the snapshot cache, :class:`CachingQueryEngine` and the serving
     front end's single-flight map all key on it, so ``a AND a`` and
     ``a`` coalesce everywhere or nowhere.  Raises
     :class:`~repro.query.parser.ParseError` on malformed queries.
     """
     return str(optimize(parse_query(query_text)))
+
+
+class Plan(NamedTuple):
+    """A request parsed once: ``answer``'s four arguments, then the
+    optimised AST a boolean match evaluates and the cache key."""
+
+    text: str
+    parallel: bool
+    rank: str
+    topk: int
+    query: Query
+    key: CacheKey
+
+
+def plan_query(text, parallel=False, rank="bool", topk=10, scope=None) -> Plan:
+    """Parse, optimise and key a request (``topk`` keys BM25 only);
+    raises :class:`~repro.query.parser.ParseError` if it is malformed."""
+    query = optimize(parse_query(text))
+    bm25_topk = topk if rank == "bm25" else None
+    key = cache_key(str(query), parallel, rank, bm25_topk, scope)
+    return Plan(text, parallel, rank, topk, query, key)
 
 
 class QueryCache:
@@ -92,6 +115,13 @@ class QueryCache:
         self._entries: Dict[CacheKey, list] = {}
         self.hits = 0
         self.misses = 0
+
+    def fresh(self) -> "QueryCache":
+        """An empty cache of this one's capacity and name, under the
+        same lock: a lineage of caches is one location to the checker."""
+        successor = QueryCache(self.capacity, sync=self._sync, name=self.name)
+        successor._lock = self._lock
+        return successor
 
     def __len__(self) -> int:
         with self._lock:
@@ -186,13 +216,12 @@ class CachingQueryEngine:
         with obsrec.span("query.cached_search", parallel=parallel):
             # Parsed once: the optimized AST names the cache entry and,
             # on a miss, is what the engine evaluates.
-            query = optimize(parse_query(query_text))
-            key = cache_key(str(query), parallel)
-            cached = self.cache.get(key)
+            plan = plan_query(query_text, parallel)
+            cached = self.cache.get(plan.key)
             if cached is not None:
                 return cached
-            result = self.engine.search_ast(query, parallel=parallel)
-            self.cache.put(key, result)
+            result = self.engine.search_ast(plan.query, parallel=parallel)
+            self.cache.put(plan.key, result)
             return result
 
     def search_bm25(self, query_text: str, topk: int = 10) -> list:
@@ -203,9 +232,7 @@ class CachingQueryEngine:
         constructor's ``ranker``.
         """
         with obsrec.span("query.cached_search", mode="bm25", topk=topk):
-            key = cache_key(
-                normalize_query(query_text), False, "bm25", topk
-            )
+            key = plan_query(query_text, False, "bm25", topk).key
             cached = self.cache.get(key)
             if cached is not None:
                 return cached

@@ -15,11 +15,15 @@ serving-side analogue of what the build side got from batching:
   *own* :class:`~repro.service.snapshot.QueryResult` — same paths/hits/
   generation, their own ``elapsed_s`` (time *they* waited, not the
   leader's evaluation time), and ``coalesced=True``;
+* **cache hits without a hop** — the batcher resolves a ticket the
+  snapshot's result cache answers itself (``cached=True``); a miss
+  takes its plan to ``snapshot.answer``, which puts the answer before
+  the leader leaves the single-flight map, so the text is parsed once;
 * **batched admission** — ``submit()`` only enqueues; the batcher
-  thread takes everything that has arrived, plans it (parse + key,
-  outside the lock) and then registers single-flight and admits the
-  whole burst with **one** snapshot pointer load and **one** queue
-  transaction, instead of one of each per query.  ``batch_window`` > 0
+  thread takes everything that has arrived, loads **one** snapshot
+  pointer, plans it (parse + key, outside the lock) and then registers
+  single-flight and admits the misses in **one** queue transaction,
+  instead of a load and a transaction per query.  ``batch_window`` > 0
   holds the flush open briefly so a burst accumulates; 0 flushes as
   soon as the batcher wakes.  Admission control happens at the flush:
   leaders beyond the in-flight budget are shed
@@ -29,7 +33,7 @@ serving-side analogue of what the build side got from batching:
   is 1–1.5 % of a sojourn and cannot overlap evaluation under the GIL,
   so, like the paper's filename generation, it gets no threads of its
   own (``docs/serving_latency.md``).  Each step is still a span
-  (``frontend.parse``/``.plan``/``.evaluate``) and each caller's sojourn
+  (``frontend.plan``/``.evaluate``) and each caller's sojourn
   a ``frontend.query`` span, which the load harness's percentiles read;
 * **deterministic shutdown** — :meth:`close` stops intake
   (:class:`~repro.service.service.ServiceClosedError` for late
@@ -59,7 +63,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs import recorder as obsrec
-from repro.query.cache import CacheKey, cache_key, normalize_query
+from repro.query.cache import CacheKey, Plan, plan_query
 from repro.service.service import (
     SearchService,
     ServiceClosedError,
@@ -78,7 +82,7 @@ class QueryTicket:
 
     __slots__ = (
         "text", "parallel", "rank", "topk", "submitted",
-        "key", "snapshot", "followers", "done", "value", "error",
+        "plan", "key", "snapshot", "followers", "done", "value", "error",
         "_frontend", "_callbacks",
     )
 
@@ -95,6 +99,7 @@ class QueryTicket:
         self.rank = rank
         self.topk = topk
         self.submitted = time.perf_counter()
+        self.plan: Optional[Plan] = None
         self.key: Optional[CacheKey] = None
         self.snapshot: Optional[IndexSnapshot] = None
         self.followers: List["QueryTicket"] = []
@@ -142,7 +147,7 @@ class AsyncSearchFrontend:
 
     Sits in front of a :class:`~repro.service.service.SearchService`
     and evaluates directly against its published snapshots (one pointer
-    load per admitted *batch*).  ``workers`` evaluation threads plus
+    load per *batch*).  ``workers`` evaluation threads plus
     one batcher thread, which plans what it flushes, come from the
     ``sync`` provider.  ``max_inflight`` bounds admitted,
     unresolved leaders (coalesced followers ride free — that is the
@@ -203,6 +208,7 @@ class AsyncSearchFrontend:
         self._submitted = 0
         self._served = 0
         self._coalesced = 0
+        self._cached = 0
         self._shed = 0
         self._batches = 0
         self._evaluations = 0
@@ -338,6 +344,7 @@ class AsyncSearchFrontend:
                 "frontend.submitted": float(self._submitted),
                 "frontend.served": float(self._served),
                 "frontend.coalesced": float(self._coalesced),
+                "frontend.cached": float(self._cached),
                 "frontend.shed": float(self._shed),
                 "frontend.batches": float(self._batches),
                 "frontend.evaluations": float(self._evaluations),
@@ -375,8 +382,11 @@ class AsyncSearchFrontend:
             if shedding:  # the un-admitted remainder goes unparsed
                 shed = arrived
             else:
-                # Planned outside the lock, on this thread: submitters
-                # are never held up by a parse.
+                # One pointer load per batch, then planned outside the
+                # lock, on this thread: submitters never wait on a parse.
+                snapshot = self.service.snapshot
+                for ticket in arrived:
+                    ticket.snapshot = snapshot
                 shed = self._admit(
                     [ticket for ticket in arrived if self._plan(ticket)],
                     metrics,
@@ -392,33 +402,37 @@ class AsyncSearchFrontend:
                 )
 
     def _plan(self, ticket: QueryTicket) -> bool:
-        """Parse and key one ticket; a bad query resolves on its own
-        ticket (False) and never holds up the rest of the burst."""
+        """Parse, key and look up one ticket; False when that settled
+        it: a cache hit, or a bad query, which resolves on its own
+        ticket and never holds up the rest of the burst."""
+        snapshot = ticket.snapshot
         try:
-            with obsrec.span(f"{self.name}.parse"):
-                normalized = normalize_query(ticket.text)
             with obsrec.span(f"{self.name}.plan"):
                 # The topology scope keeps keys from crossing serving
                 # topologies: a sharded BM25 result (scored with
                 # shard-local statistics) must never satisfy an
                 # unsharded waiter or one from a different shard count.
                 # Unsharded services expose no scope (None).
-                ticket.key = cache_key(
-                    normalized,
-                    ticket.parallel,
-                    ticket.rank,
-                    ticket.topk if ticket.rank == "bm25" else None,
+                ticket.plan = plan = plan_query(
+                    ticket.text, ticket.parallel, ticket.rank, ticket.topk,
                     getattr(self.service, "cache_scope", None),
                 )
+                ticket.key = plan.key
+                hit = None
+                if snapshot.cache is not None:
+                    hit = snapshot.lookup(plan, ticket.submitted)
         except Exception as exc:  # ParseError etc. → the caller
             self._resolve(ticket, error=exc)
+            return False
+        if hit is not None:
+            self._resolve(ticket, value=hit)
             return False
         return True
 
     def _admit(self, planned: List[QueryTicket], metrics) -> List[QueryTicket]:
         """Single-flight registration and admission for a whole batch
         in one transaction; returns the leaders to shed.  What fits the
-        in-flight budget is admitted against ONE snapshot pointer load.
+        in-flight budget is admitted against the batch's one snapshot.
         A draining close admits all it accepted; a non-draining one
         that landed during planning sheds all not yet admitted."""
         with self._lock:
@@ -447,9 +461,6 @@ class AsyncSearchFrontend:
                 )
             admitted = batch[:admit_count]
             if admitted:
-                snapshot = self.service.snapshot  # one pointer load
-                for ticket in admitted:
-                    ticket.snapshot = snapshot
                 self._sync.access(f"{self.name}.batch-queue", write=True)
                 self._evalq.extend(admitted)
                 self._inflight += len(admitted)
@@ -481,9 +492,7 @@ class AsyncSearchFrontend:
                     generation=snapshot.generation,
                     rank=ticket.rank,
                 ):
-                    result = snapshot.answer(
-                        ticket.text, ticket.parallel, ticket.rank, ticket.topk
-                    )
+                    result = snapshot.answer(ticket.plan)
             except BaseException as exc:
                 metrics.counter(f"{self.name}.errors").inc()
                 self._resolve(ticket, error=exc, admitted=True)
@@ -502,8 +511,9 @@ class AsyncSearchFrontend:
         """Settle a leader and all its followers, exactly once each.
 
         A follower's :class:`QueryResult` is its own: same paths, hits
-        and generation as the leader's, but ``elapsed_s`` measured from
-        the *follower's* submission and ``coalesced=True``.  Shed
+        and generation as the leader's (lists of its own), but
+        ``elapsed_s`` measured from the *follower's* submission and
+        ``coalesced=True``; a value never admitted is a cache hit.  Shed
         resolution (``error`` without ``admitted``) counts each caller
         on the shed counter exactly once — a ticket that passed
         single-flight and was then rejected at batch admission has
@@ -533,7 +543,7 @@ class AsyncSearchFrontend:
                         paths=list(value.paths),
                         generation=value.generation,
                         elapsed_s=now - waiter.submitted,
-                        hits=value.hits,
+                        hits=None if value.hits is None else list(value.hits),
                         coalesced=True,
                         shards_ok=value.shards_ok,
                         shards_total=value.shards_total,
@@ -549,6 +559,9 @@ class AsyncSearchFrontend:
                 self._evaluations += 1
                 self._inflight -= 1
                 metrics.gauge(f"{self.name}.inflight").set(self._inflight)
+            elif value is not None:
+                self._cached += 1
+                metrics.counter(f"{self.name}.cached").inc()
             self._done.notify_all()
         for callback, waiter in callbacks:
             callback(waiter)

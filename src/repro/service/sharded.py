@@ -82,12 +82,14 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.distribute import RoundRobinStrategy, SizeBalancedStrategy
 from repro.fsmodel.nodes import FileRef
 from repro.index.inverted import InvertedIndex
 from repro.obs import recorder as obsrec
+from repro.query.cache import Plan
 from repro.query.evaluator import QueryEngine
 from repro.query.ranking import BM25Ranker, FrequencyIndex
 from repro.query.ranking import search_bm25 as _ranked_search_bm25
@@ -398,8 +400,11 @@ class ShardedSnapshot:
     The object itself is immutable (the shard set is fixed at
     construction); *health* is read live from the shard groups at
     query time, so a snapshot loaded before a shard died still answers
-    — degraded or failing per ``partial`` — without a republish.
+    — degraded or failing per ``partial`` — without a republish, and
+    it carries no ``cache``, where a degraded answer would outlive it.
     """
+
+    cache = None
 
     def __init__(
         self,
@@ -487,13 +492,14 @@ class ShardedSnapshot:
 
     def answer(
         self,
-        query_text: str,
+        query_text: Union[str, Plan],
         parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
     ) -> QueryResult:
         """:meth:`IndexSnapshot.answer <repro.service.snapshot.
-        IndexSnapshot.answer>` by scatter-gather, plus the health tuple.
+        IndexSnapshot.answer>` by scatter-gather, plus the health tuple;
+        a :class:`~repro.query.cache.Plan` scatters its text.
 
         Boolean answers merge by sorted set-union.  For BM25 each shard
         returns its local top-``topk`` ordered by ``(score desc, path
@@ -502,6 +508,8 @@ class ShardedSnapshot:
         permutation-stable prefix.
         """
         started = time.perf_counter()
+        if isinstance(query_text, Plan):
+            query_text, parallel, rank, topk = query_text[:4]
         answered, shards_ok = self._scatter(query_text, parallel, rank, topk)
         hits = None
         if rank == "bm25":

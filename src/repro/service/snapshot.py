@@ -24,7 +24,10 @@ from typing import FrozenSet, List, Optional, Union
 
 from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
+from repro.query.cache import Plan, QueryCache, cache_key
 from repro.query.evaluator import QueryEngine
+from repro.query.optimizer import optimize
+from repro.query.parser import parse_query
 
 AnyIndex = Union[InvertedIndex, MultiIndex]
 
@@ -53,6 +56,9 @@ class IndexSnapshot:
     :class:`~repro.engine.results.BuildReport` that produced the index.
     The snapshot owns its :class:`~repro.query.evaluator.QueryEngine`;
     callers must treat the index as frozen once it is wrapped here.
+    ``cache``, when set, memoizes :meth:`answer` for every door that
+    asks; it dies with the snapshot (:meth:`next` starts an empty one),
+    so a cached answer never outlives its index.
     """
 
     index: AnyIndex
@@ -61,6 +67,9 @@ class IndexSnapshot:
     universe: Optional[FrozenSet[str]] = None
     report: object = None
     engine: QueryEngine = field(default=None, repr=False, compare=False)
+    cache: Optional[QueryCache] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.universe is None:
@@ -84,7 +93,8 @@ class IndexSnapshot:
         blocks, so queries never materialize the index.  The reader
         doubles as the ``index`` (it speaks ``lookup``/``terms``); the
         universe comes from the file's doc table, giving ``NOT`` the
-        same complement the in-memory engine would compute.
+        same complement the in-memory engine would compute.  It carries
+        no cache: a stream that rarely repeats would only pay for one.
         """
         from repro.query.daat import DaatQueryEngine
 
@@ -113,7 +123,7 @@ class IndexSnapshot:
 
     def answer(
         self,
-        query_text: str,
+        query: Union[str, Plan],
         parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
@@ -121,19 +131,49 @@ class IndexSnapshot:
         """One request answered against this snapshot, timed and
         labelled with its generation — the face every serving door
         calls, shared with the broker's
-        :class:`~repro.service.sharded.ShardedSnapshot`."""
+        :class:`~repro.service.sharded.ShardedSnapshot`.  A text is
+        parsed once and looked up in :attr:`cache`; a
+        :class:`~repro.query.cache.Plan` was looked up by its maker,
+        the front end's batcher.  A miss is evaluated and put.  BM25
+        hands the engine the text, whose unoptimised terms it scores."""
         started = time.perf_counter()
-        hits = None
-        if rank == "bm25":
-            hits = self.search_bm25(query_text, topk=topk)
-            paths = [hit.path for hit in hits]
-        else:
-            paths = self.search(query_text, parallel=parallel)
+        cache = self.cache
+        value = None
+        if isinstance(query, Plan):
+            query, parallel, rank, topk, parsed, key = query
+        elif cache is not None or rank != "bm25":
+            # plan_query's recipe inline: a call and a Plan per request
+            # cost Search.query 4 % of its p50.
+            parsed = optimize(parse_query(query))
+            if cache is not None:
+                bm25_topk = topk if rank == "bm25" else None
+                key = cache_key(str(parsed), parallel, rank, bm25_topk)
+                value = cache.get(key)
+        cached = value is not None
+        if not cached:
+            if rank == "bm25":
+                value = self.search_bm25(query, topk)
+            else:
+                value = self.engine.search_ast(parsed, parallel=parallel)
+            if cache is not None:
+                cache.put(key, value)
+        return self._result(value, started, rank == "bm25", cached)
+
+    def lookup(self, plan: Plan, started: float) -> Optional["QueryResult"]:
+        """``plan``'s answer from :attr:`cache` (which must be set),
+        labelled ``cached``; None on a miss."""
+        value = self.cache.get(plan.key)
+        if value is None:
+            return None
+        return self._result(value, started, plan.rank == "bm25", True)
+
+    def _result(self, value, started, ranked, cached) -> "QueryResult":
         return QueryResult(
-            paths=paths,
+            paths=[hit.path for hit in value] if ranked else value,
             generation=self.generation,
             elapsed_s=time.perf_counter() - started,
-            hits=hits,
+            cached=cached,
+            hits=value if ranked else None,
         )
 
     def next(
@@ -150,6 +190,7 @@ class IndexSnapshot:
             provenance=provenance,
             universe=universe,
             report=report,
+            cache=self.cache.fresh() if self.cache is not None else None,
         )
 
     def describe(self) -> str:
@@ -170,7 +211,9 @@ class QueryResult:
     (:class:`~repro.query.ranking.RankedHit` entries, score-descending);
     ``paths`` then lists the same documents in hit order.
 
-    ``coalesced`` marks a result delivered by single-flight coalescing
+    ``cached`` marks a result served from the snapshot's cache, through
+    any door.  ``coalesced`` marks a result delivered by single-flight
+    coalescing
     (:class:`~repro.service.frontend.AsyncSearchFrontend`): the paths,
     hits and generation are the leader's evaluation, but ``elapsed_s``
     is this caller's own wait.

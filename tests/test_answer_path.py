@@ -14,7 +14,10 @@ c. **planning happens where the flush is** — a burst is planned and
 d. **one published view** — a session builds one snapshot per index
    change and every door serves that one;
 e. **one evaluator order** — both engines optimise, *then* expand, and
-   ranked scoring still runs over the unoptimised terms.
+   ranked scoring still runs over the unoptimised terms;
+f. **the snapshot owns the cache** — every door parses a request once
+   and answers a repeat from the published snapshot's cache, labelled
+   ``cached``; on-disk and sharded snapshots carry none.
 
 Plus the regression tests of the defects fixed on the way: a manifest
 is publishable without ``universe=``, ``BM25Ranker.rank`` reads the
@@ -215,6 +218,9 @@ class TestOneAnswer:
                 seen.append(parallel)
                 return []
 
+            def search_ast(self, query, parallel=False):
+                return self.search(str(query), parallel)
+
         snapshot = IndexSnapshot(InvertedIndex(), engine=Engine())
         snapshot.answer("alpha", parallel=True)
         with SearchService(snapshot, workers=1) as service:
@@ -398,13 +404,13 @@ class TestPlanningAtTheFlush:
         self, monkeypatch
     ):
         planners = []
-        real = frontend_module.normalize_query
+        real = frontend_module.plan_query
 
-        def recording(text):
+        def recording(*args):
             planners.append(threading.current_thread().name)
-            return real(text)
+            return real(*args)
 
-        monkeypatch.setattr(frontend_module, "normalize_query", recording)
+        monkeypatch.setattr(frontend_module, "plan_query", recording)
         service = SearchService(tiny_snapshot(), workers=1)
         with AsyncSearchFrontend(service, own_service=True) as frontend:
             for text in ("alpha", "bravo"):
@@ -494,6 +500,99 @@ class TestOnePublishedView:
             assert published.universe == snapshot.universe
             assert service.query("NOT alpha").paths == []
             assert service.query("NOT beta").paths == ["b.txt"]
+
+
+@pytest.fixture(scope="module")
+def served_session():
+    """One session behind its three doors, sharing its snapshot's cache."""
+    session = Search.build(small_fs())
+    service = session.serve(workers=1)
+    frontend = session.serve_async(workers=1)
+    yield session, service, frontend
+    frontend.close()
+    service.close()
+
+
+class TestTheSnapshotOwnsTheCache:
+    def test_every_door_parses_once_hit_or_miss(self, parses):
+        for door in ("Search.query", "service.query", "frontend"):
+            session = Search.build(small_fs())
+            server = None
+            if door == "service.query":
+                server = session.serve(workers=1)
+            elif door == "frontend":
+                server = session.serve_async(workers=1)
+            ask = session.query if server is None else server.query
+            try:
+                for text in ("alpha AND beta", "a*", "NOT gamma"):
+                    del parses[:]
+                    assert not ask(text).cached, door
+                    assert len(parses) == 1, door
+                    del parses[:]
+                    again = ask(text)
+                    assert again.cached and not again.coalesced, door
+                    assert len(parses) == 1, door
+            finally:
+                if server is not None:
+                    server.close()
+
+    def test_a_repeat_is_not_evaluated_again_by_any_door(self):
+        session = Search.build(small_fs())
+        engine = session.snapshot().engine
+        evaluated = []
+        real = engine.search_ast
+
+        def recording(query, parallel=False):
+            evaluated.append(str(query))
+            return real(query, parallel=parallel)
+
+        engine.search_ast = recording
+        with session.serve(workers=1) as service:
+            with session.serve_async(workers=1) as frontend:
+                for ask in (session.query, service.query, frontend.query):
+                    assert ask("alpha AND NOT gamma").paths == ["a.txt"]
+                stats = frontend.stats()
+        assert evaluated == ["(alpha AND (NOT gamma))"]
+        assert stats["frontend.cached"] == 1
+        assert stats["frontend.evaluations"] == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=query_texts)
+    def test_serve_and_serve_async_answer_what_search_returns(
+        self, served_session, text
+    ):
+        session, service, frontend = served_session
+        snapshot = session.snapshot()
+        expected = snapshot.search(text)
+        for _ in range(2):  # a miss, then (on every door) a hit
+            for result in (
+                session.query(text),
+                service.query(text),
+                frontend.query(text),
+            ):
+                assert result.paths == expected
+                assert result.generation == snapshot.generation
+        assert session.query(text).cached
+
+    def test_a_successor_starts_with_an_empty_cache(self):
+        session = Search.build(small_fs(), cache=7)
+        first = session.snapshot()
+        first.answer("alpha")
+        assert len(first.cache) == 1 and first.cache.capacity == 7
+        successor = first.next(session.manifest, "publish")
+        assert successor.cache is not first.cache
+        assert len(successor.cache) == 0 and successor.cache.capacity == 7
+        assert not successor.answer("alpha").cached
+        assert successor.answer("alpha").cached
+        assert Search.build(small_fs(), cache=0).snapshot().cache is None
+
+    def test_ondisk_and_sharded_snapshots_carry_no_cache(self, views):
+        assert views["ondisk"].cache is None
+        assert views["broker"].snapshot.cache is None
+        assert all(shard.cache is None for shard in views["shards"])
+        for _ in range(2):
+            assert not views["ondisk"].answer("alpha").cached
+            assert not views["broker"].snapshot.answer("alpha").cached
 
 
 def leaves(query) -> int:
@@ -644,6 +743,9 @@ class TestTicketDeadline:
                 assert gate.wait(timeout=30)
                 return []
 
+            def search_ast(self, query, parallel=False):
+                return self.search(str(query), parallel)
+
         service = SearchService(tiny_snapshot(Held()), workers=1)
         frontend = AsyncSearchFrontend(service, own_service=True)
         try:
@@ -686,6 +788,9 @@ class TestEvaluationIsCountedBeforeTheCallerKnows:
             def search(self, text, parallel=False):
                 assert gate.wait(timeout=30)
                 return []
+
+            def search_ast(self, query, parallel=False):
+                return self.search(str(query), parallel)
 
         service = SearchService(tiny_snapshot(Held()), workers=1)
         with AsyncSearchFrontend(service, own_service=True) as frontend:

@@ -64,6 +64,14 @@ class StubEngine:
         self.calls.append(("bool", text))
         return [f"bool:{normalize_query(text)}:{int(parallel)}"]
 
+    def search_ast(self, query, parallel: bool = False):
+        # The text as the tests write it: the AST's string without the
+        # outer parentheses an And / Or / Not prints around itself.
+        text = str(query)
+        return self.search(
+            text[1:-1] if text.startswith("(") else text, parallel
+        )
+
     def search_bm25(self, text: str, topk: int = 10):
         self._wait()
         self.calls.append(("bm25", text))
@@ -196,6 +204,33 @@ class TestRegressions:
             assert follow_result.coalesced
             assert follow_result.elapsed_s < lead_result.elapsed_s
             assert 0.04 <= follow_result.elapsed_s < 0.15
+        finally:
+            frontend.close()
+
+    def test_a_followers_hits_are_its_own(self):
+        # Regression: coalesced followers were handed the leader's hits
+        # list itself, so a caller sorting or truncating its hits
+        # changed the leader's result and every other follower's.
+        gate = threading.Event()
+        frontend = make_frontend(StubEngine(gate), workers=1)
+        try:
+            leader = frontend.submit("alpha", rank="bm25", topk=3)
+            wait_until(lambda: frontend.stats()["frontend.inflight"] == 1)
+            followers = [
+                frontend.submit("alpha", rank="bm25", topk=3)
+                for _ in range(2)
+            ]
+            wait_until(lambda: frontend.stats()["frontend.coalesced"] == 2)
+            gate.set()
+            lead = leader.result(timeout=10)
+            first, second = (f.result(timeout=10) for f in followers)
+            expected = list(lead.hits)
+            assert len(expected) == 3
+            first.hits.sort(key=lambda hit: hit.score)
+            del first.hits[1:]
+            assert lead.hits == expected
+            assert second.hits == expected
+            assert first.hits == [expected[-1]]
         finally:
             frontend.close()
 

@@ -13,7 +13,9 @@ Four layers of evidence:
    :class:`~repro.schedcheck.sync.InstrumentedSyncProvider`; submitters
    race a publisher across random-walk and PCT schedules and (a) every
    result matches exactly one generation and (b) the race detector
-   finds nothing on the frontend's seams;
+   finds nothing on the frontend's seams — and, over a snapshot that
+   carries a result cache, a publish landing between two batches never
+   hands a hit the wrong generation's answer;
 2. a record-mode run proving those seams (``frontend.inflight-map``,
    ``frontend.batch-queue``, ``service.snapshot``) actually reach the
    tracer — the sweep's silence is informed silence;
@@ -38,7 +40,7 @@ import threading
 import pytest
 
 from repro.index.inverted import InvertedIndex
-from repro.query import ParseError
+from repro.query import ParseError, QueryCache
 from repro.schedcheck import (
     CooperativeScheduler,
     InstrumentedSyncProvider,
@@ -123,6 +125,73 @@ def frontend_scenario(provider):
     assert stats["frontend.served"] == 4
     assert stats["frontend.evaluations"] + stats["frontend.coalesced"] == 4
     return frontend
+
+
+def cached_publish_scenario(provider):
+    """Two batches per submitter over a snapshot that carries a result
+    cache, with a publish racing in between.
+
+    The second batch of a submitter is a cache hit when its key was put
+    on the snapshot the batch loaded — or an evaluation on a successor,
+    whose cache starts empty.  Either way the paths must be those of
+    the generation the result is labelled with.  Returns (hits, whether
+    some submitter's two results straddled the publish).
+    """
+    service = SearchService(
+        IndexSnapshot(index_for(0), cache=QueryCache(8, sync=provider)),
+        workers=1,
+        max_inflight=8,
+        sync=provider,
+    )
+    frontend = AsyncSearchFrontend(
+        service,
+        batch_window=0.0,
+        workers=1,
+        max_inflight=8,
+        own_service=True,
+        sync=provider,
+    )
+    per_submitter = []
+
+    def submitter() -> None:
+        mine = []
+        for _ in range(2):  # waits in between: two batches
+            mine.append(frontend.submit("probe").result())
+        per_submitter.append(mine)
+
+    def publisher() -> None:
+        service.publish(index_for(1))
+
+    threads = [
+        provider.thread(submitter, name="submit-a"),
+        provider.thread(submitter, name="submit-b"),
+        provider.thread(publisher, name="publisher"),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    frontend.close()
+
+    outcomes = [result for mine in per_submitter for result in mine]
+    assert len(outcomes) == 4
+    for result in outcomes:
+        assert result.paths == EXPECTED[result.generation]
+        assert not (result.cached and result.coalesced)
+    stats = frontend.stats()
+    hits = sum(result.cached for result in outcomes)
+    assert stats["frontend.cached"] == hits
+    assert (
+        stats["frontend.evaluations"]
+        + stats["frontend.coalesced"]
+        + stats["frontend.cached"]
+        == stats["frontend.served"]
+        == 4
+    )
+    straddled = any(
+        [r.generation for r in mine] == [0, 1] for mine in per_submitter
+    )
+    return hits, straddled
 
 
 def submit_each(frontend, texts, accepted, closed_out) -> None:
@@ -291,6 +360,28 @@ class TestScheduleSweep:
             if a.location == "frontend.inflight-map" and a.write
         ]
         assert map_writes  # registrations and removals reach the tracer
+
+    def test_a_publish_between_batches_never_mislabels_a_hit(self):
+        hits = straddled = 0
+        for strategy in ("random", "pct"):
+            for seed in range(6):
+                tracer = Tracer()
+                scheduler = CooperativeScheduler(
+                    make_strategy(strategy, seed)
+                )
+                provider = InstrumentedSyncProvider(
+                    tracer=tracer, scheduler=scheduler
+                )
+                found, landed = provider.run(
+                    lambda: cached_publish_scenario(provider)
+                )
+                hits += found
+                straddled += landed
+                assert find_races(tracer) == []
+        # Informed silence: schedules did answer from the cache, and
+        # some did land the publish between a submitter's two batches.
+        assert hits > 0
+        assert straddled > 0
 
     def test_broken_snapshot_lock_is_caught(self):
         # Mutation self-test: strip the lock under the one-pointer-load

@@ -13,16 +13,21 @@ the same plan share one evaluation without changing anyone's answer.
 Bookkeeping must balance too: with single-flight on, every submission
 is either an evaluated leader or a coalesced follower —
 ``evaluations + coalesced == submitted`` — and with it off, coalescing
-never happens at all.
+never happens at all.  Over a snapshot that carries a result cache the
+batcher answers repeats itself, and the law becomes ``evaluations +
+coalesced + cached == served``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.inverted import InvertedIndex
-from repro.query import RankedHit, normalize_query
+from repro.query import QueryCache, RankedHit, normalize_query
+from repro.query.cache import plan_query
 from repro.service import AsyncSearchFrontend, IndexSnapshot, SearchService
 from repro.text.termblock import TermBlock
 
@@ -54,6 +59,9 @@ class PureKeyEngine:
 
     def search(self, text: str, parallel: bool = False):
         return [f"bool:{normalize_query(text)}:parallel={int(parallel)}"]
+
+    def search_ast(self, query, parallel: bool = False):
+        return [f"bool:{query}:parallel={int(parallel)}"]
 
     def search_bm25(self, text: str, topk: int = 10):
         normalized = normalize_query(text)
@@ -124,5 +132,66 @@ class TestCoalescingTransparency:
             else:
                 assert stats["frontend.coalesced"] == 0
                 assert stats["frontend.evaluations"] == len(burst)
+        finally:
+            frontend.close()
+
+
+class TestCachedSnapshot:
+    """The same bursts, several in a row, over a snapshot that carries
+    a result cache: the batcher answers repeats from it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        bursts=st.lists(submissions, min_size=1, max_size=3),
+        single_flight=st.booleans(),
+    )
+    def test_every_caller_is_counted_once_and_answered_solo(
+        self, bursts, single_flight
+    ):
+        snapshot = dataclasses.replace(tiny_snapshot(), cache=QueryCache(128))
+        service = SearchService(snapshot, workers=1, max_inflight=64)
+        frontend = AsyncSearchFrontend(
+            service,
+            single_flight=single_flight,
+            workers=2,
+            own_service=True,
+        )
+        earlier = set()
+        cached = 0
+        try:
+            for burst in bursts:
+                tickets = [
+                    frontend.submit(text, parallel=parallel, rank=rank,
+                                    topk=topk)
+                    for text, rank, topk, parallel in burst
+                ]
+                keys = []
+                for spec, ticket in zip(burst, tickets):
+                    result = ticket.result(timeout=30)
+                    expected_paths, expected_hits = solo_answer(spec)
+                    assert result.paths == expected_paths, spec
+                    if expected_hits is None:
+                        assert result.hits is None, spec
+                    else:
+                        assert result.hits == expected_hits, spec
+                    text, rank, topk, parallel = spec
+                    key = plan_query(text, parallel, rank, topk).key
+                    if key in earlier:  # answered and put before: a hit
+                        assert result.cached and not result.coalesced
+                    cached += result.cached
+                    keys.append(key)
+                earlier.update(keys)
+            stats = frontend.stats()
+            submitted = sum(len(burst) for burst in bursts)
+            assert stats["frontend.served"] == submitted
+            assert stats["frontend.cached"] == cached
+            assert (
+                stats["frontend.evaluations"]
+                + stats["frontend.coalesced"]
+                + stats["frontend.cached"]
+                == stats["frontend.served"]
+            )
+            if not single_flight:
+                assert stats["frontend.coalesced"] == 0
         finally:
             frontend.close()

@@ -47,6 +47,9 @@ class BlockingEngine:
         assert self.release.wait(timeout=5.0), "never released"
         return ["blocked.txt"]
 
+    def search_ast(self, query, parallel=False):
+        return self.search(str(query), parallel)
+
 
 def blocking_service(**kwargs):
     engine = BlockingEngine()
