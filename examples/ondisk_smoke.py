@@ -12,7 +12,9 @@ float.
 
 The run also asserts that block skipping actually fired
 (``blocks_skipped > 0``) — a smoke that passes by decoding everything
-would not be testing it — and prints the blocks read per query.
+would not be testing it — and prints the blocks read per query.  It
+checks that the service starts no thread and that every
+``service.query`` span ran on the thread that asked.
 
 Run:  PYTHONPATH=src python examples/ondisk_smoke.py [index.ridx2]
 """
@@ -21,10 +23,12 @@ from __future__ import annotations
 
 import sys
 import tempfile
+import threading
 
 from repro.corpus import CorpusGenerator, PAPER_PROFILE
 from repro.engine import SequentialIndexer
 from repro.index import MmapPostingsReader, save_index
+from repro.obs import recorder as obsrec
 from repro.query import BM25Ranker, FrequencyIndex, QueryEngine, search_bm25
 from repro.service import SearchService
 from repro.service.snapshot import IndexSnapshot
@@ -92,9 +96,13 @@ def main(path: str | None = None) -> int:
     boolean, ranked = build_queries(report.index)
 
     mismatches = []
+    threads_before = set(threading.enumerate())
+    recorder = obsrec.Recorder()
+    previous = obsrec.set_recorder(recorder)
     with MmapPostingsReader(path) as reader:
         snapshot = IndexSnapshot.from_ondisk(reader)
         with SearchService(snapshot, workers=2) as service:
+            started = set(threading.enumerate()) - threads_before
             for query in boolean:
                 got = service.query(query).paths
                 expected = memory.search(query)
@@ -109,6 +117,10 @@ def main(path: str | None = None) -> int:
                     mismatches.append(("bm25", query, hits, expected))
             stats = service.stats()
         blocks = reader.stats()
+    obsrec.set_recorder(previous)
+    query_threads = {
+        span.tid for span in recorder.spans if span.name == "service.query"
+    }
 
     print(f"served {TOTAL_QUERIES} queries ({len(boolean)} boolean, "
           f"{len(ranked)} bm25); service stats: {stats}")
@@ -122,12 +134,21 @@ def main(path: str | None = None) -> int:
               f"{mode} query {query!r}: mmap={got!r} memory={expected!r}",
               file=sys.stderr)
         return 1
+    if started:
+        print(f"FAIL: the service started threads "
+              f"{sorted(thread.name for thread in started)}", file=sys.stderr)
+        return 1
+    if query_threads != {threading.get_ident()}:
+        print("FAIL: service.query spans ran on threads "
+              f"{sorted(query_threads)}, not only on the caller's "
+              f"{threading.get_ident()}", file=sys.stderr)
+        return 1
     if blocks["ondisk.blocks_skipped"] <= 0:
         print("FAIL: no posting blocks were skipped — the DAAT seek "
               "path never engaged", file=sys.stderr)
         return 1
     print("OK: every mmap answer matched the in-memory engine, "
-          "with block skipping engaged")
+          "with block skipping engaged, on the caller's thread")
     return 0
 
 

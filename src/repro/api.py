@@ -537,8 +537,7 @@ class Search:
         :class:`~repro.service.service.SearchService` (built via
         :meth:`serve`), so one ``close()`` — or leaving the context
         manager — shuts both down.  ``workers`` are the evaluation
-        threads; admission happens at the frontend, so the service
-        keeps one worker only for direct ``service.query`` callers.
+        threads; the service itself starts none.
         """
         service = self.serve(
             workers=1, max_inflight=max_inflight, sync=sync

@@ -22,7 +22,7 @@ intersection) and only the per-node and per-block steps are Python.
 
 Each query resolves each distinct term once (one ``term_info`` probe)
 into a map that is passed down the recursion and never stored on the
-engine, which several service workers share.
+engine, which concurrent service callers share.
 
 Doc ids in RIDX2 are assigned in sorted-path order, so ascending doc
 ids mapped to paths reproduce the in-memory engine's ``sorted(paths)``

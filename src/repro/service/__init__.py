@@ -9,8 +9,8 @@ changing.  This package is that layer, in the mould of the query-broker
   (index, generation, provenance) triple with its own query engine.
   Readers evaluate entirely against one snapshot, so an update can
   never tear a result;
-* :class:`~repro.service.service.SearchService` — a thread pool of
-  query workers in front of the current snapshot.  Updates (full
+* :class:`~repro.service.service.SearchService` — answers each query
+  on its caller's thread against the current snapshot.  Updates (full
   rebuilds or :class:`~repro.index.segments.SegmentedIndexer` deltas)
   are computed in the background and published with a single
   atomic reference swap through the
@@ -21,7 +21,7 @@ changing.  This package is that layer, in the mould of the query-broker
   (:class:`~repro.service.service.ServiceOverloadedError`) or blocks,
   per policy;
 * graceful shutdown — :meth:`~repro.service.service.SearchService.close`
-  drains every accepted query before the workers exit;
+  returns once every accepted query has finished;
 * :class:`~repro.service.frontend.AsyncSearchFrontend` — the batched,
   single-flight front end over a service: duplicate
   in-flight queries coalesce onto one evaluation, bursts are admitted

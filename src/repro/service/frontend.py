@@ -134,7 +134,8 @@ class QueryTicket:
         self, callback: Callable[["QueryTicket"], None]
     ) -> None:
         """Run ``callback(ticket)`` once resolved (immediately if it
-        already is).  Called outside the frontend's locks."""
+        already is).  Called outside the frontend's locks; one that
+        raises on a front-end thread is counted on ``callback_errors``."""
         with self._frontend._lock:
             if not self.done:
                 self._callbacks.append(callback)
@@ -563,8 +564,13 @@ class AsyncSearchFrontend:
                 self._cached += 1
                 metrics.counter(f"{self.name}.cached").inc()
             self._done.notify_all()
+        # Callbacks run on the batcher or an evaluator: one that raises
+        # (a closed event loop, say) must not end the thread.
         for callback, waiter in callbacks:
-            callback(waiter)
+            try:
+                callback(waiter)
+            except Exception:
+                metrics.counter(f"{self.name}.callback_errors").inc()
 
     def _record_sojourn(self, waiter: QueryTicket, now: float) -> None:
         """Absorb the caller-visible latency as a ``frontend.query``

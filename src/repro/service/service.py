@@ -1,4 +1,4 @@
-"""The always-on query service: thread pool, atomic swap, admission.
+"""The always-on query service: caller-runs queries, atomic swap, admission.
 
 :class:`SearchService` is the broker between query traffic and index
 maintenance:
@@ -11,13 +11,17 @@ maintenance:
   through the :class:`~repro.concurrency.provider.SyncProvider` seam
   and declare their accesses, so the schedule checker can sweep the
   swap/read interleavings and the race detector watches the swap;
+* **caller-runs** — a query is evaluated on the thread that asked it;
+  the service starts no thread of its own.  ``workers`` evaluation
+  slots bound how many callers evaluate at once, and callers beyond
+  them wait for a slot in arrival order;
 * **admission control** — at most ``max_inflight`` queries may be
-  queued or executing.  Beyond that the service sheds
+  waiting for a slot or evaluating.  Beyond that the service sheds
   (:class:`ServiceOverloadedError`, policy ``"reject"``, the default)
-  or makes the caller wait for a slot (policy ``"block"``).  The queue
-  depth and in-flight count are published as gauges;
-* **graceful shutdown** — :meth:`SearchService.close` stops admission,
-  lets the workers drain every accepted query, then joins them.
+  or makes the caller wait to be admitted (policy ``"block"``).  The
+  queue depth and in-flight count are published as gauges;
+* **graceful shutdown** — :meth:`SearchService.close` stops admission
+  and returns once every accepted query has finished.
 
 Updates arrive either through :meth:`SearchService.publish` (hand in a
 freshly built index) or :meth:`SearchService.refresh` (invoke the
@@ -61,25 +65,8 @@ class RefreshOutcome:
         return text
 
 
-class _Job:
-    """One admitted query waiting for a worker."""
-
-    __slots__ = ("text", "parallel", "rank", "topk", "done", "result", "error")
-
-    def __init__(
-        self, text: str, parallel: bool, rank: str = "bool", topk: int = 10
-    ) -> None:
-        self.text = text
-        self.parallel = parallel
-        self.rank = rank
-        self.topk = topk
-        self.done = False
-        self.result: Optional[QueryResult] = None
-        self.error: Optional[BaseException] = None
-
-
 class SearchService:
-    """Serves concurrent queries from a pool against the live snapshot.
+    """Serves concurrent callers against the live snapshot.
 
     ``refresher`` is an optional zero-argument callable that computes
     the next index off-line and returns it — either a bare index or a
@@ -112,6 +99,7 @@ class SearchService:
 
             sync = THREADING_SYNC
         self.name = name
+        self.workers = workers
         self.max_inflight = max_inflight
         self.shed = shed
         self._sync = sync
@@ -123,11 +111,15 @@ class SearchService:
         self._snap_lock = sync.lock(f"{name}.snapshot-lock")
         self._snapshot = snapshot
 
-        # Admission state: queue + in-flight budget under one lock.
+        # Admission state under one lock: the in-flight budget, the
+        # evaluation slots and the FIFO of callers waiting for one.  A
+        # waiter's turn is a list the releasing caller appends to: True
+        # hands it the slot, an exception sheds it.
         self._lock = sync.lock(f"{name}.state-lock")
-        self._work = sync.condition(self._lock, f"{name}.work-cond")
         self._done = sync.condition(self._lock, f"{name}.done-cond")
-        self._queue: Deque[_Job] = deque()
+        self._queue: Deque[List[object]] = deque()
+        self._evaluating = 0
+        self._waiting = 0
         self._inflight = 0
         self._closing = False
         self._served = 0
@@ -144,12 +136,6 @@ class SearchService:
         self._watch_thread = None
 
         obsrec.metrics().gauge(f"{name}.generation").set(snapshot.generation)
-        self._workers = [
-            sync.thread(self._worker_loop, name=f"{name}-worker-{i}")
-            for i in range(workers)
-        ]
-        for worker in self._workers:
-            worker.start()
 
     # -- the read side ----------------------------------------------------
 
@@ -171,23 +157,22 @@ class SearchService:
         rank: str = "bool",
         topk: int = 10,
     ) -> QueryResult:
-        """Admit, enqueue and wait for one query; returns typed hits.
+        """Admit one query and evaluate it on this thread; typed hits.
 
         ``rank="bm25"`` asks the snapshot for BM25 top-``topk`` instead
         of the plain boolean match (the result then carries scored
         ``hits``); it needs a ranking-capable snapshot, e.g. one opened
         via :meth:`IndexSnapshot.from_ondisk`.  Raises
         :class:`ServiceOverloadedError` when the in-flight bound is hit
-        under the ``"reject"`` policy and :class:`ServiceClosedError`
-        once shutdown has begun.
+        under the ``"reject"`` policy (or the caller is still waiting
+        for a slot at ``close(drain=False)``) and
+        :class:`ServiceClosedError` once shutdown has begun.
         """
         if rank not in ("bool", "bm25"):
             raise ValueError(f"rank must be 'bool' or 'bm25', got {rank!r}")
         metrics = obsrec.metrics()
         with self._lock:
-            if self._closing:
-                raise ServiceClosedError(f"{self.name} is shut down")
-            if self._inflight >= self.max_inflight:
+            if self._inflight >= self.max_inflight and not self._closing:
                 if self.shed == "reject":
                     self._shed_count += 1
                     metrics.counter(f"{self.name}.shed").inc()
@@ -195,30 +180,53 @@ class SearchService:
                         f"{self.name}: {self._inflight} queries in flight "
                         f"(bound {self.max_inflight})"
                     )
-                while self._inflight >= self.max_inflight:
-                    if self._closing:
-                        raise ServiceClosedError(f"{self.name} is shut down")
-                    self._done.wait()
-                # Re-check after the slot wait: close() may have begun
-                # while we were blocked, and the workers only drain jobs
-                # enqueued *before* shutdown.  Enqueueing now would hang
-                # this caller forever (nothing would ever run the job).
                 # A blocked-then-admitted (or blocked-then-closed) query
                 # is never counted as shed: it was never rejected.
-                if self._closing:
-                    raise ServiceClosedError(f"{self.name} is shut down")
-            job = _Job(query_text, parallel, rank=rank, topk=topk)
-            self._queue.append(job)
+                while (
+                    self._inflight >= self.max_inflight and not self._closing
+                ):
+                    self._wait_locked()
+            if self._closing:
+                raise ServiceClosedError(f"{self.name} is shut down")
             self._inflight += 1
             metrics.counter(f"{self.name}.queries").inc()
-            metrics.gauge(f"{self.name}.queue_depth").set(len(self._queue))
             metrics.gauge(f"{self.name}.inflight").set(self._inflight)
-            self._work.notify()
-            while not job.done:
-                self._done.wait()
-        if job.error is not None:
-            raise job.error
-        return job.result
+            if self._evaluating < self.workers:
+                self._evaluating += 1
+            else:
+                # Every slot is taken: wait in line.  A releasing caller
+                # hands its slot straight to the head, so no later
+                # arrival can overtake a waiter.
+                turn: List[object] = []
+                self._queue.append(turn)
+                metrics.gauge(f"{self.name}.queue_depth").set(len(self._queue))
+                while not turn:
+                    self._wait_locked()
+                if turn[0] is not True:
+                    raise turn[0]
+        try:
+            snapshot = self.snapshot
+            with obsrec.span(
+                f"{self.name}.query", generation=snapshot.generation
+            ):
+                return snapshot.answer(query_text, parallel, rank, topk)
+        except BaseException:
+            metrics.counter(f"{self.name}.errors").inc()
+            raise
+        finally:
+            with self._lock:
+                if self._queue:
+                    self._queue.popleft().append(True)
+                    metrics.gauge(f"{self.name}.queue_depth").set(
+                        len(self._queue)
+                    )
+                else:
+                    self._evaluating -= 1
+                self._inflight -= 1
+                self._served += 1
+                metrics.gauge(f"{self.name}.inflight").set(self._inflight)
+                if self._waiting:
+                    self._done.notify_all()
 
     # -- the write side ---------------------------------------------------
 
@@ -301,16 +309,17 @@ class SearchService:
     # -- lifecycle --------------------------------------------------------
 
     def close(self, drain: bool = True) -> None:
-        """Graceful shutdown: stop admission, settle the queue, join.
+        """Graceful shutdown: stop admission, settle the queue, wait.
 
-        ``drain=True`` (default) lets the workers finish every accepted
-        query.  ``drain=False`` shortcuts the queue: accepted jobs that
-        no worker has started yet are settled immediately with
-        :class:`ServiceOverloadedError` (each counted on the shed
-        counter exactly once); jobs already executing still complete.
+        ``drain=True`` (default) lets every accepted query run, those
+        still waiting for a slot included.  ``drain=False`` sheds the
+        callers still waiting for a slot: each raises
+        :class:`ServiceOverloadedError` and is counted on the shed
+        counter exactly once; callers already evaluating still complete.
         Either way callers blocked on admission (``shed="block"``) are
         woken and raise :class:`ServiceClosedError` — close never
-        leaves a waiter hanging.
+        leaves a waiter hanging — and close returns only once no
+        accepted query is still running.
         """
         metrics = obsrec.metrics()
         with self._lock:
@@ -320,23 +329,22 @@ class SearchService:
             self._watch_stop = True
             if not drain:
                 while self._queue:
-                    job = self._queue.popleft()
-                    job.error = ServiceOverloadedError(
-                        f"{self.name}: shed at close(drain=False)"
+                    self._queue.popleft().append(
+                        ServiceOverloadedError(
+                            f"{self.name}: shed at close(drain=False)"
+                        )
                     )
-                    job.done = True
                     self._inflight -= 1
                     self._shed_count += 1
                     metrics.counter(f"{self.name}.shed").inc()
                 metrics.gauge(f"{self.name}.queue_depth").set(0)
                 metrics.gauge(f"{self.name}.inflight").set(self._inflight)
-            self._work.notify_all()
             self._done.notify_all()
             self._watch_cond.notify_all()
+            while self._inflight:
+                self._wait_locked()
         if self._watch_thread is not None:
             self._watch_thread.join()
-        for worker in self._workers:
-            worker.join()
 
     @property
     def closed(self) -> bool:
@@ -366,35 +374,14 @@ class SearchService:
 
     # -- internals --------------------------------------------------------
 
-    def _worker_loop(self) -> None:
-        metrics = obsrec.metrics()
-        while True:
-            with self._lock:
-                while not self._queue and not self._closing:
-                    self._work.wait()
-                if not self._queue:
-                    return  # closing and fully drained
-                job = self._queue.popleft()
-                metrics.gauge(f"{self.name}.queue_depth").set(
-                    len(self._queue)
-                )
-            snapshot = self.snapshot
-            with obsrec.span(
-                f"{self.name}.query", generation=snapshot.generation
-            ):
-                try:
-                    job.result = snapshot.answer(
-                        job.text, job.parallel, job.rank, job.topk
-                    )
-                except BaseException as exc:  # propagate to the caller
-                    job.error = exc
-                    metrics.counter(f"{self.name}.errors").inc()
-            with self._lock:
-                job.done = True
-                self._inflight -= 1
-                self._served += 1
-                metrics.gauge(f"{self.name}.inflight").set(self._inflight)
-                self._done.notify_all()
+    def _wait_locked(self) -> None:
+        """Wait on the done-condition, counted so that a release only
+        notifies when somebody is waiting."""
+        self._waiting += 1
+        try:
+            self._done.wait()
+        finally:
+            self._waiting -= 1
 
 
 def _unpack_refresh(payload: object):

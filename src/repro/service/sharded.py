@@ -730,7 +730,7 @@ def local_broker(
     """A broker over in-process shard replicas, one group per snapshot.
 
     Replicas of a shard share the (immutable) snapshot object; each
-    gets its own ``SearchService`` thread pool and admission budget.
+    gets its own ``SearchService`` evaluation slots and admission budget.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")

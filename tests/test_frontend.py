@@ -14,7 +14,7 @@ Functional guarantees of
   rejected at batch admission after passing single-flight lands on the
   shed counter exactly once per affected caller;
 * error plumbing (parse errors on the ticket, closed/overloaded
-  raises) and the asyncio face.
+  raises), done-callbacks that raise, and the asyncio face.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.index.inverted import InvertedIndex
+from repro.obs import recorder as obsrec
 from repro.query import ParseError, RankedHit, normalize_query
 from repro.service import (
     AsyncSearchFrontend,
@@ -352,5 +353,60 @@ class TestAsyncioFace:
 
         try:
             asyncio.run(drive())
+        finally:
+            frontend.close()
+
+
+def callback_errors() -> float:
+    return obsrec.metrics().counter("frontend.callback_errors").value
+
+
+class TestDoneCallbackErrors:
+    """A done-callback that raises runs on a front-end thread (the
+    batcher or an evaluator); it is counted and dropped, never allowed
+    to end that thread and strand every later ticket."""
+
+    def test_raising_callback_leaves_the_front_end_serving(self):
+        gate = threading.Event()
+        frontend = make_frontend(StubEngine(gate), workers=1)
+        before = callback_errors()
+
+        def explode(_ticket):
+            raise RuntimeError("callback failed")
+
+        delivered, pending = [], []
+        try:
+            first = frontend.submit("alpha")
+            first.add_done_callback(explode)
+            first.add_done_callback(delivered.append)  # still runs
+            gate.set()
+            assert first.result(timeout=5).paths
+            # The evaluator that ran the callback answers the next query.
+            assert frontend.submit("bravo").result(timeout=5).paths
+            wait_until(lambda: callback_errors() == before + 1)
+            assert delivered == [first]
+            pending = [frontend.submit("charlie") for _ in range(3)]
+        finally:
+            frontend.close()
+        assert all(ticket.done for ticket in pending)
+
+    def test_query_async_whose_loop_closed_before_delivery(self):
+        gate = threading.Event()
+        frontend = make_frontend(StubEngine(gate), workers=1)
+        before = callback_errors()
+
+        async def abandon():
+            # Leave with the query still held in evaluation: asyncio.run
+            # cancels it and closes the loop before the answer exists.
+            asyncio.ensure_future(frontend.query_async("alpha"))
+            while frontend.stats()["frontend.submitted"] < 1:
+                await asyncio.sleep(0.001)
+
+        try:
+            asyncio.run(abandon())
+            gate.set()
+            # Delivery onto the closed loop raises on the evaluator.
+            wait_until(lambda: callback_errors() == before + 1)
+            assert frontend.submit("bravo").result(timeout=5).paths
         finally:
             frontend.close()

@@ -1,9 +1,10 @@
 """Unit tests for the snapshot-isolated query service.
 
 Covers the single-threaded contracts of :mod:`repro.service`: snapshot
-immutability and succession, admission control (shed vs block), the
-refresher protocol, graceful drain on close, and the stats/metrics
-surface.  The interleaving-level guarantees live in
+immutability and succession, caller-runs evaluation (the engine runs on
+the caller's thread, ``workers`` slots, FIFO slot waiters), admission
+control (shed vs block), the refresher protocol, graceful drain on
+close, and the stats/metrics surface.  The interleaving-level guarantees live in
 ``test_service_concurrency.py``.
 """
 
@@ -49,6 +50,37 @@ class BlockingEngine:
 
     def search_ast(self, query, parallel=False):
         return self.search(str(query), parallel)
+
+
+class RecordingEngine(BlockingEngine):
+    """A :class:`BlockingEngine` that records each entry, in order, as
+    ``(query text, thread id)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def search(self, query_text, parallel=False):
+        self.calls.append((query_text, threading.get_ident()))
+        return super().search(query_text, parallel)
+
+
+class FailingEngine:
+    def search_ast(self, query, parallel=False):
+        raise RuntimeError(f"engine failed on {query}")
+
+
+def wait_until(predicate, timeout: float = 5.0) -> None:
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < deadline, "condition not reached"
+        time.sleep(0.001)
+
+
+def recording_service(**kwargs):
+    engine = RecordingEngine()
+    snapshot = IndexSnapshot(index_for(0), engine=engine)
+    return SearchService(snapshot, **kwargs), engine
 
 
 def blocking_service(**kwargs):
@@ -126,6 +158,125 @@ class TestServiceBasics:
         assert stats["service.served"] == 3.0
         assert stats["service.inflight"] == 0.0
         assert stats["service.generation"] == 0.0
+
+
+class TestCallerRuns:
+    def test_engine_runs_on_the_callers_thread(self):
+        service, engine = recording_service()
+        engine.release.set()
+        try:
+            service.query("probe")
+            other = threading.Thread(target=lambda: service.query("g0"))
+            other.start()
+            other.join(timeout=5.0)
+            assert engine.calls == [
+                ("probe", threading.get_ident()),
+                ("g0", other.ident),
+            ]
+        finally:
+            service.close()
+
+    def test_construction_starts_no_thread(self):
+        before = set(threading.enumerate())
+        service = SearchService(
+            IndexSnapshot(index_for(0)),
+            refresher=lambda: index_for(1),
+            workers=4,
+        )
+        try:
+            service.query("probe")
+            assert set(threading.enumerate()) - before == set()
+            service.start_watch(60.0)  # the one thread a service starts
+            started = set(threading.enumerate()) - before
+            assert [thread.name for thread in started] == ["service-watch"]
+        finally:
+            service.close()
+        assert set(threading.enumerate()) - before == set()
+
+    def test_workers_bound_how_many_callers_evaluate(self):
+        service, engine = recording_service(workers=2, max_inflight=8)
+        callers = [
+            threading.Thread(target=lambda: service.query("probe"))
+            for _ in range(3)
+        ]
+        try:
+            for caller in callers:
+                caller.start()
+            wait_until(lambda: service.stats()["service.queue_depth"] == 1)
+            wait_until(lambda: len(engine.calls) == 2)
+            time.sleep(0.05)  # the third must still wait for a slot
+            assert len(engine.calls) == 2
+            stats = service.stats()
+            assert stats["service.queue_depth"] == 1.0
+            assert stats["service.inflight"] == 3.0
+        finally:
+            engine.release.set()
+            for caller in callers:
+                caller.join(timeout=5.0)
+            service.close()
+        assert len(engine.calls) == 3
+        assert service.stats()["service.served"] == 3.0
+
+    def test_slot_waiters_are_admitted_in_arrival_order(self):
+        service, engine = recording_service(workers=1, max_inflight=8)
+        texts = ["probe", "w1", "w2", "w3", "w4"]
+        callers = []
+        try:
+            for position, text in enumerate(texts):
+                caller = threading.Thread(
+                    target=lambda text=text: service.query(text)
+                )
+                caller.start()
+                callers.append(caller)
+                if position == 0:
+                    assert engine.entered.wait(timeout=5.0)
+                else:
+                    wait_until(
+                        lambda: service.stats()["service.queue_depth"]
+                        == position
+                    )
+        finally:
+            engine.release.set()
+            for caller in callers:
+                caller.join(timeout=5.0)
+            service.close()
+        assert [text for text, _ in engine.calls] == texts
+
+    def test_close_returns_only_after_a_running_caller_finishes(self):
+        service, engine = recording_service(workers=1)
+        caller = threading.Thread(target=lambda: service.query("probe"))
+        caller.start()
+        assert engine.entered.wait(timeout=5.0)
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        closer.join(timeout=0.1)
+        assert closer.is_alive(), "close() returned mid-query"
+        engine.release.set()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive()
+        stats = service.stats()
+        assert stats["service.inflight"] == 0.0
+        assert stats["service.served"] == 1.0
+        caller.join(timeout=5.0)
+
+    def test_answer_error_releases_slot_and_inflight(self):
+        service = SearchService(
+            IndexSnapshot(index_for(0), engine=FailingEngine()),
+            workers=1,
+            max_inflight=1,
+        )
+        try:
+            # A leaked in-flight count would shed the second call; a
+            # leaked slot would park it for good.
+            for _ in range(3):
+                with pytest.raises(RuntimeError, match="engine failed"):
+                    service.query("probe")
+            stats = service.stats()
+            assert stats["service.inflight"] == 0.0
+            assert stats["service.shed"] == 0.0
+            assert stats["service.served"] == 3.0
+        finally:
+            service.close()
 
 
 class TestPublish:

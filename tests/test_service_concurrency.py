@@ -193,6 +193,71 @@ class TestBlockShutdownSweep:
         assert find_races(tracer) == []
 
 
+def shed_at_close_scenario(provider):
+    """Readers, a publish and ``close(drain=False)``, all racing.
+
+    One evaluation slot and room for every reader in flight, so the
+    only way to be shed is to be waiting for the slot when the close
+    lands.  Every query ends exactly one of three ways: served with its
+    generation's exact answer, shed with ``ServiceOverloadedError``
+    (counted once), or refused with ``ServiceClosedError``.
+    """
+    from repro.service import ServiceClosedError, ServiceOverloadedError
+
+    service = SearchService(
+        IndexSnapshot(index_for(0)),
+        workers=1,
+        max_inflight=4,
+        sync=provider,
+    )
+    served, shed, refused = [], [], []
+
+    def reader() -> None:
+        for _ in range(2):
+            try:
+                served.append(service.query("probe"))
+            except ServiceOverloadedError as exc:
+                shed.append(exc)
+            except ServiceClosedError as exc:
+                refused.append(exc)
+
+    threads = [
+        provider.thread(reader, name=f"reader-{i}") for i in range(3)
+    ] + [
+        provider.thread(
+            lambda: service.publish(index_for(1)), name="publisher"
+        ),
+        provider.thread(
+            lambda: service.close(drain=False), name="closer"
+        ),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+    assert len(served) + len(shed) + len(refused) == 6
+    for result in served:
+        assert result.paths == EXPECTED[result.generation]
+    stats = service.stats()
+    assert stats["service.shed"] == len(shed)
+    assert stats["service.served"] == len(served)
+    assert stats["service.inflight"] == 0.0
+    assert stats["service.queue_depth"] == 0.0
+
+
+class TestShedAtCloseSweep:
+    @pytest.mark.parametrize("strategy", ("random", "pct"))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_query_served_shed_or_refused(self, strategy, seed):
+        tracer = Tracer()
+        scheduler = CooperativeScheduler(make_strategy(strategy, seed))
+        provider = InstrumentedSyncProvider(tracer=tracer,
+                                            scheduler=scheduler)
+        provider.run(lambda: shed_at_close_scenario(provider))
+        assert find_races(tracer) == []
+
+
 class TestRealThreadStress:
     READERS = 6
     QUERIES = 40
