@@ -24,8 +24,8 @@ import shutil
 import tempfile
 import time
 
-from repro import CorpusGenerator, PAPER_PROFILE, SequentialIndexer
-from repro.corpus import materialize
+from repro.corpus import PAPER_PROFILE, CorpusGenerator, materialize
+from repro.engine import SequentialIndexer
 from repro.engine.runner import measure_stage_times
 from repro.fsmodel import OsFileSystem
 from repro.platforms import StageMeasurements, derive_profile

@@ -15,15 +15,9 @@ import shutil
 import tempfile
 import time
 
-from repro import (
-    CorpusGenerator,
-    Implementation,
-    IndexGenerator,
-    PAPER_PROFILE,
-    QueryEngine,
-    ThreadConfig,
-)
-from repro.corpus import materialize
+from repro import QueryEngine, ThreadConfig
+from repro.corpus import PAPER_PROFILE, CorpusGenerator, materialize
+from repro.engine import Implementation, IndexGenerator
 from repro.fsmodel import OsFileSystem
 from repro.index import join_indices, load_multi_index, save_multi_index
 

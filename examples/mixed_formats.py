@@ -4,15 +4,18 @@ The paper indexed plain text and named "more file formats" as future
 work; this example runs that extension end to end.  A corpus containing
 five document formats is generated, indexed with format-aware
 extraction, and searched with the extended query features: wildcards
-and tf-idf ranking.
+and BM25 ranking.
 
 Run:  python examples/mixed_formats.py
 """
 
-from repro import Implementation, IndexGenerator, PAPER_PROFILE, ThreadConfig
+from repro import QueryEngine, ThreadConfig
+from repro.corpus import PAPER_PROFILE
+from repro.engine import Implementation, IndexGenerator
+from repro.extract import AsciiExtractor
 from repro.formats import default_registry
 from repro.formats.mixed import generate_mixed_corpus
-from repro.query import FrequencyIndex, QueryEngine, TfIdfRanker, search_ranked
+from repro.query import BM25Ranker, FrequencyIndex, search_bm25
 
 
 def main() -> None:
@@ -25,8 +28,8 @@ def main() -> None:
 
     # 2. Index with format-aware extraction: HTML tags, Markdown markup
     #    and the DocZ binary container are stripped before tokenizing.
-    registry = default_registry()
-    report = IndexGenerator(mixed.fs, registry=registry).build(
+    extractor = AsciiExtractor(registry=default_registry())
+    report = IndexGenerator(mixed.fs, extractor=extractor).build(
         Implementation.REPLICATED_UNJOINED, ThreadConfig(3, 2, 0)
     )
     print(report.summary())
@@ -47,11 +50,11 @@ def main() -> None:
     print(f"wildcard {prefix!r}*: {len(hits)} file(s) across formats, e.g. "
           + ", ".join(sorted({h.rsplit('.', 1)[-1] for h in hits[:20]})))
 
-    # 4. Ranked search: tf-idf ordering over the boolean matches.
-    frequencies = FrequencyIndex.from_fs(mixed.fs, registry=registry)
-    ranked = search_ranked(engine, TfIdfRanker(frequencies), f"{prefix}*")
+    # 4. Ranked search: BM25 top-3 over the boolean matches.
+    frequencies = FrequencyIndex.from_fs(mixed.fs, extractor=extractor)
+    ranked = search_bm25(engine, BM25Ranker(frequencies), f"{prefix}*", topk=3)
     print("top ranked hits:")
-    for hit in ranked[:3]:
+    for hit in ranked:
         print(f"  {hit.score:7.3f}  {hit.path}")
 
 

@@ -11,7 +11,6 @@ Run:  python examples/paper_tables.py          (full sweep, ~3 minutes)
 
 import sys
 
-from repro import Workload
 from repro.experiments import (
     render_best_config_table,
     render_table1,
@@ -19,6 +18,7 @@ from repro.experiments import (
     run_table1,
 )
 from repro.platforms import ALL_PLATFORMS
+from repro.simengine import Workload
 
 
 def main() -> None:

@@ -7,14 +7,9 @@ joined), and runs a few boolean queries.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    CorpusGenerator,
-    Implementation,
-    IndexGenerator,
-    QueryEngine,
-    ThreadConfig,
-    TINY_PROFILE,
-)
+from repro import QueryEngine, ThreadConfig
+from repro.corpus import TINY_PROFILE, CorpusGenerator
+from repro.engine import Implementation, IndexGenerator
 
 
 def main() -> None:

@@ -15,8 +15,11 @@ what the paper's authors would have seen.
 Run:  python examples/rational_process.py
 """
 
-from repro import Implementation, OCTO_CORE, SimPipeline, ThreadConfig, Workload
+from repro import ThreadConfig
 from repro.autotune import ConfigurationSpace, HillClimbing
+from repro.engine import Implementation
+from repro.platforms import OCTO_CORE
+from repro.simengine import SimPipeline, Workload
 
 MB = 1_000_000
 

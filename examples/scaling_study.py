@@ -7,10 +7,11 @@ result: the paper's "the disk is the ceiling" story as a curve.
 Run:  python examples/scaling_study.py
 """
 
-from repro import Implementation, MANYCORE_32, SimPipeline, Workload
 from repro.autotune import ConfigurationSpace, HillClimbing
+from repro.engine import Implementation
 from repro.experiments.textplot import bar_chart, line_chart
-from repro.platforms import hypothetical
+from repro.platforms import MANYCORE_32, hypothetical
+from repro.simengine import SimPipeline, Workload
 
 CORE_COUNTS = (2, 4, 8, 16, 32, 64)
 

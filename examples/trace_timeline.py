@@ -9,9 +9,11 @@ wall of ``L`` glyphs.
 Run:  python examples/trace_timeline.py
 """
 
-from repro import Implementation, MANYCORE_32, SimPipeline, ThreadConfig, Workload
+from repro import ThreadConfig
 from repro.corpus import PAPER_PROFILE
-from repro.simengine import WorkloadSpec
+from repro.engine import Implementation
+from repro.platforms import MANYCORE_32
+from repro.simengine import SimPipeline, Workload, WorkloadSpec
 from repro.sim.trace import Tracer, render_timeline
 
 CONFIG = ThreadConfig(4, 2, 0)

@@ -8,8 +8,11 @@ statistics make Implementation 1's collapse visible.
 Run:  python examples/tune_platform.py
 """
 
-from repro import Implementation, MANYCORE_32, SimPipeline, ThreadConfig, Workload
+from repro import ThreadConfig
 from repro.autotune import ConfigurationSpace, ExhaustiveSearch, HillClimbing
+from repro.engine import Implementation
+from repro.platforms import MANYCORE_32
+from repro.simengine import SimPipeline, Workload
 
 
 def main() -> None:

@@ -26,14 +26,15 @@ The front door is the :class:`Search` session (:mod:`repro.api`)::
     session.save("documents.ridx")       # RIDX2; Search.open maps it
     service = session.serve(workers=4)   # concurrent serving
 
-The historical entry points (``IndexGenerator``, ``CorpusGenerator``,
-the simulator names, ...) still import from here but now raise a
-``DeprecationWarning`` — import them from their home modules
-(:mod:`repro.engine`, :mod:`repro.corpus`, :mod:`repro.simengine`, ...)
-or migrate to :class:`Search`; ``docs/api.md`` has the table.
+The top level exports exactly ``__all__`` (plus ``Implementation``, an
+argument type of :meth:`Search.build`).  Everything else is imported
+from its home module — ``IndexGenerator`` from :mod:`repro.engine`,
+``CorpusGenerator`` from :mod:`repro.corpus`, the simulator from
+:mod:`repro.simengine` and :mod:`repro.platforms`; ``docs/api.md`` has
+the table.
 """
 
-__version__ = "3.2.0"
+__version__ = "4.0.0"
 
 from repro.api import Search
 from repro.engine.config import Implementation, ThreadConfig
@@ -46,9 +47,7 @@ from repro.service.frontend import AsyncSearchFrontend
 from repro.service.service import SearchService
 from repro.service.sharded import ScatterGatherBroker, ShardDeadError
 
-#: The curated public API.  Everything else that used to live at the
-#: top level still resolves via ``__getattr__`` with a
-#: ``DeprecationWarning`` pointing at its home module.
+#: The curated public API.
 __all__ = [
     "AsyncSearchFrontend",
     "BuildReport",
@@ -64,52 +63,3 @@ __all__ = [
     "ThreadConfig",
     "get_extractor",
 ]
-
-#: legacy top-level name -> (home module, attribute).  Resolved lazily
-#: and NOT cached into globals(), so every deprecated import site warns.
-_LEGACY = {
-    "ALL_PLATFORMS": ("repro.platforms", "ALL_PLATFORMS"),
-    "CorpusGenerator": ("repro.corpus", "CorpusGenerator"),
-    "CorpusProfile": ("repro.corpus", "CorpusProfile"),
-    "IndexGenerator": ("repro.engine", "IndexGenerator"),
-    "MANYCORE_32": ("repro.platforms", "MANYCORE_32"),
-    "MultiIndex": ("repro.index", "MultiIndex"),
-    "OCTO_CORE": ("repro.platforms", "OCTO_CORE"),
-    "PAPER_PROFILE": ("repro.corpus", "PAPER_PROFILE"),
-    "QUAD_CORE": ("repro.platforms", "QUAD_CORE"),
-    "SMALL_PROFILE": ("repro.corpus", "SMALL_PROFILE"),
-    "SequentialIndexer": ("repro.engine", "SequentialIndexer"),
-    "SimPipeline": ("repro.simengine", "SimPipeline"),
-    "TINY_PROFILE": ("repro.corpus", "TINY_PROFILE"),
-    "Workload": ("repro.simengine", "Workload"),
-    "join_indices": ("repro.index", "join_indices"),
-    "parse_query": ("repro.query", "parse_query"),
-}
-
-# `Implementation` stays eagerly importable without a warning: it is an
-# argument type for Search.build, just not advertised in __all__.
-
-
-def __getattr__(name):
-    """Resolve legacy top-level names with a deprecation warning."""
-    target = _LEGACY.get(name)
-    if target is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    module_name, attribute = target
-    import warnings
-
-    warnings.warn(
-        f"importing {name!r} from the top-level 'repro' package is "
-        f"deprecated; import it from {module_name} (or use "
-        "repro.Search — see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    module = importlib.import_module(module_name)
-    return getattr(module, attribute)
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_LEGACY) | set(globals()))

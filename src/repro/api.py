@@ -21,9 +21,9 @@ object::
 Every knob is a keyword on one constructor:
 :class:`~repro.engine.config.ThreadConfig` picks the engine and
 backend, :class:`~repro.engine.faults.FaultPolicy` the error/retry
-behaviour, ``cache`` the LRU result-cache capacity.  The historical
-entry points keep working (the top-level legacy names re-export with a
-``DeprecationWarning``; see ``docs/api.md`` for the migration table).
+behaviour, ``cache`` the LRU result-cache capacity, ``extractor`` the
+extraction pipeline.  The historical entry points still work from their
+home modules (``docs/api.md`` has the migration table).
 
 The session's source of truth is an immutable
 :class:`~repro.index.segments.SegmentManifest` maintained by a
@@ -127,8 +127,6 @@ class Search:
         config: Optional[ThreadConfig] = None,
         fault: Optional[FaultPolicy] = None,
         cache: int = 128,
-        tokenizer=None,
-        registry=None,
         sync=None,
         extractor=None,
         split_threshold: Optional[int] = None,
@@ -143,12 +141,9 @@ class Search:
         self._config = config
         self._fault = fault or FaultPolicy()
         # One extraction seam (see repro.extract): the session resolves
-        # extractor=/tokenizer=/registry= once and hands the Extractor
-        # to every engine it constructs, so the deprecated kwargs keep
-        # working here without tripping the engines' warnings.
-        self._extractor = resolve_extractor(extractor, tokenizer, registry)
-        self._tokenizer = self._extractor.tokenizer
-        self._registry = self._extractor.registry
+        # extractor= once and hands the Extractor to every engine it
+        # constructs.
+        self._extractor = resolve_extractor(extractor)
         self._split_threshold = split_threshold
         self._sync = sync
         if sync is None:
@@ -174,8 +169,6 @@ class Search:
         config: Optional[ThreadConfig] = None,
         fault: Optional[FaultPolicy] = None,
         cache: int = 128,
-        tokenizer=None,
-        registry=None,
         root: str = "",
         segment_dir: Optional[str] = None,
         sync=None,
@@ -200,7 +193,7 @@ class Search:
         """
         fs = _as_filesystem(source)
         fault = fault or FaultPolicy()
-        extractor = resolve_extractor(extractor, tokenizer, registry)
+        extractor = resolve_extractor(extractor)
         segmented = SegmentedIndexer(
             fs,
             extractor=extractor,
@@ -257,8 +250,6 @@ class Search:
         *,
         source=None,
         cache: int = 128,
-        tokenizer=None,
-        registry=None,
         root: str = "",
         segment_dir: Optional[str] = None,
         sync=None,
@@ -289,7 +280,7 @@ class Search:
             else:
                 index = load_index(path, format)
         fs = _as_filesystem(source) if source is not None else None
-        extractor = resolve_extractor(extractor, tokenizer, registry)
+        extractor = resolve_extractor(extractor)
         segmented = SegmentedIndexer(
             fs,
             extractor=extractor,

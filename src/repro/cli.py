@@ -12,7 +12,7 @@ Subcommands:
 * ``search`` — run a boolean/wildcard query against a saved index,
   opened the way ``Search.open`` opens it (an RIDX2 file is mapped, not
   loaded; a replica directory is searched unjoined), optionally ranked
-  (tf-idf or BM25 top-K) and optionally ``--ondisk``: the document-at-
+  (BM25 top-K) and optionally ``--ondisk``: the document-at-
   a-time engine over the mapped file, with BM25 off its frequencies;
 * ``serve`` — long-running query serving over a directory: a
   :class:`~repro.service.service.SearchService` answers a query stream
@@ -163,9 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", action="store_true",
                    help="search replicas with one thread each")
     p.add_argument("--ranked", metavar="CORPUS_DIR",
-                   help="tf-idf rank the hits, computing term frequencies "
-                   "from the given corpus directory (with --rank bm25: "
-                   "the frequency source for in-memory BM25)")
+                   help="BM25 rank the hits (top --topk), computing term "
+                   "frequencies from the given corpus directory")
     p.add_argument("--ondisk", action="store_true",
                    help="serve the query straight off the mmap'd RIDX2 "
                    "file (no in-memory postings); index_path must be an "
@@ -584,30 +583,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
         from repro.api import Search
 
         engine = Search.open(args.index_path, cache=0).snapshot().engine
-    if args.rank == "bm25":
+    if args.rank == "bm25" and not args.ranked:
+        print("error: in-memory BM25 needs term frequencies; pass "
+              "--ranked CORPUS_DIR (or use --ondisk against an RIDX2 "
+              "index with frequencies baked in)", file=sys.stderr)
+        return 2
+    if args.ranked:
         from repro.query import BM25Ranker, FrequencyIndex, search_bm25
 
-        if not args.ranked:
-            print("error: in-memory BM25 needs term frequencies; pass "
-                  "--ranked CORPUS_DIR (or use --ondisk against an RIDX2 "
-                  "index with frequencies baked in)", file=sys.stderr)
-            return 2
         frequencies = FrequencyIndex.from_fs(OsFileSystem(args.ranked))
         _print_ranked_hits(search_bm25(
             engine, BM25Ranker(frequencies), args.query,
             topk=args.topk, parallel=args.parallel,
         ))
-        if observing:
-            _emit_observability(args)
-        return 0
-    if args.ranked:
-        from repro.query import FrequencyIndex, TfIdfRanker, search_ranked
-
-        frequencies = FrequencyIndex.from_fs(OsFileSystem(args.ranked))
-        hits = search_ranked(
-            engine, TfIdfRanker(frequencies), args.query, parallel=args.parallel
-        )
-        _print_ranked_hits(hits)
         if observing:
             _emit_observability(args)
         return 0

@@ -18,7 +18,6 @@ branch while tracing is disabled.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.concurrency.buffers import BoundedBuffer, Closed
@@ -39,25 +38,8 @@ from repro.index.fingerprint import (
 from repro.obs import recorder as obsrec
 from repro.text.dedup import dedup_terms
 from repro.text.termblock import TermBlock
-from repro.text.tokenizer import Tokenizer
 
 BlockSink = Callable[[int, TermBlock], None]
-
-#: One shared wording for the legacy-kwarg deprecation on every engine.
-TOKENIZER_KWARGS_DEPRECATED = (
-    "the tokenizer=/registry= engine kwargs are deprecated; pass "
-    "extractor=... (an Extractor instance or a registered name such as "
-    "'ascii', 'code', 'tsv') instead — see docs/api.md"
-)
-
-
-def warn_legacy_extraction_kwargs(tokenizer, registry) -> None:
-    """Emit the deprecation warning when either legacy kwarg is used."""
-    if tokenizer is not None or registry is not None:
-        warnings.warn(
-            TOKENIZER_KWARGS_DEPRECATED, DeprecationWarning, stacklevel=3
-        )
-
 
 class ThreadedIndexerBase:
     """Common scaffolding: stage 1, extractors, optional updater stage.
@@ -72,10 +54,9 @@ class ThreadedIndexerBase:
     def __init__(
         self,
         fs,
-        tokenizer: Optional[Tokenizer] = None,
+        *,
         strategy: Optional[DistributionStrategy] = None,
         buffer_capacity: int = 256,
-        registry=None,
         dynamic: Optional[str] = None,
         on_error: str = "strict",
         sync: Optional[SyncProvider] = None,
@@ -84,14 +65,8 @@ class ThreadedIndexerBase:
     ) -> None:
         self.fs = fs
         # The extraction seam: one Extractor (format conversion +
-        # tokenization) replaces the legacy tokenizer/registry pair;
-        # the old kwargs still work but warn and are folded in.
-        warn_legacy_extraction_kwargs(tokenizer, registry)
-        self.extractor = resolve_extractor(extractor, tokenizer, registry)
-        # Legacy aliases (read-only by convention): code that inspected
-        # engine.tokenizer / engine.registry keeps working.
-        self.tokenizer = self.extractor.tokenizer
-        self.registry = self.extractor.registry
+        # tokenization).
+        self.extractor = resolve_extractor(extractor)
         # Files above this size (bytes) are split into chunks extracted
         # in parallel (see repro.extract.split); None disables splitting.
         if split_threshold is not None and split_threshold < 1:

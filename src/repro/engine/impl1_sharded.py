@@ -22,7 +22,7 @@ class ShardedLockedIndexer(ThreadedIndexerBase):
 
     implementation = Implementation.SHARED_LOCKED
 
-    def __init__(self, fs, shards: int = 16, **kwargs) -> None:
+    def __init__(self, fs, *, shards: int = 16, **kwargs) -> None:
         super().__init__(fs, **kwargs)
         self.shards = shards
 

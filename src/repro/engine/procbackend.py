@@ -20,7 +20,7 @@ onto processes:
    threads per level.
 
 Workers and parent exchange only picklable data — file-path batches and
-tokenizer configuration in, wire bytes out — so the backend works under
+extractor specs in, wire bytes out — so the backend works under
 both ``fork`` and ``spawn`` start methods.
 
 Fault tolerance
@@ -56,7 +56,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.distribute.base import DistributionStrategy
 from repro.distribute.roundrobin import RoundRobinStrategy
@@ -66,7 +66,6 @@ from repro.engine.faults import (
     PoolUnavailableError,
     reconcile_failures,
 )
-from repro.engine.base import warn_legacy_extraction_kwargs
 from repro.engine.procworker import (
     ChunkBatch,
     ChunkResult,
@@ -88,7 +87,6 @@ from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_pairwise_tree
 from repro.text.dedup import dedup_terms
 from repro.text.termblock import TermBlock
-from repro.text.tokenizer import Tokenizer
 
 
 def available_cpus() -> int:
@@ -168,10 +166,9 @@ class ProcessReplicatedIndexer:
     def __init__(
         self,
         fs,
-        tokenizer: Optional[Tokenizer] = None,
+        *,
         strategy: Optional[DistributionStrategy] = None,
         buffer_capacity: int = 256,
-        registry=None,
         dynamic: Optional[str] = None,
         oversubscribe: bool = False,
         start_method: Optional[str] = None,
@@ -189,12 +186,8 @@ class ProcessReplicatedIndexer:
                 f"({dynamic!r}) is not supported"
             )
         self.fs = fs
-        # One Extractor seam (see repro.extract); the legacy
-        # tokenizer=/registry= kwargs warn and fold in.
-        warn_legacy_extraction_kwargs(tokenizer, registry)
-        self.extractor = resolve_extractor(extractor, tokenizer, registry)
-        self.tokenizer = self.extractor.tokenizer
-        self.registry = self.extractor.registry
+        # One Extractor seam (see repro.extract).
+        self.extractor = resolve_extractor(extractor)
         if split_threshold is not None and split_threshold < 1:
             raise ValueError(
                 f"split_threshold must be positive, got {split_threshold}"

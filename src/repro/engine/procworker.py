@@ -4,12 +4,11 @@ Worker processes cannot share live engine objects with the parent —
 everything they receive must survive a pickle round-trip, and everything
 they produce must come back as bytes.  This module is that boundary:
 
-* :class:`TokenizerSpec` — a tokenizer's configuration as plain data;
 * :class:`FilesystemSpec` — how a worker re-opens the corpus: by root
   path for the real filesystem (each process gets its own descriptors),
   or a by-value snapshot for in-memory filesystems (tests);
 * :class:`WorkerBatch` — one worker's job: filesystem + file paths +
-  tokenizer + optional format registry;
+  :class:`~repro.extract.ExtractorSpec` (format registry included);
 * :func:`build_replica` — the worker body: read → (convert) → scan →
   dedup → private-replica update, returning the replica as RWIRE1 wire
   bytes plus its elapsed time.
@@ -38,7 +37,6 @@ hash, so the two paths stay separate.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -49,54 +47,6 @@ from repro.index.fingerprint import Fingerprint, read_fingerprinted
 from repro.index.replica import ReplicaBuilder
 from repro.obs.recorder import NULL_SPAN, Recorder
 from repro.obs.spans import SpanRecord, rebase_spans
-from repro.text.tokenizer import Tokenizer
-
-
-@dataclass(frozen=True)
-class TokenizerSpec:
-    """Deprecated: a :class:`Tokenizer`'s configuration as plain data.
-
-    Superseded by :class:`repro.extract.ExtractorSpec`, which carries
-    the whole extraction pipeline (format registry included) across the
-    worker boundary instead of the tokenizer alone.  Kept as a shim: a
-    ``WorkerBatch`` built with ``tokenizer=``/``registry=`` folds them
-    into an equivalent ``ExtractorSpec`` automatically.
-    """
-
-    min_length: int = 2
-    max_length: int = 64
-    stopwords: Tuple[str, ...] = ()
-
-    @classmethod
-    def from_tokenizer(cls, tokenizer: Tokenizer) -> "TokenizerSpec":
-        warnings.warn(
-            "TokenizerSpec is deprecated; use Extractor.spec() / "
-            "repro.extract.ExtractorSpec instead (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls(
-            min_length=tokenizer.min_length,
-            max_length=tokenizer.max_length,
-            stopwords=tuple(sorted(tokenizer.stopwords)),
-        )
-
-    def build(self) -> Tokenizer:
-        return Tokenizer(
-            min_length=self.min_length,
-            max_length=self.max_length,
-            stopwords=self.stopwords or None,
-        )
-
-    def to_extractor_spec(self, registry=None) -> ExtractorSpec:
-        """The equivalent ascii ExtractorSpec (the migration shim)."""
-        return ExtractorSpec(
-            kind="ascii",
-            min_length=self.min_length,
-            max_length=self.max_length,
-            stopwords=self.stopwords,
-            registry=registry,
-        )
 
 
 @dataclass(frozen=True)
@@ -150,20 +100,14 @@ class WorkerBatch:
     """Everything one worker process needs, as picklable data.
 
     The extraction pipeline crosses the boundary as ``extractor`` (an
-    :class:`~repro.extract.ExtractorSpec`).  The legacy ``tokenizer`` /
-    ``registry`` fields survive as a compatibility shim: when
-    ``extractor`` is not given they fold into an equivalent ascii
-    ExtractorSpec, so pre-extractor callers keep working unchanged.
+    :class:`~repro.extract.ExtractorSpec`, its format registry pickled
+    by value; a registry that cannot be pickled fails fast in the
+    parent).
     """
 
     fs: FilesystemSpec
     paths: Tuple[str, ...]
-    # Deprecated pair, folded into ``extractor`` when it is None.
-    tokenizer: TokenizerSpec = field(default_factory=TokenizerSpec)
-    # Optional repro.formats.FormatRegistry, pickled by value.  Format
-    # handlers are stateless plain-Python objects, so this is cheap; a
-    # registry that cannot be pickled fails fast in the parent.
-    registry: Optional[object] = None
+    extractor: ExtractorSpec
     # Per-file error policy: "strict" raises across the pool boundary
     # (the original behaviour); "skip" records a FileFailure instead.
     on_error: str = "strict"
@@ -171,20 +115,12 @@ class WorkerBatch:
     # by the parent when tracing is enabled; the per-batch
     # ``extract.worker`` span is always recorded).
     trace: bool = False
-    # The extraction pipeline; wins over tokenizer/registry when set.
-    extractor: Optional[ExtractorSpec] = None
 
     def __post_init__(self) -> None:
         if self.on_error not in ERROR_POLICIES:
             raise ValueError(
                 f"on_error must be one of {ERROR_POLICIES}, "
                 f"got {self.on_error!r}"
-            )
-        if self.extractor is None:
-            object.__setattr__(
-                self,
-                "extractor",
-                self.tokenizer.to_extractor_spec(self.registry),
             )
 
 

@@ -37,10 +37,9 @@ class IndexGenerator:
     def __init__(
         self,
         fs,
-        tokenizer: Optional[Tokenizer] = None,
+        *,
         strategy: Optional[DistributionStrategy] = None,
         buffer_capacity: int = 256,
-        registry=None,
         dynamic=None,
         oversubscribe: bool = False,
         on_error: str = "strict",
@@ -50,16 +49,12 @@ class IndexGenerator:
         extractor=None,
         split_threshold=None,
     ) -> None:
-        from repro.engine.base import warn_legacy_extraction_kwargs
         from repro.extract.registry import resolve_extractor
 
         self.fs = fs
-        # Resolve the extraction seam once here so the dispatched
-        # engine constructors don't re-warn about legacy kwargs.
-        warn_legacy_extraction_kwargs(tokenizer, registry)
-        self.extractor = resolve_extractor(extractor, tokenizer, registry)
-        self.tokenizer = self.extractor.tokenizer
-        self.registry = self.extractor.registry
+        # Resolve the extraction seam once here; the dispatched engines
+        # receive the Extractor instance.
+        self.extractor = resolve_extractor(extractor)
         self.split_threshold = split_threshold
         self.strategy = strategy
         self.buffer_capacity = buffer_capacity

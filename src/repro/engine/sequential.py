@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.engine.base import warn_legacy_extraction_kwargs
 from repro.engine.config import Implementation, ThreadConfig
 from repro.engine.faults import ERROR_POLICIES, FileFailure
 from repro.engine.results import BuildReport, StageTimings, build_metrics
@@ -34,7 +33,6 @@ from repro.index.inverted import InvertedIndex
 from repro.obs import recorder as obsrec
 from repro.text.dedup import dedup_terms
 from repro.text.termblock import TermBlock
-from repro.text.tokenizer import Tokenizer
 
 
 class SequentialIndexer:
@@ -43,19 +41,14 @@ class SequentialIndexer:
     def __init__(
         self,
         fs,
-        tokenizer: Optional[Tokenizer] = None,
+        *,
         naive: bool = True,
-        registry=None,
         on_error: str = "strict",
         extractor=None,
     ) -> None:
         self.fs = fs
-        # One Extractor seam (see repro.extract); the legacy
-        # tokenizer=/registry= kwargs warn and fold in.
-        warn_legacy_extraction_kwargs(tokenizer, registry)
-        self.extractor = resolve_extractor(extractor, tokenizer, registry)
-        self.tokenizer = self.extractor.tokenizer
-        self.registry = self.extractor.registry
+        # One Extractor seam (see repro.extract).
+        self.extractor = resolve_extractor(extractor)
         self.naive = naive
         # Per-file error policy (see repro.engine.faults).
         if on_error not in ERROR_POLICIES:

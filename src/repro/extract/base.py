@@ -1,13 +1,11 @@
 """The Extractor protocol and its picklable spec.
 
-Before this package, "how does file content become index terms" was
-three separate seams threaded through every engine: a
-:class:`~repro.text.tokenizer.Tokenizer`, an optional
-:class:`~repro.formats.base.FormatRegistry`, and (across the process
-boundary) ``TokenizerSpec``.  An :class:`Extractor` composes the whole
-pipeline — format conversion (*prepare*) followed by tokenization —
+"How does file content become index terms" is one seam: an
+:class:`Extractor` composes the whole pipeline — format conversion
+(*prepare*, an optional :class:`~repro.formats.base.FormatRegistry`)
+followed by tokenization (a :class:`~repro.text.tokenizer.Tokenizer`) —
 into one pluggable unit, and :class:`ExtractorSpec` is its picklable
-description, superseding ``TokenizerSpec`` at the worker boundary.
+description at the process-worker boundary.
 
 The two-stage structure is load-bearing for error attribution: engines
 call :meth:`Extractor.prepare` and :meth:`Extractor.tokenize`
@@ -26,7 +24,7 @@ TSV — an HTML file cannot be cut mid-tag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.formats.base import FormatRegistry
@@ -39,13 +37,13 @@ from repro.text.tokenizer import Tokenizer
 class ExtractorSpec:
     """A picklable description of an :class:`Extractor`.
 
-    This is what crosses the process-worker boundary (superseding the
-    deprecated ``TokenizerSpec``): plain data plus the format registry
-    carried *by value*, so a worker reconstructs the exact extraction
-    pipeline with ``spec.build()``.  ``kind`` names a registered
-    extractor class (see :mod:`repro.extract.registry`); ``options``
-    holds extractor-specific settings as sorted ``(key, value)`` pairs
-    so specs stay hashable and comparable.
+    This is what crosses the process-worker boundary: plain data plus
+    the format registry carried *by value*, so a worker reconstructs
+    the exact extraction pipeline with ``spec.build()``.  ``kind``
+    names a registered extractor class (see
+    :mod:`repro.extract.registry`); ``options`` holds extractor-specific
+    settings as sorted ``(key, value)`` pairs so specs stay hashable and
+    comparable.
     """
 
     kind: str = "ascii"

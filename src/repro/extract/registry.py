@@ -3,13 +3,12 @@
 ``register_extractor`` / ``get_extractor`` map short names (the CLI's
 ``--extractor {ascii,code,tsv}``) to extractor classes;
 :func:`resolve_extractor` is the single helper every engine constructor
-funnels through, so the legacy ``tokenizer=`` / ``registry=`` kwargs
-and the new ``extractor=`` kwarg resolve identically everywhere.
+funnels through, so ``extractor=`` resolves identically everywhere.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Tuple, Type
 
 from repro.extract.ascii import AsciiExtractor
 from repro.extract.base import Extractor
@@ -37,14 +36,12 @@ def extractor_class(name: str) -> Type[Extractor]:
         ) from None
 
 
-def get_extractor(name: str, *, tokenizer=None, registry=None) -> Extractor:
-    """Build a registered extractor by name."""
+def get_extractor(name: str, *, registry=None) -> Extractor:
+    """Build a registered extractor by name, with its default tokenizer."""
     cls = extractor_class(name)
-    if tokenizer is None and registry is None:
+    if registry is None:
         return cls()
-    if tokenizer is None:
-        return cls(registry=registry)
-    return cls(tokenizer=tokenizer, registry=registry)
+    return cls(registry=registry)
 
 
 def available_extractors() -> Tuple[str, ...]:
@@ -52,30 +49,19 @@ def available_extractors() -> Tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
-def resolve_extractor(
-    extractor=None,
-    tokenizer=None,
-    registry=None,
-) -> Extractor:
-    """The engine seam: one extractor from old-style or new-style kwargs.
+def resolve_extractor(extractor=None) -> Extractor:
+    """The engine seam: one extractor from the ``extractor=`` kwarg.
 
     ``extractor`` may be an :class:`Extractor` instance (returned as
-    is), a registered name (built, honoring ``tokenizer``/``registry``
-    as construction parameters), or ``None`` (the legacy path: an
-    :class:`AsciiExtractor` wrapping whatever ``tokenizer``/``registry``
-    the caller passed, which reproduces pre-extractor engine behavior
-    exactly).
+    is), a registered name (built with its defaults), or ``None`` (the
+    default :class:`AsciiExtractor`).
     """
     if extractor is None:
-        return AsciiExtractor(tokenizer=tokenizer, registry=registry)
+        return AsciiExtractor()
     if isinstance(extractor, Extractor):
-        if tokenizer is not None or registry is not None:
-            raise ValueError(
-                "pass either extractor= or tokenizer=/registry=, not both"
-            )
         return extractor
     if isinstance(extractor, str):
-        return get_extractor(extractor, tokenizer=tokenizer, registry=registry)
+        return get_extractor(extractor)
     raise TypeError(
         f"extractor must be an Extractor, a registered name, or None, "
         f"not {type(extractor).__name__}"

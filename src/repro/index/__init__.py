@@ -28,7 +28,7 @@ from repro.index.binfmt import (
 from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_indices, join_pairwise_tree, merge_into
 from repro.index.multi import MultiIndex
-from repro.index.ondisk import BlockCursor, MmapPostingsReader
+from repro.index.ondisk import MmapPostingsReader
 from repro.index.positional import PositionalIndex
 from repro.index.postings import PostingsList
 from repro.index.replica import ReplicaBuilder
@@ -58,7 +58,6 @@ from repro.index.sharded import ShardedInvertedIndex
 
 __all__ = [
     "BackgroundCompactor",
-    "BlockCursor",
     "ChangeReport",
     "CompactionPolicy",
     "DiskSegment",

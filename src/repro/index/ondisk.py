@@ -11,16 +11,17 @@ fixed-size block at a time, on demand.
 :meth:`MmapPostingsReader.read_postings` is the list-at-a-time
 primitive the query evaluator runs on: a term's whole list, or only
 the blocks whose ``last_docid`` range holds one of a set of candidate
-doc ids — the blocks in between are *skipped*, never decoded.
-:class:`BlockCursor` walks one list a posting at a time (``docid()`` /
-``next()`` / ``seek(target)``, skipping by the same keys).  The reader
-counts blocks read vs skipped (also published as
-``ondisk.blocks_read`` / ``ondisk.blocks_skipped`` counters), which is
-how the benchmark and the CI smoke prove skipping actually happens.
+doc ids — the blocks in between are *skipped*, never decoded.  It is
+the one per-term read path: :meth:`~MmapPostingsReader.lookup` and
+every evaluator go through it; only the bulk walk a merge takes,
+:meth:`~MmapPostingsReader.postings`, does not.  The reader counts
+blocks read vs skipped (also published as ``ondisk.blocks_read`` /
+``ondisk.blocks_skipped`` counters), which is how the benchmark and
+the CI smoke prove skipping actually happens.
 
-Neither keeps per-query state on the reader, so queries on several
-threads share one read-only mapping, which the OS page cache
-deduplicates across queries and processes.
+No per-query state lives on the reader, so queries on several threads
+share one read-only mapping, which the OS page cache deduplicates
+across queries and processes.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ from repro.index.binfmt import (
 )
 from repro.obs import recorder as obsrec
 
-#: Sentinel doc id: past every real doc id (they are u32).
-DONE = 1 << 32
-
 #: A lexicon offset and the next one: where a record starts and ends.
 _SPAN = struct.Struct("<II")
 
@@ -61,111 +59,6 @@ class TermInfo(NamedTuple):
     df: int
     start: int
     end: int
-
-
-class BlockCursor:
-    """A forward iterator over one term's posting blocks.
-
-    Decodes at most one block at a time; ``seek`` consults the block
-    table's ``last_docid`` keys first (a list of at most ``block_size``
-    postings is one block, no table), so blocks wholly below the target
-    are skipped, never decoded.  Frequencies are decoded lazily per
-    block, only when :meth:`freq` is called (boolean queries never pay).
-    """
-
-    __slots__ = (
-        "_reader",
-        "_blocks",
-        "_lasts",
-        "_block",
-        "_ids",
-        "_freqs",
-        "_pos",
-        "_done",
-    )
-
-    def __init__(self, reader: "MmapPostingsReader", info: TermInfo) -> None:
-        self._reader = reader
-        self._freqs: Optional[List[int]] = None
-        self._pos = 0
-        self._done = False
-        _term, df, start, end = info
-        if df <= reader.block_size:
-            ids, doc_bytes = decode_single_block(reader._mm, start, end, df)
-            self._blocks = [(start, df, doc_bytes, end - start - doc_bytes)]
-            self._lasts = [ids[-1]]
-            self._ids: List[int] = ids
-            self._block = 0
-            reader._count_read(1)
-        else:
-            self._blocks, self._lasts = decode_block_table(
-                reader._mm, start, df, reader.block_size
-            )
-            self._load_block(0)
-
-    def docid(self) -> int:
-        """The current doc id, or :data:`DONE` when exhausted."""
-        return DONE if self._done else self._ids[self._pos]
-
-    def freq(self) -> int:
-        """The current posting's term frequency (decoded lazily)."""
-        if self._done:
-            raise IndexError("cursor is exhausted")
-        if self._freqs is None:
-            offset, count, doc_bytes, freq_bytes = self._blocks[self._block]
-            self._freqs = decode_block_freqs(
-                self._reader._mm, offset + doc_bytes, count, freq_bytes
-            )
-        return self._freqs[self._pos]
-
-    def next(self) -> int:
-        """Advance one posting; returns the new doc id (or DONE)."""
-        if self._done:
-            return DONE
-        self._pos += 1
-        if self._pos >= len(self._ids):
-            self._load_block(self._block + 1)
-        return self.docid()
-
-    def seek(self, target: int) -> int:
-        """Advance to the first posting >= ``target``; returns it.
-
-        Already-positioned cursors are a no-op; block skipping happens
-        here: every block whose ``last_docid`` is below the target is
-        jumped over via the block table, without decoding.
-        """
-        if self._done or self._ids[self._pos] >= target:
-            return self.docid()
-        if target > self._lasts[self._block]:
-            nxt = bisect_left(self._lasts, target, lo=self._block + 1)
-            skipped = nxt - self._block - 1
-            if skipped:
-                self._reader._count_skipped(skipped)
-            self._load_block(nxt)
-            if self._done:
-                return DONE
-            self._pos = bisect_left(self._ids, target)
-        else:
-            self._pos = bisect_left(self._ids, target, lo=self._pos + 1)
-        # A block's last_docid >= target guarantees an in-block match.
-        return self._ids[self._pos]
-
-    # -- internals --------------------------------------------------------
-
-    def _load_block(self, block: int) -> None:
-        if block >= len(self._blocks):
-            self._done = True
-            self._ids = []
-            self._freqs = None
-            self._pos = 0
-            return
-        offset, count, doc_bytes, _freq_bytes = self._blocks[block]
-        reader = self._reader
-        self._ids = decode_block_docids(reader._mm, offset, count, doc_bytes)
-        self._freqs = None
-        self._pos = 0
-        self._block = block
-        reader._count_read(1)
 
 
 class MmapPostingsReader:
@@ -325,11 +218,6 @@ class MmapPostingsReader:
     def __contains__(self, term: str) -> bool:
         return self.term_info(term) is not None
 
-    def cursor(self, term: str) -> Optional[BlockCursor]:
-        """A fresh posting cursor for ``term``; None when absent."""
-        info = self.term_info(term)
-        return BlockCursor(self, info) if info is not None else None
-
     def read_postings(
         self,
         info: TermInfo,
@@ -346,7 +234,7 @@ class MmapPostingsReader:
         of the decoded blocks instead.  A decoded block counts as
         *read*; a block a filter jumps over — below the block that
         holds its last candidate, or anywhere when that candidate lies
-        past the list — counts as *skipped*, the leapfrog's accounting.
+        past the list — counts as *skipped*.
         """
         _term, df, start, end = info
         mm = self._mm
@@ -401,7 +289,7 @@ class MmapPostingsReader:
     def lookup(self, term: str) -> List[str]:
         """Paths containing ``term`` — the InvertedIndex-compatible
         entry point (decodes all of the term's blocks, a block at a
-        time, no cursor stepping)."""
+        time)."""
         info = self.term_info(term)
         if info is None:
             return []

@@ -13,11 +13,10 @@ they are an opt-in sidecar (like the ranking frequencies).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.adt import FnvHashMap
 from repro.index.atomic import atomic_write
-from repro.text.tokenizer import Tokenizer
 
 
 class PositionalIndex:
@@ -87,15 +86,14 @@ class PositionalIndex:
     def from_fs(
         cls,
         fs,
-        tokenizer: Optional[Tokenizer] = None,
-        registry=None,
+        *,
         root: str = "",
         extractor=None,
     ) -> "PositionalIndex":
         """Build a positional index by scanning a filesystem."""
         from repro.extract.registry import resolve_extractor
 
-        extractor = resolve_extractor(extractor, tokenizer, registry)
+        extractor = resolve_extractor(extractor)
         index = cls()
         for ref in fs.list_files(root):
             content = fs.read_file(ref.path)

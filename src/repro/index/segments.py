@@ -78,7 +78,6 @@ from repro.index.ondisk import MmapPostingsReader
 from repro.index.postings import PostingsList
 from repro.obs import recorder as obsrec
 from repro.text.termblock import TermBlock
-from repro.text.tokenizer import Tokenizer
 
 
 @dataclass
@@ -616,8 +615,7 @@ class SegmentedIndexer:
     def __init__(
         self,
         fs,
-        tokenizer: Optional[Tokenizer] = None,
-        registry=None,
+        *,
         root: str = "",
         manifest: Optional[SegmentManifest] = None,
         fingerprints: Optional[FingerprintMap] = None,
@@ -627,11 +625,8 @@ class SegmentedIndexer:
         from repro.extract.registry import resolve_extractor
 
         self.fs = fs
-        # One Extractor seam (see repro.extract); tokenizer=/registry=
-        # still fold in for older callers.
-        self.extractor = resolve_extractor(extractor, tokenizer, registry)
-        self.tokenizer = self.extractor.tokenizer
-        self.registry = self.extractor.registry
+        # One Extractor seam (see repro.extract).
+        self.extractor = resolve_extractor(extractor)
         self.root = root
         self.segment_dir = segment_dir
         self._manifest = manifest or SegmentManifest()

@@ -32,9 +32,7 @@ from repro.query.ranking import (
     BM25Ranker,
     FrequencyIndex,
     RankedHit,
-    TfIdfRanker,
     search_bm25,
-    search_ranked,
 )
 from repro.query.wildcard import PrefixDictionary, expand_prefixes, has_prefixes
 
@@ -56,7 +54,6 @@ __all__ = [
     "QueryEngine",
     "RankedHit",
     "Term",
-    "TfIdfRanker",
     "QueryCache",
     "cache_key",
     "normalize_query",
@@ -66,5 +63,4 @@ __all__ = [
     "optimize",
     "parse_query",
     "search_bm25",
-    "search_ranked",
 ]

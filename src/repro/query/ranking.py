@@ -1,15 +1,11 @@
-"""Ranked retrieval: tf-idf and BM25 scoring on top of boolean matching.
+"""Ranked retrieval: BM25 scoring on top of boolean matching.
 
 The paper's index is boolean (term -> files); a usable desktop search
 also ranks hits.  :class:`FrequencyIndex` keeps what boolean postings
 drop — per-(term, file) occurrence counts plus document lengths — and
-two rankers order a boolean result set:
-
-* :class:`TfIdfRanker` — the classic ``sum of tf(term, file) *
-  idf(term)`` with log-scaled term frequency and smoothed inverse
-  document frequency;
-* :class:`BM25Ranker` — Okapi BM25 with the usual saturation (``k1``)
-  and length-normalization (``b``) knobs, truncating to a top-K.
+:class:`BM25Ranker` orders a boolean result set with Okapi BM25 (the
+usual saturation ``k1`` and length-normalization ``b`` knobs),
+truncating to a top-K.
 
 The frequency index is an optional sidecar: the boolean engines stay
 exactly as the paper describes them.  BM25 is deliberately written to
@@ -29,7 +25,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.adt import FnvHashMap
 from repro.query.parser import parse_query
 from repro.query.wildcard import expand_prefixes, has_prefixes
-from repro.text.tokenizer import Tokenizer
 
 #: The standard Okapi BM25 knobs: term-frequency saturation and
 #: document-length normalization.
@@ -110,13 +105,12 @@ class FrequencyIndex:
         return sub
 
     @classmethod
-    def from_fs(cls, fs, tokenizer: Optional[Tokenizer] = None,
-                registry=None, root: str = "",
+    def from_fs(cls, fs, *, root: str = "",
                 extractor=None) -> "FrequencyIndex":
         """Build a frequency index by scanning a filesystem."""
         from repro.extract.registry import resolve_extractor
 
-        extractor = resolve_extractor(extractor, tokenizer, registry)
+        extractor = resolve_extractor(extractor)
         index = cls()
         for ref in fs.list_files(root):
             content = fs.read_file(ref.path)
@@ -130,34 +124,6 @@ class RankedHit:
 
     path: str
     score: float
-
-
-class TfIdfRanker:
-    """Scores boolean hits with log-tf x smoothed-idf."""
-
-    def __init__(self, frequencies: FrequencyIndex) -> None:
-        self.frequencies = frequencies
-
-    def idf(self, term: str) -> float:
-        """Smoothed inverse document frequency of ``term``."""
-        n = self.frequencies.document_count
-        df = self.frequencies.df(term)
-        return math.log((n + 1) / (df + 1)) + 1.0
-
-    def score(self, path: str, terms: Sequence[str]) -> float:
-        """tf-idf score of one document against the query terms."""
-        total = 0.0
-        for term in terms:
-            tf = self.frequencies.tf(term, path)
-            if tf:
-                total += (1.0 + math.log(tf)) * self.idf(term)
-        return total
-
-    def rank(self, paths: Iterable[str], terms: Sequence[str]) -> List[RankedHit]:
-        """Hits ordered by descending score (ties broken by path)."""
-        hits = [RankedHit(path, self.score(path, terms)) for path in paths]
-        hits.sort(key=lambda hit: (-hit.score, hit.path))
-        return hits
 
 
 class BM25Ranker:
@@ -235,18 +201,6 @@ def scoring_terms(engine, query_text: str) -> List[str]:
     return sorted(query.terms())
 
 
-def search_ranked(
-    engine, ranker: TfIdfRanker, query_text: str, parallel: bool = False
-) -> List[RankedHit]:
-    """Boolean match via ``engine``, then tf-idf ordering via ``ranker``.
-
-    The query's positive terms drive the scoring; operators only decide
-    the match set (a NOT-ed term contributes no score to survivors).
-    """
-    paths = engine.search(query_text, parallel=parallel)
-    return ranker.rank(paths, scoring_terms(engine, query_text))
-
-
 def search_bm25(
     engine,
     ranker: BM25Ranker,
@@ -256,9 +210,10 @@ def search_bm25(
 ) -> List[RankedHit]:
     """Boolean match via ``engine``, then BM25 top-``topk`` ordering.
 
-    The in-memory ranked-query scenario: same match-then-score shape as
-    :func:`search_ranked`, scoring with BM25 and truncating to the
-    top-K.  Its on-disk twin is
+    The in-memory ranked-query scenario: the operators decide the match
+    set, the query's positive terms drive the score (a NOT-ed term
+    contributes nothing to survivors), and the result is truncated to
+    the top-K.  Its on-disk twin is
     :meth:`repro.query.daat.DaatQueryEngine.search_bm25`.
     """
     if topk < 1:

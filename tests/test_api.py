@@ -2,8 +2,8 @@
 
 Covers the full lifecycle ``build -> query -> refresh -> save -> open``
 on the virtual filesystem, the serve() bridge into the service layer,
-the curated top-level ``__all__``, and the deprecation shims that keep
-historical import sites working.
+and the curated top level: ``repro`` exports exactly ``__all__``, and
+the historical entry points import from their home modules.
 """
 
 from __future__ import annotations
@@ -518,34 +518,22 @@ class TestCuratedTopLevel:
         ("Workload", "repro.simengine"),
         ("QUAD_CORE", "repro.platforms"),
     ])
-    def test_legacy_names_resolve_with_deprecation_warning(self, name, home):
+    def test_legacy_names_live_in_home_modules_only(self, name, home):
         import importlib
 
-        with pytest.warns(DeprecationWarning, match=home.replace(".", "\\.")):
-            legacy = getattr(repro, name)
-        assert legacy is getattr(importlib.import_module(home), name)
-
-    def test_legacy_import_warns_every_time(self):
-        # the shim must not cache into globals(), or only the first
-        # offending import site would ever be flagged
-        for _ in range(2):
-            with pytest.warns(DeprecationWarning):
-                repro.IndexGenerator
-
-    def test_dir_lists_both_worlds(self):
-        names = dir(repro)
-        assert "Search" in names and "Workload" in names
+        assert getattr(importlib.import_module(home), name) is not None
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.does_not_exist
 
     def test_old_entry_points_still_work_end_to_end(self, small_fs):
-        # the quickstart from the 1.x README, unchanged except for the
-        # warning it now raises
-        with pytest.warns(DeprecationWarning):
-            from repro import IndexGenerator
+        # the quickstart from the 1.x README, importing from the home
+        # module instead of the top level
         from repro import Implementation
+        from repro.engine import IndexGenerator
 
         report = IndexGenerator(small_fs).build(
             Implementation.REPLICATED_UNJOINED, ThreadConfig(2, 2, 0)

@@ -68,6 +68,21 @@ class TestRankedSearch:
         first = out.splitlines()[0].split()
         float(first[0])  # leading column is a score
 
+    def test_ranked_is_bm25_top_k(self, mixed_dir, tmp_path, capsys):
+        save = str(tmp_path / "r.idx")
+        main(["index", mixed_dir, "--sequential", "--save", save])
+        from repro.index import load_index
+
+        term = next(iter(load_index(save).terms()))
+        capsys.readouterr()
+        outputs = []
+        for extra in ([], ["--rank", "bm25"]):
+            assert main(["search", save, term, "--ranked", mixed_dir,
+                         "--topk", "2", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert 1 <= len(outputs[0].splitlines()) <= 2
+
     def test_wildcard_search(self, mixed_dir, tmp_path, capsys):
         save = str(tmp_path / "w.idx")
         main(["index", mixed_dir, "-i", "1", "-x", "2", "-y", "1",

@@ -31,6 +31,36 @@ class TestModuleReferences:
         for module in sorted(modules):
             importlib.import_module(module)
 
+    def test_top_level_imports_resolve_without_warning(self):
+        """Every ``from repro import ...`` name in the examples, the
+        README and docs/ is an attribute of ``repro``, read silently."""
+        import warnings
+
+        import repro
+
+        sources = ["README.md"] + [
+            f"{folder}/{name}"
+            for folder, suffix in (("docs", ".md"), ("examples", ".py"))
+            for name in sorted(os.listdir(os.path.join(REPO, folder)))
+            if name.endswith(suffix)
+        ]
+        statement = re.compile(r"^\s*from repro import (\([^)]*\)|.+)$", re.M)
+        names = {}
+        for source in sources:
+            for imported in statement.findall(read(source)):
+                for line in imported.strip("()").splitlines():
+                    for name in line.split("#")[0].split(","):
+                        name = name.split(" as ")[0].strip()
+                        if name:
+                            names.setdefault(name, source)
+        assert "Search" in names
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, source in sorted(names.items()):
+                assert getattr(repro, name, None) is not None, (
+                    f"{source} imports {name!r} from the top level"
+                )
+
     def test_design_benchmark_files_exist(self):
         text = read("DESIGN.md")
         for path in set(re.findall(r"`(benchmarks/[a-z0-9_]+\.py)`", text)):
@@ -106,7 +136,7 @@ class TestRepoLayout:
         assert pyproject["project"]["dynamic"] == ["version"]
         source = pyproject["tool"]["setuptools"]["dynamic"]["version"]
         assert source == {"attr": "repro.__version__"}
-        assert repro.__version__.split(".")[0] == "3"
+        assert repro.__version__.split(".")[0] == "4"
 
     def test_every_package_has_docstring(self):
         import repro

@@ -1,5 +1,5 @@
 """The extraction pipeline: fast tokenizer path, Extractor API,
-registry, spec round-trips, and the deprecation shims.
+registry, spec round-trips, and ``extractor=`` as the one keyword.
 
 The two load-bearing suites:
 
@@ -29,7 +29,7 @@ from repro.engine import (
     SequentialIndexer,
     ThreadConfig,
 )
-from repro.engine.procworker import TokenizerSpec
+from repro.engine.base import ThreadedIndexerBase
 from repro.extract import (
     AsciiExtractor,
     CodeExtractor,
@@ -44,6 +44,9 @@ from repro.extract import (
 from repro.formats import default_registry
 from repro.fsmodel import VirtualFileSystem
 from repro.index.binfmt import dump_index_bytes
+from repro.index.positional import PositionalIndex
+from repro.index.segments import SegmentedIndexer
+from repro.query.ranking import FrequencyIndex
 from repro.text.tokenizer import (
     SEPARATOR_BYTES,
     Tokenizer,
@@ -247,16 +250,12 @@ class TestExtractorApi:
             get_extractor("nope")
 
     def test_resolve_defaults_to_ascii(self):
-        ex = resolve_extractor(None, None, None)
+        ex = resolve_extractor(None)
         assert isinstance(ex, AsciiExtractor)
 
     def test_resolve_passes_instances_through(self):
         ex = CodeExtractor()
         assert resolve_extractor(ex) is ex
-
-    def test_resolve_rejects_both_spellings(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_extractor(CodeExtractor(), tokenizer=Tokenizer())
 
     def test_resolve_rejects_bad_type(self):
         with pytest.raises(TypeError):
@@ -302,13 +301,6 @@ class TestExtractorSpec:
             ExtractorSpec(min_length=0)
         with pytest.raises(ValueError):
             ExtractorSpec(min_length=5, max_length=2)
-
-    def test_tokenizer_spec_shim_converts(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = TokenizerSpec.from_tokenizer(Tokenizer(min_length=3))
-        spec = legacy.to_extractor_spec()
-        assert spec.kind == "ascii"
-        assert spec.min_length == 3
 
 
 # -- merge equivalence: extractor x backend ----------------------------
@@ -365,29 +357,13 @@ class TestMergeEquivalencePerExtractor:
         )
 
 
-# -- deprecation shims -------------------------------------------------
+# -- extractor= is the one keyword --------------------------------------
 
 
 class TestDeprecatedKwargs:
-    def test_engine_constructors_warn(self, tiny_fs):
-        for make in (
-            lambda: SequentialIndexer(tiny_fs, tokenizer=Tokenizer()),
-            lambda: IndexGenerator(tiny_fs, registry=default_registry()),
-            lambda: ReplicatedJoinedIndexer(tiny_fs, tokenizer=Tokenizer()),
-            lambda: ProcessReplicatedIndexer(tiny_fs, tokenizer=Tokenizer()),
-        ):
-            with pytest.warns(DeprecationWarning, match="extractor="):
-                make()
-
-    def test_legacy_kwargs_fold_into_extractor(self, tiny_fs):
-        tok = Tokenizer(min_length=3)
-        reg = default_registry()
-        with pytest.warns(DeprecationWarning):
-            engine = SequentialIndexer(tiny_fs, tokenizer=tok, registry=reg)
-        assert isinstance(engine.extractor, AsciiExtractor)
-        # The aliases stay readable for old call sites.
-        assert engine.tokenizer is tok
-        assert engine.registry is reg
+    """What 4.0 left of the ``tokenizer=``/``registry=`` era: the
+    ``extractor=`` spelling stays silent, and a removed keyword or a
+    positional second argument fails loudly instead of rebinding."""
 
     def test_extractor_kwarg_is_silent(self, tiny_fs):
         with warnings.catch_warnings():
@@ -395,17 +371,22 @@ class TestDeprecatedKwargs:
             SequentialIndexer(tiny_fs, extractor=AsciiExtractor())
             IndexGenerator(tiny_fs, extractor="code")
 
-    def test_legacy_build_output_unchanged(self, tiny_fs):
-        with pytest.warns(DeprecationWarning):
-            legacy = SequentialIndexer(
-                tiny_fs, naive=False, tokenizer=Tokenizer()
-            ).build()
-        modern = SequentialIndexer(
-            tiny_fs, naive=False, extractor=AsciiExtractor()
-        ).build()
-        assert dump_index_bytes(legacy.index) == dump_index_bytes(
-            modern.index
-        )
+    @pytest.mark.parametrize("make", [
+        SequentialIndexer,
+        IndexGenerator,
+        ThreadedIndexerBase,
+        ProcessReplicatedIndexer,
+        SegmentedIndexer,
+        FrequencyIndex.from_fs,
+        PositionalIndex.from_fs,
+    ], ids=lambda make: make.__qualname__)
+    def test_positional_second_argument_is_refused(self, tiny_fs, make):
+        # At 3.x the second positional was ``tokenizer``; binding it to
+        # whatever parameter came next would change the build silently.
+        with pytest.raises(TypeError):
+            make(tiny_fs, None)
+        with pytest.raises(TypeError):
+            make(tiny_fs, tokenizer=Tokenizer())
 
 
 class TestSearchExtractorSurface:
@@ -418,15 +399,6 @@ class TestSearchExtractorSurface:
             session = Search.build(str(tmp_path), extractor="code")
         assert session.query("foobar").paths == ["a.txt"]
         assert session.query("baz").paths == ["a.txt"]
-
-    def test_search_legacy_kwargs_do_not_warn(self, tmp_path):
-        (tmp_path / "a.txt").write_bytes(b"cat")
-        from repro import Search
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session = Search.build(str(tmp_path), tokenizer=Tokenizer(1))
-        assert session.query("cat").paths == ["a.txt"]
 
     def test_refresh_uses_session_extractor(self, tmp_path):
         (tmp_path / "a.py").write_bytes(b"def startHere(): pass")

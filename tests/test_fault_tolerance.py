@@ -28,6 +28,7 @@ from repro.engine import (
     ThreadConfig,
 )
 from repro.engine.procworker import FilesystemSpec, WorkerBatch
+from repro.extract import ExtractorSpec
 from repro.fsmodel import (
     FaultInjectingFileSystem,
     FaultSpec,
@@ -177,6 +178,7 @@ class TestFileFailure:
             WorkerBatch(
                 fs=FilesystemSpec(snapshot=tiny_fs),
                 paths=("a",),
+                extractor=ExtractorSpec(),
                 on_error="ignore",
             )
 

@@ -9,6 +9,7 @@ from repro.engine import (
     SequentialIndexer,
     ThreadConfig,
 )
+from repro.extract import AsciiExtractor
 from repro.formats import default_registry
 from repro.formats.mixed import DEFAULT_MIX, generate_mixed_corpus
 from repro.text import Tokenizer
@@ -100,15 +101,17 @@ class TestRoundTripTerms:
 
 class TestFormatAwareEngine:
     def test_sequential_with_registry(self, mixed):
-        report = SequentialIndexer(mixed.fs, registry=default_registry()).build()
+        report = SequentialIndexer(
+            mixed.fs, extractor=AsciiExtractor(registry=default_registry())
+        ).build()
         assert report.term_count > 0
 
     def test_parallel_matches_sequential_on_mixed_corpus(self, mixed):
-        registry = default_registry()
+        extractor = AsciiExtractor(registry=default_registry())
         sequential = SequentialIndexer(
-            mixed.fs, naive=False, registry=registry
+            mixed.fs, naive=False, extractor=extractor
         ).build()
-        parallel = IndexGenerator(mixed.fs, registry=registry).build(
+        parallel = IndexGenerator(mixed.fs, extractor=extractor).build(
             Implementation.REPLICATED_JOINED, ThreadConfig(3, 2, 1)
         )
         assert parallel.index == sequential.index
@@ -116,7 +119,7 @@ class TestFormatAwareEngine:
     def test_registry_changes_result_on_html(self, mixed):
         # Without the registry, HTML tags pollute the index.
         with_registry = SequentialIndexer(
-            mixed.fs, registry=default_registry()
+            mixed.fs, extractor=AsciiExtractor(registry=default_registry())
         ).build()
         without = SequentialIndexer(mixed.fs).build()
         assert "doctype" not in with_registry.index

@@ -7,8 +7,8 @@ decoders' one-byte-gap path against the varint loop, the header and
 magic sniffing failure modes (:class:`IndexFormatError` for
 RIDX1/RIDX2/RWIRE1/JSON/unknown/truncated), and the
 :class:`MmapPostingsReader` serving surface — lexicon binary search,
-block cursors, block-skip accounting (exact per query), and frequency
-storage.
+``read_postings`` (whole lists and candidate filters), block-skip
+accounting (exact per query), and frequency storage.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.index.binfmt import (
     encode_varint,
     parse_ridx2_header,
 )
-from repro.index.ondisk import DONE
 from repro.query.ranking import FrequencyIndex
 from repro.text.termblock import TermBlock
 
@@ -362,16 +361,29 @@ class TestMmapPostingsReader:
                 assert reader.lookup(term) == sorted(index.lookup(term))
             assert reader.lookup("zzz-absent") == []
 
-    def test_cursor_walk_and_freqs(self, fruit_file, fruit_docs):
+    def test_cursor_walk_and_freqs(self, fruit_file, fruit_docs, monkeypatch):
+        import repro.index.ondisk as ondisk
+
         _, frequencies = build_index(fruit_docs)
+        decoded = []
+        real = ondisk.decode_block_freqs
+        monkeypatch.setattr(
+            ondisk, "decode_block_freqs",
+            lambda *args: decoded.append(args) or real(*args),
+        )
         with MmapPostingsReader(fruit_file) as reader:
-            cursor = reader.cursor("apple")
+            info = reader.term_info("apple")
+            reader.read_postings(info)
+            reader.read_postings(info, [0, 1, 2, 3])
+            assert decoded == []  # boolean reads never decode a tf
+            tfs = reader.read_postings(info, with_freqs=True)
+            assert decoded
             seen = []
-            while cursor.docid() < DONE:
-                path = reader.doc_path(cursor.docid())
-                assert cursor.freq() == frequencies.tf("apple", path)
+            for doc_id, tf in tfs.items():
+                path = reader.doc_path(doc_id)
+                assert tf == frequencies.tf("apple", path)
                 seen.append(path)
-                cursor.next()
+            assert list(tfs) == sorted(tfs)
             assert seen == sorted(
                 p for p, t in fruit_docs.items() if "apple" in t
             )
@@ -416,10 +428,10 @@ class TestMmapPostingsReader:
         save_index(index, path, format="ridx2")
         with MmapPostingsReader(path) as reader:
             assert not reader.has_freqs
-            cursor = reader.cursor("apple")
-            while cursor.docid() < DONE:
-                assert cursor.freq() == 1
-                cursor.next()
+            tfs = reader.read_postings(
+                reader.term_info("apple"), with_freqs=True
+            )
+            assert tfs and set(tfs.values()) == {1}
             # Doc length falls back to the distinct-term count.
             for i, doc_path in enumerate(sorted(fruit_docs)):
                 assert reader.doc_length(i) == len(set(fruit_docs[doc_path]))
@@ -429,8 +441,8 @@ class TestBlockSkipping:
     @pytest.fixture
     def skippy_file(self, tmp_path):
         # "rare" lives in documents 0 and 900; "common" is everywhere.
-        # With 8-posting blocks, seeking common's cursor from doc 0 to
-        # doc 900 must jump over ~112 blocks without decoding them.
+        # With 8-posting blocks, filtering common by docs 0 and 900
+        # must jump over the 111 blocks between without decoding them.
         docs = {f"doc-{i:04d}": ["common"] for i in range(901)}
         docs["doc-0000"].append("rare")
         docs["doc-0900"].append("rare")
@@ -442,10 +454,10 @@ class TestBlockSkipping:
 
     def test_seek_skips_blocks(self, skippy_file):
         with MmapPostingsReader(skippy_file) as reader:
-            cursor = reader.cursor("common")
-            assert cursor.seek(900) == 900
+            info = reader.term_info("common")
+            assert reader.read_postings(info, [0, 900]) == [0, 900]
             stats = reader.stats()
-            assert stats["ondisk.blocks_skipped"] > 100
+            assert stats["ondisk.blocks_skipped"] == 111
             # Only the first and the target block were decoded.
             assert stats["ondisk.blocks_read"] == 2
 
@@ -453,7 +465,7 @@ class TestBlockSkipping:
         self, skippy_file
     ):
         """``lookup`` reads a list block by block, not posting by
-        posting; the counter says what the cursor walk said."""
+        posting; the counter says what a bare ``read_postings`` says."""
         with MmapPostingsReader(skippy_file) as reader:
             assert reader.lookup("rare") == ["doc-0000", "doc-0900"]
             assert reader.blocks_read == 1  # an inline list: one block
@@ -463,11 +475,8 @@ class TestBlockSkipping:
             reader.doc_paths()  # the materialized table answers the same
             assert reader.lookup("common") == expected
             before = reader.blocks_read
-            walked, cursor = [], reader.cursor("common")
-            while cursor.docid() < DONE:
-                walked.append(reader.doc_path(cursor.docid()))
-                cursor.next()
-            assert walked == expected
+            ids = reader.read_postings(reader.term_info("common"))
+            assert [reader.doc_path(i) for i in ids] == expected
             assert reader.blocks_read - before == -(-901 // 8)
             assert reader.blocks_skipped == 0
 
@@ -482,16 +491,14 @@ class TestBlockSkipping:
             assert reader.blocks_skipped > 0
 
     def test_seek_to_done(self, skippy_file):
+        """A candidate past the end of a list finds nothing: an inline
+        list still reads its one block, a blocked one skips them all."""
         with MmapPostingsReader(skippy_file) as reader:
-            cursor = reader.cursor("rare")
-            assert cursor.seek(901) == DONE
-            assert cursor.docid() == DONE
-
-    def test_seek_is_monotone_noop_backwards(self, skippy_file):
-        with MmapPostingsReader(skippy_file) as reader:
-            cursor = reader.cursor("common")
-            assert cursor.seek(500) == 500
-            assert cursor.seek(100) == 500  # never rewinds
+            assert reader.read_postings(reader.term_info("rare"), [901]) == []
+            assert (reader.blocks_read, reader.blocks_skipped) == (1, 0)
+            info = reader.term_info("common")
+            assert reader.read_postings(info, [901]) == []
+            assert (reader.blocks_read, reader.blocks_skipped) == (1, 113)
 
 
 class TestQueryBlockCounts:
@@ -540,10 +547,6 @@ class TestQueryBlockCounts:
         with MmapPostingsReader(skippy_file) as reader:
             info = reader.term_info("common")
             assert reader.read_postings(info, [3, 5000]) == [3]
-            assert (reader.blocks_read, reader.blocks_skipped) == (1, 112)
-        with MmapPostingsReader(skippy_file) as reader:
-            cursor = reader.cursor("common")
-            assert (cursor.seek(3), cursor.seek(5000)) == (3, DONE)
             assert (reader.blocks_read, reader.blocks_skipped) == (1, 112)
 
 
@@ -838,6 +841,25 @@ def posting_lists(draw):
     return block_size, lists, draw(st.booleans())
 
 
+def model_block_counts(ids, block_size, candidates):
+    """(read, skipped) for filtering ``ids`` by ascending ``candidates``:
+    an inline list (at most one block) reads its block whenever there is
+    a candidate; a blocked list reads each block that holds a candidate's
+    position and skips every other block below the last one it needed —
+    all of them once a candidate lies past the list's end."""
+    if len(ids) <= block_size:
+        return (1 if candidates else 0), 0
+    lasts = [ids[min(k + block_size, len(ids)) - 1]
+             for k in range(0, len(ids), block_size)]
+    positions = [bisect_left(lasts, c) for c in candidates]
+    chosen = {p for p in positions if p < len(lasts)}
+    if any(p == len(lasts) for p in positions):
+        end = len(lasts)
+    else:
+        end = max(chosen) + 1 if chosen else 0
+    return len(chosen), end - len(chosen)
+
+
 class TestDifferentialSeams:
     @settings(max_examples=60, deadline=None)
     @given(posting_lists(), st.randoms(use_true_random=False))
@@ -867,19 +889,26 @@ class TestDifferentialSeams:
                     tfs = [1] * len(ids)
                 assert reader.term_info(term).df == len(ids)
                 assert reader.lookup(term) == [paths[i] for i in ids]
-                # A random seek/next/freq walk against the list model.
-                cursor = reader.cursor(term)
-                position = 0
-                while position < len(ids):
-                    assert cursor.docid() == ids[position]
-                    assert cursor.freq() == tfs[position]
-                    if rng.random() < 0.5:
-                        position += 1
-                        got = cursor.next()
-                    else:
-                        target = ids[position] + rng.randint(0, 2 * block_size + 3)
-                        position = bisect_left(ids, target)
-                        got = cursor.seek(target)
-                    expected = ids[position] if position < len(ids) else DONE
-                    assert got == expected
-                assert cursor.docid() == DONE
+                info = reader.term_info(term)
+                assert reader.read_postings(info, with_freqs=True) == dict(
+                    zip(ids, tfs)
+                )
+                # A random ascending candidate list against the list
+                # model: the hits, and the blocks read and skipped.
+                pool = range(universe + 2 * block_size)
+                candidates = sorted(
+                    rng.sample(pool, rng.randint(0, min(6, len(pool))))
+                )
+                before = (reader.blocks_read, reader.blocks_skipped)
+                assert reader.read_postings(info, candidates) == sorted(
+                    set(ids).intersection(candidates)
+                )
+                read, skipped = model_block_counts(ids, block_size, candidates)
+                assert (
+                    reader.blocks_read - before[0],
+                    reader.blocks_skipped - before[1],
+                ) == (read, skipped)
+                tfs_of = dict(zip(ids, tfs))
+                got = reader.read_postings(info, candidates, with_freqs=True)
+                for doc_id in set(ids).intersection(candidates):
+                    assert got[doc_id] == tfs_of[doc_id]

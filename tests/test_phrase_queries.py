@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.extract import AsciiExtractor
 from repro.index import InvertedIndex
 from repro.index.positional import PositionalIndex
 from repro.query import Phrase, QueryEngine, Term, parse_query
@@ -62,7 +63,9 @@ class TestPositionalIndex:
         assert index.phrase_paths(["ho", "ho", "ho"]) == ["f"]
 
     def test_from_fs(self, tiny_fs, tokenizer):
-        index = PositionalIndex.from_fs(tiny_fs, tokenizer)
+        index = PositionalIndex.from_fs(
+            tiny_fs, extractor=AsciiExtractor(tokenizer=tokenizer)
+        )
         assert index.document_count == len(list(tiny_fs.list_files()))
         ref = next(iter(tiny_fs.list_files()))
         terms = tokenizer.tokenize(tiny_fs.read_file(ref.path))
@@ -142,7 +145,9 @@ class TestPhraseEvaluation:
         from repro.engine import SequentialIndexer
 
         boolean = SequentialIndexer(tiny_fs, naive=False).build().index
-        positions = PositionalIndex.from_fs(tiny_fs, tokenizer)
+        positions = PositionalIndex.from_fs(
+            tiny_fs, extractor=AsciiExtractor(tokenizer=tokenizer)
+        )
         engine = QueryEngine(boolean, positions=positions)
         # Take a real adjacent word pair from some file.
         ref = next(iter(tiny_fs.list_files()))
@@ -179,7 +184,9 @@ class TestPositionalPersistence:
             PositionalIndex.load(str(path))
 
     def test_phrases_after_reload(self, tiny_fs, tokenizer, tmp_path):
-        index = PositionalIndex.from_fs(tiny_fs, tokenizer)
+        index = PositionalIndex.from_fs(
+            tiny_fs, extractor=AsciiExtractor(tokenizer=tokenizer)
+        )
         path = str(tmp_path / "corpus.pos")
         index.save(path)
         loaded = PositionalIndex.load(path)

@@ -6,6 +6,8 @@ on-disk directory, and always pass ``oversubscribe=True`` so they stay
 deterministic on single-CPU CI boxes.
 """
 
+import pickle
+
 import pytest
 
 from repro.engine import (
@@ -19,7 +21,6 @@ from repro.engine import (
 )
 from repro.engine.procworker import (
     FilesystemSpec,
-    TokenizerSpec,
     WorkerBatch,
     build_replica,
 )
@@ -94,10 +95,11 @@ class TestConfigValidation:
 
 class TestWorkerBoundary:
     def test_tokenizer_spec_round_trip(self):
-        # the legacy spelling; deprecated in favour of extractor.spec()
+        # a tokenizer's settings cross the boundary inside the
+        # extractor's spec
         tokenizer = Tokenizer(min_length=3, max_length=9, stopwords=("the",))
-        with pytest.warns(DeprecationWarning, match="ExtractorSpec"):
-            rebuilt = TokenizerSpec.from_tokenizer(tokenizer).build()
+        spec = AsciiExtractor(tokenizer=tokenizer).spec()
+        rebuilt = pickle.loads(pickle.dumps(spec)).build().tokenizer
         assert rebuilt.min_length == 3
         assert rebuilt.max_length == 9
         assert rebuilt.stopwords == frozenset({"the"})
@@ -113,11 +115,11 @@ class TestWorkerBoundary:
             FilesystemSpec.from_filesystem(object())
 
     def test_batch_pickles_and_builds(self, tiny_fs):
-        import pickle
-
         paths = tuple(ref.path for ref in tiny_fs.list_files())[:5]
         batch = WorkerBatch(
-            fs=FilesystemSpec.from_filesystem(tiny_fs), paths=paths
+            fs=FilesystemSpec.from_filesystem(tiny_fs),
+            paths=paths,
+            extractor=AsciiExtractor().spec(),
         )
         batch = pickle.loads(pickle.dumps(batch))
         result = build_replica(batch)

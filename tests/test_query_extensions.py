@@ -2,19 +2,20 @@
 
 import pytest
 
+from repro.extract import AsciiExtractor
 from repro.index import InvertedIndex
 from repro.query import (
+    BM25Ranker,
     FrequencyIndex,
     ParseError,
     Prefix,
     PrefixDictionary,
     QueryEngine,
     Term,
-    TfIdfRanker,
     expand_prefixes,
     has_prefixes,
     parse_query,
-    search_ranked,
+    search_bm25,
 )
 from repro.query.ast import And, Or
 from repro.text import TermBlock
@@ -160,7 +161,9 @@ class TestFrequencyIndex:
             frequencies.add_document("f1", ["x"])
 
     def test_from_fs(self, tiny_fs, tokenizer):
-        frequencies = FrequencyIndex.from_fs(tiny_fs, tokenizer)
+        frequencies = FrequencyIndex.from_fs(
+            tiny_fs, extractor=AsciiExtractor(tokenizer=tokenizer)
+        )
         assert frequencies.document_count == len(list(tiny_fs.list_files()))
         ref = next(iter(tiny_fs.list_files()))
         terms = tokenizer.tokenize(tiny_fs.read_file(ref.path))
@@ -168,32 +171,14 @@ class TestFrequencyIndex:
         assert frequencies.tf(terms[0], ref.path) == terms.count(terms[0])
 
 
-class TestTfIdfRanker:
-    @pytest.fixture
-    def ranker(self):
-        index = FrequencyIndex()
-        index.add_document("heavy", ["cat"] * 10 + ["filler"] * 5)
-        index.add_document("light", ["cat"] + ["filler"] * 10)
-        index.add_document("none", ["filler"] * 5)
-        return TfIdfRanker(index)
+class TestSearchBm25:
+    """``search_bm25``: the boolean match decides the set, BM25 the order."""
 
-    def test_higher_tf_scores_higher(self, ranker):
-        hits = ranker.rank(["heavy", "light"], ["cat"])
-        assert hits[0].path == "heavy"
-        assert hits[0].score > hits[1].score
-
-    def test_absent_term_scores_zero(self, ranker):
-        assert ranker.score("none", ["cat"]) == 0.0
-
-    def test_rare_terms_weigh_more(self, ranker):
-        # "cat" (df 2) is rarer than "filler" (df 3).
-        assert ranker.idf("cat") > ranker.idf("filler")
-
-    def test_ties_broken_by_path(self, ranker):
-        hits = ranker.rank(["b", "a"], ["nonexistent"])
+    def test_ties_broken_by_path(self):
+        hits = BM25Ranker(FrequencyIndex()).rank(["b", "a"], ["nonexistent"])
         assert [h.path for h in hits] == ["a", "b"]
 
-    def test_search_ranked_end_to_end(self):
+    def test_search_bm25_end_to_end(self):
         index = InvertedIndex()
         index.add_block(TermBlock("heavy", ("cat", "filler")))
         index.add_block(TermBlock("light", ("cat", "filler")))
@@ -201,10 +186,10 @@ class TestTfIdfRanker:
         frequencies = FrequencyIndex()
         frequencies.add_document("heavy", ["cat"] * 9 + ["filler"])
         frequencies.add_document("light", ["cat", "filler"])
-        hits = search_ranked(engine, TfIdfRanker(frequencies), "cat")
+        hits = search_bm25(engine, BM25Ranker(frequencies), "cat")
         assert [h.path for h in hits] == ["heavy", "light"]
 
-    def test_search_ranked_respects_boolean_filter(self):
+    def test_search_bm25_respects_boolean_filter(self):
         index = InvertedIndex()
         index.add_block(TermBlock("match", ("cat", "dog")))
         index.add_block(TermBlock("filtered", ("cat",)))
@@ -212,5 +197,5 @@ class TestTfIdfRanker:
         frequencies = FrequencyIndex()
         frequencies.add_document("match", ["cat", "dog"])
         frequencies.add_document("filtered", ["cat"] * 100)
-        hits = search_ranked(engine, TfIdfRanker(frequencies), "cat AND dog")
+        hits = search_bm25(engine, BM25Ranker(frequencies), "cat AND dog")
         assert [h.path for h in hits] == ["match"]
