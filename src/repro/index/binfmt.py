@@ -743,6 +743,49 @@ def read_ridx2_doc(data, header: Ridx2Header, doc_id: int) -> Tuple[str, int]:
     return path, doc_length
 
 
+def read_ridx2_docs(data, header: Ridx2Header) -> Tuple[List[str], List[int]]:
+    """Decode the whole doc table in one pass: ``(paths, lengths)`` in
+    doc-id order, equal to :func:`read_ridx2_doc` record by record.
+
+    The u32 offset table is read once and the records are walked in
+    order.  A record that does not end where the table starts the next,
+    a varint or path running off the section, or a path that is not
+    UTF-8 is an :class:`IndexFormatError`.
+    """
+    base = header.doc_data_off
+    offsets = _u32s_from_bytes(bytes(data[header.doc_offsets_off : base]))
+    blob = bytes(data[base : header.lex_offsets_off])
+    paths: List[str] = []
+    lengths: List[int] = []
+    position = offsets[0]
+    doc_id = 0
+    try:
+        for doc_id in range(header.doc_count):
+            length = blob[position]
+            if length < 0x80:
+                position += 1
+            else:
+                length, position = decode_varint(blob, position)
+            end = position + length
+            paths.append(blob[position:end].decode("utf-8"))
+            doc_length = blob[end]
+            if doc_length < 0x80:
+                position = end + 1
+            else:
+                doc_length, position = decode_varint(blob, end)
+            lengths.append(doc_length)
+            if position != offsets[doc_id + 1]:
+                raise IndexFormatError(
+                    f"record ends at {position}, the table says "
+                    f"{offsets[doc_id + 1]}"
+                )
+    except (IndexError, ValueError) as exc:
+        raise IndexFormatError(
+            f"corrupt RIDX2 doc table: record {doc_id}: {exc}"
+        ) from exc
+    return paths, lengths
+
+
 def load_index_ridx2(data: bytes) -> InvertedIndex:
     """Fully materialize RIDX2 bytes into an in-memory index.
 
@@ -753,9 +796,7 @@ def load_index_ridx2(data: bytes) -> InvertedIndex:
     """
     header = parse_ridx2_header(data)
     check_ridx2_crc(data, header)
-    paths = [
-        read_ridx2_doc(data, header, i)[0] for i in range(header.doc_count)
-    ]
+    paths = read_ridx2_docs(data, header)[0]
     index = InvertedIndex()
     for term, ids in iter_ridx2_postings(data, header):
         index._map[term] = PostingsList(paths[i] for i in ids)

@@ -44,6 +44,7 @@ from repro.index.binfmt import (
     iter_ridx2_postings,
     parse_ridx2_header,
     read_ridx2_doc,
+    read_ridx2_docs,
 )
 from repro.obs import recorder as obsrec
 
@@ -175,14 +176,17 @@ class MmapPostingsReader:
         return a few hits never need this.
         """
         if self._paths is None:
-            mm, header = self._mm, self._header
-            records = [
-                read_ridx2_doc(mm, header, i) for i in range(header.doc_count)
-            ]
-            paths, lengths = zip(*records) if records else ((), ())
-            self._lengths = list(lengths)
-            self._paths = list(paths)
+            self._paths, self._lengths = read_ridx2_docs(self._mm, self._header)
         return list(self._paths)
+
+    def doc_paths_of(self, ids: List[int]) -> List[str]:
+        """The paths of ``ids``: through the materialized doc table when
+        :meth:`doc_paths` has built it, else one record per id."""
+        paths = self._paths
+        if paths is not None:
+            return list(map(paths.__getitem__, ids))
+        doc = self._doc
+        return [doc(i)[0] for i in ids]
 
     # -- terms -------------------------------------------------------------
 
@@ -293,12 +297,7 @@ class MmapPostingsReader:
         info = self.term_info(term)
         if info is None:
             return []
-        ids = self.read_postings(info)
-        paths = self._paths
-        if paths is not None:
-            return [paths[i] for i in ids]
-        doc = self._doc
-        return [doc(i)[0] for i in ids]
+        return self.doc_paths_of(self.read_postings(info))
 
     def stats(self) -> Dict[str, int]:
         """Block-level I/O counters since open."""

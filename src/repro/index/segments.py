@@ -15,11 +15,13 @@ it; no second, per-document copy is kept beside the postings:
   into a global tombstone set and simply stops being visible;
 * **newest-wins ownership** — a path may appear in several segments
   (one per revision); only the newest occurrence is live.  The
-  :class:`SegmentManifest` resolves ownership once at construction and
-  serves ``lookup``/``terms`` over the frozen view, so it can sit
-  directly behind :class:`~repro.query.evaluator.QueryEngine` and be
-  wrapped by an :class:`~repro.service.snapshot.IndexSnapshot` — publish
-  stays one pointer store;
+  :class:`SegmentManifest` resolves ownership once at construction —
+  each segment's *dead* paths, shadowed by a newer revision or a
+  tombstone, fixed as a set — and serves ``lookup``/``terms`` over the
+  frozen view, so it can sit directly behind
+  :class:`~repro.query.evaluator.QueryEngine` and be wrapped by an
+  :class:`~repro.service.snapshot.IndexSnapshot` — publish stays one
+  pointer store;
 * **layered k-way compaction** — :func:`compact_manifest` merges runs
   of segments ``fanin`` at a time (the ``parallel_merge --fanin``
   pattern) with the one postings-wise newest-wins merge,
@@ -47,9 +49,8 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import filterfalse, islice
 from typing import (
     Dict,
     Iterable,
@@ -257,16 +258,23 @@ class DiskSegment(_SealedSegment):
 
 def _resolve_owners(
     segments: Sequence, tombstones: Iterable[str]
-) -> Dict[str, int]:
-    """path -> position of the newest segment holding it; tombstoned
-    paths are simply absent."""
+) -> Tuple[Dict[str, int], List[set]]:
+    """``(owner, dead)``: path -> position of the newest segment holding
+    it, tombstoned paths simply absent; and per segment the paths sealed
+    in it that a newer segment or a tombstone shadows."""
     owner: Dict[str, int] = {}
+    dead: List[set] = [set() for _ in segments]
     for position, segment in enumerate(segments):
-        for path in segment.doc_paths():
+        for path in segment._paths:
+            older = owner.get(path)
+            if older is not None:
+                dead[older].add(path)
             owner[path] = position
     for path in tombstones:
-        owner.pop(path, None)
-    return owner
+        position = owner.pop(path, None)
+        if position is not None:
+            dead[position].add(path)
+    return owner, dead
 
 
 def merge_postings(
@@ -321,40 +329,52 @@ class SegmentManifest:
         self.segments: Tuple = tuple(segments)
         self.tombstones = frozenset(tombstones)
         self.generation = generation
-        # Ownership resolved once, at construction.
-        self._owner = _resolve_owners(self.segments, self.tombstones)
+        # Ownership resolved once, at construction; ``lookup`` runs
+        # each segment's bound lookup and filters by its dead set.
+        self._owner, dead = _resolve_owners(self.segments, self.tombstones)
+        self._dead: Tuple[set, ...] = tuple(dead)
+        self._probes = tuple(
+            (segment.lookup, dead_paths)
+            for segment, dead_paths in zip(self.segments, dead)
+        )
 
     # -- index protocol (QueryEngine duck type) ------------------------
 
     def lookup(self, term: str) -> List[str]:
-        """Live paths containing ``term`` (newest revision only)."""
-        owner = self._owner
+        """Live paths containing ``term`` (newest revision only).
+
+        A segment with no dead paths contributes its list as is; a
+        shadowed one is filtered by one set-membership test per posting.
+        Exact because every segment's postings name only paths sealed
+        in it.
+        """
+        probes = self._probes
+        if len(probes) == 1:
+            lookup, dead = probes[0]
+            paths = lookup(term)
+            return list(filterfalse(dead.__contains__, paths)) if dead else paths
         hits: List[str] = []
-        for position, segment in enumerate(self.segments):
-            for path in segment.lookup(term):
-                if owner.get(path) == position:
-                    hits.append(path)
+        for lookup, dead in probes:
+            paths = lookup(term)
+            if paths:
+                hits += filterfalse(dead.__contains__, paths) if dead else paths
         return hits
 
     def terms(self) -> List[str]:
         """Terms with at least one live posting, sorted.
 
-        A segment that owns every path sealed in it contributes its
-        whole dictionary; any other is walked once, postings-wise, for
-        the terms it still owns a path of.
+        A segment with no dead paths contributes its whole dictionary,
+        a segment with only dead ones nothing; any other is walked once,
+        postings-wise, for the terms it still holds a live path of.
         """
-        owner = self._owner
-        owned = Counter(owner.values())
         live = set()
-        for position, segment in enumerate(self.segments):
-            if owned[position] == len(segment):
+        for segment, dead in zip(self.segments, self._dead):
+            if not dead:
                 live.update(segment.dictionary())
-                continue
-            for term, paths in segment.postings():
-                if term not in live and any(
-                    owner.get(path) == position for path in paths
-                ):
-                    live.add(term)
+            elif len(dead) < len(segment):
+                for term, paths in segment.postings():
+                    if term not in live and not dead.issuperset(paths):
+                        live.add(term)
         return sorted(live)
 
     def expand(self, prefix: str, limit: int = 1000) -> List[str]:
@@ -549,7 +569,7 @@ def compact_manifest(
                 segments[i : i + policy.fanin]
                 for i in range(0, len(segments), policy.fanin)
             ] or [[]]
-            owners = [_resolve_owners(g, tombstones) for g in groups]
+            owners = [_resolve_owners(g, tombstones)[0] for g in groups]
             with obsrec.span(
                 "compaction.round", round=rounds, groups=len(groups)
             ):

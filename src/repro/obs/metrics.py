@@ -4,7 +4,8 @@ The registry is the numeric half of the observability layer: while
 spans answer "when did stage X run", metrics answer "how many / how
 fast" — files per second, buffer depths, batch retries, cache hit
 rates.  Everything is dependency-free plain Python with one lock per
-registry, and snapshots flatten to a ``Dict[str, float]`` so they can
+instrument and one per registry, taken only to create an instrument;
+snapshots flatten to a ``Dict[str, float]`` so they can
 ride on :attr:`repro.engine.results.BuildReport.metrics` or be printed
 by ``--stats``.
 
@@ -158,8 +159,10 @@ class MetricsRegistry:
     """Named counters, gauges and histograms behind one lock.
 
     ``counter``/``gauge``/``histogram`` create-or-return, so
-    instrumentation sites need no registration step.  A name may hold
-    only one kind of instrument; mixing kinds raises.
+    instrumentation sites need no registration step.  Returning an
+    existing instrument is one dict read; only creation takes the
+    registry lock.  A name may hold only one kind of instrument; mixing
+    kinds raises.
     """
 
     def __init__(self) -> None:
@@ -167,12 +170,16 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
 
     def _get_or_create(self, name: str, kind, *args):
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = kind(name, threading.Lock(), *args)
-                self._instruments[name] = instrument
-                return instrument
+        # An instrument, once registered, is never replaced, and a dict
+        # read is atomic: the common case takes no lock.
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._instruments.get(name)
+                if instrument is None:
+                    instrument = kind(name, threading.Lock(), *args)
+                    self._instruments[name] = instrument
+                    return instrument
         if not isinstance(instrument, kind):
             raise TypeError(
                 f"metric {name!r} already registered as "

@@ -89,7 +89,7 @@ class DaatQueryEngine:
             obsrec.metrics().counter("query.daat.searches").inc()
             query = self._expand(query)
             ids = self._match(query, self._infos(query))
-            return list(map(self.reader.doc_path, ids))
+            return self.reader.doc_paths_of(ids)
 
     def search_bm25(
         self,

@@ -14,7 +14,9 @@ build reports know their file set).
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Union,
+)
 
 from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
@@ -139,7 +141,9 @@ class QueryEngine:
                 merged[term].update(paths)
         return merged
 
-    def _evaluate(self, query: Query, postings: Dict[str, Set[str]]) -> Set[str]:
+    def _evaluate(
+        self, query: Query, postings: Dict[str, Set[str]]
+    ) -> AbstractSet[str]:
         if isinstance(query, Term):
             return postings.get(query.value, set())
         if isinstance(query, And):
@@ -154,7 +158,8 @@ class QueryEngine:
                 result |= self._evaluate(op, postings)
             return result
         if isinstance(query, Not):
-            return set(self._require_universe()) - self._evaluate(
+            # A frozenset minus a set: the universe is never copied.
+            return self._require_universe() - self._evaluate(
                 query.operand, postings
             )
         if isinstance(query, Phrase):

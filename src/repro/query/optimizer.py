@@ -29,6 +29,8 @@ from repro.query.ast import And, Not, Or, Phrase, Prefix, Query, Term
 NOTHING = Term("\x00nothing")
 EVERYTHING = Not(NOTHING)
 
+_LEAVES = frozenset((Term, Prefix, Phrase))
+
 
 def optimize(query: Query) -> Query:
     """Return a smaller query with identical evaluation semantics."""
@@ -42,7 +44,7 @@ def _simplify(query: Query) -> Query:
         inner = _simplify(query.operand)
         if isinstance(inner, Not):  # double negation
             return inner.operand
-        return Not(inner)
+        return query if inner is query.operand else Not(inner)
     if isinstance(query, And):
         return _simplify_nary(query, And, Or, NOTHING, EVERYTHING)
     if isinstance(query, Or):
@@ -56,9 +58,21 @@ def _simplify_nary(query, node_cls, dual_cls, absorbing, identity) -> Query:
     For And: absorbing=NOTHING (a AND false = false), identity=EVERYTHING.
     For Or:  absorbing=EVERYTHING (a OR true = true), identity=NOTHING.
     """
+    raw_operands = query.operands
+    if (
+        len(raw_operands) > 1
+        and type(raw_operands) is tuple
+        and all(type(op) in _LEAVES for op in raw_operands)
+    ):
+        # Distinct leaves, none of them NOTHING: no law applies, so the
+        # node is already its simplest form.
+        distinct = set(raw_operands)
+        if len(distinct) == len(raw_operands) and NOTHING not in distinct:
+            return query
+
     # Flatten nested nodes of the same class and simplify children.
     operands: List[Query] = []
-    for raw in query.operands:
+    for raw in raw_operands:
         child = _simplify(raw)
         if isinstance(child, node_cls):
             operands.extend(child.operands)
@@ -75,10 +89,9 @@ def _simplify_nary(query, node_cls, dual_cls, absorbing, identity) -> Query:
         if operand not in seen:
             seen.append(operand)
 
-    # Complement law: q and NOT q together.
+    # Complement law: q and NOT q together, found from the NOT side.
     for operand in seen:
-        complement = operand.operand if isinstance(operand, Not) else Not(operand)
-        if complement in seen:
+        if isinstance(operand, Not) and operand.operand in seen:
             return absorbing
 
     # Absorption: for And, drop any Or-operand containing another
@@ -95,7 +108,10 @@ def _simplify_nary(query, node_cls, dual_cls, absorbing, identity) -> Query:
         return identity
     if len(survivors) == 1:
         return survivors[0]
-    return node_cls(tuple(survivors))
+    # Nothing rewritten: the node itself (a tuple compare, by identity
+    # first), not an equal copy.
+    survivors = tuple(survivors)
+    return query if survivors == raw_operands else node_cls(survivors)
 
 
 def node_count(query: Query) -> int:

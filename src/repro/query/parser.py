@@ -36,62 +36,58 @@ def parse_query(text: str) -> Query:
         raise ParseError("empty query")
     parser = _Parser(tokens)
     query = parser.parse_or()
-    if parser.remaining():
-        raise ParseError(f"unexpected token: {parser.peek()!r}")
+    if parser._pos < len(tokens):
+        raise ParseError(f"unexpected token: {tokens[parser._pos]!r}")
     return query
 
 
 class _Parser:
+    """Recursive descent over the token list.  Each token is upper-cased
+    once, up front, for the keyword tests; ``_upper`` ends in a ``""``
+    sentinel so a look past the last token needs no bounds check."""
+
     def __init__(self, tokens: List[str]) -> None:
         self._tokens = tokens
+        self._upper = [token.upper() for token in tokens] + [""]
         self._pos = 0
-
-    def peek(self) -> str:
-        return self._tokens[self._pos] if self.remaining() else ""
-
-    def remaining(self) -> bool:
-        return self._pos < len(self._tokens)
-
-    def _advance(self) -> str:
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
 
     def parse_or(self) -> Query:
         operands = [self.parse_and()]
-        while self.remaining() and self.peek().upper() == "OR":
-            self._advance()
+        while self._upper[self._pos] == "OR":
+            self._pos += 1
             operands.append(self.parse_and())
         return operands[0] if len(operands) == 1 else Or(tuple(operands))
 
     def parse_and(self) -> Query:
         operands = [self.parse_not()]
-        while self.remaining():
-            token = self.peek()
-            if token.upper() == "AND":
-                self._advance()
-                operands.append(self.parse_not())
-            elif token.upper() == "OR" or token == ")":
+        upper = self._upper
+        while True:
+            keyword = upper[self._pos]
+            if keyword == "AND":
+                self._pos += 1
+            elif keyword in ("OR", ")", ""):
                 break
-            else:
-                # Adjacency: "cat dog" means "cat AND dog".
-                operands.append(self.parse_not())
+            # Otherwise adjacency: "cat dog" means "cat AND dog".
+            operands.append(self.parse_not())
         return operands[0] if len(operands) == 1 else And(tuple(operands))
 
     def parse_not(self) -> Query:
-        if self.remaining() and self.peek().upper() == "NOT":
-            self._advance()
+        if self._upper[self._pos] == "NOT":
+            self._pos += 1
             return Not(self.parse_not())
         return self.parse_atom()
 
     def parse_atom(self) -> Query:
-        if not self.remaining():
+        pos = self._pos
+        if pos == len(self._tokens):
             raise ParseError("unexpected end of query")
-        token = self._advance()
+        token = self._tokens[pos]
+        self._pos = pos + 1
         if token == "(":
             inner = self.parse_or()
-            if not self.remaining() or self._advance() != ")":
+            if self._upper[self._pos] != ")":
                 raise ParseError("missing closing parenthesis")
+            self._pos += 1
             return inner
         if token == ")":
             raise ParseError("unexpected closing parenthesis")
@@ -102,7 +98,7 @@ class _Parser:
             if len(words) == 1:
                 return Term(words[0])
             return Phrase(tuple(words))
-        if token.upper() in ("AND", "OR", "NOT"):
+        if self._upper[pos] in ("AND", "OR", "NOT"):
             raise ParseError(f"operator {token!r} used where a term is expected")
         if token.endswith("*"):
             return Prefix(token[:-1].lower())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -31,6 +32,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs import recorder as obsrec
+from repro.obs.metrics import Counter, Gauge
 
 
 @pytest.fixture
@@ -122,6 +124,117 @@ class TestMetrics:
         assert registry.counter("x") is registry.counter("x")
         assert registry.gauge("y") is registry.gauge("y")
         assert registry.histogram("z") is registry.histogram("z")
+
+
+class TestRegistryUnderThreads:
+    """An existing instrument is read without the registry lock; only
+    creation locks.  Real threads, released together, must still see
+    one instrument object per name and lose no increment."""
+
+    THREADS = 8
+    NAMES = 50
+    ROUNDS = 10_000
+
+    def run_threads(self, work):
+        barrier = threading.Barrier(self.THREADS)
+        results = [None] * self.THREADS
+        errors = []
+
+        def body(i):
+            barrier.wait()
+            try:
+                results[i] = work(i)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [
+                threading.Thread(target=body, args=(i,))
+                for i in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors, errors
+        return results
+
+    def test_one_instrument_per_name_and_exact_totals(self):
+        registry = MetricsRegistry()
+
+        def work(_i):
+            first = {}
+            for n in range(self.ROUNDS):
+                k = n % self.NAMES
+                counter = registry.counter(f"c{k}")
+                gauge = registry.gauge(f"g{k}")
+                first.setdefault(f"c{k}", counter)
+                first.setdefault(f"g{k}", gauge)
+                counter.inc()
+                gauge.add(1)
+            return first
+
+        seen = self.run_threads(work)
+        per_name = self.THREADS * self.ROUNDS // self.NAMES
+        assert len(registry.names()) == 2 * self.NAMES
+        for name in registry.names():
+            instrument = registry.get(name)
+            assert all(first[name] is instrument for first in seen), name
+            assert instrument.value == per_name
+        for k in range(self.NAMES):
+            assert registry.gauge(f"g{k}").max == per_name
+        with pytest.raises(TypeError, match="already registered as Counter"):
+            registry.gauge("c0")  # the lock-free read meets the clash
+        with pytest.raises(TypeError, match="already registered as Gauge"):
+            registry.counter("g0")
+
+    def test_racing_creations_of_two_kinds_agree_on_one(self):
+        registry = MetricsRegistry()
+
+        def work(i):
+            kind = registry.counter if i % 2 else registry.gauge
+            outcomes = {}
+            for k in range(self.NAMES):
+                try:
+                    outcomes[k] = kind(f"clash{k}")
+                except TypeError:
+                    outcomes[k] = TypeError
+            return outcomes
+
+        seen = self.run_threads(work)
+        for k in range(self.NAMES):
+            winner = registry.get(f"clash{k}")
+            for i, outcomes in enumerate(seen):
+                asked = Counter if i % 2 else Gauge
+                if isinstance(winner, asked):
+                    assert outcomes[k] is winner
+                else:
+                    assert outcomes[k] is TypeError
+
+    def test_a_clash_found_under_the_lock_still_raises(self):
+        """The name is registered between the lock-free read and the
+        lock: the locked re-read finds it, and the kind check runs."""
+
+        class MissesOnce(dict):
+            missed = False
+
+            def get(self, key, default=None):
+                if not self.missed:
+                    self.missed = True
+                    return default
+                return super().get(key, default)
+
+        registry = MetricsRegistry()
+        counter = registry.counter("n")
+        registry._instruments = MissesOnce(registry._instruments)
+        with pytest.raises(TypeError, match="already registered as Counter"):
+            registry.gauge("n")
+        registry._instruments.missed = False
+        assert registry.counter("n") is counter
 
 
 # -- recorder ----------------------------------------------------------

@@ -45,6 +45,8 @@ from repro.index.binfmt import (
     encode_posting_blocks,
     encode_varint,
     parse_ridx2_header,
+    read_ridx2_doc,
+    read_ridx2_docs,
 )
 from repro.query.ranking import FrequencyIndex
 from repro.text.termblock import TermBlock
@@ -912,3 +914,74 @@ class TestDifferentialSeams:
                 got = reader.read_postings(info, candidates, with_freqs=True)
                 for doc_id in set(ids).intersection(candidates):
                     assert got[doc_id] == tfs_of[doc_id]
+
+
+def awkward_docs():
+    """Paths that need a two-byte length varint (>= 128 UTF-8 bytes),
+    non-ASCII paths, and lengths on both sides of 127."""
+    return {
+        "d/" + "x" * 140 + ".txt": ["alpha"] * 200 + ["beta"],
+        "d/" + "é" * 70 + ".txt": ["beta", "gamma"],
+        "d/naïve/résumé-日本語.txt": ["gamma"] * 127,
+        "d/short.txt": ["alpha"] * 128,
+        "d/" + "ø" * 61 + ".txt": ["delta"],  # exactly 128 bytes
+    }
+
+
+class TestDocTableOnePass:
+    @pytest.mark.parametrize("with_frequencies", [True, False])
+    def test_equals_the_per_record_decode(self, tmp_path, with_frequencies):
+        index, frequencies = build_index(awkward_docs())
+        data = dump_index_ridx2(
+            index, frequencies if with_frequencies else None
+        )
+        path = str(tmp_path / "awkward.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        header = parse_ridx2_header(data)
+        records = [
+            read_ridx2_doc(data, header, i) for i in range(header.doc_count)
+        ]
+        assert any(len(p.encode()) >= 128 for p, _ in records)
+        assert any(n >= 128 for _, n in records) == with_frequencies
+        paths, lengths = read_ridx2_docs(data, header)
+        assert list(zip(paths, lengths)) == records
+        with MmapPostingsReader(path) as reader:
+            assert reader.doc_paths() == paths == sorted(awkward_docs())
+            assert [reader.doc_length(i) for i in range(len(paths))] == lengths
+            assert reader.doc_paths_of([4, 0, 2]) == [paths[4], paths[0], paths[2]]
+        assert sorted(load_index_ridx2(data).items()) == sorted(index.items())
+
+    def test_an_empty_doc_table(self):
+        data = dump_index_ridx2(InvertedIndex())
+        assert read_ridx2_docs(data, parse_ridx2_header(data)) == ([], [])
+
+    def test_an_offset_that_disagrees_with_the_records_is_refused(self):
+        index, _ = build_index(awkward_docs())
+        data = bytearray(dump_index_ridx2(index))
+        header = parse_ridx2_header(data)
+        # Move record 2's start one byte on: record 1 now ends short.
+        entry = header.doc_offsets_off + 4 * 2
+        start = int.from_bytes(data[entry : entry + 4], "little")
+        data[entry : entry + 4] = (start + 1).to_bytes(4, "little")
+        with pytest.raises(IndexFormatError, match="record 1"):
+            read_ridx2_docs(bytes(data), header)
+
+    def test_a_length_running_off_the_section_is_refused(self):
+        index, _ = build_index(awkward_docs())
+        data = bytearray(dump_index_ridx2(index))
+        header = parse_ridx2_header(data)
+        last = header.doc_count - 1
+        entry = header.doc_offsets_off + 4 * last
+        start = int.from_bytes(data[entry : entry + 4], "little")
+        data[header.doc_data_off + start] = 0x7F  # a path longer than left
+        with pytest.raises(IndexFormatError, match=f"record {last}"):
+            read_ridx2_docs(bytes(data), header)
+
+    def test_a_path_that_is_not_utf8_is_refused(self):
+        index, _ = build_index({"a.txt": ["x"], "b.txt": ["y"]})
+        data = bytearray(dump_index_ridx2(index))
+        header = parse_ridx2_header(data)
+        data[header.doc_data_off + 1] = 0xFF  # the first byte of "a.txt"
+        with pytest.raises(IndexFormatError, match="record 0"):
+            read_ridx2_docs(bytes(data), header)

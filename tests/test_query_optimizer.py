@@ -59,6 +59,22 @@ class TestRewrites:
         once = optimize(query)
         assert optimize(once) == once
 
+    def test_canonical_false_among_leaves(self):
+        # No parse produces NOTHING, but an optimised AST may be fed back.
+        assert optimize(And((Term("a"), NOTHING, Term("b")))) == NOTHING
+        assert optimize(Or((Term("a"), NOTHING))) == Term("a")
+        assert optimize(Or((NOTHING, Term("a"), Term("b")))) == Or(
+            (Term("a"), Term("b"))
+        )
+
+    def test_a_node_nothing_rewrites_is_returned_not_rebuilt(self):
+        for text in ("a b c", "a OR b*", 'a AND "b c"', "a AND NOT b",
+                     "(a OR b) AND NOT (c AND d)"):
+            query = parse_query(text)
+            assert optimize(query) is query, text
+        lists = And([Term("a"), Term("b")])  # operands not a tuple
+        assert optimize(lists) == And((Term("a"), Term("b")))
+
     def test_node_count(self):
         # And + a + Or + b + Not + c
         assert node_count(parse_query("a AND (b OR NOT c)")) == 6
