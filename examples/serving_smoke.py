@@ -1,4 +1,4 @@
-"""Serving smoke test: 200 concurrent queries across two live refreshes.
+"""Serving smoke test: 200 concurrent queries across three live refreshes.
 
 Builds an index over a synthetic corpus, stands up a
 :class:`~repro.service.service.SearchService`, then hammers it from
@@ -6,6 +6,9 @@ four reader threads while a fifth thread adds files and swaps refreshed
 snapshots in.  The oracle is snapshot isolation itself: every result
 must exactly match the generation it claims to come from — a query that
 mixed two generations (a torn read across the swap) fails the run.
+After each swap the service must serve the session's own snapshot, so
+``session.query`` and ``service.query`` agree on the generation; a last
+refresh that finds nothing to change must not advance it.
 
 Writes a Chrome trace of the whole exercise; CI validates it with
 ``python -m repro.obs.validate``.
@@ -39,9 +42,9 @@ def main(trace_path: str = "serving-trace.json") -> int:
     corpus = CorpusGenerator(TINY_PROFILE).generate()
     session = Search.build(corpus.fs)
     print(f"indexed {len(session)} files; serving with {READERS} readers "
-          f"x {QUERIES_EACH} queries during 2 refresh swaps")
+          f"x {QUERIES_EACH} queries during 3 refreshes")
 
-    results, errors = [], []
+    results, errors, drift = [], [], []
     barrier = threading.Barrier(READERS + 1)
 
     with session.serve(workers=4, max_inflight=256) as service:
@@ -59,13 +62,28 @@ def main(trace_path: str = "serving-trace.json") -> int:
 
         def refresher() -> None:
             barrier.wait()
-            for round_no in (1, 2):
-                corpus.fs.write_file(
-                    f"smoke-{round_no}.txt",
-                    f"{MARKER} appears in round {round_no}".encode(),
-                )
+            # Two rounds that add a file, then one that finds nothing.
+            for round_no in (1, 2, None):
+                if round_no is not None:
+                    corpus.fs.write_file(
+                        f"smoke-{round_no}.txt",
+                        f"{MARKER} appears in round {round_no}".encode(),
+                    )
+                before = service.generation
                 outcome = service.refresh()
                 print(f"  swap: {outcome}")
+                if service.snapshot is not session.snapshot():
+                    drift.append(f"round {round_no}: service snapshot "
+                                 "is not the session's")
+                doors = (session.query(MARKER).generation,
+                         service.query(MARKER).generation)
+                if doors[0] != doors[1]:
+                    drift.append(f"round {round_no}: session answered "
+                                 f"generation {doors[0]}, service {doors[1]}")
+                if round_no is None and outcome.generation != before:
+                    drift.append(f"a refresh with no change advanced "
+                                 f"generation {before} -> "
+                                 f"{outcome.generation}")
 
         threads = [threading.Thread(target=reader) for _ in range(READERS)]
         threads.append(threading.Thread(target=refresher))
@@ -75,7 +93,7 @@ def main(trace_path: str = "serving-trace.json") -> int:
             thread.join()
         stats = service.stats()
 
-    torn = [r for r in results if r.paths != EXPECTED[r.generation]]
+    torn = [r for r in results if r.paths != EXPECTED.get(r.generation)]
     by_generation = {
         g: sum(1 for r in results if r.generation == g) for g in EXPECTED
     }
@@ -86,6 +104,10 @@ def main(trace_path: str = "serving-trace.json") -> int:
 
     if errors:
         print(f"FAIL: {len(errors)} queries errored: {errors[:3]}",
+              file=sys.stderr)
+        return 1
+    if drift:
+        print(f"FAIL: the service drifted from its session: {drift}",
               file=sys.stderr)
         return 1
     if torn:

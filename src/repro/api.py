@@ -2,11 +2,9 @@
 
 Historically this package grew one entry point per subsystem: engines
 behind :class:`~repro.engine.runner.IndexGenerator`, persistence split
-across four save/load functions, querying split between
-:class:`~repro.query.evaluator.QueryEngine`,
-:class:`~repro.query.cache.CachingQueryEngine` and a separate
-incremental indexer.  :class:`Search` folds that into a single session
-object::
+across four save/load functions, querying split between an engine, a
+caching wrapper and a separate incremental indexer.  :class:`Search`
+folds that into a single session object::
 
     from repro import Search
 
@@ -44,7 +42,9 @@ refresh).  ``query`` takes no lock: every index change publishes one
 result cache, as one store, and a query reads it once, so one that
 races a writer (the refresher of :meth:`Search.serve`, the compactor)
 answers from — and is labelled with — exactly one generation.  The
-serving doors answer repeats from that same cache.
+serving doors serve those same snapshots — a service publishes the
+session's snapshot, never one of its own — so every door reports the
+session's generation and answers repeats from the same cache.
 """
 
 from __future__ import annotations
@@ -493,15 +493,18 @@ class Search:
     ) -> SearchService:
         """A :class:`~repro.service.service.SearchService` over this
         session.  The service's refresher runs :meth:`refresh` and
-        publishes the resulting manifest, so ``service.refresh()`` (or
-        ``--watch``) updates readers with one atomic pointer swap."""
+        hands on :meth:`snapshot`, so ``service.refresh()`` (or
+        ``--watch``) updates readers with one atomic pointer swap, and
+        a refresh that changed nothing keeps the served snapshot and
+        its warm cache.  A compaction reaches the service at its next
+        refresh."""
         refresher = None
         if self._fs is not None:
 
             def refresher():
+                # Refresh first: the snapshot handed on is its result.
                 change = self.refresh()
-                view = self.snapshot()
-                return view.index, view.universe, view.report, change
+                return self.snapshot(), change
 
         return SearchService(
             self.snapshot(),

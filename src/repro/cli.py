@@ -186,7 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="open this saved index instead of building one "
                    "(the directory is still used for --watch refreshes)")
     p.add_argument("--workers", type=int, default=2,
-                   help="query worker threads (default 2)")
+                   help="evaluation slots: queries evaluated at once "
+                   "(default 2)")
     p.add_argument("--max-inflight", type=int, default=32,
                    help="admission-control bound on queued+running "
                    "queries; excess queries are shed (default 32)")

@@ -17,7 +17,6 @@ ranking.
 
 from repro.query.ast import And, Not, Or, Phrase, Prefix, Query, Term
 from repro.query.cache import (
-    CachingQueryEngine,
     QueryCache,
     cache_key,
     normalize_query,
@@ -41,7 +40,6 @@ __all__ = [
     "BM25_B",
     "BM25_K1",
     "BM25Ranker",
-    "CachingQueryEngine",
     "DaatQueryEngine",
     "FrequencyIndex",
     "Not",

@@ -1,14 +1,14 @@
-"""Query result caching with invalidation.
+"""Query result caching.
 
 Desktop-search users repeat queries (retyping, paging, live-search
 keystrokes), and the index between refreshes is immutable — ideal
 caching conditions.  :class:`QueryCache` is a from-scratch LRU keyed by
 (normalized query, parallel flag, ranking mode, top-K, topology scope)
-that a published :class:`~repro.service.snapshot.IndexSnapshot` owns;
-:class:`CachingQueryEngine` wraps a
-:class:`~repro.query.evaluator.QueryEngine` with it and exposes
-:meth:`~CachingQueryEngine.invalidate` for the moment the index changes
-(e.g. after a :meth:`~repro.index.segments.SegmentedIndexer.refresh`).
+that a published :class:`~repro.service.snapshot.IndexSnapshot` owns:
+:meth:`~repro.service.snapshot.IndexSnapshot.answer` is the one cached
+answer path.  Nothing is ever invalidated — an index change publishes a
+new snapshot with an empty cache, and the old cache dies with the old
+snapshot.
 
 Normalization runs the query optimizer first, so ``a AND a`` and ``a``
 share a cache entry.  The ranking mode and top-K are part of the key
@@ -31,11 +31,10 @@ later hit observes.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.obs import recorder as obsrec
 from repro.query.ast import Query
-from repro.query.evaluator import QueryEngine
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
 
@@ -66,10 +65,10 @@ def normalize_query(query_text: str) -> str:
     """The canonical string of the optimized AST.
 
     This is the normalization every cache-key producer must share —
-    the snapshot cache, :class:`CachingQueryEngine` and the serving
-    front end's single-flight map all key on it, so ``a AND a`` and
-    ``a`` coalesce everywhere or nowhere.  Raises
-    :class:`~repro.query.parser.ParseError` on malformed queries.
+    the snapshot cache and the serving front end's single-flight map
+    both key on it, so ``a AND a`` and ``a`` coalesce everywhere or
+    nowhere.  Raises :class:`~repro.query.parser.ParseError` on
+    malformed queries.
     """
     return str(optimize(parse_query(query_text)))
 
@@ -116,13 +115,6 @@ class QueryCache:
         self.hits = 0
         self.misses = 0
 
-    def fresh(self) -> "QueryCache":
-        """An empty cache of this one's capacity and name, under the
-        same lock: a lineage of caches is one location to the checker."""
-        successor = QueryCache(self.capacity, sync=self._sync, name=self.name)
-        successor._lock = self._lock
-        return successor
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -166,13 +158,6 @@ class QueryCache:
             size = len(self._entries)
         obsrec.metrics().gauge(f"{self.name}.size").set(size)
 
-    def clear(self) -> None:
-        """Drop every entry (the index changed)."""
-        with self._lock:
-            self._sync.access(f"{self.name}.entries")
-            self._entries.clear()
-        obsrec.metrics().gauge(f"{self.name}.size").set(0)
-
     @property
     def hit_rate(self) -> float:
         """hits / (hits + misses), 0.0 before any lookup."""
@@ -190,68 +175,3 @@ class QueryCache:
             f"{self.name}.hits" if hit else f"{self.name}.misses"
         ).inc()
         metrics.gauge(f"{self.name}.hit_rate").set(hit_rate)
-
-
-class CachingQueryEngine:
-    """A :class:`QueryEngine` front end with LRU result caching.
-
-    ``ranker`` (a :class:`~repro.query.ranking.BM25Ranker`) enables the
-    cached :meth:`search_bm25` path for in-memory engines; engines that
-    score natively (:class:`~repro.query.daat.DaatQueryEngine`) need no
-    ranker.  Boolean and BM25 results share one LRU but can never be
-    confused: the ranking mode and top-K are part of the cache key.
-    """
-
-    def __init__(
-        self, engine: QueryEngine, capacity: int = 128, sync=None,
-        ranker=None,
-    ) -> None:
-        self.engine = engine
-        self.ranker = ranker
-        self.cache = QueryCache(capacity, sync=sync)
-
-    def search(self, query_text: str, parallel: bool = False) -> List[str]:
-        """Like :meth:`QueryEngine.search`, memoized on the normalized
-        query."""
-        with obsrec.span("query.cached_search", parallel=parallel):
-            # Parsed once: the optimized AST names the cache entry and,
-            # on a miss, is what the engine evaluates.
-            plan = plan_query(query_text, parallel)
-            cached = self.cache.get(plan.key)
-            if cached is not None:
-                return cached
-            result = self.engine.search_ast(plan.query, parallel=parallel)
-            self.cache.put(plan.key, result)
-            return result
-
-    def search_bm25(self, query_text: str, topk: int = 10) -> list:
-        """BM25 top-``topk``, memoized under a mode-and-K-specific key.
-
-        Dispatches to the wrapped engine's own ``search_bm25`` when it
-        has one (the DAAT/mmap path), else scores through the
-        constructor's ``ranker``.
-        """
-        with obsrec.span("query.cached_search", mode="bm25", topk=topk):
-            key = plan_query(query_text, False, "bm25", topk).key
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-            if hasattr(self.engine, "search_bm25"):
-                result = self.engine.search_bm25(query_text, topk=topk)
-            elif self.ranker is not None:
-                from repro.query.ranking import search_bm25
-
-                result = search_bm25(
-                    self.engine, self.ranker, query_text, topk=topk
-                )
-            else:
-                raise ValueError(
-                    "BM25 needs an engine with native scoring (DAAT over "
-                    "RIDX2) or a ranker= passed to CachingQueryEngine"
-                )
-            self.cache.put(key, result)
-            return result
-
-    def invalidate(self) -> None:
-        """Call whenever the underlying index changes."""
-        self.cache.clear()

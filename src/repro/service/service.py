@@ -6,11 +6,12 @@ maintenance:
 * **readers never block on writers** — a query loads the current
   :class:`~repro.service.snapshot.IndexSnapshot` reference under a
   short snapshot lock and then evaluates entirely against that object;
-  an update builds the next snapshot off to the side and publishes it
-  with one reference assignment under the same lock.  Both sides go
-  through the :class:`~repro.concurrency.provider.SyncProvider` seam
-  and declare their accesses, so the schedule checker can sweep the
-  swap/read interleavings and the race detector watches the swap;
+  an update's snapshot is built off to the side by whoever owns the
+  index and published with one compare and one reference store under
+  the same lock.  Both sides go through the
+  :class:`~repro.concurrency.provider.SyncProvider` seam and declare
+  their accesses, so the schedule checker can sweep the swap/read
+  interleavings and the race detector watches the swap;
 * **caller-runs** — a query is evaluated on the thread that asked it;
   the service starts no thread of its own.  ``workers`` evaluation
   slots bound how many callers evaluate at once, and callers beyond
@@ -24,21 +25,22 @@ maintenance:
   and returns once every accepted query has finished.
 
 Updates arrive either through :meth:`SearchService.publish` (hand in a
-freshly built index) or :meth:`SearchService.refresh` (invoke the
-configured refresher, e.g. an incremental delta computed by
-:meth:`repro.api.Search.refresh`); ``start_watch`` runs refresh on a
-period in a background thread, which is what ``repro-cli serve
---watch`` drives.
+newer snapshot) or :meth:`SearchService.refresh` (invoke the configured
+refresher, e.g. the one :meth:`repro.api.Search.serve` installs, which
+runs the session's incremental refresh and hands on the session's own
+snapshot); ``start_watch`` runs refresh on a period in a background
+thread, which is what ``repro-cli serve --watch`` drives.  The service
+builds no snapshot of its own.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import recorder as obsrec
-from repro.service.snapshot import AnyIndex, IndexSnapshot, QueryResult
+from repro.service.snapshot import IndexSnapshot, QueryResult
 
 SHED_POLICIES: Tuple[str, ...] = ("reject", "block")
 
@@ -68,10 +70,10 @@ class RefreshOutcome:
 class SearchService:
     """Serves concurrent callers against the live snapshot.
 
-    ``refresher`` is an optional zero-argument callable that computes
-    the next index off-line and returns it — either a bare index or a
-    ``(index, universe, report)`` tuple (trailing elements optional).
-    :meth:`refresh` invokes it and publishes the outcome atomically.
+    ``refresher`` is an optional zero-argument callable that brings the
+    index up to date off-line and returns ``(snapshot, change)``: the
+    snapshot to serve and a report of what changed.  :meth:`refresh`
+    invokes it and publishes the snapshot atomically.
     """
 
     def __init__(
@@ -125,11 +127,8 @@ class SearchService:
         self._served = 0
         self._shed_count = 0
 
-        # One refresh at a time, and one snapshot succession at a time:
-        # without the publish lock two concurrent publishers could both
-        # read generation N and fight over who becomes N + 1.
+        # One refresh at a time.
         self._refresh_lock = sync.lock(f"{name}.refresh-lock")
-        self._publish_lock = sync.lock(f"{name}.publish-lock")
 
         self._watch_cond = sync.condition(self._lock, f"{name}.watch-cond")
         self._watch_stop = False
@@ -230,53 +229,46 @@ class SearchService:
 
     # -- the write side ---------------------------------------------------
 
-    def publish(
-        self,
-        index: AnyIndex,
-        provenance: str = "publish",
-        universe: Optional[FrozenSet[str]] = None,
-        report: object = None,
-    ) -> IndexSnapshot:
-        """Build the successor snapshot and swap it in atomically.
+    def publish(self, snapshot: IndexSnapshot) -> None:
+        """Swap ``snapshot`` in as the one queries load.
 
-        The (potentially expensive) snapshot construction — universe
-        transposition, engine setup — happens before the lock; the
-        critical section is one reference store.
+        Handed the snapshot already served, it does nothing; any other
+        must carry a newer generation (``ValueError`` otherwise), so the
+        generation readers see never goes backwards.  The compare and
+        the store are one critical section under the snapshot lock.
         """
-        with obsrec.span(f"{self.name}.publish", provenance=provenance):
-            with self._publish_lock:
-                with self._snap_lock:
-                    self._sync.access(f"{self.name}.snapshot", write=False)
-                    current = self._snapshot
-                successor = current.next(
-                    index, provenance, universe=universe, report=report
+        with obsrec.span(
+            f"{self.name}.publish", generation=snapshot.generation
+        ):
+            with self._snap_lock:
+                self._sync.access(f"{self.name}.snapshot", write=False)
+                current = self._snapshot
+                if snapshot is current:
+                    return
+                if snapshot.generation <= current.generation:
+                    raise ValueError(
+                        f"{self.name}: cannot publish generation "
+                        f"{snapshot.generation} over generation "
+                        f"{current.generation}"
+                    )
+                self._sync.access(f"{self.name}.snapshot", write=True)
+                self._snapshot = snapshot
+                obsrec.metrics().gauge(f"{self.name}.generation").set(
+                    snapshot.generation
                 )
-                with self._snap_lock:
-                    self._sync.access(f"{self.name}.snapshot", write=True)
-                    self._snapshot = successor
-        obsrec.metrics().gauge(f"{self.name}.generation").set(
-            successor.generation
-        )
-        return successor
 
     def refresh(self) -> RefreshOutcome:
-        """Compute the next index via the refresher and publish it.
+        """Bring the index up to date via the refresher and publish the
+        snapshot it returns.
 
         Runs in the calling thread (or the watch thread); queries keep
         being served from the old snapshot the whole time.
         """
-        if self._refresher is None:
-            raise ValueError(
-                f"{self.name} has no refresher configured; use publish() "
-                "or construct the service via Search.serve()"
-            )
+        self._require_refresher()
         with obsrec.span(f"{self.name}.refresh"):
             with self._refresh_lock:
-                payload = self._refresher()
-                index, universe, report, change = _unpack_refresh(payload)
-                snapshot = self.publish(
-                    index, "refresh", universe=universe, report=report
-                )
+                snapshot, change = self._refresher()
+                self.publish(snapshot)
         obsrec.metrics().counter(f"{self.name}.refreshes").inc()
         return RefreshOutcome(generation=snapshot.generation, change=change)
 
@@ -284,8 +276,7 @@ class SearchService:
         """Refresh on a period in a background thread until close()."""
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
-        if self._refresher is None:
-            raise ValueError(f"{self.name} has no refresher to watch with")
+        self._require_refresher()
         if self._watch_thread is not None:
             raise RuntimeError(f"{self.name} is already watching")
 
@@ -374,6 +365,15 @@ class SearchService:
 
     # -- internals --------------------------------------------------------
 
+    def _require_refresher(self) -> None:
+        if self._refresher is None:
+            raise ValueError(
+                f"{self.name} serves a fixed snapshot and cannot refresh: "
+                "it has no refresher (a Search session opened without "
+                "source= has no filesystem to refresh from; pass "
+                "Search.open(path, source=directory))"
+            )
+
     def _wait_locked(self) -> None:
         """Wait on the done-condition, counted so that a release only
         notifies when somebody is waiting."""
@@ -382,16 +382,3 @@ class SearchService:
             self._done.wait()
         finally:
             self._waiting -= 1
-
-
-def _unpack_refresh(payload: object):
-    """Normalize a refresher's return value.
-
-    Accepts a bare index, ``(index,)``, ``(index, universe)``,
-    ``(index, universe, report)`` or ``(index, universe, report,
-    change)``; missing positions default to None.
-    """
-    if isinstance(payload, tuple):
-        parts: List[object] = list(payload) + [None, None, None, None]
-        return parts[0], parts[1], parts[2], parts[3]
-    return payload, None, None, None

@@ -3,10 +3,11 @@
 A :class:`IndexSnapshot` freezes everything a query needs — the index,
 the universe of indexed paths (for ``NOT``), the generation number and
 the provenance of the build — behind one object that is never mutated
-after construction.  :class:`~repro.service.service.SearchService`
-publishes a *new* snapshot for every update and swaps one reference;
-queries in flight keep the snapshot they started with, which is the
-whole snapshot-isolation story.
+after construction.  The owner of the index (a
+:class:`~repro.api.Search` session) makes a *new* snapshot for every
+index change, and :class:`~repro.service.service.SearchService` swaps
+one reference to serve it; queries in flight keep the snapshot they
+started with, which is the whole snapshot-isolation story.
 
 The index behind a snapshot need not live in memory:
 :meth:`IndexSnapshot.from_ondisk` wraps an
@@ -50,15 +51,15 @@ def universe_of(index: AnyIndex) -> FrozenSet[str]:
 class IndexSnapshot:
     """One immutable published state of the index.
 
-    ``generation`` increases by exactly one per publish; ``provenance``
+    ``generation`` increases by one per index change; ``provenance``
     says where the snapshot came from (``"build"``, ``"refresh"``,
     ``"open"``, ...).  ``report`` optionally carries the
     :class:`~repro.engine.results.BuildReport` that produced the index.
     The snapshot owns its :class:`~repro.query.evaluator.QueryEngine`;
     callers must treat the index as frozen once it is wrapped here.
     ``cache``, when set, memoizes :meth:`answer` for every door that
-    asks; it dies with the snapshot (:meth:`next` starts an empty one),
-    so a cached answer never outlives its index.
+    asks; it dies with the snapshot (each is made with an empty one of
+    its own), so a cached answer never outlives its index.
     """
 
     index: AnyIndex
@@ -174,23 +175,6 @@ class IndexSnapshot:
             elapsed_s=time.perf_counter() - started,
             cached=cached,
             hits=value if ranked else None,
-        )
-
-    def next(
-        self,
-        index: AnyIndex,
-        provenance: str,
-        universe: Optional[FrozenSet[str]] = None,
-        report: object = None,
-    ) -> "IndexSnapshot":
-        """The successor snapshot (generation + 1) holding ``index``."""
-        return IndexSnapshot(
-            index=index,
-            generation=self.generation + 1,
-            provenance=provenance,
-            universe=universe,
-            report=report,
-            cache=self.cache.fresh() if self.cache is not None else None,
         )
 
     def describe(self) -> str:

@@ -44,9 +44,9 @@ from repro.index.segments import SegmentManifest
 from repro.obs import recorder as obsrec
 from repro.query import (
     BM25Ranker,
-    CachingQueryEngine,
     FrequencyIndex,
     ParseError,
+    QueryCache,
     QueryEngine,
     RankedHit,
     search_bm25,
@@ -496,7 +496,8 @@ class TestOnePublishedView:
         snapshot = IndexSnapshot(index=session.manifest)
         assert snapshot.universe == frozenset(("a.txt", "b.txt"))
         with SearchService(snapshot, workers=1) as service:
-            published = service.publish(session.manifest)
+            published = IndexSnapshot(index=session.manifest, generation=1)
+            service.publish(published)
             assert published.universe == snapshot.universe
             assert service.query("NOT alpha").paths == []
             assert service.query("NOT beta").paths == ["b.txt"]
@@ -575,11 +576,14 @@ class TestTheSnapshotOwnsTheCache:
         assert session.query(text).cached
 
     def test_a_successor_starts_with_an_empty_cache(self):
-        session = Search.build(small_fs(), cache=7)
+        fs = small_fs()
+        session = Search.build(fs, cache=7)
         first = session.snapshot()
         first.answer("alpha")
         assert len(first.cache) == 1 and first.cache.capacity == 7
-        successor = first.next(session.manifest, "publish")
+        fs.write_file("c.txt", b"delta")
+        session.refresh()
+        successor = session.snapshot()
         assert successor.cache is not first.cache
         assert len(successor.cache) == 0 and successor.cache.capacity == 7
         assert not successor.answer("alpha").cached
@@ -664,13 +668,19 @@ class TestEvaluatorOrder:
     def test_caching_over_daat_parses_once_hit_or_miss(
         self, corpus_engines, parses
     ):
-        caching = CachingQueryEngine(corpus_engines[1])
+        daat = corpus_engines[1]
+        caching = IndexSnapshot(
+            daat.reader,
+            universe=frozenset(DOCS),
+            engine=daat,
+            cache=QueryCache(),
+        )
         for text in ("alpha AND beta", "alph*", "NOT gamma"):
             del parses[:]
-            first = caching.search(text)
+            first = caching.answer(text).paths
             assert len(parses) == 1
             del parses[:]
-            assert caching.search(text) == first
+            assert caching.answer(text).paths == first
             assert len(parses) == 1
         assert caching.cache.hits == 3 and caching.cache.misses == 3
 

@@ -489,6 +489,80 @@ class TestServe:
             with pytest.raises(ValueError):
                 service.refresh()
 
+    def test_refresh_error_names_the_missing_source(self, small_fs, tmp_path):
+        path = str(tmp_path / "index.idx")
+        Search.build(small_fs).save(path)
+        with Search.open(path).serve() as service:
+            with pytest.raises(ValueError, match="fixed snapshot") as caught:
+                service.refresh()
+            assert "source=" in str(caught.value)
+            assert "Search.serve()" not in str(caught.value)
+
+
+def _serving(session, door):
+    """``(ask, service, server)`` for one serving door over ``session``:
+    the door's query, the :class:`SearchService` behind it (the front
+    end's own, for ``serve_async``) and what to close."""
+    if door == "serve":
+        service = session.serve(workers=1)
+        return service.query, service, service
+    frontend = session.serve_async(workers=1)
+    return frontend.query, frontend.service, frontend
+
+
+@pytest.mark.parametrize("door", ("serve", "serve_async"))
+class TestServedSnapshotIsTheSessions:
+    """A service serves the session's own snapshots: one generation and
+    one cache across ``Search.query`` and the serving doors."""
+
+    def test_a_refresh_that_changes_nothing_keeps_the_warm_snapshot(
+        self, small_fs, door
+    ):
+        session = Search.build(small_fs)
+        ask, service, server = _serving(session, door)
+        with server:
+            assert not ask("cat").cached
+            outcome = service.refresh()
+            assert outcome.change.total == 0
+            assert outcome.generation == session.generation == 0
+            assert service.generation == session.generation
+            assert service.snapshot is session.snapshot()
+            assert ask("cat").cached
+
+    def test_after_a_change_the_doors_share_generation_and_cache(
+        self, small_fs, door
+    ):
+        session = Search.build(small_fs)
+        ask, service, server = _serving(session, door)
+        with server:
+            service.refresh()  # a watch tick that finds nothing
+            small_fs.write_file("docs/new.txt", b"cat ferret")
+            service.refresh()
+            served = ask("cat")
+            direct = session.query("cat")
+            assert served.generation == direct.generation == 1
+            assert not served.cached and direct.cached
+            assert "docs/new.txt" in served.paths
+            assert direct.paths == served.paths
+            # and the other way round: asked first on the session
+            assert not session.query("ferret").cached
+            assert ask("ferret").cached
+            assert service.snapshot is session.snapshot()
+
+    def test_a_compaction_is_served_from_the_next_refresh(
+        self, small_fs, door
+    ):
+        session = Search.build(small_fs)
+        ask, service, server = _serving(session, door)
+        with server:
+            small_fs.write_file("docs/new.txt", b"ferret")
+            service.refresh()
+            assert session.compact()
+            assert service.generation == 1 < session.generation
+            assert service.refresh().change.total == 0
+            assert service.snapshot is session.snapshot()
+            assert ask("ferret").generation == session.generation
+
 
 class TestCuratedTopLevel:
     def test_all_is_exactly_the_curated_api(self):

@@ -13,8 +13,8 @@ is safe to hammer from every thread a desktop search runs on:
 3. copy-in/copy-out semantics: caller-side mutation of inserted or
    returned lists must never corrupt later hits.
 
-Plus the invalidation integration: after a segmented refresh,
-``CachingQueryEngine.invalidate()`` must guarantee no stale postings.
+Plus the refresh integration: after a segmented refresh the published
+snapshot, whose cache starts empty, must never serve stale postings.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import threading
 
 import pytest
 
-from repro.query.cache import CachingQueryEngine, QueryCache
+from repro.query.cache import QueryCache
 from repro.query.evaluator import QueryEngine
 from repro.schedcheck import (
     CooperativeScheduler,
@@ -33,6 +33,7 @@ from repro.schedcheck import (
     find_races,
     make_strategy,
 )
+from repro.service.snapshot import IndexSnapshot
 
 
 # -- real-thread stress ------------------------------------------------
@@ -56,7 +57,7 @@ class TestThreadStress:
                     if op % 3 == 0:
                         cache.put(key, [f"{key[0]}.txt"])
                     elif op % 31 == 0:
-                        cache.clear()
+                        assert len(cache) <= cache.capacity
                     else:
                         value = cache.get(key)
                         # a hit must return exactly what a put inserted
@@ -91,7 +92,9 @@ class TestThreadStress:
         engine = QueryEngine(report.index)
         queries = sorted(report.index.terms())[:4]
         expected = {q: QueryEngine(report.index).search(q) for q in queries}
-        caching = CachingQueryEngine(engine, capacity=8)
+        caching = IndexSnapshot(
+            report.index, engine=engine, cache=QueryCache(capacity=8)
+        )
         start = threading.Barrier(6)
         mismatches = []
 
@@ -99,7 +102,7 @@ class TestThreadStress:
             start.wait()
             for op in range(40):
                 query = queries[(worker_id + op) % len(queries)]
-                result = caching.search(query)
+                result = caching.answer(query).paths
                 if result != expected[query]:
                     mismatches.append((query, result))
 
@@ -118,7 +121,7 @@ class TestThreadStress:
 
 
 def cache_scenario(provider):
-    """Two threads interleaving get/put/clear on one shared cache."""
+    """Two threads interleaving get/put/evict on one shared cache."""
     cache = QueryCache(capacity=2, sync=provider)
 
     def reader() -> None:
@@ -130,7 +133,6 @@ def cache_scenario(provider):
         for i in range(3):
             cache.put(("q", False), ["a.txt"])
             cache.put((f"other{i}", False), ["b.txt"])
-        cache.clear()
 
     threads = [provider.thread(reader, name="reader"),
                provider.thread(writer, name="writer")]
@@ -200,11 +202,11 @@ class TestCopySemantics:
         from repro.engine import SequentialIndexer
 
         report = SequentialIndexer(tiny_fs).build()
-        caching = CachingQueryEngine(QueryEngine(report.index))
+        caching = IndexSnapshot(report.index, cache=QueryCache())
         query = sorted(report.index.terms())[0]
-        expected = list(caching.search(query))
-        caching.search(query).append("garbage")
-        assert caching.search(query) == expected
+        expected = list(caching.answer(query).paths)
+        caching.answer(query).paths.append("garbage")
+        assert caching.answer(query).paths == expected
 
 
 # -- invalidation after refresh ----------------------------------------
@@ -212,46 +214,37 @@ class TestCopySemantics:
 
 class TestInvalidateAfterRefresh:
     def build(self):
+        from repro.api import Search
         from repro.fsmodel import VirtualFileSystem
-        from repro.index.segments import SegmentedIndexer
 
         fs = VirtualFileSystem()
         fs.write_file("a.txt", b"needle here")
         fs.write_file("b.txt", b"just hay")
-        indexer = SegmentedIndexer(fs)
-        indexer.refresh()
-        caching = CachingQueryEngine(QueryEngine(indexer.manifest))
-        return fs, indexer, caching
-
-    @staticmethod
-    def refresh(indexer, caching):
-        """A refresh swaps in a new immutable manifest; the engine
-        follows it.  Invalidation stays the caller's move."""
-        report = indexer.refresh()
-        caching.engine = QueryEngine(indexer.manifest)
-        return report
+        return fs, Search.build(fs)
 
     def test_add_modify_remove_never_served_stale(self):
-        fs, indexer, caching = self.build()
-        assert caching.search("needle") == ["a.txt"]
+        fs, session = self.build()
+        assert session.query("needle").paths == ["a.txt"]
 
         fs.write_file("c.txt", b"fresh needle")   # add
         fs.replace_file("b.txt", b"needle now")   # modify
         fs.remove_file("a.txt")                   # remove
-        report = self.refresh(indexer, caching)
+        report = session.refresh()
         assert report.added and report.modified and report.removed
-        caching.invalidate()
-        assert caching.search("needle") == ["b.txt", "c.txt"]
+        assert session.query("needle").paths == ["b.txt", "c.txt"]
         # and repeats come from the refreshed cache, still correct
-        assert caching.search("needle") == ["b.txt", "c.txt"]
+        repeat = session.query("needle")
+        assert repeat.cached and repeat.paths == ["b.txt", "c.txt"]
 
     def test_without_invalidate_result_is_stale(self):
-        # The reason invalidate() exists: the cache would happily keep
-        # serving pre-refresh postings.
-        fs, indexer, caching = self.build()
-        assert caching.search("needle") == ["a.txt"]
+        # Nothing is invalidated: a snapshot held from before the
+        # refresh keeps serving its own pre-refresh postings, from its
+        # own cache, while the published one answers fresh.
+        fs, session = self.build()
+        before = session.snapshot()
+        assert before.answer("needle").paths == ["a.txt"]
         fs.write_file("c.txt", b"fresh needle")
-        self.refresh(indexer, caching)
-        assert caching.search("needle") == ["a.txt"]  # stale hit
-        caching.invalidate()
-        assert caching.search("needle") == ["a.txt", "c.txt"]
+        session.refresh()
+        stale = before.answer("needle")
+        assert stale.cached and stale.paths == ["a.txt"]  # stale hit
+        assert session.query("needle").paths == ["a.txt", "c.txt"]

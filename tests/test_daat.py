@@ -38,7 +38,6 @@ from repro.index import (
 from repro.index.multi import MultiIndex
 from repro.query import (
     BM25Ranker,
-    CachingQueryEngine,
     FrequencyIndex,
     QueryEngine,
     cache_key,
@@ -172,31 +171,36 @@ class TestRankingAwareCacheKeys:
         cache.put(cache_key("the", False, "bm25", 10), ["scored-garbage"])
         assert cache.get(cache_key("the", False)) is None
 
-    def test_caching_engine_keeps_modes_apart(self, tiny_fs):
+    def test_caching_engine_keeps_modes_apart(self, tiny_fs, tmp_path):
+        # A cached snapshot over the natively scoring on-disk engine.
         report = SequentialIndexer(tiny_fs).build()
         frequencies = FrequencyIndex.from_fs(tiny_fs)
-        caching = CachingQueryEngine(
-            QueryEngine(report.index), ranker=BM25Ranker(frequencies)
+        path = str(tmp_path / "modes.ridx2")
+        save_index(
+            report.index, path, format="ridx2", frequencies=frequencies
         )
-        ranked = caching.search_bm25("the", topk=5)
-        boolean = caching.search("the")
-        assert [h.path for h in ranked] != boolean or boolean == []
-        assert all(hasattr(h, "score") for h in ranked)
-        assert all(isinstance(p, str) for p in boolean)
-        # Both are cached, under distinct keys.
-        assert caching.cache.hits == 0
-        assert caching.search("the") == boolean
-        assert caching.search_bm25("the", topk=5) == ranked
-        assert caching.cache.hits == 2
-        # A different K is a different entry.
-        caching.search_bm25("the", topk=2)
-        assert caching.cache.misses == 3
+        with MmapPostingsReader(path) as reader:
+            caching = cached_ondisk(reader)
+            ranked = caching.answer("the", rank="bm25", topk=5).hits
+            boolean = caching.answer("the").paths
+            assert [h.path for h in ranked] != boolean or boolean == []
+            assert all(hasattr(h, "score") for h in ranked)
+            assert all(isinstance(p, str) for p in boolean)
+            # Both are cached, under distinct keys.
+            assert caching.cache.hits == 0
+            assert caching.answer("the").paths == boolean
+            assert caching.answer("the", rank="bm25", topk=5).hits == ranked
+            assert caching.cache.hits == 2
+            # A different K is a different entry.
+            caching.answer("the", rank="bm25", topk=2)
+            assert caching.cache.misses == 3
 
     def test_caching_engine_without_ranker_rejects_bm25(self, tiny_fs):
+        # An in-memory engine cannot rank: the cached snapshot refuses.
         report = SequentialIndexer(tiny_fs).build()
-        caching = CachingQueryEngine(QueryEngine(report.index))
-        with pytest.raises(ValueError, match="ranker"):
-            caching.search_bm25("the")
+        caching = IndexSnapshot(report.index, cache=QueryCache())
+        with pytest.raises(ValueError, match="cannot rank"):
+            caching.answer("the", rank="bm25")
 
     def test_caching_engine_uses_native_scoring(self, tiny_fs, tmp_path):
         report = SequentialIndexer(tiny_fs).build()
@@ -206,10 +210,21 @@ class TestRankingAwareCacheKeys:
             report.index, path, format="ridx2", frequencies=frequencies
         )
         with MmapPostingsReader(path) as reader:
-            caching = CachingQueryEngine(DaatQueryEngine(reader))
-            first = caching.search_bm25("the", topk=5)
-            assert caching.search_bm25("the", topk=5) == first
+            caching = cached_ondisk(reader)
+            first = caching.answer("the", rank="bm25", topk=5).hits
+            assert caching.answer("the", rank="bm25", topk=5).hits == first
             assert caching.cache.hits == 1
+
+
+def cached_ondisk(reader) -> IndexSnapshot:
+    """A snapshot off ``reader`` as :meth:`IndexSnapshot.from_ondisk`
+    makes it, but carrying a result cache."""
+    return IndexSnapshot(
+        reader,
+        universe=frozenset(reader.doc_paths()),
+        engine=DaatQueryEngine(reader),
+        cache=QueryCache(),
+    )
 
 
 class TestOndiskService:

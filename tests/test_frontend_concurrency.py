@@ -67,6 +67,12 @@ def index_for(generation: int) -> InvertedIndex:
     return index
 
 
+def snapshot_for(generation: int, **kwargs) -> IndexSnapshot:
+    return IndexSnapshot(
+        index_for(generation), generation=generation, **kwargs
+    )
+
+
 #: what a query against generation g must return — and nothing else.
 EXPECTED = {g: [f"gen{g}.txt"] for g in range(8)}
 
@@ -105,7 +111,7 @@ def frontend_scenario(provider):
 
     def publisher() -> None:
         for generation in (1, 2):
-            service.publish(index_for(generation))
+            service.publish(snapshot_for(generation))
 
     threads = [
         provider.thread(submitter, name="submit-a"),
@@ -160,7 +166,9 @@ def cached_publish_scenario(provider):
         per_submitter.append(mine)
 
     def publisher() -> None:
-        service.publish(index_for(1))
+        service.publish(
+            snapshot_for(1, cache=QueryCache(8, sync=provider))
+        )
 
     threads = [
         provider.thread(submitter, name="submit-a"),
@@ -470,7 +478,7 @@ class TestRealThreadStress:
             start.wait()
             try:
                 for generation in range(1, self.REFRESHES + 1):
-                    service.publish(index_for(generation))
+                    service.publish(snapshot_for(generation))
             except BaseException as exc:  # pragma: no cover - on failure
                 errors.append(exc)
 

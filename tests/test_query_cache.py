@@ -4,7 +4,8 @@ import pytest
 
 from repro.index import InvertedIndex
 from repro.query import QueryEngine
-from repro.query.cache import CachingQueryEngine, QueryCache, cache_key
+from repro.query.cache import QueryCache, cache_key
+from repro.service.snapshot import IndexSnapshot
 from repro.text import TermBlock
 
 
@@ -13,6 +14,11 @@ def make_engine():
     index.add_block(TermBlock("f1", ("cat", "dog")))
     index.add_block(TermBlock("f2", ("cat",)))
     return QueryEngine(index, universe=["f1", "f2"])
+
+
+def make_snapshot():
+    engine = make_engine()
+    return IndexSnapshot(engine.index, engine=engine, cache=QueryCache())
 
 
 class TestCacheKeySchema:
@@ -71,12 +77,6 @@ class TestQueryCache:
         cache.get(("q", False)).append("junk")
         assert cache.get(("q", False)) == ["a"]
 
-    def test_clear(self):
-        cache = QueryCache()
-        cache.put(("q", False), ["a"])
-        cache.clear()
-        assert cache.get(("q", False)) is None
-
     def test_hit_rate(self):
         cache = QueryCache()
         assert cache.hit_rate == 0.0
@@ -91,54 +91,48 @@ class TestQueryCache:
 
 
 class TestCachingQueryEngine:
+    """The cached answer path: a snapshot that carries a cache."""
+
     def test_results_match_uncached(self):
         plain = make_engine()
-        caching = CachingQueryEngine(make_engine())
+        caching = make_snapshot()
         for query in ("cat", "cat AND dog", "cat OR dog", "NOT dog"):
-            assert caching.search(query) == plain.search(query)
+            assert caching.answer(query).paths == plain.search(query)
             # Second time: served from cache, still identical.
-            assert caching.search(query) == plain.search(query)
+            again = caching.answer(query)
+            assert again.cached and again.paths == plain.search(query)
 
     def test_repeat_query_hits_cache(self):
-        caching = CachingQueryEngine(make_engine())
-        caching.search("cat")
-        caching.search("cat")
+        caching = make_snapshot()
+        caching.answer("cat")
+        caching.answer("cat")
         assert caching.cache.hits == 1
 
     def test_normalization_shares_entries(self):
-        caching = CachingQueryEngine(make_engine())
-        caching.search("cat AND cat")
-        caching.search("cat")
+        caching = make_snapshot()
+        caching.answer("cat AND cat")
+        caching.answer("cat")
         assert caching.cache.hits == 1
 
     def test_parallel_flag_separates_entries(self):
-        caching = CachingQueryEngine(make_engine())
-        caching.search("cat", parallel=False)
-        caching.search("cat", parallel=True)
+        caching = make_snapshot()
+        caching.answer("cat", parallel=False)
+        caching.answer("cat", parallel=True)
         assert caching.cache.hits == 0
 
-    def test_invalidation(self):
-        caching = CachingQueryEngine(make_engine())
-        caching.search("cat")
-        caching.invalidate()
-        caching.search("cat")
-        assert caching.cache.misses == 2
-
     def test_incremental_workflow(self):
-        """Cache + segmented refresh: the refreshed manifest gets a new
-        engine, and the cache is invalidated with the swap."""
+        """Cache + session refresh: the refreshed manifest is published
+        as a new snapshot, whose cache starts empty."""
+        from repro.api import Search
         from repro.fsmodel import VirtualFileSystem
-        from repro.index.segments import SegmentedIndexer
 
         fs = VirtualFileSystem()
         fs.write_file("a.txt", b"needle here")
-        indexer = SegmentedIndexer(fs)
-        indexer.refresh()
-        caching = CachingQueryEngine(QueryEngine(indexer.manifest))
-        assert caching.search("needle") == ["a.txt"]
+        session = Search.build(fs)
+        assert session.query("needle").paths == ["a.txt"]
 
         fs.write_file("b.txt", b"another needle")
-        indexer.refresh()
-        caching.engine = QueryEngine(indexer.manifest)
-        caching.invalidate()
-        assert caching.search("needle") == ["a.txt", "b.txt"]
+        session.refresh()
+        result = session.query("needle")
+        assert result.paths == ["a.txt", "b.txt"]
+        assert not result.cached

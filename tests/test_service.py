@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.index.inverted import InvertedIndex
+from repro.query.cache import QueryCache
 from repro.service import (
     IndexSnapshot,
     QueryResult,
@@ -34,6 +35,13 @@ def index_for(generation: int) -> InvertedIndex:
         TermBlock(f"gen{generation}.txt", ("probe", f"g{generation}"))
     )
     return index
+
+
+def snapshot_for(generation: int, **kwargs) -> IndexSnapshot:
+    """:func:`index_for`'s index published as that generation."""
+    return IndexSnapshot(
+        index_for(generation), generation=generation, **kwargs
+    )
 
 
 class BlockingEngine:
@@ -101,8 +109,9 @@ class TestIndexSnapshot:
         assert snapshot.search("NOT probe") == []
 
     def test_next_bumps_generation_and_keeps_original(self):
+        # The next snapshot is a new object; the first one is untouched.
         first = IndexSnapshot(index_for(0))
-        second = first.next(index_for(1), "refresh")
+        second = snapshot_for(1, provenance="refresh")
         assert (first.generation, second.generation) == (0, 1)
         assert second.provenance == "refresh"
         assert first.search("probe") == ["gen0.txt"]
@@ -180,7 +189,7 @@ class TestCallerRuns:
         before = set(threading.enumerate())
         service = SearchService(
             IndexSnapshot(index_for(0)),
-            refresher=lambda: index_for(1),
+            refresher=lambda: (snapshot_for(1), None),
             workers=4,
         )
         try:
@@ -283,7 +292,9 @@ class TestPublish:
     def test_publish_bumps_generation_atomically(self):
         with SearchService(IndexSnapshot(index_for(0))) as service:
             before = service.snapshot
-            published = service.publish(index_for(1))
+            published = snapshot_for(1)
+            service.publish(published)
+            assert service.snapshot is published
             assert published.generation == 1
             assert service.generation == 1
             assert service.query("probe").paths == ["gen1.txt"]
@@ -292,47 +303,53 @@ class TestPublish:
 
     def test_publish_carries_provenance_and_universe(self):
         with SearchService(IndexSnapshot(index_for(0))) as service:
-            published = service.publish(
-                index_for(1), provenance="manual",
-                universe=frozenset({"gen1.txt"}),
+            service.publish(
+                snapshot_for(
+                    1, provenance="manual", universe=frozenset({"gen1.txt"})
+                )
             )
+            published = service.snapshot
             assert published.provenance == "manual"
             assert published.universe == {"gen1.txt"}
 
+    def test_publishing_the_served_snapshot_does_nothing(self):
+        snapshot = IndexSnapshot(index_for(0), cache=QueryCache())
+        with SearchService(snapshot) as service:
+            assert not service.query("probe").cached
+            service.publish(snapshot)
+            assert service.snapshot is snapshot
+            assert service.generation == 0
+            assert service.query("probe").cached
+
+    @pytest.mark.parametrize("generation", (0, 1))
+    def test_a_stale_publish_raises_and_keeps_the_served_one(
+        self, generation
+    ):
+        with SearchService(snapshot_for(1)) as service:
+            served = service.snapshot
+            with pytest.raises(ValueError, match="generation"):
+                service.publish(snapshot_for(generation))
+            assert service.snapshot is served
+            assert service.query("probe").paths == ["gen1.txt"]
+
 
 class TestRefresh:
-    def test_refresher_forms(self):
-        # bare index, 1-tuple, and the full 4-tuple all publish
-        for payload in (
-            index_for(1),
-            (index_for(1),),
-            (index_for(1), frozenset({"gen1.txt"}), None, "change"),
-        ):
-            service = SearchService(
-                IndexSnapshot(index_for(0)), refresher=lambda: payload
-            )
-            try:
-                outcome = service.refresh()
-                assert outcome.generation == 1
-                assert service.query("probe").paths == ["gen1.txt"]
-            finally:
-                service.close()
-
     def test_refresh_outcome_carries_change(self):
         service = SearchService(
             IndexSnapshot(index_for(0)),
-            refresher=lambda: (index_for(1), None, None, "delta"),
+            refresher=lambda: (snapshot_for(1), "delta"),
         )
         try:
             outcome = service.refresh()
             assert outcome.change == "delta"
             assert "generation 1" in str(outcome)
+            assert service.query("probe").paths == ["gen1.txt"]
         finally:
             service.close()
 
     def test_refresh_without_refresher_raises(self):
         with SearchService(IndexSnapshot(index_for(0))) as service:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="fixed snapshot"):
                 service.refresh()
 
 
@@ -531,7 +548,7 @@ class TestWatch:
         generations = iter(range(1, 100))
         service = SearchService(
             IndexSnapshot(index_for(0)),
-            refresher=lambda: index_for(next(generations)),
+            refresher=lambda: (snapshot_for(next(generations)), None),
         )
         service.start_watch(0.01)
         with pytest.raises(RuntimeError):

@@ -43,6 +43,10 @@ def index_for(generation: int) -> InvertedIndex:
     return index
 
 
+def snapshot_for(generation: int) -> IndexSnapshot:
+    return IndexSnapshot(index_for(generation), generation=generation)
+
+
 #: what a query against generation g must return — and nothing else.
 EXPECTED = {g: [f"gen{g}.txt"] for g in range(8)}
 
@@ -69,7 +73,7 @@ def service_scenario(provider):
 
     def publisher() -> None:
         for generation in (1, 2):
-            service.publish(index_for(generation))
+            service.publish(snapshot_for(generation))
 
     threads = [
         provider.thread(reader, name="reader"),
@@ -130,6 +134,97 @@ class TestScheduleSweep:
             if any("service.snapshot" in race.location for race in races):
                 return
         pytest.fail("no schedule exposed the broken snapshot lock")
+
+
+def two_publishers_scenario(provider):
+    """Two publishers race each other and a reader.
+
+    Publisher A hands in generations 1 and 3, publisher B 2 and 4.
+    Whatever the interleaving, a publish either stores its snapshot or
+    — when the other publisher already stored a newer one — raises
+    ``ValueError`` and stores nothing.  So the generations a reader
+    sees never go backwards, the last word is generation 4, and a
+    refused publish was always outrun by the other publisher.
+    """
+    service = SearchService(
+        IndexSnapshot(index_for(0)),
+        workers=1,
+        max_inflight=8,
+        sync=provider,
+    )
+    seen = []
+    outcomes = {"a": [], "b": []}
+
+    def reader() -> None:
+        for _ in range(4):
+            seen.append(service.query("probe"))
+
+    def publisher(name, generations) -> None:
+        for generation in generations:
+            try:
+                service.publish(snapshot_for(generation))
+                outcomes[name].append((generation, True))
+            except ValueError:
+                outcomes[name].append((generation, False))
+
+    threads = [
+        provider.thread(reader, name="reader"),
+        provider.thread(publisher, args=("a", (1, 3)), name="publisher-a"),
+        provider.thread(publisher, args=("b", (2, 4)), name="publisher-b"),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    service.close()
+
+    generations = [result.generation for result in seen]
+    assert generations == sorted(generations)
+    for result in seen:
+        assert result.paths == EXPECTED[result.generation]
+    assert service.generation == 4
+    for name, other in (("a", "b"), ("b", "a")):
+        for generation, stored in outcomes[name]:
+            if not stored:
+                assert any(
+                    ok and newer > generation
+                    for newer, ok in outcomes[other]
+                )
+    with pytest.raises(ValueError):
+        service.publish(snapshot_for(3))  # stale: 4 is served
+    assert service.generation == 4
+    return outcomes
+
+
+class TestTwoPublishersSweep:
+    @pytest.mark.parametrize("strategy", ("random", "pct"))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generation_never_goes_backwards(self, strategy, seed):
+        tracer = Tracer()
+        scheduler = CooperativeScheduler(make_strategy(strategy, seed))
+        provider = InstrumentedSyncProvider(tracer=tracer,
+                                            scheduler=scheduler)
+        provider.run(lambda: two_publishers_scenario(provider))
+        assert find_races(tracer) == []
+
+    def test_some_schedule_refuses_a_stale_publish(self):
+        # The sweep's refusal path is exercised, not just possible.
+        refused = 0
+        for seed in range(12):
+            scheduler = CooperativeScheduler(make_strategy("random", seed))
+            provider = InstrumentedSyncProvider(
+                tracer=Tracer(), scheduler=scheduler
+            )
+            outcomes = []
+            provider.run(
+                lambda: outcomes.append(two_publishers_scenario(provider))
+            )
+            refused += sum(
+                not stored
+                for runs in outcomes[0].values()
+                for _generation, stored in runs
+            )
+        assert refused > 0
 
 
 def block_shutdown_scenario(provider):
@@ -225,7 +320,7 @@ def shed_at_close_scenario(provider):
         provider.thread(reader, name=f"reader-{i}") for i in range(3)
     ] + [
         provider.thread(
-            lambda: service.publish(index_for(1)), name="publisher"
+            lambda: service.publish(snapshot_for(1)), name="publisher"
         ),
         provider.thread(
             lambda: service.close(drain=False), name="closer"
@@ -267,7 +362,7 @@ class TestRealThreadStress:
         generations = iter(range(1, self.REFRESHES + 1))
         service = SearchService(
             IndexSnapshot(index_for(0)),
-            refresher=lambda: index_for(next(generations)),
+            refresher=lambda: (snapshot_for(next(generations)), None),
             workers=3,
             max_inflight=64,
         )

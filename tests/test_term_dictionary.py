@@ -38,12 +38,13 @@ from repro.index.segments import (
     _SealedSegment,
 )
 from repro.query import parser as parser_module
-from repro.query.cache import CachingQueryEngine, QueryCache
+from repro.query.cache import QueryCache
 from repro.query.daat import DaatQueryEngine
 from repro.query.evaluator import QueryEngine
 from repro.query.optimizer import optimize
 from repro.query.parser import ParseError, parse_query
 from repro.query.wildcard import PrefixDictionary, expand_prefixes
+from repro.service.snapshot import IndexSnapshot
 from repro.text.termblock import TermBlock
 
 
@@ -386,16 +387,19 @@ class TestParseOnce:
         assert len(parses) == 1
 
     def test_caching_engine_parses_once_hit_or_miss(self, parses):
+        # A cached snapshot over an engine of the caller's choosing.
         manifest = small_session().manifest
-        caching = CachingQueryEngine(
-            QueryEngine(manifest, universe=manifest.document_paths())
+        caching = IndexSnapshot(
+            manifest,
+            engine=QueryEngine(manifest, universe=manifest.document_paths()),
+            cache=QueryCache(),
         )
         for text in ("alpha AND beta", "a*", "NOT gamma"):
             del parses[:]
-            first = caching.search(text)
+            first = caching.answer(text).paths
             assert len(parses) == 1
             del parses[:]
-            assert caching.search(text) == first
+            assert caching.answer(text).paths == first
             assert len(parses) == 1
         assert caching.cache.hits == 3 and caching.cache.misses == 3
 
@@ -406,9 +410,14 @@ class TestParseOnce:
         with open(file, "wb") as fh:
             fh.write(dump_index_ridx2(session.index))
         with MmapPostingsReader(file) as reader:
-            caching = CachingQueryEngine(DaatQueryEngine(reader))
-            assert caching.search("alpha AND a*") == ["a.txt", "b.txt"]
-            assert caching.search("alpha AND a*") == ["a.txt", "b.txt"]
+            caching = IndexSnapshot(
+                reader,
+                universe=frozenset(reader.doc_paths()),
+                engine=DaatQueryEngine(reader),
+                cache=QueryCache(),
+            )
+            assert caching.answer("alpha AND a*").paths == ["a.txt", "b.txt"]
+            assert caching.answer("alpha AND a*").paths == ["a.txt", "b.txt"]
             assert caching.cache.hits == 1
 
     @settings(max_examples=200, deadline=None)
