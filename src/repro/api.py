@@ -59,6 +59,8 @@ from repro.engine.runner import IndexGenerator
 from repro.engine.sequential import SequentialIndexer
 from repro.extract.registry import resolve_extractor
 from repro.fsmodel.realfs import OsFileSystem
+from repro.index.atomic import atomic_write
+from repro.index.binfmt import dump_index_ridx2, parse_ridx2_header
 from repro.index.fingerprint import (
     load_fingerprints,
     save_fingerprints,
@@ -78,7 +80,6 @@ from repro.index.segments import (
 from repro.index.serialize import (
     load_index,
     load_multi_index,
-    save_index,
     sniff_file,
 )
 from repro.query.cache import QueryCache
@@ -258,8 +259,8 @@ class Search:
     ) -> "Search":
         """Open a saved index; the file's leading bytes decide how.
 
-        An RIDX2 file (what :meth:`save` writes for ``.ridx``) is not
-        loaded: it is mapped and adopted as the manifest's one
+        An RIDX2 file (what :meth:`save` writes) is not loaded: it is
+        mapped and adopted as the manifest's one
         :class:`~repro.index.segments.DiskSegment` after a checksum
         pass (``IndexFormatError`` on a cut or flipped file), so no
         posting is decoded before a query asks.  Queries run off the
@@ -268,8 +269,10 @@ class Search:
         other format loads eagerly; replica directories join.  Pass
         ``source`` — the indexed directory or filesystem — to re-enable
         :meth:`refresh`: with the fingerprints :meth:`save` left beside
-        the index the first refresh reads only what changed since,
-        without them it reconciles the index against every live file.
+        this very file (the state names its header CRC) the first
+        refresh reads only what changed since; without them — no state,
+        a state naming another file, a non-RIDX2 index — it reconciles
+        the index against every live file.
         """
         if os.path.isdir(path):
             index = _flatten(load_multi_index(path))
@@ -287,10 +290,11 @@ class Search:
             root=root,
             segment_dir=segment_dir,
         )
-        # Only a session that can refresh has a use for the state file.
+        # Only a session that can refresh has a use for the state file,
+        # and only one naming the mapped file describes this index.
         fingerprints = None
-        if fs is not None:
-            fingerprints = load_fingerprints(state_path(path))
+        if fs is not None and isinstance(index, DiskSegment):
+            fingerprints = load_fingerprints(state_path(path), index.crc32)
         segmented.adopt(index, fingerprints or {})
         return cls(
             segmented,
@@ -462,18 +466,26 @@ class Search:
         )
         return compactor.start()
 
-    def save(self, path: str, format: str = "auto") -> int:
-        """Persist the index; returns bytes written.  ``format="auto"``
-        writes RIDX2 (which :meth:`open` serves in place) for ``.ridx``/
-        ``.bin``/``.ridx2`` paths, JSON-lines else; ``"binary"`` RIDX1.
+    def save(self, path: str) -> int:
+        """Persist the index as RIDX2 (which :meth:`open` serves in
+        place); returns bytes written.
 
         The session's fingerprints go beside it (``path`` + ``.state``),
-        index first: :meth:`open` with ``source=`` resumes from them.
-        Both are replaced atomically: ``path`` may be a mapped file.
+        index first, naming the file by its header CRC: :meth:`open`
+        with ``source=`` resumes from them only beside that file, so a
+        lost state write costs one reconciling refresh, never a stale
+        answer.  Both are replaced atomically: ``path`` may be a mapped
+        file.
         """
-        written = save_index(self.index, path, format=format)
-        save_fingerprints(self._segmented.fingerprints, state_path(path))
-        return written
+        data = dump_index_ridx2(self.index)
+        with atomic_write(path) as fh:
+            fh.write(data)
+        save_fingerprints(
+            self._segmented.fingerprints,
+            state_path(path),
+            parse_ridx2_header(data).crc32,
+        )
+        return len(data)
 
     # -- serving ----------------------------------------------------------
 

@@ -6,9 +6,8 @@ Subcommands:
   (optionally mixed-format);
 * ``index`` — build an index over a directory with one of the three
   implementations (or sequentially) and optionally save it (blocked
-  RIDX2 for ``.ridx``/``.bin``/``.ridx2`` paths — ``.ridx2``
-  additionally bakes in term frequencies for BM25 — JSON-lines
-  otherwise, compact RIDX1 with ``--binary``);
+  RIDX2 — a ``.ridx2`` path additionally bakes in term frequencies for
+  BM25 — or compact RIDX1 with ``--binary``);
 * ``search`` — run a boolean/wildcard query against a saved index,
   opened the way ``Search.open`` opens it (an RIDX2 file is mapped, not
   loaded; a replica directory is searched unjoined), optionally ranked
@@ -18,7 +17,10 @@ Subcommands:
   :class:`~repro.service.service.SearchService` answers a query stream
   concurrently while ``--watch`` refreshes the index in the background;
   with ``--ondisk`` the service queries an mmap'd RIDX2 file instead;
-* ``refresh`` — incrementally update a saved index after file changes;
+* ``refresh`` — incrementally update a saved index after file changes:
+  ``Search.open(F, source=DIR)``, ``refresh()``, ``save(F)`` (a first
+  run, with no ``F`` yet, builds it), the fingerprints kept at
+  ``F + ".state"``;
 * ``simulate`` — run one configuration on a simulated platform;
 * ``tune`` — auto-tune the thread configuration on a simulated platform;
 * ``tables`` — regenerate the paper's Tables 1-4.
@@ -47,12 +49,12 @@ from repro.experiments import (
 )
 from repro.fsmodel import OsFileSystem
 from repro.index import (
+    ChangeReport,
     MultiIndex,
     load_index,
     load_multi_index,
     save_index,
     save_multi_index,
-    sniff_file,
 )
 from repro.platforms import ALL_PLATFORMS, platform_by_name
 from repro.query import QueryEngine
@@ -119,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save", help="file (impl 1/2) or directory (impl 3) "
                    "to save the index to")
     p.add_argument("--binary", action="store_true",
-                   help="save in the compact RIDX1 format instead of what "
-                   "the extension means (impl 1/2 only)")
+                   help="save in the compact RIDX1 format instead of "
+                   "RIDX2 (impl 1/2 only)")
     p.add_argument("--formats", action="store_true",
                    help="extract text per file format (HTML, DocZ, ...) "
                    "before tokenizing")
@@ -278,9 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("directory", help="the indexed corpus directory")
     p.add_argument("--index", required=True,
-                   help="index file (.idx); created on first run")
-    p.add_argument("--state", required=True,
-                   help="fingerprint state file (JSON); created on first run")
+                   help="RIDX2 index file, created on first run; its "
+                   "fingerprints live beside it in INDEX.state")
     _add_observability_args(p)
     p.set_defaults(func=_cmd_refresh)
 
@@ -522,16 +523,13 @@ def _cmd_index(args: argparse.Namespace) -> int:
             print(f"index saved to {args.save} ({written} bytes, "
                   "RIDX2 with frequencies)")
         else:
-            # --binary forces the compact RIDX1 encoding; otherwise the
-            # extension decides (.ridx/.bin RIDX2, anything else JSON).
             written = save_index(
                 report.index,
                 args.save,
-                format="binary" if args.binary else "auto",
+                format="binary" if args.binary else "ridx2",
             )
-            wrote = {"binary": "RIDX1", "ridx2": "RIDX2", "json": "JSON-lines"}
             print(f"index saved to {args.save} ({written} bytes, "
-                  f"{wrote[sniff_file(args.save)]})")
+                  f"{'RIDX1' if args.binary else 'RIDX2'})")
     return 0
 
 
@@ -914,26 +912,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_refresh(args: argparse.Namespace) -> int:
-    from repro.index import SegmentedIndexer
-    from repro.index.fingerprint import load_fingerprints, save_fingerprints
+    from repro.api import Search
 
     observing = _observability_requested(args)
-    indexer = SegmentedIndexer(OsFileSystem(args.directory))
-    fingerprints = load_fingerprints(args.state)
-    if fingerprints is not None and os.path.exists(args.index):
-        indexer.adopt(load_index(args.index), fingerprints)
-
-    report = indexer.refresh()
+    source = OsFileSystem(args.directory)
+    if os.path.exists(args.index):
+        session = Search.open(args.index, source=source)
+        report = session.refresh()
+    else:
+        session = Search.build(source)
+        report = ChangeReport(added=session.universe)
     print(f"refresh: +{len(report.added)} added, "
           f"-{len(report.removed)} removed, "
           f"~{len(report.modified)} modified")
-
-    # Index first, fingerprints second: a crash in between replays the
-    # delta against the newer index, which converges.  Each write
-    # replaces its file atomically, so no crash leaves the path empty.
-    save_index(indexer.manifest.materialize(), args.index)
-    save_fingerprints(indexer.fingerprints, args.state)
-    print(f"index: {args.index}, state: {args.state}")
+    session.save(args.index)
+    print(f"index: {args.index}, state: {args.index}.state")
     if observing:
         _emit_observability(args)
     return 0

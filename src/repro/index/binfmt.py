@@ -1,8 +1,9 @@
 """Compact binary index persistence.
 
-The JSON-lines format (:mod:`repro.index.serialize`) is transparent but
-large; real search engines store postings as delta-compressed integer
-lists.  This module implements that, from scratch:
+The JSON-lines format older versions saved (still read by
+:mod:`repro.index.serialize`) is transparent but large; real search
+engines store postings as delta-compressed integer lists.  This module
+implements that, from scratch:
 
 * LEB128 varints (:func:`encode_varint` / :func:`decode_varint`);
 * a document dictionary mapping paths to dense integer ids;
@@ -792,7 +793,9 @@ def load_index_ridx2(data: bytes) -> InvertedIndex:
     The transparent counterpart of
     :class:`repro.index.ondisk.MmapPostingsReader`: checks the CRC (it
     reads every byte anyway), then decodes every block eagerly
-    (dropping frequencies — the in-memory index is boolean).
+    (dropping frequencies — the in-memory index is boolean).  RIDX2
+    stores no block count: the index counts one block per document, as
+    a materialized segment manifest does.
     """
     header = parse_ridx2_header(data)
     check_ridx2_crc(data, header)
@@ -800,4 +803,5 @@ def load_index_ridx2(data: bytes) -> InvertedIndex:
     index = InvertedIndex()
     for term, ids in iter_ridx2_postings(data, header):
         index._map[term] = PostingsList(paths[i] for i in ids)
+    index._block_count = header.doc_count
     return index

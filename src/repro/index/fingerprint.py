@@ -13,8 +13,9 @@ stays where the paper put it, in the ADTs (:mod:`repro.hashing`).
 
 This module also owns the one persisted form of a fingerprint map
 (:func:`save_fingerprints` / :func:`load_fingerprints`): JSON with a
-header naming the hash, so a state written under another hash reads as
-absent instead of as "every file changed".
+header naming the hash and the CRC-32 of the RIDX2 index it describes,
+so a state written under another hash, or beside another index, reads
+as absent instead of as "every file changed" or "nothing changed".
 """
 
 from __future__ import annotations
@@ -92,27 +93,37 @@ def state_path(index_path: str) -> str:
     return f"{index_path}.state"
 
 
-def save_fingerprints(fingerprints: FingerprintMap, path: str) -> None:
-    """Write ``fingerprints`` as the JSON state file at ``path``.
+def save_fingerprints(
+    fingerprints: FingerprintMap, path: str, index_crc: int
+) -> None:
+    """Write ``fingerprints`` as the JSON state file at ``path``, naming
+    the index they describe by its RIDX2 header CRC, ``index_crc``.
 
-    Callers persist the index first and this second: an index ahead of
-    its fingerprints converges on the next refresh, the reverse does
-    not.  Replaced atomically: a crash leaves the old state or the new.
+    Callers persist the index first and this second.  A crash in
+    between leaves a state that names the previous index, so it reads
+    as absent beside the new one and the next refresh reconciles: the
+    fingerprints of one revision never vouch for another (an old state
+    beside a newer index would let a file edited back to its old
+    bytes pass as unchanged).  Replaced atomically: a crash leaves the
+    old state or the new.
     """
     state = {
         "hash": HASH_NAME,
+        "index": index_crc,
         "files": {p: list(entry) for p, entry in fingerprints.items()},
     }
     with atomic_write(path, text=True) as fh:
         json.dump(state, fh)
 
 
-def load_fingerprints(path: str) -> Optional[FingerprintMap]:
+def load_fingerprints(path: str, index_crc: int) -> Optional[FingerprintMap]:
     """The state file at ``path`` as a fingerprint map, or ``None``.
 
-    Anything but this module's own format under :data:`HASH_NAME` — a
-    missing file, another tool's JSON, a 3.0.0 state of FNV hashes —
-    reads as absent: the caller re-indexes and rewrites it.
+    Anything but this module's own format under :data:`HASH_NAME`,
+    describing the index whose header CRC is ``index_crc`` — a missing
+    file, another tool's JSON, a 3.0.0 state of FNV hashes, the state
+    of an index since overwritten — reads as absent: the caller
+    reconciles and rewrites it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -120,6 +131,8 @@ def load_fingerprints(path: str) -> Optional[FingerprintMap]:
     except (OSError, ValueError):
         return None
     if not isinstance(state, dict) or state.get("hash") != HASH_NAME:
+        return None
+    if state.get("index") != index_crc:
         return None
     files = state.get("files")
     if not isinstance(files, dict):

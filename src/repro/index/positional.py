@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.adt import FnvHashMap
-from repro.index.atomic import atomic_write
 
 
 class PositionalIndex:
@@ -98,34 +97,4 @@ class PositionalIndex:
         for ref in fs.list_files(root):
             content = fs.read_file(ref.path)
             index.add_document(ref.path, extractor.terms(ref.path, content))
-        return index
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Write the positional index as JSON lines (one term per line)."""
-        import json
-
-        with atomic_write(path, text=True) as fh:
-            fh.write(json.dumps({
-                "format": "repro-positions-v1",
-                "documents": self._document_count,
-            }) + "\n")
-            for term, per_doc in self._positions.items():
-                fh.write(json.dumps([term, per_doc]) + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "PositionalIndex":
-        """Read an index written by :meth:`save`."""
-        import json
-
-        index = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("format") != "repro-positions-v1":
-                raise ValueError(f"{path}: not a positional index file")
-            index._document_count = header.get("documents", 0)
-            for line in fh:
-                term, per_doc = json.loads(line)
-                index._positions[term] = per_doc
         return index

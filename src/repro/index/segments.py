@@ -238,6 +238,11 @@ class DiskSegment(_SealedSegment):
         """The segment as an in-memory index, decoded in full per call."""
         return load_index_ridx2(self.to_ridx2())
 
+    @property
+    def crc32(self) -> int:
+        """The CRC-32 the file's header records, checked at adoption."""
+        return self._reader._header.crc32
+
     def postings(self):
         return self._reader.postings()
 

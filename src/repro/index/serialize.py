@@ -1,33 +1,28 @@
 """Index persistence: one save/load pair over every on-disk format.
 
-Three single-index encodings exist:
+Two single-index encodings are written:
 
-* ``"json"`` — a transparent JSON-lines file: line 1 a header with a
-  format tag and counts, every further line one ``[term, [path, ...]]``
-  posting entry;
+* ``"ridx2"`` (the default) — the blocked, mmap-servable RIDX2
+  encoding (a sorted lexicon whose records end in the term's varbyte
+  posting blocks), which :class:`repro.index.ondisk.MmapPostingsReader`
+  serves without loading — what ``Search.open`` adopts as a mapped
+  segment; ``load_index`` still materializes it when asked;
 * ``"binary"`` — the compact RIDX1 encoding from
   :mod:`repro.index.binfmt` (delta-compressed postings, ~1 byte per
-  entry);
-* ``"ridx2"`` — the blocked, mmap-servable RIDX2 encoding (a sorted
-  lexicon whose records end in the term's varbyte posting blocks), which
-  :class:`repro.index.ondisk.MmapPostingsReader` serves without
-  loading — what ``Search.open`` adopts as a mapped segment;
-  ``load_index`` still materializes it when asked.
+  entry), the schedule checker's canonical oracle encoding.
 
-:func:`save_index` and :func:`load_index` take a ``format`` keyword
-covering all three (plus ``"auto"``: save picks by file extension —
-``.ridx``, ``.bin`` and ``.ridx2`` mean RIDX2, anything else
-JSON-lines; RIDX1 is written only on ``format="binary"`` — and load
-sniffs the leading magic bytes, so a loader never needs to know what
-it holds; RWIRE1 wire bytes load too).  Unrecognized leading bytes
-raise :class:`IndexFormatError` naming the bytes found and the
-supported formats, instead of whatever decode error would otherwise
-escape.  Every write goes through
-:func:`~repro.index.atomic.atomic_write`: the path holds the old file
-or the new one, never a cut one, and a reader mapping the old file is
-not disturbed.
+:func:`load_index` reads both, plus RWIRE1 wire bytes and the
+JSON-lines files older versions wrote (line 1 a header with a format
+tag and counts, every further line one ``[term, [path, ...]]`` posting
+entry); it sniffs the leading magic bytes, so a loader never needs to
+know what it holds.  Unrecognized leading bytes raise
+:class:`IndexFormatError` naming the bytes found and the supported
+formats, instead of whatever decode error would otherwise escape.
+Every write goes through :func:`~repro.index.atomic.atomic_write`: the
+path holds the old file or the new one, never a cut one, and a reader
+mapping the old file is not disturbed.
 
-A :class:`~repro.index.multi.MultiIndex` is saved as one file per
+A :class:`~repro.index.multi.MultiIndex` is saved as one RIDX2 file per
 replica inside a directory, so Implementation 3's unjoined output can
 be persisted and searched later without ever paying the join.
 
@@ -52,22 +47,16 @@ from repro.index.postings import PostingsList
 
 _FORMAT = "repro-index-v1"
 
-#: The on-disk encodings ``save_index``/``load_index`` understand.
+#: The on-disk encodings ``load_index`` understands (``"auto"`` sniffs).
 INDEX_FORMATS: Tuple[str, ...] = ("json", "binary", "ridx2", "auto")
-
-#: File extensions ``format="auto"`` saves as RIDX2, the format a
-#: session opens in place; every other extension means JSON-lines.
-_RIDX2_EXTENSIONS = (".ridx", ".bin", ".ridx2")
 
 #: What the sniffing loader accepts, for error messages.
 _SUPPORTED = "JSON-lines, RIDX1, RIDX2, RWIRE1"
 
 
-def index_to_bytes(
-    index: InvertedIndex, wire: bool = False, format: Optional[str] = None
-) -> bytes:
-    """Serialize to RIDX1 bytes, RWIRE1 with ``wire=True``, or any of
-    ``format="binary"|"wire"|"ridx2"``.
+def index_to_bytes(index: InvertedIndex, format: str = "binary") -> bytes:
+    """Serialize to ``format="binary"`` (RIDX1, the default), ``"wire"``
+    (RWIRE1) or ``"ridx2"`` bytes.
 
     RIDX1 is canonical (equal indices produce equal bytes) and small;
     RWIRE1 is the fast path — encode/decode are bulk C-level operations
@@ -80,8 +69,6 @@ def index_to_bytes(
         dump_index_wire,
     )
 
-    if format is None:
-        format = "wire" if wire else "binary"
     if format == "ridx2":
         return dump_index_ridx2(index)
     if format == "wire":
@@ -116,56 +103,31 @@ def index_from_bytes(data: bytes) -> InvertedIndex:
     )
 
 
-def _check_format(format: str, allow_auto: bool = True) -> None:
-    allowed = INDEX_FORMATS if allow_auto else INDEX_FORMATS[:-1]
-    if format not in allowed:
-        raise ValueError(
-            f"format must be one of {allowed}, got {format!r}"
-        )
-
-
 def save_index(
     index: InvertedIndex,
     path: str,
-    format: str = "auto",
+    format: str = "ridx2",
     frequencies=None,
 ) -> int:
     """Write ``index`` to ``path``; returns the bytes written.
 
-    ``format="json"`` writes the JSON-lines encoding, ``"binary"`` the
-    compact RIDX1 encoding, ``"ridx2"`` the blocked mmap-servable
-    encoding, and ``"auto"`` (the default) picks by extension:
-    ``.ridx``, ``.bin`` and ``.ridx2`` mean RIDX2, anything else
-    JSON-lines (RIDX1 only on request).  ``frequencies`` (a
-    :class:`~repro.query.ranking.FrequencyIndex`) only applies to
+    ``format="ridx2"`` (the default) writes the blocked mmap-servable
+    encoding, ``"binary"`` the compact RIDX1 encoding.  ``frequencies``
+    (a :class:`~repro.query.ranking.FrequencyIndex`) only applies to
     RIDX2 and bakes real term frequencies and document lengths in for
     exact BM25 scoring off the file.  The file is replaced atomically
     (:func:`~repro.index.atomic.atomic_write`), so saving over an index
     some session has mapped is safe.
     """
-    _check_format(format)
-    if format == "auto":
-        ridx2 = path.lower().endswith(_RIDX2_EXTENSIONS)
-        format = "ridx2" if ridx2 else "json"
+    if format not in ("ridx2", "binary"):
+        raise ValueError(
+            f"save format must be 'ridx2' or 'binary', got {format!r}"
+        )
     if frequencies is not None and format != "ridx2":
         raise ValueError(
             "frequencies are only stored by the RIDX2 format; "
             f"requested format {format!r} cannot carry them"
         )
-    if format == "json":
-        with atomic_write(path, text=True) as fh:
-            header = {
-                "format": _FORMAT,
-                "terms": len(index),
-                "postings": index.posting_count,
-                "blocks": index.block_count,
-            }
-            written = fh.write(json.dumps(header) + "\n")
-            for term, postings in index.items():
-                written += fh.write(
-                    json.dumps([term, postings.paths()]) + "\n"
-                )
-        return written
     if format == "ridx2":
         from repro.index.binfmt import dump_index_ridx2
 
@@ -226,7 +188,10 @@ def load_index(path: str, format: str = "auto") -> InvertedIndex:
     ``"json"``, ``"binary"`` or ``"ridx2"`` enforces that encoding and
     fails loudly on a mismatch.
     """
-    _check_format(format)
+    if format not in INDEX_FORMATS:
+        raise ValueError(
+            f"format must be one of {INDEX_FORMATS}, got {format!r}"
+        )
     if format == "auto":
         format = sniff_file(path)
     if format == "ridx2":

@@ -25,6 +25,7 @@ from repro.index import (
     IndexFormatError,
     MemorySegment,
     dump_index_ridx2,
+    save_index,
 )
 from repro.index.fingerprint import (
     load_fingerprints,
@@ -33,7 +34,7 @@ from repro.index.fingerprint import (
 )
 from repro.service import SearchService
 from repro.service.snapshot import QueryResult
-from tests.test_fingerprint import CountingFs
+from tests.test_fingerprint import CountingFs, saved_crc
 
 
 @pytest.fixture
@@ -44,6 +45,25 @@ def small_fs():
     fs.write_file("docs/dogs.txt", b"dog canine bark")
     fs.write_file("docs/both.txt", b"cat dog truce")
     return fs
+
+
+#: ``small_fs``'s index as the JSON-lines file older versions saved,
+#: written by hand: such files no longer get written, but still open.
+SMALL_FS_JSON_LINES = (
+    '{"format": "repro-index-v1", "terms": 7, "postings": 9, "blocks": 3}\n'
+    '["cat", ["docs/cats.txt", "docs/both.txt"]]\n'
+    '["feline", ["docs/cats.txt"]]\n'
+    '["whiskers", ["docs/cats.txt"]]\n'
+    '["dog", ["docs/dogs.txt", "docs/both.txt"]]\n'
+    '["canine", ["docs/dogs.txt"]]\n'
+    '["bark", ["docs/dogs.txt"]]\n'
+    '["truce", ["docs/both.txt"]]\n'
+)
+
+
+def write_small_fs_json_lines(path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(SMALL_FS_JSON_LINES)
 
 
 class TestBuildAndQuery:
@@ -169,11 +189,15 @@ class TestRefresh:
 class TestSaveAndOpen:
     def test_round_trip_binary_and_json(self, small_fs, tmp_path):
         session = Search.build(small_fs)
-        for name in ("index.ridx", "index.idx"):
-            path = str(tmp_path / name)
-            written = session.save(path)
-            assert written > 0
+        ridx2 = str(tmp_path / "index.ridx")
+        ridx1 = str(tmp_path / "index.bin")
+        legacy = str(tmp_path / "index.idx")
+        assert session.save(ridx2) > 0
+        assert save_index(session.index, ridx1, format="binary") > 0
+        write_small_fs_json_lines(legacy)
+        for path in (ridx2, ridx1, legacy):
             reopened = Search.open(path)
+            assert reopened.index == session.index
             assert len(reopened) == 3
             assert reopened.query("cat AND dog").paths == ["docs/both.txt"]
             assert reopened.report is None
@@ -218,15 +242,12 @@ class TestOpenAdoptsTheFile:
     def test_ridx_is_mapped_and_other_formats_load(self, small_fs, tmp_path):
         session = Search.build(small_fs)
         shapes = {}
-        for name, format in (
-            ("a.ridx", "auto"),
-            ("b.bin", "auto"),
-            ("c.ridx2", "auto"),
-            ("d.ridx", "binary"),
-            ("e.jsonl", "auto"),
-        ):
+        for name in ("a.ridx", "b.bin", "c.ridx2"):
+            session.save(str(tmp_path / name))
+        save_index(session.index, str(tmp_path / "d.ridx"), format="binary")
+        write_small_fs_json_lines(str(tmp_path / "e.jsonl"))
+        for name in ("a.ridx", "b.bin", "c.ridx2", "d.ridx", "e.jsonl"):
             path = str(tmp_path / name)
-            session.save(path, format=format)
             (segment,) = Search.open(path).manifest.segments
             shapes[name] = type(segment)
         assert shapes == {
@@ -383,14 +404,47 @@ class TestWritesReplaceNeverTruncate:
                 session.save(path)
             with pytest.raises(OSError, match="crashed"):
                 save_fingerprints(
-                    session._segmented.fingerprints, state_path(path)
+                    session._segmented.fingerprints,
+                    state_path(path),
+                    saved_crc(path),
                 )
         for name, data in before.items():
             with open(name, "rb") as fh:
                 assert fh.read() == data
         assert sorted(os.listdir(tmp_path)) == ["x.ridx", "x.ridx.state"]
         assert len(Search.open(path)) == 3
-        assert len(load_fingerprints(state_path(path))) == 3
+        assert len(load_fingerprints(state_path(path), saved_crc(path))) == 3
+
+
+class TestTheStateNamesItsIndex:
+    """``save`` names the file it wrote in the state; ``open`` resumes
+    from a state only beside the file it names."""
+
+    def test_a_lost_state_write_cannot_hide_an_edit_back(self, tmp_path):
+        # A -> B -> A: the index is saved at B, the state write is lost
+        # (the state still describes A), and the file goes back to A.
+        # Were that state trusted, the first refresh would read a.txt,
+        # find the bytes its fingerprint records and keep revision B.
+        fs = VirtualFileSystem()
+        fs.write_file("a.txt", b"alpha")
+        fs.write_file("b.txt", b"beta")
+        path = str(tmp_path / "x.ridx")
+        session = Search.build(fs)
+        session.save(path)
+        with open(state_path(path), "rb") as fh:
+            state_at_a = fh.read()
+        fs.replace_file("a.txt", b"delta")
+        assert session.refresh().modified == ["a.txt"]
+        session.save(path)
+        with open(state_path(path), "wb") as fh:
+            fh.write(state_at_a)
+        fs.replace_file("a.txt", b"alpha")
+
+        reopened = Search.open(path, source=fs)
+        reopened.refresh()
+        assert reopened.index == SequentialIndexer(fs, naive=False).build().index
+        assert reopened.query("alpha").paths == ["a.txt"]
+        assert reopened.query("delta").paths == []
 
 
 WORDS = ("cat", "dog", "feline", "canine", "truce", "gecko", "absent")
@@ -413,7 +467,7 @@ def _queries():
 
 
 class TestOpenedFormatsAgree:
-    """One index saved three ways: whatever ``Search.open`` makes of
+    """One index saved two ways: whatever ``Search.open`` makes of
     each file — a mapped segment or a loaded one — answers alike."""
 
     @pytest.fixture(scope="class")
@@ -427,12 +481,10 @@ class TestOpenedFormatsAgree:
         built = Search.build(fs)
         work = tmp_path_factory.mktemp("formats")
         sessions = {"built": built}
-        for name, format in (
-            ("x.ridx", "auto"), ("y.ridx", "binary"), ("z.jsonl", "auto")
-        ):
-            path = str(work / name)
-            built.save(path, format=format)
-            sessions[name] = Search.open(path)
+        built.save(str(work / "x.ridx"))
+        save_index(built.index, str(work / "y.ridx"), format="binary")
+        for name in ("x.ridx", "y.ridx"):
+            sessions[name] = Search.open(str(work / name))
         assert isinstance(
             sessions["x.ridx"].manifest.segments[0], DiskSegment
         )

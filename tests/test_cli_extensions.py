@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.cli import main
+from tests.test_fingerprint import saved_crc
 
 
 @pytest.fixture(scope="module")
@@ -112,39 +113,44 @@ def cli_reads(monkeypatch):
 
 
 class TestRefresh:
+    """``refresh DIR --index F`` is ``Search.open(F, source=DIR)`` ->
+    ``refresh()`` -> ``save(F)`` (a first run builds ``F``); the
+    fingerprints live at ``F + ".state"``."""
+
     def test_refresh_lifecycle(self, tmp_path, capsys, cli_reads):
         corpus = str(tmp_path / "corpus")
         main(["generate-corpus", corpus, "--scale", "0.001"])
         index_file = str(tmp_path / "state.idx")
-        state_file = str(tmp_path / "state.json")
+        state_file = index_file + ".state"
 
-        assert main(["refresh", corpus, "--index", index_file,
-                     "--state", state_file]) == 0
+        assert main(["refresh", corpus, "--index", index_file]) == 0
         out = capsys.readouterr().out
         assert "+51 added" in out
         assert len(cli_reads) == 51
+        with open(index_file, "rb") as fh:
+            assert fh.read(5) == b"RIDX2"
 
         # No changes: second refresh is a no-op that opens no file.
         del cli_reads[:]
-        assert main(["refresh", corpus, "--index", index_file,
-                     "--state", state_file]) == 0
+        assert main(["refresh", corpus, "--index", index_file]) == 0
         assert "+0 added, -0 removed, ~0 modified" in capsys.readouterr().out
         assert cli_reads == []
 
         # Add a file, then find it through the refreshed index.
         with open(os.path.join(corpus, "novel.txt"), "w") as fh:
             fh.write("uniquemarkerterm appears here")
-        assert main(["refresh", corpus, "--index", index_file,
-                     "--state", state_file]) == 0
+        assert main(["refresh", corpus, "--index", index_file]) == 0
         assert "+1 added" in capsys.readouterr().out
         assert cli_reads == ["novel.txt"]
         assert main(["search", index_file, "uniquemarkerterm"]) == 0
         assert "novel.txt" in capsys.readouterr().out
 
-        # The state file is JSON: the hash's name, then the fingerprints.
+        # The state file is JSON: the hash's name, the index's header
+        # CRC, then the fingerprints.
         with open(state_file) as fh:
             state = json.load(fh)
         assert state["hash"] == "blake2b-64"
+        assert state["index"] == saved_crc(index_file)
         size, stamp, digest = state["files"]["novel.txt"]
         assert size == len("uniquemarkerterm appears here") and stamp > 0
 
@@ -157,9 +163,7 @@ class TestRefresh:
         corpus = str(tmp_path / "corpus")
         main(["generate-corpus", corpus, "--scale", "0.001"])
         index_file = str(tmp_path / "i.ridx")
-        state_file = str(tmp_path / "s.json")
-        arguments = ["refresh", corpus, "--index", index_file,
-                     "--state", state_file]
+        arguments = ["refresh", corpus, "--index", index_file]
         assert main(arguments) == 0
         with open(index_file, "rb") as fh:
             before = fh.read()
@@ -176,35 +180,44 @@ class TestRefresh:
                 main(arguments)
         with open(index_file, "rb") as fh:
             assert fh.read() == before
-        assert sorted(os.listdir(tmp_path)) == ["corpus", "i.ridx", "s.json"]
+        assert sorted(os.listdir(tmp_path)) == [
+            "corpus", "i.ridx", "i.ridx.state"
+        ]
         capsys.readouterr()
         assert main(arguments) == 0  # the replay converges
         assert "+1 added" in capsys.readouterr().out
 
-    def check_foreign_state_is_rewritten(self, tmp_path, capsys, foreign):
+    def check_foreign_state_reconciles(
+        self, tmp_path, capsys, cli_reads, foreign
+    ):
         corpus = str(tmp_path / "corpus")
         main(["generate-corpus", corpus, "--scale", "0.001"])
         index_file = str(tmp_path / "i.ridx")
-        state_file = str(tmp_path / "s.json")
-        main(["refresh", corpus, "--index", index_file, "--state", state_file])
+        state_file = index_file + ".state"
+        main(["refresh", corpus, "--index", index_file])
         with open(state_file) as fh:
             state = json.load(fh)
         with open(state_file, "w") as fh:
             json.dump(foreign(state["files"]), fh)
         capsys.readouterr()
-        assert main(["refresh", corpus, "--index", index_file,
-                     "--state", state_file]) == 0
-        assert "+51 added" in capsys.readouterr().out
+        del cli_reads[:]
+        # Read as absent, the state costs one reconciling refresh: every
+        # file is read once, the true (empty) delta is reported, and
+        # the state is rewritten as it was.
+        assert main(["refresh", corpus, "--index", index_file]) == 0
+        assert "+0 added, -0 removed, ~0 modified" in capsys.readouterr().out
+        assert len(cli_reads) == 51
         with open(state_file) as fh:
             assert json.load(fh) == state
 
-    def test_foreign_state_file_is_rewritten(self, tmp_path, capsys):
+    def test_foreign_state_file_is_rewritten(self, tmp_path, capsys, cli_reads):
         """A state file of any other shape — here the pre-3.0
         ``[size, hash]`` entries — reads as absent: everything is
-        re-indexed and the file rewritten as fingerprints."""
-        self.check_foreign_state_is_rewritten(
+        re-read and the file rewritten as fingerprints."""
+        self.check_foreign_state_reconciles(
             tmp_path,
             capsys,
+            cli_reads,
             lambda files: {p: [e[0], e[2]] for p, e in files.items()},
         )
 
@@ -217,30 +230,36 @@ class TestRefresh:
         ids=["3.0.0-headerless", "other-hash"],
     )
     def test_state_under_another_hash_is_rewritten(
-        self, tmp_path, capsys, foreign
+        self, tmp_path, capsys, cli_reads, foreign
     ):
         """So does a well-formed state whose hashes are not this
         version's: the headerless 3.0.0 map (FNV), or a header naming
         any hash but blake2b-64 — never "every file changed"."""
-        self.check_foreign_state_is_rewritten(tmp_path, capsys, foreign)
+        self.check_foreign_state_reconciles(
+            tmp_path, capsys, cli_reads, foreign
+        )
 
     def test_refresh_detects_removal(self, tmp_path, capsys):
         corpus = str(tmp_path / "corpus2")
         main(["generate-corpus", corpus, "--scale", "0.001"])
         index_file = str(tmp_path / "i.idx")
-        state_file = str(tmp_path / "s.json")
-        main(["refresh", corpus, "--index", index_file, "--state", state_file])
+        main(["refresh", corpus, "--index", index_file])
         capsys.readouterr()
-
         victim = None
         for root, _, files in os.walk(corpus):
             if files:
                 victim = os.path.join(root, files[0])
                 break
         os.remove(victim)
-        assert main(["refresh", corpus, "--index", index_file,
-                     "--state", state_file]) == 0
+        assert main(["refresh", corpus, "--index", index_file]) == 0
         assert "-1 removed" in capsys.readouterr().out
+
+    def test_state_is_no_longer_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["refresh", str(tmp_path), "--index", "i.ridx",
+                  "--state", "s.json"])
+        assert excinfo.value.code == 2
+        assert "--state" in capsys.readouterr().err
 
 
 class TestIndexFlagConflicts:

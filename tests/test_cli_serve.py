@@ -223,8 +223,7 @@ class TestWatchOnlyOnServe:
     @pytest.mark.parametrize("argv", [
         ["index", "somedir", "--watch", "1"],
         ["search", "some.idx", "q", "--watch", "1"],
-        ["refresh", "somedir", "--index", "i", "--state", "s",
-         "--watch", "1"],
+        ["refresh", "somedir", "--index", "i", "--watch", "1"],
     ])
     def test_other_subcommands_reject_watch(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -238,10 +237,9 @@ class TestUniformObservabilityFlags:
         self, corpus_dir, tmp_path, capsys
     ):
         index = str(tmp_path / "r.idx")
-        state = str(tmp_path / "r.state.json")
         trace = str(tmp_path / "r-trace.json")
         assert main(["refresh", corpus_dir, "--index", index,
-                     "--state", state, "--stats", "--trace-out", trace]) == 0
+                     "--stats", "--trace-out", trace]) == 0
         assert os.path.exists(trace)
 
     def test_analyze_accepts_stats_and_trace(

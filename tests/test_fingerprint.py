@@ -45,7 +45,8 @@ from repro.fsmodel import (
     OsFileSystem,
     VirtualFileSystem,
 )
-from repro.index.binfmt import dump_index_ridx2
+from repro.index import save_index
+from repro.index.binfmt import dump_index_ridx2, parse_ridx2_header
 from repro.index.fingerprint import (
     HASH_NAME,
     HASH_UNKNOWN,
@@ -441,15 +442,28 @@ class TestChunkSplitSentinel:
 # -- the persisted form ---------------------------------------------------
 
 
+#: The RIDX2 header CRC the state files below name.
+CRC = 0x1234ABCD
+
+
+def saved_crc(path: str) -> int:
+    """The CRC-32 in the header of the RIDX2 file at ``path``."""
+    with open(path, "rb") as fh:
+        return parse_ridx2_header(fh.read()).crc32
+
+
 class TestStateFile:
     def test_round_trip_with_header(self, tmp_path):
         path = str(tmp_path / "s.json")
         fingerprints = {"a.txt": (3, 17, content_hash(b"abc")), "big": (9, 4, -1)}
-        save_fingerprints(fingerprints, path)
+        save_fingerprints(fingerprints, path, CRC)
         with open(path) as fh:
             state = json.load(fh)
         assert state["hash"] == HASH_NAME == "blake2b-64"
-        assert load_fingerprints(path) == fingerprints
+        assert state["index"] == CRC
+        assert load_fingerprints(path, CRC) == fingerprints
+        # The same fingerprints describe no other index file.
+        assert load_fingerprints(path, CRC + 1) is None
 
     @pytest.mark.parametrize(
         "state",
@@ -461,19 +475,22 @@ class TestStateFile:
             {"hash": "blake2b-64", "files": {"a.txt": [3, 17, "x"]}},
             {"hash": "blake2b-64", "files": {"a.txt": [3, 17, True]}},
             ["not", "a", "map"],
+            # Written before states named their index: no "index" key.
+            {"hash": "blake2b-64", "files": {"a.txt": [3, 17, 12345]}},
+            {"hash": "blake2b-64", "index": str(CRC), "files": {}},
         ],
     )
     def test_anything_else_reads_as_absent(self, tmp_path, state):
         path = str(tmp_path / "s.json")
         with open(path, "w") as fh:
             json.dump(state, fh)
-        assert load_fingerprints(path) is None
+        assert load_fingerprints(path, CRC) is None
 
     def test_missing_or_unparsable_reads_as_absent(self, tmp_path):
-        assert load_fingerprints(str(tmp_path / "nope.json")) is None
+        assert load_fingerprints(str(tmp_path / "nope.json"), CRC) is None
         garbage = tmp_path / "garbage.json"
         garbage.write_bytes(b"\x00RIDX not json")
-        assert load_fingerprints(str(garbage)) is None
+        assert load_fingerprints(str(garbage), CRC) is None
 
 
 class TestSaveAndResume:
@@ -490,7 +507,7 @@ class TestSaveAndResume:
         saved = str(tmp_path / "index.ridx")
         session = Search.build(disk)
         session.save(saved)
-        assert load_fingerprints(state_path(saved)) == (
+        assert load_fingerprints(state_path(saved), saved_crc(saved)) == (
             session.report.fingerprints
         )
 
@@ -522,6 +539,34 @@ class TestSaveAndResume:
         assert resumed.refresh().total == 0
         assert len(fs.reads) == 8
 
+    @pytest.mark.parametrize("stale", ["unnamed", "ridx1"])
+    def test_a_state_that_names_no_file_here_reads_as_absent_once(
+        self, tmp_path, stale
+    ):
+        """A state written before states named their index, or one
+        beside a file that is not RIDX2, vouches for nothing: the first
+        refresh reconciles, and the save after it names the file."""
+        disk = self.corpus(tmp_path)
+        saved = str(tmp_path / "index.ridx")
+        session = Search.build(disk)
+        session.save(saved)
+        if stale == "unnamed":
+            with open(state_path(saved)) as fh:
+                state = json.load(fh)
+            del state["index"]
+            with open(state_path(saved), "w") as fh:
+                json.dump(state, fh)
+        else:
+            save_index(session.index, saved, format="binary")
+        fs = CountingFs(disk)
+        resumed = Search.open(saved, source=fs)
+        assert resumed.refresh().total == 0
+        assert len(fs.reads) == 8
+        resumed.save(saved)
+        fs = CountingFs(disk)
+        assert Search.open(saved, source=fs).refresh().total == 0
+        assert fs.reads == []
+
     def test_open_without_source_does_not_touch_the_state(
         self, tmp_path, monkeypatch
     ):
@@ -529,7 +574,7 @@ class TestSaveAndResume:
         saved = str(tmp_path / "index.ridx")
         Search.build(disk).save(saved)
 
-        def forbidden(path):
+        def forbidden(path, index_crc):
             raise AssertionError(f"state file read: {path}")
 
         monkeypatch.setattr("repro.api.load_fingerprints", forbidden)

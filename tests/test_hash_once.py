@@ -6,8 +6,9 @@ Two end-to-end pins on the interned hash path under :mod:`repro.adt`:
   per distinct term, never once per occurrence or per posting;
 * hash-seed independence — a ``dict`` now sits on the hash path, so the
   same corpus is built under two ``PYTHONHASHSEED`` values and must
-  serialise byte-identically in RIDX1 and in JSON-lines (whose line
-  order is the hash map's bucket order).
+  serialise byte-identically in RIDX1 and in RWIRE1 (which lists terms
+  in the hash map's bucket order and each term's paths in postings
+  order, unsorted).
 """
 
 from __future__ import annotations
@@ -46,11 +47,12 @@ _BUILD_AND_SAVE = """
 import sys
 from repro.api import Search
 from repro.corpus import CorpusGenerator, TINY_PROFILE
-from repro.index import save_index
+from repro.index import index_to_bytes
 
 session = Search.build(CorpusGenerator(TINY_PROFILE).generate().fs)
-save_index(session.index, sys.argv[1] + ".ridx", format="binary")
-save_index(session.index, sys.argv[1] + ".jsonl", format="json")
+for format in ("binary", "wire"):
+    with open(sys.argv[1] + "." + format, "wb") as fh:
+        fh.write(index_to_bytes(session.index, format=format))
 """
 
 
@@ -63,7 +65,7 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
             check=True,
             timeout=120,
         )
-    for extension in (".ridx", ".jsonl"):
+    for extension in (".binary", ".wire"):
         one = (tmp_path / ("1" + extension)).read_bytes()
         two = (tmp_path / ("2" + extension)).read_bytes()
         assert len(one) > 1000

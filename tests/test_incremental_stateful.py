@@ -2,16 +2,20 @@
 
 ``tests/test_segments_stateful.py`` drives one long-lived indexer.  This
 machine drives the ``repro-cli refresh`` lifecycle instead: every
-refresh starts in a fresh :class:`~repro.index.segments.SegmentedIndexer`
-that adopts what the previous one persisted — the flattened index as
-file bytes and the fingerprint map as JSON — and a run may lose the
-fingerprint write, restarting with an index ahead of its fingerprints.
-After every refresh the index must equal a from-scratch rebuild of the
-current filesystem state.
+refresh is a fresh session, ``Search.open(F, source=fs)`` ->
+``refresh()`` -> ``save(F)`` (a first run, with no ``F`` yet,
+``Search.build(fs)`` -> ``save(F)``), resuming from what the previous
+one saved: the RIDX2 file ``F`` and the fingerprints at
+``F + ".state"``.  A run may lose the state write — the previous state
+bytes are put back, so the state describes an older index than the one
+beside it.  After every refresh the saved index must equal a
+from-scratch rebuild of the current filesystem state.
 """
 
-import json
+import os
+import shutil
 import string
+import tempfile
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -22,10 +26,11 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.api import Search
 from repro.engine import SequentialIndexer
 from repro.fsmodel import VirtualFileSystem
-from repro.index import index_from_bytes, index_to_bytes
-from repro.index.segments import SegmentedIndexer
+from repro.index import load_index
+from repro.index.fingerprint import state_path
 
 words = st.lists(
     st.text(alphabet=string.ascii_lowercase, min_size=2, max_size=6),
@@ -35,18 +40,41 @@ words = st.lists(
 names = st.integers(min_value=0, max_value=9).map(lambda i: f"file{i}.txt")
 
 
+def _read(path):
+    """The bytes at ``path``, or None when there is no file."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
 class ResumedRefreshMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.fs = VirtualFileSystem()
-        self.index_bytes = None
-        self.state_json = json.dumps({})
-        self.refreshed = True  # nothing persisted == empty fs
+        self.directory = tempfile.mkdtemp(prefix="resumed-refresh-")
+        self.path = os.path.join(self.directory, "index.ridx")
+        self.earlier = {}  # name -> the bytes before its last edit
+        self.refreshed = True  # nothing saved == empty fs
+
+    def teardown(self):
+        shutil.rmtree(self.directory, ignore_errors=True)
 
     @rule(name=names, content=words)
     def create_or_edit(self, name, content):
-        data = " ".join(content).encode()
+        self.write(name, " ".join(content).encode())
+
+    @rule(name=names)
+    def edit_back(self, name):
+        """A -> B -> A: put back the bytes ``name`` held before its last
+        edit — bytes a state that outlived its index has fingerprinted."""
+        if name in self.earlier:
+            self.write(name, self.earlier[name])
+
+    def write(self, name, data):
         if self.fs.exists(name):
+            self.earlier[name] = self.fs.read_file(name)
             self.fs.replace_file(name, data)
         else:
             self.fs.write_file(name, data)
@@ -58,31 +86,31 @@ class ResumedRefreshMachine(RuleBasedStateMachine):
             self.fs.remove_file(name)
             self.refreshed = False
 
-    @rule(fingerprints_persisted=st.booleans())
-    def refresh(self, fingerprints_persisted):
-        indexer = SegmentedIndexer(self.fs)
-        if self.index_bytes is not None:
-            fingerprints = {
-                path: tuple(entry)
-                for path, entry in json.loads(self.state_json).items()
-            }
-            indexer.adopt(index_from_bytes(self.index_bytes), fingerprints)
-        indexer.refresh()
-        self.index_bytes = index_to_bytes(
-            indexer.manifest.materialize(), format="binary"
-        )
-        if fingerprints_persisted:
-            self.state_json = json.dumps(
-                {p: list(e) for p, e in indexer.fingerprints.items()}
-            )
+    @rule(state_persisted=st.booleans())
+    def refresh(self, state_persisted):
+        if os.path.exists(self.path):
+            session = Search.open(self.path, source=self.fs, cache=0)
+            session.refresh()
+        else:
+            session = Search.build(self.fs, cache=0)
+        state = state_path(self.path)
+        previous = _read(state)
+        session.save(self.path)
+        if not state_persisted:
+            # The state write is lost: the old state, or none, remains.
+            if previous is None:
+                os.remove(state)
+            else:
+                with open(state, "wb") as fh:
+                    fh.write(previous)
         self.refreshed = True
 
     @invariant()
     def index_matches_rebuild_after_refresh(self):
-        if not self.refreshed or self.index_bytes is None:
+        if not self.refreshed or not os.path.exists(self.path):
             return
         rebuilt = SequentialIndexer(self.fs, naive=False).build().index
-        assert index_from_bytes(self.index_bytes) == rebuilt
+        assert load_index(self.path) == rebuilt
 
 
 TestIncrementalStateful = ResumedRefreshMachine.TestCase

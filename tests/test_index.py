@@ -1,6 +1,8 @@
 """Tests for postings, the inverted index, joins, multi-index and
 serialization."""
 
+import os
+
 import pytest
 
 from repro.index import (
@@ -235,6 +237,9 @@ class TestSerialization:
         multi = MultiIndex([r1, r2])
         directory = str(tmp_path / "replicas")
         save_multi_index(multi, directory)
+        for name in ("replica-000.idx", "replica-001.idx"):
+            with open(os.path.join(directory, name), "rb") as fh:
+                assert fh.read(5) == b"RIDX2"
         loaded = load_multi_index(directory)
         assert len(loaded.replicas) == 2
         assert sorted(loaded.lookup("beta")) == ["f1", "f2"]

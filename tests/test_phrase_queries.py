@@ -165,31 +165,9 @@ class TestPhraseEvaluation:
             )
 
 
-class TestPositionalPersistence:
-    def test_round_trip(self, tmp_path):
-        index = PositionalIndex()
-        index.add_document("f1", ["alpha", "beta", "alpha"])
-        index.add_document("f2", ["beta", "gamma"])
-        path = str(tmp_path / "pos.jidx")
-        index.save(path)
-        loaded = PositionalIndex.load(path)
-        assert loaded.document_count == 2
-        assert loaded.positions("alpha", "f1") == [0, 2]
-        assert loaded.phrase_paths(["beta", "gamma"]) == ["f2"]
-
-    def test_bad_format_rejected(self, tmp_path):
-        path = tmp_path / "junk"
-        path.write_text('{"format": "other"}\n')
-        with pytest.raises(ValueError):
-            PositionalIndex.load(str(path))
-
-    def test_phrases_after_reload(self, tiny_fs, tokenizer, tmp_path):
-        index = PositionalIndex.from_fs(
-            tiny_fs, extractor=AsciiExtractor(tokenizer=tokenizer)
-        )
-        path = str(tmp_path / "corpus.pos")
-        index.save(path)
-        loaded = PositionalIndex.load(path)
-        ref = next(iter(tiny_fs.list_files()))
-        terms = tokenizer.tokenize(tiny_fs.read_file(ref.path))
-        assert ref.path in loaded.phrase_paths([terms[0], terms[1]])
+class TestNoPositionalFile:
+    def test_save_and_load_are_gone(self):
+        # Positions are built from the corpus when phrases are asked
+        # for; no door ever wrote or read the old sidecar file.
+        assert not hasattr(PositionalIndex, "save")
+        assert not hasattr(PositionalIndex, "load")

@@ -1,10 +1,12 @@
 """The collapsed save/load pair: one ``format`` keyword, auto-sniffing.
 
 ``save_index``/``load_index`` subsume what used to be four entry
-points.  Covered here: explicit ``"json"``/``"binary"`` selection,
-extension-driven auto on save, magic-driven auto on load (including
-raw RWIRE1 wire bytes and renamed files), loud mismatch failures, and
-the removal of the ``*_binary`` aliases 3.0.0 had deprecated.
+points.  Covered here: explicit ``"ridx2"``/``"binary"`` selection on
+save (RIDX2 whatever the extension; JSON-lines is no longer written),
+magic-driven auto on load (including raw RWIRE1 wire bytes, JSON-lines
+files older versions wrote, and renamed files), loud mismatch
+failures, and the removal of the ``*_binary`` aliases 3.0.0 had
+deprecated.
 """
 
 from __future__ import annotations
@@ -29,25 +31,43 @@ def index():
     return built
 
 
+#: ``index`` as the JSON-lines file older versions wrote, by hand.
+LEGACY_JSON_LINES = (
+    '{"format": "repro-index-v1", "terms": 3, "postings": 4, "blocks": 2}\n'
+    '["alpha", ["a.txt"]]\n'
+    '["shared", ["a.txt", "b.txt"]]\n'
+    '["beta", ["b.txt"]]\n'
+)
+
+
+def write_legacy(path) -> int:
+    """Write :data:`LEGACY_JSON_LINES` to ``path``; returns its size."""
+    with open(path, "w", encoding="utf-8") as fh:
+        return fh.write(LEGACY_JSON_LINES)
+
+
 class TestExplicitFormats:
     @pytest.mark.parametrize("format", ("json", "binary", "ridx2"))
     def test_round_trip(self, index, tmp_path, format):
         path = str(tmp_path / "out.dat")
-        written = save_index(index, path, format=format)
+        if format == "json":  # loaded, no longer written
+            written = write_legacy(path)
+        else:
+            written = save_index(index, path, format=format)
         assert written > 0
         assert load_index(path, format=format) == index
 
     def test_binary_is_smaller_than_json(self, index, tmp_path):
-        json_path = str(tmp_path / "a.dat")
+        json_written = len(LEGACY_JSON_LINES)
         binary_path = str(tmp_path / "b.dat")
-        json_written = save_index(index, json_path, format="json")
         binary_written = save_index(index, binary_path, format="binary")
         assert binary_written < json_written
 
     def test_unknown_format_rejected(self, index, tmp_path):
         path = str(tmp_path / "out.dat")
-        with pytest.raises(ValueError, match="format"):
-            save_index(index, path, format="pickle")
+        for refused in ("pickle", "json", "auto"):
+            with pytest.raises(ValueError, match="format"):
+                save_index(index, path, format=refused)
         save_index(index, path)
         with pytest.raises(ValueError, match="format"):
             load_index(path, format="pickle")
@@ -79,11 +99,12 @@ class TestAutoSave:
         assert load_index(path) == index
 
     @pytest.mark.parametrize("name", ("out.idx", "out.json", "out"))
-    def test_other_extensions_choose_json(self, index, tmp_path, name):
+    def test_other_extensions_choose_ridx2(self, index, tmp_path, name):
+        # No extension picks a format: a save is RIDX2 unless told RIDX1.
         path = str(tmp_path / name)
         save_index(index, path)
         with open(path, "rb") as fh:
-            assert fh.read(1) == b"{"
+            assert fh.read(5) == b"RIDX2"
 
 
 class TestAutoLoad:
@@ -95,20 +116,20 @@ class TestAutoLoad:
 
     def test_sniffs_json_despite_binary_extension(self, index, tmp_path):
         path = str(tmp_path / "lying-name.ridx")
-        save_index(index, path, format="json")
+        write_legacy(path)
         assert load_index(path) == index
 
     def test_loads_wire_bytes(self, index, tmp_path):
         path = str(tmp_path / "replica.ridx")
         with open(path, "wb") as fh:
-            fh.write(index_to_bytes(index, wire=True))
+            fh.write(index_to_bytes(index, format="wire"))
         assert load_index(path) == index
 
 
 class TestMismatchesFailLoudly:
     def test_json_file_as_binary(self, index, tmp_path):
         path = str(tmp_path / "out.idx")
-        save_index(index, path, format="json")
+        write_legacy(path)
         with pytest.raises(ValueError):
             load_index(path, format="binary")
 

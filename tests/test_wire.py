@@ -169,12 +169,12 @@ class TestBytesDispatch:
     def test_to_bytes_formats(self):
         index = _index_of({"a.txt": ["cat"]})
         assert index_to_bytes(index).startswith(b"RIDX1")
-        assert index_to_bytes(index, wire=True).startswith(WIRE_MAGIC)
+        assert index_to_bytes(index, format="wire").startswith(WIRE_MAGIC)
 
     def test_from_bytes_sniffs_magic(self):
         index = _index_of({"a.txt": ["cat", "dog"], "b.txt": ["dog"]})
         assert index_from_bytes(index_to_bytes(index)) == index
-        assert index_from_bytes(index_to_bytes(index, wire=True)) == index
+        assert index_from_bytes(index_to_bytes(index, format="wire")) == index
 
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(ValueError):
