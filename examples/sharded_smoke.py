@@ -5,7 +5,8 @@ shards behind a :class:`~repro.service.sharded.ScatterGatherBroker`,
 then:
 
 1. runs a differential battery — every query's merged boolean answer
-   must be byte-identical to the unsharded engine's;
+   must be byte-identical to the unsharded engine's, and its merged
+   BM25 hits (paths and float scores) equal to the unsharded ranker's;
 2. kills shard 1 while reader threads are mid-stream and asserts every
    in-flight and subsequent query terminates with either a *degraded*
    result (correct over the live shards, ``shards_ok == 2/3``) or a
@@ -27,6 +28,7 @@ import time
 
 from repro import Search, obs
 from repro.corpus import CorpusGenerator, TINY_PROFILE
+from repro.query.ranking import BM25Ranker, FrequencyIndex, search_bm25
 from repro.service import (
     ServiceClosedError,
     ServiceOverloadedError,
@@ -63,8 +65,10 @@ def main(trace_path: str = "sharded-trace.json") -> int:
     # -- 1. differential battery on the healthy topology ------------------
     queries = battery(session)
     probe = queries[0]
-    with session.serve_sharded(shards=SHARDS, workers=2,
-                               max_inflight=256) as broker:
+    ranker = BM25Ranker(FrequencyIndex.from_fs(corpus.fs))
+    engine = session.snapshot().engine
+    with session.serve_sharded(shards=SHARDS, workers=2, max_inflight=256,
+                               bm25=True) as broker:
         for text in queries:
             sharded = broker.query(text)
             unsharded = session.query(text)
@@ -72,8 +76,12 @@ def main(trace_path: str = "sharded-trace.json") -> int:
                 f"differential mismatch on {text!r}"
             )
             assert sharded.shards_ok == sharded.shards_total == SHARDS
+            hits = broker.query(text, rank="bm25", topk=7).hits
+            assert hits == search_bm25(engine, ranker, text, topk=7), (
+                f"BM25 mismatch on {text!r}"
+            )
         print(f"differential battery: {len(queries)} queries identical "
-              "to the unsharded engine")
+              "to the unsharded engine, BM25 top-7 scores included")
 
         # -- 2. kill shard 1 under load; nothing may hang ----------------
         dead_universe = (

@@ -582,12 +582,13 @@ class Search:
         for failover/throughput), and the returned
         :class:`~repro.service.sharded.ScatterGatherBroker` fans every
         query out and merges: boolean results byte-identical to the
-        unsharded engine, BM25 a heap-merge over shard-local statistics
-        (``docs/sharded.md`` has the scoring contract).  ``partial``
-        picks the dead-shard policy (``"degrade"`` answers from live
-        shards with a ``shards_ok/shards_total`` health tuple;
-        ``"fail"`` raises).  ``bm25=True`` builds the per-shard
-        frequency sidecars (needs the session's filesystem) so
+        unsharded engine, BM25 a heap-merge of top-K lists scored on
+        the whole collection's statistics, equal to the unsharded
+        ranking to the float (``docs/sharded.md`` has the scoring
+        contract).  ``partial`` picks the dead-shard policy
+        (``"degrade"`` answers from live shards with a
+        ``shards_ok/shards_total`` health tuple; ``"fail"`` raises).  ``bm25=True`` builds the collection's
+        frequency sidecar (needs the session's filesystem) so
         ``rank="bm25"`` works.  ``backend="process"`` spawns one OS
         process per replica serving RIDX2 off mmap (``ridx2_dir``
         defaults to a temp directory); ``backend="local"`` keeps shards

@@ -245,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="document-partition the corpus across N shard "
                    "services behind a scatter-gather broker: boolean "
                    "results merge by set-union, BM25 by a global "
-                   "top-K heap-merge of shard-local scores "
+                   "top-K heap-merge of scores on collection "
+                   "statistics, equal to the unsharded ranking "
                    "(incompatible with --watch, --ondisk and "
                    "--compact-every)")
     p.add_argument("--replicas", type=int, default=1,
@@ -695,7 +696,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     elif args.rank == "bm25" and not args.shards:
         print("error: --rank bm25 under serve needs --ondisk (BM25 is "
               "scored from the RIDX2 file's frequencies) or --shards "
-              "(scored from per-shard frequencies)", file=sys.stderr)
+              "(scored from the collection's frequencies)", file=sys.stderr)
         return 2
     if args.compact_every is not None:
         if args.compact_every <= 0:

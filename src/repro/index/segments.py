@@ -115,9 +115,6 @@ def forward_view(postings) -> Dict[str, Tuple[str, ...]]:
 class _SealedSegment:
     """What both segment kinds are: an index, the paths sealed in it,
     and a term dictionary and a forward view built on first use.
-
-    ``paths`` may name documents with no postings at all (an emptied
-    file): they still shadow the path's older revisions.
     """
 
     def __init__(self, segment_id: int, source, paths: Iterable[str]) -> None:
@@ -593,9 +590,8 @@ def compact_manifest(
                         for g, owner in zip(groups, owners)
                     ]
             merged_postings += sum(p.posting_count for p in products)
-            # A product keeps its group's live paths, postings or not:
-            # an emptied file must go on shadowing older revisions in
-            # the next round.
+            # A product's paths are its group's live paths, known
+            # already: not derived again from its postings.
             segments = [
                 MemorySegment(next_id + i, product, owner)
                 for i, (product, owner) in enumerate(zip(products, owners))
@@ -743,16 +739,22 @@ class SegmentedIndexer:
                     continue
                 changed[ref.path] = self._extract(ref.path, content)
 
-            added = sorted(p for p in changed if p not in previous)
-            modified = sorted(p for p in changed if p in previous)
-            # Every indexed path the scan did not see goes — the
-            # fingerprinted ones and, after a crash between persisting
-            # an index and its fingerprints, any the manifest holds
-            # beyond them.
+            # A document is a file with at least one term: a term-less
+            # one keeps its fingerprint (it is not read again) and no
+            # place in the index.
+            termless = {p for p, block in changed.items() if not block.terms}
+            for path in termless:
+                del changed[path]
+            modified = sorted(
+                p for p in changed if p in previous and p in manifest
+            )
+            added = sorted(set(changed).difference(modified))
+            # Every indexed path the scan did not see, or saw emptied,
+            # goes.
             removed = sorted(
                 p
-                for p in previous.keys() | manifest.live_paths()
-                if p not in fingerprints
+                for p in manifest.live_paths()
+                if p not in fingerprints or p in termless
             )
             self.apply_delta(changed, removed, fingerprints)
         self.last_scan_stats = {
@@ -777,23 +779,27 @@ class SegmentedIndexer:
         manifest = self._manifest
         fingerprints: FingerprintMap = {}
         changed: Dict[str, TermBlock] = {}
-        live = set(manifest.document_paths())
+        # Live paths not (yet) seen as a file with terms.
+        unseen = set(manifest.document_paths())
         modified: List[str] = []
         added: List[str] = []
-        with obsrec.span("segments.reconcile", live=len(live)):
+        with obsrec.span("segments.reconcile", live=len(unseen)):
             for ref in self.fs.list_files(self.root):
                 content, fingerprints[ref.path] = read_fingerprinted(
                     self.fs, ref.path
                 )
                 block = self._extract(ref.path, content)
-                if ref.path in live:
+                if not block.terms:
+                    continue  # not a document: removed if it was one
+                if ref.path in unseen:
+                    unseen.remove(ref.path)
                     if set(manifest.doc_terms(ref.path)) != set(block.terms):
                         changed[ref.path] = block
                         modified.append(ref.path)
                 else:
                     changed[ref.path] = block
                     added.append(ref.path)
-            removed = sorted(live - set(fingerprints))
+            removed = sorted(unseen)
             self.apply_delta(changed, removed, fingerprints)
         return ChangeReport(
             added=sorted(added), removed=removed, modified=sorted(modified)

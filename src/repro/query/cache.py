@@ -3,8 +3,8 @@
 Desktop-search users repeat queries (retyping, paging, live-search
 keystrokes), and the index between refreshes is immutable — ideal
 caching conditions.  :class:`QueryCache` is a from-scratch LRU keyed by
-(normalized query, parallel flag, ranking mode, top-K, topology scope)
-that a published :class:`~repro.service.snapshot.IndexSnapshot` owns:
+(normalized query, parallel flag, ranking mode, top-K) that a published
+:class:`~repro.service.snapshot.IndexSnapshot` owns:
 :meth:`~repro.service.snapshot.IndexSnapshot.answer` is the one cached
 answer path.  Nothing is ever invalidated — an index change publishes a
 new snapshot with an empty cache, and the old cache dies with the old
@@ -38,16 +38,12 @@ from repro.query.ast import Query
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
 
-#: Cache key: (normalized query, parallel flag, ranking mode, top-K,
-#: topology scope).  Boolean lookups use mode ``"bool"`` with
-#: ``topk=None``; BM25 lookups use mode ``"bm25"`` with their K, so the
-#: two can never collide.  ``scope`` names the serving topology the
-#: result came from (``None`` for a single unsharded engine,
-#: ``"shards=N"`` for a scatter-gather broker over N shards): sharded
-#: BM25 scores use shard-local statistics, so a 3-shard top-K is *not*
-#: the same value as an unsharded or 5-shard one and must never be
-#: served across topologies.
-CacheKey = Tuple[str, bool, str, Optional[int], Optional[str]]
+#: Cache key: (normalized query, parallel flag, ranking mode, top-K).
+#: Boolean lookups use mode ``"bool"`` with ``topk=None``; BM25 lookups
+#: use mode ``"bm25"`` with their K, so the two can never collide.  No
+#: serving topology is part of it: a sharded broker answers every query
+#: exactly as one unsharded engine would (``docs/sharded.md``).
+CacheKey = Tuple[str, bool, str, Optional[int]]
 
 
 def cache_key(
@@ -55,10 +51,9 @@ def cache_key(
     parallel: bool,
     mode: str = "bool",
     topk: Optional[int] = None,
-    scope: Optional[str] = None,
 ) -> CacheKey:
     """The canonical cache key for one lookup."""
-    return (normalized, parallel, mode, topk, scope)
+    return (normalized, parallel, mode, topk)
 
 
 def normalize_query(query_text: str) -> str:
@@ -85,12 +80,12 @@ class Plan(NamedTuple):
     key: CacheKey
 
 
-def plan_query(text, parallel=False, rank="bool", topk=10, scope=None) -> Plan:
+def plan_query(text, parallel=False, rank="bool", topk=10) -> Plan:
     """Parse, optimise and key a request (``topk`` keys BM25 only);
     raises :class:`~repro.query.parser.ParseError` if it is malformed."""
     query = optimize(parse_query(text))
     bm25_topk = topk if rank == "bm25" else None
-    key = cache_key(str(query), parallel, rank, bm25_topk, scope)
+    key = cache_key(str(query), parallel, rank, bm25_topk)
     return Plan(text, parallel, rank, topk, query, key)
 
 

@@ -64,10 +64,14 @@ class DaatQueryEngine:
     accepted for interface parity — there are no replicas to fan out
     over) and returns the identical sorted path list.  Phrase queries
     need the positional sidecar, which RIDX2 does not carry, and raise.
+    BM25 reads N, avgdl and df from the file, or from the collection
+    ``statistics`` of a shard's whole corpus when given
+    (:class:`~repro.query.ranking.CollectionStatistics`).
     """
 
-    def __init__(self, reader: MmapPostingsReader) -> None:
+    def __init__(self, reader: MmapPostingsReader, statistics=None) -> None:
         self.reader = reader
+        self.statistics = statistics
         self._prefix_dictionary: Optional[PrefixDictionary] = None
 
     def search(
@@ -103,9 +107,10 @@ class DaatQueryEngine:
         Matches :func:`repro.query.ranking.search_bm25` (same formula,
         same sorted-term accumulation order, same (score desc, path
         asc) ordering), so the two paths produce identical hits when
-        the RIDX2 file was dumped with the same frequency sidecar.  The
-        text is parsed and expanded once, and not optimised: the
-        scoring terms are those of the un-optimised query
+        the RIDX2 file was dumped with the same frequency sidecar (a
+        shard's file ranking on that sidecar's statistics).  The text is
+        parsed and expanded once, and not optimised: the scoring terms
+        are those of the un-optimised query
         (:func:`~repro.query.ranking.scoring_terms`), and the optimiser
         never changes which documents match.
         """
@@ -118,13 +123,14 @@ class DaatQueryEngine:
             if not matches:
                 return []
             reader = self.reader
-            n = reader.doc_count
-            avgdl = reader.average_document_length
+            n, avgdl, dfs = self.statistics or (
+                reader.doc_count, reader.average_document_length, None
+            )
             scorers: List[tuple] = []
             for term in sorted(infos):
                 info = infos[term]
                 if info is not None:
-                    df = info.df
+                    df = info.df if dfs is None else dfs.get(term, 0)
                     idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
                     tfs = reader.read_postings(info, matches, with_freqs=True)
                     scorers.append((idf, tfs))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.adt import FnvHashMap
 from repro.query.parser import parse_query
@@ -30,6 +30,15 @@ from repro.query.wildcard import expand_prefixes, has_prefixes
 #: document-length normalization.
 BM25_K1 = 1.2
 BM25_B = 0.75
+
+
+class CollectionStatistics(NamedTuple):
+    """N, avgdl and df per term: what BM25 needs of a whole collection
+    to score any part of it as the whole would, as O(terms) plain data."""
+
+    document_count: int
+    average_document_length: float
+    df: Dict[str, int]
 
 
 class FrequencyIndex:
@@ -56,7 +65,8 @@ class FrequencyIndex:
         return self.total_length / count if count else 0.0
 
     def add_document(self, path: str, terms: Iterable[str]) -> None:
-        """Index a document from its term *occurrences* (with duplicates)."""
+        """Index a document from its term *occurrences* (with duplicates);
+        a file with no terms is no document and records nothing."""
         if path in self._document_lengths:
             raise ValueError(f"{path!r} already indexed")
         length = 0
@@ -64,7 +74,16 @@ class FrequencyIndex:
             length += 1
             per_doc = self._counts.setdefault(term, {})
             per_doc[path] = per_doc.get(path, 0) + 1
-        self._document_lengths[path] = length
+        if length:
+            self._document_lengths[path] = length
+
+    def statistics(self) -> CollectionStatistics:
+        """This collection's N, avgdl and df per term."""
+        return CollectionStatistics(
+            self.document_count,
+            self.average_document_length,
+            {term: len(per_doc) for term, per_doc in self._counts.items()},
+        )
 
     def tf(self, term: str, path: str) -> int:
         """Occurrences of ``term`` in ``path`` (0 if absent)."""
@@ -79,30 +98,6 @@ class FrequencyIndex:
     def document_length(self, path: str) -> int:
         """Total term occurrences in ``path``."""
         return self._document_lengths.get(path, 0)
-
-    def subset(self, keep) -> "FrequencyIndex":
-        """A new frequency index restricted to documents in ``keep``.
-
-        Exact decomposition for document-partitioned sharding: the
-        per-(term, path) counts and per-document lengths are copied for
-        kept paths only, so the shard's ``df``/``avgdl``/``N`` become
-        genuinely *shard-local* statistics — which is what the
-        distributed BM25 scoring contract (``docs/sharded.md``) scores
-        with.  ``keep`` is any ``in``-supporting container (use a set).
-        """
-        sub = FrequencyIndex()
-        for term, per_doc in self._counts.items():
-            kept = {
-                path: count
-                for path, count in per_doc.items()
-                if path in keep
-            }
-            if kept:
-                sub._counts[term] = kept
-        for path, length in self._document_lengths.items():
-            if path in keep:
-                sub._document_lengths[path] = length
-        return sub
 
     @classmethod
     def from_fs(cls, fs, *, root: str = "",

@@ -34,7 +34,8 @@ changing.  This package is that layer, in the mould of the query-broker
   per-shard snapshot, in-process or one OS process each via
   :mod:`repro.service.shardproc`) behind a broker that scatters every
   query, gathers, and merges — sorted set-union for boolean results, a
-  shard-local-statistics BM25 heap-merge for ranked ones — with
+  BM25 heap-merge of scores on collection statistics for ranked ones,
+  both equal to the unsharded answer — with
   replica failover and ``partial=fail|degrade`` dead-shard policies
   (``docs/sharded.md``).
 

@@ -409,14 +409,8 @@ class AsyncSearchFrontend:
         snapshot = ticket.snapshot
         try:
             with obsrec.span(f"{self.name}.plan"):
-                # The topology scope keeps keys from crossing serving
-                # topologies: a sharded BM25 result (scored with
-                # shard-local statistics) must never satisfy an
-                # unsharded waiter or one from a different shard count.
-                # Unsharded services expose no scope (None).
                 ticket.plan = plan = plan_query(
-                    ticket.text, ticket.parallel, ticket.rank, ticket.topk,
-                    getattr(self.service, "cache_scope", None),
+                    ticket.text, ticket.parallel, ticket.rank, ticket.topk
                 )
                 ticket.key = plan.key
                 hit = None

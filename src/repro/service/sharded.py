@@ -24,16 +24,14 @@ Merging — the scoring contract
 * **BM25** top-K merges by a global heap-merge of the per-shard top-K
   lists under the tie-break ``(score desc, path asc)`` — the same
   ordering both the in-memory ranker and the on-disk DAAT scorer
-  already guarantee.  Scores are computed with **shard-local
-  statistics**: each shard's ``idf`` uses its own ``N`` and ``df``,
-  its length normalization its own ``avgdl``.  That is the standard
-  distributed-IR trade-off (global-statistics exchange costs a round
-  trip); it means a sharded score is *not* comparable to an unsharded
-  score, which is why the topology scope is part of
-  :func:`~repro.query.cache.cache_key` and results can never be served
-  across topologies.  What *is* guaranteed: the merge is a
-  permutation-stable prefix — the merged top-K is exactly the first K
-  of the concatenated per-shard hits under the documented tie-break.
+  already guarantee.  Every shard scores with the statistics of the
+  **whole collection** — ``N``, ``avgdl`` and each term's ``df`` from
+  the one :class:`~repro.query.ranking.FrequencyIndex` the builder is
+  given — the global-statistics broker of Orlando, Perego and
+  Silvestri.  A document's score therefore does not depend on the
+  shard it landed on, each shard's top-K holds every one of its
+  documents the global top-K holds, and the merged top-K **is** the
+  unsharded top-K: paths and float scores, compared with ``==``.
 
 Partial results — dead shards
 -----------------------------
@@ -157,9 +155,9 @@ class RankedQueryEngine(QueryEngine):
     """A boolean engine plus a BM25 ranker over the same documents.
 
     Gives an *in-memory* shard snapshot the ``search_bm25`` face the
-    on-disk DAAT engine has, scoring with the shard's own
-    :class:`~repro.query.ranking.FrequencyIndex` — i.e. shard-local
-    statistics, per the scoring contract above.
+    on-disk DAAT engine has, scoring with the collection's
+    :class:`~repro.query.ranking.FrequencyIndex`, per the scoring
+    contract above.
     """
 
     def __init__(
@@ -187,11 +185,10 @@ def shard_snapshots(
     Each shard gets the full index restricted to its documents
     (:meth:`~repro.index.inverted.InvertedIndex.subset`) and its slice
     of the universe (so per-shard ``NOT`` complements compose to the
-    global one).  With ``frequencies``, each shard also gets the exact
-    per-document slice of the frequency sidecar and a
-    :class:`RankedQueryEngine`, enabling sharded BM25.  Size-balanced
-    partitioning weighs documents by their term-occurrence length when
-    frequencies are available.
+    global one).  With ``frequencies``, each shard also gets a
+    :class:`RankedQueryEngine` over that whole-collection sidecar,
+    enabling sharded BM25.  Size-balanced partitioning weighs documents
+    by their term-occurrence length when frequencies are available.
     """
     universe = list(universe)
     sizes = None
@@ -208,7 +205,7 @@ def shard_snapshots(
         engine = None
         if frequencies is not None:
             engine = RankedQueryEngine(
-                sub, universe=keep, frequencies=frequencies.subset(keep)
+                sub, universe=keep, frequencies=frequencies
             )
         snapshots.append(
             IndexSnapshot(
@@ -502,10 +499,9 @@ class ShardedSnapshot:
         a :class:`~repro.query.cache.Plan` scatters its text.
 
         Boolean answers merge by sorted set-union.  For BM25 each shard
-        returns its local top-``topk`` ordered by ``(score desc, path
-        asc)``; the global answer is the first ``topk`` of the k-way
-        merge under the same ordering — the documented
-        permutation-stable prefix.
+        returns its top-``topk`` ordered by ``(score desc, path asc)``,
+        scored on collection statistics; the first ``topk`` of the
+        k-way merge under the same ordering is the unsharded top-K.
         """
         started = time.perf_counter()
         if isinstance(query_text, Plan):
@@ -605,17 +601,6 @@ class ScatterGatherBroker:
     @property
     def generation(self) -> int:
         return self._snapshot.generation
-
-    @property
-    def cache_scope(self) -> str:
-        """The topology component of the cache key.
-
-        Folding ``shards=N`` into
-        :func:`~repro.query.cache.cache_key` guarantees a sharded BM25
-        entry (shard-local statistics!) can never satisfy an unsharded
-        waiter or one behind a different shard count.
-        """
-        return f"shards={len(self.groups)}"
 
     def query(
         self,
@@ -778,8 +763,12 @@ def build_sharded_service(
     — an RIDX2 file served off mmap).  ``backend="process"`` writes
     per-shard RIDX2 files and spawns one OS process per replica
     (:class:`~repro.service.shardproc.ProcessShardReplica`), the real
-    escape from the GIL.  BM25 needs ``frequencies`` (sliced exactly
-    per shard) for either backend.
+    escape from the GIL.  BM25 needs ``frequencies``, the whole
+    collection's sidecar: in-memory shards rank with it, each shard's
+    RIDX2 file takes its documents' counts from it, and the DAAT
+    scorers over those files (in this process or, as plain data sent
+    at spawn, in a worker) read N, avgdl and df from its
+    :meth:`~repro.query.ranking.FrequencyIndex.statistics`.
     """
     if backend not in ("local", "process"):
         raise ValueError(
@@ -815,14 +804,11 @@ def build_sharded_service(
     shard_paths = []
     for shard_id, snapshot in enumerate(parts_snapshots):
         path = os.path.join(ridx2_dir, f"shard-{shard_id:04d}.ridx2")
-        shard_frequencies = None
-        if frequencies is not None:
-            shard_frequencies = frequencies.subset(snapshot.universe)
         save_index(
-            snapshot.index, path, format="ridx2",
-            frequencies=shard_frequencies,
+            snapshot.index, path, format="ridx2", frequencies=frequencies
         )
         shard_paths.append(path)
+    statistics = frequencies.statistics() if frequencies is not None else None
     if backend == "process":
         from repro.service.shardproc import ProcessShardReplica
 
@@ -835,6 +821,7 @@ def build_sharded_service(
                     path,
                     max_inflight=max_inflight,
                     sync=sync,
+                    statistics=statistics,
                 )
                 for replica_id in range(replicas)
             ]
@@ -848,7 +835,7 @@ def build_sharded_service(
     ondisk_snapshots = [
         IndexSnapshot.from_ondisk(
             MmapPostingsReader(path), generation=generation,
-            provenance="shard-ondisk",
+            provenance="shard-ondisk", statistics=statistics,
         )
         for path in shard_paths
     ]

@@ -40,10 +40,11 @@ from repro.service.snapshot import QueryResult
 _POLL_S = 0.05
 
 
-def shard_worker_main(ridx2_path: str, requests, responses) -> None:
+def shard_worker_main(ridx2_path, statistics, requests, responses) -> None:
     """Entry point of one shard worker process.
 
-    Opens the shard's RIDX2 file off mmap and serves
+    Opens the shard's RIDX2 file off mmap, ranking on the collection
+    ``statistics`` it was spawned with (or the file's own), and serves
     ``(req_id, text, parallel, rank, topk)`` requests until a ``None``
     sentinel arrives.  Per-query failures travel back as
     ``("error", message)`` — the worker itself stays up; only a crash
@@ -52,7 +53,9 @@ def shard_worker_main(ridx2_path: str, requests, responses) -> None:
     from repro.index.ondisk import MmapPostingsReader
     from repro.service.snapshot import IndexSnapshot
 
-    snapshot = IndexSnapshot.from_ondisk(MmapPostingsReader(ridx2_path))
+    snapshot = IndexSnapshot.from_ondisk(
+        MmapPostingsReader(ridx2_path), statistics=statistics
+    )
     while True:
         item = requests.get()
         if item is None:
@@ -76,10 +79,12 @@ class ProcessShardReplica:
     :class:`~repro.service.sharded.LocalShardReplica` (``query`` /
     ``alive`` / ``kill`` / ``close`` / ``max_inflight``), so
     :class:`~repro.service.sharded.ShardGroup` treats both backends
-    identically.  One request is in flight per replica at a time (the
-    replica lock serializes callers); concurrency comes from R
-    replicas per shard and N shards per broker, all in separate
-    processes — which is the point.
+    identically.  BM25 ranks on ``statistics``, the whole collection's
+    N, avgdl and df per term, pickled to the worker once at spawn (it
+    never sees per-document counts).  One request is in flight per
+    replica at a time (the replica lock serializes callers);
+    concurrency comes from R replicas per shard and N shards per
+    broker, all in separate processes — which is the point.
     """
 
     kind = "process"
@@ -93,6 +98,7 @@ class ProcessShardReplica:
         timeout_s: float = 30.0,
         sync=None,
         start_method: Optional[str] = None,
+        statistics=None,
     ) -> None:
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
@@ -118,7 +124,7 @@ class ProcessShardReplica:
         self._responses = context.Queue()
         self._process = context.Process(
             target=shard_worker_main,
-            args=(ridx2_path, self._requests, self._responses),
+            args=(ridx2_path, statistics, self._requests, self._responses),
             name=self.name,
             daemon=True,
         )

@@ -86,12 +86,15 @@ class IndexSnapshot:
         reader,
         generation: int = 0,
         provenance: str = "ondisk",
+        statistics=None,
     ) -> "IndexSnapshot":
         """A snapshot served straight off an mmap'd RIDX2 file.
 
         ``reader`` is an :class:`~repro.index.ondisk.MmapPostingsReader`;
         the snapshot's engine is a DAAT evaluator over its posting
-        blocks, so queries never materialize the index.  The reader
+        blocks, so queries never materialize the index, which ranks on
+        the collection ``statistics`` of a shard's whole corpus when
+        given (:class:`~repro.query.daat.DaatQueryEngine`).  The reader
         doubles as the ``index`` (it speaks ``lookup``/``terms``); the
         universe comes from the file's doc table, giving ``NOT`` the
         same complement the in-memory engine would compute.  It carries
@@ -104,7 +107,7 @@ class IndexSnapshot:
             generation=generation,
             provenance=provenance,
             universe=frozenset(reader.doc_paths()),
-            engine=DaatQueryEngine(reader),
+            engine=DaatQueryEngine(reader, statistics),
         )
 
     def search(self, query_text: str, parallel: bool = False) -> List[str]:

@@ -9,7 +9,9 @@ one saved: the RIDX2 file ``F`` and the fingerprints at
 ``F + ".state"``.  A run may lose the state write — the previous state
 bytes are put back, so the state describes an older index than the one
 beside it.  After every refresh the saved index must equal a
-from-scratch rebuild of the current filesystem state.
+from-scratch rebuild of the current filesystem state, and so must the
+documents it counts — ``len()`` and a ``NOT`` answer — term-less files
+included.
 """
 
 import os
@@ -56,6 +58,7 @@ class ResumedRefreshMachine(RuleBasedStateMachine):
         self.directory = tempfile.mkdtemp(prefix="resumed-refresh-")
         self.path = os.path.join(self.directory, "index.ridx")
         self.earlier = {}  # name -> the bytes before its last edit
+        self.session = None  # the last refresh's session
         self.refreshed = True  # nothing saved == empty fs
 
     def teardown(self):
@@ -64,6 +67,12 @@ class ResumedRefreshMachine(RuleBasedStateMachine):
     @rule(name=names, content=words)
     def create_or_edit(self, name, content):
         self.write(name, " ".join(content).encode())
+
+    @rule(name=names, short=st.sampled_from([b"", b"a b 1"]))
+    def empty(self, name, short):
+        """Leave ``name`` with no terms: empty, or only short tokens."""
+        if self.fs.exists(name):
+            self.write(name, short)
 
     @rule(name=names)
     def edit_back(self, name):
@@ -96,6 +105,7 @@ class ResumedRefreshMachine(RuleBasedStateMachine):
         state = state_path(self.path)
         previous = _read(state)
         session.save(self.path)
+        self.session = session
         if not state_persisted:
             # The state write is lost: the old state, or none, remains.
             if previous is None:
@@ -111,6 +121,16 @@ class ResumedRefreshMachine(RuleBasedStateMachine):
             return
         rebuilt = SequentialIndexer(self.fs, naive=False).build().index
         assert load_index(self.path) == rebuilt
+
+    @invariant()
+    def documents_match_rebuild_after_refresh(self):
+        if not self.refreshed or self.session is None:
+            return
+        rebuilt = Search.build(self.fs, cache=0)
+        expected = rebuilt.query("NOT zzzzzzz").paths
+        for session in (self.session, Search.open(self.path, cache=0)):
+            assert len(session) == len(rebuilt)
+            assert session.query("NOT zzzzzzz").paths == expected
 
 
 TestIncrementalStateful = ResumedRefreshMachine.TestCase

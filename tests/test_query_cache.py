@@ -23,28 +23,11 @@ def make_snapshot():
 
 class TestCacheKeySchema:
     """Pins the key tuple — every producer and consumer shares it, so
-    a silent reshape would let entries cross lookup modes or serving
-    topologies."""
+    a silent reshape would let entries cross lookup modes."""
 
-    def test_schema_is_the_five_tuple(self):
-        assert cache_key("cat", False) == ("cat", False, "bool", None, None)
-        assert cache_key("cat", True, "bm25", 10, "shards=3") == (
-            "cat", True, "bm25", 10, "shards=3"
-        )
-
-    def test_topology_scope_separates_entries(self):
-        # A sharded BM25 top-K is scored with shard-local statistics:
-        # it must never satisfy an unsharded lookup or one behind a
-        # different shard count.
-        unsharded = cache_key("cat", False, "bm25", 10)
-        three = cache_key("cat", False, "bm25", 10, "shards=3")
-        five = cache_key("cat", False, "bm25", 10, "shards=5")
-        assert len({unsharded, three, five}) == 3
-        cache = QueryCache()
-        cache.put(three, ["sharded-garbage"])
-        assert cache.get(unsharded) is None
-        assert cache.get(five) is None
-        assert cache.get(three) == ["sharded-garbage"]
+    def test_schema_is_the_four_tuple(self):
+        assert cache_key("cat", False) == ("cat", False, "bool", None)
+        assert cache_key("cat", True, "bm25", 10) == ("cat", True, "bm25", 10)
 
 
 class TestQueryCache:

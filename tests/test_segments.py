@@ -215,6 +215,103 @@ class TestSegmentedRefresh:
         assert indexer.manifest.to_ridx2() == rebuild_bytes(fs)
 
 
+class TestTermlessFiles:
+    """A document is a file with at least one term — after a build, a
+    refresh, a reconcile and a save alike, so ``len()``, a ``NOT``
+    answer and BM25's N never depend on the path a session took."""
+
+    @staticmethod
+    def termless_fs():
+        fs = VirtualFileSystem()
+        fs.write_file("a.txt", b"alpha beta")
+        fs.write_file("b.txt", b"alpha gamma gamma")
+        fs.write_file("empty.txt", b"")
+        return fs
+
+    def test_refresh_adds_no_termless_file(self, tmp_path):
+        fs = self.termless_fs()
+        session = Search.build(fs, cache=0)
+        assert session.query("NOT alpha").paths == []
+        fs.write_file("empty2.txt", b"")
+        fs.write_file("short.txt", b"a b 1")
+        fs.write_file("c.txt", b"gamma")
+        change = session.refresh()
+        assert (change.added, change.removed) == (["c.txt"], [])
+        rebuilt = Search.build(fs, cache=0)
+        assert session.query("NOT alpha").paths == ["c.txt"]
+        assert rebuilt.query("NOT alpha").paths == ["c.txt"]
+        assert len(session) == len(rebuilt) == 3
+        path = str(tmp_path / "index.ridx")
+        session.save(path)
+        reopened = Search.open(path, source=fs, cache=0)
+        assert len(reopened) == 3
+        assert reopened.query("NOT alpha").paths == ["c.txt"]
+        # The term-less files keep their fingerprints: not read again.
+        assert reopened.refresh().total == 0
+        assert reopened._segmented.last_scan_stats["files_read"] == 0
+
+    def test_bm25_counts_the_same_documents_in_memory_and_off_mmap(
+        self, tmp_path
+    ):
+        from repro.index.ondisk import MmapPostingsReader
+        from repro.query.daat import DaatQueryEngine
+        from repro.query.evaluator import QueryEngine
+        from repro.query.ranking import (
+            BM25Ranker,
+            FrequencyIndex,
+            search_bm25,
+        )
+
+        fs = self.termless_fs()
+        fs.write_file("c.txt", b"gamma")
+        frequencies = FrequencyIndex.from_fs(fs)
+        index = SequentialIndexer(fs, naive=False).build().index
+        assert frequencies.document_count == 3
+        path = tmp_path / "index.ridx2"
+        path.write_bytes(dump_index_ridx2(index, frequencies))
+        reader = MmapPostingsReader(str(path))
+        try:
+            assert reader.doc_count == 3
+            memory = search_bm25(
+                QueryEngine(index, universe={"a.txt", "b.txt", "c.txt"}),
+                BM25Ranker(frequencies), "alpha OR gamma",
+            )
+            ondisk = DaatQueryEngine(reader).search_bm25("alpha OR gamma")
+            assert memory == ondisk
+        finally:
+            reader.close()
+
+    def test_a_file_that_loses_its_terms_is_tombstoned(self):
+        fs = self.termless_fs()
+        indexer = bootstrapped(fs)
+        fs.replace_file("a.txt", b"")
+        change = indexer.refresh()
+        assert (change.modified, change.removed) == ([], ["a.txt"])
+        assert "a.txt" not in indexer.manifest
+        assert indexer.manifest.tombstones == {"a.txt"}
+        indexer.refresh()
+        assert indexer.last_scan_stats["files_read"] == 0
+        fs.replace_file("a.txt", b"delta")
+        assert indexer.refresh().added == ["a.txt"]
+        indexer.compact()
+        assert indexer.manifest.to_ridx2() == rebuild_bytes(fs)
+
+    def test_reconcile_keeps_termless_files_out(self):
+        fs = self.termless_fs()
+        index = SequentialIndexer(fs, naive=False).build().index
+        fs.replace_file("a.txt", b"")
+        fs.write_file("empty2.txt", b"")
+        indexer = SegmentedIndexer(fs)
+        indexer.adopt(index, {})
+        change = indexer.reconcile()
+        assert (change.added, change.modified) == ([], [])
+        assert change.removed == ["a.txt"]
+        assert sorted(indexer.manifest.live_paths()) == ["b.txt"]
+        assert "empty2.txt" in indexer.fingerprints
+        indexer.compact()
+        assert indexer.manifest.to_ridx2() == rebuild_bytes(fs)
+
+
 class TestCompaction:
     def churn(self, fs, indexer, rounds=5):
         for i in range(rounds):

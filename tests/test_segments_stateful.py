@@ -40,6 +40,7 @@ from repro.fsmodel import VirtualFileSystem
 from repro.fsmodel.faultfs import FaultInjectingFileSystem, FaultSpec
 from repro.index.binfmt import dump_index_ridx2
 from repro.index.segments import CompactionPolicy, SegmentedIndexer
+from repro.service.snapshot import universe_of
 
 words = st.lists(
     st.text(alphabet=string.ascii_lowercase, min_size=2, max_size=6),
@@ -131,9 +132,9 @@ class SegmentedMachine(RuleBasedStateMachine):
         self.indexer = Search.open(path, source=self.fs, cache=0)._segmented
         manifest = self.indexer.manifest
         assert [type(s).__name__ for s in manifest.segments] == ["DiskSegment"]
-        # An emptied file has no posting to be saved by; its fingerprint
-        # still is, so the next refresh does not re-read it.
-        assert manifest.live_paths() <= live
+        # A term-less file is no document, refreshed or saved: the
+        # saved file holds exactly the live documents.
+        assert manifest.live_paths() == live
 
     @rule(name=names)
     def crashed_refresh_then_replay(self, name):
@@ -195,6 +196,7 @@ class SegmentedMachine(RuleBasedStateMachine):
             return
         rebuilt = SequentialIndexer(self.fs, naive=False).build().index
         assert self.indexer.manifest.materialize() == rebuilt
+        assert self.indexer.manifest.live_paths() == universe_of(rebuilt)
 
     @invariant()
     def live_view_consistent(self):

@@ -7,25 +7,33 @@ contract in ``docs/sharded.md``:
 * **boolean**: the merged answer is byte-identical to the unsharded
   engine's, for *any* query the language can express (document
   partitioning commutes with per-document evaluation);
-* **BM25**: the merged top-K is exactly the first K of the
-  concatenated per-shard top-K lists under the documented
-  ``(score desc, path asc)`` tie-break — a permutation-stable prefix —
-  and collapses to the unsharded ranking when there is one shard.
+* **BM25**: every shard scores on the whole collection's statistics,
+  so the merged top-K — paths and float scores, compared with ``==`` —
+  equals the unsharded in-memory ranker's and the DAAT engine's over
+  the unsharded RIDX2 file, for any shard count, strategy and backend,
+  term-less files included; it is also the first K of the
+  concatenated per-shard top-K lists under the ``(score desc, path
+  asc)`` tie-break.
 """
 
 from __future__ import annotations
 
+import os
 import string
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.index.binfmt import dump_index_ridx2
 from repro.index.inverted import InvertedIndex
+from repro.index.ondisk import MmapPostingsReader
+from repro.query.daat import DaatQueryEngine
 from repro.query.evaluator import QueryEngine
-from repro.query.ranking import FrequencyIndex
+from repro.query.ranking import BM25Ranker, FrequencyIndex, search_bm25
 from repro.service.sharded import (
-    RankedQueryEngine,
     SHARD_STRATEGIES,
+    build_sharded_service,
     local_broker,
     partition_paths,
     shard_snapshots,
@@ -60,6 +68,16 @@ queries = st.recursive(
         children.map(lambda q: f"(NOT {q})"),
     ),
     max_leaves=4,
+)
+
+
+#: Corpora where some files have no terms at all: those are not
+#: documents, so they count towards no shard's universe and no N.
+corpora_with_termless = st.dictionaries(
+    paths,
+    st.lists(st.sampled_from(VOCAB), min_size=0, max_size=8),
+    min_size=1,
+    max_size=10,
 )
 
 
@@ -131,22 +149,37 @@ class TestBM25Prefix:
         finally:
             broker.close()
 
-    @given(docs=corpora, query=queries,
+
+class TestBM25EqualsUnsharded:
+    @given(docs=corpora_with_termless,
+           shards=st.integers(min_value=1, max_value=5),
+           strategy=strategies, ondisk=st.booleans(), query=queries,
            topk=st.integers(min_value=1, max_value=6))
-    @settings(max_examples=25, deadline=None)
-    def test_one_shard_collapses_to_the_unsharded_ranking(self, docs,
-                                                          query, topk):
-        # With a single shard, "shard-local" statistics *are* the
-        # global ones: scores and order must match exactly.
+    @settings(max_examples=60, deadline=None)
+    def test_sharded_bm25_equals_the_unsharded_ranking(
+        self, docs, shards, strategy, ondisk, query, topk
+    ):
         index, frequencies = build_corpus(docs)
-        reference = RankedQueryEngine(
-            index, universe=frozenset(docs), frequencies=frequencies
+        universe = frozenset(path for path, words in docs.items() if words)
+        expected = search_bm25(
+            QueryEngine(index, universe=universe), BM25Ranker(frequencies),
+            query, topk=topk,
         )
-        snapshots = shard_snapshots(index, docs, 1,
-                                    frequencies=frequencies)
-        broker = local_broker(snapshots)
-        try:
-            merged = broker.query(query, rank="bm25", topk=topk).hits
-            assert merged == reference.search_bm25(query, topk=topk)
-        finally:
-            broker.close()
+        with tempfile.TemporaryDirectory() as directory:
+            unsharded = os.path.join(directory, "all.ridx2")
+            with open(unsharded, "wb") as fh:
+                fh.write(dump_index_ridx2(index, frequencies))
+            reader = MmapPostingsReader(unsharded)
+            try:
+                daat = DaatQueryEngine(reader).search_bm25(query, topk=topk)
+            finally:
+                reader.close()
+            assert daat == expected
+            broker = build_sharded_service(
+                index, universe, shards=shards, strategy=strategy,
+                frequencies=frequencies,
+                ridx2_dir=os.path.join(directory, "shards") if ondisk else None,
+            )
+            with broker:
+                hits = broker.query(query, rank="bm25", topk=topk).hits
+        assert hits == expected

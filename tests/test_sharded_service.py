@@ -7,18 +7,18 @@ Four claims under test, mirroring ``docs/sharded.md``:
    in-memory, RIDX2-off-mmap and process shard backends, for every
    operator the query language has (document partitioning commutes
    with per-document evaluation);
-2. the **scoring contract** — sharded BM25 is the first K of the
-   concatenated per-shard top-K lists under the documented
-   ``(score desc, path asc)`` tie-break (a permutation-stable prefix
-   of shard-local scores);
+2. the **scoring contract** — every shard scores BM25 on the whole
+   collection's statistics, so sharded hits equal the unsharded
+   ranking's, paths and float scores, on every backend; the merge is
+   the first K of the concatenated per-shard top-K lists under the
+   ``(score desc, path asc)`` tie-break;
 3. **dead shards** — killing a shard degrades or fails per the
    ``partial`` policy, with the ``shards_ok/shards_total`` health
    tuple on every result and a typed error, never a hang; the
    deterministic schedule sweep drives kill/close against in-flight
    queries across seeds and finds no race;
 4. **composition** — the broker wears the service face, so the async
-   frontend seats on top unchanged, with the topology scope folded
-   into the cache key.
+   frontend seats on top unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import pytest
 
 from repro.index.inverted import InvertedIndex
 from repro.query.evaluator import QueryEngine
-from repro.query.ranking import FrequencyIndex
+from repro.query.ranking import BM25Ranker, FrequencyIndex, search_bm25
 from repro.schedcheck import (
     CooperativeScheduler,
     InstrumentedSyncProvider,
@@ -129,9 +129,11 @@ class TestPartitioning:
         for snapshot in snapshots:
             assert not (union & snapshot.universe)
             union |= snapshot.universe
-            # shard-local N: the sliced sidecar only knows its docs
-            local_n = snapshot.engine.ranker.frequencies.document_count
-            assert local_n == len(snapshot.universe)
+            # The universe is sliced, the statistics are not: every
+            # shard ranks on the collection's N.
+            ranker = snapshot.engine.ranker
+            assert ranker.frequencies is frequencies
+            assert ranker.frequencies.document_count == len(DOCS)
         assert union == set(DOCS)
 
 
@@ -176,6 +178,12 @@ class TestDifferentialBoolean:
                 assert broker.query(text).paths == engine.search(text), text
 
 
+def unsharded_bm25(text, topk):
+    index, frequencies = build_corpus()
+    engine = QueryEngine(index, universe=frozenset(DOCS))
+    return search_bm25(engine, BM25Ranker(frequencies), text, topk=topk)
+
+
 class TestBM25Merge:
     def test_merge_is_a_prefix_of_the_concatenated_shard_lists(self):
         index, frequencies = build_corpus()
@@ -196,7 +204,7 @@ class TestBM25Merge:
             assert merged.hits == per_shard[:topk]
 
     def test_ondisk_shards_score_identically_to_in_memory(self, tmp_path):
-        # Same shard-local statistics -> same scores, whichever engine
+        # Same collection statistics -> same scores, whichever engine
         # (in-memory ranker vs DAAT off mmap) computes them.
         index, frequencies = build_corpus()
         memory = build_sharded_service(
@@ -210,6 +218,17 @@ class TestBM25Merge:
             a = memory.query("alpha AND beta", rank="bm25", topk=8).hits
             b = ondisk.query("alpha AND beta", rank="bm25", topk=8).hits
             assert a == b
+
+    def test_process_shards_rank_like_one_unsharded_engine(self, tmp_path):
+        index, frequencies = build_corpus()
+        broker = build_sharded_service(
+            index, DOCS, shards=3, frequencies=frequencies,
+            ridx2_dir=str(tmp_path), backend="process",
+        )
+        with broker:
+            for text in QUERIES:
+                hits = broker.query(text, rank="bm25", topk=7).hits
+                assert hits == unsharded_bm25(text, 7), text
 
     def test_bm25_without_frequencies_is_rejected(self):
         index, _ = build_corpus()
@@ -306,12 +325,6 @@ class TestBrokerFace:
         with broker:
             assert broker.max_inflight == 16  # 2 replicas x 8 each
 
-    def test_cache_scope_pins_the_topology(self):
-        index, _ = build_corpus()
-        broker = build_sharded_service(index, DOCS, shards=3)
-        with broker:
-            assert broker.cache_scope == "shards=3"
-
     def test_query_after_close_raises_typed(self):
         index, _ = build_corpus()
         broker = build_sharded_service(index, DOCS, shards=2)
@@ -344,7 +357,7 @@ class TestBrokerFace:
 
 
 class TestFrontendSeating:
-    def test_frontend_over_broker_coalesces_and_scopes_keys(self):
+    def test_frontend_over_broker_coalesces(self):
         index, _ = build_corpus()
         engine = reference_engine()
         broker = build_sharded_service(index, DOCS, shards=3)
@@ -357,19 +370,6 @@ class TestFrontendSeating:
         finally:
             frontend.close()
         assert broker.closed  # own_service: one close shuts both
-
-    def test_frontend_key_carries_the_shard_scope(self):
-        from repro.query.cache import cache_key
-
-        index, _ = build_corpus()
-        broker = build_sharded_service(index, DOCS, shards=3)
-        with broker:
-            scoped = cache_key("alpha", False, "bool",
-                               scope=broker.cache_scope)
-            assert scoped == ("alpha", False, "bool", None, "shards=3")
-            assert scoped != cache_key("alpha", False, "bool")
-            assert scoped != cache_key("alpha", False, "bool",
-                                       scope="shards=2")
 
 
 # -- deterministic schedule sweep ----------------------------------------
