@@ -63,8 +63,11 @@ class TestHashingCost:
 
 class TestTokenizerCost:
     """Two different numbers: "tokenise" is the first, stage 2 of a
-    build ("tokenise + FNV de-dup", what ``extract.ascii_mb_per_s``
-    times on the pipeline harness) is the second."""
+    product build ("tokenise + native de-dup", ``Extractor.term_block``,
+    what ``extract.ascii_mb_per_s`` times on the pipeline harness) is
+    the second.  The threaded engines' stage 2 de-duplicates through
+    ``FnvHashSet`` instead and costs several times more
+    (``docs/extraction.md``)."""
 
     def test_bench_tokenize_large_file(self, benchmark, large_file):
         terms = benchmark(Tokenizer().tokenize, large_file[1])

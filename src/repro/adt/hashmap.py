@@ -15,6 +15,7 @@ from typing import (
     Generic,
     Iterator,
     List,
+    Mapping,
     Optional,
     Tuple,
     TypeVar,
@@ -49,6 +50,27 @@ class FnvHashMap(Generic[V]):
         if items is not None:
             for key, value in items:
                 self[key] = value
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[Key, V]) -> "FnvHashMap[V]":
+        """The map inserting ``mapping``'s items one by one builds, at once.
+
+        Key-by-key insertion ends at the smallest ``16 * 2**k`` buckets
+        holding every entry, and a doubling keeps the order of entries
+        sharing a bucket; so the table is allocated at that size and
+        filled in ``mapping``'s order: the same ``_buckets``, no growth.
+        """
+        count = _INITIAL_BUCKETS
+        while count < len(mapping):
+            count *= 2
+        buckets: List[List[Tuple[int, Key, V]]] = [[] for _ in range(count)]
+        for key, value in mapping.items():
+            h = fnv1a_interned(key)
+            buckets[h % count].append((h, key, value))
+        built = cls()
+        built._buckets = buckets
+        built._size = len(mapping)
+        return built
 
     def __len__(self) -> int:
         return self._size

@@ -228,7 +228,9 @@ class Search:
         # The engine fingerprinted each file by the read it indexed, so
         # a file modified while the build runs is seen as changed by
         # the next refresh, never silently lost.
-        segmented.adopt(_flatten(report.index), report.fingerprints)
+        segmented.adopt(
+            _flatten(report.index), report.fingerprints, report.documents
+        )
         return cls(
             segmented,
             fs=fs,

@@ -132,11 +132,12 @@ class ThreadedIndexerBase:
 
         spans = rec.spans
         wall = root_span.duration
+        posting_count = index.posting_count
         metrics = build_metrics(
             file_count=len(files),
             byte_count=sum(ref.size for ref in files),
             term_count=len(index),
-            posting_count=index.posting_count,
+            posting_count=posting_count,
             wall_time=wall,
             failure_count=len(self.last_failures),
         )
@@ -152,7 +153,7 @@ class ThreadedIndexerBase:
             timings=StageTimings.from_spans(spans),
             file_count=len(files),
             term_count=len(index),
-            posting_count=index.posting_count,
+            posting_count=posting_count,
             extractor_times=list(getattr(self, "last_extractor_times", [])),
             failures=list(self.last_failures),
             fingerprints=self._fingerprints,

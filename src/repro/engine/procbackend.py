@@ -265,11 +265,12 @@ class ProcessReplicatedIndexer:
 
         spans = rec.spans
         wall = root_span.duration
+        posting_count = index.posting_count
         metrics = build_metrics(
             file_count=len(files),
             byte_count=sum(ref.size for ref in files),
             term_count=len(index),
-            posting_count=index.posting_count,
+            posting_count=posting_count,
             wall_time=wall,
             failure_count=len(self.last_failures),
             retries=self.last_retries,
@@ -284,7 +285,7 @@ class ProcessReplicatedIndexer:
             timings=StageTimings.from_spans(spans),
             file_count=len(files),
             term_count=len(index),
-            posting_count=index.posting_count,
+            posting_count=posting_count,
             extractor_times=list(self.last_extractor_times),
             failures=list(self.last_failures),
             fingerprints=self._fingerprints,

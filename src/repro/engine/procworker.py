@@ -13,8 +13,8 @@ they produce must come back as bytes.  This module is that boundary:
   dedup → private-replica update, returning the replica as RWIRE1 wire
   bytes plus its elapsed time.
 
-The worker pipeline is deliberately lean.  Where the threaded engine
-routes every file through ``FnvHashSet`` de-duplication and an
+The worker pipeline is deliberately lean.  Where the threaded engines
+route every file through ``FnvHashSet`` de-duplication and an
 ``FnvHashMap``-backed index — chained containers probed by Python
 loops, one frame per posting — a worker feeds the tokenizer straight
 into a :class:`~repro.index.replica.ReplicaBuilder`, which
@@ -31,7 +31,11 @@ against 0.07 s) when it evaluated FNV-1a byte by byte for every term
 occurrence; with the hash interned (:func:`repro.hashing.fnv1a_interned`)
 and de-duplication in one frame per file it takes 4.0× (0.28–0.30 s).
 What is left is the price of containers written in Python, not of the
-hash, so the two paths stay separate.
+hash.  So the product and the reproduction stay separate: the
+product's sequential build and refreshes use native containers too,
+the threaded Implementations 1-3 keep the paper's FNV containers —
+and with both sides native the process build's lead over a
+sequential one is gone on a 2-CPU host (``docs/process_backend.md``).
 """
 
 from __future__ import annotations

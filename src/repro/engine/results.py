@@ -136,6 +136,10 @@ class BuildReport:
     # indexed, taken by the read that was indexed (see
     # repro.index.fingerprint); a skipped file has none.
     fingerprints: FingerprintMap = field(default_factory=dict)
+    # Paths of the indexed files with at least one term — the index's
+    # documents — when the engine collected them on the way (the
+    # sequential build); None when only a walk of the postings can say.
+    documents: Optional[List[str]] = None
     # Batches the process backend re-dispatched after a worker crash or
     # a batch timeout (0 for the threaded engines).
     retries: int = 0

@@ -6,19 +6,23 @@ Two variants, matching the paper's narrative:
   speed-ups in Tables 2-4 are measured against: every term *occurrence*
   is inserted via :meth:`InvertedIndex.add_term_naive`, paying the
   linear (term, file) duplicate search the paper's analysis condemns;
-* ``naive=False`` — the en-bloc sequential pipeline, useful as the
-  fair single-thread reference for the parallel designs.
+* ``naive=False`` — the en-bloc pipeline and the product's build: a
+  native dict de-duplicates each file, native lists collect postings,
+  and the FNV index is built once (:meth:`InvertedIndex.from_postings`)
+  — bucket for bucket Implementation 1 ``(1, 0, 0)``'s index.
 
 Timing is span-based like the threaded engines: one
 ``phase.extract`` / ``phase.update`` span pair per file on a per-build
 recorder (the same number of clock reads the accumulator version
-paid), summed back into stage totals by
+paid), plus one last ``phase.update`` span for the en-bloc path's
+assembly, summed back into stage totals by
 :meth:`~repro.engine.results.StageTimings.from_spans`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.config import Implementation, ThreadConfig
 from repro.engine.faults import ERROR_POLICIES, FileFailure
@@ -31,8 +35,6 @@ from repro.index.fingerprint import (
 )
 from repro.index.inverted import InvertedIndex
 from repro.obs import recorder as obsrec
-from repro.text.dedup import dedup_terms
-from repro.text.termblock import TermBlock
 
 
 class SequentialIndexer:
@@ -91,6 +93,8 @@ class SequentialIndexer:
                 files = list(self.fs.list_files(root))
 
             index = InvertedIndex()
+            postings: Dict[str, List[str]] = defaultdict(list)
+            documents: List[str] = []
             fingerprints: FingerprintMap = {}
             for ref in files:
                 extracted = False
@@ -99,15 +103,9 @@ class SequentialIndexer:
                     if loaded is not None:
                         content, fingerprint = loaded
                         try:
-                            if self.naive:
-                                terms = self.extractor.tokenize(content)
-                            else:
-                                block = TermBlock(
-                                    path=ref.path,
-                                    terms=dedup_terms(
-                                        self.extractor.tokenize(content)
-                                    ),
-                                )
+                            terms = self.extractor.tokenize(content)
+                            if not self.naive:
+                                terms = dict.fromkeys(terms)
                             extracted = True
                         except Exception as exc:
                             if self.on_error != "skip":
@@ -120,20 +118,30 @@ class SequentialIndexer:
                 if not extracted:
                     continue
                 fingerprints[ref.path] = fingerprint
+                if terms:
+                    documents.append(ref.path)
                 with rec.span("phase.update"):
                     if self.naive:
                         for term in terms:
                             index.add_term_naive(term, ref.path)
                     else:
-                        index.add_block(block)
+                        path = ref.path
+                        for term in terms:
+                            postings[term].append(path)
+            if not self.naive:
+                with rec.span("phase.update"):
+                    index = InvertedIndex.from_postings(
+                        postings, len(fingerprints)
+                    )
 
         spans = rec.spans
         wall = root_span.duration
+        posting_count = index.posting_count
         metrics = build_metrics(
             file_count=len(files),
             byte_count=sum(ref.size for ref in files),
             term_count=len(index),
-            posting_count=index.posting_count,
+            posting_count=posting_count,
             wall_time=wall,
             failure_count=len(self.last_failures),
         )
@@ -148,9 +156,10 @@ class SequentialIndexer:
             timings=StageTimings.from_spans(spans),
             file_count=len(files),
             term_count=len(index),
-            posting_count=index.posting_count,
+            posting_count=posting_count,
             failures=list(self.last_failures),
             fingerprints=fingerprints,
+            documents=documents,
             spans=spans,
             metrics=metrics,
         )

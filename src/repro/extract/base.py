@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.formats.base import FormatRegistry
-from repro.text.dedup import dedup_terms
 from repro.text.termblock import TermBlock
 from repro.text.tokenizer import Tokenizer
 
@@ -118,8 +117,13 @@ class Extractor:
         return self.tokenize(self.prepare(path, content))
 
     def term_block(self, path: str, content: bytes) -> TermBlock:
-        """The file's de-duplicated term block, ready for ``add_block``."""
-        return TermBlock(path=path, terms=dedup_terms(self.terms(path, content)))
+        """The file's de-duplicated term block, ready for ``add_block``.
+
+        De-duplicated natively, in :func:`~repro.text.dedup.dedup_terms`'
+        first-seen order: this is the product's stage 2 (a refresh's).
+        """
+        terms = self.terms(path, content)
+        return TermBlock(path=path, terms=tuple(dict.fromkeys(terms)))
 
     # -- huge-file splitting --------------------------------------------
 

@@ -95,7 +95,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingsList
@@ -227,15 +227,15 @@ def load_index_bytes(data: bytes) -> InvertedIndex:
         offset += length
 
     term_count, offset = decode_varint(data, offset)
-    index = InvertedIndex()
+    postings: Dict[str, List[str]] = {}
     for _ in range(term_count):
         length, offset = decode_varint(data, offset)
         term = data[offset : offset + length].decode("utf-8")
         offset += length
         postings_count, offset = decode_varint(data, offset)
         ids, offset = decode_gaps(data, offset, postings_count)
-        index._map[term] = PostingsList(paths[i] for i in ids)
-    return index
+        postings[term] = [paths[i] for i in ids]
+    return InvertedIndex.from_postings(postings)
 
 
 # -- RWIRE1: the to_bytes/from_bytes fast path ---------------------------
@@ -800,8 +800,8 @@ def load_index_ridx2(data: bytes) -> InvertedIndex:
     header = parse_ridx2_header(data)
     check_ridx2_crc(data, header)
     paths = read_ridx2_docs(data, header)[0]
-    index = InvertedIndex()
-    for term, ids in iter_ridx2_postings(data, header):
-        index._map[term] = PostingsList(paths[i] for i in ids)
-    index._block_count = header.doc_count
-    return index
+    postings = {
+        term: [paths[i] for i in ids]
+        for term, ids in iter_ridx2_postings(data, header)
+    }
+    return InvertedIndex.from_postings(postings, header.doc_count)

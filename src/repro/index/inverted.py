@@ -9,7 +9,7 @@ is layered on top rather than baked in.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, MutableMapping, Tuple
 
 from repro.adt import FnvHashMap
 from repro.index.postings import PostingsList
@@ -22,6 +22,25 @@ class InvertedIndex:
     def __init__(self) -> None:
         self._map: FnvHashMap[PostingsList] = FnvHashMap()
         self._block_count = 0
+
+    @classmethod
+    def from_postings(
+        cls, postings: MutableMapping[str, List[str]], block_count: int = 0
+    ) -> "InvertedIndex":
+        """The index holding ``postings``, assembled in one pass.
+
+        The product's stage 3 (builds, refresh deltas, merges, loaders).
+        The lists are adopted, not copied, so the caller stops using
+        ``postings``; the map is bucket for bucket the one
+        :meth:`add_block` grows from the same terms in the same order.
+        """
+        adopt = PostingsList.adopt
+        for term, paths in postings.items():
+            postings[term] = adopt(paths)
+        index = cls()
+        index._map = FnvHashMap.from_mapping(postings)
+        index._block_count = block_count
+        return index
 
     # -- update paths ---------------------------------------------------
 
@@ -110,11 +129,8 @@ class InvertedIndex:
         copy and mutates only the original (or vice versa), so readers
         of a published snapshot can never observe a half-applied update.
         """
-        clone = InvertedIndex()
-        for term, postings in self.items():
-            clone._map[term] = PostingsList(postings.paths())
-        clone._block_count = self._block_count
-        return clone
+        postings = {term: paths.paths() for term, paths in self.items()}
+        return InvertedIndex.from_postings(postings, self._block_count)
 
     def __eq__(self, other: object) -> bool:
         """Content equality: same terms with the same posting sets."""

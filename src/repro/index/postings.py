@@ -20,6 +20,14 @@ class PostingsList:
     def __init__(self, paths: Optional[Iterable[str]] = None) -> None:
         self._paths: List[str] = list(paths) if paths is not None else []
 
+    @classmethod
+    def adopt(cls, paths: List[str]) -> "PostingsList":
+        """A postings list that *is* ``paths``: the list is handed over,
+        not copied, so its owner must stop using it."""
+        postings = cls.__new__(cls)
+        postings._paths = paths
+        return postings
+
     def append(self, path: str) -> None:
         """Append a file path without any duplicate check (en-bloc path)."""
         self._paths.append(path)

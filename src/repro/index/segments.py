@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import filterfalse, islice
 from typing import (
@@ -76,7 +77,6 @@ from repro.index.fingerprint import (
 )
 from repro.index.inverted import InvertedIndex
 from repro.index.ondisk import MmapPostingsReader
-from repro.index.postings import PostingsList
 from repro.obs import recorder as obsrec
 from repro.text.termblock import TermBlock
 
@@ -299,12 +299,9 @@ def merge_postings(
             kept = [p for p in paths if owner.get(p) == position]
             if kept:
                 merged.setdefault(term, []).extend(kept)
-    index = InvertedIndex()
-    for term, paths in merged.items():
+    for paths in merged.values():
         paths.sort()
-        index._map[term] = PostingsList(paths)
-    index._block_count = len(owner)
-    return index
+    return InvertedIndex.from_postings(merged, len(owner))
 
 
 # -- the manifest -------------------------------------------------------------
@@ -665,12 +662,20 @@ class SegmentedIndexer:
 
     # -- bootstrap ------------------------------------------------------
 
-    def adopt(self, index, fingerprints: FingerprintMap) -> SegmentManifest:
+    def adopt(
+        self,
+        index,
+        fingerprints: FingerprintMap,
+        documents: Optional[Iterable[str]] = None,
+    ) -> SegmentManifest:
         """Adopt a bulk-built index, or a sealed segment (the
         :class:`DiskSegment` over a saved file), as segment 0 of a
-        fresh manifest; held by reference, not to be mutated again."""
+        fresh manifest; held by reference, not to be mutated again.
+        ``documents`` are the index's paths when the build collected
+        them (``BuildReport.documents``), so its postings are not
+        walked again to find them."""
         if not isinstance(index, _SealedSegment):
-            index = MemorySegment(0, index)
+            index = MemorySegment(0, index, documents)
         self._manifest = SegmentManifest([index])
         self._fingerprints = dict(fingerprints)
         self._manifest.record_metrics()
@@ -832,9 +837,11 @@ class SegmentedIndexer:
         segments = manifest.segments
         if changed:
             with obsrec.span("segments.seal", docs=len(changed)):
-                sealed = InvertedIndex()
+                postings: Dict[str, List[str]] = defaultdict(list)
                 for path in sorted(changed):
-                    sealed.add_block(changed[path])
+                    for term in changed[path].terms:
+                        postings[term].append(path)
+                sealed = InvertedIndex.from_postings(postings, len(changed))
                 segments = segments + (
                     MemorySegment(manifest.next_segment_id, sealed, changed),
                 )

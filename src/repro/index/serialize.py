@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.index.atomic import atomic_write
 from repro.index.binfmt import IndexFormatError
 from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
-from repro.index.postings import PostingsList
 
 _FORMAT = "repro-index-v1"
 
@@ -202,7 +201,7 @@ def load_index(path: str, format: str = "auto") -> InvertedIndex:
     if format == "binary":
         with open(path, "rb") as fh:
             return index_from_bytes(fh.read())
-    index = InvertedIndex()
+    postings: Dict[str, List[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
@@ -215,8 +214,8 @@ def load_index(path: str, format: str = "auto") -> InvertedIndex:
             raise IndexFormatError(f"{path}: not a {_FORMAT} file")
         for line in fh:
             term, paths = json.loads(line)
-            index._map[term] = PostingsList(paths)
-        index._block_count = header.get("blocks", 0)
+            postings[term] = paths
+    index = InvertedIndex.from_postings(postings, header.get("blocks", 0))
     if len(index) != header["terms"]:
         raise ValueError(
             f"{path}: header says {header['terms']} terms, "

@@ -1,6 +1,8 @@
 """Tests for FnvHashMap."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adt import FnvHashMap, hashmap
 
@@ -245,3 +247,55 @@ class TestRehashing:
         for i, key in enumerate(keys):
             m[key] = i
         assert all(m[key] == i for i, key in enumerate(keys))
+
+
+def one_at_a_time(mapping):
+    built = FnvHashMap()
+    for key, value in mapping.items():
+        built[key] = value
+    return built
+
+
+class TestFromMapping:
+    """The bulk constructor is key-by-key insertion, bucket for bucket:
+    the same table size and, in every bucket, the same entries in the
+    same order, so nothing that iterates the map can tell them apart."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.text(max_size=12), max_size=300, unique=True),
+            st.lists(st.binary(max_size=12), max_size=300, unique=True),
+        )
+    )
+    def test_same_buckets_as_one_at_a_time(self, keys):
+        mapping = {key: i for i, key in enumerate(keys)}
+        bulk = FnvHashMap.from_mapping(mapping)
+        assert bulk._buckets == one_at_a_time(mapping)._buckets
+        assert len(bulk) == len(keys)
+        assert list(bulk.items()) == list(one_at_a_time(mapping).items())
+
+    @pytest.mark.parametrize("size, buckets", [
+        (0, 16), (1, 16), (16, 16), (17, 32),
+        (32, 32), (33, 64), (64, 64), (65, 128),
+    ])
+    @pytest.mark.parametrize("kind", [str, bytes])
+    def test_sizes_at_the_doubling_points(self, size, buckets, kind):
+        keys = [f"term{i}" for i in range(size)]
+        if kind is bytes:
+            keys = [key.encode() for key in keys]
+        mapping = dict.fromkeys(keys, 0)
+        bulk = FnvHashMap.from_mapping(mapping)
+        incremental = one_at_a_time(mapping)
+        assert bulk.bucket_count == incremental.bucket_count == buckets
+        assert bulk._buckets == incremental._buckets
+
+    def test_pinned_order(self):
+        mapping = {f"term{i}": i for i in range(200)}
+        assert list(FnvHashMap.from_mapping(mapping).values()) == PINNED_ORDER
+
+    def test_the_built_map_keeps_working(self):
+        m = FnvHashMap.from_mapping({"alpha": 1, "beta": 2})
+        m["gamma"] = 3
+        assert m.pop("alpha") == 1
+        assert dict(m.items()) == {"beta": 2, "gamma": 3}
