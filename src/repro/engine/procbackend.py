@@ -13,11 +13,13 @@ onto processes:
    dedup → private-replica update in its own interpreter
    (:func:`repro.engine.procworker.build_replica`) and ships its replica
    back as RWIRE1 wire bytes;
-3. the parent joins: with ``z = 1`` each blob is folded straight into
-   the final index (:func:`repro.index.binfmt.merge_wire_replica`, no
-   intermediate indices); with ``z > 1`` the replicas are materialized
-   and merged by the existing pairwise reduction tree with ``z``
-   threads per level.
+3. the parent joins the blobs in batch order, never completion order:
+   with ``z = 1`` in one bulk pass
+   (:func:`repro.index.binfmt.join_wire_replicas`: one decode per
+   blob, native lists, one FNV map build) that also yields the build's
+   documents and posting count; with ``z > 1`` the replicas are
+   materialized and merged by the existing pairwise reduction tree
+   with ``z`` threads per level.
 
 Workers and parent exchange only picklable data — file-path batches and
 extractor specs in, wire bytes out — so the backend works under
@@ -56,7 +58,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.distribute.base import DistributionStrategy
 from repro.distribute.roundrobin import RoundRobinStrategy
@@ -81,7 +83,7 @@ from repro.extract.split import SplitJoiner, expand_file_refs
 from repro.obs import recorder as obsrec
 from repro.obs.spans import rebase_spans
 from repro.fsmodel.nodes import ChunkRef, FileRef
-from repro.index.binfmt import load_index_wire, merge_wire_replica
+from repro.index.binfmt import join_wire_replicas, load_index_wire
 from repro.index.fingerprint import FingerprintMap, unhashed_fingerprint
 from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_pairwise_tree
@@ -239,7 +241,6 @@ class ProcessReplicatedIndexer:
         self.last_retries = 0
         self._succeeded_paths = set()
         self._fingerprints = {}
-        self._chunk_blocks: List[TermBlock] = []
         rec = self._recorder = obsrec.Recorder()
 
         root_span = rec.span(
@@ -252,7 +253,7 @@ class ProcessReplicatedIndexer:
             with root_span:
                 with rec.span("phase.stage1"):
                     files = list(self.fs.list_files(root))
-                index = self._build(config, files)
+                index, documents, posting_count = self._build(config, files)
         except PoolUnavailableError as exc:
             return self._degrade(config, root, exc)
 
@@ -265,7 +266,6 @@ class ProcessReplicatedIndexer:
 
         spans = rec.spans
         wall = root_span.duration
-        posting_count = index.posting_count
         metrics = build_metrics(
             file_count=len(files),
             byte_count=sum(ref.size for ref in files),
@@ -289,6 +289,7 @@ class ProcessReplicatedIndexer:
             extractor_times=list(self.last_extractor_times),
             failures=list(self.last_failures),
             fingerprints=self._fingerprints,
+            documents=documents,
             retries=self.last_retries,
             spans=spans,
             metrics=metrics,
@@ -328,45 +329,46 @@ class ProcessReplicatedIndexer:
 
     def _build(
         self, config: ThreadConfig, files: Sequence[FileRef]
-    ) -> InvertedIndex:
+    ) -> Tuple[InvertedIndex, Optional[List[str]], int]:
+        """Extract on the pool, then join in the parent; returns the
+        index, its documents (None when only a walk of the postings can
+        say) and its posting count."""
         # Extraction and update are fused inside each worker; attribute
         # the pool phase to extraction only (no phase.update span, no
         # inline_update marker) so StageTimings.total does not
         # double-count the entire parallel phase.
         with self._recorder.span("phase.extract"):
-            blobs = self._run_workers(config, files)
+            blobs, blocks = self._run_workers(config, files)
         # The pool's completion is the barrier; now the join phase runs
-        # in the parent.
+        # in the parent.  Split huge files were unioned from their
+        # chunks in the parent; their term blocks join here too, after
+        # the replicas.
         with self._recorder.span("phase.join", joiners=config.joiners):
-            if not blobs:
-                index = InvertedIndex()
-            elif config.joiners == 1:
-                index = InvertedIndex()
-                for blob in blobs:
-                    merge_wire_replica(index, blob)
-            else:
-                replicas = [load_index_wire(blob) for blob in blobs]
-                index = join_pairwise_tree(
-                    replicas, threads_per_level=config.joiners
-                )
-            # Split huge files were unioned from their chunks in the
-            # parent; their term blocks update the index here, in the
-            # join phase (serialization canonicalizes order, so block
-            # position relative to the merged replicas is immaterial).
-            for block in self._chunk_blocks:
+            if config.joiners == 1:
+                return join_wire_replicas(blobs, blocks)
+            index = join_pairwise_tree(
+                [load_index_wire(blob) for blob in blobs],
+                threads_per_level=config.joiners,
+            )
+            for block in blocks:
                 index.add_block(block)
-        return index
+        return index, None, index.posting_count
 
     def _run_workers(
         self, config: ThreadConfig, files: Sequence[FileRef]
-    ) -> List[bytes]:
-        """Fan the batches out to the pool; returns the replica blobs.
+    ) -> Tuple[List[bytes], List[TermBlock]]:
+        """Fan the batches out to the pool; returns the replica blobs
+        and the split files' term blocks, each in stage-1 order.
 
         Dispatches per-batch (not one blocking ``map``) and walks the
         recovery ladder on crash/timeout: retry → split → in-parent.
         """
         workers = config.extractors
         policy = self.policy
+        # Join order is stage-1 order: a blob is keyed by its batch's
+        # first path (a retried or split batch too), a split file's
+        # block by the file, so completion order never reaches the index.
+        position = {ref.path: i for i, ref in enumerate(files)}
         split_fingerprints: FingerprintMap = {}
         if self.split_threshold is not None:
             # Huge-file divide-and-conquer: chunks of an oversized file
@@ -437,7 +439,8 @@ class ProcessReplicatedIndexer:
                     )
                 )
 
-        blobs: List[bytes] = []
+        blobs: Dict[int, bytes] = {}
+        blocks: Dict[int, TermBlock] = {}
         joiner = SplitJoiner()
 
         def absorb_spans(job: _Job, result) -> None:
@@ -477,11 +480,8 @@ class ProcessReplicatedIndexer:
                     result.path, result.index, result.count, result.terms
                 )
                 if whole_terms is not None:
-                    self._chunk_blocks.append(
-                        TermBlock(
-                            path=result.path,
-                            terms=dedup_terms(whole_terms),
-                        )
+                    blocks[position[result.path]] = TermBlock(
+                        path=result.path, terms=dedup_terms(whole_terms)
                     )
                     self._succeeded_paths.add(result.path)
                     self._fingerprints[result.path] = split_fingerprints[
@@ -490,7 +490,7 @@ class ProcessReplicatedIndexer:
                 return
             # Only a result that reaches this line is merged, so a batch
             # the ladder re-runs contributes its fingerprints once.
-            blobs.append(result.replica)
+            blobs[position[job.batch.paths[0]]] = result.replica
             self._fingerprints.update(result.fingerprints)
             self.last_extractor_times[job.slot] += result.elapsed
             self.last_failures.extend(result.failures)
@@ -527,7 +527,10 @@ class ProcessReplicatedIndexer:
                         attempt = min(job.attempt for job in requeued)
                         time.sleep(policy.retry_backoff * attempt)
                     jobs = requeued
-        return blobs
+        return (
+            [blobs[key] for key in sorted(blobs)],
+            [blocks[key] for key in sorted(blocks)],
+        )
 
     # -- dispatch machinery ----------------------------------------------
 

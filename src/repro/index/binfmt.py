@@ -99,6 +99,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingsList
+from repro.text.termblock import TermBlock
 
 MAGIC = b"RIDX1"
 WIRE_MAGIC = b"RWIRE1"
@@ -371,11 +372,53 @@ def merge_wire_replica(target: InvertedIndex, data: bytes) -> int:
     return len(docs)
 
 
+def join_wire_replicas(
+    blobs: Iterable[bytes], blocks: Iterable[TermBlock] = ()
+) -> Tuple[InvertedIndex, List[str], int]:
+    """Join RWIRE1 replicas, then term blocks, into one fresh index.
+
+    Returns ``(index, documents, posting_count)``: the paths with at
+    least one posting, in join order, and the number of postings.  Each
+    blob is decoded once, its doc ids resolved to paths with one
+    ``map``, and every term's paths sliced into a native dict (a later
+    replica extends the list the first one left); the FNV map is built
+    once, by :meth:`InvertedIndex.from_postings`.  Terms enter the dict
+    in the order :func:`merge_wire_replica` folds them key by key, and
+    the blocks' in the order :meth:`InvertedIndex.add_block` adds them,
+    so the index is bucket for bucket the one that fold builds.
+    """
+    postings: Dict[str, List[str]] = {}
+    get = postings.get
+    documents: List[str] = []
+    block_count = posting_count = 0
+    for data in blobs:
+        blob_blocks, docs, terms, counts, doc_ids = _unpack_wire(data)
+        block_count += blob_blocks
+        posting_count += len(doc_ids)
+        documents += map(docs.__getitem__, sorted(set(doc_ids)))
+        paths = list(map(docs.__getitem__, doc_ids))
+        start = 0
+        for term, end in zip(terms, accumulate(counts)):
+            held = get(term)
+            if held is None:
+                postings[term] = paths[start:end]
+            else:
+                held += paths[start:end]
+            start = end
+    for block in blocks:
+        block_count += 1
+        if block.terms:
+            documents.append(block.path)
+            posting_count += len(block.terms)
+        for term in block.terms:
+            postings.setdefault(term, []).append(block.path)
+    index = InvertedIndex.from_postings(postings, block_count)
+    return index, documents, posting_count
+
+
 def load_index_wire(data: bytes) -> InvertedIndex:
     """Deserialize RWIRE1 bytes into a fresh index."""
-    index = InvertedIndex()
-    merge_wire_replica(index, data)
-    return index
+    return join_wire_replicas([data])[0]
 
 
 # -- RIDX2: blocked, compressed, mmap-servable postings ------------------

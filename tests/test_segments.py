@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.api import Search
+from repro.engine.config import ThreadConfig
 from repro.engine.procbackend import CompactionExecutor
 from repro.engine.sequential import SequentialIndexer
 from repro.fsmodel.faultfs import FaultInjectingFileSystem, FaultSpec
@@ -229,8 +230,23 @@ class TestTermlessFiles:
         return fs
 
     def test_refresh_adds_no_termless_file(self, tmp_path):
+        self.check_refresh_adds_no_termless_file(tmp_path)
+
+    def test_refresh_adds_no_termless_file_after_a_process_build(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.engine.procbackend as procbackend
+
+        monkeypatch.setattr(procbackend, "available_cpus", lambda: 2)
+        session = self.check_refresh_adds_no_termless_file(
+            tmp_path, config=ThreadConfig(2, 0, 1, backend="process")
+        )
+        assert sorted(session.report.documents) == ["a.txt", "b.txt"]
+
+    def check_refresh_adds_no_termless_file(self, tmp_path, config=None):
         fs = self.termless_fs()
-        session = Search.build(fs, cache=0)
+        session = Search.build(fs, config=config, cache=0)
+        assert len(session) == 2
         assert session.query("NOT alpha").paths == []
         fs.write_file("empty2.txt", b"")
         fs.write_file("short.txt", b"a b 1")
@@ -249,6 +265,7 @@ class TestTermlessFiles:
         # The term-less files keep their fingerprints: not read again.
         assert reopened.refresh().total == 0
         assert reopened._segmented.last_scan_stats["files_read"] == 0
+        return session
 
     def test_bm25_counts_the_same_documents_in_memory_and_off_mmap(
         self, tmp_path

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.procbackend import CompactionExecutor
-from repro.index.binfmt import dump_index_ridx2
+from repro.index.binfmt import dump_index_ridx2, dump_index_wire
 from repro.index.inverted import InvertedIndex
 from repro.index.segments import (
     CompactionPolicy,
@@ -93,6 +93,11 @@ def check_compaction(stack, tombstones, fanin):
     pooled = compact_manifest(manifest, policy, executor=executor)
     assert in_process.to_ridx2() == oracle
     assert pooled.to_ridx2() == oracle
+    # The pool's products come back through load_index_wire: bucket for
+    # bucket the in-process merge.
+    assert [dump_index_wire(s.index) for s in pooled.segments] == [
+        dump_index_wire(s.index) for s in in_process.segments
+    ]
     for compacted in (in_process, pooled):
         assert compacted.segment_count <= 1
         assert not compacted.tombstones

@@ -1,6 +1,7 @@
 """Tests for the RWIRE1 wire format and the wire-ready ReplicaBuilder."""
 
 import string
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,12 @@ from repro.index import (
     load_index_wire,
     merge_wire_replica,
 )
-from repro.index.binfmt import WIRE_MAGIC, dump_index_bytes
+from repro.index.binfmt import (
+    WIRE_MAGIC,
+    dump_index_bytes,
+    dump_index_ridx2,
+    join_wire_replicas,
+)
 from repro.text import TermBlock, Tokenizer
 
 terms_strategy = st.lists(
@@ -39,11 +45,28 @@ def _index_of(blocks):
     return index
 
 
+def _fold(blobs, blocks=()):
+    """The key-by-key join: each replica folded, then each block added."""
+    index = InvertedIndex()
+    for blob in blobs:
+        merge_wire_replica(index, blob)
+    for block in blocks:
+        index.add_block(block)
+    return index
+
+
+def _load(blob):
+    """``load_index_wire``, checked to the byte against the fold."""
+    loaded = load_index_wire(blob)
+    assert dump_index_wire(loaded) == dump_index_wire(_fold([blob]))
+    return loaded
+
+
 class TestWireRoundTrip:
     def test_empty_index(self):
         blob = dump_index_wire(InvertedIndex())
         assert blob.startswith(WIRE_MAGIC)
-        loaded = load_index_wire(blob)
+        loaded = _load(blob)
         assert len(loaded) == 0
         assert loaded.block_count == 0
 
@@ -52,7 +75,7 @@ class TestWireRoundTrip:
             "a.txt": ["cat", "dog"],
             "b.txt": ["dog", "fox"],
         })
-        loaded = load_index_wire(dump_index_wire(index))
+        loaded = _load(dump_index_wire(index))
         assert loaded == index
         assert loaded.block_count == index.block_count
         assert loaded.lookup("dog") == ["a.txt", "b.txt"]
@@ -60,13 +83,13 @@ class TestWireRoundTrip:
     def test_preserves_postings_order(self):
         # RWIRE1 is order-preserving, unlike canonical RIDX1.
         index = _index_of({"z.txt": ["term"], "a.txt": ["term"]})
-        loaded = load_index_wire(dump_index_wire(index))
+        loaded = _load(dump_index_wire(index))
         assert loaded.lookup("term") == ["z.txt", "a.txt"]
 
     def test_empty_file_block_counted(self):
         index = InvertedIndex()
         index.add_block(TermBlock(path="empty.txt", terms=()))
-        loaded = load_index_wire(dump_index_wire(index))
+        loaded = _load(dump_index_wire(index))
         assert loaded.block_count == 1
         assert len(loaded) == 0
 
@@ -83,7 +106,7 @@ class TestWireRoundTrip:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_any_index(self, blocks):
         index = _index_of(blocks)
-        loaded = load_index_wire(dump_index_wire(index))
+        loaded = _load(dump_index_wire(index))
         assert loaded == index
         assert loaded.block_count == index.block_count
 
@@ -163,6 +186,9 @@ class TestReplicaBuilder:
         for path, terms in blocks.items():
             builder.add_scan(path, terms)
         assert builder.to_index() == _index_of(blocks)
+        assert dump_index_wire(builder.to_index()) == dump_index_wire(
+            _load(builder.to_bytes())
+        )
 
 
 class TestBytesDispatch:
@@ -174,8 +200,71 @@ class TestBytesDispatch:
     def test_from_bytes_sniffs_magic(self):
         index = _index_of({"a.txt": ["cat", "dog"], "b.txt": ["dog"]})
         assert index_from_bytes(index_to_bytes(index)) == index
-        assert index_from_bytes(index_to_bytes(index, format="wire")) == index
+        wire = index_to_bytes(index, format="wire")
+        assert index_from_bytes(wire) == index
+        assert dump_index_wire(index_from_bytes(wire)) == wire
 
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(ValueError):
             index_from_bytes(b"not an index at all")
+
+
+#: Terms from a small shared vocabulary, so replicas and blocks collide.
+vocabulary_term = st.sampled_from(
+    ["ant", "bee", "cat", "dog", "emu", "fox", "gnu", "hen", "ibis", "é"]
+) | st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=4)
+#: One replica: 0-4 files of raw (duplicate-bearing) terms, some term-less.
+replica_files = st.lists(st.lists(vocabulary_term, max_size=8), max_size=4)
+
+
+class TestJoinWireReplicas:
+    """The bulk join equals the key-by-key fold it replaces."""
+
+    @given(
+        st.lists(replica_files, max_size=4),
+        st.lists(
+            st.lists(vocabulary_term, max_size=6, unique=True), max_size=3
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_fold_then_add_block(self, replicas, block_terms):
+        paths = (f"d{i % 3}/é{i}.txt" for i in count())
+        blobs = []
+        for files in replicas:
+            builder = ReplicaBuilder()
+            for terms in files:
+                builder.add_scan(next(paths), terms)
+            blobs.append(builder.to_bytes())
+        blocks = [
+            TermBlock(path=next(paths), terms=tuple(terms))
+            for terms in block_terms
+        ]
+        index, documents, posting_count = join_wire_replicas(blobs, blocks)
+        oracle = _fold(blobs, blocks)
+        assert dump_index_wire(index) == dump_index_wire(oracle)
+        assert dump_index_ridx2(index) == dump_index_ridx2(oracle)
+        with_postings = {path for _, paths in oracle.items() for path in paths}
+        assert len(documents) == len(set(documents))
+        assert set(documents) == with_postings
+        assert posting_count == oracle.posting_count
+
+    def test_documents_in_join_order_without_termless_files(self):
+        left = ReplicaBuilder()
+        left.add_scan("b.txt", ["cat"])
+        left.add_scan("empty.txt", [])
+        left.add_scan("a.txt", ["cat", "dog"])
+        right = ReplicaBuilder()
+        right.add_scan("c.txt", ["dog", "emu"])
+        blocks = [TermBlock("huge.txt", ("emu",)), TermBlock("blank.txt", ())]
+        index, documents, posting_count = join_wire_replicas(
+            [left.to_bytes(), right.to_bytes()], blocks
+        )
+        assert documents == ["b.txt", "a.txt", "c.txt", "huge.txt"]
+        assert posting_count == 6
+        assert index.block_count == 6
+        assert index.lookup("emu") == ["c.txt", "huge.txt"]
+
+    def test_nothing_to_join(self):
+        index, documents, posting_count = join_wire_replicas([])
+        assert (len(index), index.block_count) == (0, 0)
+        assert (documents, posting_count) == ([], 0)
