@@ -548,7 +548,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     if args.ondisk:
         from repro.index import IndexFormatError, MmapPostingsReader
-        from repro.query.daat import DaatQueryEngine
+        from repro.query.daat import NO_FREQS, DaatQueryEngine
 
         try:
             reader = MmapPostingsReader(args.index_path)
@@ -557,6 +557,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         with reader:
+            if args.rank == "bm25" and not reader.has_freqs:
+                print(f"error: {NO_FREQS}", file=sys.stderr)
+                return 2
             daat = DaatQueryEngine(reader)
             if args.rank == "bm25":
                 _print_ranked_hits(
@@ -716,6 +719,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     reader = None
     if args.ondisk:
         from repro.index import IndexFormatError, MmapPostingsReader
+        from repro.query.daat import NO_FREQS
         from repro.service import SearchService
         from repro.service.snapshot import IndexSnapshot
 
@@ -724,6 +728,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except (IndexFormatError, OSError) as exc:
             print(f"error: --ondisk needs an RIDX2 index file: {exc}",
                   file=sys.stderr)
+            return 2
+        if args.rank == "bm25" and not reader.has_freqs:
+            reader.close()
+            print(f"error: {NO_FREQS}", file=sys.stderr)
             return 2
         snapshot = IndexSnapshot.from_ondisk(reader)
         # Behind --async the frontend evaluates; the service keeps one

@@ -200,7 +200,7 @@ class ThreadedIndexerBase:
         if self.on_error != "skip":
             # Strict: any error aborts the build, report and all.
             content, self._fingerprints[ref.path] = read_fingerprinted(
-                self.fs, ref.path
+                self.fs, ref.path, ref.stamp
             )
             return TermBlock(
                 path=ref.path,
@@ -209,7 +209,9 @@ class ThreadedIndexerBase:
                 ),
             )
         try:
-            content, fingerprint = read_fingerprinted(self.fs, ref.path)
+            content, fingerprint = read_fingerprinted(
+                self.fs, ref.path, ref.stamp
+            )
         except Exception as exc:
             # list.append is atomic under the GIL, so extractor threads
             # can record failures without a lock.
@@ -319,20 +321,23 @@ class ThreadedIndexerBase:
             # become ChunkRefs that distribute across workers like
             # ordinary files, so one giant file no longer serializes
             # the build tail.
-            files, split_paths = expand_file_refs(
+            expanded, split_paths = expand_file_refs(
                 self.fs, files, self.extractor, self.split_threshold
             )
             if split_paths:
                 self._split_joiner = SplitJoiner()
                 self._split_lock = self.sync.lock("split-joiner")
-                # Statted here, before any chunk of the file is read.
+                # The walk's stat, taken before any chunk was read.
+                split = set(split_paths)
                 self._split_fingerprints = {
-                    path: unhashed_fingerprint(self.fs, path)
-                    for path in split_paths
+                    ref.path: unhashed_fingerprint(ref)
+                    for ref in files
+                    if ref.path in split
                 }
                 obsrec.metrics().counter("extract.files_split").inc(
                     len(split_paths)
                 )
+            files = expanded
         errors: List[BaseException] = []
         worker = self._make_worker(config.extractors, files, sink, errors)
         self.last_extractor_times = [0.0] * config.extractors

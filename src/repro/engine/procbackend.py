@@ -374,18 +374,21 @@ class ProcessReplicatedIndexer:
             # Huge-file divide-and-conquer: chunks of an oversized file
             # distribute across worker slots like ordinary files, so
             # one giant file no longer pins a single worker's tail.
-            files, split_paths = expand_file_refs(
+            expanded, split_paths = expand_file_refs(
                 self.fs, files, self.extractor, self.split_threshold
             )
             if split_paths:
                 obsrec.metrics().counter("extract.files_split").inc(
                     len(split_paths)
                 )
-                # Statted here, before any chunk of the file is read.
+                # The walk's stat, taken before any chunk was read.
+                split = set(split_paths)
                 split_fingerprints = {
-                    path: unhashed_fingerprint(self.fs, path)
-                    for path in split_paths
+                    ref.path: unhashed_fingerprint(ref)
+                    for ref in files
+                    if ref.path in split
                 }
+            files = expanded
         distribution = self.strategy.distribute(files, workers)
         fs_spec = FilesystemSpec.from_filesystem(self.fs)
         extractor_spec = self.extractor.spec()

@@ -28,6 +28,7 @@ from repro.engine.config import Implementation, ThreadConfig
 from repro.engine.faults import ERROR_POLICIES, FileFailure
 from repro.engine.results import BuildReport, StageTimings, build_metrics
 from repro.extract.registry import resolve_extractor
+from repro.fsmodel.nodes import FileRef
 from repro.index.fingerprint import (
     Fingerprint,
     FingerprintMap,
@@ -60,14 +61,16 @@ class SequentialIndexer:
         self.on_error = on_error
         self.last_failures: List[FileFailure] = []
 
-    def _load(self, path: str) -> Optional[Tuple[bytes, Fingerprint]]:
+    def _load(self, ref: FileRef) -> Optional[Tuple[bytes, Fingerprint]]:
         """Read (and format-convert) one file, honouring ``on_error``:
-        the prepared content and the raw bytes' fingerprint."""
+        the prepared content and the raw bytes' fingerprint, stamped
+        with the walk's stat."""
+        path = ref.path
         if self.on_error != "skip":
-            content, fingerprint = read_fingerprinted(self.fs, path)
+            content, fingerprint = read_fingerprinted(self.fs, path, ref.stamp)
             return self.extractor.prepare(path, content), fingerprint
         try:
-            content, fingerprint = read_fingerprinted(self.fs, path)
+            content, fingerprint = read_fingerprinted(self.fs, path, ref.stamp)
         except Exception as exc:
             self.last_failures.append(
                 FileFailure.from_exception(path, "read", exc)
@@ -99,7 +102,7 @@ class SequentialIndexer:
             for ref in files:
                 extracted = False
                 with rec.span("phase.extract"):
-                    loaded = self._load(ref.path)
+                    loaded = self._load(ref)
                     if loaded is not None:
                         content, fingerprint = loaded
                         try:
@@ -128,15 +131,18 @@ class SequentialIndexer:
                         path = ref.path
                         for term in terms:
                             postings[term].append(path)
-            if not self.naive:
+            if self.naive:
+                posting_count = index.posting_count
+            else:
                 with rec.span("phase.update"):
+                    # Counted off the native lists, not the FNV map.
+                    posting_count = sum(map(len, postings.values()))
                     index = InvertedIndex.from_postings(
                         postings, len(fingerprints)
                     )
 
         spans = rec.spans
         wall = root_span.duration
-        posting_count = index.posting_count
         metrics = build_metrics(
             file_count=len(files),
             byte_count=sum(ref.size for ref in files),

@@ -2,9 +2,10 @@
 
 A :class:`VirtualDirectory` holds named children (files and directories);
 a :class:`VirtualFile` holds its content as bytes.  :class:`FileRef` is
-the lightweight (path, size) record that stage 1 produces and that the
-work-distribution strategies operate on — both filesystem backends emit
-the same type so the rest of the pipeline is backend-agnostic.
+the lightweight (path, size, stamp) record that stage 1 produces and
+that the work-distribution strategies operate on — both filesystem
+backends emit the same type so the rest of the pipeline is
+backend-agnostic.
 """
 
 from __future__ import annotations
@@ -15,14 +16,20 @@ from typing import Dict, Iterator, Union
 
 @dataclass(frozen=True)
 class FileRef:
-    """A filename as produced by stage 1: path plus size in bytes.
+    """A filename as produced by stage 1: path, size in bytes, stamp.
 
-    The size rides along because the size-balanced distribution strategy
-    and the simulator's cost model both need it without re-statting.
+    Size and stamp come from the walk's one stat of the file.  The size
+    rides along because the size-balanced distribution strategy and the
+    simulator's cost model both need it without re-statting; the stamp
+    (``st_mtime_ns`` on disk, the VFS's logical clock in memory, 0 when
+    the backend cannot stat) is the one every fingerprint records, so no
+    later pass stats the file again.  Equality and hashing are on
+    ``(path, size)`` alone.
     """
 
     path: str
     size: int
+    stamp: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:

@@ -94,7 +94,8 @@ class OsFileSystem:
         return sorted(os.listdir(self._full(path)))
 
     def list_files(self, path: str = "") -> Iterator[FileRef]:
-        """Stage 1: every file under ``path``, depth-first, as FileRefs.
+        """Stage 1: every file under ``path``, depth-first, as FileRefs
+        stamped with ``st_mtime_ns``.
 
         Entries are visited in sorted order so repeated runs produce the
         same round-robin assignment.
@@ -105,15 +106,18 @@ class OsFileSystem:
         while stack:
             subdirs = []
             # One scandir per directory: the entry type comes with the
-            # listing, so a regular file costs one stat (its size) and a
-            # directory none.  Symlinks are followed, broken ones skipped.
+            # listing, so a regular file costs one stat (its size and
+            # stamp) and a directory none.  Symlinks are followed,
+            # broken ones skipped.
             with os.scandir(stack.pop()) as entries:
                 for entry in sorted(entries, key=lambda e: e.name):
                     if entry.is_dir():
                         subdirs.append(entry.path)
                     elif entry.is_file():
+                        st = entry.stat()
                         yield FileRef(
                             entry.path[prefix:].replace(os.sep, "/"),
-                            entry.stat().st_size,
+                            st.st_size,
+                            st.st_mtime_ns,
                         )
             stack.extend(reversed(subdirs))

@@ -134,7 +134,8 @@ class VirtualFileSystem:
         return list(node.entries)
 
     def list_files(self, path: str = "") -> Iterator[FileRef]:
-        """Stage 1: every file under ``path``, depth-first, as FileRefs."""
+        """Stage 1: every file under ``path``, depth-first, as FileRefs
+        stamped with the value :meth:`stat` returns."""
         start = self._resolve(_split(path)) if path else self.root
         if not isinstance(start, VirtualDirectory):
             raise NotADirectoryError(path)
@@ -146,7 +147,7 @@ class VirtualFileSystem:
             for name, node in directory.entries.items():
                 child_path = f"{base}/{name}" if base else name
                 if isinstance(node, VirtualFile):
-                    yield FileRef(child_path, node.size)
+                    yield FileRef(child_path, node.size, node.mtime)
                 else:
                     subdirs.append((child_path, node))
             # Reversed so the left-most subtree is visited first.

@@ -8,6 +8,11 @@ engines' extraction pass, ``refresh``, ``reconcile`` — goes through
 the bytes that were indexed and a build needs no second walk over the
 corpus to bootstrap incremental refresh.
 
+The stamp is the one stage 1's walk took: ``list_files`` stats each
+file once and hands its stamp over on the :class:`~repro.fsmodel.FileRef`,
+so a build or a refresh stats each file exactly once.  Only process
+workers, which receive bare paths, stat again (right before their read).
+
 The content hash is 64-bit BLAKE2b (``hashlib``, hashed in C).  FNV-1a
 stays where the paper put it, in the ADTs (:mod:`repro.hashing`).
 
@@ -63,13 +68,14 @@ def stat_fingerprint(fs, path: str) -> Tuple[int, int]:
 def read_fingerprinted(
     fs, path: str, stamp: Optional[int] = None
 ) -> Tuple[bytes, Fingerprint]:
-    """Stat, then read, then hash the raw bytes: ``(content, fingerprint)``.
+    """Read, then hash the raw bytes: ``(content, fingerprint)``.
 
     The stamp is the one taken *before* the read: a writer that lands
     between the stat and the read leaves a newer stamp on disk than the
     one recorded, so the next refresh re-examines the file — a change
-    can be looked at twice, never missed.  A caller that has just
-    statted ``path`` passes that ``stamp`` instead of paying for another.
+    can be looked at twice, never missed.  Callers holding the walk's
+    :class:`~repro.fsmodel.FileRef` pass its ``stamp``; with none, the
+    file is statted here first (the process workers' path).
     """
     if stamp is None:
         _, stamp = stat_fingerprint(fs, path)
@@ -77,11 +83,11 @@ def read_fingerprinted(
     return content, (len(content), stamp, content_hash(content))
 
 
-def unhashed_fingerprint(fs, path: str) -> Fingerprint:
+def unhashed_fingerprint(ref) -> Fingerprint:
     """The :data:`HASH_UNKNOWN` fingerprint of a file about to be read
-    in chunks: stat now, before the first chunk read."""
-    size, stamp = stat_fingerprint(fs, path)
-    return (size, stamp, HASH_UNKNOWN)
+    in chunks: size and stamp of its walk's
+    :class:`~repro.fsmodel.FileRef`, taken before the first chunk read."""
+    return (ref.size, ref.stamp, HASH_UNKNOWN)
 
 
 # -- the persisted form -------------------------------------------------------

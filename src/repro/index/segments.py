@@ -70,11 +70,7 @@ from repro.index.binfmt import (
     load_index_ridx2,
     load_index_wire,
 )
-from repro.index.fingerprint import (
-    FingerprintMap,
-    read_fingerprinted,
-    stat_fingerprint,
-)
+from repro.index.fingerprint import FingerprintMap, read_fingerprinted
 from repro.index.inverted import InvertedIndex
 from repro.index.ondisk import MmapPostingsReader
 from repro.obs import recorder as obsrec
@@ -586,7 +582,9 @@ def compact_manifest(
                         merge_postings([s.postings() for s in g], owner)
                         for g, owner in zip(groups, owners)
                     ]
-            merged_postings += sum(p.posting_count for p in products)
+            if obsrec.enabled():
+                # Only the counter reads it: not walked otherwise.
+                merged_postings += sum(p.posting_count for p in products)
             # A product's paths are its group's live paths, known
             # already: not derived again from its postings.
             segments = [
@@ -689,7 +687,7 @@ class SegmentedIndexer:
         is the standalone form, for an index obtained some other way.
         """
         return {
-            ref.path: read_fingerprinted(self.fs, ref.path)[1]
+            ref.path: read_fingerprinted(self.fs, ref.path, ref.stamp)[1]
             for ref in self.fs.list_files(self.root)
         }
 
@@ -700,7 +698,9 @@ class SegmentedIndexer:
 
         The stat-first scan is what makes refresh O(delta) in bytes
         read: unchanged files (same size and mtime stamp as recorded)
-        are skipped without opening them.  Files that must be read are
+        are skipped without opening them.  The stat is the walk's own
+        (``FileRef.size`` and ``.stamp``), so an unchanged file costs
+        one stat and nothing more.  Files that must be read are
         read **once**; the same bytes feed both the fingerprint hash
         and term extraction.  Nothing observable mutates until the
         final two assignments, so a crashed refresh replays cleanly.
@@ -714,19 +714,18 @@ class SegmentedIndexer:
         with obsrec.span("segments.refresh", generation=manifest.generation):
             for ref in self.fs.list_files(self.root):
                 files_seen += 1
-                _, stamp = stat_fingerprint(self.fs, ref.path)
                 old = previous.get(ref.path)
                 if (
                     old is not None
-                    and stamp != 0
+                    and ref.stamp != 0
                     and old[0] == ref.size
-                    and old[1] == stamp
+                    and old[1] == ref.stamp
                 ):
                     # Unchanged by stat: not read, not re-hashed.
                     fingerprints[ref.path] = old
                     continue
                 content, fingerprint = read_fingerprinted(
-                    self.fs, ref.path, stamp
+                    self.fs, ref.path, ref.stamp
                 )
                 files_read += 1
                 fingerprints[ref.path] = fingerprint
@@ -791,7 +790,7 @@ class SegmentedIndexer:
         with obsrec.span("segments.reconcile", live=len(unseen)):
             for ref in self.fs.list_files(self.root):
                 content, fingerprints[ref.path] = read_fingerprinted(
-                    self.fs, ref.path
+                    self.fs, ref.path, ref.stamp
                 )
                 block = self._extract(ref.path, content)
                 if not block.terms:

@@ -34,7 +34,8 @@ search_bm25` computes the boolean match list, decodes ``{doc id: tf}``
 of each scoring term from only the blocks holding a match, and scores
 the matches into a bounded top-K heap.  The scoring formula and the
 term accumulation order mirror :class:`~repro.query.ranking.BM25Ranker`
-exactly, so ondisk and in-memory BM25 agree to the last float.
+exactly, so ondisk and in-memory BM25 agree to the last float.  A file
+written without term frequencies refuses to rank (:data:`NO_FREQS`).
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ from repro.query.wildcard import PrefixDictionary, expand_prefixes, has_prefixes
 
 #: One query's term map: each distinct term's lexicon entry, or None.
 Infos = Dict[str, Optional[TermInfo]]
+
+#: Why an RIDX2 file without stored term frequencies refuses BM25
+#: rather than rank every match on tf = 1.
+NO_FREQS = (
+    "this RIDX2 file stores no term frequencies, so it cannot rank; "
+    "save it with frequencies (repro-cli index --save FILE.ridx2) for BM25"
+)
 
 
 class DaatQueryEngine:
@@ -112,10 +120,13 @@ class DaatQueryEngine:
         parsed and expanded once, and not optimised: the scoring terms
         are those of the un-optimised query
         (:func:`~repro.query.ranking.scoring_terms`), and the optimiser
-        never changes which documents match.
+        never changes which documents match.  A file without stored
+        term frequencies raises ``ValueError`` (:data:`NO_FREQS`).
         """
         if topk < 1:
             raise ValueError(f"topk must be at least 1, got {topk}")
+        if not self.reader.has_freqs:
+            raise ValueError(NO_FREQS)
         with obsrec.span("query.bm25", topk=topk):
             query = self._expand(parse_query(query_text))
             infos = self._infos(query)

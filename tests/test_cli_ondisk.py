@@ -141,6 +141,40 @@ class TestServeOndisk:
         assert "--ondisk" in capsys.readouterr().err
 
 
+class TestBm25WithoutFrequencies:
+    """A file ``refresh`` wrote carries no term frequencies: BM25 over
+    it is refused with an ``error:`` line and exit status 2."""
+
+    @pytest.fixture
+    def plain_path(self, corpus_dir, tmp_path):
+        path = str(tmp_path / "refreshed.ridx")
+        assert main(["refresh", corpus_dir, "--index", path]) == 0
+        return path
+
+    def test_search_ondisk_bm25(self, plain_path, capsys):
+        capsys.readouterr()
+        assert main(["search", plain_path, "the", "--ondisk",
+                     "--rank", "bm25"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "cannot rank" in err
+
+    def test_serve_ondisk_bm25(self, corpus_dir, plain_path, tmp_path,
+                               capsys):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("the\n")
+        capsys.readouterr()
+        assert main(["serve", corpus_dir, "--index", plain_path,
+                     "--ondisk", "--rank", "bm25",
+                     "--queries", str(queries)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot rank" in err
+
+    def test_boolean_search_still_served(self, plain_path, capsys):
+        capsys.readouterr()
+        assert main(["search", plain_path, "the", "--ondisk"]) == 0
+
+
 class TestCutFile:
     """A file cut short — what a crash mid-save leaves — is refused at
     open with an ``error:`` line and exit status 2, not a traceback."""

@@ -147,6 +147,44 @@ class TestDifferentialBm25:
             daat.search_bm25("the", topk=0)
 
 
+class TestBm25NeedsFrequencies:
+    """A file whose flag says "no term frequencies" stores tf = 1 for
+    every posting: BM25 over it refuses instead of ranking on those.
+    A file saved with frequencies ranks float-equal to the in-memory
+    ranker (:class:`TestDifferentialBm25`)."""
+
+    def refuses(self, path):
+        with MmapPostingsReader(path) as reader:
+            assert not reader.has_freqs
+            term = next(reader.terms())
+            with pytest.raises(ValueError, match="cannot rank"):
+                DaatQueryEngine(reader).search_bm25(term)
+            snapshot = IndexSnapshot.from_ondisk(reader)
+            with pytest.raises(ValueError, match="cannot rank"):
+                snapshot.answer(term, rank="bm25")
+
+    def test_a_file_search_save_wrote_refuses(self, tiny_fs, tmp_path):
+        from repro.api import Search
+
+        path = str(tmp_path / "saved.ridx")
+        Search.build(tiny_fs).save(path)
+        self.refuses(path)
+
+    def test_a_file_cli_refresh_wrote_refuses(self, tiny_fs, tmp_path):
+        from repro.cli import main
+        from repro.fsmodel import OsFileSystem
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        disk = OsFileSystem(str(corpus))
+        for ref in tiny_fs.list_files():
+            name = ref.path.replace("/", "_")
+            disk.write_file(name, tiny_fs.read_file(ref.path))
+        path = str(tmp_path / "refreshed.ridx")
+        assert main(["refresh", str(corpus), "--index", path]) == 0
+        self.refuses(path)
+
+
 class TestPhraseRefusal:
     def test_phrase_raises_with_guidance(self, engine_pair):
         _, daat, _ = engine_pair

@@ -9,6 +9,8 @@ What this file pins:
   and comes back as *added*;
 * the recorded stamp is the one taken before the read that was indexed,
   so a writer racing the build is re-examined, never lost;
+* that stamp is the walk's: a build or refresh stats each file once (in
+  ``list_files``) and a refresh reads only what changed;
 * a chunk-split file's ``HASH_UNKNOWN`` fingerprint is never read as
   "unchanged";
 * the one persisted form, and ``Search.save``/``Search.open`` resuming
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -54,6 +57,7 @@ from repro.index.fingerprint import (
     load_fingerprints,
     read_fingerprinted,
     save_fingerprints,
+    stat_fingerprint,
     state_path,
 )
 from repro.index.segments import SegmentedIndexer
@@ -308,20 +312,26 @@ class TestSkippedFileHasNoFingerprint:
 class RewritingFs:
     """Delegates to a real directory, and rewrites ``victim`` — once,
     while it still holds its original bytes — right after the given
-    operation on it returns.  Carries no process-local state, so it
-    behaves the same in a pool worker."""
+    operation on it returns: ``"walk"`` (``list_files`` has statted the
+    victim, before its ref is handed on), ``"stat"`` or ``"read"``.
+    Each rewrite appends the operation's name to the ``fired`` file.
+    Carries no process-local state, so it behaves the same in a pool
+    worker."""
 
-    def __init__(self, inner, victim, original, rewritten, after) -> None:
+    def __init__(self, inner, victim, original, rewritten, after, fired):
         self._inner = inner
         self._victim = victim
         self._original = original
         self._rewritten = rewritten
         self._after = after
+        self._fired = fired
 
     def _race(self, operation, path):
         if operation == self._after and path == self._victim:
             if self._inner.read_file(path) == self._original:
                 self._inner.replace_file(path, self._rewritten)
+                with open(self._fired, "a") as fh:
+                    fh.write(operation)
 
     def read_file(self, path):
         content = self._inner.read_file(path)
@@ -334,7 +344,9 @@ class RewritingFs:
         return result
 
     def list_files(self, path=""):
-        return self._inner.list_files(path)
+        for ref in self._inner.list_files(path):
+            self._race("walk", ref.path)
+            yield ref
 
 
 class TestWriterRacingTheBuild:
@@ -342,19 +354,31 @@ class TestWriterRacingTheBuild:
     REWRITTEN = b"alpha gamma delta"  # another size: seen by stat alone
 
     def racing_fs(self, tmp_path, after):
-        disk = OsFileSystem(str(tmp_path))
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        disk = OsFileSystem(str(corpus))
         for i in range(6):
             disk.write_file(f"f{i}.txt", f"common term{i}".encode())
         disk.write_file("victim.txt", self.ORIGINAL)
+        self.fired = tmp_path / "fired"
         racing = RewritingFs(
-            disk, "victim.txt", self.ORIGINAL, self.REWRITTEN, after
+            disk,
+            "victim.txt",
+            self.ORIGINAL,
+            self.REWRITTEN,
+            after,
+            str(self.fired),
         )
         return disk, racing
+
+    def assert_fired(self, after):
+        assert self.fired.read_text() == after
 
     @pytest.mark.parametrize("backend", list(SEARCH_BUILDS))
     def test_rewrite_right_after_the_build_read_it(self, tmp_path, backend):
         disk, racing = self.racing_fs(tmp_path, after="read")
         session = Search.build(racing, **SEARCH_BUILDS[backend])
+        self.assert_fired("read")
         # Index and fingerprint both describe the bytes that were read.
         assert session.query("beta").paths == ["victim.txt"]
         assert session.report.fingerprints["victim.txt"][2] == content_hash(
@@ -366,8 +390,13 @@ class TestWriterRacingTheBuild:
 
     @pytest.mark.parametrize("backend", list(SEARCH_BUILDS))
     def test_rewrite_between_the_stat_and_the_read(self, tmp_path, backend):
-        disk, racing = self.racing_fs(tmp_path, after="stat")
+        """The stamp is the walk's stat in a parent-side build and the
+        worker's own stat in a pool worker (it receives bare paths); the
+        rewrite lands right after whichever one the backend records."""
+        after = "stat" if backend == "process" else "walk"
+        disk, racing = self.racing_fs(tmp_path, after=after)
         session = Search.build(racing, **SEARCH_BUILDS[backend])
+        self.assert_fired(after)
         # The read saw the new bytes: they are what is indexed *and*
         # what is hashed, under the older stamp.
         assert session.query("gamma").paths == ["victim.txt"]
@@ -592,3 +621,114 @@ class TestSaveAndResume:
         assert resumed.query("gecko").paths == ["late.txt"]
         assert resumed.refresh().total == 0
         assert fs.reads == []
+
+
+# -- one stat per file: the walk's ----------------------------------------
+
+
+class StatCountingFs:
+    """Delegates to a real directory and counts ``stat`` and
+    ``read_file`` calls per path (the parent's calls only: it crosses
+    into pool workers by value)."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.stats = Counter()
+        self.reads = Counter()
+
+    def stat(self, path):
+        self.stats[path] += 1
+        return self._inner.stat(path)
+
+    def read_file(self, path):
+        self.reads[path] += 1
+        return self._inner.read_file(path)
+
+    def list_files(self, path=""):
+        return self._inner.list_files(path)
+
+    def reset(self) -> None:
+        self.stats.clear()
+        self.reads.clear()
+
+
+def stat_then_read_map(disk):
+    """The fingerprint map as a second stat per file would take it:
+    ``stat_fingerprint``, then read and hash, in walk order."""
+    fingerprints = {}
+    for ref in disk.list_files():
+        _, stamp = stat_fingerprint(disk, ref.path)
+        content = disk.read_file(ref.path)
+        fingerprints[ref.path] = (len(content), stamp, content_hash(content))
+    return fingerprints
+
+
+class TestOneStatPerFile:
+    def corpus(self, tmp_path):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        disk = OsFileSystem(str(root))
+        disk.mkdir("docs")
+        for i in range(10):
+            where = "docs/" if i % 3 else ""
+            disk.write_file(f"{where}f{i}.txt", f"common term{i}".encode())
+        disk.write_file("empty.txt", b"")
+        return disk
+
+    @pytest.mark.parametrize("backend", ["sequential"] + THREADED)
+    def test_build_stats_nothing_past_the_walk(self, tmp_path, backend):
+        disk = self.corpus(tmp_path)
+        fs = StatCountingFs(disk)
+        session = Search.build(fs, **SEARCH_BUILDS[backend])
+        assert fs.stats == {}
+        assert fs.reads == Counter(ref.path for ref in disk.list_files())
+        assert session.report.fingerprints == stat_then_read_map(disk)
+
+    @pytest.mark.parametrize("backend", list(SEARCH_BUILDS))
+    def test_refresh_of_an_unchanged_tree_stats_and_reads_nothing(
+        self, tmp_path, backend
+    ):
+        disk = self.corpus(tmp_path)
+        fs = StatCountingFs(disk)
+        session = Search.build(fs, **SEARCH_BUILDS[backend])
+        fs.reset()
+        assert session.refresh().total == 0
+        assert (fs.stats, fs.reads) == ({}, {})
+
+    def test_reopened_refresh_of_an_unchanged_tree_stats_and_reads_nothing(
+        self, tmp_path
+    ):
+        disk = self.corpus(tmp_path)
+        saved = str(tmp_path / "index.ridx")
+        Search.build(disk).save(saved)
+        fs = StatCountingFs(disk)
+        assert Search.open(saved, source=fs).refresh().total == 0
+        assert (fs.stats, fs.reads) == ({}, {})
+
+    def test_refresh_reads_exactly_the_delta(self, tmp_path):
+        disk = self.corpus(tmp_path)
+        fs = StatCountingFs(disk)
+        session = Search.build(fs)
+        disk.replace_file("docs/f4.txt", b"common term4 grown longer")
+        disk.write_file("docs/new.txt", b"fresh words")
+        disk.remove_file("f3.txt")
+        fs.reset()
+        change = session.refresh()
+        assert (change.added, change.modified, change.removed) == (
+            ["docs/new.txt"],
+            ["docs/f4.txt"],
+            ["f3.txt"],
+        )
+        assert fs.reads == Counter(["docs/new.txt", "docs/f4.txt"])
+        assert fs.stats == {}
+        assert dump_index_ridx2(session.index) == rebuild_bytes(disk)
+
+    def test_saved_state_is_the_stat_then_read_map(self, tmp_path):
+        disk = self.corpus(tmp_path)
+        saved = str(tmp_path / "index.ridx")
+        Search.build(StatCountingFs(disk)).save(saved)
+        expected = str(tmp_path / "expected.state")
+        save_fingerprints(stat_then_read_map(disk), expected, saved_crc(saved))
+        with open(state_path(saved), "rb") as got:
+            with open(expected, "rb") as want:
+                assert got.read() == want.read()
