@@ -1,20 +1,24 @@
-"""On-disk serving smoke test: 140 mixed queries answered off mmap.
+"""On-disk serving smoke test: 170 mixed queries answered off mmap.
 
 Builds an index over a synthetic corpus, saves it as RIDX2 (with term
 frequencies baked in), then stands up a
 :class:`~repro.service.service.SearchService` over an mmap-backed
 snapshot — postings are decoded block-by-block from the file, never
-materialized into dicts.  140 mixed boolean/BM25 queries, nested ones
+materialized into dicts.  170 mixed boolean/BM25 queries, nested ones
 included, drawn from the corpus's own vocabulary are served, and every
 answer is differentially checked against the in-memory engine: boolean
 results must be list-identical, BM25 results identical down to the
-float.
+float.  The ranked battery holds the shapes where a term's match-time
+decode does not cover every match — a ``NOT`` over an ``AND``, an
+``AND`` that stops early inside an ``OR`` — and a prefix under ``AND``.
 
 The run also asserts that block skipping actually fired
 (``blocks_skipped > 0``) — a smoke that passes by decoding everything
-would not be testing it — and prints the blocks read per query.  It
-checks that the service starts no thread and that every
-``service.query`` span ran on the thread that asked.
+would not be testing it — that a ranked single-term query reads exactly
+as many blocks as its boolean twin (BM25 scores from the blocks its
+match decoded), and prints the blocks read per query.  It checks that
+the service starts no thread and that every ``service.query`` span ran
+on the thread that asked.
 
 Run:  PYTHONPATH=src python examples/ondisk_smoke.py [index.ridx2]
 """
@@ -30,15 +34,16 @@ from repro.engine import SequentialIndexer
 from repro.index import MmapPostingsReader, save_index
 from repro.obs import recorder as obsrec
 from repro.query import BM25Ranker, FrequencyIndex, QueryEngine, search_bm25
+from repro.query.daat import DaatQueryEngine
 from repro.service import SearchService
 from repro.service.snapshot import IndexSnapshot
 
-TOTAL_QUERIES = 140
+TOTAL_QUERIES = 170
 TOPK = 10
 
 
 def build_queries(index):
-    """80 boolean + 60 ranked queries over the corpus's real vocabulary.
+    """80 boolean + 90 ranked queries over the corpus's real vocabulary.
 
     Deterministic: drawn from the document-frequency extremes so the
     battery exercises long multi-block postings (frequent terms),
@@ -64,7 +69,7 @@ def build_queries(index):
         boolean.append(f"{f} AND ({r} OR {r2})")
     ranked = []
     for i in range(10):
-        f, f2 = frequent[i], frequent[(i + 1) % 10]
+        f, f2, f3 = frequent[i], frequent[(i + 1) % 10], frequent[(i + 2) % 10]
         r, r2 = rare[i], rare[(i + 1) % 10]
         ranked.append(f)
         ranked.append(r)
@@ -72,6 +77,9 @@ def build_queries(index):
         ranked.append(f"{f} AND {f2}")
         ranked.append(f"{f[:3]}*")
         ranked.append(f"{f} AND ({r} OR {r2})")
+        ranked.append(f"({f} OR {r}) AND NOT ({f2} AND {f3})")
+        ranked.append(f"(zzzabsent AND {f2}) OR {r}")
+        ranked.append(f"{f[:3]}* AND {f2}")
     assert len(boolean) + len(ranked) == TOTAL_QUERIES
     return boolean, ranked
 
@@ -117,6 +125,13 @@ def main(path: str | None = None) -> int:
                     mismatches.append(("bm25", query, hits, expected))
             stats = service.stats()
         blocks = reader.stats()
+        # A fresh engine, so no cached answer hides a read.
+        engine, term = DaatQueryEngine(reader), boolean[0]
+        before = reader.blocks_read
+        engine.search(term)
+        boolean_blocks = reader.blocks_read - before
+        engine.search_bm25(term, topk=TOPK)
+        ranked_blocks = reader.blocks_read - before - boolean_blocks
     obsrec.set_recorder(previous)
     query_threads = {
         span.tid for span in recorder.spans if span.name == "service.query"
@@ -143,12 +158,17 @@ def main(path: str | None = None) -> int:
               f"{sorted(query_threads)}, not only on the caller's "
               f"{threading.get_ident()}", file=sys.stderr)
         return 1
+    if ranked_blocks != boolean_blocks:
+        print(f"FAIL: ranked {term!r} read {ranked_blocks} blocks, its "
+              f"boolean twin {boolean_blocks}", file=sys.stderr)
+        return 1
     if blocks["ondisk.blocks_skipped"] <= 0:
         print("FAIL: no posting blocks were skipped — the DAAT seek "
               "path never engaged", file=sys.stderr)
         return 1
     print("OK: every mmap answer matched the in-memory engine, "
-          "with block skipping engaged, on the caller's thread")
+          "with block skipping engaged, on the caller's thread; ranked "
+          f"{term!r} read {ranked_blocks} blocks, as its boolean twin")
     return 0
 
 

@@ -168,6 +168,13 @@ class MmapPostingsReader:
             return self._lengths[doc_id]
         return self._doc(doc_id)[1]
 
+    def doc_lengths(self) -> List[int]:
+        """Every document's length in doc-id order: the list
+        :meth:`doc_paths` decodes beside the paths (shared: never mutate)."""
+        if self._lengths is None:
+            self._paths, self._lengths = read_ridx2_docs(self._mm, self._header)
+        return self._lengths
+
     def doc_paths(self) -> List[str]:
         """Every indexed path in doc-id order == sorted-path order.
 
@@ -191,36 +198,38 @@ class MmapPostingsReader:
     # -- terms -------------------------------------------------------------
 
     def term_info(self, term: str) -> Optional[TermInfo]:
-        """Binary-search the on-disk lexicon; None when absent.  A probe
-        compares the record's term bytes in place (an mmap slice is
-        ``bytes``); a term under 128 bytes has a one-byte length."""
-        probe = term.encode("utf-8")
-        mm = self._mm
-        header = self._header
-        span_at = _SPAN.unpack_from
-        table, base = header.lex_offsets_off, header.lex_data_off
-        lo, hi = 0, header.term_count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            start, end = span_at(mm, table + 4 * mid)
-            offset = base + start
-            length = mm[offset]
-            if length < 0x80:
-                offset += 1
-            else:
-                length, offset = decode_varint(mm, offset)
-            found = mm[offset : offset + length]
-            if found < probe:
-                lo = mid + 1
-            elif found > probe:
-                hi = mid
-            else:
-                df, offset = decode_varint(mm, offset + length)
-                return TermInfo(term, df, offset, base + end)
-        return None
+        """Binary-search the on-disk lexicon; None when absent."""
+        _index, offset, end = self._search(term.encode("utf-8"), 0)
+        if offset is None:
+            return None
+        df, offset = decode_varint(self._mm, offset)
+        return TermInfo(term, df, offset, self._header.lex_data_off + end)
 
     def __contains__(self, term: str) -> bool:
         return self.term_info(term) is not None
+
+    def expand(
+        self, prefix: str, limit: int = 1000, into: Optional[dict] = None
+    ) -> List[str]:
+        """Terms starting with ``prefix``, sorted, at most ``limit`` (the
+        reader is its own term dictionary).  Two lower-bound searches —
+        ``prefix`` and ``prefix + U+10FFFF``, ``PrefixDictionary``'s own
+        range — then one walk over the records between, each term's
+        :class:`TermInfo` put in ``into`` when given: no lexicon copy."""
+        if not prefix:
+            raise ValueError("empty prefix")
+        lo = self._search(prefix.encode("utf-8"), 0)[0]
+        hi = self._search((prefix + "\U0010ffff").encode("utf-8"), lo)[0]
+        mm, base = self._mm, self._header.lex_data_off
+        terms = []
+        for index in range(lo, min(hi, lo + limit)):
+            found, offset, end = self._record(index)
+            term = found.decode("utf-8")
+            terms.append(term)
+            if into is not None:
+                df, offset = decode_varint(mm, offset)
+                into[term] = TermInfo(term, df, offset, base + end)
+        return terms
 
     def read_postings(
         self,
@@ -320,6 +329,48 @@ class MmapPostingsReader:
             record = read_ridx2_doc(self._mm, self._header, doc_id)
             self._doc_cache[doc_id] = record
         return record
+
+    def _record(self, index: int) -> Tuple[bytes, int, int]:
+        """Record ``index``: term bytes, offset of its df, relative end."""
+        mm, header = self._mm, self._header
+        start, end = _SPAN.unpack_from(mm, header.lex_offsets_off + 4 * index)
+        offset = header.lex_data_off + start
+        length = mm[offset]
+        if length < 0x80:
+            offset += 1
+        else:
+            length, offset = decode_varint(mm, offset)
+        return mm[offset : offset + length], offset + length, end
+
+    def _search(self, probe: bytes, lo: int) -> Tuple[int, Optional[int], int]:
+        """Binary search from record ``lo`` on: ``probe``'s record index,
+        the offset of its df and its relative end; or, when absent, the
+        index of the first term above it and ``(None, 0)``.  A probe
+        compares the record's term bytes in place (an mmap slice is
+        ``bytes``); a term under 128 bytes has a one-byte length.  The
+        decode is :meth:`_record`'s, inline: a call per step would cost
+        every ``term_info`` about a sixth."""
+        mm, header = self._mm, self._header
+        span_at = _SPAN.unpack_from
+        table, base = header.lex_offsets_off, header.lex_data_off
+        hi = header.term_count
+        while lo < hi:
+            mid = (lo + hi) // 2
+            start, end = span_at(mm, table + 4 * mid)
+            offset = base + start
+            length = mm[offset]
+            if length < 0x80:
+                offset += 1
+            else:
+                length, offset = decode_varint(mm, offset)
+            found = mm[offset : offset + length]
+            if found < probe:
+                lo = mid + 1
+            elif found > probe:
+                hi = mid
+            else:
+                return mid, offset + length, end
+        return lo, None, 0
 
     def _count_read(self, n: int) -> None:
         self.blocks_read += n

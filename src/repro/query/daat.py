@@ -20,30 +20,35 @@ intersection) and only the per-node and per-block steps are Python.
   are skipped, never decoded — a ``Not`` drops what its operand keeps,
   and ``And`` / ``Or`` recurse.
 
-Each query resolves each distinct term once (one ``term_info`` probe)
-into a map that is passed down the recursion and never stored on the
-engine, which concurrent service callers share.
+Each query resolves each distinct term once into a map that is passed
+down the recursion and never stored on the engine, which concurrent
+service callers share; a prefix's expansion seeds that map from the
+lexicon range it walks (:meth:`~repro.index.ondisk.MmapPostingsReader.
+expand`).
 
 Doc ids in RIDX2 are assigned in sorted-path order, so ascending doc
 ids mapped to paths reproduce the in-memory engine's ``sorted(paths)``
 output *byte for byte* — the differential property the test suite pins
 across every build backend.
 
-BM25 ranking rides the same machinery: :meth:`DaatQueryEngine.
-search_bm25` computes the boolean match list, decodes ``{doc id: tf}``
-of each scoring term from only the blocks holding a match, and scores
-the matches into a bounded top-K heap.  The scoring formula and the
-term accumulation order mirror :class:`~repro.query.ranking.BM25Ranker`
-exactly, so ondisk and in-memory BM25 agree to the last float.  A file
-written without term frequencies refuses to rank (:data:`NO_FREQS`).
+BM25 ranking rides the same machinery, one decode per list:
+:meth:`DaatQueryEngine.search_bm25` scores a term from the ``{doc id:
+tf}`` its match decoded whole, or filtered by candidates holding every
+match; any other term is read again over the matches.  Scores add up
+per term in sorted order, as :class:`~repro.query.ranking.BM25Ranker`
+adds them, so ondisk and in-memory BM25 agree to the last float; a
+stable sort over ascending doc ids is the top-K.  A file written
+without term frequencies refuses to rank (:data:`NO_FREQS`).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from itertools import filterfalse
-from typing import Dict, List, Optional
+from functools import partial
+from operator import itemgetter
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Tuple
 
 from repro.index.ondisk import MmapPostingsReader, TermInfo
 from repro.obs import recorder as obsrec
@@ -51,10 +56,12 @@ from repro.query.ast import And, Not, Or, Phrase, Query, Term
 from repro.query.optimizer import optimize as optimize_query
 from repro.query.parser import parse_query
 from repro.query.ranking import BM25_B, BM25_K1, RankedHit
-from repro.query.wildcard import PrefixDictionary, expand_prefixes, has_prefixes
+from repro.query.wildcard import expand_prefixes, has_prefixes
 
 #: One query's term map: each distinct term's lexicon entry, or None.
 Infos = Dict[str, Optional[TermInfo]]
+#: A ranked query's decoded terms: (filter candidates or None, {id: tf}).
+Decoded = Dict[str, Tuple[Optional[List[int]], Dict[int, int]]]
 
 #: Why an RIDX2 file without stored term frequencies refuses BM25
 #: rather than rank every match on tf = 1.
@@ -80,7 +87,7 @@ class DaatQueryEngine:
     def __init__(self, reader: MmapPostingsReader, statistics=None) -> None:
         self.reader = reader
         self.statistics = statistics
-        self._prefix_dictionary: Optional[PrefixDictionary] = None
+        self._norms: Optional[Tuple[tuple, List[float]]] = None
 
     def search(
         self, query_text: str, parallel: bool = False, optimize: bool = True
@@ -99,9 +106,8 @@ class DaatQueryEngine:
         optimiser never walks the expanded ``Or``."""
         with obsrec.span("query.daat", parallel=parallel):
             obsrec.metrics().counter("query.daat.searches").inc()
-            query = self._expand(query)
-            ids = self._match(query, self._infos(query))
-            return self.reader.doc_paths_of(ids)
+            query, infos = self._resolve(query)
+            return self.reader.doc_paths_of(self._match(query, infos))
 
     def search_bm25(
         self,
@@ -128,71 +134,75 @@ class DaatQueryEngine:
         if not self.reader.has_freqs:
             raise ValueError(NO_FREQS)
         with obsrec.span("query.bm25", topk=topk):
-            query = self._expand(parse_query(query_text))
-            infos = self._infos(query)
-            matches = self._match(query, infos)
+            query, infos = self._resolve(parse_query(query_text))
+            decoded: Decoded = {}
+            matches = self._match(query, infos, None, decoded)
             if not matches:
                 return []
             reader = self.reader
             n, avgdl, dfs = self.statistics or (
                 reader.doc_count, reader.average_document_length, None
             )
-            scorers: List[tuple] = []
+            norms = self._doc_norms(k1, b, avgdl)
+            scores = dict.fromkeys(matches, 0.0)
             for term in sorted(infos):
                 info = infos[term]
-                if info is not None:
-                    df = info.df if dfs is None else dfs.get(term, 0)
-                    idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                if info is None:
+                    continue
+                df = info.df if dfs is None else dfs.get(term, 0)
+                idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                # A filtered decode saw only its candidates' blocks.
+                seen = decoded.get(term)
+                if seen and (seen[0] is None or set(seen[0]).issuperset(matches)):
+                    tfs = seen[1]
+                else:
                     tfs = reader.read_postings(info, matches, with_freqs=True)
-                    scorers.append((idf, tfs))
-            # Min-heap of (score, -doc_id): among equal scores the
-            # larger doc id (later path) is evicted first, matching the
-            # in-memory ranker's (score desc, path asc) tie-break.
-            heap: List[tuple] = []
-            for doc_id in matches:
-                length = reader.doc_length(doc_id)
-                norm = k1 * (1.0 - b + b * (length / avgdl if avgdl else 0.0))
-                score = 0.0
-                for idf, tfs in scorers:
-                    tf = tfs.get(doc_id)
-                    if tf:
-                        score += idf * (tf * (k1 + 1.0)) / (tf + norm)
-                entry = (score, -doc_id)
-                if len(heap) < topk:
-                    heapq.heappush(heap, entry)
-                elif entry > heap[0]:
-                    heapq.heapreplace(heap, entry)
-            ordered = sorted(heap, key=lambda e: (-e[0], -e[1]))
+                for doc_id in scores.keys() & tfs.keys():
+                    tf = tfs[doc_id]
+                    scores[doc_id] += idf * (tf * (k1 + 1.0)) / (tf + norms[doc_id])
+            # Stable over ascending doc ids: ties keep path order.
+            ranked = sorted(scores.items(), key=itemgetter(1), reverse=True)
             return [
-                RankedHit(reader.doc_path(-neg_id), score)
-                for score, neg_id in ordered
+                RankedHit(reader.doc_path(doc_id), score)
+                for doc_id, score in ranked[:topk]
             ]
 
-    def prefix_dictionary(self) -> PrefixDictionary:
-        """The file's term dictionary (one lexicon walk, then cached)."""
-        if self._prefix_dictionary is None:
-            self._prefix_dictionary = PrefixDictionary(self.reader.terms())
-        return self._prefix_dictionary
+    def prefix_dictionary(self) -> MmapPostingsReader:
+        """The file's term dictionary: the reader itself."""
+        return self.reader
 
     # -- internals --------------------------------------------------------
 
-    def _expand(self, query: Query) -> Query:
-        """Prefixes expanded; a phrase anywhere is refused up front, as
-        evaluation may never reach it (an empty ``And`` stops early)."""
+    def _resolve(self, query: Query) -> Tuple[Query, Infos]:
+        """The query, prefixes expanded, and its term map: the entries
+        the expansion walked, plus one lexicon probe per other distinct
+        term.  A phrase anywhere is refused up front, as evaluation may
+        never reach it (an empty ``And`` stops early)."""
         if _has_phrase(query):
             raise ValueError(
                 "phrase queries need a positional index, which the RIDX2 "
                 "on-disk format does not carry; evaluate phrases with the "
                 "in-memory QueryEngine"
             )
+        infos: Infos = {}
         if has_prefixes(query):
-            query = expand_prefixes(query, self.prefix_dictionary())
-        return query
-
-    def _infos(self, query: Query) -> Infos:
-        """One lexicon probe per distinct term of the (expanded) query."""
+            expand = partial(self.reader.expand, into=infos)
+            query = expand_prefixes(query, SimpleNamespace(expand=expand))
         term_info = self.reader.term_info
-        return {term: term_info(term) for term in query.terms()}
+        for term in query.terms() - infos.keys():
+            infos[term] = term_info(term)
+        return query, infos
+
+    def _doc_norms(self, k1: float, b: float, avgdl: float) -> List[float]:
+        """Each document's BM25 length norm, once per ``(k1, b, avgdl)``
+        (lock-free: racing threads compute equal lists)."""
+        cached = self._norms
+        if cached is None or cached[0] != (k1, b, avgdl):
+            cached = self._norms = ((k1, b, avgdl), [
+                k1 * (1.0 - b + b * (length / avgdl if avgdl else 0.0))
+                for length in self.reader.doc_lengths()
+            ])
+        return cached[1]
 
     def _cost(self, query: Query, infos: Infos) -> int:
         """An upper bound on how many doc ids ``query`` matches."""
@@ -206,33 +216,49 @@ class DaatQueryEngine:
         return self.reader.doc_count
 
     def _match(
-        self, query: Query, infos: Infos, candidates: Optional[List[int]] = None
+        self,
+        query: Query,
+        infos: Infos,
+        candidates: Optional[List[int]] = None,
+        decoded: Optional[Decoded] = None,
     ) -> List[int]:
         """The ascending doc ids ``query`` matches: all of them, or — in
-        filter mode — those of the ascending ``candidates``."""
+        filter mode — those of the ascending ``candidates``.  Each term
+        decoded goes in ``decoded`` with its frequencies, when given: a
+        whole list always, a filtered one when the term has no entry."""
         if isinstance(query, Term):
             info = infos[query.value]
             if info is None:
                 return []
-            return self.reader.read_postings(info, candidates)
+            if decoded is None:
+                return self.reader.read_postings(info, candidates)
+            tfs = self.reader.read_postings(info, candidates, with_freqs=True)
+            if candidates is None:
+                decoded[query.value] = (None, tfs)
+                return list(tfs)
+            decoded.setdefault(query.value, (candidates, tfs))
+            return sorted(tfs.keys() & candidates)
         if isinstance(query, And):
             ids = candidates
             for operand in sorted(
                 query.operands,
                 key=lambda op: (isinstance(op, Not), self._cost(op, infos)),
             ):
-                ids = self._match(operand, infos, ids)
+                ids = self._match(operand, infos, ids, decoded)
                 if not ids:
                     break
             return ids
         if isinstance(query, Or):
-            matched = (self._match(op, infos, candidates) for op in query.operands)
+            matched = (
+                self._match(op, infos, candidates, decoded)
+                for op in query.operands
+            )
             lists = [ids for ids in matched if ids]
             if len(lists) == 1:
                 return lists[0]
             return sorted(set().union(*lists))
         if isinstance(query, Not):
-            drop = set(self._match(query.operand, infos, candidates))
+            drop = set(self._match(query.operand, infos, candidates, decoded))
             if candidates is None:
                 candidates = range(self.reader.doc_count)
             return list(filterfalse(drop.__contains__, candidates))

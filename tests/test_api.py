@@ -9,6 +9,7 @@ the historical entry points import from their home modules.
 from __future__ import annotations
 
 import os
+import stat
 import warnings
 
 import pytest
@@ -414,6 +415,29 @@ class TestWritesReplaceNeverTruncate:
         assert sorted(os.listdir(tmp_path)) == ["x.ridx", "x.ridx.state"]
         assert len(Search.open(path)) == 3
         assert len(load_fingerprints(state_path(path), saved_crc(path))) == 3
+
+    @pytest.mark.skipif(os.name != "posix", reason="directory fsync is POSIX")
+    def test_the_directory_is_synced_after_the_replace(
+        self, small_fs, tmp_path, monkeypatch
+    ):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            calls.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append(("replace", os.path.dirname(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        path = str(tmp_path / "x.ridx")
+        Search.build(small_fs).save(path)
+        # The index, then its state: file synced, replaced, directory synced.
+        each = [("fsync", False), ("replace", str(tmp_path)), ("fsync", True)]
+        assert calls == each * 2
 
 
 class TestTheStateNamesItsIndex:

@@ -6,8 +6,10 @@ RIDX2 file must return *byte-for-byte* the same sorted path list as the
 in-memory :class:`QueryEngine`, and its BM25 scorer must agree with the
 in-memory :class:`BM25Ranker` to the last float — on that battery, and
 on drawn nested queries (depth <= 3, top-level NOT, Ands of NOTs,
-absent terms and prefixes) over drawn corpora at block sizes 1 to 128.
-Also covered: the phrase-query refusal, the ranking-mode-aware cache
+absent terms and prefixes) over drawn corpora at block sizes 1 to 128,
+and on the fixed shapes where a term's match-time decode does not cover
+every match (BM25 reads such a term again; any other list it reads
+once, as its boolean twin does).  Also covered: the phrase-query refusal, the ranking-mode-aware cache
 keys (a BM25 result must never satisfy a boolean lookup), serving a
 :class:`SearchService` from an on-disk snapshot, and four threads
 sharing one engine.
@@ -404,6 +406,65 @@ class TestNestedDifferential:
             ]
 
 
+def regression_docs():
+    """Forty documents, most terms over several blocks at sizes 1 and 2."""
+    return {
+        f"d{i:03d}.txt": ["every"]
+        + ["alpha"] * (i % 3 == 0)
+        + ["beta"] * (i % 4 == 0) * 2
+        + ["gamma"] * (i % 5 in (0, 1))
+        + ["delta"] * (i % 6 == 0) * 3
+        + ["zeta"] * (i % 7 == 0)
+        + ["alpine"] * (i % 11 == 0)
+        for i in range(40)
+    }
+
+
+class TestSingleDecodeScoring:
+    """A ranked query scores from the lists its match decoded whole, and
+    reads again any term a filter-mode decode may not cover: such a decode
+    saw only the candidates it was handed, not every match."""
+
+    @pytest.mark.parametrize("block_size", [1, 2])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            # An early-breaking And inside an Or: alpha is never decoded.
+            "(zzz AND alpha) OR beta",
+            # A Not over an And: every is filtered by beta's documents.
+            "(alpha OR gamma) AND NOT (beta AND every)",
+            "(alpha OR zeta) AND NOT (gamma AND delta)",
+        ],
+    )
+    def test_partly_decoded_terms_score_like_the_ranker(
+        self, tmp_path, block_size, query
+    ):
+        memory, frequencies, path = write_corpus(
+            tmp_path, regression_docs(), block_size
+        )
+        expected = search_bm25(memory, BM25Ranker(frequencies), query, topk=50)
+        assert expected
+        with MmapPostingsReader(path) as reader:
+            got = DaatQueryEngine(reader).search_bm25(query, topk=50)
+        assert [(h.path, h.score) for h in got] == [
+            (h.path, h.score) for h in expected
+        ]
+
+    @pytest.mark.parametrize(
+        "query", ["every", "alpha OR beta OR gamma", "alpha AND every"]
+    )
+    def test_ranked_reads_as_many_blocks_as_boolean(self, tmp_path, query):
+        _memory, _frequencies, path = write_corpus(
+            tmp_path, regression_docs(), 2
+        )
+        with MmapPostingsReader(path) as reader:
+            engine = DaatQueryEngine(reader)
+            engine.search(query)
+            boolean = reader.blocks_read
+            engine.search_bm25(query)
+            assert reader.blocks_read - boolean == boolean > 1
+
+
 class TestSharedEngine:
     QUERIES = [
         "alpha AND beta",
@@ -476,21 +537,26 @@ class TestTermProbes:
     def test_one_lexicon_probe_per_distinct_expanded_term(self, tmp_path):
         """An And probes a term once however often it occurs; a ranked
         query probes each scoring term once, not once to score and once
-        to evaluate."""
+        to evaluate; a prefix's lexicon range supplies its terms' entries
+        (``alpha`` and ``alpine`` here), so only ``zzz`` is probed; and
+        no prefix query walks the whole lexicon."""
         docs = {"a.txt": ["alpha", "beta"], "b.txt": ["alpine", "every"]}
         _memory, _frequencies, path = write_corpus(tmp_path, docs, 2)
         with MmapPostingsReader(path) as reader:
             engine = DaatQueryEngine(reader)
-            probes = []
-            probe = reader.term_info
+            probes, walks = [], []
+            probe, walk = reader.term_info, reader.terms
             reader.term_info = lambda term: probes.append(term) or probe(term)
+            reader.terms = lambda: walks.append(1) or walk()
             engine.search_ast(
                 parse_query("alpha AND (alpha OR beta) AND NOT beta")
             )
             assert sorted(probes) == ["alpha", "beta"]
             probes.clear()
             engine.search_bm25("al* AND alpha OR zzz")
-            assert sorted(probes) == ["alpha", "alpine", "zzz"]
+            assert sorted(probes) == ["zzz"]
+            assert engine.search("al* OR ev*") == ["a.txt", "b.txt"]
+            assert walks == []
 
 
 class TestNestedPhraseRefusal:

@@ -49,6 +49,7 @@ from repro.index.binfmt import (
     read_ridx2_docs,
 )
 from repro.query.ranking import FrequencyIndex
+from repro.query.wildcard import PrefixDictionary
 from repro.text.termblock import TermBlock
 
 
@@ -361,6 +362,25 @@ class TestMmapPostingsReader:
             terms = list(reader.terms())
             assert terms == sorted(terms)
             assert "apple" in terms
+
+    def test_expand_is_the_prefix_dictionary_range(self, tmp_path):
+        """The lexicon range walk answers what a ``PrefixDictionary`` of
+        every term does, at every limit, and its entries are
+        ``term_info``'s."""
+        words = "ab abc abd b ba bé bz béz c ca caé 日本 日本語".split()
+        index, frequencies = build_index({"x.txt": words, "y.txt": words[::3]})
+        path = str(tmp_path / "words.ridx2")
+        save_index(index, path, format="ridx2", frequencies=frequencies)
+        with MmapPostingsReader(path) as reader:
+            dictionary = PrefixDictionary(reader.terms())
+            for prefix in ["a", "ab", "abz", "b", "bé", "c", "日", "z", "\x00"]:
+                for limit in (1, 2, 1000):
+                    into = {}
+                    terms = reader.expand(prefix, limit, into=into)
+                    assert terms == dictionary.expand(prefix, limit)
+                    assert into == {t: reader.term_info(t) for t in terms}
+            with pytest.raises(ValueError, match="empty prefix"):
+                reader.expand("")
 
     def test_lookup_matches_in_memory(self, fruit_file, fruit_docs):
         index, _ = build_index(fruit_docs)
