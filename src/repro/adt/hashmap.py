@@ -15,7 +15,6 @@ from typing import (
     Generic,
     Iterator,
     List,
-    Mapping,
     Optional,
     Tuple,
     TypeVar,
@@ -50,27 +49,6 @@ class FnvHashMap(Generic[V]):
         if items is not None:
             for key, value in items:
                 self[key] = value
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[Key, V]) -> "FnvHashMap[V]":
-        """The map inserting ``mapping``'s items one by one builds, at once.
-
-        Key-by-key insertion ends at the smallest ``16 * 2**k`` buckets
-        holding every entry, and a doubling keeps the order of entries
-        sharing a bucket; so the table is allocated at that size and
-        filled in ``mapping``'s order: the same ``_buckets``, no growth.
-        """
-        count = _INITIAL_BUCKETS
-        while count < len(mapping):
-            count *= 2
-        buckets: List[List[Tuple[int, Key, V]]] = [[] for _ in range(count)]
-        for key, value in mapping.items():
-            h = fnv1a_interned(key)
-            buckets[h % count].append((h, key, value))
-        built = cls()
-        built._buckets = buckets
-        built._size = len(mapping)
-        return built
 
     def __len__(self) -> int:
         return self._size
@@ -120,8 +98,7 @@ class FnvHashMap(Generic[V]):
     def get(self, key: Key, default: Optional[V] = None) -> Optional[V]:
         """Value for ``key``, or ``default`` when absent.
 
-        One hash, one probe, and a miss raises nothing: most probes of
-        a delta segment in a multi-segment manifest are misses.
+        One hash, one probe, and a miss raises nothing.
         """
         h = fnv1a_interned(key)
         buckets = self._buckets

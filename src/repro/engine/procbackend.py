@@ -16,10 +16,10 @@ onto processes:
 3. the parent joins the blobs in batch order, never completion order:
    with ``z = 1`` in one bulk pass
    (:func:`repro.index.binfmt.join_wire_replicas`: one decode per
-   blob, native lists, one FNV map build) that also yields the build's
-   documents and posting count; with ``z > 1`` the replicas are
-   materialized and merged by the existing pairwise reduction tree
-   with ``z`` threads per level.
+   blob, native lists that become the index) that also yields the
+   build's documents and posting count; with ``z > 1`` each blob is
+   folded into an FNV-grown replica and the replicas are merged by the
+   paper's pairwise reduction tree with ``z`` threads per level.
 
 Workers and parent exchange only picklable data — file-path batches and
 extractor specs in, wire bytes out — so the backend works under
@@ -83,7 +83,7 @@ from repro.extract.split import SplitJoiner, expand_file_refs
 from repro.obs import recorder as obsrec
 from repro.obs.spans import rebase_spans
 from repro.fsmodel.nodes import ChunkRef, FileRef
-from repro.index.binfmt import join_wire_replicas, load_index_wire
+from repro.index.binfmt import join_wire_replicas, merge_wire_replica
 from repro.index.fingerprint import FingerprintMap, unhashed_fingerprint
 from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_pairwise_tree
@@ -346,9 +346,11 @@ class ProcessReplicatedIndexer:
         with self._recorder.span("phase.join", joiners=config.joiners):
             if config.joiners == 1:
                 return join_wire_replicas(blobs, blocks)
+            replicas = [InvertedIndex() for _ in blobs]  # FNV-grown
+            for replica, blob in zip(replicas, blobs):
+                merge_wire_replica(replica, blob)
             index = join_pairwise_tree(
-                [load_index_wire(blob) for blob in blobs],
-                threads_per_level=config.joiners,
+                replicas, threads_per_level=config.joiners
             )
             for block in blocks:
                 index.add_block(block)

@@ -8,8 +8,8 @@ Two variants, matching the paper's narrative:
   linear (term, file) duplicate search the paper's analysis condemns;
 * ``naive=False`` — the en-bloc pipeline and the product's build: a
   native dict de-duplicates each file, native lists collect postings,
-  and the FNV index is built once (:meth:`InvertedIndex.from_postings`)
-  — bucket for bucket Implementation 1 ``(1, 0, 0)``'s index.
+  and that dict becomes the index (:meth:`InvertedIndex.from_postings`)
+  — Implementation 1 ``(1, 0, 0)``'s postings, with no FNV map built.
 
 Timing is span-based like the threaded engines: one
 ``phase.extract`` / ``phase.update`` span pair per file on a per-build
@@ -135,7 +135,6 @@ class SequentialIndexer:
                 posting_count = index.posting_count
             else:
                 with rec.span("phase.update"):
-                    # Counted off the native lists, not the FNV map.
                     posting_count = sum(map(len, postings.values()))
                     index = InvertedIndex.from_postings(
                         postings, len(fingerprints)

@@ -93,10 +93,11 @@ _interned: Dict[str, int] = {}
 def fnv1a_interned(data: HashInput) -> int:
     """:func:`fnv1a_64` of ``data``, evaluated once per distinct ``str``.
 
-    A term occurs about twenty times in a corpus for every time it is
-    new, and the byte loop above is the dearest step of de-duplication
-    and index update, so the result is remembered in a bounded table
-    that is cleared when full.  Anything that is not a ``str`` is hashed
+    Only the reproduction hashes (the product keeps native dicts), and
+    there a term occurs about twenty times for every time it is new:
+    the byte loop above is the dearest step of its de-duplication and
+    index update, so the result is remembered in a bounded table that
+    is cleared when full.  Anything that is not a ``str`` is hashed
     directly.  The table never decides an order or a bucket: those come
     from the returned value alone, which is bit-identical to the spec's.
 

@@ -1,8 +1,9 @@
 """The inverted index (stage 3) and its merge operations.
 
 An :class:`InvertedIndex` maps each term to the postings list of files
-containing it, stored in an FNV-hashed hash map as in the paper's C++
-implementation.  Two update paths exist:
+containing it, grown in an FNV-hashed hash map as in the paper's C++
+implementation (the product's, assembled at once, is a read-only
+``dict``).  Two update paths exist:
 
 * :meth:`InvertedIndex.add_block` — the en-bloc path the paper adopts:
   a file's de-duplicated term block is appended in one call, no

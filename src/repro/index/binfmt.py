@@ -381,11 +381,11 @@ def join_wire_replicas(
     least one posting, in join order, and the number of postings.  Each
     blob is decoded once, its doc ids resolved to paths with one
     ``map``, and every term's paths sliced into a native dict (a later
-    replica extends the list the first one left); the FNV map is built
-    once, by :meth:`InvertedIndex.from_postings`.  Terms enter the dict
-    in the order :func:`merge_wire_replica` folds them key by key, and
-    the blocks' in the order :meth:`InvertedIndex.add_block` adds them,
-    so the index is bucket for bucket the one that fold builds.
+    replica extends the list the first one left), which becomes the
+    index (:meth:`InvertedIndex.from_postings`).  Each term's paths are
+    in the order the key-by-key fold (:func:`merge_wire_replica`, then
+    :meth:`InvertedIndex.add_block`) appends them; terms iterate in
+    first-seen order, where the fold's FNV map iterates in bucket order.
     """
     postings: Dict[str, List[str]] = {}
     get = postings.get

@@ -1,10 +1,12 @@
 """The inverted index.
 
 Maps term -> :class:`~repro.index.postings.PostingsList` inside an
-:class:`~repro.adt.FnvHashMap`.  The index itself is *not* thread-safe;
-concurrency policy (a shared lock, replication, buffering) is exactly
-what the three implementations in :mod:`repro.engine` differ in, so it
-is layered on top rather than baked in.
+:class:`~repro.adt.FnvHashMap` when grown key by key (the reproduction),
+or inside the read-only ``dict`` the product assembled it in
+(:meth:`InvertedIndex.from_postings`).  The index itself is *not*
+thread-safe; concurrency policy (a shared lock, replication, buffering)
+is exactly what the three implementations in :mod:`repro.engine` differ
+in, so it is layered on top rather than baked in.
 """
 
 from __future__ import annotations
@@ -20,25 +22,26 @@ class InvertedIndex:
     """Term -> postings mapping with en-bloc and naive update paths."""
 
     def __init__(self) -> None:
-        self._map: FnvHashMap[PostingsList] = FnvHashMap()
+        self._map: MutableMapping[str, PostingsList] = FnvHashMap()
         self._block_count = 0
 
     @classmethod
     def from_postings(
         cls, postings: MutableMapping[str, List[str]], block_count: int = 0
     ) -> "InvertedIndex":
-        """The index holding ``postings``, assembled in one pass.
+        """The index holding ``postings``, assembled at once.
 
-        The product's stage 3 (builds, refresh deltas, merges, loaders).
-        The lists are adopted, not copied, so the caller stops using
-        ``postings``; the map is bucket for bucket the one
-        :meth:`add_block` grows from the same terms in the same order.
+        The product's stage 3 (builds, refresh deltas, joins, merges,
+        loaders).  The lists are adopted and the dict becomes the map:
+        nothing is copied or hashed with FNV, so the caller stops using
+        ``postings``.  Read-only: the update paths below belong to an
+        index grown key by key from ``InvertedIndex()``.
         """
         adopt = PostingsList.adopt
         for term, paths in postings.items():
             postings[term] = adopt(paths)
-        index = cls()
-        index._map = FnvHashMap.from_mapping(postings)
+        index = cls.__new__(cls)
+        index._map = postings
         index._block_count = block_count
         return index
 
@@ -88,11 +91,11 @@ class InvertedIndex:
         return len(self._map)
 
     def terms(self) -> Iterator[str]:
-        """All distinct terms (bucket order)."""
+        """All distinct terms, in map order (FNV buckets or insertion)."""
         return self._map.keys()
 
     def items(self) -> Iterator[Tuple[str, PostingsList]]:
-        """All (term, postings) pairs (bucket order)."""
+        """All (term, postings) pairs, in map order."""
         return self._map.items()
 
     @property
@@ -123,12 +126,7 @@ class InvertedIndex:
         return sub
 
     def copy(self) -> "InvertedIndex":
-        """A deep copy: fresh postings lists, shared (immutable) strings.
-
-        Snapshot isolation rests on this: the service layer publishes a
-        copy and mutates only the original (or vice versa), so readers
-        of a published snapshot can never observe a half-applied update.
-        """
+        """A deep, read-only copy: fresh postings lists, shared strings."""
         postings = {term: paths.paths() for term, paths in self.items()}
         return InvertedIndex.from_postings(postings, self._block_count)
 

@@ -276,28 +276,33 @@ def _resolve_owners(
 
 
 def merge_postings(
-    sources: Sequence, owner: Mapping[str, int]
+    sources: Sequence, dead: Sequence[set], block_count: int
 ) -> InvertedIndex:
     """The one merge: newest-wins over ``sources`` (oldest→newest).
 
-    Each source yields a segment's ``(term, paths)`` pairs and
-    ``owner`` maps every live path to the position of the source that
-    holds its newest revision (:func:`_resolve_owners`).  Postings-wise:
-    a source's postings are filtered down to the paths it owns,
-    concatenated per term and sorted, so a document's terms are never
-    regrouped and no posting is inserted twice.  Serves
-    :meth:`SegmentManifest.materialize` and every compaction group,
-    in-process or in a pool worker.  The inputs are only read.
+    Each source yields a segment's ``(term, paths)`` pairs and ``dead``
+    holds, per source, the paths a newer source or a tombstone shadows
+    (:func:`_resolve_owners`).  Postings-wise, by
+    :meth:`SegmentManifest.lookup`'s rule: a source's lists are taken
+    whole, or filtered in C by its dead set, then concatenated per term
+    and sorted, so a document's terms are never regrouped and no
+    posting is inserted twice.  Serves :meth:`SegmentManifest.materialize`
+    and every compaction group, in-process or in a pool worker.  The
+    inputs are only read.
     """
     merged: Dict[str, List[str]] = {}
-    for position, postings in enumerate(sources):
+    setdefault = merged.setdefault
+    for postings, shadowed in zip(sources, dead):
+        drop = shadowed.__contains__
         for term, paths in postings:
-            kept = [p for p in paths if owner.get(p) == position]
+            kept = list(filterfalse(drop, paths)) if shadowed else list(paths)
             if kept:
-                merged.setdefault(term, []).extend(kept)
+                held = setdefault(term, kept)
+                if held is not kept:
+                    held += kept
     for paths in merged.values():
         paths.sort()
-    return InvertedIndex.from_postings(merged, len(owner))
+    return InvertedIndex.from_postings(merged, block_count)
 
 
 # -- the manifest -------------------------------------------------------------
@@ -448,9 +453,8 @@ class SegmentManifest:
 
     def materialize(self) -> InvertedIndex:
         """Flatten the live view into one fresh :class:`InvertedIndex`."""
-        return merge_postings(
-            [segment.postings() for segment in self.segments], self._owner
-        )
+        postings = [segment.postings() for segment in self.segments]
+        return merge_postings(postings, self._dead, len(self._owner))
 
     def to_ridx2(self) -> bytes:
         """Canonical RIDX2 bytes of the live view.
@@ -516,16 +520,16 @@ class CompactionPolicy:
 def merge_segment_payload(payload) -> bytes:
     """Merge one compaction group in a pool worker; RWIRE1 in and out.
 
-    ``payload`` is picklable plain data — ``(wires, owner)``: the
-    group's segment indexes oldest→newest as RWIRE1 bytes, and the
-    group's ownership map.  The worker runs the same
+    ``payload`` is picklable plain data — ``(wires, dead, live)``: the
+    group's segment indexes oldest→newest as RWIRE1 bytes, their dead
+    sets, and the group's live path count.  The worker runs the same
     :func:`merge_postings` the parent would, so the in-parent fallback
     is result-identical.  Must stay a module-level function of plain
     data.
     """
-    wires, owner = payload
+    wires, dead, live = payload
     return dump_index_wire(
-        merge_postings([load_index_wire(w).items() for w in wires], owner)
+        merge_postings([load_index_wire(w).items() for w in wires], dead, live)
     )
 
 
@@ -564,7 +568,9 @@ def compact_manifest(
                 segments[i : i + policy.fanin]
                 for i in range(0, len(segments), policy.fanin)
             ] or [[]]
-            owners = [_resolve_owners(g, tombstones)[0] for g in groups]
+            owners, deads = zip(
+                *(_resolve_owners(g, tombstones) for g in groups)
+            )
             with obsrec.span(
                 "compaction.round", round=rounds, groups=len(groups)
             ):
@@ -572,15 +578,15 @@ def compact_manifest(
                     blobs = executor.run(
                         merge_segment_payload,
                         [
-                            ([dump_index_wire(s.index) for s in g], owner)
-                            for g, owner in zip(groups, owners)
+                            ([dump_index_wire(s.index) for s in g], d, len(o))
+                            for g, o, d in zip(groups, owners, deads)
                         ],
                     )
                     products = [load_index_wire(blob) for blob in blobs]
                 else:
                     products = [
-                        merge_postings([s.postings() for s in g], owner)
-                        for g, owner in zip(groups, owners)
+                        merge_postings([s.postings() for s in g], d, len(o))
+                        for g, o, d in zip(groups, owners, deads)
                     ]
             if obsrec.enabled():
                 # Only the counter reads it: not walked otherwise.

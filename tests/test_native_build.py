@@ -1,12 +1,14 @@
 """The product build in native containers equals the reproduction's FNV one.
 
 ``Search.build`` without a config de-duplicates each file with a native
-dict, collects postings in a dict of lists and builds the FNV index
-once at the end (``InvertedIndex.from_postings``).  Implementation 1
-``(1, 0, 0)`` does the same work with ``FnvHashSet`` and key-by-key
-``FnvHashMap`` updates.  Everything observable must agree: the RWIRE1
-bytes (bucket order, block count), the documents, and the files a
-skip-policy build drops, stage for stage.
+dict, collects postings in a dict of lists and keeps that dict as the
+index (``InvertedIndex.from_postings``).  Implementation 1 ``(1, 0, 0)``
+does the same work with ``FnvHashSet`` and key-by-key ``FnvHashMap``
+updates.  Everything observable must agree — the RIDX1 and RIDX2 bytes,
+each term's paths in postings order, the documents, and the files a
+skip-policy build drops, stage for stage — except the order the terms
+iterate in: FNV buckets in the reproduction, insertion order in the
+product (:func:`assert_same_content`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from repro.engine import (
 )
 from repro.extract import AsciiExtractor, CodeExtractor, TsvExtractor
 from repro.fsmodel import FaultInjectingFileSystem, FaultSpec, VirtualFileSystem
-from repro.index.binfmt import dump_index_wire
+from repro.index.binfmt import (
+    dump_index_bytes,
+    dump_index_ridx2,
+    dump_index_wire,
+    load_index_wire,
+)
+from repro.index.inverted import InvertedIndex
 from repro.text.tokenizer import Tokenizer
 
 EXTRACTORS = {
@@ -68,6 +76,18 @@ def filesystem(files):
     return fs
 
 
+def assert_same_content(index, oracle):
+    """``index`` holds ``oracle``'s postings: byte-equal RIDX1 and RIDX2,
+    the same block count, and every term's paths in the same order.
+    Only the order the terms iterate in may differ."""
+    assert dump_index_bytes(index) == dump_index_bytes(oracle)
+    assert dump_index_ridx2(index) == dump_index_ridx2(oracle)
+    assert index.block_count == oracle.block_count
+    assert {t: p.paths() for t, p in index.items()} == {
+        t: p.paths() for t, p in oracle.items()
+    }
+
+
 def implementation_1(fs, **kwargs):
     return Search.build(
         fs,
@@ -85,7 +105,9 @@ class TestProductBuildEqualsImplementation1:
         fs = filesystem(files)
         product = Search.build(fs, extractor=EXTRACTORS[name](), cache=0)
         fnv = implementation_1(fs, extractor=EXTRACTORS[name]())
-        assert dump_index_wire(product.index) == dump_index_wire(fnv.index)
+        assert_same_content(product.index, fnv.index)
+        wire = dump_index_wire(product.index)
+        assert dump_index_wire(load_index_wire(wire)) == wire
         documents = product._segmented.manifest.segments[0].doc_paths()
         assert documents == fnv._segmented.manifest.segments[0].doc_paths()
         assert sorted(product.report.documents) == documents
@@ -150,7 +172,7 @@ class TestSkipPolicyFailures:
         fnv = implementation_1(fs, extractor=FaultyExtractor(), fault=skip)
         assert self.failures(product.report) == self.EXPECTED
         assert self.failures(fnv.report) == self.EXPECTED
-        assert dump_index_wire(product.index) == dump_index_wire(fnv.index)
+        assert_same_content(product.index, fnv.index)
         assert product.report.documents == ["a.txt", "z.txt"]
         assert sorted(product.report.fingerprints) == ["a.txt", "z.txt"]
 
@@ -178,11 +200,11 @@ class TestReproductionKeepsFnvContainers:
             calls["add_all"] += 1
             return add_all(self, elements)
 
-        def refuse(cls, mapping):
-            raise AssertionError("the reproduction built a map in one pass")
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("the reproduction assembled an index at once")
 
         monkeypatch.setattr(FnvHashSet, "add_all", counting_add_all)
-        monkeypatch.setattr(FnvHashMap, "from_mapping", classmethod(refuse))
+        monkeypatch.setattr(InvertedIndex, "from_postings", classmethod(refuse))
         return calls
 
     @pytest.fixture
@@ -200,11 +222,15 @@ class TestReproductionKeepsFnvContainers:
         ],
     )
     def test_threaded_engines(self, containers, fs, implementation, config):
-        IndexGenerator(fs).build(implementation, config)
+        index = IndexGenerator(fs).build(implementation, config).index
         assert containers["add_all"] == 4
+        for replica in getattr(index, "replicas", [index]):
+            assert isinstance(replica._map, FnvHashMap)
 
     def test_naive_sequential(self, containers, fs):
-        assert SequentialIndexer(fs, naive=True).build().term_count == 3
+        report = SequentialIndexer(fs, naive=True).build()
+        assert report.term_count == 3
+        assert isinstance(report.index._map, FnvHashMap)
 
     def test_table1_stage_times(self, containers, fs):
         measure_stage_times(fs)

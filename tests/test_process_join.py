@@ -31,6 +31,7 @@ from repro.index.binfmt import (
     merge_wire_replica,
 )
 from repro.index.inverted import InvertedIndex
+from tests.test_native_build import assert_same_content
 
 PROCESS = ThreadConfig(2, 0, 1, backend="process")
 
@@ -122,8 +123,8 @@ class TestProductBuild:
         assert {"docs/huge.txt", "huge2.txt"} <= set(session.report.documents)
 
 
-def batch_order_wire(fs):
-    """RWIRE1 of the two round-robin replicas folded in batch order."""
+def batch_order_fold(fs):
+    """The two round-robin replicas folded key by key in batch order."""
     files = list(fs.list_files())
     spec = FilesystemSpec.from_filesystem(fs)
     extractor = AsciiExtractor().spec()
@@ -132,7 +133,7 @@ def batch_order_wire(fs):
         paths = tuple(ref.path for ref in assignment)
         batch = WorkerBatch(fs=spec, paths=paths, extractor=extractor)
         merge_wire_replica(index, build_replica(batch).replica)
-    return dump_index_wire(index)
+    return index
 
 
 class TestBatchOrder:
@@ -153,9 +154,10 @@ class TestBatchOrder:
         undelayed = ProcessReplicatedIndexer(fs).build(PROCESS)
         report = ProcessReplicatedIndexer(delayed).build(PROCESS)
         assert report.failures == [] and report.retries == 0
-        expected = batch_order_wire(fs)
-        assert dump_index_wire(undelayed.index) == expected
-        assert dump_index_wire(report.index) == expected
+        assert_same_content(undelayed.index, batch_order_fold(fs))
+        assert dump_index_wire(report.index) == dump_index_wire(
+            undelayed.index
+        )
         assert dump_index_ridx2(report.index) == dump_index_ridx2(
             undelayed.index
         )

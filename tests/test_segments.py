@@ -365,7 +365,7 @@ class TestCompaction:
         monkeypatch.setattr(pb.multiprocessing, "get_context", broken)
         executor = CompactionExecutor(max_workers=2, oversubscribe=True)
         payloads = [
-            ([dump_index_wire(seg(0, {path: [term]}).index)], {path: 0})
+            ([dump_index_wire(seg(0, {path: [term]}).index)], [set()], 1)
             for path, term in (("a.txt", "cat"), ("b.txt", "dog"))
         ]
         blobs = executor.run(merge_segment_payload, payloads)

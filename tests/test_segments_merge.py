@@ -23,7 +23,10 @@ from repro.index.segments import (
     CompactionPolicy,
     MemorySegment,
     SegmentManifest,
+    _resolve_owners,
     compact_manifest,
+    merge_postings,
+    merge_segment_payload,
 )
 from repro.text.termblock import TermBlock
 
@@ -135,3 +138,54 @@ def test_compaction_equals_the_docwise_merge_on_the_pool(
     stack, tombstones, fanin
 ):
     check_compaction(stack, tombstones, fanin)
+
+
+class TestDeadSets:
+    """:func:`merge_postings` filters each source by its dead set: a
+    source with none contributes its lists whole, one whose every path
+    is dead contributes nothing.  The pool's payload carries the same
+    dead sets, so its product is the in-process one to the byte."""
+
+    def merged(self, segments, tombstones=()):
+        owner, dead = _resolve_owners(segments, tombstones)
+        merged = merge_postings(
+            [s.postings() for s in segments], dead, len(owner)
+        )
+        wires = [dump_index_wire(s.index) for s in segments]
+        pooled = merge_segment_payload((wires, dead, len(owner)))
+        assert pooled == dump_index_wire(merged)
+        oracle = docwise_merge(segments, tombstones)
+        assert merged == oracle
+        assert dump_index_ridx2(merged) == dump_index_ridx2(oracle)
+        assert merged.block_count == len(owner)
+        return merged, dead
+
+    def test_source_with_no_dead_path_contributes_whole(self):
+        segments = sealed([{"doc0.txt": ["a", "b"], "doc1.txt": ["b"]}])
+        merged, dead = self.merged(segments)
+        assert dead == [set()]
+        assert merged.lookup("b") == ["doc0.txt", "doc1.txt"]
+
+    def test_source_whose_every_path_is_dead(self):
+        segments = sealed(
+            [
+                {"doc0.txt": ["a", "b"], "doc1.txt": ["b"]},
+                {"doc1.txt": ["c"], "doc2.txt": ["a"]},
+            ]
+        )
+        merged, dead = self.merged(segments, tombstones={"doc0.txt"})
+        assert dead == [{"doc0.txt", "doc1.txt"}, set()]
+        assert "b" not in merged
+        assert merged.lookup("a") == ["doc2.txt"]
+        assert merged.lookup("c") == ["doc1.txt"]
+
+    def test_tombstone_only_manifest(self):
+        segments = sealed([{"doc0.txt": ["a"], "doc1.txt": ["a", "b"]}])
+        manifest = SegmentManifest(segments, {"doc1.txt"})
+        merged, dead = self.merged(segments, manifest.tombstones)
+        assert dead == [{"doc1.txt"}]
+        assert list(merged.items()) == list(manifest.materialize().items())
+        assert merged.lookup("a") == ["doc0.txt"] and "b" not in merged
+        compacted = compact_manifest(manifest)
+        assert compacted.segment_count == 1 and not compacted.tombstones
+        assert compacted.to_ridx2() == dump_index_ridx2(merged)

@@ -18,11 +18,12 @@ from repro.index import (
 )
 from repro.index.binfmt import (
     WIRE_MAGIC,
+    _unpack_wire,
     dump_index_bytes,
-    dump_index_ridx2,
     join_wire_replicas,
 )
 from repro.text import TermBlock, Tokenizer
+from tests.test_native_build import assert_same_content
 
 terms_strategy = st.lists(
     st.text(alphabet=string.ascii_lowercase + string.digits,
@@ -56,9 +57,11 @@ def _fold(blobs, blocks=()):
 
 
 def _load(blob):
-    """``load_index_wire``, checked to the byte against the fold."""
+    """``load_index_wire``, checked against the fold: the same content,
+    and the terms in the blob's order, not the fold's FNV buckets."""
     loaded = load_index_wire(blob)
-    assert dump_index_wire(loaded) == dump_index_wire(_fold([blob]))
+    assert_same_content(loaded, _fold([blob]))
+    assert list(loaded.terms()) == _unpack_wire(blob)[2]
     return loaded
 
 
@@ -185,7 +188,7 @@ class TestReplicaBuilder:
         builder = ReplicaBuilder()
         for path, terms in blocks.items():
             builder.add_scan(path, terms)
-        assert builder.to_index() == _index_of(blocks)
+        assert_same_content(builder.to_index(), _index_of(blocks))
         assert dump_index_wire(builder.to_index()) == dump_index_wire(
             _load(builder.to_bytes())
         )
@@ -241,8 +244,7 @@ class TestJoinWireReplicas:
         ]
         index, documents, posting_count = join_wire_replicas(blobs, blocks)
         oracle = _fold(blobs, blocks)
-        assert dump_index_wire(index) == dump_index_wire(oracle)
-        assert dump_index_ridx2(index) == dump_index_ridx2(oracle)
+        assert_same_content(index, oracle)
         with_postings = {path for _, paths in oracle.items() for path in paths}
         assert len(documents) == len(set(documents))
         assert set(documents) == with_postings
