@@ -200,6 +200,7 @@ class Search:
             extractor=extractor,
             root=root,
             segment_dir=segment_dir,
+            on_error=fault.on_error,
         )
         if config is None:
             report = SequentialIndexer(
@@ -374,6 +375,10 @@ class Search:
         observes a half-applied delta and a crashed refresh replays
         cleanly.  A session opened from disk reconciles on first
         refresh: the saved index is diffed against the live filesystem.
+        Files are read under the error policy :meth:`build` was given
+        (strict after :meth:`open`): under ``"skip"`` a file that fails
+        is left out, as a rebuild would leave it, and reported on
+        ``ChangeReport.failures``.
         """
         self._require_fs("refresh")
         with self._write_lock:

@@ -25,16 +25,13 @@ from repro.concurrency.provider import SyncProvider, ThreadingSyncProvider
 from repro.distribute.base import DistributionStrategy
 from repro.distribute.roundrobin import RoundRobinStrategy
 from repro.engine.config import Implementation, ThreadConfig
-from repro.engine.faults import ERROR_POLICIES, FileFailure
+from repro.engine.faults import FileFailure, check_on_error
 from repro.engine.results import BuildReport, StageTimings, build_metrics
+from repro.engine.stage2 import read_chunk_terms, read_file_terms
 from repro.extract.registry import resolve_extractor
-from repro.extract.split import SplitJoiner, expand_file_refs, read_chunk
+from repro.extract.split import SplitJoiner, expand_file_refs
 from repro.fsmodel.nodes import ChunkRef, FileRef
-from repro.index.fingerprint import (
-    FingerprintMap,
-    read_fingerprinted,
-    unhashed_fingerprint,
-)
+from repro.index.fingerprint import FingerprintMap
 from repro.obs import recorder as obsrec
 from repro.text.dedup import dedup_terms
 from repro.text.termblock import TermBlock
@@ -92,12 +89,11 @@ class ThreadedIndexerBase:
         # Per-file error policy: "strict" lets the first file error
         # abort the build; "skip" drops the file and records a
         # FileFailure (see repro.engine.faults).
-        if on_error not in ERROR_POLICIES:
-            raise ValueError(
-                f"on_error must be one of {ERROR_POLICIES}, got {on_error!r}"
-            )
-        self.on_error = on_error
+        self.on_error = check_on_error(on_error)
         self.last_failures: List[FileFailure] = []
+        # The stage-2 ladders' failure list: last_failures under
+        # "skip", None (errors propagate) under "strict".
+        self._skipped: Optional[List[FileFailure]] = None
         # Fingerprints of the files the current build has indexed, set
         # by the extractor threads (a dict store is atomic under the
         # GIL and every path is one thread's); reset at each build().
@@ -117,6 +113,7 @@ class ThreadedIndexerBase:
         """Run the full pipeline under ``config`` and report the result."""
         config.validate_for(self.implementation)
         self.last_failures = []
+        self._skipped = self.last_failures if self.on_error == "skip" else None
         self._fingerprints = {}
         rec = self._recorder = obsrec.Recorder()
 
@@ -172,10 +169,13 @@ class ThreadedIndexerBase:
     def _extract_file(self, ref: FileRef) -> Optional[TermBlock]:
         """Stage 2 for one file (or one chunk of a split file), with an
         ``extract.file`` / ``extract.chunk`` detail span when tracing is
-        enabled (one branch when it is not)."""
+        enabled (one branch when it is not).  ``None`` when there is no
+        block to hand on: the file was skipped under ``"skip"`` (see
+        :mod:`repro.engine.stage2`), or the chunk was not its file's
+        last."""
         if isinstance(ref, ChunkRef):
             if not obsrec.enabled():
-                return self._extract_chunk_inner(ref)
+                return self._extract_chunk(ref)
             with obsrec.span(
                 "extract.chunk",
                 path=ref.path,
@@ -183,102 +183,37 @@ class ThreadedIndexerBase:
                 end=ref.end,
                 index=ref.index,
             ):
-                return self._extract_chunk_inner(ref)
+                return self._extract_chunk(ref)
         if not obsrec.enabled():
-            return self._extract_file_inner(ref)
+            return self._extract_whole(ref)
         with obsrec.span("extract.file", path=ref.path, size=ref.size):
-            return self._extract_file_inner(ref)
+            return self._extract_whole(ref)
 
-    def _extract_file_inner(self, ref: FileRef) -> Optional[TermBlock]:
-        """Stage 2 for one file: read, prepare, scan, de-duplicate.
-
-        Under ``on_error="skip"`` a failing file is recorded in
-        ``self.last_failures`` and ``None`` is returned (the extractor
-        loop drops it); under ``"strict"`` the error propagates.
-        """
-        extractor = self.extractor
-        if self.on_error != "skip":
-            # Strict: any error aborts the build, report and all.
-            content, self._fingerprints[ref.path] = read_fingerprinted(
-                self.fs, ref.path, ref.stamp
-            )
-            return TermBlock(
-                path=ref.path,
-                terms=dedup_terms(
-                    extractor.tokenize(extractor.prepare(ref.path, content))
-                ),
-            )
-        try:
-            content, fingerprint = read_fingerprinted(
-                self.fs, ref.path, ref.stamp
-            )
-        except Exception as exc:
-            # list.append is atomic under the GIL, so extractor threads
-            # can record failures without a lock.
-            self.last_failures.append(
-                FileFailure.from_exception(ref.path, "read", exc)
-            )
+    def _extract_whole(self, ref: FileRef) -> Optional[TermBlock]:
+        # list.append is atomic under the GIL, so extractor threads
+        # record failures without a lock.
+        unit = read_file_terms(self.fs, ref, self.extractor, self._skipped)
+        if unit is None:
             return None
-        try:
-            content = extractor.prepare(ref.path, content)
-        except Exception as exc:
-            self.last_failures.append(
-                FileFailure.from_exception(ref.path, "extract", exc)
-            )
-            return None
-        try:
-            block = TermBlock(
-                path=ref.path, terms=dedup_terms(extractor.tokenize(content))
-            )
-        except Exception as exc:
-            self.last_failures.append(
-                FileFailure.from_exception(ref.path, "tokenize", exc)
-            )
-            return None
-        self._fingerprints[ref.path] = fingerprint
-        return block
+        terms, self._fingerprints[ref.path] = unit
+        return TermBlock(path=ref.path, terms=dedup_terms(terms))
 
-    def _extract_chunk_inner(self, ref: ChunkRef) -> Optional[TermBlock]:
-        """Stage 2 for one chunk of a split file.
-
-        Each chunk's terms land in the build's :class:`SplitJoiner`;
+    def _extract_chunk(self, ref: ChunkRef) -> Optional[TermBlock]:
+        """Each chunk's terms land in the build's :class:`SplitJoiner`;
         whichever worker delivers a file's *last* chunk receives the
-        unioned whole-file terms and returns the TermBlock (every other
-        chunk returns ``None``).  Which worker that is doesn't matter —
-        serialization canonicalizes block order.  Any chunk failure
-        under ``"skip"`` poisons the whole file (one FileFailure, no
-        block) so a document is never half-indexed.
-        """
-        extractor = self.extractor
-        if self.on_error != "skip":
-            data = read_chunk(
-                self.fs,
-                ref.path,
-                ref.file_size,
-                ref.start,
-                ref.end,
-                extractor.boundary_bytes,
-            )
-            terms = extractor.chunk_terms(data)
-        else:
-            try:
-                data = read_chunk(
-                    self.fs,
-                    ref.path,
-                    ref.file_size,
-                    ref.start,
-                    ref.end,
-                    extractor.boundary_bytes,
-                )
-            except Exception as exc:
-                self._record_chunk_failure(ref, "read", exc)
-                return None
-            try:
-                terms = extractor.chunk_terms(data)
-            except Exception as exc:
-                self._record_chunk_failure(ref, "tokenize", exc)
-                return None
+        unioned whole-file terms and returns the TermBlock.  Which
+        worker that is doesn't matter — serialization canonicalizes
+        block order.  A failed chunk under ``"skip"`` fails its whole
+        file, recorded once."""
+        failed: Optional[List[FileFailure]] = (
+            [] if self._skipped is not None else None
+        )
+        terms = read_chunk_terms(self.fs, ref, self.extractor, failed)
         with self._split_lock:
+            if terms is None:
+                if self._split_joiner.fail(ref.path, ref.count):
+                    self.last_failures.extend(failed)
+                return None
             whole = self._split_joiner.add(
                 ref.path, ref.index, ref.count, terms
             )
@@ -286,14 +221,6 @@ class ThreadedIndexerBase:
             return None
         self._fingerprints[ref.path] = self._split_fingerprints[ref.path]
         return TermBlock(path=ref.path, terms=dedup_terms(whole))
-
-    def _record_chunk_failure(self, ref: ChunkRef, stage: str, exc) -> None:
-        with self._split_lock:
-            first = self._split_joiner.fail(ref.path, ref.count)
-        if first:
-            self.last_failures.append(
-                FileFailure.from_exception(ref.path, stage, exc)
-            )
 
     def _run_extractors(
         self,
@@ -316,28 +243,16 @@ class ThreadedIndexerBase:
         Returns elapsed seconds.  Exceptions raised inside workers are
         re-raised here.
         """
-        if self.split_threshold is not None:
-            # Huge-file divide-and-conquer: oversized splittable files
-            # become ChunkRefs that distribute across workers like
-            # ordinary files, so one giant file no longer serializes
-            # the build tail.
-            expanded, split_paths = expand_file_refs(
-                self.fs, files, self.extractor, self.split_threshold
-            )
-            if split_paths:
-                self._split_joiner = SplitJoiner()
-                self._split_lock = self.sync.lock("split-joiner")
-                # The walk's stat, taken before any chunk was read.
-                split = set(split_paths)
-                self._split_fingerprints = {
-                    ref.path: unhashed_fingerprint(ref)
-                    for ref in files
-                    if ref.path in split
-                }
-                obsrec.metrics().counter("extract.files_split").inc(
-                    len(split_paths)
-                )
-            files = expanded
+        # Huge-file divide-and-conquer: oversized splittable files
+        # become ChunkRefs that distribute across workers like ordinary
+        # files, so one giant file no longer serializes the build tail.
+        files, split = expand_file_refs(
+            self.fs, files, self.extractor, self.split_threshold
+        )
+        if split:
+            self._split_joiner = SplitJoiner()
+            self._split_lock = self.sync.lock("split-joiner")
+            self._split_fingerprints = split
         errors: List[BaseException] = []
         worker = self._make_worker(config.extractors, files, sink, errors)
         self.last_extractor_times = [0.0] * config.extractors

@@ -9,7 +9,7 @@ those events:
 * :data:`ERROR_POLICIES` — the per-file error policies: ``"strict"``
   (any file error aborts the build, the original behaviour) and
   ``"skip"`` (drop the file, record a :class:`FileFailure`, keep
-  building);
+  building), checked by :func:`check_on_error`;
 * :class:`FileFailure` — one file the build could not index, as plain
   picklable data (it must cross the worker-process boundary);
 * :class:`FaultPolicy` — the knobs of the process backend's recovery
@@ -32,6 +32,15 @@ ERROR_POLICIES: Tuple[str, ...] = ("strict", "skip")
 # Stages a per-file failure can be attributed to.  "worker" marks files
 # lost to a crashed or hung worker process that also failed in-parent.
 FAILURE_STAGES: Tuple[str, ...] = ("read", "extract", "tokenize", "worker")
+
+
+def check_on_error(on_error: str) -> str:
+    """``on_error``, once it names one of :data:`ERROR_POLICIES`."""
+    if on_error not in ERROR_POLICIES:
+        raise ValueError(
+            f"on_error must be one of {ERROR_POLICIES}, got {on_error!r}"
+        )
+    return on_error
 
 
 class PoolUnavailableError(RuntimeError):
@@ -112,11 +121,7 @@ class FaultPolicy:
     retry_backoff: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.on_error not in ERROR_POLICIES:
-            raise ValueError(
-                f"on_error must be one of {ERROR_POLICIES}, "
-                f"got {self.on_error!r}"
-            )
+        check_on_error(self.on_error)
         if not isinstance(self.max_retries, int) or isinstance(
             self.max_retries, bool
         ):

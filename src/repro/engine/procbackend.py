@@ -21,9 +21,9 @@ onto processes:
    folded into an FNV-grown replica and the replicas are merged by the
    paper's pairwise reduction tree with ``z`` threads per level.
 
-Workers and parent exchange only picklable data — file-path batches and
-extractor specs in, wire bytes out — so the backend works under
-both ``fork`` and ``spawn`` start methods.
+Workers and parent exchange only picklable data — batches of the walk's
+``FileRef`` records and extractor specs in, wire bytes out — so the backend
+works under both ``fork`` and ``spawn`` start methods.
 
 Fault tolerance
 ---------------
@@ -84,7 +84,7 @@ from repro.obs import recorder as obsrec
 from repro.obs.spans import rebase_spans
 from repro.fsmodel.nodes import ChunkRef, FileRef
 from repro.index.binfmt import join_wire_replicas, merge_wire_replica
-from repro.index.fingerprint import FingerprintMap, unhashed_fingerprint
+from repro.index.fingerprint import FingerprintMap
 from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_pairwise_tree
 from repro.text.dedup import dedup_terms
@@ -141,15 +141,13 @@ class _Job:
         attempt + 1.  A single-file batch — and a chunk job, which is
         already one indivisible unit of one file — cannot split
         further and just re-enters the ladder."""
-        if isinstance(self.batch, ChunkBatch):
+        refs = () if isinstance(self.batch, ChunkBatch) else self.batch.refs
+        if len(refs) <= 1:
             return [_Job(self.batch, self.slot, self.attempt + 1)]
-        paths = self.batch.paths
-        if len(paths) <= 1:
-            return [_Job(self.batch, self.slot, self.attempt + 1)]
-        mid = len(paths) // 2
+        mid = len(refs) // 2
         return [
-            _Job(replace(self.batch, paths=paths[:mid]), self.slot, self.attempt + 1),
-            _Job(replace(self.batch, paths=paths[mid:]), self.slot, self.attempt + 1),
+            _Job(replace(self.batch, refs=refs[:mid]), self.slot, self.attempt + 1),
+            _Job(replace(self.batch, refs=refs[mid:]), self.slot, self.attempt + 1),
         ]
 
     @property
@@ -371,26 +369,12 @@ class ProcessReplicatedIndexer:
         # first path (a retried or split batch too), a split file's
         # block by the file, so completion order never reaches the index.
         position = {ref.path: i for i, ref in enumerate(files)}
-        split_fingerprints: FingerprintMap = {}
-        if self.split_threshold is not None:
-            # Huge-file divide-and-conquer: chunks of an oversized file
-            # distribute across worker slots like ordinary files, so
-            # one giant file no longer pins a single worker's tail.
-            expanded, split_paths = expand_file_refs(
-                self.fs, files, self.extractor, self.split_threshold
-            )
-            if split_paths:
-                obsrec.metrics().counter("extract.files_split").inc(
-                    len(split_paths)
-                )
-                # The walk's stat, taken before any chunk was read.
-                split = set(split_paths)
-                split_fingerprints = {
-                    ref.path: unhashed_fingerprint(ref)
-                    for ref in files
-                    if ref.path in split
-                }
-            files = expanded
+        # Huge-file divide-and-conquer: chunks of an oversized file
+        # distribute across worker slots like ordinary files, so one
+        # giant file no longer pins a single worker's tail.
+        files, split_fingerprints = expand_file_refs(
+            self.fs, files, self.extractor, self.split_threshold
+        )
         distribution = self.strategy.distribute(files, workers)
         fs_spec = FilesystemSpec.from_filesystem(self.fs)
         extractor_spec = self.extractor.spec()
@@ -410,7 +394,7 @@ class ProcessReplicatedIndexer:
                     _Job(
                         WorkerBatch(
                             fs=fs_spec,
-                            paths=tuple(ref.path for ref in whole),
+                            refs=tuple(whole),
                             extractor=extractor_spec,
                             on_error=policy.on_error,
                             trace=trace,
@@ -429,12 +413,7 @@ class ProcessReplicatedIndexer:
                     _Job(
                         ChunkBatch(
                             fs=fs_spec,
-                            path=ref.path,
-                            file_size=ref.file_size,
-                            start=ref.start,
-                            end=ref.end,
-                            index=ref.index,
-                            count=ref.count,
+                            ref=ref,
                             extractor=extractor_spec,
                             on_error=policy.on_error,
                             trace=trace,
@@ -472,30 +451,31 @@ class ProcessReplicatedIndexer:
 
         def collect(job: _Job, result) -> None:
             if isinstance(result, ChunkResult):
+                ref = job.batch.ref
                 self.last_extractor_times[job.slot] += result.elapsed
                 absorb_spans(job, result)
                 if result.failure is not None:
                     # One failed chunk poisons the whole file: exactly
                     # one FileFailure, and the joiner never releases a
                     # block for it (no half-indexed documents).
-                    if joiner.fail(result.path, result.count):
+                    if joiner.fail(ref.path, ref.count):
                         self.last_failures.append(result.failure)
                     return
                 whole_terms = joiner.add(
-                    result.path, result.index, result.count, result.terms
+                    ref.path, ref.index, ref.count, result.terms
                 )
                 if whole_terms is not None:
-                    blocks[position[result.path]] = TermBlock(
-                        path=result.path, terms=dedup_terms(whole_terms)
+                    blocks[position[ref.path]] = TermBlock(
+                        path=ref.path, terms=dedup_terms(whole_terms)
                     )
-                    self._succeeded_paths.add(result.path)
-                    self._fingerprints[result.path] = split_fingerprints[
-                        result.path
+                    self._succeeded_paths.add(ref.path)
+                    self._fingerprints[ref.path] = split_fingerprints[
+                        ref.path
                     ]
                 return
             # Only a result that reaches this line is merged, so a batch
             # the ladder re-runs contributes its fingerprints once.
-            blobs[position[job.batch.paths[0]]] = result.replica
+            blobs[position[job.batch.refs[0].path]] = result.replica
             self._fingerprints.update(result.fingerprints)
             self.last_extractor_times[job.slot] += result.elapsed
             self.last_failures.extend(result.failures)
@@ -503,7 +483,7 @@ class ProcessReplicatedIndexer:
             # after the ladder finishes to reconcile the failure list.
             failed = {failure.path for failure in result.failures}
             self._succeeded_paths.update(
-                path for path in job.batch.paths if path not in failed
+                ref.path for ref in job.batch.refs if ref.path not in failed
             )
             absorb_spans(job, result)
 

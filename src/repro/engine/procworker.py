@@ -7,7 +7,8 @@ they produce must come back as bytes.  This module is that boundary:
 * :class:`FilesystemSpec` — how a worker re-opens the corpus: by root
   path for the real filesystem (each process gets its own descriptors),
   or a by-value snapshot for in-memory filesystems (tests);
-* :class:`WorkerBatch` — one worker's job: filesystem + file paths +
+* :class:`WorkerBatch` — one worker's job: filesystem + the walk's
+  ``FileRef`` records (path, size, stamp) +
   :class:`~repro.extract.ExtractorSpec` (format registry included);
 * :func:`build_replica` — the worker body: read → (convert) → scan →
   dedup → private-replica update, returning the replica as RWIRE1 wire
@@ -44,10 +45,11 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.engine.faults import ERROR_POLICIES, FileFailure
+from repro.engine.faults import FileFailure, check_on_error
+from repro.engine.stage2 import read_chunk_terms, read_file_terms
 from repro.extract.base import ExtractorSpec
-from repro.extract.split import read_chunk
-from repro.index.fingerprint import Fingerprint, read_fingerprinted
+from repro.fsmodel.nodes import ChunkRef, FileRef
+from repro.index.fingerprint import Fingerprint
 from repro.index.replica import ReplicaBuilder
 from repro.obs.recorder import NULL_SPAN, Recorder
 from repro.obs.spans import SpanRecord, rebase_spans
@@ -103,14 +105,16 @@ class FilesystemSpec:
 class WorkerBatch:
     """Everything one worker process needs, as picklable data.
 
-    The extraction pipeline crosses the boundary as ``extractor`` (an
-    :class:`~repro.extract.ExtractorSpec`, its format registry pickled
-    by value; a registry that cannot be pickled fails fast in the
-    parent).
+    ``refs`` are the walk's ``FileRef`` records, so a worker
+    fingerprints each file under the stamp stage 1 took and stats
+    nothing itself.  The extraction pipeline crosses the boundary as
+    ``extractor`` (an :class:`~repro.extract.ExtractorSpec`, its format
+    registry pickled by value; a registry that cannot be pickled fails
+    fast in the parent).
     """
 
     fs: FilesystemSpec
-    paths: Tuple[str, ...]
+    refs: Tuple[FileRef, ...]
     extractor: ExtractorSpec
     # Per-file error policy: "strict" raises across the pool boundary
     # (the original behaviour); "skip" records a FileFailure instead.
@@ -121,11 +125,7 @@ class WorkerBatch:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.on_error not in ERROR_POLICIES:
-            raise ValueError(
-                f"on_error must be one of {ERROR_POLICIES}, "
-                f"got {self.on_error!r}"
-            )
+        check_on_error(self.on_error)
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,15 @@ class WorkerResult:
 
 
 def build_replica(batch: WorkerBatch) -> WorkerResult:
-    """The worker body: index ``batch.paths`` into a wire-format replica.
+    """The worker body: index ``batch.refs`` into a wire-format replica.
 
-    Runs read → (format conversion) → scan → dedup → replica update for
-    every file in the batch, entirely inside this process, and returns
-    the replica serialized as RWIRE1 bytes.  Must stay a module-level
-    function so the multiprocessing pool can pickle a reference to it.
+    Runs stage 2 (:func:`~repro.engine.stage2.read_file_terms`) and the
+    replica update for every file in the batch, entirely inside this
+    process, and returns the replica serialized as RWIRE1 bytes.  Must
+    stay a module-level function so the multiprocessing pool can pickle
+    a reference to it.
 
-    Under ``on_error="skip"`` every per-file exception is caught at its
-    stage (read / extract / tokenize) and returned as a
+    Under ``on_error="skip"`` a failing file comes back as a
     :class:`FileFailure` instead of crossing the pool boundary; the
     replica then covers exactly the surviving files.  Process-killing
     events (``os._exit``, signals) are not exceptions and are handled
@@ -168,61 +168,27 @@ def build_replica(batch: WorkerBatch) -> WorkerResult:
     with worker_span:
         fs = batch.fs.open()
         extractor = batch.extractor.build()
-        prepare = extractor.prepare
-        tokenize = extractor.tokenize
         builder = ReplicaBuilder()
         add_scan = builder.add_scan
         trace = batch.trace
         failures: List[FileFailure] = []
+        skipped = failures if batch.on_error == "skip" else None
         fingerprints: List[Tuple[str, Fingerprint]] = []
-        if batch.on_error == "skip":
-            for path in batch.paths:
-                file_span = (
-                    rec.span("extract.file", path=path) if trace else NULL_SPAN
-                )
-                with file_span:
-                    try:
-                        content, fingerprint = read_fingerprinted(fs, path)
-                    except Exception as exc:
-                        failures.append(
-                            FileFailure.from_exception(path, "read", exc)
-                        )
-                        continue
-                    try:
-                        content = prepare(path, content)
-                    except Exception as exc:
-                        failures.append(
-                            FileFailure.from_exception(path, "extract", exc)
-                        )
-                        continue
-                    try:
-                        # Materialized, not streamed: a tokenizer error
-                        # must not leave a half-indexed document in the
-                        # replica.
-                        terms = tokenize(content)
-                    except Exception as exc:
-                        failures.append(
-                            FileFailure.from_exception(path, "tokenize", exc)
-                        )
-                        continue
-                    add_scan(path, terms)
-                    fingerprints.append((path, fingerprint))
-        elif trace:
-            for path in batch.paths:
-                with rec.span("extract.file", path=path):
-                    content, fingerprint = read_fingerprinted(fs, path)
-                    add_scan(path, tokenize(prepare(path, content)))
-                    fingerprints.append((path, fingerprint))
-        else:
-            for path in batch.paths:
-                content, fingerprint = read_fingerprinted(fs, path)
-                add_scan(path, tokenize(prepare(path, content)))
-                fingerprints.append((path, fingerprint))
+        for ref in batch.refs:
+            file_span = (
+                rec.span("extract.file", path=ref.path) if trace else NULL_SPAN
+            )
+            with file_span:
+                unit = read_file_terms(fs, ref, extractor, skipped)
+                if unit is not None:
+                    terms, fingerprint = unit
+                    add_scan(ref.path, terms)
+                    fingerprints.append((ref.path, fingerprint))
         blob = builder.to_bytes()
     return WorkerResult(
         replica=blob,
         elapsed=time.perf_counter() - started,
-        file_count=len(batch.paths),
+        file_count=len(batch.refs),
         failures=tuple(failures),
         fingerprints=tuple(fingerprints),
         spans=tuple(rebase_spans(rec.spans, -started)),
@@ -240,40 +206,19 @@ class ChunkBatch:
     """
 
     fs: FilesystemSpec
-    path: str
-    file_size: int
-    start: int
-    end: int
-    index: int
-    count: int
+    ref: ChunkRef
     extractor: ExtractorSpec = field(default_factory=ExtractorSpec)
     on_error: str = "strict"
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.on_error not in ERROR_POLICIES:
-            raise ValueError(
-                f"on_error must be one of {ERROR_POLICIES}, "
-                f"got {self.on_error!r}"
-            )
-        if not 0 <= self.start <= self.end <= self.file_size:
-            raise ValueError(
-                f"invalid chunk range [{self.start}, {self.end}) "
-                f"in file of {self.file_size} bytes"
-            )
-        if not 0 <= self.index < self.count:
-            raise ValueError(
-                f"chunk index {self.index} outside count {self.count}"
-            )
+        check_on_error(self.on_error)
 
 
 @dataclass(frozen=True)
 class ChunkResult:
     """One chunk's output: its ordered terms (or one failure)."""
 
-    path: str
-    index: int
-    count: int
     terms: Optional[Tuple[str, ...]]
     elapsed: float
     failure: Optional[FileFailure] = None
@@ -281,7 +226,8 @@ class ChunkResult:
 
 
 def extract_chunk(batch: ChunkBatch) -> ChunkResult:
-    """The chunk worker body: boundary-aligned read + tokenize.
+    """The chunk worker body: stage 2 for one chunk
+    (:func:`~repro.engine.stage2.read_chunk_terms`).
 
     Must stay module-level for pool pickling, like :func:`build_replica`.
     Under ``on_error="skip"`` a failing chunk returns its FileFailure
@@ -291,53 +237,24 @@ def extract_chunk(batch: ChunkBatch) -> ChunkResult:
     """
     started = time.perf_counter()
     rec = Recorder()
-    failure: Optional[FileFailure] = None
-    terms: Optional[Tuple[str, ...]] = None
-    chunk_span = rec.span(
+    ref = batch.ref
+    failures: List[FileFailure] = []
+    with rec.span(
         "extract.chunk",
-        path=batch.path,
-        start=batch.start,
-        end=batch.end,
-        index=batch.index,
-    )
-    with chunk_span:
-        fs = batch.fs.open()
-        extractor = batch.extractor.build()
-        if batch.on_error == "skip":
-            try:
-                data = read_chunk(
-                    fs,
-                    batch.path,
-                    batch.file_size,
-                    batch.start,
-                    batch.end,
-                    extractor.boundary_bytes,
-                )
-            except Exception as exc:
-                failure = FileFailure.from_exception(batch.path, "read", exc)
-            else:
-                try:
-                    terms = tuple(extractor.chunk_terms(data))
-                except Exception as exc:
-                    failure = FileFailure.from_exception(
-                        batch.path, "tokenize", exc
-                    )
-        else:
-            data = read_chunk(
-                fs,
-                batch.path,
-                batch.file_size,
-                batch.start,
-                batch.end,
-                extractor.boundary_bytes,
-            )
-            terms = tuple(extractor.chunk_terms(data))
+        path=ref.path,
+        start=ref.start,
+        end=ref.end,
+        index=ref.index,
+    ):
+        terms = read_chunk_terms(
+            batch.fs.open(),
+            ref,
+            batch.extractor.build(),
+            failures if batch.on_error == "skip" else None,
+        )
     return ChunkResult(
-        path=batch.path,
-        index=batch.index,
-        count=batch.count,
-        terms=terms,
+        terms=None if terms is None else tuple(terms),
         elapsed=time.perf_counter() - started,
-        failure=failure,
+        failure=failures[0] if failures else None,
         spans=tuple(rebase_spans(rec.spans, -started)),
     )

@@ -22,18 +22,14 @@ assembly, summed back into stage totals by
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.engine.config import Implementation, ThreadConfig
-from repro.engine.faults import ERROR_POLICIES, FileFailure
+from repro.engine.faults import FileFailure, check_on_error
 from repro.engine.results import BuildReport, StageTimings, build_metrics
+from repro.engine.stage2 import read_file_terms
 from repro.extract.registry import resolve_extractor
-from repro.fsmodel.nodes import FileRef
-from repro.index.fingerprint import (
-    Fingerprint,
-    FingerprintMap,
-    read_fingerprinted,
-)
+from repro.index.fingerprint import FingerprintMap
 from repro.index.inverted import InvertedIndex
 from repro.obs import recorder as obsrec
 
@@ -54,35 +50,8 @@ class SequentialIndexer:
         self.extractor = resolve_extractor(extractor)
         self.naive = naive
         # Per-file error policy (see repro.engine.faults).
-        if on_error not in ERROR_POLICIES:
-            raise ValueError(
-                f"on_error must be one of {ERROR_POLICIES}, got {on_error!r}"
-            )
-        self.on_error = on_error
+        self.on_error = check_on_error(on_error)
         self.last_failures: List[FileFailure] = []
-
-    def _load(self, ref: FileRef) -> Optional[Tuple[bytes, Fingerprint]]:
-        """Read (and format-convert) one file, honouring ``on_error``:
-        the prepared content and the raw bytes' fingerprint, stamped
-        with the walk's stat."""
-        path = ref.path
-        if self.on_error != "skip":
-            content, fingerprint = read_fingerprinted(self.fs, path, ref.stamp)
-            return self.extractor.prepare(path, content), fingerprint
-        try:
-            content, fingerprint = read_fingerprinted(self.fs, path, ref.stamp)
-        except Exception as exc:
-            self.last_failures.append(
-                FileFailure.from_exception(path, "read", exc)
-            )
-            return None
-        try:
-            return self.extractor.prepare(path, content), fingerprint
-        except Exception as exc:
-            self.last_failures.append(
-                FileFailure.from_exception(path, "extract", exc)
-            )
-            return None
 
     def build(self, root: str = "") -> BuildReport:
         """Index every file under ``root`` sequentially."""
@@ -99,28 +68,17 @@ class SequentialIndexer:
             postings: Dict[str, List[str]] = defaultdict(list)
             documents: List[str] = []
             fingerprints: FingerprintMap = {}
+            skipped = self.last_failures if self.on_error == "skip" else None
             for ref in files:
-                extracted = False
                 with rec.span("phase.extract"):
-                    loaded = self._load(ref)
-                    if loaded is not None:
-                        content, fingerprint = loaded
-                        try:
-                            terms = self.extractor.tokenize(content)
-                            if not self.naive:
-                                terms = dict.fromkeys(terms)
-                            extracted = True
-                        except Exception as exc:
-                            if self.on_error != "skip":
-                                raise
-                            self.last_failures.append(
-                                FileFailure.from_exception(
-                                    ref.path, "tokenize", exc
-                                )
-                            )
-                if not extracted:
-                    continue
-                fingerprints[ref.path] = fingerprint
+                    unit = read_file_terms(
+                        self.fs, ref, self.extractor, skipped
+                    )
+                    if unit is None:
+                        continue
+                    terms, fingerprints[ref.path] = unit
+                    if not self.naive:
+                        terms = dict.fromkeys(terms)
                 if terms:
                     documents.append(ref.path)
                 with rec.span("phase.update"):

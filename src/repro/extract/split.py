@@ -38,6 +38,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.fsmodel.nodes import ChunkRef, FileRef
+from repro.index.fingerprint import FingerprintMap, unhashed_fingerprint
+from repro.obs import recorder as obsrec
 
 #: Files at or below this many bytes are never split (1 MiB — small
 #: enough that one worker extracts it in well under a scheduling
@@ -129,13 +131,15 @@ def expand_file_refs(
     files: Sequence[FileRef],
     extractor,
     threshold: Optional[int],
-) -> Tuple[List[FileRef], List[str]]:
+) -> Tuple[List[FileRef], FingerprintMap]:
     """Expand oversized splittable files into :class:`ChunkRef` runs.
 
-    Returns ``(refs, split_paths)``: the work list with each split file
+    Returns ``(refs, split)``: the work list with each split file
     replaced by its chunks (everything else passed through unchanged),
-    plus the paths that were split (for the ``extract.files_split``
-    counter).  ``threshold=None`` disables splitting entirely.
+    plus each split file's :data:`~repro.index.fingerprint.HASH_UNKNOWN`
+    fingerprint — its walk's stat, taken before any chunk is read —
+    keyed by path.  Bumps the ``extract.files_split`` counter by the
+    number of files split.  ``threshold=None`` disables splitting.
 
     A file only splits when the extractor says its *prepare* stage
     commutes with chunking (:meth:`Extractor.splittable`, fed a small
@@ -144,9 +148,9 @@ def expand_file_refs(
     the read error to the right stage under its error policy.
     """
     if threshold is None:
-        return list(files), []
+        return list(files), {}
     out: List[FileRef] = []
-    split_paths: List[str] = []
+    split: FingerprintMap = {}
     for ref in files:
         if ref.size <= threshold or isinstance(ref, ChunkRef):
             out.append(ref)
@@ -163,7 +167,7 @@ def expand_file_refs(
         if len(chunks) <= 1:
             out.append(ref)
             continue
-        split_paths.append(ref.path)
+        split[ref.path] = unhashed_fingerprint(ref)
         for index, (start, end) in enumerate(chunks):
             out.append(
                 ChunkRef(
@@ -176,7 +180,9 @@ def expand_file_refs(
                     file_size=ref.size,
                 )
             )
-    return out, split_paths
+    if split:
+        obsrec.metrics().counter("extract.files_split").inc(len(split))
+    return out, split
 
 
 class SplitJoiner:

@@ -9,9 +9,9 @@ the bytes that were indexed and a build needs no second walk over the
 corpus to bootstrap incremental refresh.
 
 The stamp is the one stage 1's walk took: ``list_files`` stats each
-file once and hands its stamp over on the :class:`~repro.fsmodel.FileRef`,
-so a build or a refresh stats each file exactly once.  Only process
-workers, which receive bare paths, stat again (right before their read).
+file once and hands its stamp over on the :class:`~repro.fsmodel.FileRef`
+(process workers receive those refs too), so a build or a refresh
+stats each file exactly once.
 
 The content hash is 64-bit BLAKE2b (``hashlib``, hashed in C).  FNV-1a
 stays where the paper put it, in the ADTs (:mod:`repro.hashing`).
@@ -53,32 +53,15 @@ def content_hash(content: bytes) -> int:
     return int.from_bytes(blake2b(content, digest_size=8).digest(), "big")
 
 
-def stat_fingerprint(fs, path: str) -> Tuple[int, int]:
-    """``(size, stamp)`` of ``path``; ``(0, 0)`` when the backend cannot
-    stat (stamp 0 makes every refresh re-read the file)."""
-    stat = getattr(fs, "stat", None)
-    if stat is None:
-        return (0, 0)
-    try:
-        return stat(path)
-    except OSError:
-        return (0, 0)
-
-
-def read_fingerprinted(
-    fs, path: str, stamp: Optional[int] = None
-) -> Tuple[bytes, Fingerprint]:
+def read_fingerprinted(fs, path: str, stamp: int) -> Tuple[bytes, Fingerprint]:
     """Read, then hash the raw bytes: ``(content, fingerprint)``.
 
-    The stamp is the one taken *before* the read: a writer that lands
-    between the stat and the read leaves a newer stamp on disk than the
-    one recorded, so the next refresh re-examines the file — a change
-    can be looked at twice, never missed.  Callers holding the walk's
-    :class:`~repro.fsmodel.FileRef` pass its ``stamp``; with none, the
-    file is statted here first (the process workers' path).
+    ``stamp`` is the walk's, taken *before* the read (the
+    :class:`~repro.fsmodel.FileRef`'s): a writer that lands between the
+    stat and the read leaves a newer stamp on disk than the one
+    recorded, so the next refresh re-examines the file — a change can
+    be looked at twice, never missed.
     """
-    if stamp is None:
-        _, stamp = stat_fingerprint(fs, path)
     content = fs.read_file(path)
     return content, (len(content), stamp, content_hash(content))
 

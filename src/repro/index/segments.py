@@ -63,6 +63,8 @@ from typing import (
     Tuple,
 )
 
+from repro.engine.faults import FileFailure, check_on_error
+from repro.engine.stage2 import read_file_terms
 from repro.index.atomic import atomic_write
 from repro.index.binfmt import (
     dump_index_ridx2,
@@ -84,6 +86,10 @@ class ChangeReport:
     added: List[str] = field(default_factory=list)
     removed: List[str] = field(default_factory=list)
     modified: List[str] = field(default_factory=list)
+    # Files the refresh could not index under on_error="skip": left
+    # out of the index and of the fingerprints, so the next refresh
+    # tries them again (as BuildReport.failures, for a build).
+    failures: List[FileFailure] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -643,12 +649,16 @@ class SegmentedIndexer:
         fingerprints: Optional[FingerprintMap] = None,
         segment_dir: Optional[str] = None,
         extractor=None,
+        on_error: str = "strict",
     ) -> None:
         from repro.extract.registry import resolve_extractor
 
         self.fs = fs
         # One Extractor seam (see repro.extract).
         self.extractor = resolve_extractor(extractor)
+        # The per-file error policy of the build this index came from
+        # (see repro.engine.faults); refresh and reconcile honour it.
+        self.on_error = check_on_error(on_error)
         self.root = root
         self.segment_dir = segment_dir
         self._manifest = manifest or SegmentManifest()
@@ -707,14 +717,19 @@ class SegmentedIndexer:
         are skipped without opening them.  The stat is the walk's own
         (``FileRef.size`` and ``.stamp``), so an unchanged file costs
         one stat and nothing more.  Files that must be read are
-        read **once**; the same bytes feed both the fingerprint hash
-        and term extraction.  Nothing observable mutates until the
-        final two assignments, so a crashed refresh replays cleanly.
+        read **once**, through stage 2's file ladder
+        (:func:`~repro.engine.stage2.read_file_terms`): the same bytes
+        feed both the fingerprint hash and term extraction.  Under
+        ``on_error="skip"`` a file that fails gets no fingerprint and
+        no place in the index, exactly as a rebuild would leave it.
+        Nothing observable mutates until the final two assignments, so
+        a crashed refresh replays cleanly.
         """
         previous = self._fingerprints
         manifest = self._manifest
         fingerprints: FingerprintMap = {}
         changed: Dict[str, TermBlock] = {}
+        failures: List[FileFailure] = []
         files_seen = 0
         files_read = 0
         with obsrec.span("segments.refresh", generation=manifest.generation):
@@ -730,10 +745,11 @@ class SegmentedIndexer:
                     # Unchanged by stat: not read, not re-hashed.
                     fingerprints[ref.path] = old
                     continue
-                content, fingerprint = read_fingerprinted(
-                    self.fs, ref.path, ref.stamp
-                )
                 files_read += 1
+                unit = self._read(ref, failures)
+                if unit is None:
+                    continue  # skipped: removed below if it was live
+                terms, fingerprint = unit
                 fingerprints[ref.path] = fingerprint
                 # A HASH_UNKNOWN old hash (a chunk-split build) equals
                 # no real one: such a file is re-indexed, not skipped.
@@ -747,7 +763,7 @@ class SegmentedIndexer:
                     # bump): refresh the stamp, skip re-indexing, and —
                     # critically — do not classify it removed/modified.
                     continue
-                changed[ref.path] = self._extract(ref.path, content)
+                changed[ref.path] = _term_block(ref.path, terms)
 
             # A document is a file with at least one term: a term-less
             # one keeps its fingerprint (it is not read again) and no
@@ -776,7 +792,9 @@ class SegmentedIndexer:
             metrics.counter("segments.refreshes").inc()
             metrics.counter("segments.files_read").inc(files_read)
             metrics.counter("segments.files_seen").inc(files_seen)
-        return ChangeReport(added=added, removed=removed, modified=modified)
+        return ChangeReport(
+            added=added, removed=removed, modified=modified, failures=failures
+        )
 
     def reconcile(self) -> ChangeReport:
         """First refresh with no recorded fingerprints (post-``open``).
@@ -784,21 +802,24 @@ class SegmentedIndexer:
         Without fingerprints the only truth is the manifest itself, so
         every live file is read once (hash and term extraction share
         the bytes) and compared against the manifest's live revision;
-        the computed delta is then applied exactly like a refresh.
+        the computed delta is then applied exactly like a refresh (a
+        file skipped under ``on_error="skip"`` included).
         """
         manifest = self._manifest
         fingerprints: FingerprintMap = {}
         changed: Dict[str, TermBlock] = {}
+        failures: List[FileFailure] = []
         # Live paths not (yet) seen as a file with terms.
         unseen = set(manifest.document_paths())
         modified: List[str] = []
         added: List[str] = []
         with obsrec.span("segments.reconcile", live=len(unseen)):
             for ref in self.fs.list_files(self.root):
-                content, fingerprints[ref.path] = read_fingerprinted(
-                    self.fs, ref.path, ref.stamp
-                )
-                block = self._extract(ref.path, content)
+                unit = self._read(ref, failures)
+                if unit is None:
+                    continue  # skipped: removed if it was live
+                terms, fingerprints[ref.path] = unit
+                block = _term_block(ref.path, terms)
                 if not block.terms:
                     continue  # not a document: removed if it was one
                 if ref.path in unseen:
@@ -812,7 +833,10 @@ class SegmentedIndexer:
             removed = sorted(unseen)
             self.apply_delta(changed, removed, fingerprints)
         return ChangeReport(
-            added=sorted(added), removed=removed, modified=sorted(modified)
+            added=sorted(added),
+            removed=removed,
+            modified=sorted(modified),
+            failures=failures,
         )
 
     def apply_delta(
@@ -883,8 +907,19 @@ class SegmentedIndexer:
 
     # -- internals ------------------------------------------------------
 
-    def _extract(self, path: str, content: bytes) -> TermBlock:
-        return self.extractor.term_block(path, content)
+    def _read(self, ref, failures: List[FileFailure]):
+        """Stage 2 for one file under the indexer's error policy."""
+        return read_file_terms(
+            self.fs,
+            ref,
+            self.extractor,
+            failures if self.on_error == "skip" else None,
+        )
+
+
+def _term_block(path: str, terms: List[str]) -> TermBlock:
+    """The product's de-duplication (native, first-seen order)."""
+    return TermBlock(path=path, terms=tuple(dict.fromkeys(terms)))
 
 
 class BackgroundCompactor:

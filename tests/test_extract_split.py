@@ -198,14 +198,14 @@ class TestExpandFileRefs:
         files = list(fs.list_files())
         refs, split = expand_file_refs(fs, files, AsciiExtractor(), None)
         assert refs == files
-        assert split == []
+        assert split == {}
 
     def test_oversized_files_become_chunk_runs(self):
         fs = self.make_fs()
         refs, split = expand_file_refs(
             fs, list(fs.list_files()), AsciiExtractor(), 100
         )
-        assert split == ["big.txt", "page.html"]
+        assert list(split) == ["big.txt", "page.html"]
         chunks = [r for r in refs if isinstance(r, ChunkRef)]
         assert {c.path for c in chunks} == {"big.txt", "page.html"}
         small = [r for r in refs if r.path == "small.txt"]
@@ -215,7 +215,7 @@ class TestExpandFileRefs:
         fs = self.make_fs()
         ex = AsciiExtractor(registry=default_registry())
         refs, split = expand_file_refs(fs, list(fs.list_files()), ex, 100)
-        assert split == ["big.txt"]  # the HTML file cannot be chunked
+        assert list(split) == ["big.txt"]  # the HTML file cannot be chunked
         assert not any(
             isinstance(r, ChunkRef) and r.path == "page.html" for r in refs
         )

@@ -24,18 +24,23 @@ from repro.engine import (
     PoolUnavailableError,
     ProcessReplicatedIndexer,
     ReplicatedJoinedIndexer,
+    ReplicatedUnjoinedIndexer,
     SequentialIndexer,
+    SharedLockedIndexer,
     ThreadConfig,
 )
 from repro.engine.procworker import FilesystemSpec, WorkerBatch
-from repro.extract import ExtractorSpec
+from repro.extract import AsciiExtractor, ExtractorSpec, expand_file_refs
+from repro.extract import registry as extract_registry
 from repro.fsmodel import (
     FaultInjectingFileSystem,
     FaultSpec,
+    FileRef,
     OsFileSystem,
     VirtualFileSystem,
     in_worker_process,
 )
+from repro.index import MultiIndex, join_indices
 from repro.index.binfmt import dump_index_bytes
 
 
@@ -73,7 +78,10 @@ def poison_paths(fs, count=2):
 
 
 def index_bytes(report):
-    return dump_index_bytes(report.index)
+    index = report.index
+    if isinstance(index, MultiIndex):
+        index = join_indices(index.replicas)
+    return dump_index_bytes(index)
 
 
 def clean_minus(fs, hidden):
@@ -177,7 +185,7 @@ class TestFileFailure:
         with pytest.raises(ValueError, match="on_error"):
             WorkerBatch(
                 fs=FilesystemSpec(snapshot=tiny_fs),
-                paths=("a",),
+                refs=(FileRef("a", 1),),
                 extractor=ExtractorSpec(),
                 on_error="ignore",
             )
@@ -236,6 +244,89 @@ def build_with(backend, fs, on_error="strict", **proc_kw):
 BACKENDS = ("sequential", "thread", "process")
 
 
+# -- one skip-policy matrix: every engine x every stage -----------------
+
+#: The one file each matrix run poisons: large enough to be split into
+#: chunks under ``MATRIX_SPLIT``, with the tokenize fault's marker in a
+#: middle chunk.
+VICTIM = "big.txt"
+MARKER = b"kaboom"
+MATRIX_SPLIT = 1024
+
+
+class PrepareFailingExtractor(AsciiExtractor):
+    """Fails the extract stage for :data:`VICTIM`.  A prepare that
+    raises does not commute with chunking, so the victim is never
+    split: the extract stage is reached on every engine."""
+
+    name = "test-prepare-failing"
+
+    def prepare(self, path, content):
+        if path == VICTIM:
+            raise ValueError("injected extract fault")
+        return content
+
+    def splittable(self, path, head=b""):
+        return path != VICTIM
+
+
+class TokenizeFailingExtractor(AsciiExtractor):
+    """Fails the tokenize stage on any text holding :data:`MARKER`:
+    the whole victim, or the one chunk of it the marker lands in."""
+
+    name = "test-tokenize-failing"
+
+    def tokenize(self, content):
+        if MARKER in content:
+            raise RuntimeError("injected tokenize fault")
+        return super().tokenize(content)
+
+
+def matrix_fs():
+    fs = VirtualFileSystem()
+    fs.mkdir("docs")
+    for i in range(8):
+        fs.write_file(f"docs/f{i}.txt", f"shared word{i} w{i % 3}".encode())
+    words = " ".join(f"bulk{i % 97}" for i in range(400))
+    fs.write_file(VICTIM, f"{words} {MARKER.decode()} {words}".encode())
+    return fs
+
+
+def matrix_build(engine, fs, extractor, split_threshold):
+    kw = dict(on_error="skip", extractor=extractor)
+    if engine in ("naive", "product"):
+        indexer = SequentialIndexer(fs, naive=engine == "naive", **kw)
+        return indexer.build()
+    kw["split_threshold"] = split_threshold
+    if engine == "impl1":
+        return SharedLockedIndexer(fs, **kw).build(ThreadConfig(2, 1, 0))
+    if engine == "impl2":
+        return ReplicatedJoinedIndexer(fs, **kw).build(ThreadConfig(2, 0, 2))
+    if engine == "impl3":
+        return ReplicatedUnjoinedIndexer(fs, **kw).build(ThreadConfig(2, 2, 0))
+    # Implementation 2 needs two replicas; the joins differ: z = 1 is
+    # the bulk native pass, z = 2 the pairwise FNV tree.
+    joiners = int(engine[-1])
+    return ProcessReplicatedIndexer(fs, **kw, **PROC_KW).build(
+        ThreadConfig(2, 0, joiners, backend="process")
+    )
+
+
+#: (engine, split_threshold): the sequential builds never split.
+MATRIX_ENGINES = [("naive", None), ("product", None)] + [
+    (engine, split)
+    for engine in ("impl1", "impl2", "impl3", "process-z1", "process-z2")
+    for split in (None, MATRIX_SPLIT)
+]
+
+#: stage -> (extractor class or None, the failure's error type).
+MATRIX_STAGES = {
+    "read": (None, "PermissionError"),
+    "extract": (PrepareFailingExtractor, "ValueError"),
+    "tokenize": (TokenizeFailingExtractor, "RuntimeError"),
+}
+
+
 class TestSkipPolicy:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_unreadable_files_skipped_and_recorded(self, tiny_fs, backend):
@@ -251,6 +342,40 @@ class TestSkipPolicy:
         assert report.indexed_file_count == report.file_count - len(victims)
         assert index_bytes(report) == clean_minus(tiny_fs, victims)
         assert f"{len(victims)} skipped" in report.summary()
+
+    @pytest.mark.parametrize("stage", sorted(MATRIX_STAGES))
+    @pytest.mark.parametrize("engine, split_threshold", MATRIX_ENGINES)
+    def test_every_engine_skips_a_failure_at_every_stage(
+        self, engine, split_threshold, stage, monkeypatch
+    ):
+        """One failure naming the stage, and the index of the corpus
+        without the victim — a poisoned chunk included: its file is
+        dropped whole, never half-indexed."""
+        extractor_cls, error_type = MATRIX_STAGES[stage]
+        clean = matrix_fs()
+        fs = clean
+        extractor = None
+        if extractor_cls is None:
+            fs = FaultInjectingFileSystem(
+                clean, {VICTIM: FaultSpec(exc_type=PermissionError)}
+            )
+        else:
+            # Registered so the spec a pool worker rebuilds is this one.
+            monkeypatch.setitem(
+                extract_registry._FACTORIES, extractor_cls.name, extractor_cls
+            )
+            extractor = extractor_cls()
+        if stage == "tokenize" and split_threshold is not None:
+            _, split = expand_file_refs(
+                clean, list(clean.list_files()), extractor, split_threshold
+            )
+            assert VICTIM in split  # the fault fires in one chunk
+        report = matrix_build(engine, fs, extractor, split_threshold)
+        assert [(f.path, f.stage, f.error_type) for f in report.failures] == [
+            (VICTIM, stage, error_type)
+        ]
+        assert VICTIM not in report.fingerprints
+        assert index_bytes(report) == clean_minus(clean, [VICTIM])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_strict_aborts_on_first_error(self, tiny_fs, backend):

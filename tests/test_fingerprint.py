@@ -39,6 +39,7 @@ from repro.engine import (
     available_cpus,
 )
 from repro.engine.impl1_sharded import ShardedLockedIndexer
+from repro.engine.procworker import FilesystemSpec, WorkerBatch, build_replica
 from repro.extract import AsciiExtractor
 from repro.formats.base import DocumentFormat, FormatRegistry
 from repro.formats.plain import PlainTextFormat
@@ -57,7 +58,6 @@ from repro.index.fingerprint import (
     load_fingerprints,
     read_fingerprinted,
     save_fingerprints,
-    stat_fingerprint,
     state_path,
 )
 from repro.index.segments import SegmentedIndexer
@@ -239,7 +239,10 @@ class TestOneRead:
 
     def test_hash_is_blake2b_64(self):
         fs = make_fs()
-        content, (size, stamp, digest) = read_fingerprinted(fs, "f00.txt")
+        walked = fs.stat("f00.txt")[1]
+        content, (size, stamp, digest) = read_fingerprinted(
+            fs, "f00.txt", walked
+        )
         assert (size, stamp) == fs.stat("f00.txt")
         assert digest == content_hash(content) == int.from_bytes(
             hashlib.blake2b(content, digest_size=8).digest(), "big"
@@ -304,6 +307,87 @@ class TestSkippedFileHasNoFingerprint:
         expected = corpus_fingerprints(fs)
         del expected["bad.boom"]
         assert session.report.fingerprints == expected
+
+
+class TestRefreshHonoursTheSkipPolicy:
+    """A refresh reads under the policy its session was built with.
+
+    Failed at the parent commit: under ``on_error="skip"`` the build
+    skipped the unreadable file, and every refresh after it raised the
+    file's ``PermissionError``.
+    """
+
+    VICTIM = "docs/f07.txt"
+    SKIP = FaultPolicy(on_error="skip")
+    FAILURE = (VICTIM, "read", "PermissionError")
+
+    def poisoned(self, clean):
+        return FaultInjectingFileSystem(
+            clean, {self.VICTIM: FaultSpec(exc_type=PermissionError)}
+        )
+
+    def skip_rebuild_bytes(self, fs):
+        return dump_index_ridx2(Search.build(fs, fault=self.SKIP).index)
+
+    def refresh_on(self, session, fs):
+        session._fs = session._segmented.fs = fs
+        change = session.refresh()
+        session.compact()
+        assert dump_index_ridx2(session.index) == self.skip_rebuild_bytes(fs)
+        return change
+
+    @staticmethod
+    def failures(change):
+        return [(f.path, f.stage, f.error_type) for f in change.failures]
+
+    @pytest.mark.parametrize("backend", ["sequential", "impl2", "process"])
+    def test_a_skipped_file_is_retried_until_it_heals(self, backend):
+        clean = make_fs()
+        faulty = self.poisoned(clean)
+        session = Search.build(faulty, fault=self.SKIP, **SEARCH_BUILDS[backend])
+        assert [f.path for f in session.report.failures] == [self.VICTIM]
+        for _ in range(2):
+            change = self.refresh_on(session, faulty)
+            assert self.failures(change) == [self.FAILURE]
+            assert change.total == 0
+            assert self.VICTIM not in session._segmented.fingerprints
+        change = self.refresh_on(session, clean)
+        assert change.added == [self.VICTIM]
+        assert not change.modified and not change.removed
+        assert change.failures == []
+        assert self.VICTIM in session._segmented.fingerprints
+
+    def test_a_live_file_that_turns_unreadable_is_removed(self):
+        clean = make_fs()
+        session = Search.build(clean, fault=self.SKIP)
+        clean.replace_file(self.VICTIM, b"edited, then unreadable")
+        change = self.refresh_on(session, self.poisoned(clean))
+        assert self.failures(change) == [self.FAILURE]
+        assert (change.added, change.modified, change.removed) == (
+            [],
+            [],
+            [self.VICTIM],
+        )
+        assert self.VICTIM not in session.universe
+        change = self.refresh_on(session, clean)
+        assert change.added == [self.VICTIM]
+
+    def test_a_reconcile_skips_the_same_file(self):
+        clean = make_fs()
+        session = Search.build(clean, fault=self.SKIP)
+        session._segmented._fingerprints = {}  # as after an open
+        change = self.refresh_on(session, self.poisoned(clean))
+        assert self.failures(change) == [self.FAILURE]
+        assert change.removed == [self.VICTIM]
+        assert self.VICTIM not in session._segmented.fingerprints
+
+    def test_an_opened_session_stays_strict(self, tmp_path):
+        clean = make_fs()
+        saved = str(tmp_path / "index.ridx")
+        Search.build(clean).save(saved)
+        os.remove(state_path(saved))
+        with pytest.raises(PermissionError):
+            Search.open(saved, source=self.poisoned(clean)).refresh()
 
 
 # -- a writer racing the build ------------------------------------------
@@ -390,10 +474,9 @@ class TestWriterRacingTheBuild:
 
     @pytest.mark.parametrize("backend", list(SEARCH_BUILDS))
     def test_rewrite_between_the_stat_and_the_read(self, tmp_path, backend):
-        """The stamp is the walk's stat in a parent-side build and the
-        worker's own stat in a pool worker (it receives bare paths); the
-        rewrite lands right after whichever one the backend records."""
-        after = "stat" if backend == "process" else "walk"
+        """The stamp is the walk's stat on every backend; the rewrite
+        lands right after it."""
+        after = "walk"
         disk, racing = self.racing_fs(tmp_path, after=after)
         session = Search.build(racing, **SEARCH_BUILDS[backend])
         self.assert_fired(after)
@@ -654,13 +737,32 @@ class StatCountingFs:
 
 def stat_then_read_map(disk):
     """The fingerprint map as a second stat per file would take it:
-    ``stat_fingerprint``, then read and hash, in walk order."""
+    ``disk.stat``, then read and hash, in walk order."""
     fingerprints = {}
     for ref in disk.list_files():
-        _, stamp = stat_fingerprint(disk, ref.path)
+        _, stamp = disk.stat(ref.path)
         content = disk.read_file(ref.path)
         fingerprints[ref.path] = (len(content), stamp, content_hash(content))
     return fingerprints
+
+
+class TouchedAfterTheWalk:
+    """Delegates to a real directory whose every file is touched, bytes
+    unchanged, right after the walk statted it: any later ``stat`` sees
+    the stamp one tick on."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def list_files(self, path=""):
+        return self._inner.list_files(path)
+
+    def stat(self, path):
+        size, stamp = self._inner.stat(path)
+        return size, stamp + 1
+
+    def read_file(self, path):
+        return self._inner.read_file(path)
 
 
 class TestOneStatPerFile:
@@ -704,6 +806,35 @@ class TestOneStatPerFile:
         fs = StatCountingFs(disk)
         assert Search.open(saved, source=fs).refresh().total == 0
         assert (fs.stats, fs.reads) == ({}, {})
+
+    def test_a_process_worker_stats_nothing(self, tmp_path):
+        """Failed at the parent commit: the worker received bare paths
+        and statted each file before reading it."""
+        disk = self.corpus(tmp_path)
+        fs = StatCountingFs(disk)
+        refs = tuple(disk.list_files())
+        batch = WorkerBatch(
+            fs=FilesystemSpec(snapshot=fs),
+            refs=refs,
+            extractor=AsciiExtractor().spec(),
+        )
+        result = build_replica(batch)
+        assert fs.stats == {}
+        assert fs.reads == Counter(ref.path for ref in refs)
+        assert dict(result.fingerprints) == stat_then_read_map(disk)
+
+    def test_a_process_build_records_the_walks_stamps(self, tmp_path):
+        """Failed at the parent commit: each worker recorded its own
+        stat, one tick after the walk's."""
+        disk = self.corpus(tmp_path)
+        report = ProcessReplicatedIndexer(
+            TouchedAfterTheWalk(disk), oversubscribe=True
+        ).build(ThreadConfig(2, 0, 1, backend="process"))
+        walked = {ref.path: ref.stamp for ref in disk.list_files()}
+        assert {
+            path: fingerprint[1]
+            for path, fingerprint in report.fingerprints.items()
+        } == walked
 
     def test_refresh_reads_exactly_the_delta(self, tmp_path):
         disk = self.corpus(tmp_path)

@@ -115,10 +115,10 @@ class TestWorkerBoundary:
             FilesystemSpec.from_filesystem(object())
 
     def test_batch_pickles_and_builds(self, tiny_fs):
-        paths = tuple(ref.path for ref in tiny_fs.list_files())[:5]
+        refs = tuple(tiny_fs.list_files())[:5]
         batch = WorkerBatch(
             fs=FilesystemSpec.from_filesystem(tiny_fs),
-            paths=paths,
+            refs=refs,
             extractor=AsciiExtractor().spec(),
         )
         batch = pickle.loads(pickle.dumps(batch))

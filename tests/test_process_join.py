@@ -130,8 +130,7 @@ def batch_order_fold(fs):
     extractor = AsciiExtractor().spec()
     index = InvertedIndex()
     for assignment in RoundRobinStrategy().distribute(files, 2).assignments:
-        paths = tuple(ref.path for ref in assignment)
-        batch = WorkerBatch(fs=spec, paths=paths, extractor=extractor)
+        batch = WorkerBatch(fs=spec, refs=tuple(assignment), extractor=extractor)
         merge_wire_replica(index, build_replica(batch).replica)
     return index
 
