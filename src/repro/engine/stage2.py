@@ -29,18 +29,31 @@ from repro.index.fingerprint import Fingerprint, read_fingerprinted
 
 
 def read_file_terms(
-    fs, ref: FileRef, extractor, failures: Optional[List[FileFailure]]
-) -> Optional[Tuple[List[str], Fingerprint]]:
+    fs,
+    ref: FileRef,
+    extractor,
+    failures: Optional[List[FileFailure]],
+    previous: Optional[Fingerprint] = None,
+) -> Optional[Tuple[Optional[List[str]], Fingerprint]]:
     """One file's terms, in order with duplicates, and its fingerprint.
 
     Materialized, not streamed: ``tokenize`` returns a list, so a
     tokenizer error is raised here, before any term reaches an index —
     never half a document in a replica.  ``None`` when the file was
-    skipped (see the module docstring).
+    skipped (see the module docstring).  Given the fingerprint of the
+    revision already indexed, bytes of the same size and hash (a bare
+    mtime bump) are neither prepared nor tokenized: the terms come back
+    ``None`` beside the new fingerprint.
     """
     stage = "read"
     try:
         content, fingerprint = read_fingerprinted(fs, ref.path, ref.stamp)
+        if (
+            previous is not None
+            and previous[0] == fingerprint[0]
+            and previous[2] == fingerprint[2]
+        ):
+            return None, fingerprint
         stage = "extract"
         content = extractor.prepare(ref.path, content)
         stage = "tokenize"

@@ -50,7 +50,7 @@ wire format preserves build order, which is what makes encoding cheap
 and lets the parent's merge reproduce exactly what a threaded join
 would have produced.
 
-The third format, **RIDX2** (revision 2; ``docs/ondisk.md`` has the
+The third format, **RIDX2** (revision 3; ``docs/ondisk.md`` has the
 rationale), is the serving-oriented successor of RIDX1: postings are
 split into fixed-size *blocks* (``block_size`` postings each, varbyte
 gap-coded doc ids plus varbyte ``tf - 1`` frequencies), and a term's
@@ -66,9 +66,11 @@ offsets absolute; the four sections tile the file in this order)::
                  u16 block_size, u32 doc_count, u32 term_count,
                  u64 total_doc_len, u64 x 4 section offsets,
                  u32 CRC-32 of every other byte of the file
-    doc offsets  u32[doc_count + 1] into the doc-data section
-    doc data     per doc: varint path length, path bytes,
-                 varint document length (term occurrences)
+    doc offsets  u32[doc_count + 1] into the path blob of the doc-data
+                 section, the last one the blob's end
+    doc data     path blob: every UTF-8 path, concatenated; then the
+                 length column: per doc a varint document length
+                 (term occurrences), ending where the lexicon starts
     lex offsets  u32[term_count + 1] into the lexicon-data section
     lex data     per term, sorted by UTF-8 bytes: varint term length,
                  term bytes, varint df, then
@@ -94,7 +96,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
+from operator import add, le
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.index.inverted import InvertedIndex
@@ -116,6 +118,7 @@ class IndexFormatError(ValueError):
 assert array("I").itemsize == 4, "wire format requires 4-byte unsigned ints"
 
 _U32 = struct.Struct("<I")
+_SPAN = struct.Struct("<II")
 _SWAP = sys.byteorder == "big"
 _ONE_MORE = (1).__add__  # a stored ``tf - 1`` byte -> tf
 
@@ -423,7 +426,7 @@ def load_index_wire(data: bytes) -> InvertedIndex:
 
 # -- RIDX2: blocked, compressed, mmap-servable postings ------------------
 
-RIDX2_VERSION = 2
+RIDX2_VERSION = 3
 RIDX2_FLAG_FREQS = 1
 RIDX2_CODEC_VARBYTE = 0  #: in no file: a new codec is a new revision
 RIDX2_DEFAULT_BLOCK = 128
@@ -465,8 +468,10 @@ def parse_ridx2_header(data) -> Ridx2Header:
 
     O(1): the revision must be the one this module writes and the four
     sections must tile the file, the last lexicon offset landing on its
-    last byte — so a file cut anywhere is refused here.  The checksum
-    is not read (:func:`check_ridx2_crc` does that, in O(file)).
+    last byte — so a file cut anywhere is refused here — and the path
+    blob's end must leave the length column at least a byte per
+    document.  The checksum is not read (:func:`check_ridx2_crc` does
+    that, in O(file)).
     """
     size = len(data)
     if bytes(data[: len(MAGIC2)]) != MAGIC2:
@@ -485,7 +490,8 @@ def parse_ridx2_header(data) -> Ridx2Header:
             and h.doc_data_off == doc_table_end <= h.lex_offsets_off
             and h.lex_data_off == lex_table_end <= size
             and doc_table_end + _U32.unpack_from(data, doc_table_end - 4)[0]
-            == h.lex_offsets_off
+            + h.doc_count
+            <= h.lex_offsets_off
             and lex_table_end + _U32.unpack_from(data, lex_table_end - 4)[0]
             == size
         ):
@@ -686,12 +692,7 @@ def dump_index_ridx2(
         length = frequencies.document_length(path) if frequencies else 0
         doc_lengths.append(length or distinct[i])
 
-    doc_records = []
-    for path, length in zip(paths, doc_lengths):
-        encoded = path.encode("utf-8")
-        doc_records.append(
-            encode_varint(len(encoded)) + encoded + encode_varint(length)
-        )
+    encoded_paths = [path.encode("utf-8") for path in paths]
 
     lex_records = []
     for term, ids in term_ids:
@@ -713,9 +714,9 @@ def dump_index_ridx2(
         record += blob
         lex_records.append(record)
 
-    doc_offsets = _offset_table(map(len, doc_records), "doc")
+    doc_offsets = _offset_table(map(len, encoded_paths), "doc")
     lex_offsets = _offset_table(map(len, lex_records), "lexicon")
-    doc_blob = b"".join(doc_records)
+    doc_blob = b"".join([*encoded_paths, *map(encode_varint, doc_lengths)])
     lex_blob = b"".join(lex_records)
 
     doc_data_off = _HEADER_END + len(doc_offsets)
@@ -773,61 +774,91 @@ def iter_ridx2_postings(data, header: Ridx2Header):
         yield term, decode_payload_docids(data, start, end, df, block_size)[0]
 
 
-def read_ridx2_doc(data, header: Ridx2Header, doc_id: int) -> Tuple[str, int]:
-    """Decode one document record: ``(path, document length)``."""
+def read_ridx2_doc(data, header: Ridx2Header, doc_id: int) -> str:
+    """Decode one document's path through its two offsets."""
     if not 0 <= doc_id < header.doc_count:
         raise IndexError(
             f"doc id {doc_id} out of range [0, {header.doc_count})"
         )
-    start = _U32.unpack_from(data, header.doc_offsets_off + 4 * doc_id)[0]
-    offset = header.doc_data_off + start
-    length, offset = decode_varint(data, offset)
-    path = bytes(data[offset : offset + length]).decode("utf-8")
-    doc_length, _ = decode_varint(data, offset + length)
-    return path, doc_length
-
-
-def read_ridx2_docs(data, header: Ridx2Header) -> Tuple[List[str], List[int]]:
-    """Decode the whole doc table in one pass: ``(paths, lengths)`` in
-    doc-id order, equal to :func:`read_ridx2_doc` record by record.
-
-    The u32 offset table is read once and the records are walked in
-    order.  A record that does not end where the table starts the next,
-    a varint or path running off the section, or a path that is not
-    UTF-8 is an :class:`IndexFormatError`.
-    """
     base = header.doc_data_off
-    offsets = _u32s_from_bytes(bytes(data[header.doc_offsets_off : base]))
-    blob = bytes(data[base : header.lex_offsets_off])
-    paths: List[str] = []
-    lengths: List[int] = []
-    position = offsets[0]
-    doc_id = 0
+    start, end = _SPAN.unpack_from(data, header.doc_offsets_off + 4 * doc_id)
+    blob_end = _U32.unpack_from(data, base - 4)[0]
+    if not start <= end <= blob_end:
+        raise IndexFormatError(
+            f"corrupt RIDX2 doc table: record {doc_id} spans {start}:{end} "
+            f"of a {blob_end}-byte path blob"
+        )
     try:
-        for doc_id in range(header.doc_count):
-            length = blob[position]
-            if length < 0x80:
-                position += 1
-            else:
-                length, position = decode_varint(blob, position)
-            end = position + length
-            paths.append(blob[position:end].decode("utf-8"))
-            doc_length = blob[end]
-            if doc_length < 0x80:
-                position = end + 1
-            else:
-                doc_length, position = decode_varint(blob, end)
-            lengths.append(doc_length)
-            if position != offsets[doc_id + 1]:
-                raise IndexFormatError(
-                    f"record ends at {position}, the table says "
-                    f"{offsets[doc_id + 1]}"
-                )
-    except (IndexError, ValueError) as exc:
+        return bytes(data[base + start : base + end]).decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise IndexFormatError(
             f"corrupt RIDX2 doc table: record {doc_id}: {exc}"
         ) from exc
-    return paths, lengths
+
+
+def read_ridx2_paths(data, header: Ridx2Header) -> List[str]:
+    """Decode every path in doc-id order, equal to :func:`read_ridx2_doc`
+    path by path.  The offsets are checked once — they start at 0, never
+    decrease, and the last, the path blob's end, lies inside the
+    section; an ASCII blob is then decoded in one call and sliced by
+    offset, any other path by path (a path that is not UTF-8 is an
+    :class:`IndexFormatError`)."""
+    base = header.doc_data_off
+    offsets = _u32s_from_bytes(
+        bytes(data[header.doc_offsets_off : base])
+    ).tolist()
+    section = header.lex_offsets_off - base
+    if offsets[0] != 0 or offsets[-1] > section:
+        raise IndexFormatError(
+            f"corrupt RIDX2 doc table: its path blob spans {offsets[0]}:"
+            f"{offsets[-1]} of a {section}-byte section"
+        )
+    if not all(map(le, offsets, offsets[1:])):
+        doc_id = list(map(le, offsets, offsets[1:])).index(False)
+        raise IndexFormatError(
+            f"corrupt RIDX2 doc table: record {doc_id} spans "
+            f"{offsets[doc_id]}:{offsets[doc_id + 1]}"
+        )
+    blob = bytes(data[base : base + offsets[-1]])
+    spans = zip(offsets, offsets[1:])
+    if blob.isascii():
+        text = blob.decode("ascii")
+        return [text[start:end] for start, end in spans]
+    paths: List[str] = []
+    for doc_id, (start, end) in enumerate(spans):
+        try:
+            paths.append(blob[start:end].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(
+                f"corrupt RIDX2 doc table: record {doc_id}: {exc}"
+            ) from exc
+    return paths
+
+
+def read_ridx2_lengths(data, header: Ridx2Header) -> List[int]:
+    """Decode the length column: every document's length in doc-id
+    order.  It must hold exactly ``doc_count`` varints and end where the
+    column does."""
+    count = header.doc_count
+    blob_end = _U32.unpack_from(data, header.doc_data_off - 4)[0]
+    start = header.doc_data_off + blob_end
+    column = bytes(data[start : header.lex_offsets_off])
+    lengths: List[int] = []
+    position = 0
+    try:
+        for _ in range(count):
+            value, position = decode_varint(column, position)
+            lengths.append(value)
+    except ValueError as exc:
+        raise IndexFormatError(
+            f"corrupt RIDX2 length column: length {len(lengths)}: {exc}"
+        ) from exc
+    if position != len(column):
+        raise IndexFormatError(
+            f"corrupt RIDX2 length column: {count} lengths consumed "
+            f"{position} of {len(column)} bytes"
+        )
+    return lengths
 
 
 def load_index_ridx2(data: bytes) -> InvertedIndex:
@@ -842,7 +873,7 @@ def load_index_ridx2(data: bytes) -> InvertedIndex:
     """
     header = parse_ridx2_header(data)
     check_ridx2_crc(data, header)
-    paths = read_ridx2_docs(data, header)[0]
+    paths = read_ridx2_paths(data, header)
     postings = {
         term: [paths[i] for i in ids]
         for term, ids in iter_ridx2_postings(data, header)

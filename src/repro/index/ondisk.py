@@ -44,7 +44,8 @@ from repro.index.binfmt import (
     iter_ridx2_postings,
     parse_ridx2_header,
     read_ridx2_doc,
-    read_ridx2_docs,
+    read_ridx2_lengths,
+    read_ridx2_paths,
 )
 from repro.obs import recorder as obsrec
 
@@ -89,7 +90,7 @@ class MmapPostingsReader:
                 raise
         self._paths: Optional[List[str]] = None
         self._lengths: Optional[List[int]] = None
-        self._doc_cache: Dict[int, Tuple[str, int]] = {}
+        self._doc_cache: Dict[int, str] = {}
         self.blocks_read = 0
         self.blocks_skipped = 0
         metrics = obsrec.metrics()
@@ -160,30 +161,30 @@ class MmapPostingsReader:
         """The path of ``doc_id`` (decoded on demand, memoized)."""
         if self._paths is not None:
             return self._paths[doc_id]
-        return self._doc(doc_id)[0]
+        return self._doc(doc_id)
 
     def doc_length(self, doc_id: int) -> int:
-        """Term occurrences in ``doc_id``."""
-        if self._lengths is not None:
-            return self._lengths[doc_id]
-        return self._doc(doc_id)[1]
+        """Term occurrences in ``doc_id`` (the length column, decoded
+        on first use)."""
+        return self.doc_lengths()[doc_id]
 
     def doc_lengths(self) -> List[int]:
-        """Every document's length in doc-id order: the list
-        :meth:`doc_paths` decodes beside the paths (shared: never mutate)."""
+        """Every document's length in doc-id order, decoded from the
+        length column once, on first use — only BM25 ranks on it, so a
+        boolean query never reads it (shared: never mutate)."""
         if self._lengths is None:
-            self._paths, self._lengths = read_ridx2_docs(self._mm, self._header)
+            self._lengths = read_ridx2_lengths(self._mm, self._header)
         return self._lengths
 
     def doc_paths(self) -> List[str]:
         """Every indexed path in doc-id order == sorted-path order.
 
-        Materializes the doc table once and caches it — the document
-        lengths with it, read in the same pass; queries that only
-        return a few hits never need this.
+        Materializes the paths once, in one pass over the path blob,
+        and caches them; the length column stays undecoded.  Queries
+        that only return a few hits never need this.
         """
         if self._paths is None:
-            self._paths, self._lengths = read_ridx2_docs(self._mm, self._header)
+            self._paths = read_ridx2_paths(self._mm, self._header)
         return list(self._paths)
 
     def doc_paths_of(self, ids: List[int]) -> List[str]:
@@ -192,8 +193,7 @@ class MmapPostingsReader:
         paths = self._paths
         if paths is not None:
             return list(map(paths.__getitem__, ids))
-        doc = self._doc
-        return [doc(i)[0] for i in ids]
+        return list(map(self._doc, ids))
 
     # -- terms -------------------------------------------------------------
 
@@ -323,12 +323,12 @@ class MmapPostingsReader:
 
     # -- internals --------------------------------------------------------
 
-    def _doc(self, doc_id: int) -> Tuple[str, int]:
-        record = self._doc_cache.get(doc_id)
-        if record is None:
-            record = read_ridx2_doc(self._mm, self._header, doc_id)
-            self._doc_cache[doc_id] = record
-        return record
+    def _doc(self, doc_id: int) -> str:
+        path = self._doc_cache.get(doc_id)
+        if path is None:
+            path = read_ridx2_doc(self._mm, self._header, doc_id)
+            self._doc_cache[doc_id] = path
+        return path
 
     def _record(self, index: int) -> Tuple[bytes, int, int]:
         """Record ``index``: term bytes, offset of its df, relative end."""

@@ -54,16 +54,13 @@ class ReplicaBuilder:
         self._block_count += 1
         postings = self._postings
         get = postings.get
-        seen = set()
-        seen_add = seen.add
-        for term in terms:
-            if term not in seen:
-                seen_add(term)
-                ids = get(term)
-                if ids is None:
-                    ids = postings[term] = array("I")
-                ids.append(doc_id)
-        return len(seen)
+        distinct = dict.fromkeys(terms)
+        for term in distinct:
+            ids = get(term)
+            if ids is None:
+                ids = postings[term] = array("I")
+            ids.append(doc_id)
+        return len(distinct)
 
     def add_block(self, block: TermBlock) -> None:
         """Index one pre-deduplicated term block (same contract as

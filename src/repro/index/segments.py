@@ -746,22 +746,18 @@ class SegmentedIndexer:
                     fingerprints[ref.path] = old
                     continue
                 files_read += 1
-                unit = self._read(ref, failures)
+                unit = self._read(ref, failures, old)
                 if unit is None:
                     continue  # skipped: removed below if it was live
-                terms, fingerprint = unit
-                fingerprints[ref.path] = fingerprint
-                # A HASH_UNKNOWN old hash (a chunk-split build) equals
-                # no real one: such a file is re-indexed, not skipped.
-                if (
-                    old is not None
-                    and old[0] == fingerprint[0]
-                    and old[2] == fingerprint[2]
-                ):
+                terms, fingerprints[ref.path] = unit
+                if terms is None:
                     # Same bytes as the indexed revision (e.g. removed
                     # and re-added identical content, or a bare mtime
-                    # bump): refresh the stamp, skip re-indexing, and —
+                    # bump): the stage-2 ladder stopped after the read,
+                    # so refresh the stamp, skip re-indexing, and —
                     # critically — do not classify it removed/modified.
+                    # A HASH_UNKNOWN old hash (a chunk-split build)
+                    # equals no real one: such a file is re-indexed.
                     continue
                 changed[ref.path] = _term_block(ref.path, terms)
 
@@ -907,13 +903,15 @@ class SegmentedIndexer:
 
     # -- internals ------------------------------------------------------
 
-    def _read(self, ref, failures: List[FileFailure]):
-        """Stage 2 for one file under the indexer's error policy."""
+    def _read(self, ref, failures: List[FileFailure], previous=None):
+        """Stage 2 for one file under the indexer's error policy;
+        ``previous`` is its indexed fingerprint, when a refresh has one."""
         return read_file_terms(
             self.fs,
             ref,
             self.extractor,
             failures if self.on_error == "skip" else None,
+            previous,
         )
 
 

@@ -126,6 +126,24 @@ class CountingFs:
         return self._inner.file_size(path)
 
 
+class CountingExtractor(AsciiExtractor):
+    """Records every ``prepare`` and ``tokenize`` call by path or size."""
+
+    name = "test-counting"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def prepare(self, path, content):
+        self.calls.append(("prepare", path))
+        return super().prepare(path, content)
+
+    def tokenize(self, content):
+        self.calls.append(("tokenize", len(content)))
+        return super().tokenize(content)
+
+
 def make_fs(files=12):
     fs = VirtualFileSystem()
     fs.mkdir("docs")
@@ -691,6 +709,32 @@ class TestSaveAndResume:
 
         monkeypatch.setattr("repro.api.load_fingerprints", forbidden)
         assert len(Search.open(saved)) == 8
+
+    def test_a_bare_mtime_bump_is_read_but_never_tokenized(self, tmp_path):
+        disk = self.corpus(tmp_path)
+        saved = str(tmp_path / "index.ridx")
+        extractor = CountingExtractor()
+        session = Search.build(disk, extractor=extractor)
+        session.save(saved)
+        with open(saved, "rb") as fh:
+            before = fh.read()
+        target = os.path.join(disk.base, "f3.txt")
+        stamp = os.stat(target).st_mtime_ns + 5_000_000_000
+        os.utime(target, ns=(stamp, stamp))
+        fs = CountingFs(disk)
+        resumed = Search.open(saved, source=fs, extractor=extractor)
+        extractor.calls.clear()
+        change = resumed.refresh()
+        assert (change.added, change.removed, change.modified) == ([], [], [])
+        assert change.failures == []
+        assert fs.reads == ["f3.txt"]
+        assert extractor.calls == []
+        resumed.save(saved)
+        with open(saved, "rb") as fh:
+            assert fh.read() == before
+        state = load_fingerprints(state_path(saved), saved_crc(saved))
+        assert state["f3.txt"][1] == stamp
+        assert state["f3.txt"][2] == session.report.fingerprints["f3.txt"][2]
 
     def test_save_after_refresh_writes_the_refreshed_state(self, tmp_path):
         disk = self.corpus(tmp_path)

@@ -46,7 +46,8 @@ from repro.index.binfmt import (
     encode_varint,
     parse_ridx2_header,
     read_ridx2_doc,
-    read_ridx2_docs,
+    read_ridx2_lengths,
+    read_ridx2_paths,
 )
 from repro.query.ranking import FrequencyIndex
 from repro.query.wildcard import PrefixDictionary
@@ -624,13 +625,14 @@ def record_len(term, ids, tfs, block_size):
 
 
 def expected_file_len(docs, block_size, with_frequencies):
-    """docs: {path: term occurrences}.  Header + doc table + lexicon."""
+    """docs: {path: term occurrences}.  Header + doc table + lexicon:
+    the doc table is its offsets, the bare UTF-8 paths, then one length
+    varint per document."""
     paths = sorted(docs)
     total = 5 + RIDX2_HEADER.size + 4 * (len(paths) + 1)
     for path in paths:
-        encoded = len(path.encode("utf-8"))
         length = len(docs[path]) if with_frequencies else len(set(docs[path]))
-        total += varint_len(encoded) + encoded + varint_len(length)
+        total += len(path.encode("utf-8")) + varint_len(length)
     terms = sorted({t for occurrences in docs.values() for t in occurrences})
     total += 4 * (len(terms) + 1)
     for term in terms:
@@ -646,6 +648,22 @@ def expected_file_len(docs, block_size, with_frequencies):
 #: frequency sidecar.  A change to these bytes is a format change: bump
 #: RIDX2_VERSION and docs/ondisk.md with it.
 GOLDEN_FRUIT = (
+    b'RIDX2\x03\x01\x80\x00\x04\x00\x00\x00\x07\x00\x00\x00\x10\x00'
+    b'\x00\x00\x00\x00\x00\x00=\x00\x00\x00\x00\x00\x00\x00Q\x00\x00'
+    b'\x00\x00\x00\x00\x00|\x00\x00\x00\x00\x00\x00\x00\x9c\x00\x00'
+    b'\x00\x00\x00\x00\x001\xf0Y\x1e\x00\x00\x00\x00\t\x00\x00\x00\x12'
+    b"\x00\x00\x00\x1d\x00\x00\x00'\x00\x00\x00a/one.txtb/two.txtc/th"
+    b'ree.txtd/four.txt\x04\x03\x04\x05\x00\x00\x00\x00\r\x00\x00\x00'
+    b'\x18\x00\x00\x00"\x00\x00\x00)\x00\x00\x006\x00\x00\x00<\x00\x00'
+    b'\x00E\x00\x00\x00\x05apple\x03\x00\x01\x00\x01\x00\x02\x06banana'
+    b'\x03\x00\x00\x01\x06cherry\x02\x00\x01\x04date\x01\x01\nelderber'
+    b'ry\x01\x01\x03fig\x01\x02\x05grape\x02\x02\x00'
+)
+
+#: What revision 2 wrote for the same index and sidecar: each doc
+#: record carried its own path length, and the doc length sat beside
+#: its path.  Refused at every door.
+REVISION_2_FILE = (
     b'RIDX2\x02\x01\x80\x00\x04\x00\x00\x00\x07\x00\x00\x00\x10\x00\x00'
     b'\x00\x00\x00\x00\x00=\x00\x00\x00\x00\x00\x00\x00Q\x00\x00\x00\x00'
     b'\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00\xa0\x00\x00\x00\x00'
@@ -769,8 +787,25 @@ class TestRefusals:
             with pytest.raises(IndexFormatError) as excinfo:
                 opener(path)
             message = str(excinfo.value)
-            assert "revision 1" in message and "revision 2" in message
+            assert "revision 1" in message and "revision 3" in message
             assert "re-save" in message
+
+    def test_revision_2_file_is_refused_at_every_door(self, tmp_path, capsys):
+        from repro.api import Search
+        from repro.cli import main
+
+        path = str(tmp_path / "old.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(REVISION_2_FILE)
+        for opener in (MmapPostingsReader, load_index, Search.open):
+            with pytest.raises(IndexFormatError) as excinfo:
+                opener(path)
+            message = str(excinfo.value)
+            assert "revision 2" in message and "revision 3" in message
+            assert "re-save" in message
+        assert main(["search", path, "apple", "--ondisk"]) == 2
+        err = capsys.readouterr().err
+        assert "revision 2" in err and "re-save" in err
 
     def test_unknown_revision_is_refused(self, small):
         stamped = small[:5] + b"\x09" + small[6:]
@@ -780,7 +815,7 @@ class TestRefusals:
     def test_every_body_bit_flip_fails_load_index(self, tmp_path, small):
         path = str(tmp_path / "flipped.ridx2")
         header_end = 5 + RIDX2_HEADER.size
-        positions = range(header_end, len(small), 3)
+        positions = range(header_end, len(small), 2)
         assert len(positions) >= 60
         for n, position in enumerate(positions):
             flipped = bytearray(small)
@@ -955,6 +990,9 @@ def awkward_docs():
 
 
 class TestDocTableOnePass:
+    """Revision 3's columnar doc table: the offsets index a path blob,
+    and a column of document lengths follows it."""
+
     @pytest.mark.parametrize("with_frequencies", [True, False])
     def test_equals_the_per_record_decode(self, tmp_path, with_frequencies):
         index, frequencies = build_index(awkward_docs())
@@ -968,46 +1006,100 @@ class TestDocTableOnePass:
         records = [
             read_ridx2_doc(data, header, i) for i in range(header.doc_count)
         ]
-        assert any(len(p.encode()) >= 128 for p, _ in records)
-        assert any(n >= 128 for _, n in records) == with_frequencies
-        paths, lengths = read_ridx2_docs(data, header)
-        assert list(zip(paths, lengths)) == records
+        assert any(len(p.encode()) >= 128 for p in records)
+        paths = read_ridx2_paths(data, header)
+        assert paths == records == sorted(awkward_docs())
+        lengths = read_ridx2_lengths(data, header)
+        assert any(n >= 128 for n in lengths) == with_frequencies
+        assert sum(lengths) == header.total_doc_len
         with MmapPostingsReader(path) as reader:
-            assert reader.doc_paths() == paths == sorted(awkward_docs())
+            assert reader.doc_paths() == paths
             assert [reader.doc_length(i) for i in range(len(paths))] == lengths
             assert reader.doc_paths_of([4, 0, 2]) == [paths[4], paths[0], paths[2]]
+        with MmapPostingsReader(path) as reader:
+            assert reader.doc_paths_of([4, 0, 2]) == [paths[4], paths[0], paths[2]]
+            assert reader.doc_path(1) == paths[1]
         assert sorted(load_index_ridx2(data).items()) == sorted(index.items())
+
+    def test_an_ascii_blob_decodes_like_the_per_record_path(self, fruit_docs):
+        index, frequencies = build_index(fruit_docs)
+        data = dump_index_ridx2(index, frequencies)
+        header = parse_ridx2_header(data)
+        assert read_ridx2_paths(data, header) == sorted(fruit_docs)
+        assert read_ridx2_lengths(data, header) == [
+            len(fruit_docs[p]) for p in sorted(fruit_docs)
+        ]
 
     def test_an_empty_doc_table(self):
         data = dump_index_ridx2(InvertedIndex())
-        assert read_ridx2_docs(data, parse_ridx2_header(data)) == ([], [])
+        header = parse_ridx2_header(data)
+        assert read_ridx2_paths(data, header) == []
+        assert read_ridx2_lengths(data, header) == []
+
+    def test_each_short_path_costs_its_bytes_and_no_prefix(self):
+        index, _ = build_index({"a.txt": ["x"], "bb.txt": ["x"]})
+        data = dump_index_ridx2(index)
+        header = parse_ridx2_header(data)
+        assert bytes(data[header.doc_data_off : header.lex_offsets_off]) == (
+            b"a.txtbb.txt\x01\x01"
+        )
 
     def test_an_offset_that_disagrees_with_the_records_is_refused(self):
         index, _ = build_index(awkward_docs())
         data = bytearray(dump_index_ridx2(index))
         header = parse_ridx2_header(data)
-        # Move record 2's start one byte on: record 1 now ends short.
+        # Record 2 now starts before record 1 does: the offsets decrease.
         entry = header.doc_offsets_off + 4 * 2
-        start = int.from_bytes(data[entry : entry + 4], "little")
-        data[entry : entry + 4] = (start + 1).to_bytes(4, "little")
+        data[entry : entry + 4] = (1).to_bytes(4, "little")
         with pytest.raises(IndexFormatError, match="record 1"):
-            read_ridx2_docs(bytes(data), header)
+            read_ridx2_paths(bytes(data), header)
+        with pytest.raises(IndexFormatError, match="record 1"):
+            read_ridx2_doc(bytes(data), header, 1)
 
     def test_a_length_running_off_the_section_is_refused(self):
+        # A path running past the blob: the last record's start lies
+        # beyond the blob's end (the sentinel).
         index, _ = build_index(awkward_docs())
         data = bytearray(dump_index_ridx2(index))
         header = parse_ridx2_header(data)
         last = header.doc_count - 1
         entry = header.doc_offsets_off + 4 * last
-        start = int.from_bytes(data[entry : entry + 4], "little")
-        data[header.doc_data_off + start] = 0x7F  # a path longer than left
+        blob_end = int.from_bytes(data[entry + 4 : entry + 8], "little")
+        data[entry : entry + 4] = (blob_end + 1).to_bytes(4, "little")
         with pytest.raises(IndexFormatError, match=f"record {last}"):
-            read_ridx2_docs(bytes(data), header)
+            read_ridx2_paths(bytes(data), header)
+        with pytest.raises(IndexFormatError, match=f"record {last}"):
+            read_ridx2_doc(bytes(data), header, last)
 
     def test_a_path_that_is_not_utf8_is_refused(self):
         index, _ = build_index({"a.txt": ["x"], "b.txt": ["y"]})
         data = bytearray(dump_index_ridx2(index))
         header = parse_ridx2_header(data)
-        data[header.doc_data_off + 1] = 0xFF  # the first byte of "a.txt"
+        data[header.doc_data_off] = 0xFF  # the first byte of "a.txt"
         with pytest.raises(IndexFormatError, match="record 0"):
-            read_ridx2_docs(bytes(data), header)
+            read_ridx2_paths(bytes(data), header)
+        with pytest.raises(IndexFormatError, match="record 0"):
+            read_ridx2_doc(bytes(data), header, 0)
+        assert read_ridx2_doc(bytes(data), header, 1) == "b.txt"
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_length_column_short_or_long_is_refused(self, change):
+        import dataclasses
+
+        index, frequencies = build_index(awkward_docs())
+        data = dump_index_ridx2(index, frequencies)
+        header = parse_ridx2_header(data)
+        moved = dataclasses.replace(
+            header, lex_offsets_off=header.lex_offsets_off + change
+        )
+        with pytest.raises(IndexFormatError, match="length column"):
+            read_ridx2_lengths(data, moved)
+        assert read_ridx2_paths(data, moved) == sorted(awkward_docs())
+
+    def test_a_length_varint_swallowing_the_next_is_refused(self):
+        index, _ = build_index({"a.txt": ["x"], "b.txt": ["y"]})
+        data = bytearray(dump_index_ridx2(index))
+        header = parse_ridx2_header(data)
+        data[header.lex_offsets_off - 2] |= 0x80  # two bytes, one length
+        with pytest.raises(IndexFormatError, match="length column"):
+            read_ridx2_lengths(bytes(data), header)

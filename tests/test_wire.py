@@ -177,6 +177,23 @@ class TestReplicaBuilder:
         assert builder.block_count == 2
         assert builder.posting_count == 3
 
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=20),
+                    max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_add_scan_writes_the_bytes_add_block_writes(self, streams):
+        # A duplicate-bearing stream and its first-seen de-duplication
+        # must produce the same replica, wire byte for wire byte.
+        scanned, blocked = ReplicaBuilder(), ReplicaBuilder()
+        for n, stream in enumerate(streams):
+            path = f"f{n}.txt"
+            distinct = tuple(dict.fromkeys(stream))
+            assert scanned.add_scan(path, iter(stream)) == len(distinct)
+            blocked.add_block(TermBlock(path=path, terms=distinct))
+        assert scanned.to_bytes() == blocked.to_bytes()
+        # First-seen order across the whole stream, as the wire keeps it.
+        seen = [term for stream in streams for term in stream]
+        assert _unpack_wire(scanned.to_bytes())[2] == list(dict.fromkeys(seen))
+
     def test_add_block(self):
         builder = ReplicaBuilder()
         builder.add_block(TermBlock(path="a.txt", terms=("cat", "dog")))
