@@ -355,7 +355,7 @@ class Search:
         return len(self._segmented.manifest)
 
     def query(self, query_text: str, parallel: bool = False) -> QueryResult:
-        """Evaluate a boolean/wildcard/phrase query: the published
+        """Evaluate a boolean/wildcard query: the published
         snapshot's ``answer``, parsed once and memoized in its LRU
         cache (normalized on the optimized AST).  The result's
         ``generation`` is the one the answer was computed on, even when

@@ -6,13 +6,14 @@ Subcommands:
   (optionally mixed-format);
 * ``index`` — build an index over a directory with one of the three
   implementations (or sequentially) and optionally save it (blocked
-  RIDX2 — a ``.ridx2`` path additionally bakes in term frequencies for
-  BM25 — or compact RIDX1 with ``--binary``);
+  RIDX2 — a ``.ridx2`` path is one file from any engine, with term
+  frequencies baked in for BM25 — or compact RIDX1 with ``--binary``);
 * ``search`` — run a boolean/wildcard query against a saved index,
   opened the way ``Search.open`` opens it (an RIDX2 file is mapped, not
   loaded; a replica directory is searched unjoined), optionally ranked
   (BM25 top-K) and optionally ``--ondisk``: the document-at-
   a-time engine over the mapped file, with BM25 off its frequencies;
+  a malformed query (a multi-word quote among them) exits 2;
 * ``serve`` — long-running query serving over a directory: a
   :class:`~repro.service.service.SearchService` answers a query stream
   concurrently while ``--watch`` refreshes the index in the background;
@@ -51,13 +52,14 @@ from repro.fsmodel import OsFileSystem
 from repro.index import (
     ChangeReport,
     MultiIndex,
+    join_indices,
     load_index,
     load_multi_index,
     save_index,
     save_multi_index,
 )
 from repro.platforms import ALL_PLATFORMS, platform_by_name
-from repro.query import QueryEngine
+from repro.query import ParseError, QueryEngine
 from repro.simengine import SimPipeline, Workload, WorkloadSpec
 
 
@@ -118,8 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(--backend process only)")
     p.add_argument("--sequential", action="store_true",
                    help="use the naive sequential baseline instead")
-    p.add_argument("--save", help="file (impl 1/2) or directory (impl 3) "
-                   "to save the index to")
+    p.add_argument("--save", help="file (impl 1/2, or any path ending "
+                   ".ridx2) or directory (impl 3) to save the index to")
     p.add_argument("--binary", action="store_true",
                    help="save in the compact RIDX1 format instead of "
                    "RIDX2 (impl 1/2 only)")
@@ -503,14 +505,20 @@ def _cmd_index(args: argparse.Namespace) -> int:
     if observing:
         _emit_observability(args, report)
     if args.save:
-        if isinstance(report.index, MultiIndex):
+        index = report.index
+        ridx2 = not args.binary and args.save.lower().endswith(".ridx2")
+        if ridx2 and isinstance(index, MultiIndex):
+            # A .ridx2 path is one file, never a replica directory:
+            # join the replicas as Search.build flattens them.
+            index = join_indices(index.replicas)
+        if isinstance(index, MultiIndex):
             if args.binary:
                 print("error: --binary supports single-index "
                       "implementations (1 and 2)", file=sys.stderr)
                 return 2
-            save_multi_index(report.index, args.save)
+            save_multi_index(index, args.save)
             print(f"index saved to {args.save}")
-        elif not args.binary and args.save.lower().endswith(".ridx2"):
+        elif ridx2:
             # RIDX2 can carry real term frequencies and document
             # lengths; re-scan the corpus for them so BM25 served off
             # this file scores exactly like the in-memory ranker.
@@ -518,14 +526,14 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
             frequencies = FrequencyIndex.from_fs(fs, extractor=extractor)
             written = save_index(
-                report.index, args.save, format="ridx2",
+                index, args.save, format="ridx2",
                 frequencies=frequencies,
             )
             print(f"index saved to {args.save} ({written} bytes, "
                   "RIDX2 with frequencies)")
         else:
             written = save_index(
-                report.index,
+                index,
                 args.save,
                 format="binary" if args.binary else "ridx2",
             )
@@ -541,6 +549,14 @@ def _print_ranked_hits(hits) -> None:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    try:
+        return _search(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _search(args: argparse.Namespace) -> int:
     if args.topk < 1:
         print("error: --topk must be at least 1", file=sys.stderr)
         return 2
@@ -620,7 +636,6 @@ def _drive_async_frontend(frontend, texts, rank="bool", topk=10):
     """
     import asyncio
 
-    from repro.query.parser import ParseError
     from repro.service import ServiceOverloadedError, ShardDeadError
 
     async def run():
@@ -644,7 +659,6 @@ def _drive_async_frontend(frontend, texts, rank="bool", topk=10):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import Search
-    from repro.query.parser import ParseError
     from repro.service import ServiceOverloadedError, ShardDeadError
 
     if args.watch is not None and args.watch <= 0:

@@ -30,7 +30,6 @@ from repro.index.inverted import InvertedIndex
 from repro.index.merge import join_indices, join_pairwise_tree, merge_into
 from repro.index.multi import MultiIndex
 from repro.index.ondisk import MmapPostingsReader
-from repro.index.positional import PositionalIndex
 from repro.index.postings import PostingsList
 from repro.index.replica import ReplicaBuilder
 from repro.index.segments import (
@@ -70,7 +69,6 @@ __all__ = [
     "InvertedIndex",
     "MmapPostingsReader",
     "MultiIndex",
-    "PositionalIndex",
     "PostingsList",
     "ReplicaBuilder",
     "ShardedInvertedIndex",

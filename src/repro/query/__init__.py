@@ -15,7 +15,7 @@ language off an mmap'd RIDX2 file with block skipping and BM25 top-K
 ranking.
 """
 
-from repro.query.ast import And, Not, Or, Phrase, Prefix, Query, Term
+from repro.query.ast import And, Not, Or, Prefix, Query, Term
 from repro.query.cache import (
     QueryCache,
     cache_key,
@@ -45,7 +45,6 @@ __all__ = [
     "Not",
     "Or",
     "ParseError",
-    "Phrase",
     "Prefix",
     "PrefixDictionary",
     "Query",

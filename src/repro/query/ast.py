@@ -32,30 +32,6 @@ class Term(Query):
 
 
 @dataclass(frozen=True)
-class Phrase(Query):
-    """A quoted phrase ``"a b c"``: the words must appear consecutively.
-
-    Evaluation needs a :class:`~repro.index.positional.PositionalIndex`
-    (positions are an opt-in sidecar of the boolean index).
-    """
-
-    words: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.words) < 2:
-            raise ValueError(
-                "a phrase needs at least two words (a single quoted word "
-                "is just a term)"
-            )
-
-    def terms(self) -> FrozenSet[str]:
-        return frozenset(self.words)
-
-    def __str__(self) -> str:
-        return '"' + " ".join(self.words) + '"'
-
-
-@dataclass(frozen=True)
 class Prefix(Query):
     """A wildcard term ``value*``: matches every term with that prefix.
 

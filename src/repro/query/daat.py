@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.index.ondisk import MmapPostingsReader, TermInfo
 from repro.obs import recorder as obsrec
-from repro.query.ast import And, Not, Or, Phrase, Query, Term
+from repro.query.ast import And, Not, Or, Query, Term
 from repro.query.optimizer import optimize as optimize_query
 from repro.query.parser import parse_query
 from repro.query.ranking import BM25_B, BM25_K1, RankedHit
@@ -77,10 +77,9 @@ class DaatQueryEngine:
     Drop-in for :class:`~repro.query.evaluator.QueryEngine` on the
     read path: ``search`` has the same signature (``parallel`` is
     accepted for interface parity — there are no replicas to fan out
-    over) and returns the identical sorted path list.  Phrase queries
-    need the positional sidecar, which RIDX2 does not carry, and raise.
-    BM25 reads N, avgdl and df from the file, or from the collection
-    ``statistics`` of a shard's whole corpus when given
+    over) and returns the identical sorted path list.  BM25 reads N,
+    avgdl and df from the file, or from the collection ``statistics``
+    of a shard's whole corpus when given
     (:class:`~repro.query.ranking.CollectionStatistics`).
     """
 
@@ -176,14 +175,7 @@ class DaatQueryEngine:
     def _resolve(self, query: Query) -> Tuple[Query, Infos]:
         """The query, prefixes expanded, and its term map: the entries
         the expansion walked, plus one lexicon probe per other distinct
-        term.  A phrase anywhere is refused up front, as evaluation may
-        never reach it (an empty ``And`` stops early)."""
-        if _has_phrase(query):
-            raise ValueError(
-                "phrase queries need a positional index, which the RIDX2 "
-                "on-disk format does not carry; evaluate phrases with the "
-                "in-memory QueryEngine"
-            )
+        term."""
         infos: Infos = {}
         if has_prefixes(query):
             expand = partial(self.reader.expand, into=infos)
@@ -263,13 +255,3 @@ class DaatQueryEngine:
                 candidates = range(self.reader.doc_count)
             return list(filterfalse(drop.__contains__, candidates))
         raise TypeError(f"unknown query node: {type(query).__name__}")
-
-
-def _has_phrase(query: Query) -> bool:
-    if isinstance(query, Phrase):
-        return True
-    if isinstance(query, (And, Or)):
-        return any(_has_phrase(op) for op in query.operands)
-    if isinstance(query, Not):
-        return _has_phrase(query.operand)
-    return False

@@ -21,7 +21,7 @@ from typing import (
 from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
 from repro.obs import recorder as obsrec
-from repro.query.ast import And, Not, Or, Phrase, Query, Term
+from repro.query.ast import And, Not, Or, Query, Term
 from repro.query.optimizer import optimize as optimize_query
 from repro.query.parser import parse_query
 from repro.query.wildcard import PrefixDictionary, expand_prefixes, has_prefixes
@@ -30,20 +30,12 @@ AnyIndex = Union[InvertedIndex, MultiIndex]
 
 
 class QueryEngine:
-    """Evaluates boolean queries against an index.
-
-    ``positions`` (a :class:`~repro.index.positional.PositionalIndex`)
-    enables quoted phrase queries; without it a phrase query raises.
-    """
+    """Evaluates boolean and wildcard queries against an index."""
 
     def __init__(
-        self,
-        index: AnyIndex,
-        universe: Optional[Iterable[str]] = None,
-        positions=None,
+        self, index: AnyIndex, universe: Optional[Iterable[str]] = None
     ) -> None:
         self.index = index
-        self.positions = positions
         self._universe: Optional[FrozenSet[str]] = (
             frozenset(universe) if universe is not None else None
         )
@@ -162,13 +154,6 @@ class QueryEngine:
             return self._require_universe() - self._evaluate(
                 query.operand, postings
             )
-        if isinstance(query, Phrase):
-            if self.positions is None:
-                raise ValueError(
-                    "phrase queries need a positional index; construct "
-                    "QueryEngine(index, positions=PositionalIndex...)"
-                )
-            return set(self.positions.phrase_paths(query.words))
         raise TypeError(f"unknown query node: {type(query).__name__}")
 
     def _require_universe(self) -> FrozenSet[str]:

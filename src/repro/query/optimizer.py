@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.query.ast import And, Not, Or, Phrase, Prefix, Query, Term
+from repro.query.ast import And, Not, Or, Prefix, Query, Term
 
 #: A term no tokenizer can ever produce ("\x00" is not a term byte), so
 #: its posting set is empty: the optimizer's canonical FALSE.  NOT of it
@@ -29,7 +29,7 @@ from repro.query.ast import And, Not, Or, Phrase, Prefix, Query, Term
 NOTHING = Term("\x00nothing")
 EVERYTHING = Not(NOTHING)
 
-_LEAVES = frozenset((Term, Prefix, Phrase))
+_LEAVES = frozenset((Term, Prefix))
 
 
 def optimize(query: Query) -> Query:
@@ -38,7 +38,7 @@ def optimize(query: Query) -> Query:
 
 
 def _simplify(query: Query) -> Query:
-    if isinstance(query, (Term, Prefix, Phrase)):
+    if isinstance(query, (Term, Prefix)):
         return query
     if isinstance(query, Not):
         inner = _simplify(query.operand)
@@ -116,7 +116,7 @@ def _simplify_nary(query, node_cls, dual_cls, absorbing, identity) -> Query:
 
 def node_count(query: Query) -> int:
     """Number of AST nodes (the optimizer's cost metric)."""
-    if isinstance(query, (Term, Prefix, Phrase)):
+    if isinstance(query, (Term, Prefix)):
         return 1
     if isinstance(query, Not):
         return 1 + node_count(query.operand)

@@ -6,12 +6,13 @@ Grammar (standard precedence NOT > AND > OR; adjacency is implicit AND)::
     or_expr := and_expr ( OR and_expr )*
     and_expr:= not_expr ( [AND] not_expr )*
     not_expr:= NOT not_expr | atom
-    atom    := '(' or_expr ')' | TERM | PREFIX* | "PHRASE WORDS"
+    atom    := '(' or_expr ')' | TERM | PREFIX* | "TERM"
 
 Operators are case-insensitive keywords; terms are lower-cased to match
 the tokenizer's normalization.  A trailing ``*`` makes a term a prefix
-(wildcard) query, e.g. ``inter*``; double quotes make a phrase, e.g.
-``"parallel software design"`` (a one-word phrase is just a term).
+(wildcard) query, e.g. ``inter*``.  A quoted word is just that term; a
+quote of two or more words is a phrase, which raises :class:`ParseError`
+as no index stores term positions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import List
 
-from repro.query.ast import And, Not, Or, Phrase, Prefix, Query, Term
+from repro.query.ast import And, Not, Or, Prefix, Query, Term
 
 _TOKEN = re.compile(r"\(|\)|\"[^\"]*\"|[A-Za-z0-9]+\*?")
 _WORD = re.compile(r"[A-Za-z0-9]+")
@@ -95,9 +96,12 @@ class _Parser:
             words = [w.lower() for w in _WORD.findall(token)]
             if not words:
                 raise ParseError("empty phrase")
-            if len(words) == 1:
-                return Term(words[0])
-            return Phrase(tuple(words))
+            if len(words) > 1:
+                raise ParseError(
+                    "phrase queries are not supported: "
+                    "no index stores term positions"
+                )
+            return Term(words[0])
         if self._upper[pos] in ("AND", "OR", "NOT"):
             raise ParseError(f"operator {token!r} used where a term is expected")
         if token.endswith("*"):

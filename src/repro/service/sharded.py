@@ -160,12 +160,10 @@ class RankedQueryEngine(QueryEngine):
     contract above.
     """
 
-    def __init__(
-        self, index, universe=None, positions=None, frequencies=None
-    ) -> None:
+    def __init__(self, index, universe=None, frequencies=None) -> None:
         if frequencies is None:
             raise ValueError("RankedQueryEngine needs a FrequencyIndex")
-        super().__init__(index, universe=universe, positions=positions)
+        super().__init__(index, universe=universe)
         self.ranker = BM25Ranker(frequencies)
 
     def search_bm25(self, query_text: str, topk: int = 10) -> list:

@@ -1,7 +1,8 @@
 """Shared fixtures: tiny deterministic corpora and workloads.
 
-Everything here is session-scoped and read-only; tests must not mutate
-fixture objects (build a fresh index/engine per test instead).
+Everything here but :func:`fresh_metrics` is session-scoped and
+read-only; tests must not mutate fixture objects (build a fresh
+index/engine per test instead).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus import CorpusGenerator, TINY_PROFILE
+from repro.obs import recorder as obsrec
 from repro.simengine import Workload
 from repro.text import Tokenizer
 
@@ -47,3 +49,11 @@ def tiny_reference_index(tiny_fs, tokenizer):
         for term in terms:
             reference.setdefault(term, set()).add(ref.path)
     return reference
+
+
+@pytest.fixture
+def fresh_metrics():
+    """A fresh metrics registry for one test (the recorder off)."""
+    previous = obsrec.set_recorder(obsrec.Recorder(enabled=False))
+    yield obsrec.metrics()
+    obsrec.set_recorder(previous)

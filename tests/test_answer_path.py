@@ -41,7 +41,6 @@ from repro.fsmodel import VirtualFileSystem
 from repro.index import MmapPostingsReader, save_index
 from repro.index.inverted import InvertedIndex
 from repro.index.segments import SegmentManifest
-from repro.obs import recorder as obsrec
 from repro.query import (
     BM25Ranker,
     FrequencyIndex,
@@ -336,13 +335,6 @@ class TestThreadCensus:
         fs.write_file("a.txt", b"alpha")
         with pytest.raises(TypeError):
             Search.build(fs).serve_async(stage_workers=1)
-
-
-@pytest.fixture
-def fresh_metrics():
-    previous = obsrec.set_recorder(obsrec.Recorder(enabled=False))
-    yield obsrec.metrics()
-    obsrec.set_recorder(previous)
 
 
 def burst(frontend, texts):

@@ -1,7 +1,8 @@
 """CLI coverage for the on-disk serving path.
 
-``index`` saving ``.ridx2`` (with frequencies baked in), ``search
---ondisk`` (boolean and BM25, plus the block-skip report), ``serve
+``index`` saving ``.ridx2`` (with frequencies baked in, one file from
+any engine), ``search --ondisk`` (boolean and BM25, plus the block-skip
+report), a malformed query's exit 2 on every search path, ``serve
 --ondisk`` over a query file, and the flag-conflict rejections.
 """
 
@@ -37,6 +38,18 @@ class TestIndexSavesRidx2:
         with MmapPostingsReader(ridx2_path) as reader:
             assert reader.has_freqs
             assert reader.doc_count == 51
+
+    def test_default_engine_writes_the_sequential_file(
+        self, corpus_dir, ridx2_path, tmp_path, capsys
+    ):
+        """Implementation 3, the default engine, builds replicas; a
+        ``.ridx2`` path joins them into one file, byte for byte the one
+        the sequential build saves."""
+        path = str(tmp_path / "impl3.ridx2")
+        assert main(["index", corpus_dir, "--save", path]) == 0
+        assert "RIDX2 with frequencies" in capsys.readouterr().out
+        with open(path, "rb") as joined, open(ridx2_path, "rb") as flat:
+            assert joined.read() == flat.read()
 
 
 class TestSearchOndisk:
@@ -95,6 +108,31 @@ class TestSearchOndisk:
     def test_topk_must_be_positive(self, ridx2_path, capsys):
         assert main(["search", ridx2_path, "x", "--topk", "0"]) == 2
         assert "topk" in capsys.readouterr().err
+
+
+class TestSearchRefusesABadQuery:
+    """A malformed query, a phrase among them, is one error line and
+    exit 2 on every search path, not a traceback."""
+
+    @pytest.mark.parametrize("query, message", [
+        ("cat AND (", "unexpected end of query"),
+        ('"zipf data"',
+         "phrase queries are not supported: no index stores term positions"),
+    ])
+    @pytest.mark.parametrize("ondisk", [False, True], ids=["memory", "ondisk"])
+    @pytest.mark.parametrize("rank", ["bool", "bm25"])
+    def test_exits_2_with_the_parse_error(
+        self, corpus_dir, ridx2_path, capsys, query, message, ondisk, rank
+    ):
+        argv = ["search", ridx2_path, query, "--rank", rank]
+        if ondisk:
+            argv.append("--ondisk")
+        elif rank == "bm25":
+            argv += ["--ranked", corpus_dir]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestServeOndisk:

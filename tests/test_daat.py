@@ -9,8 +9,9 @@ on drawn nested queries (depth <= 3, top-level NOT, Ands of NOTs,
 absent terms and prefixes) over drawn corpora at block sizes 1 to 128,
 and on the fixed shapes where a term's match-time decode does not cover
 every match (BM25 reads such a term again; any other list it reads
-once, as its boolean twin does).  Also covered: the phrase-query refusal, the ranking-mode-aware cache
-keys (a BM25 result must never satisfy a boolean lookup), serving a
+once, as its boolean twin does).  Also covered: the phrase-query
+refusal at every door, the ranking-mode-aware cache keys (a BM25
+result must never satisfy a boolean lookup), serving a
 :class:`SearchService` from an on-disk snapshot, and four threads
 sharing one engine.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,7 @@ from repro.query import (
 from repro.query.ast import And, Not, Or, Prefix, Term
 from repro.query.cache import QueryCache
 from repro.query.daat import DaatQueryEngine
-from repro.query.parser import parse_query
+from repro.query.parser import ParseError, parse_query
 from repro.service import SearchService
 from repro.service.snapshot import IndexSnapshot
 from repro.text.termblock import TermBlock
@@ -189,9 +191,10 @@ class TestBm25NeedsFrequencies:
 
 class TestPhraseRefusal:
     def test_phrase_raises_with_guidance(self, engine_pair):
-        _, daat, _ = engine_pair
-        with pytest.raises(ValueError, match="positional"):
-            daat.search('"the a"')
+        memory, daat, _ = engine_pair
+        for search in (memory.search, daat.search, daat.search_bm25):
+            with pytest.raises(ParseError, match="stores term positions"):
+                search('"the a"')
 
 
 class TestRankingAwareCacheKeys:
@@ -560,16 +563,55 @@ class TestTermProbes:
 
 
 class TestNestedPhraseRefusal:
+    """No index stores term positions, so a quote of two or more words,
+    anywhere in a query, is a ParseError at every door: raised while
+    parsing, before any term is looked up, evaluated or cached."""
+
+    DOCS = {"a.txt": ["alpha", "beta"], "b.txt": ["every"]}
+
     @pytest.mark.parametrize(
-        "query", ['zzz AND "alpha beta"', 'alpha AND NOT (zzz OR "alpha beta")']
+        "query",
+        ['"alpha beta"', 'zzz AND "alpha beta"',
+         'alpha AND NOT (zzz OR "alpha beta")'],
     )
-    def test_a_phrase_anywhere_raises(self, tmp_path, query):
-        """Refused up front, though an And whose cheapest operand matches
-        nothing would stop before it reached the phrase."""
-        docs = {"a.txt": ["alpha", "beta"], "b.txt": ["every"]}
-        _memory, _frequencies, path = write_corpus(tmp_path, docs, 2)
+    def test_a_phrase_anywhere_raises(
+        self, tmp_path, query, fresh_metrics
+    ):
+        from repro.api import Search
+        from repro.fsmodel import VirtualFileSystem
+
+        memory, frequencies, path = write_corpus(tmp_path, self.DOCS, 2)
+        fs = VirtualFileSystem()
+        for name, words in self.DOCS.items():
+            fs.write_file(name, " ".join(words).encode())
+        session = Search.build(fs)
         with MmapPostingsReader(path) as reader:
-            engine = DaatQueryEngine(reader)
-            for evaluate in (engine.search, engine.search_bm25):
-                with pytest.raises(ValueError, match="positional"):
-                    evaluate(query)
+            probes = []
+            reader.term_info = probes.append
+            daat = DaatQueryEngine(reader)
+            doors = [
+                memory.search,
+                daat.search,
+                daat.search_bm25,
+                partial(search_bm25, memory, BM25Ranker(frequencies)),
+                session.query,
+            ]
+            for door in doors:
+                with pytest.raises(ParseError, match="phrase"):
+                    door(query)
+            assert probes == []
+        with session.serve(workers=1) as service:
+            with pytest.raises(ParseError, match="phrase"):
+                service.query(query)
+        with session.serve_async(workers=1) as frontend:
+            ticket = frontend.submit(query)
+            with pytest.raises(ParseError, match="phrase"):
+                ticket.result(timeout=30)
+            assert frontend.stats()["frontend.evaluations"] == 0
+        with session.serve_sharded(shards=2) as broker:
+            with pytest.raises(ParseError, match="phrase"):
+                broker.query(query)
+            assert broker.stats()["broker.failed"] == 0.0
+        assert len(session.snapshot().cache) == 0
+        assert fresh_metrics.counter("query.searches").value == 0
+        assert fresh_metrics.counter("query.daat.searches").value == 0

@@ -44,7 +44,6 @@ from repro.extract import (
 from repro.formats import default_registry
 from repro.fsmodel import VirtualFileSystem
 from repro.index.binfmt import dump_index_bytes
-from repro.index.positional import PositionalIndex
 from repro.index.segments import SegmentedIndexer
 from repro.query.ranking import FrequencyIndex
 from repro.text.tokenizer import (
@@ -378,7 +377,6 @@ class TestDeprecatedKwargs:
         ProcessReplicatedIndexer,
         SegmentedIndexer,
         FrequencyIndex.from_fs,
-        PositionalIndex.from_fs,
     ], ids=lambda make: make.__qualname__)
     def test_positional_second_argument_is_refused(self, tiny_fs, make):
         # At 3.x the second positional was ``tokenizer``; binding it to

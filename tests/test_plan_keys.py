@@ -3,11 +3,13 @@
 ``golden_plan_keys.json`` was recorded from the 4.0.0 parser and
 optimizer over 320 query texts that cover the grammar: adjacency,
 nested and redundant parentheses, ``NOT NOT``, duplicates, both
-complement laws, absorption both ways, one-word and multi-word
-phrases, prefixes, mixed-case operators, and 43 malformed texts.  Per
-text it holds the parsed AST's ``repr``, the optimised AST's ``repr``
-and :func:`~repro.query.cache.plan_query`'s key for a boolean and a
-BM25 request — or the :class:`~repro.query.parser.ParseError` message.
+complement laws, absorption both ways, quoted single words, prefixes,
+mixed-case operators, and 43 malformed texts.  Per text it holds the
+parsed AST's ``repr``, the optimised AST's ``repr`` and
+:func:`~repro.query.cache.plan_query`'s key for a boolean and a BM25
+request — or the :class:`~repro.query.parser.ParseError` message.  The
+39 texts with a multi-word quote hold the phrase refusal's message:
+phrases left the grammar, as no index stores term positions.
 
 A changed key would silently split the result cache and the front
 end's single-flight map, so a row that no longer matches is a

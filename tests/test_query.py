@@ -52,7 +52,8 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "AND", "a AND", "(a", "a)", "()", "a AND OR b", "NOT"],
+        ["", "AND", "a AND", "(a", "a)", "()", "a AND OR b", "NOT",
+         '"a b"', 'cat AND NOT (x OR "a b")'],
     )
     def test_malformed_rejected(self, bad):
         with pytest.raises(ParseError):
