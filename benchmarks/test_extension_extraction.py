@@ -1,19 +1,11 @@
-"""Extension study: bytes-fast extraction and huge-file splitting.
+"""Extension study: bytes-fast extraction.
 
-Two claims quantified, one equivalence pinned:
-
-* **tokenizer throughput** — the translation-table fast path
-  (``bytes.translate`` + ``split``, both C loops) must be at least 2x
-  the retained per-byte reference loop (``iter_terms_slow``) on the
-  same corpus blob; the code-aware tokenizer carries a lower bar
-  because its camelCase part-splitting regex is shared between paths;
-* **build tail** — chunk-splitting a dominant huge file must shrink
-  the longest single extraction task (the straggler that sets stage-2
-  tail time) roughly in proportion to the chunk count, and the
-  process-backend wall times with and without splitting are recorded;
-* **equivalence** — the split build's index is byte-identical to the
-  unsplit build's, so none of the timed runs can come from a wrong
-  index.
+The translation-table fast path (``bytes.translate`` + ``split``, both
+C loops) must be at least 2x the retained per-byte reference loop
+(``iter_terms_slow``) on the same corpus blob; the code-aware tokenizer
+carries a lower bar because its camelCase part-splitting regex is
+shared between paths.  Its output must equal the reference loop's, so
+no timed run comes from a wrong term stream.
 
 The digest is committed as ``BENCH_extraction.json`` at the repo root.
 """
@@ -24,12 +16,7 @@ import json
 import os
 import time
 
-from repro.engine import ProcessReplicatedIndexer, ThreadConfig
-from repro.extract import AsciiExtractor, CodeTokenizer, plan_chunks, read_chunk
-from repro.fsmodel import VirtualFileSystem
-from repro.index.binfmt import dump_index_bytes
-from repro.index.merge import join_indices
-from repro.index.multi import MultiIndex
+from repro.extract import CodeTokenizer
 from repro.text import Tokenizer
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -78,81 +65,12 @@ def _throughput(tokenizer, blob):
     }
 
 
-def _straggler(fs, path, extractor, threshold):
-    """Longest single extraction task, whole-file vs chunked."""
-    size = fs.file_size(path)
-    content = fs.read_file(path)
-    whole = _best(lambda: extractor.terms(path, content))
-
-    chunks = plan_chunks(size, threshold)
-    boundary = extractor.boundary_bytes
-
-    def one_chunk(start, end):
-        data = read_chunk(fs, path, size, start, end, boundary)
-        return extractor.chunk_terms(data)
-
-    longest = max(_best(one_chunk, start, end) for start, end in chunks)
-    return {
-        "file_mb": round(size / 1e6, 2),
-        "chunks": len(chunks),
-        "whole_file_ms": round(whole * 1e3, 2),
-        "longest_chunk_ms": round(longest * 1e3, 2),
-        "tail_speedup": round(whole / longest, 1),
-    }
-
-
-def _flat_bytes(index):
-    if isinstance(index, MultiIndex):
-        index = join_indices(index.replicas)
-    return dump_index_bytes(index)
-
-
-def _skewed_fs():
-    """20 small files plus one file holding ~75% of the corpus bytes."""
-    fs = VirtualFileSystem()
-    for i in range(20):
-        fs.write_file(
-            f"note-{i:02d}.txt", b"cat dog ferret gecko heron ibis " * 40
-        )
-    fs.write_file("archive.txt", b"alpha beta gamma delta epsilon " * 25_000)
-    return fs
-
-
-def _process_build(fs, split_threshold):
-    engine = ProcessReplicatedIndexer(
-        fs, split_threshold=split_threshold, oversubscribe=True
-    )
-    t0 = time.perf_counter()
-    report = engine.build(ThreadConfig(2, 0, 1, backend="process"))
-    return time.perf_counter() - t0, report
-
-
 def test_extraction_benchmark(write_result):
     digest = {
         "tokenizer_throughput": {
             "ascii": _throughput(Tokenizer(), BLOB),
             "code": _throughput(CodeTokenizer(), CODE_BLOB),
         }
-    }
-
-    # Straggler tail: one huge file, in-process, chunked eight ways.
-    fs = VirtualFileSystem()
-    fs.write_file("huge.txt", b"alpha beta gamma delta epsilon " * 40_000)
-    size = fs.file_size("huge.txt")
-    digest["straggler"] = _straggler(
-        fs, "huge.txt", AsciiExtractor(), threshold=size // 8 + 1
-    )
-
-    # End-to-end: process backend over a skewed corpus, split vs not.
-    skewed = _skewed_fs()
-    wall_unsplit, unsplit = _process_build(skewed, split_threshold=None)
-    wall_split, split = _process_build(skewed, split_threshold=96 * 1024)
-    assert _flat_bytes(split.index) == _flat_bytes(unsplit.index)
-    digest["process_build"] = {
-        "files": unsplit.file_count,
-        "wall_unsplit_s": round(wall_unsplit, 3),
-        "wall_split_s": round(wall_split, 3),
-        "split_failures": len(split.failures),
     }
 
     with open(RESULT_PATH, "w", encoding="utf-8") as fh:
@@ -165,6 +83,3 @@ def test_extraction_benchmark(write_result):
     # scan itself accelerates.
     assert digest["tokenizer_throughput"]["ascii"]["speedup"] >= 2.0
     assert digest["tokenizer_throughput"]["code"]["speedup"] >= 1.2
-    # 8 chunks -> the longest task must shrink by a lot more than 2x.
-    assert digest["straggler"]["tail_speedup"] >= 2.0
-    assert digest["process_build"]["split_failures"] == 0

@@ -1,14 +1,12 @@
-"""Extraction-pipeline smoke test: splitting, counters, byte parity.
+"""Extraction-pipeline smoke test: byte parity and the code extractor.
 
 Builds a mixed corpus — small notes, a source file, a TSV table, and
-one huge text file — then:
+one large text file — then:
 
-* builds with huge-file splitting enabled on the threaded and the
-  process backends and checks the ``extract.files_split`` counter
-  proves the big file really was chunked;
-* diffs each split build against an unsplit sequential build — the
-  canonical index bytes must be identical, because chunking may only
-  change *who* extracts the bytes, never what lands in the index;
+* builds it on the threaded and the process backends and diffs each
+  against a sequential build — the canonical index bytes must be
+  identical, because the engine may only change *who* extracts a file,
+  never what lands in the index;
 * runs the named ``code`` extractor end to end through the ``Search``
   facade and queries a term that only camelCase splitting can produce.
 
@@ -29,10 +27,6 @@ from repro.engine import (
 from repro.fsmodel import VirtualFileSystem
 from repro.index.binfmt import dump_index_bytes
 from repro.index.merge import join_indices
-from repro.obs import Recorder
-from repro.obs import recorder as obsrec
-
-SPLIT_THRESHOLD = 16 * 1024
 
 
 def build_corpus() -> VirtualFileSystem:
@@ -44,7 +38,7 @@ def build_corpus() -> VirtualFileSystem:
         b"def parseHTTPHeader(raw):\n    return splitHeaderValue(raw)\n",
     )
     fs.write_file("table.tsv", b"1\talpha beta\tgamma\n2\tdelta\tepsilon\n")
-    # One file holding most of the corpus bytes: the split target.
+    # One file holding most of the corpus bytes.
     fs.write_file("archive.txt", b"alpha beta gamma delta epsilon " * 6_000)
     return fs
 
@@ -57,35 +51,28 @@ def flat_bytes(report) -> bytes:
 
 
 def main() -> int:
-    obsrec.set_recorder(Recorder(enabled=False))  # fresh metrics registry
     fs = build_corpus()
     baseline = SequentialIndexer(fs, naive=False).build()
     want = flat_bytes(baseline)
     print(f"corpus: {baseline.file_count} files, "
-          f"{fs.file_size('archive.txt')} bytes in the huge file")
+          f"{fs.file_size('archive.txt')} bytes in the large file")
 
     for label, build in (
-        ("threaded", lambda: ReplicatedJoinedIndexer(
-            fs, split_threshold=SPLIT_THRESHOLD
-        ).build(ThreadConfig(2, 0, 1))),
+        ("threaded", lambda: ReplicatedJoinedIndexer(fs).build(
+            ThreadConfig(2, 0, 1)
+        )),
         ("process", lambda: ProcessReplicatedIndexer(
-            fs, split_threshold=SPLIT_THRESHOLD, oversubscribe=True
+            fs, oversubscribe=True
         ).build(ThreadConfig(2, 0, 1, backend="process"))),
     ):
-        obsrec.set_recorder(Recorder(enabled=False))
         report = build()
-        split_count = obsrec.metrics().snapshot().get("extract.files_split")
-        print(f"  {label}: indexed {report.file_count} files, "
-              f"files_split counter = {split_count}")
-        if split_count != 1.0:
-            print(f"FAIL: {label} build split {split_count} files, "
-                  "expected exactly the huge one", file=sys.stderr)
-            return 1
+        print(f"  {label}: indexed {report.file_count} files")
         if flat_bytes(report) != want:
-            print(f"FAIL: {label} split build bytes differ from the "
-                  "unsplit sequential build", file=sys.stderr)
+            print(f"FAIL: {label} build bytes differ from the sequential "
+                  "build", file=sys.stderr)
             return 1
-    print("OK: split builds byte-identical to the unsplit build")
+    print("OK: threaded and process builds byte-identical to the "
+          "sequential build")
 
     session = Search.build(fs, extractor="code")
     hits = session.query("parsehttpheader").paths

@@ -130,7 +130,6 @@ class Search:
         cache: int = 128,
         sync=None,
         extractor=None,
-        split_threshold: Optional[int] = None,
     ) -> None:
         self._segmented = segmented
         self._fs = fs
@@ -145,7 +144,6 @@ class Search:
         # extractor= once and hands the Extractor to every engine it
         # constructs.
         self._extractor = resolve_extractor(extractor)
-        self._split_threshold = split_threshold
         self._sync = sync
         if sync is None:
             from repro.concurrency.provider import THREADING_SYNC
@@ -174,7 +172,6 @@ class Search:
         segment_dir: Optional[str] = None,
         sync=None,
         extractor=None,
-        split_threshold: Optional[int] = None,
     ) -> "Search":
         """Index ``source`` (a directory path or a filesystem object).
 
@@ -188,9 +185,7 @@ class Search:
         mmap instead of keeping it in memory.  ``extractor`` picks the
         extraction pipeline — an :class:`~repro.extract.Extractor`
         instance or a registered name (``"ascii"``, ``"code"``,
-        ``"tsv"``); ``split_threshold`` makes parallel builds chunk
-        files larger than that many bytes across workers (see
-        ``docs/extraction.md``).
+        ``"tsv"``).
         """
         fs = _as_filesystem(source)
         fault = fault or FaultPolicy()
@@ -224,7 +219,6 @@ class Search:
                 batch_timeout=fault.batch_timeout,
                 sync=sync,
                 extractor=extractor,
-                split_threshold=split_threshold,
             ).build(implementation, config, root)
         # The engine fingerprinted each file by the read it indexed, so
         # a file modified while the build runs is seen as changed by
@@ -244,7 +238,6 @@ class Search:
             cache=cache,
             sync=sync,
             extractor=extractor,
-            split_threshold=split_threshold,
         )
 
     @classmethod
@@ -258,7 +251,6 @@ class Search:
         segment_dir: Optional[str] = None,
         sync=None,
         extractor=None,
-        split_threshold: Optional[int] = None,
     ) -> "Search":
         """Open a saved index; the file's leading bytes decide how.
 
@@ -307,7 +299,6 @@ class Search:
             cache=cache,
             sync=sync,
             extractor=extractor,
-            split_threshold=split_threshold,
         )
 
     # -- reading ----------------------------------------------------------
@@ -410,7 +401,6 @@ class Search:
             fault=self._fault,
             cache=0,
             extractor=self._extractor,
-            split_threshold=self._split_threshold,
             root=self._root,
             segment_dir=self._segmented.segment_dir,
             sync=self._sync,

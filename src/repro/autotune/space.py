@@ -22,9 +22,9 @@ class ConfigurationSpace:
     builds at absurd thread counts teaches nothing).
 
     A space is scoped to one ``backend``.  With ``backend="process"``
-    (Implementation 2 only) the y dimension collapses — workers fuse
-    extraction and update, so every point has y = 0 — leaving a 2-D
-    (x, z) sweep.
+    (Implementation 2 only) the y and z dimensions collapse — workers
+    fuse extraction and update, so every point has y = 0, and the
+    parent joins in one pass, so z = 1 — leaving a sweep over x.
     """
 
     implementation: Implementation

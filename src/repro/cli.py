@@ -134,11 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    "tokenizer), 'code' (splits identifiers on camelCase "
                    "and snake_case), 'tsv' (indexes tab-separated "
                    "records line by line)")
-    p.add_argument("--split-threshold", type=int, default=None,
-                   metavar="BYTES",
-                   help="chunk files larger than BYTES across workers "
-                   "on separator boundaries (parallel builds only; "
-                   "default: never split)")
     p.add_argument("--dynamic", choices=("steal", "queue"),
                    help="acquire work at runtime (work stealing or a "
                    "shared queue) instead of static round-robin vectors")
@@ -425,12 +420,6 @@ def _reject_incompatible_index_args(args: argparse.Namespace) -> Optional[str]:
                 "process backend distributes work as static batches; "
                 "use --backend thread for work stealing or a shared "
                 "queue")
-    if args.sequential and args.split_threshold is not None:
-        return ("--split-threshold only applies to parallel builds "
-                "(chunks are extracted concurrently; the sequential "
-                "baseline reads files whole)")
-    if args.split_threshold is not None and args.split_threshold < 1:
-        return "--split-threshold must be at least 1 byte"
     return None
 
 
@@ -483,7 +472,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
             report = IndexGenerator(
                 fs,
                 extractor=extractor,
-                split_threshold=args.split_threshold,
                 dynamic=args.dynamic,
                 oversubscribe=args.oversubscribe,
                 on_error=args.on_error,
@@ -608,8 +596,12 @@ def _search(args: argparse.Namespace) -> int:
               "index with frequencies baked in)", file=sys.stderr)
         return 2
     if args.ranked:
-        from repro.query import BM25Ranker, FrequencyIndex, search_bm25
+        from repro.query import (
+            BM25Ranker, FrequencyIndex, parse_query, search_bm25,
+        )
 
+        # A malformed query is refused before the corpus is walked.
+        parse_query(args.query)
         frequencies = FrequencyIndex.from_fs(OsFileSystem(args.ranked))
         _print_ranked_hits(search_bm25(
             engine, BM25Ranker(frequencies), args.query,

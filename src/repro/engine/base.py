@@ -27,10 +27,9 @@ from repro.distribute.roundrobin import RoundRobinStrategy
 from repro.engine.config import Implementation, ThreadConfig
 from repro.engine.faults import FileFailure, check_on_error
 from repro.engine.results import BuildReport, StageTimings, build_metrics
-from repro.engine.stage2 import read_chunk_terms, read_file_terms
+from repro.engine.stage2 import read_file_terms
 from repro.extract.registry import resolve_extractor
-from repro.extract.split import SplitJoiner, expand_file_refs
-from repro.fsmodel.nodes import ChunkRef, FileRef
+from repro.fsmodel.nodes import FileRef
 from repro.index.fingerprint import FingerprintMap
 from repro.obs import recorder as obsrec
 from repro.text.dedup import dedup_terms
@@ -58,19 +57,11 @@ class ThreadedIndexerBase:
         on_error: str = "strict",
         sync: Optional[SyncProvider] = None,
         extractor=None,
-        split_threshold: Optional[int] = None,
     ) -> None:
         self.fs = fs
         # The extraction seam: one Extractor (format conversion +
         # tokenization).
         self.extractor = resolve_extractor(extractor)
-        # Files above this size (bytes) are split into chunks extracted
-        # in parallel (see repro.extract.split); None disables splitting.
-        if split_threshold is not None and split_threshold < 1:
-            raise ValueError(
-                f"split_threshold must be positive, got {split_threshold}"
-            )
-        self.split_threshold = split_threshold
         self.strategy = strategy or RoundRobinStrategy()
         self.buffer_capacity = buffer_capacity
         # All locks, condition variables, buffers and worker threads come
@@ -101,11 +92,6 @@ class ThreadedIndexerBase:
         # The current build's span recorder; replaced at each build()
         # so stage helpers always have somewhere to record.
         self._recorder = obsrec.Recorder()
-        # Per-build chunk-join state, created by _run_extractors when a
-        # build actually splits files (None otherwise).
-        self._split_joiner: Optional[SplitJoiner] = None
-        self._split_lock = None
-        self._split_fingerprints: FingerprintMap = {}
 
     # -- public API ------------------------------------------------------
 
@@ -167,23 +153,10 @@ class ThreadedIndexerBase:
     # -- shared stage machinery ---------------------------------------------
 
     def _extract_file(self, ref: FileRef) -> Optional[TermBlock]:
-        """Stage 2 for one file (or one chunk of a split file), with an
-        ``extract.file`` / ``extract.chunk`` detail span when tracing is
-        enabled (one branch when it is not).  ``None`` when there is no
-        block to hand on: the file was skipped under ``"skip"`` (see
-        :mod:`repro.engine.stage2`), or the chunk was not its file's
-        last."""
-        if isinstance(ref, ChunkRef):
-            if not obsrec.enabled():
-                return self._extract_chunk(ref)
-            with obsrec.span(
-                "extract.chunk",
-                path=ref.path,
-                start=ref.start,
-                end=ref.end,
-                index=ref.index,
-            ):
-                return self._extract_chunk(ref)
+        """Stage 2 for one file, with an ``extract.file`` detail span
+        when tracing is enabled (one branch when it is not).  ``None``
+        when the file was skipped under ``"skip"`` (see
+        :mod:`repro.engine.stage2`)."""
         if not obsrec.enabled():
             return self._extract_whole(ref)
         with obsrec.span("extract.file", path=ref.path, size=ref.size):
@@ -197,30 +170,6 @@ class ThreadedIndexerBase:
             return None
         terms, self._fingerprints[ref.path] = unit
         return TermBlock(path=ref.path, terms=dedup_terms(terms))
-
-    def _extract_chunk(self, ref: ChunkRef) -> Optional[TermBlock]:
-        """Each chunk's terms land in the build's :class:`SplitJoiner`;
-        whichever worker delivers a file's *last* chunk receives the
-        unioned whole-file terms and returns the TermBlock.  Which
-        worker that is doesn't matter — serialization canonicalizes
-        block order.  A failed chunk under ``"skip"`` fails its whole
-        file, recorded once."""
-        failed: Optional[List[FileFailure]] = (
-            [] if self._skipped is not None else None
-        )
-        terms = read_chunk_terms(self.fs, ref, self.extractor, failed)
-        with self._split_lock:
-            if terms is None:
-                if self._split_joiner.fail(ref.path, ref.count):
-                    self.last_failures.extend(failed)
-                return None
-            whole = self._split_joiner.add(
-                ref.path, ref.index, ref.count, terms
-            )
-        if whole is None:
-            return None
-        self._fingerprints[ref.path] = self._split_fingerprints[ref.path]
-        return TermBlock(path=ref.path, terms=dedup_terms(whole))
 
     def _run_extractors(
         self,
@@ -243,16 +192,6 @@ class ThreadedIndexerBase:
         Returns elapsed seconds.  Exceptions raised inside workers are
         re-raised here.
         """
-        # Huge-file divide-and-conquer: oversized splittable files
-        # become ChunkRefs that distribute across workers like ordinary
-        # files, so one giant file no longer serializes the build tail.
-        files, split = expand_file_refs(
-            self.fs, files, self.extractor, self.split_threshold
-        )
-        if split:
-            self._split_joiner = SplitJoiner()
-            self._split_lock = self.sync.lock("split-joiner")
-            self._split_fingerprints = split
         errors: List[BaseException] = []
         worker = self._make_worker(config.extractors, files, sink, errors)
         self.last_extractor_times = [0.0] * config.extractors

@@ -10,7 +10,7 @@ the tuple on Python threads (the paper's design, GIL-bound), while
 ``"process"`` runs Implementation 2 across OS worker processes
 (:class:`repro.engine.procbackend.ProcessReplicatedIndexer`) — ``x``
 worker processes, no separate updater stage (extract and update are
-fused inside each worker), ``z`` parent-side joiners.
+fused inside each worker), one parent-side joiner (``z = 1``).
 """
 
 from __future__ import annotations
@@ -81,7 +81,9 @@ class ThreadConfig:
         The process backend only exists for Implementation 2 — it *is*
         the "Join Forces" design, the one whose stages 2-3 need no
         shared mutable state — and it fuses extraction and update
-        inside each worker, so ``y`` must be 0.
+        inside each worker, so ``y`` must be 0.  It joins in the parent
+        in one bulk pass, so ``z`` must be 1: the paper's reduction
+        tree is the threaded Implementation 2's.
         """
         if self.backend == "process":
             if implementation is not Implementation.REPLICATED_JOINED:
@@ -95,6 +97,13 @@ class ThreadConfig:
                     "the process backend fuses extraction and index update "
                     "inside each worker process; there is no cross-process "
                     f"updater stage, so y must be 0 (got y={self.updaters})"
+                )
+            if self.joiners > 1:
+                raise ValueError(
+                    "the process backend joins the worker replicas in one "
+                    f"pass, so z must be 1 (got z={self.joiners}); run the "
+                    "threaded Implementation 2 for the paper's pairwise "
+                    "reduction tree"
                 )
         if implementation.joins:
             if self.joiners < 1:

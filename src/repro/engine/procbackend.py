@@ -13,13 +13,13 @@ onto processes:
    dedup → private-replica update in its own interpreter
    (:func:`repro.engine.procworker.build_replica`) and ships its replica
    back as RWIRE1 wire bytes;
-3. the parent joins the blobs in batch order, never completion order:
-   with ``z = 1`` in one bulk pass
-   (:func:`repro.index.binfmt.join_wire_replicas`: one decode per
-   blob, native lists that become the index) that also yields the
-   build's documents and posting count; with ``z > 1`` each blob is
-   folded into an FNV-grown replica and the replicas are merged by the
-   paper's pairwise reduction tree with ``z`` threads per level.
+3. the parent joins the blobs in batch order, never completion order,
+   in one bulk pass (:func:`repro.index.binfmt.join_wire_replicas`:
+   one decode per blob, native lists that become the index) that also
+   yields the build's documents and posting count.  One joiner only:
+   the paper's reduction tree (``z > 1``) is the threaded
+   Implementation 2's, since parent-side joiner threads would share
+   one GIL.
 
 Workers and parent exchange only picklable data — batches of the walk's
 ``FileRef`` records and extractor specs in, wire bytes out — so the backend
@@ -69,26 +69,19 @@ from repro.engine.faults import (
     reconcile_failures,
 )
 from repro.engine.procworker import (
-    ChunkBatch,
-    ChunkResult,
     FilesystemSpec,
     WorkerBatch,
     WorkerResult,
     build_replica,
-    extract_chunk,
 )
 from repro.engine.results import BuildReport, StageTimings, build_metrics
 from repro.extract.registry import resolve_extractor
-from repro.extract.split import SplitJoiner, expand_file_refs
 from repro.obs import recorder as obsrec
 from repro.obs.spans import rebase_spans
-from repro.fsmodel.nodes import ChunkRef, FileRef
-from repro.index.binfmt import join_wire_replicas, merge_wire_replica
+from repro.fsmodel.nodes import FileRef
+from repro.index.binfmt import join_wire_replicas
 from repro.index.fingerprint import FingerprintMap
 from repro.index.inverted import InvertedIndex
-from repro.index.merge import join_pairwise_tree
-from repro.text.dedup import dedup_terms
-from repro.text.termblock import TermBlock
 
 
 def available_cpus() -> int:
@@ -138,10 +131,9 @@ class _Job:
 
     def split(self) -> List["_Job"]:
         """The retry shape: halves (to isolate poisoned files) at
-        attempt + 1.  A single-file batch — and a chunk job, which is
-        already one indivisible unit of one file — cannot split
-        further and just re-enters the ladder."""
-        refs = () if isinstance(self.batch, ChunkBatch) else self.batch.refs
+        attempt + 1.  A single-file batch cannot split further and
+        just re-enters the ladder."""
+        refs = self.batch.refs
         if len(refs) <= 1:
             return [_Job(self.batch, self.slot, self.attempt + 1)]
         mid = len(refs) // 2
@@ -149,13 +141,6 @@ class _Job:
             _Job(replace(self.batch, refs=refs[:mid]), self.slot, self.attempt + 1),
             _Job(replace(self.batch, refs=refs[mid:]), self.slot, self.attempt + 1),
         ]
-
-    @property
-    def fn(self):
-        """The module-level worker body this job dispatches to."""
-        if isinstance(self.batch, ChunkBatch):
-            return extract_chunk
-        return build_replica
 
 
 class ProcessReplicatedIndexer:
@@ -177,7 +162,6 @@ class ProcessReplicatedIndexer:
         batch_timeout: Optional[float] = None,
         retry_backoff: float = 0.05,
         extractor=None,
-        split_threshold: Optional[int] = None,
     ) -> None:
         if dynamic is not None:
             raise ValueError(
@@ -188,11 +172,6 @@ class ProcessReplicatedIndexer:
         self.fs = fs
         # One Extractor seam (see repro.extract).
         self.extractor = resolve_extractor(extractor)
-        if split_threshold is not None and split_threshold < 1:
-            raise ValueError(
-                f"split_threshold must be positive, got {split_threshold}"
-            )
-        self.split_threshold = split_threshold
         self.strategy = strategy or RoundRobinStrategy()
         # Accepted for signature parity with the threaded engines; there
         # is no cross-process buffer stage.
@@ -313,7 +292,6 @@ class ProcessReplicatedIndexer:
             strategy=self.strategy,
             buffer_capacity=self.buffer_capacity,
             on_error=self.policy.on_error,
-            split_threshold=self.split_threshold,
         )
         report = indexer.build(config.with_backend("thread"), root)
         report.degraded = True
@@ -327,38 +305,25 @@ class ProcessReplicatedIndexer:
 
     def _build(
         self, config: ThreadConfig, files: Sequence[FileRef]
-    ) -> Tuple[InvertedIndex, Optional[List[str]], int]:
+    ) -> Tuple[InvertedIndex, List[str], int]:
         """Extract on the pool, then join in the parent; returns the
-        index, its documents (None when only a walk of the postings can
-        say) and its posting count."""
+        index, its documents and its posting count."""
         # Extraction and update are fused inside each worker; attribute
         # the pool phase to extraction only (no phase.update span, no
         # inline_update marker) so StageTimings.total does not
         # double-count the entire parallel phase.
         with self._recorder.span("phase.extract"):
-            blobs, blocks = self._run_workers(config, files)
+            blobs = self._run_workers(config, files)
         # The pool's completion is the barrier; now the join phase runs
-        # in the parent.  Split huge files were unioned from their
-        # chunks in the parent; their term blocks join here too, after
-        # the replicas.
+        # in the parent.
         with self._recorder.span("phase.join", joiners=config.joiners):
-            if config.joiners == 1:
-                return join_wire_replicas(blobs, blocks)
-            replicas = [InvertedIndex() for _ in blobs]  # FNV-grown
-            for replica, blob in zip(replicas, blobs):
-                merge_wire_replica(replica, blob)
-            index = join_pairwise_tree(
-                replicas, threads_per_level=config.joiners
-            )
-            for block in blocks:
-                index.add_block(block)
-        return index, None, index.posting_count
+            return join_wire_replicas(blobs)
 
     def _run_workers(
         self, config: ThreadConfig, files: Sequence[FileRef]
-    ) -> Tuple[List[bytes], List[TermBlock]]:
+    ) -> List[bytes]:
         """Fan the batches out to the pool; returns the replica blobs
-        and the split files' term blocks, each in stage-1 order.
+        in stage-1 order.
 
         Dispatches per-batch (not one blocking ``map``) and walks the
         recovery ladder on crash/timeout: retry → split → in-parent.
@@ -366,15 +331,9 @@ class ProcessReplicatedIndexer:
         workers = config.extractors
         policy = self.policy
         # Join order is stage-1 order: a blob is keyed by its batch's
-        # first path (a retried or split batch too), a split file's
-        # block by the file, so completion order never reaches the index.
+        # first path (a retried or split batch too), so completion
+        # order never reaches the index.
         position = {ref.path: i for i, ref in enumerate(files)}
-        # Huge-file divide-and-conquer: chunks of an oversized file
-        # distribute across worker slots like ordinary files, so one
-        # giant file no longer pins a single worker's tail.
-        files, split_fingerprints = expand_file_refs(
-            self.fs, files, self.extractor, self.split_threshold
-        )
         distribution = self.strategy.distribute(files, workers)
         fs_spec = FilesystemSpec.from_filesystem(self.fs)
         extractor_spec = self.extractor.spec()
@@ -388,46 +347,23 @@ class ProcessReplicatedIndexer:
                 # slot; its extractor_times entry stays 0.0 so the
                 # imbalance accounting keeps length x.
                 continue
-            whole = [ref for ref in assignment if not isinstance(ref, ChunkRef)]
-            if whole:
-                jobs.append(
-                    _Job(
-                        WorkerBatch(
-                            fs=fs_spec,
-                            refs=tuple(whole),
-                            extractor=extractor_spec,
-                            on_error=policy.on_error,
-                            trace=trace,
-                        ),
-                        slot,
-                        0,
-                    )
+            jobs.append(
+                _Job(
+                    WorkerBatch(
+                        fs=fs_spec,
+                        refs=tuple(assignment),
+                        extractor=extractor_spec,
+                        on_error=policy.on_error,
+                        trace=trace,
+                    ),
+                    slot,
+                    0,
                 )
-            for ref in assignment:
-                if not isinstance(ref, ChunkRef):
-                    continue
-                # Each chunk is its own pool job: chunks of one file
-                # must be able to land on different workers, which is
-                # the entire point of splitting.
-                jobs.append(
-                    _Job(
-                        ChunkBatch(
-                            fs=fs_spec,
-                            ref=ref,
-                            extractor=extractor_spec,
-                            on_error=policy.on_error,
-                            trace=trace,
-                        ),
-                        slot,
-                        0,
-                    )
-                )
+            )
 
         blobs: Dict[int, bytes] = {}
-        blocks: Dict[int, TermBlock] = {}
-        joiner = SplitJoiner()
 
-        def absorb_spans(job: _Job, result) -> None:
+        def absorb_spans(job: _Job, result: WorkerResult) -> None:
             if not result.spans:
                 return
             # Worker span starts are relative to the worker body's
@@ -437,7 +373,7 @@ class ProcessReplicatedIndexer:
             offset = time.perf_counter() - result.elapsed
             rebased = []
             for span in rebase_spans(result.spans, offset):
-                if span.name in ("extract.worker", "extract.chunk"):
+                if span.name == "extract.worker":
                     span = replace(
                         span,
                         attrs={
@@ -449,30 +385,7 @@ class ProcessReplicatedIndexer:
                 rebased.append(span)
             rec.absorb(rebased)
 
-        def collect(job: _Job, result) -> None:
-            if isinstance(result, ChunkResult):
-                ref = job.batch.ref
-                self.last_extractor_times[job.slot] += result.elapsed
-                absorb_spans(job, result)
-                if result.failure is not None:
-                    # One failed chunk poisons the whole file: exactly
-                    # one FileFailure, and the joiner never releases a
-                    # block for it (no half-indexed documents).
-                    if joiner.fail(ref.path, ref.count):
-                        self.last_failures.append(result.failure)
-                    return
-                whole_terms = joiner.add(
-                    ref.path, ref.index, ref.count, result.terms
-                )
-                if whole_terms is not None:
-                    blocks[position[ref.path]] = TermBlock(
-                        path=ref.path, terms=dedup_terms(whole_terms)
-                    )
-                    self._succeeded_paths.add(ref.path)
-                    self._fingerprints[ref.path] = split_fingerprints[
-                        ref.path
-                    ]
-                return
+        def collect(job: _Job, result: WorkerResult) -> None:
             # Only a result that reaches this line is merged, so a batch
             # the ladder re-runs contributes its fingerprints once.
             blobs[position[job.batch.refs[0].path]] = result.replica
@@ -495,12 +408,12 @@ class ProcessReplicatedIndexer:
             dispatch: List[_Job] = []
             for job in jobs:
                 if job.attempt > policy.max_retries:
-                    # Last resort: run the remaining sub-batch (or
-                    # chunk) in the parent so the build terminates no
-                    # matter what the pool does.  Per-file errors still
-                    # follow ``on_error``; under "strict" they raise,
-                    # exactly like the pre-fault-tolerance engine.
-                    collect(job, job.fn(job.batch))
+                    # Last resort: run the remaining sub-batch in the
+                    # parent so the build terminates no matter what the
+                    # pool does.  Per-file errors still follow
+                    # ``on_error``; under "strict" they raise, exactly
+                    # like the pre-fault-tolerance engine.
+                    collect(job, build_replica(job.batch))
                 else:
                     dispatch.append(job)
             jobs = []
@@ -512,10 +425,7 @@ class ProcessReplicatedIndexer:
                         attempt = min(job.attempt for job in requeued)
                         time.sleep(policy.retry_backoff * attempt)
                     jobs = requeued
-        return (
-            [blobs[key] for key in sorted(blobs)],
-            [blocks[key] for key in sorted(blocks)],
-        )
+        return [blobs[key] for key in sorted(blobs)]
 
     # -- dispatch machinery ----------------------------------------------
 
@@ -550,7 +460,7 @@ class ProcessReplicatedIndexer:
         try:
             try:
                 futures = {
-                    executor.submit(job.fn, job.batch): job
+                    executor.submit(build_replica, job.batch): job
                     for job in dispatch
                 }
             except OSError as exc:

@@ -42,13 +42,13 @@ sequential one is gone on a 2-CPU host (``docs/process_backend.md``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.engine.faults import FileFailure, check_on_error
-from repro.engine.stage2 import read_chunk_terms, read_file_terms
+from repro.engine.stage2 import read_file_terms
 from repro.extract.base import ExtractorSpec
-from repro.fsmodel.nodes import ChunkRef, FileRef
+from repro.fsmodel.nodes import FileRef
 from repro.index.fingerprint import Fingerprint
 from repro.index.replica import ReplicaBuilder
 from repro.obs.recorder import NULL_SPAN, Recorder
@@ -191,70 +191,5 @@ def build_replica(batch: WorkerBatch) -> WorkerResult:
         file_count=len(batch.refs),
         failures=tuple(failures),
         fingerprints=tuple(fingerprints),
-        spans=tuple(rebase_spans(rec.spans, -started)),
-    )
-
-
-@dataclass(frozen=True)
-class ChunkBatch:
-    """One chunk of a split huge file, as a picklable pool job.
-
-    Chunk jobs ride the same dispatch/recovery machinery as
-    :class:`WorkerBatch` jobs; the worker returns raw terms (not a
-    replica blob) because chunks of one file must be unioned *in chunk
-    order* in the parent before any index update.
-    """
-
-    fs: FilesystemSpec
-    ref: ChunkRef
-    extractor: ExtractorSpec = field(default_factory=ExtractorSpec)
-    on_error: str = "strict"
-    trace: bool = False
-
-    def __post_init__(self) -> None:
-        check_on_error(self.on_error)
-
-
-@dataclass(frozen=True)
-class ChunkResult:
-    """One chunk's output: its ordered terms (or one failure)."""
-
-    terms: Optional[Tuple[str, ...]]
-    elapsed: float
-    failure: Optional[FileFailure] = None
-    spans: Tuple[SpanRecord, ...] = ()
-
-
-def extract_chunk(batch: ChunkBatch) -> ChunkResult:
-    """The chunk worker body: stage 2 for one chunk
-    (:func:`~repro.engine.stage2.read_chunk_terms`).
-
-    Must stay module-level for pool pickling, like :func:`build_replica`.
-    Under ``on_error="skip"`` a failing chunk returns its FileFailure
-    (the parent then drops the whole file — no half-indexed documents);
-    under ``"strict"`` the exception crosses the pool boundary and
-    fails the build, exactly like a file error would.
-    """
-    started = time.perf_counter()
-    rec = Recorder()
-    ref = batch.ref
-    failures: List[FileFailure] = []
-    with rec.span(
-        "extract.chunk",
-        path=ref.path,
-        start=ref.start,
-        end=ref.end,
-        index=ref.index,
-    ):
-        terms = read_chunk_terms(
-            batch.fs.open(),
-            ref,
-            batch.extractor.build(),
-            failures if batch.on_error == "skip" else None,
-        )
-    return ChunkResult(
-        terms=None if terms is None else tuple(terms),
-        elapsed=time.perf_counter() - started,
-        failure=failures[0] if failures else None,
         spans=tuple(rebase_spans(rec.spans, -started)),
     )

@@ -47,7 +47,6 @@ class IndexGenerator:
         batch_timeout=None,
         sync=None,
         extractor=None,
-        split_threshold=None,
     ) -> None:
         from repro.extract.registry import resolve_extractor
 
@@ -55,7 +54,6 @@ class IndexGenerator:
         # Resolve the extraction seam once here; the dispatched engines
         # receive the Extractor instance.
         self.extractor = resolve_extractor(extractor)
-        self.split_threshold = split_threshold
         self.strategy = strategy
         self.buffer_capacity = buffer_capacity
         self.dynamic = dynamic
@@ -94,7 +92,6 @@ class IndexGenerator:
                 on_error=self.on_error,
                 max_retries=self.max_retries,
                 batch_timeout=self.batch_timeout,
-                split_threshold=self.split_threshold,
             )
             return indexer.build(config, root)
         indexer_cls = _INDEXERS[implementation]
@@ -106,7 +103,6 @@ class IndexGenerator:
             dynamic=self.dynamic,
             on_error=self.on_error,
             sync=self.sync,
-            split_threshold=self.split_threshold,
         )
         return indexer.build(config, root)
 

@@ -3,9 +3,7 @@
 An :class:`Extractor` composes format conversion and tokenization into
 one unit — the seam every engine now shares (``Search(extractor=...)``,
 ``repro-cli --extractor {ascii,code,tsv}``).  :class:`ExtractorSpec` is
-its picklable description for the process-worker boundary, and
-:mod:`repro.extract.split` implements huge-file divide-and-conquer on
-top of the extractor's boundary-byte contract.  See
+its picklable description for the process-worker boundary.  See
 ``docs/extraction.md``.
 """
 
@@ -19,32 +17,18 @@ from repro.extract.registry import (
     register_extractor,
     resolve_extractor,
 )
-from repro.extract.split import (
-    DEFAULT_SPLIT_THRESHOLD,
-    SplitJoiner,
-    expand_file_refs,
-    plan_chunks,
-    read_chunk,
-    read_range,
-)
 from repro.extract.tsv import TsvExtractor
 
 __all__ = [
     "AsciiExtractor",
     "CodeExtractor",
     "CodeTokenizer",
-    "DEFAULT_SPLIT_THRESHOLD",
     "Extractor",
     "ExtractorSpec",
-    "SplitJoiner",
     "TsvExtractor",
     "available_extractors",
-    "expand_file_refs",
     "extractor_class",
     "get_extractor",
-    "plan_chunks",
-    "read_chunk",
-    "read_range",
     "register_extractor",
     "resolve_extractor",
 ]

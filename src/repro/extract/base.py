@@ -13,13 +13,6 @@ separately so a failure can still be pinned to the *extract* stage vs
 the *tokenize* stage (the skip-policy ``FileFailure`` contract from the
 fault-tolerance work).  :meth:`Extractor.term_block` is the one-shot
 face for callers that don't need staging.
-
-Extractors also describe their own huge-file splittability (see
-:mod:`repro.extract.split`): :attr:`Extractor.boundary_bytes` is the
-set of bytes a file may be cut at without changing the term stream, and
-:meth:`Extractor.splittable` gates splitting to files whose *prepare*
-stage commutes with chunking (identity for plain text, line-local for
-TSV — an HTML file cannot be cut mid-tag).
 """
 
 from __future__ import annotations
@@ -124,43 +117,6 @@ class Extractor:
         """
         terms = self.terms(path, content)
         return TermBlock(path=path, terms=tuple(dict.fromkeys(terms)))
-
-    # -- huge-file splitting --------------------------------------------
-
-    @property
-    def boundary_bytes(self) -> frozenset:
-        """Bytes a file may be cut at without changing the term stream.
-
-        For run-of-word-bytes tokenizers that is every separator byte:
-        cutting at a separator can never land inside a term.
-        """
-        return frozenset(range(256)) - self.tokenizer.word_bytes
-
-    def splittable(self, path: str, head: bytes = b"") -> bool:
-        """Whether this file may be chunk-split for parallel extraction.
-
-        Only true when :meth:`prepare` commutes with chunking.  With a
-        format registry that means the detected format must be the
-        identity transform (plain text); ``head`` is the leading bytes
-        of the file for magic sniffing.  Formats that transform content
-        globally (HTML, DocZ) make chunk boundaries meaningless, so
-        those files always extract whole.
-        """
-        if self.registry is None:
-            return True
-        from repro.formats.plain import PlainTextFormat
-
-        return isinstance(self.registry.detect(path, head), PlainTextFormat)
-
-    def chunk_terms(self, data: bytes) -> List[str]:
-        """Terms of one boundary-aligned chunk (see ``extract.split``).
-
-        Splitting is gated on :meth:`prepare` being the identity, so
-        the base implementation tokenizes directly — deliberately NOT
-        re-running format detection on a mid-file chunk, whose leading
-        bytes could sniff as the wrong format.
-        """
-        return self.tokenize(data)
 
     # -- worker boundary ------------------------------------------------
 

@@ -5,22 +5,13 @@ separated by tabs) carry columns that should not be indexed — numeric
 ids, URLs, labels.  The TSV extractor's *prepare* stage selects the
 wanted columns from each line before tokenization; ``columns=None``
 indexes every field.
-
-Because *prepare* is strictly line-local, TSV files are always
-splittable for huge-file extraction — with the chunk boundary
-restricted to ``\\n`` so every chunk holds whole records (cutting at an
-arbitrary separator could split a line *between columns* and change
-which fields the selector sees).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.extract.base import Extractor, ExtractorSpec
-
-#: Only newlines: a chunk must hold whole records.
-_LINE_BOUNDARY = frozenset((0x0A,))
 
 
 class TsvExtractor(Extractor):
@@ -52,18 +43,6 @@ class TsvExtractor(Extractor):
             fields = line.split(b"\t")
             out.append(b" ".join(fields[c] for c in columns if c < len(fields)))
         return b"\n".join(out)
-
-    @property
-    def boundary_bytes(self) -> frozenset:
-        return _LINE_BOUNDARY
-
-    def splittable(self, path: str, head: bytes = b"") -> bool:
-        return True
-
-    def chunk_terms(self, data: bytes) -> List[str]:
-        # prepare is line-local and chunks hold whole lines, so running
-        # the column selector per chunk equals running it on the file.
-        return self.tokenize(self.prepare("", data))
 
     def _options(self) -> Tuple[Tuple[str, object], ...]:
         if self.columns is None:

@@ -100,17 +100,6 @@ class FaultInjectingFileSystem:
             spec.trigger(path)
         return self._inner.read_file(path)
 
-    def read_range(self, path: str, offset: int, length: int) -> bytes:
-        # Ranged reads are reads: a poisoned path fires mid-chunk too,
-        # which is exactly how the mid-chunk crash tests hit the
-        # recovery ladder.
-        spec = self._faults.get(path)
-        if spec is not None:
-            spec.trigger(path)
-        from repro.extract.split import read_range as _read_range
-
-        return _read_range(self._inner, path, offset, length)
-
     # -- transparent delegation ---------------------------------------
 
     def list_files(self, path: str = "") -> Iterator[FileRef]:

@@ -36,35 +36,6 @@ class FileRef:
             raise ValueError(f"file size must be non-negative, got {self.size}")
 
 
-@dataclass(frozen=True)
-class ChunkRef(FileRef):
-    """One chunk of a huge file, scheduled like a file of its own.
-
-    Huge-file splitting (:mod:`repro.extract.split`) expands a single
-    oversized :class:`FileRef` into ``count`` ChunkRefs covering
-    ``[start, end)`` byte ranges.  ``size`` is the *chunk* length, so
-    the size-balanced distribution strategy spreads the chunks across
-    workers exactly as it would spread files — which is the whole
-    point: the giant file stops serializing the build tail.
-    """
-
-    start: int = 0
-    end: int = 0
-    index: int = 0
-    count: int = 1
-    file_size: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0 <= self.start <= self.end <= self.file_size:
-            raise ValueError(
-                f"invalid chunk range [{self.start}, {self.end}) "
-                f"in file of {self.file_size} bytes"
-            )
-        if not 0 <= self.index < self.count:
-            raise ValueError(f"chunk index {self.index} outside count {self.count}")
-
-
 class VirtualFile:
     """A file node: immutable content bytes plus a modification stamp.
 

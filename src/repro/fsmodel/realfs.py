@@ -70,16 +70,6 @@ class OsFileSystem:
         with open(self._full(path), "rb") as fh:
             return fh.read()
 
-    def read_range(self, path: str, offset: int, length: int) -> bytes:
-        """``length`` bytes of ``path`` starting at ``offset``.
-
-        The ranged read huge-file chunk extraction relies on: a worker
-        pulls only its chunk instead of the whole giant file.
-        """
-        with open(self._full(path), "rb") as fh:
-            fh.seek(offset)
-            return fh.read(length)
-
     def file_size(self, path: str) -> int:
         """Size in bytes of the file at ``path``."""
         return os.path.getsize(self._full(path))

@@ -106,10 +106,6 @@ class VirtualFileSystem:
             raise IsADirectoryError(path)
         return node.content
 
-    def read_range(self, path: str, offset: int, length: int) -> bytes:
-        """``length`` bytes of ``path`` starting at ``offset``."""
-        return self.read_file(path)[offset : offset + length]
-
     def file_size(self, path: str) -> int:
         """Size in bytes of the file at ``path``."""
         return len(self.read_file(path))

@@ -101,7 +101,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingsList
-from repro.text.termblock import TermBlock
 
 MAGIC = b"RIDX1"
 WIRE_MAGIC = b"RWIRE1"
@@ -376,9 +375,9 @@ def merge_wire_replica(target: InvertedIndex, data: bytes) -> int:
 
 
 def join_wire_replicas(
-    blobs: Iterable[bytes], blocks: Iterable[TermBlock] = ()
+    blobs: Iterable[bytes],
 ) -> Tuple[InvertedIndex, List[str], int]:
-    """Join RWIRE1 replicas, then term blocks, into one fresh index.
+    """Join RWIRE1 replicas into one fresh index.
 
     Returns ``(index, documents, posting_count)``: the paths with at
     least one posting, in join order, and the number of postings.  Each
@@ -386,8 +385,8 @@ def join_wire_replicas(
     ``map``, and every term's paths sliced into a native dict (a later
     replica extends the list the first one left), which becomes the
     index (:meth:`InvertedIndex.from_postings`).  Each term's paths are
-    in the order the key-by-key fold (:func:`merge_wire_replica`, then
-    :meth:`InvertedIndex.add_block`) appends them; terms iterate in
+    in the order the key-by-key fold (:func:`merge_wire_replica`)
+    appends them; terms iterate in
     first-seen order, where the fold's FNV map iterates in bucket order.
     """
     postings: Dict[str, List[str]] = {}
@@ -408,13 +407,6 @@ def join_wire_replicas(
             else:
                 held += paths[start:end]
             start = end
-    for block in blocks:
-        block_count += 1
-        if block.terms:
-            documents.append(block.path)
-            posting_count += len(block.terms)
-        for term in block.terms:
-            postings.setdefault(term, []).append(block.path)
     index = InvertedIndex.from_postings(postings, block_count)
     return index, documents, posting_count
 

@@ -40,13 +40,6 @@ FingerprintMap = Dict[str, Fingerprint]
 #: The hash named in the state-file header.
 HASH_NAME = "blake2b-64"
 
-#: "Hash unknown": the fingerprint of a file indexed from chunks
-#: (``split_threshold=``), whose bytes no single reader ever held.
-#: Equal to no real hash, so an unchanged stat still skips the file and
-#: a changed one can only be settled by re-indexing — never by calling
-#: the file unchanged.
-HASH_UNKNOWN = -1
-
 
 def content_hash(content: bytes) -> int:
     """64-bit BLAKE2b of ``content`` as an unsigned int."""
@@ -64,13 +57,6 @@ def read_fingerprinted(fs, path: str, stamp: int) -> Tuple[bytes, Fingerprint]:
     """
     content = fs.read_file(path)
     return content, (len(content), stamp, content_hash(content))
-
-
-def unhashed_fingerprint(ref) -> Fingerprint:
-    """The :data:`HASH_UNKNOWN` fingerprint of a file about to be read
-    in chunks: size and stamp of its walk's
-    :class:`~repro.fsmodel.FileRef`, taken before the first chunk read."""
-    return (ref.size, ref.stamp, HASH_UNKNOWN)
 
 
 # -- the persisted form -------------------------------------------------------
@@ -112,7 +98,10 @@ def load_fingerprints(path: str, index_crc: int) -> Optional[FingerprintMap]:
     describing the index whose header CRC is ``index_crc`` — a missing
     file, another tool's JSON, a 3.0.0 state of FNV hashes, the state
     of an index since overwritten — reads as absent: the caller
-    reconciles and rewrites it.
+    reconciles and rewrites it.  A hash of -1, which builds that
+    extracted huge files in chunks once recorded, loads as it is: it
+    equals no content hash, so the file is re-indexed once its stat
+    changes, never called unchanged.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

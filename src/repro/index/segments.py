@@ -756,8 +756,6 @@ class SegmentedIndexer:
                     # bump): the stage-2 ladder stopped after the read,
                     # so refresh the stamp, skip re-indexing, and —
                     # critically — do not classify it removed/modified.
-                    # A HASH_UNKNOWN old hash (a chunk-split build)
-                    # equals no real one: such a file is re-indexed.
                     continue
                 changed[ref.path] = _term_block(ref.path, terms)
 

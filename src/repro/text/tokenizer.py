@@ -44,9 +44,7 @@ _WORD_BYTES = frozenset(
     b"abcdefghijklmnopqrstuvwxyz" b"ABCDEFGHIJKLMNOPQRSTUVWXYZ" b"0123456789"
 )
 
-#: Separator bytes: everything that is not a letter or digit.  Exposed
-#: for the huge-file splitter, which may cut a file at any separator
-#: without changing the extracted term stream.
+#: Separator bytes: everything that is not a letter or digit.
 SEPARATOR_BYTES = frozenset(range(256)) - _WORD_BYTES
 
 
@@ -87,7 +85,7 @@ class Tokenizer:
     #: different word-byte alphabet override this.
     _table: bytes = _ASCII_TABLE
     #: The word-byte alphabet, kept in sync with ``_table`` (the slow
-    #: reference loop and the splitter's boundary set derive from it).
+    #: reference loop derives from it).
     word_bytes: frozenset = _WORD_BYTES
 
     def __init__(

@@ -122,13 +122,21 @@ class TestSearchRefusesABadQuery:
     @pytest.mark.parametrize("ondisk", [False, True], ids=["memory", "ondisk"])
     @pytest.mark.parametrize("rank", ["bool", "bm25"])
     def test_exits_2_with_the_parse_error(
-        self, corpus_dir, ridx2_path, capsys, query, message, ondisk, rank
+        self, corpus_dir, ridx2_path, capsys, monkeypatch, query, message,
+        ondisk, rank
     ):
         argv = ["search", ridx2_path, query, "--rank", rank]
         if ondisk:
             argv.append("--ondisk")
         elif rank == "bm25":
             argv += ["--ranked", corpus_dir]
+            # The query is parsed before the corpus is read at all.
+            from repro.query import FrequencyIndex
+
+            def no_corpus_read(*args, **kwargs):
+                raise AssertionError("the corpus was read before the parse")
+
+            monkeypatch.setattr(FrequencyIndex, "from_fs", no_corpus_read)
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -198,12 +198,6 @@ class TestTsvExtractor:
         with pytest.raises(ValueError, match="non-negative"):
             TsvExtractor(columns=(-1,))
 
-    def test_boundary_is_newline_only(self):
-        assert TsvExtractor().boundary_bytes == frozenset((0x0A,))
-
-    def test_always_splittable(self):
-        assert TsvExtractor().splittable("anything.bin", b"\x00\x01")
-
     def test_registry_is_refused(self):
         # The tab structure IS the format; a format conversion would
         # destroy it.
@@ -226,16 +220,6 @@ class TestExtractorApi:
         block = AsciiExtractor().term_block("a.txt", b"cat cat dog")
         assert block.path == "a.txt"
         assert sorted(block.terms) == ["cat", "dog"]
-
-    def test_boundary_bytes_complement_word_bytes(self):
-        ex = AsciiExtractor()
-        assert ord(" ") in ex.boundary_bytes
-        assert ord("a") not in ex.boundary_bytes
-
-    def test_splittable_gated_on_plain_text(self):
-        ex = AsciiExtractor(registry=default_registry())
-        assert ex.splittable("notes.txt", b"hello")
-        assert not ex.splittable("page.html", b"<html><body>")
 
     def test_registry_lists_builtin_names(self):
         assert set(available_extractors()) >= {"ascii", "code", "tsv"}
@@ -410,7 +394,7 @@ class TestSearchExtractorSurface:
 
 
 class TestCliExtractorFlags:
-    def test_extractor_and_split_threshold(self, tmp_path, capsys):
+    def test_extractor_flag_reaches_a_threaded_build(self, tmp_path, capsys):
         from repro.cli import main
         from repro.index import load_index
 
@@ -420,17 +404,6 @@ class TestCliExtractorFlags:
         (corpus / "small.txt").write_bytes(b"plain words here")
         save = str(tmp_path / "code.ridx")
         assert main(["index", str(corpus), "-i", "1", "-x", "2", "-y", "1",
-                     "--extractor", "code", "--split-threshold", "256",
-                     "--save", save]) == 0
+                     "--extractor", "code", "--save", save]) == 0
         index = load_index(save)
         assert "parsehttpheader" in set(index.terms())
-
-    def test_split_threshold_rejected_with_sequential(self, tmp_path, capsys):
-        from repro.cli import main
-
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        (corpus / "a.txt").write_bytes(b"cat")
-        assert main(["index", str(corpus), "--sequential",
-                     "--split-threshold", "100"]) == 2
-        assert "--split-threshold" in capsys.readouterr().err

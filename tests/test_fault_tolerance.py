@@ -30,7 +30,7 @@ from repro.engine import (
     ThreadConfig,
 )
 from repro.engine.procworker import FilesystemSpec, WorkerBatch
-from repro.extract import AsciiExtractor, ExtractorSpec, expand_file_refs
+from repro.extract import AsciiExtractor, ExtractorSpec
 from repro.extract import registry as extract_registry
 from repro.fsmodel import (
     FaultInjectingFileSystem,
@@ -246,18 +246,14 @@ BACKENDS = ("sequential", "thread", "process")
 
 # -- one skip-policy matrix: every engine x every stage -----------------
 
-#: The one file each matrix run poisons: large enough to be split into
-#: chunks under ``MATRIX_SPLIT``, with the tokenize fault's marker in a
-#: middle chunk.
+#: The one file each matrix run poisons, with the tokenize fault's
+#: marker in its middle.
 VICTIM = "big.txt"
 MARKER = b"kaboom"
-MATRIX_SPLIT = 1024
 
 
 class PrepareFailingExtractor(AsciiExtractor):
-    """Fails the extract stage for :data:`VICTIM`.  A prepare that
-    raises does not commute with chunking, so the victim is never
-    split: the extract stage is reached on every engine."""
+    """Fails the extract stage for :data:`VICTIM`."""
 
     name = "test-prepare-failing"
 
@@ -266,13 +262,9 @@ class PrepareFailingExtractor(AsciiExtractor):
             raise ValueError("injected extract fault")
         return content
 
-    def splittable(self, path, head=b""):
-        return path != VICTIM
-
 
 class TokenizeFailingExtractor(AsciiExtractor):
-    """Fails the tokenize stage on any text holding :data:`MARKER`:
-    the whole victim, or the one chunk of it the marker lands in."""
+    """Fails the tokenize stage on any text holding :data:`MARKER`."""
 
     name = "test-tokenize-failing"
 
@@ -292,32 +284,23 @@ def matrix_fs():
     return fs
 
 
-def matrix_build(engine, fs, extractor, split_threshold):
+def matrix_build(engine, fs, extractor):
     kw = dict(on_error="skip", extractor=extractor)
     if engine in ("naive", "product"):
         indexer = SequentialIndexer(fs, naive=engine == "naive", **kw)
         return indexer.build()
-    kw["split_threshold"] = split_threshold
     if engine == "impl1":
         return SharedLockedIndexer(fs, **kw).build(ThreadConfig(2, 1, 0))
     if engine == "impl2":
         return ReplicatedJoinedIndexer(fs, **kw).build(ThreadConfig(2, 0, 2))
     if engine == "impl3":
         return ReplicatedUnjoinedIndexer(fs, **kw).build(ThreadConfig(2, 2, 0))
-    # Implementation 2 needs two replicas; the joins differ: z = 1 is
-    # the bulk native pass, z = 2 the pairwise FNV tree.
-    joiners = int(engine[-1])
     return ProcessReplicatedIndexer(fs, **kw, **PROC_KW).build(
-        ThreadConfig(2, 0, joiners, backend="process")
+        ThreadConfig(2, 0, 1, backend="process")
     )
 
 
-#: (engine, split_threshold): the sequential builds never split.
-MATRIX_ENGINES = [("naive", None), ("product", None)] + [
-    (engine, split)
-    for engine in ("impl1", "impl2", "impl3", "process-z1", "process-z2")
-    for split in (None, MATRIX_SPLIT)
-]
+MATRIX_ENGINES = ["naive", "product", "impl1", "impl2", "impl3", "process"]
 
 #: stage -> (extractor class or None, the failure's error type).
 MATRIX_STAGES = {
@@ -344,13 +327,13 @@ class TestSkipPolicy:
         assert f"{len(victims)} skipped" in report.summary()
 
     @pytest.mark.parametrize("stage", sorted(MATRIX_STAGES))
-    @pytest.mark.parametrize("engine, split_threshold", MATRIX_ENGINES)
+    @pytest.mark.parametrize("engine", MATRIX_ENGINES)
     def test_every_engine_skips_a_failure_at_every_stage(
-        self, engine, split_threshold, stage, monkeypatch
+        self, engine, stage, monkeypatch
     ):
         """One failure naming the stage, and the index of the corpus
-        without the victim — a poisoned chunk included: its file is
-        dropped whole, never half-indexed."""
+        without the victim: the file is dropped whole, never
+        half-indexed."""
         extractor_cls, error_type = MATRIX_STAGES[stage]
         clean = matrix_fs()
         fs = clean
@@ -365,12 +348,7 @@ class TestSkipPolicy:
                 extract_registry._FACTORIES, extractor_cls.name, extractor_cls
             )
             extractor = extractor_cls()
-        if stage == "tokenize" and split_threshold is not None:
-            _, split = expand_file_refs(
-                clean, list(clean.list_files()), extractor, split_threshold
-            )
-            assert VICTIM in split  # the fault fires in one chunk
-        report = matrix_build(engine, fs, extractor, split_threshold)
+        report = matrix_build(engine, fs, extractor)
         assert [(f.path, f.stage, f.error_type) for f in report.failures] == [
             (VICTIM, stage, error_type)
         ]

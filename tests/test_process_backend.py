@@ -174,13 +174,14 @@ class TestProcessBuild:
         assert report.timings.total <= report.wall_time * 1.05 + 1e-6
 
     def test_joiner_tree_path(self, tiny_fs):
-        flat = ProcessReplicatedIndexer(tiny_fs, oversubscribe=True).build(
-            ThreadConfig(4, 0, 1, backend="process")
-        )
-        tree = ProcessReplicatedIndexer(tiny_fs, oversubscribe=True).build(
-            ThreadConfig(4, 0, 2, backend="process")
-        )
-        assert _canonical(flat.index) == _canonical(tree.index)
+        """The process backend joins in one pass; a joiner tree
+        (z > 1) is refused before any worker starts, and points to the
+        threaded Implementation 2 that has one."""
+        indexer = ProcessReplicatedIndexer(tiny_fs, oversubscribe=True)
+        with pytest.raises(ValueError, match="z must be 1") as refusal:
+            indexer.build(ThreadConfig(4, 0, 2, backend="process"))
+        assert "threaded Implementation 2" in str(refusal.value)
+        assert indexer.last_extractor_times == []
 
     def test_runner_dispatches_on_backend(self, tiny_fs):
         generator = IndexGenerator(tiny_fs, oversubscribe=True)
@@ -302,7 +303,7 @@ class TestProcessBackendCli:
 
 
 class TestAutotuneSpace:
-    def test_process_space_is_two_dimensional(self):
+    def test_process_space_is_one_dimensional(self):
         from repro.autotune import ConfigurationSpace
 
         space = ConfigurationSpace(
@@ -310,11 +311,11 @@ class TestAutotuneSpace:
             backend="process",
         )
         configs = space.configurations()
-        assert configs
         assert all(c.backend == "process" for c in configs)
-        assert all(c.updaters == 0 for c in configs)
-        # x in 2..4 (x=1 degenerates to one replica), z in 1..2.
-        assert len(configs) == 6
+        # x in 2..4 (x=1 degenerates to one replica); y = 0 and z = 1.
+        assert [c.as_tuple() for c in configs] == [
+            (2, 0, 1), (3, 0, 1), (4, 0, 1),
+        ]
 
     def test_process_space_rejects_other_implementations(self):
         from repro.autotune import ConfigurationSpace

@@ -1,7 +1,6 @@
 """The process build's join: one bulk pass, in batch order.
 
-With one joiner the parent joins the workers' RWIRE1 replicas and the
-split files' term blocks in a single pass
+The parent joins the workers' RWIRE1 replicas in a single pass
 (:func:`repro.index.binfmt.join_wire_replicas`) and takes the build's
 documents and posting count from it.  These tests pin the product
 level: a 2-worker process build is byte for byte the sequential one,
@@ -113,14 +112,6 @@ class TestProductBuild:
             ("bad-read.txt", "read"),
             ("docs/bad-tokenize.txt", "tokenize"),
         ]
-
-    def test_split_files_join_as_blocks(self, tmp_path):
-        fs = corpus()
-        words = " ".join(f"big{i % 40}" for i in range(200))
-        fs.write_file("docs/huge.txt", f"shared {words}".encode())
-        fs.write_file("huge2.txt", f"{words} tail".encode())
-        session = assert_same_build(fs, tmp_path, split_threshold=256)
-        assert {"docs/huge.txt", "huge2.txt"} <= set(session.report.documents)
 
 
 def batch_order_fold(fs):

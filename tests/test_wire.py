@@ -46,13 +46,11 @@ def _index_of(blocks):
     return index
 
 
-def _fold(blobs, blocks=()):
-    """The key-by-key join: each replica folded, then each block added."""
+def _fold(blobs):
+    """The key-by-key join: each replica folded in turn."""
     index = InvertedIndex()
     for blob in blobs:
         merge_wire_replica(index, blob)
-    for block in blocks:
-        index.add_block(block)
     return index
 
 
@@ -229,7 +227,7 @@ class TestBytesDispatch:
             index_from_bytes(b"not an index at all")
 
 
-#: Terms from a small shared vocabulary, so replicas and blocks collide.
+#: Terms from a small shared vocabulary, so replicas collide.
 vocabulary_term = st.sampled_from(
     ["ant", "bee", "cat", "dog", "emu", "fox", "gnu", "hen", "ibis", "é"]
 ) | st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=4)
@@ -240,14 +238,9 @@ replica_files = st.lists(st.lists(vocabulary_term, max_size=8), max_size=4)
 class TestJoinWireReplicas:
     """The bulk join equals the key-by-key fold it replaces."""
 
-    @given(
-        st.lists(replica_files, max_size=4),
-        st.lists(
-            st.lists(vocabulary_term, max_size=6, unique=True), max_size=3
-        ),
-    )
+    @given(st.lists(replica_files, max_size=4))
     @settings(max_examples=80, deadline=None)
-    def test_equals_fold_then_add_block(self, replicas, block_terms):
+    def test_equals_the_key_by_key_fold(self, replicas):
         paths = (f"d{i % 3}/é{i}.txt" for i in count())
         blobs = []
         for files in replicas:
@@ -255,12 +248,8 @@ class TestJoinWireReplicas:
             for terms in files:
                 builder.add_scan(next(paths), terms)
             blobs.append(builder.to_bytes())
-        blocks = [
-            TermBlock(path=next(paths), terms=tuple(terms))
-            for terms in block_terms
-        ]
-        index, documents, posting_count = join_wire_replicas(blobs, blocks)
-        oracle = _fold(blobs, blocks)
+        index, documents, posting_count = join_wire_replicas(blobs)
+        oracle = _fold(blobs)
         assert_same_content(index, oracle)
         with_postings = {path for _, paths in oracle.items() for path in paths}
         assert len(documents) == len(set(documents))
@@ -274,14 +263,15 @@ class TestJoinWireReplicas:
         left.add_scan("a.txt", ["cat", "dog"])
         right = ReplicaBuilder()
         right.add_scan("c.txt", ["dog", "emu"])
-        blocks = [TermBlock("huge.txt", ("emu",)), TermBlock("blank.txt", ())]
+        right.add_scan("blank.txt", [])
+        right.add_scan("d.txt", ["emu"])
         index, documents, posting_count = join_wire_replicas(
-            [left.to_bytes(), right.to_bytes()], blocks
+            [left.to_bytes(), right.to_bytes()]
         )
-        assert documents == ["b.txt", "a.txt", "c.txt", "huge.txt"]
+        assert documents == ["b.txt", "a.txt", "c.txt", "d.txt"]
         assert posting_count == 6
         assert index.block_count == 6
-        assert index.lookup("emu") == ["c.txt", "huge.txt"]
+        assert index.lookup("emu") == ["c.txt", "d.txt"]
 
     def test_nothing_to_join(self):
         index, documents, posting_count = join_wire_replicas([])
