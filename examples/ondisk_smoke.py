@@ -18,7 +18,9 @@ would not be testing it — that a ranked single-term query reads exactly
 as many blocks as its boolean twin (BM25 scores from the blocks its
 match decoded), and prints the blocks read per query.  It checks that
 the service starts no thread and that every ``service.query`` span ran
-on the thread that asked.
+on the thread that asked, that a fresh reader ranks the 90 queries
+exactly as the warmed one does (the lexicon probe memo changes no
+answer), and that the warmed reader's memo stays within its bound.
 
 Run:  PYTHONPATH=src python examples/ondisk_smoke.py [index.ridx2]
 """
@@ -32,6 +34,7 @@ import threading
 from repro.corpus import CorpusGenerator, PAPER_PROFILE
 from repro.engine import SequentialIndexer
 from repro.index import MmapPostingsReader, save_index
+from repro.index.ondisk import PROBE_MEMO_MAX
 from repro.obs import recorder as obsrec
 from repro.query import BM25Ranker, FrequencyIndex, QueryEngine, search_bm25
 from repro.query.daat import DaatQueryEngine
@@ -132,6 +135,15 @@ def main(path: str | None = None) -> int:
         boolean_blocks = reader.blocks_read - before
         engine.search_bm25(term, topk=TOPK)
         ranked_blocks = reader.blocks_read - before - boolean_blocks
+        memoized = len(reader._probe_memo)
+        with MmapPostingsReader(path) as fresh_reader:
+            fresh = DaatQueryEngine(fresh_reader)
+            for query in ranked:
+                got = engine.search_bm25(query, topk=TOPK)
+                expected = fresh.search_bm25(query, topk=TOPK)
+                if got != expected:
+                    # "memory" in the report below is the fresh reader.
+                    mismatches.append(("warm bm25", query, got, expected))
     obsrec.set_recorder(previous)
     query_threads = {
         span.tid for span in recorder.spans if span.name == "service.query"
@@ -162,13 +174,19 @@ def main(path: str | None = None) -> int:
         print(f"FAIL: ranked {term!r} read {ranked_blocks} blocks, its "
               f"boolean twin {boolean_blocks}", file=sys.stderr)
         return 1
+    if not 0 < memoized <= PROBE_MEMO_MAX:
+        print(f"FAIL: the warmed reader memoized {memoized} lexicon "
+              f"records, outside 1..{PROBE_MEMO_MAX}", file=sys.stderr)
+        return 1
     if blocks["ondisk.blocks_skipped"] <= 0:
         print("FAIL: no posting blocks were skipped — the DAAT seek "
               "path never engaged", file=sys.stderr)
         return 1
     print("OK: every mmap answer matched the in-memory engine, "
           "with block skipping engaged, on the caller's thread; ranked "
-          f"{term!r} read {ranked_blocks} blocks, as its boolean twin")
+          f"{term!r} read {ranked_blocks} blocks, as its boolean twin; "
+          f"a fresh reader ranked as the warmed one ({memoized} lexicon "
+          "records memoized)")
     return 0
 
 

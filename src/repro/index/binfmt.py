@@ -690,7 +690,8 @@ def dump_index_ridx2(
     for term, ids in term_ids:
         tfs = None
         if frequencies is not None:
-            tfs = [max(1, frequencies.tf(term, paths[i])) for i in ids]
+            per_doc = frequencies.term_frequencies(term)
+            tfs = [max(1, per_doc.get(paths[i], 0)) for i in ids]
         entries, blob = encode_posting_blocks(ids, tfs, block_size)
         encoded = term.encode("utf-8")
         record = bytearray(encode_varint(len(encoded)))
@@ -830,25 +831,37 @@ def read_ridx2_paths(data, header: Ridx2Header) -> List[str]:
 def read_ridx2_lengths(data, header: Ridx2Header) -> List[int]:
     """Decode the length column: every document's length in doc-id
     order.  It must hold exactly ``doc_count`` varints and end where the
-    column does."""
+    column does.  One inline pass over the column's bytes, stepping as
+    :func:`decode_varint` does: a call per length costs about three
+    times as much."""
     count = header.doc_count
     blob_end = _U32.unpack_from(data, header.doc_data_off - 4)[0]
     start = header.doc_data_off + blob_end
     column = bytes(data[start : header.lex_offsets_off])
     lengths: List[int] = []
-    position = 0
-    try:
-        for _ in range(count):
-            value, position = decode_varint(column, position)
-            lengths.append(value)
-    except ValueError as exc:
+    append = lengths.append
+    value = shift = 0
+    for byte in column:
+        if byte < 0x80:
+            append(value | byte << shift)
+            value = shift = 0
+        else:
+            value |= (byte & 0x7F) << shift
+            shift += 7
+            if shift > 63:
+                raise IndexFormatError(
+                    f"corrupt RIDX2 length column: length {len(lengths)}: "
+                    "varint too long"
+                )
+    if shift:
         raise IndexFormatError(
-            f"corrupt RIDX2 length column: length {len(lengths)}: {exc}"
-        ) from exc
-    if position != len(column):
+            f"corrupt RIDX2 length column: length {len(lengths)}: "
+            "truncated varint"
+        )
+    if len(lengths) != count:
         raise IndexFormatError(
-            f"corrupt RIDX2 length column: {count} lengths consumed "
-            f"{position} of {len(column)} bytes"
+            f"corrupt RIDX2 length column: {len(column)} bytes hold "
+            f"{len(lengths)} lengths, not {count}"
         )
     return lengths
 

@@ -52,6 +52,12 @@ from repro.obs import recorder as obsrec
 #: A lexicon offset and the next one: where a record starts and ends.
 _SPAN = struct.Struct("<II")
 
+#: Levels of a search from record 0 whose records the reader memoizes:
+#: every ``term_info`` walks the same top of the tree, and level ``d``
+#: holds at most ``2 ** d`` records, so the memo at most 2 047.
+PROBE_MEMO_LEVELS = 11
+PROBE_MEMO_MAX = 2**PROBE_MEMO_LEVELS - 1
+
 
 class TermInfo(NamedTuple):
     """One lexicon entry: a term's df and the file span ``start:end``
@@ -91,6 +97,7 @@ class MmapPostingsReader:
         self._paths: Optional[List[str]] = None
         self._lengths: Optional[List[int]] = None
         self._doc_cache: Dict[int, str] = {}
+        self._probe_memo: Dict[int, Tuple[bytes, int, int]] = {}
         self.blocks_read = 0
         self.blocks_skipped = 0
         metrics = obsrec.metrics()
@@ -243,8 +250,9 @@ class MmapPostingsReader:
         ``last_docid`` range holds a candidate are decoded — found by
         bisecting the block table — and the answer is the candidates
         the list holds, ascending; without, it is every doc id of the
-        list.  ``with_freqs`` answers ``{doc id: tf}`` for every posting
-        of the decoded blocks instead.  A decoded block counts as
+        list.  ``with_freqs`` answers two aligned columns instead, the
+        doc ids and tfs of every posting of the decoded blocks, which
+        is what BM25 scores from.  A decoded block counts as
         *read*; a block a filter jumps over — below the block that
         holds its last candidate, or anywhere when that candidate lies
         past the list — counts as *skipped*.
@@ -253,7 +261,7 @@ class MmapPostingsReader:
         mm = self._mm
         if df <= self.block_size:
             if candidates is not None and not candidates:
-                return {} if with_freqs else []
+                return ([], []) if with_freqs else []
             ids, doc_bytes = decode_single_block(mm, start, end, df)
             blocks = [(start, df, doc_bytes, end - start - doc_bytes)]
             self._count_read(1)
@@ -280,7 +288,7 @@ class MmapPostingsReader:
             for offset, count, doc_bytes, freq_bytes in blocks:
                 offset += doc_bytes
                 tfs += decode_block_freqs(mm, offset, count, freq_bytes)
-            return dict(zip(ids, tfs))
+            return ids, tfs
         if candidates is None:
             return ids
         return sorted(set(ids).intersection(candidates))
@@ -349,27 +357,39 @@ class MmapPostingsReader:
         compares the record's term bytes in place (an mmap slice is
         ``bytes``); a term under 128 bytes has a one-byte length.  The
         decode is :meth:`_record`'s, inline: a call per step would cost
-        every ``term_info`` about a sixth."""
+        every ``term_info`` about a sixth.  A search from record 0 keeps
+        the records of its first :data:`PROBE_MEMO_LEVELS` levels in the
+        memo, which racing threads fill lock-free with equal tuples."""
         mm, header = self._mm, self._header
         span_at = _SPAN.unpack_from
         table, base = header.lex_offsets_off, header.lex_data_off
         hi = header.term_count
+        if lo == 0:
+            memo, depth = self._probe_memo, 0
+        else:
+            memo, depth = {}, PROBE_MEMO_LEVELS
         while lo < hi:
             mid = (lo + hi) // 2
-            start, end = span_at(mm, table + 4 * mid)
-            offset = base + start
-            length = mm[offset]
-            if length < 0x80:
-                offset += 1
-            else:
-                length, offset = decode_varint(mm, offset)
-            found = mm[offset : offset + length]
+            record = memo.get(mid)
+            if record is None:
+                start, end = span_at(mm, table + 4 * mid)
+                offset = base + start
+                length = mm[offset]
+                if length < 0x80:
+                    offset += 1
+                else:
+                    length, offset = decode_varint(mm, offset)
+                record = mm[offset : offset + length], offset + length, end
+                if depth < PROBE_MEMO_LEVELS:
+                    memo[mid] = record
+            depth += 1
+            found = record[0]
             if found < probe:
                 lo = mid + 1
             elif found > probe:
                 hi = mid
             else:
-                return mid, offset + length, end
+                return mid, record[1], record[2]
         return lo, None, 0
 
     def _count_read(self, n: int) -> None:

@@ -32,19 +32,21 @@ output *byte for byte* — the differential property the test suite pins
 across every build backend.
 
 BM25 ranking rides the same machinery, one decode per list:
-:meth:`DaatQueryEngine.search_bm25` scores a term from the ``{doc id:
-tf}`` its match decoded whole, or filtered by candidates holding every
-match; any other term is read again over the matches.  Scores add up
-per term in sorted order, as :class:`~repro.query.ranking.BM25Ranker`
-adds them, so ondisk and in-memory BM25 agree to the last float; a
-stable sort over ascending doc ids is the top-K.  A file written
-without term frequencies refuses to rank (:data:`NO_FREQS`).
+:meth:`DaatQueryEngine.search_bm25` scores a term from the aligned
+``(doc ids, tfs)`` columns its match decoded whole, or filtered by
+candidates holding every match; any other term is read again over the
+matches.  Scores add up per term in sorted order, as
+:class:`~repro.query.ranking.BM25Ranker` adds them, so ondisk and
+in-memory BM25 agree to the last float; the scores at or above the
+k-th largest, stably sorted over ascending doc ids, are the top-K.  A
+file written without term frequencies refuses to rank
+(:data:`NO_FREQS`).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import filterfalse
+from itertools import compress, filterfalse
 from functools import partial
 from operator import itemgetter
 from types import SimpleNamespace
@@ -60,8 +62,8 @@ from repro.query.wildcard import expand_prefixes, has_prefixes
 
 #: One query's term map: each distinct term's lexicon entry, or None.
 Infos = Dict[str, Optional[TermInfo]]
-#: A ranked query's decoded terms: (filter candidates or None, {id: tf}).
-Decoded = Dict[str, Tuple[Optional[List[int]], Dict[int, int]]]
+#: A ranked query's decoded terms: (filter candidates or None, (ids, tfs)).
+Decoded = Dict[str, Tuple[Optional[List[int]], Tuple[List[int], List[int]]]]
 
 #: Why an RIDX2 file without stored term frequencies refuses BM25
 #: rather than rank every match on tf = 1.
@@ -86,7 +88,7 @@ class DaatQueryEngine:
     def __init__(self, reader: MmapPostingsReader, statistics=None) -> None:
         self.reader = reader
         self.statistics = statistics
-        self._norms: Optional[Tuple[tuple, List[float]]] = None
+        self._norms: Optional[Tuple[tuple, List[float], List[float]]] = None
 
     def search(
         self, query_text: str, parallel: bool = False, optimize: bool = True
@@ -142,8 +144,11 @@ class DaatQueryEngine:
             n, avgdl, dfs = self.statistics or (
                 reader.doc_count, reader.average_document_length, None
             )
-            norms = self._doc_norms(k1, b, avgdl)
+            norms, ones = self._doc_norms(k1, b, avgdl)
             scores = dict.fromkeys(matches, 0.0)
+            # In a union every term is decoded whole, and each id a match.
+            union = _is_union(query)
+            k1_plus = k1 + 1.0
             for term in sorted(infos):
                 info = infos[term]
                 if info is None:
@@ -153,14 +158,26 @@ class DaatQueryEngine:
                 # A filtered decode saw only its candidates' blocks.
                 seen = decoded.get(term)
                 if seen and (seen[0] is None or set(seen[0]).issuperset(matches)):
-                    tfs = seen[1]
+                    ids, tfs = seen[1]
                 else:
-                    tfs = reader.read_postings(info, matches, with_freqs=True)
-                for doc_id in scores.keys() & tfs.keys():
-                    tf = tfs[doc_id]
-                    scores[doc_id] += idf * (tf * (k1 + 1.0)) / (tf + norms[doc_id])
+                    ids, tfs = reader.read_postings(info, matches, with_freqs=True)
+                postings = zip(ids, tfs)
+                if not union:
+                    postings = compress(postings, map(scores.__contains__, ids))
+                # At tf == 1, 1 * (k1 + 1.0) is exact and 1 + norm is the
+                # same sum as tf + norm: the general formula's float.
+                one = idf * k1_plus
+                for doc_id, tf in postings:
+                    if tf == 1:
+                        scores[doc_id] += one / ones[doc_id]
+                    else:
+                        scores[doc_id] += idf * (tf * k1_plus) / (tf + norms[doc_id])
+            kept = scores.items()
+            if len(scores) > topk:
+                kth = sorted(scores.values(), reverse=True)[topk - 1]
+                kept = [hit for hit in kept if hit[1] >= kth]
             # Stable over ascending doc ids: ties keep path order.
-            ranked = sorted(scores.items(), key=itemgetter(1), reverse=True)
+            ranked = sorted(kept, key=itemgetter(1), reverse=True)
             return [
                 RankedHit(reader.doc_path(doc_id), score)
                 for doc_id, score in ranked[:topk]
@@ -185,16 +202,22 @@ class DaatQueryEngine:
             infos[term] = term_info(term)
         return query, infos
 
-    def _doc_norms(self, k1: float, b: float, avgdl: float) -> List[float]:
-        """Each document's BM25 length norm, once per ``(k1, b, avgdl)``
-        (lock-free: racing threads compute equal lists)."""
+    def _doc_norms(
+        self, k1: float, b: float, avgdl: float
+    ) -> Tuple[List[float], List[float]]:
+        """Each document's BM25 length norm, and ``1 + norm`` (the
+        denominator at tf = 1), once per ``(k1, b, avgdl)`` (lock-free:
+        racing threads compute equal lists)."""
         cached = self._norms
         if cached is None or cached[0] != (k1, b, avgdl):
-            cached = self._norms = ((k1, b, avgdl), [
+            norms = [
                 k1 * (1.0 - b + b * (length / avgdl if avgdl else 0.0))
                 for length in self.reader.doc_lengths()
-            ])
-        return cached[1]
+            ]
+            cached = self._norms = (
+                (k1, b, avgdl), norms, [1 + norm for norm in norms]
+            )
+        return cached[1], cached[2]
 
     def _cost(self, query: Query, infos: Infos) -> int:
         """An upper bound on how many doc ids ``query`` matches."""
@@ -216,20 +239,21 @@ class DaatQueryEngine:
     ) -> List[int]:
         """The ascending doc ids ``query`` matches: all of them, or — in
         filter mode — those of the ascending ``candidates``.  Each term
-        decoded goes in ``decoded`` with its frequencies, when given: a
-        whole list always, a filtered one when the term has no entry."""
+        decoded goes in ``decoded`` as its ``(ids, tfs)`` columns, when
+        given: a whole list always, a filtered one when the term has no
+        entry."""
         if isinstance(query, Term):
             info = infos[query.value]
             if info is None:
                 return []
             if decoded is None:
                 return self.reader.read_postings(info, candidates)
-            tfs = self.reader.read_postings(info, candidates, with_freqs=True)
+            columns = self.reader.read_postings(info, candidates, with_freqs=True)
             if candidates is None:
-                decoded[query.value] = (None, tfs)
-                return list(tfs)
-            decoded.setdefault(query.value, (candidates, tfs))
-            return sorted(tfs.keys() & candidates)
+                decoded[query.value] = (None, columns)
+                return columns[0]
+            decoded.setdefault(query.value, (candidates, columns))
+            return sorted(set(columns[0]).intersection(candidates))
         if isinstance(query, And):
             ids = candidates
             for operand in sorted(
@@ -255,3 +279,11 @@ class DaatQueryEngine:
                 candidates = range(self.reader.doc_count)
             return list(filterfalse(drop.__contains__, candidates))
         raise TypeError(f"unknown query node: {type(query).__name__}")
+
+
+def _is_union(query: Query) -> bool:
+    """True when ``query`` is a term or an ``Or`` of unions: each term
+    is then decoded whole and every id it holds is a match."""
+    if isinstance(query, Or):
+        return all(map(_is_union, query.operands))
+    return isinstance(query, Term)

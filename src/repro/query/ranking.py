@@ -19,10 +19,10 @@ what the differential suite asserts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
-from repro.adt import FnvHashMap
 from repro.query.parser import parse_query
 from repro.query.wildcard import expand_prefixes, has_prefixes
 
@@ -45,8 +45,8 @@ class FrequencyIndex:
     """term -> {path: occurrence count}, plus document statistics."""
 
     def __init__(self) -> None:
-        self._counts: FnvHashMap[Dict[str, int]] = FnvHashMap()
-        self._document_lengths: FnvHashMap[int] = FnvHashMap()
+        self._counts: Dict[str, Dict[str, int]] = {}
+        self._document_lengths: Dict[str, int] = {}
 
     @property
     def document_count(self) -> int:
@@ -65,17 +65,18 @@ class FrequencyIndex:
         return self.total_length / count if count else 0.0
 
     def add_document(self, path: str, terms: Iterable[str]) -> None:
-        """Index a document from its term *occurrences* (with duplicates);
-        a file with no terms is no document and records nothing."""
+        """Index a document from its term *occurrences* (with duplicates),
+        counted in one pass; a file with no terms is no document and
+        records nothing."""
         if path in self._document_lengths:
             raise ValueError(f"{path!r} already indexed")
-        length = 0
-        for term in terms:
-            length += 1
-            per_doc = self._counts.setdefault(term, {})
-            per_doc[path] = per_doc.get(path, 0) + 1
-        if length:
-            self._document_lengths[path] = length
+        counts = Counter(terms)
+        if not counts:
+            return
+        per_term = self._counts
+        for term, tf in counts.items():
+            per_term.setdefault(term, {})[path] = tf
+        self._document_lengths[path] = sum(counts.values())
 
     def statistics(self) -> CollectionStatistics:
         """This collection's N, avgdl and df per term."""
@@ -89,6 +90,11 @@ class FrequencyIndex:
         """Occurrences of ``term`` in ``path`` (0 if absent)."""
         per_doc = self._counts.get(term)
         return per_doc.get(path, 0) if per_doc else 0
+
+    def term_frequencies(self, term: str) -> Dict[str, int]:
+        """``{path: tf}`` of every document holding ``term`` (shared:
+        never mutate; empty if absent)."""
+        return self._counts.get(term, {})
 
     def df(self, term: str) -> int:
         """Number of documents containing ``term``."""

@@ -9,7 +9,10 @@ on drawn nested queries (depth <= 3, top-level NOT, Ands of NOTs,
 absent terms and prefixes) over drawn corpora at block sizes 1 to 128,
 and on the fixed shapes where a term's match-time decode does not cover
 every match (BM25 reads such a term again; any other list it reads
-once, as its boolean twin does).  Also covered: the phrase-query
+once, as its boolean twin does), and over a (k1, b) grid — k1 = 0,
+b = 0 and b = 1 among it — on blocks that mix tf = 1 and tf > 1, where
+the column scorer takes its tf = 1 path beside the general formula.
+Also covered: the phrase-query
 refusal at every door, the ranking-mode-aware cache keys (a BM25
 result must never satisfy a boolean lookup), serving a
 :class:`SearchService` from an on-disk snapshot, and four threads
@@ -466,6 +469,104 @@ class TestSingleDecodeScoring:
             boolean = reader.blocks_read
             engine.search_bm25(query)
             assert reader.blocks_read - boolean == boolean > 1
+
+
+def mixed_tf_docs():
+    """Sixty documents whose lists mix tf = 1 and tf > 1 inside one
+    block at every block size below, lengths from 2 to 14, and equal
+    scores (ties) among the documents of one residue."""
+    return {
+        f"d{i:03d}.txt": ["every"] * (1 + (i % 4 == 3))
+        + ["alpha"] * (i % 3 == 0) * (1 + i % 2)
+        + ["alpine"] * (i % 5 == 1) * (1 + i % 3)
+        + ["beta"] * (i % 2 == 0) * (1 + (i // 2) % 4)
+        + ["gamma"] * (i % 7 in (0, 3)) * 2
+        + ["gamma"] * (i % 7 == 5)
+        for i in range(60)
+    }
+
+
+#: (k1, b): the defaults, no saturation (k1 = 0), no length
+#: normalization (b = 0), full normalization (b = 1), and between.
+BM25_GRID = [
+    (1.2, 0.75), (0.0, 0.0), (0.0, 0.75), (0.0, 1.0), (1.2, 0.0),
+    (1.2, 1.0), (0.5, 0.3), (2.0, 1.0), (3.0, 0.5),
+]
+
+
+class TestBm25ParameterGrid:
+    """DAAT BM25 scores from columns (a tf = 1 fast path beside the
+    general formula, a top-K cut at the k-th score): over a (k1, b)
+    grid it must still equal :class:`BM25Ranker` float for float."""
+
+    QUERIES = [
+        "every",
+        "alpha OR beta",
+        "alpha OR alpine OR gamma OR zzz",
+        "every AND alpha",
+        "beta AND gamma",
+        "every AND NOT beta",
+        "(alpha OR gamma) AND NOT beta",
+        "al*",
+        "al* AND beta",
+        "al* OR gamma",
+    ]
+
+    @pytest.mark.parametrize("block_size", [4, 8, 128])
+    def test_the_corpus_mixes_tf_one_and_more_in_one_block(
+        self, tmp_path, block_size
+    ):
+        _memory, _frequencies, path = write_corpus(
+            tmp_path, mixed_tf_docs(), block_size
+        )
+        with MmapPostingsReader(path) as reader:
+            for term in ("alpha", "beta", "gamma"):
+                ids, tfs = reader.read_postings(
+                    reader.term_info(term), with_freqs=True
+                )
+                assert len(ids) == len(tfs)
+                assert any(
+                    1 in tfs[i : i + block_size]
+                    and max(tfs[i : i + block_size]) > 1
+                    for i in range(0, len(tfs), block_size)
+                ), term
+
+    @pytest.mark.parametrize("block_size", [4, 8, 128])
+    @pytest.mark.parametrize("k1, b", BM25_GRID)
+    def test_scores_equal_the_ranker(self, tmp_path, block_size, k1, b):
+        memory, frequencies, path = write_corpus(
+            tmp_path, mixed_tf_docs(), block_size
+        )
+        ranker = BM25Ranker(frequencies, k1=k1, b=b)
+        with MmapPostingsReader(path) as reader:
+            engine = DaatQueryEngine(reader)
+            for query in self.QUERIES:
+                for topk in (1, 3, 10, 100):
+                    expected = search_bm25(memory, ranker, query, topk=topk)
+                    got = engine.search_bm25(query, topk=topk, k1=k1, b=b)
+                    assert [(h.path, h.score) for h in got] == [
+                        (h.path, h.score) for h in expected
+                    ], (query, topk)
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpora(), nested_queries, st.sampled_from(BM25_GRID))
+    def test_drawn_queries_equal_the_ranker(
+        self, tmp_path_factory, corpus, query, knobs
+    ):
+        block_size, docs = corpus
+        k1, b = knobs
+        memory, frequencies, path = write_corpus(
+            tmp_path_factory.mktemp("grid"), docs, block_size
+        )
+        text = str(query)
+        expected = search_bm25(
+            memory, BM25Ranker(frequencies, k1=k1, b=b), text, topk=5
+        )
+        with MmapPostingsReader(path) as reader:
+            got = DaatQueryEngine(reader).search_bm25(text, topk=5, k1=k1, b=b)
+        assert [(h.path, h.score) for h in got] == [
+            (h.path, h.score) for h in expected
+        ]
 
 
 class TestSharedEngine:

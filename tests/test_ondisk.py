@@ -6,9 +6,12 @@ dump time), the codec round-trips at the block level, the block
 decoders' one-byte-gap path against the varint loop, the header and
 magic sniffing failure modes (:class:`IndexFormatError` for
 RIDX1/RIDX2/RWIRE1/JSON/unknown/truncated), and the
-:class:`MmapPostingsReader` serving surface — lexicon binary search,
-``read_postings`` (whole lists and candidate filters), block-skip
-accounting (exact per query), and frequency storage.
+:class:`MmapPostingsReader` serving surface — lexicon binary search
+and the memo of its top levels (bounded, and invisible in any answer
+from two threads), ``read_postings`` (whole lists and candidate
+filters, ids or aligned ``(ids, tfs)`` columns), block-skip accounting
+(exact per query), frequency storage, and the length column's one-pass
+decode against the varint loop.
 """
 
 from __future__ import annotations
@@ -405,14 +408,15 @@ class TestMmapPostingsReader:
             reader.read_postings(info)
             reader.read_postings(info, [0, 1, 2, 3])
             assert decoded == []  # boolean reads never decode a tf
-            tfs = reader.read_postings(info, with_freqs=True)
+            ids, tfs = reader.read_postings(info, with_freqs=True)
             assert decoded
+            assert len(ids) == len(tfs)
             seen = []
-            for doc_id, tf in tfs.items():
+            for doc_id, tf in zip(ids, tfs):
                 path = reader.doc_path(doc_id)
                 assert tf == frequencies.tf("apple", path)
                 seen.append(path)
-            assert list(tfs) == sorted(tfs)
+            assert ids == sorted(ids)
             assert seen == sorted(
                 p for p, t in fruit_docs.items() if "apple" in t
             )
@@ -457,10 +461,10 @@ class TestMmapPostingsReader:
         save_index(index, path, format="ridx2")
         with MmapPostingsReader(path) as reader:
             assert not reader.has_freqs
-            tfs = reader.read_postings(
+            ids, tfs = reader.read_postings(
                 reader.term_info("apple"), with_freqs=True
             )
-            assert tfs and set(tfs.values()) == {1}
+            assert ids and len(tfs) == len(ids) and set(tfs) == {1}
             # Doc length falls back to the distinct-term count.
             for i, doc_path in enumerate(sorted(fruit_docs)):
                 assert reader.doc_length(i) == len(set(fruit_docs[doc_path]))
@@ -953,8 +957,8 @@ class TestDifferentialSeams:
                 assert reader.term_info(term).df == len(ids)
                 assert reader.lookup(term) == [paths[i] for i in ids]
                 info = reader.term_info(term)
-                assert reader.read_postings(info, with_freqs=True) == dict(
-                    zip(ids, tfs)
+                assert reader.read_postings(info, with_freqs=True) == (
+                    ids, tfs
                 )
                 # A random ascending candidate list against the list
                 # model: the hits, and the blocks read and skipped.
@@ -972,7 +976,11 @@ class TestDifferentialSeams:
                     reader.blocks_skipped - before[1],
                 ) == (read, skipped)
                 tfs_of = dict(zip(ids, tfs))
-                got = reader.read_postings(info, candidates, with_freqs=True)
+                got_ids, got_tfs = reader.read_postings(
+                    info, candidates, with_freqs=True
+                )
+                assert len(got_ids) == len(got_tfs)
+                got = dict(zip(got_ids, got_tfs))
                 for doc_id in set(ids).intersection(candidates):
                     assert got[doc_id] == tfs_of[doc_id]
 
@@ -1103,3 +1111,159 @@ class TestDocTableOnePass:
         data[header.lex_offsets_off - 2] |= 0x80  # two bytes, one length
         with pytest.raises(IndexFormatError, match="length column"):
             read_ridx2_lengths(bytes(data), header)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=24),
+            st.lists(st.integers(0, 2**70), max_size=8).map(
+                lambda values: b"".join(map(encode_varint, values))
+            ),
+        ),
+        st.integers(0, 9),
+    )
+    def test_the_length_column_decodes_as_the_varint_loop(self, column, count):
+        """The one-pass column decode against the reference loop: a
+        column is either ``count`` varints, read as :func:`decode_varint`
+        reads them, or refused — short, overlong or trailing."""
+        import dataclasses
+
+        header = dataclasses.replace(
+            parse_ridx2_header(dump_index_ridx2(InvertedIndex())),
+            doc_count=count,
+            doc_data_off=4,
+            lex_offsets_off=4 + len(column),
+        )
+        data = bytes(4) + column
+        expected, position = [], 0
+        try:
+            for _ in range(count):
+                value, position = decode_varint(column, position)
+                expected.append(value)
+        except ValueError:
+            position = -1  # short or overlong
+        if position != len(column):
+            with pytest.raises(IndexFormatError, match="length column"):
+                read_ridx2_lengths(data, header)
+        else:
+            assert read_ridx2_lengths(data, header) == expected
+
+
+class TestProbeMemo:
+    """The top of the lexicon's search tree, memoized: bounded, and
+    invisible in every answer."""
+
+    @pytest.fixture(scope="class", params=[50, 2], ids=["deep", "shallow"])
+    def wide_file(self, request, tmp_path_factory):
+        # 5 001 terms: a 13-level search tree, deeper than the memo; or
+        # 201, a tree the memo holds whole, neighbours included.
+        docs = {
+            f"d{i:02d}.txt": [f"t{i:02d}{j:03d}" for j in range(100)]
+            + ["every"] * (1 + i % 3)
+            for i in range(request.param)
+        }
+        index, frequencies = build_index(docs)
+        path = str(tmp_path_factory.mktemp("wide") / "wide.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(dump_index_ridx2(index, frequencies, block_size=8))
+        return path
+
+    def test_every_search_from_the_root_stays_within_the_bound(
+        self, wide_file
+    ):
+        from repro.index.ondisk import PROBE_MEMO_LEVELS, PROBE_MEMO_MAX
+
+        assert PROBE_MEMO_MAX == 2047 == 2**PROBE_MEMO_LEVELS - 1
+        with MmapPostingsReader(wide_file) as reader:
+            for term in reader.terms():
+                assert reader.term_info(term).term == term
+                assert len(reader._probe_memo) <= PROBE_MEMO_MAX
+            reader.term_info("zzz-absent")
+            reader.expand("t1")
+            # Every record of the top eleven levels, and no other.
+            assert len(reader._probe_memo) == min(
+                reader.term_count, PROBE_MEMO_MAX
+            )
+
+    def test_a_warmed_reader_answers_as_a_fresh_one_from_two_threads(
+        self, wide_file
+    ):
+        import random
+        import sys
+        import threading
+
+        from repro.index.binfmt import iter_ridx2_lexicon
+        from repro.index.ondisk import PROBE_MEMO_MAX, TermInfo
+        from repro.query.daat import DaatQueryEngine
+
+        rng = random.Random(44)
+        with open(wide_file, "rb") as fh:
+            data = fh.read()
+        # The oracle walks the lexicon and never searches it.
+        lexicon = {
+            term: TermInfo(term, df, start, end)
+            for term, df, start, end in iter_ridx2_lexicon(
+                data, parse_ridx2_header(data)
+            )
+        }
+        terms = sorted(lexicon)
+        probes = [rng.choice(terms) for _ in range(900)] + [
+            f"{rng.choice(terms)}x" for _ in range(100)
+        ]
+        prefixes = ["t0", "t07", "t4", "t499", "e", "zz", "t"]
+        queries = [
+            "every",
+            "t00001 OR t01002 OR every",
+            "every AND t03004",
+            "every AND NOT t02000",
+            "t01* OR t4*",
+        ]
+        with MmapPostingsReader(wide_file) as fresh:
+            engine = DaatQueryEngine(fresh)
+            expected = [
+                (engine.search(q), engine.search_bm25(q, topk=5))
+                for q in queries
+            ]
+            expanded = [fresh.expand(p, limit=50) for p in prefixes]
+        with MmapPostingsReader(wide_file) as warm:
+            engine = DaatQueryEngine(warm)
+            failures = []
+
+            def worker(shift):
+                try:
+                    for i in range(shift, len(probes), 2):
+                        term = probes[i]
+                        if warm.term_info(term) != lexicon.get(term):
+                            failures.append(term)
+                    for prefix, terms_of in zip(prefixes, expanded):
+                        if warm.expand(prefix, limit=50) != terms_of:
+                            failures.append(prefix)
+                    for query, answer in zip(queries, expected):
+                        got = (
+                            engine.search(query),
+                            engine.search_bm25(query, topk=5),
+                        )
+                        if got != answer:
+                            failures.append(query)
+                except Exception as exc:  # reported below, not lost
+                    failures.append(("raised", exc))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for _round in range(2):  # a cold memo, then a warm one
+                    threads = [
+                        threading.Thread(target=worker, args=(shift,))
+                        for shift in range(2)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                    assert not any(thread.is_alive() for thread in threads)
+            finally:
+                sys.setswitchinterval(interval)
+            assert failures == []
+            assert 0 < len(warm._probe_memo) <= PROBE_MEMO_MAX
+            for term in terms:
+                assert warm.term_info(term) == lexicon[term]
