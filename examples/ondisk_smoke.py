@@ -27,6 +27,7 @@ Run:  PYTHONPATH=src python examples/ondisk_smoke.py [index.ridx2]
 
 from __future__ import annotations
 
+import os
 import sys
 import tempfile
 import threading
@@ -88,8 +89,14 @@ def build_queries(index):
 
 
 def main(path: str | None = None) -> int:
-    if path is None:
-        path = tempfile.mktemp(suffix=".ridx2")
+    if path is not None:
+        return run(path)
+    # Without a path the index lives and dies in a temporary directory.
+    with tempfile.TemporaryDirectory() as directory:
+        return run(os.path.join(directory, "smoke.ridx2"))
+
+
+def run(path: str) -> int:
     corpus = CorpusGenerator(PAPER_PROFILE.scaled(0.01, name="smoke")).generate()
     report = SequentialIndexer(corpus.fs, naive=False).build()
     frequencies = FrequencyIndex.from_fs(corpus.fs)

@@ -30,9 +30,11 @@ adopted by reference as segment 0, ``refresh()`` seals the filesystem
 delta into a new segment (reading only changed files), deletions
 become tombstones, and :meth:`compact` (or a :meth:`start_compactor`
 background thread) folds segments back down with layered k-way merges.
-Queries evaluate directly over the manifest; :attr:`index` is the lone
-segment's own :class:`~repro.index.inverted.InvertedIndex` while there
-is one, and a merge of the segments (cached per generation) otherwise.
+Queries evaluate directly over the manifest — a saved RIDX2 file
+opened alone by the DAAT engine over its blocks, any other manifest by
+the set evaluator; :attr:`index` is the lone segment's own
+:class:`~repro.index.inverted.InvertedIndex` while there is one, and a
+merge of the segments (cached per generation) otherwise.
 
 Sessions allow one writer at a time: ``refresh``/``rebuild``/``compact``
 serialize on an internal lock (so a background compactor never races a
@@ -83,6 +85,7 @@ from repro.index.serialize import (
     sniff_file,
 )
 from repro.query.cache import QueryCache
+from repro.query.daat import DaatQueryEngine
 from repro.service.frontend import AsyncSearchFrontend
 from repro.service.service import SearchService
 from repro.service.snapshot import IndexSnapshot, QueryResult
@@ -258,9 +261,10 @@ class Search:
         mapped and adopted as the manifest's one
         :class:`~repro.index.segments.DiskSegment` after a checksum
         pass (``IndexFormatError`` on a cut or flipped file), so no
-        posting is decoded before a query asks.  Queries run off the
-        map until the first :meth:`compact`; an uncached one costs
-        about 2.4 times the in-memory map's (``docs/api.md``).  Every
+        posting is decoded before a query asks.  Until a refresh
+        changes the index the DAAT engine answers off the map, and
+        ranks off the file's frequencies; an uncached query costs
+        about 1.8 times the in-memory map's (``docs/api.md``).  Every
         other format loads eagerly; replica directories join.  Pass
         ``source`` — the indexed directory or filesystem — to re-enable
         :meth:`refresh`: with the fingerprints :meth:`save` left beside
@@ -634,12 +638,28 @@ class Search:
         """Swap in what :meth:`query` reads, as one store: a snapshot
         of the current manifest (engine, universe, generation) owning
         an empty result cache that lives exactly as long — a cached
-        answer can never outlive the index it was computed on."""
+        answer can never outlive the index it was computed on.
+
+        The manifest's shape picks the engine.  One saved RIDX2 file
+        and no tombstone is served as it is, by the DAAT evaluator
+        over its blocks, which also ranks off its frequencies; any
+        other manifest is answered by the set evaluator.
+        """
+        manifest = self._segmented.manifest
+        engine = None
+        segments = manifest.segments
+        if (
+            len(segments) == 1
+            and isinstance(segments[0], DiskSegment)
+            and not manifest.tombstones
+        ):
+            engine = DaatQueryEngine(segments[0].reader)
         self._published = IndexSnapshot(
-            index=self._segmented.manifest,
+            index=manifest,
             generation=self._generation,
             provenance=self._provenance,
             report=self._report,
+            engine=engine,
             cache=QueryCache(self._cache_capacity, sync=self._sync)
             if self._cache_capacity
             else None,

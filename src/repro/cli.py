@@ -4,20 +4,22 @@ Subcommands:
 
 * ``generate-corpus`` — materialize a synthetic benchmark corpus on disk
   (optionally mixed-format);
-* ``index`` — build an index over a directory with one of the three
-  implementations (or sequentially) and optionally save it (blocked
-  RIDX2 — a ``.ridx2`` path is one file from any engine, with term
-  frequencies baked in for BM25 — or compact RIDX1 with ``--binary``);
-* ``search`` — run a boolean/wildcard query against a saved index,
-  opened the way ``Search.open`` opens it (an RIDX2 file is mapped, not
-  loaded; a replica directory is searched unjoined), optionally ranked
-  (BM25 top-K) and optionally ``--ondisk``: the document-at-
-  a-time engine over the mapped file, with BM25 off its frequencies;
-  a malformed query (a multi-word quote among them) exits 2;
+* ``index`` — build an index over a directory: the product build
+  (``Search.build``) with no engine flag, or one of the paper's three
+  implementations (or its sequential baseline) when one is given; and
+  optionally save it (blocked RIDX2 — a ``.ridx2`` path is one file
+  from any engine, with term frequencies baked in for BM25 — or compact
+  RIDX1 with ``--binary``);
+* ``search`` — run a boolean/wildcard query against a saved index
+  through ``Search.open`` (an RIDX2 file is mapped, not loaded, and
+  answers and ranks by BM25 off its frequencies; a replica directory is
+  searched unjoined); a malformed query (a multi-word quote among
+  them), a file that cannot be read or an index that cannot rank
+  exits 2;
 * ``serve`` — long-running query serving over a directory: a
   :class:`~repro.service.service.SearchService` answers a query stream
   concurrently while ``--watch`` refreshes the index in the background;
-  with ``--ondisk`` the service queries an mmap'd RIDX2 file instead;
+  ``--index FILE`` serves a saved index through ``Search.open``;
 * ``refresh`` — incrementally update a saved index after file changes:
   ``Search.open(F, source=DIR)``, ``refresh()``, ``save(F)`` (a first
   run, with no ``F`` yet, builds it), the fingerprints kept at
@@ -41,7 +43,13 @@ from repro.autotune import (
     RandomSearch,
 )
 from repro.corpus import CorpusGenerator, PAPER_PROFILE, materialize
-from repro.engine import Implementation, IndexGenerator, SequentialIndexer, ThreadConfig
+from repro.engine import (
+    FaultPolicy,
+    Implementation,
+    IndexGenerator,
+    SequentialIndexer,
+    ThreadConfig,
+)
 from repro.experiments import (
     render_best_config_table,
     render_table1,
@@ -51,6 +59,7 @@ from repro.experiments import (
 from repro.fsmodel import OsFileSystem
 from repro.index import (
     ChangeReport,
+    DiskSegment,
     MultiIndex,
     join_indices,
     load_index,
@@ -60,6 +69,7 @@ from repro.index import (
 )
 from repro.platforms import ALL_PLATFORMS, platform_by_name
 from repro.query import ParseError, QueryEngine
+from repro.query.cache import plan_query
 from repro.simengine import SimPipeline, Workload, WorkloadSpec
 
 
@@ -101,9 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--implementation", "-i", type=int, choices=(1, 2, 3), default=None,
         help="1=shared+locked, 2=replicated+joined, 3=replicated unjoined "
-        "(default: 3, or 2 with --backend process)",
+        "(default: 3, or 2 with --backend process); without any engine "
+        "flag the product build (Search.build) runs",
     )
-    p.add_argument("-x", "--extractors", type=int, default=3)
+    p.add_argument("-x", "--extractors", type=int, default=None,
+                   help="extractor threads or processes (default: 3)")
     p.add_argument("-y", "--updaters", type=int, default=None,
                    help="updater threads (default: 2; fixed at 0 with "
                    "--backend process)")
@@ -111,10 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="joiner threads (default: 0, or 1 with "
                    "--backend process)")
     p.add_argument("--backend", choices=("thread", "process"),
-                   default="thread",
+                   default=None,
                    help="run the (x, y, z) tuple on Python threads (the "
-                   "paper's design) or on OS worker processes "
-                   "(Implementation 2 only, GIL-free)")
+                   "paper's design, the default) or on OS worker "
+                   "processes (Implementation 2 only, GIL-free)")
     p.add_argument("--oversubscribe", action="store_true",
                    help="allow more worker processes than CPUs "
                    "(--backend process only)")
@@ -161,16 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    'NOT fox)"; a trailing * makes a term a prefix wildcard')
     p.add_argument("--parallel", action="store_true",
                    help="search replicas with one thread each")
-    p.add_argument("--ranked", metavar="CORPUS_DIR",
-                   help="BM25 rank the hits (top --topk), computing term "
-                   "frequencies from the given corpus directory")
-    p.add_argument("--ondisk", action="store_true",
-                   help="serve the query straight off the mmap'd RIDX2 "
-                   "file (no in-memory postings); index_path must be an "
-                   "RIDX2 index")
     p.add_argument("--rank", choices=("bool", "bm25"), default="bool",
                    help="result ordering: plain sorted boolean match "
-                   "(default) or BM25 top-K")
+                   "(default) or BM25 top-K off an RIDX2 file's term "
+                   "frequencies")
     p.add_argument("--topk", type=int, default=10,
                    help="number of BM25 hits to return (default 10)")
     _add_observability_args(p)
@@ -196,13 +202,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", metavar="FILE",
                    help="newline-separated query file (default: stdin; "
                    "'#' lines are comments)")
-    p.add_argument("--ondisk", action="store_true",
-                   help="serve queries straight off the mmap'd RIDX2 file "
-                   "given by --index (no in-memory postings; incompatible "
-                   "with --watch)")
     p.add_argument("--rank", choices=("bool", "bm25"), default="bool",
                    help="answer queries with the boolean match (default) "
-                   "or BM25 top-K (needs --ondisk)")
+                   "or BM25 top-K (needs an --index RIDX2 file saved with "
+                   "frequencies, or --shards)")
     p.add_argument("--topk", type=int, default=10,
                    help="number of BM25 hits per query (default 10)")
     p.add_argument("--compact-every", type=float, metavar="SECONDS",
@@ -244,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "results merge by set-union, BM25 by a global "
                    "top-K heap-merge of scores on collection "
                    "statistics, equal to the unsharded ranking "
-                   "(incompatible with --watch, --ondisk and "
-                   "--compact-every)")
+                   "(incompatible with --watch and --compact-every)")
     p.add_argument("--replicas", type=int, default=1,
                    help="with --shards: replicas per shard; the "
                    "broker rotates to the next replica when one "
@@ -363,16 +365,26 @@ def _config_from(args: argparse.Namespace) -> ThreadConfig:
     )
 
 
-def _resolve_index_defaults(args: argparse.Namespace) -> None:
-    """Fill the -i/-y/-z defaults the chosen backend implies.
+def _engine_flagged(args: argparse.Namespace) -> bool:
+    """True when ``index`` was asked for one of the paper's runs rather
+    than the product build."""
+    return args.sequential or args.dynamic is not None or any(
+        value is not None
+        for value in (args.implementation, args.extractors, args.updaters,
+                      args.joiners, args.backend)
+    )
 
-    The threaded default reproduces the CLI's historical behaviour
-    (Implementation 3 at (3, 2, 0)); the process backend defaults to its
-    only valid shape, Implementation 2 at (x, 0, 1).
-    """
+
+def _resolve_index_defaults(args: argparse.Namespace) -> None:
+    """Fill what a flagged run left out: on threads Implementation 3
+    at (3, 2, 0); on the process backend its only valid shape,
+    Implementation 2 at (3, 0, 1)."""
     process = args.backend == "process"
+    args.backend = args.backend or "thread"
     if args.implementation is None:
         args.implementation = 2 if process else 3
+    if args.extractors is None:
+        args.extractors = 3
     if args.updaters is None:
         args.updaters = 0 if process else 2
     if args.joiners is None:
@@ -406,7 +418,7 @@ def _cmd_generate_corpus(args: argparse.Namespace) -> int:
 def _reject_incompatible_index_args(args: argparse.Namespace) -> Optional[str]:
     """Flag combinations that silently do nothing (or fail deep inside
     a constructor) are rejected up front with a clear message."""
-    if args.backend == "thread":
+    if args.backend != "process":
         if args.oversubscribe:
             return ("--oversubscribe only applies to --backend process "
                     "(threads share one interpreter; there is no pool "
@@ -455,18 +467,27 @@ def _cmd_index(args: argparse.Namespace) -> int:
     fs = OsFileSystem(args.directory)
     registry = default_registry() if args.formats else None
     extractor = get_extractor(args.extractor, registry=registry)
-    if args.sequential:
-        try:
+    summary = None
+    try:
+        if not _engine_flagged(args):
+            from repro.api import Search
+
+            report = Search.build(
+                fs, fault=FaultPolicy(on_error=args.on_error),
+                extractor=extractor, cache=0,
+            ).report
+            # The report's "(1, 0, 0)" is the sequential label: name the
+            # build that ran instead.
+            summary = "Search.build (en-bloc): " + (
+                report.summary().partition(": ")[2]
+            )
+        elif args.sequential:
             report = SequentialIndexer(
                 fs, extractor=extractor, on_error=args.on_error
             ).build()
-        except OSError as exc:
-            print(f"error: build failed: {exc}", file=sys.stderr)
-            return 1
-    else:
-        _resolve_index_defaults(args)
-        implementation = Implementation(args.implementation)
-        try:
+        else:
+            _resolve_index_defaults(args)
+            implementation = Implementation(args.implementation)
             config = _config_from(args)
             config.validate_for(implementation)
             report = IndexGenerator(
@@ -480,16 +501,16 @@ def _cmd_index(args: argparse.Namespace) -> int:
                 ),
                 batch_timeout=args.batch_timeout,
             ).build(implementation, config)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            # Under --on-error strict an unreadable file aborts the
-            # build; report it as a build failure, not a traceback.
-            print(f"error: build failed: {exc}", file=sys.stderr)
-            return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Under --on-error strict an unreadable file aborts the build;
+        # report it as a build failure, not a traceback.
+        print(f"error: build failed: {exc}", file=sys.stderr)
+        return 1
     _print_failure_summary(report)
-    print(report.summary())
+    print(summary or report.summary())
     if observing:
         _emit_observability(args, report)
     if args.save:
@@ -530,90 +551,51 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_ranked_hits(hits) -> None:
-    for hit in hits:
-        print(f"{hit.score:8.3f}  {hit.path}")
-    print(f"-- {len(hits)} file(s)", file=sys.stderr)
+def _print_blocks(manifest) -> None:
+    """The block counters of the saved RIDX2 file a session serves."""
+    for segment in manifest.segments[:1]:
+        if isinstance(segment, DiskSegment):
+            stats = segment.stats()
+            print(f"-- blocks: {stats['ondisk.blocks_read']} read, "
+                  f"{stats['ondisk.blocks_skipped']} skipped",
+                  file=sys.stderr)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    try:
-        return _search(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    from repro.api import Search
+    from repro.service.snapshot import CANNOT_RANK
 
-
-def _search(args: argparse.Namespace) -> int:
     if args.topk < 1:
         print("error: --topk must be at least 1", file=sys.stderr)
         return 2
     observing = _observability_requested(args)
-
-    if args.ondisk:
-        from repro.index import IndexFormatError, MmapPostingsReader
-        from repro.query.daat import NO_FREQS, DaatQueryEngine
-
-        try:
-            reader = MmapPostingsReader(args.index_path)
-        except (IndexFormatError, OSError) as exc:
-            print(f"error: --ondisk needs an RIDX2 index file: {exc}",
-                  file=sys.stderr)
-            return 2
-        with reader:
-            if args.rank == "bm25" and not reader.has_freqs:
-                print(f"error: {NO_FREQS}", file=sys.stderr)
-                return 2
-            daat = DaatQueryEngine(reader)
+    manifest = None
+    try:
+        # A malformed query is refused before any index is read.
+        plan = plan_query(args.query, args.parallel, args.rank, args.topk)
+        if os.path.isdir(args.index_path):
+            # Implementation 3's unjoined replicas, searched as they
+            # are: the reproduction, which stores no term frequencies.
             if args.rank == "bm25":
-                _print_ranked_hits(
-                    daat.search_bm25(args.query, topk=args.topk)
-                )
-            else:
-                paths = daat.search(args.query, parallel=args.parallel)
-                for path in paths:
-                    print(path)
-                print(f"-- {len(paths)} file(s)", file=sys.stderr)
-            stats = reader.stats()
-        print(f"-- blocks: {stats['ondisk.blocks_read']} read, "
-              f"{stats['ondisk.blocks_skipped']} skipped", file=sys.stderr)
-        if observing:
-            _emit_observability(args)
-        return 0
-
-    if os.path.isdir(args.index_path):
-        # Implementation 3's unjoined replicas: searched as they are.
-        engine = QueryEngine(load_multi_index(args.index_path))
-    else:
-        # A file opens the way the library opens it: RIDX2 is mapped,
-        # not loaded, and the query decodes only the lists it touches.
-        from repro.api import Search
-
-        engine = Search.open(args.index_path, cache=0).snapshot().engine
-    if args.rank == "bm25" and not args.ranked:
-        print("error: in-memory BM25 needs term frequencies; pass "
-              "--ranked CORPUS_DIR (or use --ondisk against an RIDX2 "
-              "index with frequencies baked in)", file=sys.stderr)
+                raise ValueError(CANNOT_RANK)
+            hits = QueryEngine(load_multi_index(args.index_path)).search_ast(
+                plan.query, parallel=args.parallel
+            )
+        else:
+            session = Search.open(args.index_path, cache=0)
+            manifest = session.manifest
+            result = session.snapshot().answer(plan)
+            hits = result.paths if result.hits is None else result.hits
+    except (ValueError, OSError) as exc:
+        # A parse error, a file that is not a readable index (cut,
+        # flipped, an older revision) or an index that cannot rank.
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.ranked:
-        from repro.query import (
-            BM25Ranker, FrequencyIndex, parse_query, search_bm25,
-        )
-
-        # A malformed query is refused before the corpus is walked.
-        parse_query(args.query)
-        frequencies = FrequencyIndex.from_fs(OsFileSystem(args.ranked))
-        _print_ranked_hits(search_bm25(
-            engine, BM25Ranker(frequencies), args.query,
-            topk=args.topk, parallel=args.parallel,
-        ))
-        if observing:
-            _emit_observability(args)
-        return 0
-    paths = engine.search(args.query, parallel=args.parallel)
-    for path in paths:
-        print(path)
-    print(f"-- {len(paths)} file(s)", file=sys.stderr)
+    for hit in hits:
+        print(hit if args.rank == "bool" else f"{hit.score:8.3f}  {hit.path}")
+    print(f"-- {len(hits)} file(s)", file=sys.stderr)
+    if manifest is not None:
+        _print_blocks(manifest)
     if observing:
         _emit_observability(args)
     return 0
@@ -651,7 +633,9 @@ def _drive_async_frontend(frontend, texts, rank="bool", topk=10):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api import Search
+    from repro.query.daat import NO_FREQS
     from repro.service import ServiceOverloadedError, ShardDeadError
+    from repro.service.snapshot import CANNOT_RANK
 
     if args.watch is not None and args.watch <= 0:
         print("error: --watch requires a positive interval in seconds",
@@ -682,101 +666,70 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   "partition; --watch cannot refresh it (rebuild and "
                   "restart instead)", file=sys.stderr)
             return 2
-        if args.ondisk:
-            print("error: --shards partitions the in-memory index; "
-                  "--ondisk is the single-file mmap serving path",
-                  file=sys.stderr)
-            return 2
         if args.compact_every is not None:
             print("error: --shards serves an immutable document "
                   "partition; --compact-every cannot restructure it",
                   file=sys.stderr)
             return 2
-    if args.ondisk:
+    ranked_file = args.rank == "bm25" and not args.shards
+    if ranked_file:
         if not args.index:
-            print("error: --ondisk needs --index pointing at an RIDX2 "
-                  "file", file=sys.stderr)
+            print("error: --rank bm25 under serve needs --index (BM25 is "
+                  "scored from the saved RIDX2 file's frequencies) or "
+                  "--shards (scored from the collection's frequencies)",
+                  file=sys.stderr)
             return 2
-        if args.watch:
-            print("error: --ondisk serves an immutable mmap'd file; "
-                  "--watch cannot refresh it (rebuild and restart "
-                  "instead)", file=sys.stderr)
+        if args.watch or args.compact_every is not None:
+            print("error: --rank bm25 ranks the saved file as it is, an "
+                  "immutable index; --watch and --compact-every change "
+                  "it (rebuild, save and restart instead)", file=sys.stderr)
             return 2
-    elif args.rank == "bm25" and not args.shards:
-        print("error: --rank bm25 under serve needs --ondisk (BM25 is "
-              "scored from the RIDX2 file's frequencies) or --shards "
-              "(scored from the collection's frequencies)", file=sys.stderr)
+    if args.compact_every is not None and args.compact_every <= 0:
+        print("error: --compact-every requires a positive interval "
+              "in seconds", file=sys.stderr)
         return 2
-    if args.compact_every is not None:
-        if args.compact_every <= 0:
-            print("error: --compact-every requires a positive interval "
-                  "in seconds", file=sys.stderr)
-            return 2
-        if args.ondisk:
-            print("error: --ondisk serves an immutable mmap'd file; "
-                  "--compact-every cannot restructure it", file=sys.stderr)
-            return 2
     if args.fanin < 2 or args.max_segments < 1 or args.compact_workers < 0:
         print("error: --fanin must be >= 2, --max-segments >= 1 and "
               "--compact-workers >= 0", file=sys.stderr)
         return 2
     observing = _observability_requested(args)
 
-    reader = None
-    if args.ondisk:
-        from repro.index import IndexFormatError, MmapPostingsReader
-        from repro.query.daat import NO_FREQS
-        from repro.service import SearchService
-        from repro.service.snapshot import IndexSnapshot
-
-        try:
-            reader = MmapPostingsReader(args.index)
-        except (IndexFormatError, OSError) as exc:
-            print(f"error: --ondisk needs an RIDX2 index file: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.rank == "bm25" and not reader.has_freqs:
-            reader.close()
-            print(f"error: {NO_FREQS}", file=sys.stderr)
-            return 2
-        snapshot = IndexSnapshot.from_ondisk(reader)
-        # Behind --async the frontend evaluates; the service keeps one
-        # worker only for completeness.
-        service_cm = SearchService(
-            snapshot,
-            workers=1 if args.async_frontend else args.workers,
-            max_inflight=args.max_inflight,
-        )
-        print(f"serving {reader.doc_count} file(s) off mmap "
-              f"({reader.term_count} terms) with {args.workers} worker(s)",
-              file=sys.stderr)
-    session = None
-    if not args.ondisk:
+    try:
         if args.index:
             session = Search.open(args.index, source=args.directory)
         else:
             session = Search.build(args.directory)
-        if args.shards:
-            service_cm = session.serve_sharded(
-                shards=args.shards,
-                replicas=args.replicas,
-                strategy=args.shard_strategy,
-                partial=args.partial,
-                workers=1 if args.async_frontend else args.workers,
-                max_inflight=args.max_inflight,
-                bm25=(args.rank == "bm25"),
-            )
-            print(f"serving {len(session)} file(s) across "
-                  f"{args.shards} shard(s) x {args.replicas} "
-                  f"replica(s), partial={args.partial}",
-                  file=sys.stderr)
-        else:
-            service_cm = session.serve(
-                workers=1 if args.async_frontend else args.workers,
-                max_inflight=args.max_inflight,
-            )
-            print(f"serving {len(session)} file(s) with {args.workers} "
-                  f"worker(s)", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        # A file that is not a readable index: cut, flipped, an older
+        # revision.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    reader = getattr(session.snapshot().engine, "reader", None)
+    if ranked_file and (reader is None or not reader.has_freqs):
+        print(f"error: {CANNOT_RANK if reader is None else NO_FREQS}",
+              file=sys.stderr)
+        return 2
+    if args.shards:
+        service_cm = session.serve_sharded(
+            shards=args.shards,
+            replicas=args.replicas,
+            strategy=args.shard_strategy,
+            partial=args.partial,
+            workers=1 if args.async_frontend else args.workers,
+            max_inflight=args.max_inflight,
+            bm25=(args.rank == "bm25"),
+        )
+        print(f"serving {len(session)} file(s) across "
+              f"{args.shards} shard(s) x {args.replicas} "
+              f"replica(s), partial={args.partial}",
+              file=sys.stderr)
+    else:
+        service_cm = session.serve(
+            workers=1 if args.async_frontend else args.workers,
+            max_inflight=args.max_inflight,
+        )
+        print(f"serving {len(session)} file(s) with {args.workers} "
+              f"worker(s)", file=sys.stderr)
 
     stream = (
         open(args.queries, "r", encoding="utf-8")
@@ -789,7 +742,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         with service_cm as service:
             if args.watch:
                 service.start_watch(args.watch)
-            if args.compact_every and session is not None:
+            if args.compact_every:
                 from repro.index.segments import CompactionPolicy
 
                 compactor = session.start_compactor(
@@ -874,21 +827,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"{fstats['frontend.shed']:.0f} shed, "
                   f"{fstats['frontend.evaluations']:.0f} evaluation(s)",
                   file=sys.stderr)
-        if reader is not None:
-            io_stats = reader.stats()
-            print(f"-- blocks: {io_stats['ondisk.blocks_read']} read, "
-                  f"{io_stats['ondisk.blocks_skipped']} skipped",
-                  file=sys.stderr)
-        if session is not None:
-            manifest = session.manifest
-            print(f"-- segments: {manifest.segment_count}, "
-                  f"tombstones {len(manifest.tombstones)}, "
-                  f"generation {manifest.generation}", file=sys.stderr)
+        manifest = session.manifest
+        _print_blocks(manifest)
+        print(f"-- segments: {manifest.segment_count}, "
+              f"tombstones {len(manifest.tombstones)}, "
+              f"generation {manifest.generation}", file=sys.stderr)
     finally:
         if compactor is not None:
             compactor.stop()
-        if reader is not None:
-            reader.close()
     if observing:
         _emit_observability(args)
     return 0 if failed == 0 else 1

@@ -1,8 +1,8 @@
 """Compact binary index persistence.
 
-The JSON-lines format older versions saved (still read by
-:mod:`repro.index.serialize`) is transparent but large; real search
-engines store postings as delta-compressed integer lists.  This module
+The JSON-lines format older versions saved was transparent but large
+(neither written nor read any more); real search engines store
+postings as delta-compressed integer lists.  This module
 implements that, from scratch:
 
 * LEB128 varints (:func:`encode_varint` / :func:`decode_varint`);

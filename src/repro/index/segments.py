@@ -213,24 +213,24 @@ class MemorySegment(_SealedSegment):
 class DiskSegment(_SealedSegment):
     """A sealed segment served off an mmap'd RIDX2 file.
 
-    Every call goes straight to the
-    :class:`~repro.index.ondisk.MmapPostingsReader`; only the path set
-    is read up front (a sealed segment's paths never change), after the
-    one checksum pass a file gets: a cut or bit-flipped file is an
-    :class:`~repro.index.binfmt.IndexFormatError` here, not a wrong
-    answer later.
+    Every call goes straight to its
+    :class:`~repro.index.ondisk.MmapPostingsReader`, :attr:`reader`;
+    only the path set is read up front (a sealed segment's paths never
+    change), after the one checksum pass a file gets: a cut or
+    bit-flipped file is an :class:`~repro.index.binfmt.IndexFormatError`
+    here, not a wrong answer later.
     """
 
     def __init__(self, segment_id: int, path: str) -> None:
         self.path = path
-        self._reader = MmapPostingsReader(path)
+        self.reader = MmapPostingsReader(path)
         try:
-            self._reader.verify()
-            paths = self._reader.doc_paths()
+            self.reader.verify()
+            paths = self.reader.doc_paths()
         except Exception:
-            self._reader.close()
+            self.reader.close()
             raise
-        super().__init__(segment_id, self._reader, paths)
+        super().__init__(segment_id, self.reader, paths)
 
     @property
     def index(self) -> InvertedIndex:
@@ -240,10 +240,10 @@ class DiskSegment(_SealedSegment):
     @property
     def crc32(self) -> int:
         """The CRC-32 the file's header records, checked at adoption."""
-        return self._reader._header.crc32
+        return self.reader._header.crc32
 
     def postings(self):
-        return self._reader.postings()
+        return self.reader.postings()
 
     def to_ridx2(self) -> bytes:
         with open(self.path, "rb") as fh:
@@ -251,10 +251,10 @@ class DiskSegment(_SealedSegment):
 
     def stats(self) -> Dict[str, int]:
         """The reader's block counters since the file was adopted."""
-        return self._reader.stats()
+        return self.reader.stats()
 
     def close(self) -> None:
-        self._reader.close()
+        self.reader.close()
 
     def __repr__(self) -> str:
         return f"DiskSegment(id={self.segment_id}, path={self.path!r})"

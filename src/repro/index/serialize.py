@@ -11,13 +11,12 @@ Two single-index encodings are written:
   :mod:`repro.index.binfmt` (delta-compressed postings, ~1 byte per
   entry), the schedule checker's canonical oracle encoding.
 
-:func:`load_index` reads both, plus RWIRE1 wire bytes and the
-JSON-lines files older versions wrote (line 1 a header with a format
-tag and counts, every further line one ``[term, [path, ...]]`` posting
-entry); it sniffs the leading magic bytes, so a loader never needs to
-know what it holds.  Unrecognized leading bytes raise
-:class:`IndexFormatError` naming the bytes found and the supported
-formats, instead of whatever decode error would otherwise escape.
+:func:`load_index` reads both, plus RWIRE1 wire bytes; it sniffs the
+leading magic bytes, so a loader never needs to know what it holds.
+Unrecognized leading bytes — a JSON-lines file older versions wrote
+among them — raise :class:`IndexFormatError` naming the bytes found
+and the supported formats, instead of whatever decode error would
+otherwise escape.
 Every write goes through :func:`~repro.index.atomic.atomic_write`: the
 path holds the old file or the new one, never a cut one, and a reader
 mapping the old file is not disturbed.
@@ -35,22 +34,19 @@ sniffs the magic, so a loader never needs to know which one it holds.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.index.atomic import atomic_write
 from repro.index.binfmt import IndexFormatError
 from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
 
-_FORMAT = "repro-index-v1"
-
 #: The on-disk encodings ``load_index`` understands (``"auto"`` sniffs).
-INDEX_FORMATS: Tuple[str, ...] = ("json", "binary", "ridx2", "auto")
+INDEX_FORMATS: Tuple[str, ...] = ("binary", "ridx2", "auto")
 
 #: What the sniffing loader accepts, for error messages.
-_SUPPORTED = "JSON-lines, RIDX1, RIDX2, RWIRE1"
+_SUPPORTED = "RIDX1, RIDX2, RWIRE1"
 
 
 def index_to_bytes(index: InvertedIndex, format: str = "binary") -> bytes:
@@ -141,9 +137,8 @@ def save_index(
 def sniff_format(head: bytes) -> Optional[str]:
     """Classify leading file bytes: a format name, or None if unknown.
 
-    Returns ``"binary"`` for RIDX1/RWIRE1, ``"ridx2"`` for RIDX2 and
-    ``"json"`` for a plausible JSON-lines header.  ``None`` means the
-    bytes match nothing we can load.
+    Returns ``"binary"`` for RIDX1/RWIRE1 and ``"ridx2"`` for RIDX2.
+    ``None`` means the bytes match nothing we can load.
     """
     from repro.index.binfmt import MAGIC, MAGIC2, WIRE_MAGIC
 
@@ -151,10 +146,6 @@ def sniff_format(head: bytes) -> Optional[str]:
         return "ridx2"
     if head.startswith(MAGIC) or head.startswith(WIRE_MAGIC):
         return "binary"
-    # The JSON-lines header is a JSON object on line 1; sniffing just
-    # needs plausibility — the JSON parser then validates for real.
-    if head[:1] == b"{":
-        return "json"
     return None
 
 
@@ -181,11 +172,10 @@ def load_index(path: str, format: str = "auto") -> InvertedIndex:
     """Read an index saved in any single-index format, in full.
 
     With ``format="auto"`` (the default) the leading bytes decide:
-    RIDX1/RWIRE1 magic means binary, RIDX2 magic the blocked format,
-    a ``{`` a JSON-lines header.  Anything else raises
-    :class:`IndexFormatError` naming the bytes found.  Passing
-    ``"json"``, ``"binary"`` or ``"ridx2"`` enforces that encoding and
-    fails loudly on a mismatch.
+    RIDX1/RWIRE1 magic means binary, RIDX2 magic the blocked format.
+    Anything else raises :class:`IndexFormatError` naming the bytes
+    found.  Passing ``"binary"`` or ``"ridx2"`` enforces that encoding
+    and fails loudly on a mismatch.
     """
     if format not in INDEX_FORMATS:
         raise ValueError(
@@ -198,30 +188,8 @@ def load_index(path: str, format: str = "auto") -> InvertedIndex:
 
         with open(path, "rb") as fh:
             return load_index_ridx2(fh.read())
-    if format == "binary":
-        with open(path, "rb") as fh:
-            return index_from_bytes(fh.read())
-    postings: Dict[str, List[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise IndexFormatError(
-                f"{path}: not a {_FORMAT} file (line 1 is not JSON: {exc}); "
-                f"supported formats: {_SUPPORTED}"
-            ) from exc
-        if not isinstance(header, dict) or header.get("format") != _FORMAT:
-            raise IndexFormatError(f"{path}: not a {_FORMAT} file")
-        for line in fh:
-            term, paths = json.loads(line)
-            postings[term] = paths
-    index = InvertedIndex.from_postings(postings, header.get("blocks", 0))
-    if len(index) != header["terms"]:
-        raise ValueError(
-            f"{path}: header says {header['terms']} terms, "
-            f"found {len(index)}"
-        )
-    return index
+    with open(path, "rb") as fh:
+        return index_from_bytes(fh.read())
 
 
 def save_multi_index(multi: MultiIndex, directory: str) -> None:

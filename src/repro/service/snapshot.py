@@ -32,6 +32,12 @@ from repro.query.parser import parse_query
 
 AnyIndex = Union[InvertedIndex, MultiIndex]
 
+#: Why a snapshot whose engine has no ranker refuses BM25.
+CANNOT_RANK = (
+    "this index cannot rank: only a saved RIDX2 file, opened alone "
+    "(Search.open), ranks off the term frequencies it stores"
+)
+
 
 def universe_of(index: AnyIndex) -> FrozenSet[str]:
     """Every indexed path: asked of an index that knows its documents
@@ -116,13 +122,10 @@ class IndexSnapshot:
 
     def search_bm25(self, query_text: str, topk: int = 10) -> list:
         """BM25 top-``topk`` against this snapshot; needs a scoring
-        engine (the on-disk DAAT path, or any engine exposing
-        ``search_bm25``)."""
+        engine (the DAAT evaluator over one RIDX2 file, or any engine
+        exposing ``search_bm25``), else :data:`CANNOT_RANK`."""
         if not hasattr(self.engine, "search_bm25"):
-            raise ValueError(
-                "this snapshot's engine cannot rank; open the index "
-                "on-disk (IndexSnapshot.from_ondisk) for BM25"
-            )
+            raise ValueError(CANNOT_RANK)
         return self.engine.search_bm25(query_text, topk=topk)
 
     def answer(

@@ -49,7 +49,7 @@ def small_fs():
 
 
 #: ``small_fs``'s index as the JSON-lines file older versions saved,
-#: written by hand: such files no longer get written, but still open.
+#: written by hand: such files are neither written nor opened any more.
 SMALL_FS_JSON_LINES = (
     '{"format": "repro-index-v1", "terms": 7, "postings": 9, "blocks": 3}\n'
     '["cat", ["docs/cats.txt", "docs/both.txt"]]\n'
@@ -196,12 +196,14 @@ class TestSaveAndOpen:
         assert session.save(ridx2) > 0
         assert save_index(session.index, ridx1, format="binary") > 0
         write_small_fs_json_lines(legacy)
-        for path in (ridx2, ridx1, legacy):
+        for path in (ridx2, ridx1):
             reopened = Search.open(path)
             assert reopened.index == session.index
             assert len(reopened) == 3
             assert reopened.query("cat AND dog").paths == ["docs/both.txt"]
             assert reopened.report is None
+        with pytest.raises(IndexFormatError, match="RIDX1, RIDX2, RWIRE1"):
+            Search.open(legacy)
 
     def test_open_with_source_reconciles_on_first_refresh(
         self, small_fs, tmp_path
@@ -246,8 +248,7 @@ class TestOpenAdoptsTheFile:
         for name in ("a.ridx", "b.bin", "c.ridx2"):
             session.save(str(tmp_path / name))
         save_index(session.index, str(tmp_path / "d.ridx"), format="binary")
-        write_small_fs_json_lines(str(tmp_path / "e.jsonl"))
-        for name in ("a.ridx", "b.bin", "c.ridx2", "d.ridx", "e.jsonl"):
+        for name in ("a.ridx", "b.bin", "c.ridx2", "d.ridx"):
             path = str(tmp_path / name)
             (segment,) = Search.open(path).manifest.segments
             shapes[name] = type(segment)
@@ -256,8 +257,11 @@ class TestOpenAdoptsTheFile:
             "b.bin": DiskSegment,
             "c.ridx2": DiskSegment,
             "d.ridx": MemorySegment,
-            "e.jsonl": MemorySegment,
         }
+        # A JSON-lines file, which older versions wrote, opens as nothing.
+        write_small_fs_json_lines(str(tmp_path / "e.jsonl"))
+        with pytest.raises(IndexFormatError, match="RIDX1, RIDX2, RWIRE1"):
+            Search.open(str(tmp_path / "e.jsonl"))
 
     def test_saved_bytes_are_the_canonical_ridx2(self, small_fs, tmp_path):
         session = Search.build(small_fs)

@@ -56,33 +56,43 @@ class TestBinaryAndFormats:
 
 
 class TestRankedSearch:
+    """BM25 ranks off the frequencies a ``.ridx2`` save bakes in."""
+
     def test_ranked_output_has_scores(self, mixed_dir, tmp_path, capsys):
-        save = str(tmp_path / "r.idx")
+        save = str(tmp_path / "r.ridx2")
         main(["index", mixed_dir, "-i", "1", "-x", "2", "-y", "1",
               "--formats", "--save", save])
         capsys.readouterr()
         from repro.index import load_index
 
         term = next(iter(load_index(save).terms()))
-        assert main(["search", save, term, "--ranked", mixed_dir]) == 0
+        assert main(["search", save, term, "--rank", "bm25"]) == 0
         out = capsys.readouterr().out
         first = out.splitlines()[0].split()
         float(first[0])  # leading column is a score
 
     def test_ranked_is_bm25_top_k(self, mixed_dir, tmp_path, capsys):
-        save = str(tmp_path / "r.idx")
-        main(["index", mixed_dir, "--sequential", "--save", save])
+        from repro.fsmodel import OsFileSystem
         from repro.index import load_index
+        from repro.query import (
+            BM25Ranker, FrequencyIndex, QueryEngine, search_bm25,
+        )
 
+        save = str(tmp_path / "r.ridx2")
+        main(["index", mixed_dir, "--sequential", "--save", save])
         term = next(iter(load_index(save).terms()))
         capsys.readouterr()
-        outputs = []
-        for extra in ([], ["--rank", "bm25"]):
-            assert main(["search", save, term, "--ranked", mixed_dir,
-                         "--topk", "2", *extra]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert 1 <= len(outputs[0].splitlines()) <= 2
+        assert main(["search", save, term, "--rank", "bm25",
+                     "--topk", "2"]) == 0
+        out = capsys.readouterr().out
+        assert 1 <= len(out.splitlines()) <= 2
+        # The in-memory ranker's top 2 over the corpus, score for score.
+        hits = search_bm25(
+            QueryEngine(load_index(save)),
+            BM25Ranker(FrequencyIndex.from_fs(OsFileSystem(mixed_dir))),
+            term, topk=2,
+        )
+        assert out == "".join(f"{h.score:8.3f}  {h.path}\n" for h in hits)
 
     def test_wildcard_search(self, mixed_dir, tmp_path, capsys):
         save = str(tmp_path / "w.idx")

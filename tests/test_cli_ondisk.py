@@ -1,12 +1,17 @@
 """CLI coverage for the on-disk serving path.
 
 ``index`` saving ``.ridx2`` (with frequencies baked in, one file from
-any engine), ``search --ondisk`` (boolean and BM25, plus the block-skip
-report), a malformed query's exit 2 on every search path, ``serve
---ondisk`` over a query file, and the flag-conflict rejections.
+any engine), ``search`` over a saved RIDX2 file (boolean and BM25 off
+its frequencies through ``Search.open``, plus the block-skip report),
+a malformed query's exit 2 on every search path, ``serve --index``
+over a query file, the flag-conflict rejections, and the old
+``--ondisk`` / ``--ranked`` flags being gone.
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 import pytest
 
@@ -42,14 +47,18 @@ class TestIndexSavesRidx2:
     def test_default_engine_writes_the_sequential_file(
         self, corpus_dir, ridx2_path, tmp_path, capsys
     ):
-        """Implementation 3, the default engine, builds replicas; a
-        ``.ridx2`` path joins them into one file, byte for byte the one
-        the sequential build saves."""
-        path = str(tmp_path / "impl3.ridx2")
-        assert main(["index", corpus_dir, "--save", path]) == 0
-        assert "RIDX2 with frequencies" in capsys.readouterr().out
-        with open(path, "rb") as joined, open(ridx2_path, "rb") as flat:
-            assert joined.read() == flat.read()
+        """The flagless build is the product's (``Search.build``), and
+        Implementation 3 builds replicas that a ``.ridx2`` path joins
+        into one file: each file is byte for byte the one the
+        sequential build saves."""
+        for flags, label in (([], "Search.build"),
+                             (["-i", "3"], "Implementation 3")):
+            path = str(tmp_path / "default.ridx2")
+            assert main(["index", corpus_dir, *flags, "--save", path]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(label) and "RIDX2 with frequencies" in out
+            with open(path, "rb") as built, open(ridx2_path, "rb") as flat:
+                assert built.read() == flat.read()
 
 
 class TestSearchOndisk:
@@ -59,18 +68,26 @@ class TestSearchOndisk:
         with MmapPostingsReader(ridx2_path) as reader:
             return next(reader.terms())
 
-    def test_boolean_matches_in_memory(self, ridx2_path, capsys):
+    def test_boolean_matches_in_memory(self, corpus_dir, ridx2_path,
+                                       tmp_path, capsys):
+        """The mapped RIDX2 file answers as the same index loaded in
+        memory (an RIDX1 file) does, and reports its blocks."""
+        ridx1 = str(tmp_path / "memory.ridx")
+        assert main(["index", corpus_dir, "--sequential", "--binary",
+                     "--save", ridx1]) == 0
         term = self.term(ridx2_path)
-        assert main(["search", ridx2_path, term]) == 0
-        in_memory = capsys.readouterr().out
-        assert main(["search", ridx2_path, term, "--ondisk"]) == 0
-        out, err = capsys.readouterr()
-        assert out == in_memory
-        assert "blocks" in err
+        for query in (term, f"NOT {term}", f"{term[:2]}*"):
+            capsys.readouterr()
+            assert main(["search", ridx1, query]) == 0
+            in_memory = capsys.readouterr()
+            assert main(["search", ridx2_path, query]) == 0
+            out, err = capsys.readouterr()
+            assert out == in_memory.out
+            assert "blocks" in err and "blocks" not in in_memory.err
 
     def test_bm25_prints_scores(self, ridx2_path, capsys):
         term = self.term(ridx2_path)
-        assert main(["search", ridx2_path, term, "--ondisk",
+        assert main(["search", ridx2_path, term,
                      "--rank", "bm25", "--topk", "3"]) == 0
         out, _ = capsys.readouterr()
         lines = [line for line in out.splitlines() if line.strip()]
@@ -84,26 +101,46 @@ class TestSearchOndisk:
         assert main(["index", corpus_dir, "--sequential",
                      "--save", save, "--binary"]) == 0
         assert "RIDX1" in capsys.readouterr().out
-        assert main(["search", save, "anything", "--ondisk"]) == 2
-        assert "RIDX2" in capsys.readouterr().err
+        # An RIDX1 file stores no frequencies: it answers, but cannot rank.
+        assert main(["search", save, "anything", "--rank", "bm25"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and "RIDX2" in err
 
     def test_in_memory_bm25_needs_frequency_source(
-        self, ridx2_path, capsys
+        self, corpus_dir, tmp_path, capsys
     ):
-        assert main(["search", ridx2_path, "anything",
-                     "--rank", "bm25"]) == 2
-        assert "frequencies" in capsys.readouterr().err
+        """An index loaded in memory — an RIDX1 file, a replica
+        directory — stores no term frequencies, so BM25 is refused."""
+        for name, flags in (("memory.ridx", ["--sequential", "--binary"]),
+                            ("replicas", ["-i", "3"])):
+            save = str(tmp_path / name)
+            assert main(["index", corpus_dir, *flags, "--save", save]) == 0
+            capsys.readouterr()
+            assert main(["search", save, "anything", "--rank", "bm25"]) == 2
+            assert "frequencies" in capsys.readouterr().err
 
     def test_in_memory_bm25_with_corpus(self, corpus_dir, ridx2_path,
                                         capsys):
+        """BM25 off the file's frequencies ranks as the in-memory ranker
+        over the corpus does: same hits, same printed scores."""
+        from repro.fsmodel import OsFileSystem
+        from repro.index import load_index
+        from repro.query import (
+            BM25Ranker, FrequencyIndex, QueryEngine, search_bm25,
+        )
+
         term = self.term(ridx2_path)
+        hits = search_bm25(
+            QueryEngine(load_index(ridx2_path)),
+            BM25Ranker(FrequencyIndex.from_fs(OsFileSystem(corpus_dir))),
+            term, topk=3,
+        )
         assert main(["search", ridx2_path, term, "--rank", "bm25",
-                     "--ranked", corpus_dir, "--topk", "3"]) == 0
-        ondisk = capsys.readouterr()
-        assert main(["search", ridx2_path, term, "--ondisk",
-                     "--rank", "bm25", "--topk", "3"]) == 0
-        # Same hits, same scores, either path.
-        assert capsys.readouterr().out == ondisk.out
+                     "--topk", "3"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{hit.score:8.3f}  {hit.path}\n" for hit in hits
+        )
 
     def test_topk_must_be_positive(self, ridx2_path, capsys):
         assert main(["search", ridx2_path, "x", "--topk", "0"]) == 2
@@ -112,7 +149,9 @@ class TestSearchOndisk:
 
 class TestSearchRefusesABadQuery:
     """A malformed query, a phrase among them, is one error line and
-    exit 2 on every search path, not a traceback."""
+    exit 2 on every search path, not a traceback, and before any index
+    is read: an index loaded in memory (RIDX1, which cannot rank) and
+    a mapped RIDX2 file alike."""
 
     @pytest.mark.parametrize("query, message", [
         ("cat AND (", "unexpected end of query"),
@@ -122,22 +161,22 @@ class TestSearchRefusesABadQuery:
     @pytest.mark.parametrize("ondisk", [False, True], ids=["memory", "ondisk"])
     @pytest.mark.parametrize("rank", ["bool", "bm25"])
     def test_exits_2_with_the_parse_error(
-        self, corpus_dir, ridx2_path, capsys, monkeypatch, query, message,
-        ondisk, rank
+        self, corpus_dir, ridx2_path, tmp_path, capsys, monkeypatch, query,
+        message, ondisk, rank
     ):
-        argv = ["search", ridx2_path, query, "--rank", rank]
-        if ondisk:
-            argv.append("--ondisk")
-        elif rank == "bm25":
-            argv += ["--ranked", corpus_dir]
-            # The query is parsed before the corpus is read at all.
-            from repro.query import FrequencyIndex
+        path = ridx2_path
+        if not ondisk:
+            path = str(tmp_path / "memory.ridx")
+            assert main(["index", corpus_dir, "--sequential", "--binary",
+                         "--save", path]) == 0
+            capsys.readouterr()
+        from repro.api import Search
 
-            def no_corpus_read(*args, **kwargs):
-                raise AssertionError("the corpus was read before the parse")
+        def no_index_read(*args, **kwargs):
+            raise AssertionError("the index was read before the parse")
 
-            monkeypatch.setattr(FrequencyIndex, "from_fs", no_corpus_read)
-        assert main(argv) == 2
+        monkeypatch.setattr(Search, "open", no_index_read)
+        assert main(["search", path, query, "--rank", rank]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
@@ -153,7 +192,7 @@ class TestServeOndisk:
         queries = tmp_path / "queries.txt"
         queries.write_text(f"# comment\n{term}\nNOT {term}\n")
         assert main(["serve", corpus_dir, "--index", ridx2_path,
-                     "--ondisk", "--queries", str(queries)]) == 0
+                     "--queries", str(queries)]) == 0
         out, err = capsys.readouterr()
         assert "[gen 0]" in out
         assert "served 2 query(ies)" in err
@@ -167,24 +206,36 @@ class TestServeOndisk:
         queries = tmp_path / "queries.txt"
         queries.write_text(term + "\n")
         assert main(["serve", corpus_dir, "--index", ridx2_path,
-                     "--ondisk", "--rank", "bm25", "--topk", "2",
+                     "--rank", "bm25", "--topk", "2",
                      "--queries", str(queries)]) == 0
         out, _ = capsys.readouterr()
         scored = [l for l in out.splitlines() if l.startswith("  ")]
         assert 0 < len(scored) <= 2
 
-    def test_ondisk_needs_index(self, corpus_dir, capsys):
-        assert main(["serve", corpus_dir, "--ondisk"]) == 2
-        assert "--index" in capsys.readouterr().err
+    def test_ondisk_is_no_longer_a_flag(self, capsys):
+        """Every saved index goes through ``Search.open``: the private
+        doors ``--ondisk`` and ``--ranked`` are gone."""
+        for argv in (["search", "x.ridx2", "q", "--ondisk"],
+                     ["search", "x.ridx2", "q", "--ranked", "corpus"],
+                     ["serve", "corpus", "--index", "x.ridx2", "--ondisk"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_ondisk_rejects_watch(self, corpus_dir, ridx2_path, capsys):
-        assert main(["serve", corpus_dir, "--index", ridx2_path,
-                     "--ondisk", "--watch", "1"]) == 2
-        assert "immutable" in capsys.readouterr().err
+        """BM25 ranks the saved file as it is: a watch or a compactor
+        would change the index under it."""
+        for flag in ("--watch", "--compact-every"):
+            assert main(["serve", corpus_dir, "--index", ridx2_path,
+                         "--rank", "bm25", flag, "1"]) == 2
+            assert "immutable" in capsys.readouterr().err
 
     def test_bm25_needs_ondisk(self, corpus_dir, capsys):
+        """A session built in memory cannot rank: BM25 needs the saved
+        RIDX2 file (``--index``) or the shards."""
         assert main(["serve", corpus_dir, "--rank", "bm25"]) == 2
-        assert "--ondisk" in capsys.readouterr().err
+        assert "--index" in capsys.readouterr().err
 
 
 class TestBm25WithoutFrequencies:
@@ -199,8 +250,7 @@ class TestBm25WithoutFrequencies:
 
     def test_search_ondisk_bm25(self, plain_path, capsys):
         capsys.readouterr()
-        assert main(["search", plain_path, "the", "--ondisk",
-                     "--rank", "bm25"]) == 2
+        assert main(["search", plain_path, "the", "--rank", "bm25"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and "cannot rank" in err
@@ -211,19 +261,19 @@ class TestBm25WithoutFrequencies:
         queries.write_text("the\n")
         capsys.readouterr()
         assert main(["serve", corpus_dir, "--index", plain_path,
-                     "--ondisk", "--rank", "bm25",
-                     "--queries", str(queries)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "cannot rank" in err
+                     "--rank", "bm25", "--queries", str(queries)]) == 2
+        out, err = capsys.readouterr()
+        # Refused up front: no query was answered.
+        assert out == "" and err.startswith("error:") and "cannot rank" in err
 
     def test_boolean_search_still_served(self, plain_path, capsys):
         capsys.readouterr()
-        assert main(["search", plain_path, "the", "--ondisk"]) == 0
+        assert main(["search", plain_path, "the"]) == 0
 
 
 class TestCutFile:
     """A file cut short — what a crash mid-save leaves — is refused at
-    open with an ``error:`` line and exit status 2, not a traceback."""
+    open with one ``error:`` line and exit status 2, not a traceback."""
 
     @pytest.fixture
     def cut_path(self, ridx2_path, tmp_path):
@@ -235,14 +285,88 @@ class TestCutFile:
         return path
 
     def test_search_ondisk(self, cut_path, capsys):
-        assert main(["search", cut_path, "the", "--ondisk"]) == 2
-        err = capsys.readouterr().err
+        assert main(["search", cut_path, "the"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
         assert err.startswith("error:") and "truncated" in err
 
     def test_serve_ondisk(self, corpus_dir, cut_path, tmp_path, capsys):
         queries = tmp_path / "queries.txt"
         queries.write_text("the\n")
         assert main(["serve", corpus_dir, "--index", cut_path,
-                     "--ondisk", "--queries", str(queries)]) == 2
-        err = capsys.readouterr().err
+                     "--queries", str(queries)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
         assert err.startswith("error:") and "truncated" in err
+
+
+#: stdout of the saved-index doors over one fixed corpus, recorded while
+#: they were ``search F Q --ondisk``, ``search F Q --ondisk --rank bm25
+#: --topk 5`` and ``serve DIR --index F --ondisk [--rank bm25]``.
+with open(os.path.join(os.path.dirname(__file__),
+                       "golden_cli_saved_index.json"), encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    """The recorded corpus, its sequential ``.ridx2`` save and the query
+    file: ``(corpus, index, queries)``."""
+    root = tmp_path_factory.mktemp("golden")
+    corpus, index = str(root / "corpus"), str(root / "index.ridx2")
+    assert main(["generate-corpus", corpus, "--scale", "0.001",
+                 "--seed", "7"]) == 0
+    assert main(["index", corpus, "--sequential", "--save", index]) == 0
+    queries = root / "queries.txt"
+    queries.write_text("\n".join(GOLDEN["queries"]) + "\n")
+    return corpus, index, str(queries)
+
+
+class TestGoldenStdout:
+    """The flagless doors, through ``Search.open``, print what the
+    ``--ondisk`` doors printed, byte for byte; a damaged file is one
+    ``error:`` line and exit 2 through ``search`` and ``serve``."""
+
+    def test_search(self, golden_files, capsys):
+        _, index, _ = golden_files
+        capsys.readouterr()
+        for query in GOLDEN["queries"]:
+            assert main(["search", index, query]) == 0
+            assert capsys.readouterr().out == GOLDEN["search"][query]
+            assert main(["search", index, query, "--rank", "bm25",
+                         "--topk", "5"]) == 0
+            assert capsys.readouterr().out == GOLDEN["search_bm25"][query]
+
+    @pytest.mark.parametrize("rank", ["bool", "bm25"])
+    def test_serve(self, golden_files, capsys, rank):
+        corpus, index, queries = golden_files
+        capsys.readouterr()
+        assert main(["serve", corpus, "--index", index, "--rank", rank,
+                     "--queries", queries]) == 0
+        key = "serve" if rank == "bool" else "serve_bm25"
+        assert capsys.readouterr().out == GOLDEN[key]
+
+    @pytest.mark.parametrize("damage", ["cut", "flipped", "revision-2"])
+    def test_a_damaged_file_is_one_error_line(
+        self, golden_files, tmp_path, capsys, damage
+    ):
+        corpus, index, queries = golden_files
+        with open(index, "rb") as fh:
+            data = bytearray(fh.read())
+        if damage == "cut":
+            data = data[: len(data) // 2]
+        elif damage == "flipped":
+            data[len(data) // 2] ^= 0x10
+        else:
+            data[5] = 2  # the revision byte
+        path = str(tmp_path / "damaged.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        capsys.readouterr()
+        for argv in (["search", path, GOLDEN["queries"][0]],
+                     ["serve", corpus, "--index", path,
+                      "--queries", queries]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: ")

@@ -213,8 +213,6 @@ class TestServeSharded:
                      "--replicas", "0", "--queries", queries]) == 2
         assert main(["serve", corpus_dir, "--shards", "2", "--watch",
                      "0.5", "--queries", queries]) == 2
-        assert main(["serve", corpus_dir, "--shards", "2", "--ondisk",
-                     "--index", "x.ridx2", "--queries", queries]) == 2
         assert main(["serve", corpus_dir, "--shards", "2",
                      "--compact-every", "1", "--queries", queries]) == 2
 

@@ -716,3 +716,100 @@ class TestNestedPhraseRefusal:
         assert len(session.snapshot().cache) == 0
         assert fresh_metrics.counter("query.searches").value == 0
         assert fresh_metrics.counter("query.daat.searches").value == 0
+
+
+# -- the one door to a saved file: Search.open answers through DAAT ----------
+
+
+def drawn_fs(docs):
+    """``docs`` as a filesystem: each document its words, spaced."""
+    from repro.fsmodel import VirtualFileSystem
+
+    fs = VirtualFileSystem()
+    for name, words in docs.items():
+        fs.write_file(name, " ".join(words).encode())
+    return fs
+
+
+def scored(hits):
+    return [(hit.path, hit.score) for hit in hits]
+
+
+class TestOpenedFileIsTheDaatDoor:
+    """``Search.open(F)`` of one RIDX2 file answers, and ranks, as the
+    DAAT engine over that file (``IndexSnapshot.from_ondisk``) does —
+    cached or not — and its boolean answers are the building session's.
+    Once a refresh changes the index, the session answers as a rebuild
+    does and a BM25 ask is refused, never answered by a stale ranking.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpora(), nested_queries, st.sampled_from([1, 3, 10]))
+    def test_open_answers_as_the_file_engine(
+        self, tmp_path_factory, corpus, query, topk
+    ):
+        from repro.api import Search
+
+        block_size, docs = corpus
+        memory, _, path = write_corpus(
+            tmp_path_factory.mktemp("door"), docs, block_size
+        )
+        text = str(query)
+        uncached = Search.open(path, cache=0)
+        cached = Search.open(path)
+        with MmapPostingsReader(path) as reader:
+            direct = IndexSnapshot.from_ondisk(reader)
+            expected = direct.answer(text).paths
+            assert expected == memory.search(text)
+            ranked = scored(direct.answer(text, rank="bm25", topk=topk).hits)
+        for session in (uncached, cached, cached):  # a miss, then a hit
+            snapshot = session.snapshot()
+            assert snapshot.answer(text).paths == expected
+            assert session.query(text).paths == expected
+            hits = snapshot.answer(text, rank="bm25", topk=topk).hits
+            assert scored(hits) == ranked
+        for session in (uncached, cached):
+            session.manifest.segments[0].close()
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpora(), nested_queries)
+    def test_boolean_answers_equal_the_building_session(
+        self, tmp_path_factory, corpus, query
+    ):
+        from repro.api import Search
+
+        _, docs = corpus
+        built = Search.build(drawn_fs(docs))
+        path = str(tmp_path_factory.mktemp("built") / "built.ridx")
+        built.save(path)
+        opened = Search.open(path)
+        text = str(query)
+        assert opened.query(text).paths == built.query(text).paths
+        opened.manifest.segments[0].close()
+
+    @pytest.mark.parametrize("change", ["modify", "add", "remove"])
+    def test_a_refreshed_session_answers_as_a_rebuild(self, tmp_path, change):
+        from repro.api import Search
+
+        docs = {
+            "a.txt": ["alpha", "beta", "every"],
+            "b.txt": ["beta", "gamma", "every", "every"],
+            "c.txt": ["alpine", "every"],
+        }
+        fs = drawn_fs(docs)
+        _, _, path = write_corpus(tmp_path, docs, 2)
+        session = Search.open(path, source=fs)
+        before = session.snapshot().answer("every", rank="bm25", topk=3)
+        assert len(before.hits) == 3
+        if change == "modify":
+            fs.replace_file("b.txt", b"gamma delta")
+        elif change == "add":
+            fs.write_file("d.txt", b"beta delta every")
+        else:
+            fs.remove_file("c.txt")
+        assert session.refresh().total == 1
+        rebuilt = Search.build(fs)
+        for text in ["every", "beta OR delta", "NOT beta", "al*", "gamma"]:
+            assert session.query(text).paths == rebuilt.query(text).paths
+            with pytest.raises(ValueError, match="cannot rank"):
+                session.snapshot().answer(text, rank="bm25", topk=3)

@@ -27,7 +27,12 @@ import repro.engine.procbackend as procbackend
 from repro.api import Search
 from repro.engine import Implementation, ThreadConfig
 from repro.hashing import fnv
-from repro.index import dump_index_ridx2, dump_index_wire, index_from_bytes
+from repro.index import (
+    IndexFormatError,
+    dump_index_ridx2,
+    dump_index_wire,
+    index_from_bytes,
+)
 from repro.index.serialize import load_index, save_index
 from repro.index.segments import merge_segment_payload
 from tests.test_native_build import assert_same_content
@@ -144,8 +149,10 @@ def test_product_paths_evaluate_fnv_zero_times(churned_fs, tmp_path, monkeypatch
             save_index(index, path, format=format)
             assert load_index(path, format=format) == index
         assert index_from_bytes(dump_index_wire(index)) == index
+        # A JSON-lines file is refused by its first byte, nothing decoded.
         write_legacy(str(tmp_path / "legacy.jsonl"))
-        assert len(load_index(str(tmp_path / "legacy.jsonl"), format="json"))
+        with pytest.raises(IndexFormatError):
+            load_index(str(tmp_path / "legacy.jsonl"))
     assert counter.calls == 0
 _BUILD_AND_SAVE = """
 import sys

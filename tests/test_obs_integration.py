@@ -229,7 +229,8 @@ class TestCliObservability:
         assert validate_trace_file(trace) == []
         events = json.load(open(trace))["traceEvents"]
         begun = {e["name"] for e in events if e["ph"] == "B"}
-        assert "query.search" in begun
+        # A saved RIDX2 file is answered by the DAAT evaluator.
+        assert "query.daat" in begun
 
     def test_flags_off_means_no_trace_side_effects(self, cli_corpus,
                                                    capsys, fresh_obs):

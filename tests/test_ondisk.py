@@ -279,14 +279,15 @@ class TestFormatSniffing:
         assert sniff_format(dump_index_ridx2(index)[:8]) == "ridx2"
         assert sniff_format(dump_index_bytes(index)[:8]) == "binary"
         assert sniff_format(dump_index_wire(index)[:8]) == "binary"
-        assert sniff_format(b'{"format"') == "json"
+        # The JSON-lines header older versions wrote is no format now.
+        assert sniff_format(b'{"format"') is None
         assert sniff_format(b"GARBAGE!") is None
 
     def test_load_index_round_trips_every_format(
         self, tmp_path, fruit_docs
     ):
-        # JSON-lines is only loaded now: tests/test_serialize_formats.py
-        # opens a hand-written file.
+        # JSON-lines is refused now: tests/test_serialize_formats.py
+        # hands a hand-written file to load_index.
         index, _ = build_index(fruit_docs)
         for format in ("binary", "ridx2"):
             path = str(tmp_path / f"idx.{format}")
@@ -306,7 +307,7 @@ class TestFormatSniffing:
         message = str(excinfo.value)
         assert "PDFX1" in message
         assert "RIDX1" in message and "RIDX2" in message
-        assert "RWIRE1" in message and "JSON" in message
+        assert "RWIRE1" in message and "JSON" not in message
 
     def test_empty_file_is_a_clear_error(self, tmp_path):
         path = str(tmp_path / "empty.idx")
@@ -807,7 +808,7 @@ class TestRefusals:
             message = str(excinfo.value)
             assert "revision 2" in message and "revision 3" in message
             assert "re-save" in message
-        assert main(["search", path, "apple", "--ondisk"]) == 2
+        assert main(["search", path, "apple"]) == 2
         err = capsys.readouterr().err
         assert "revision 2" in err and "re-save" in err
 

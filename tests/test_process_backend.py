@@ -277,8 +277,11 @@ class TestProcessBackendCli:
         assert main(["index", corpus_dir, "--backend", "process", "-x", "2",
                      "--oversubscribe"]) == 0
         assert "(2, 0, 1)[process]" in capsys.readouterr().out
-        assert main(["index", corpus_dir]) == 0
+        assert main(["index", corpus_dir, "--backend", "thread"]) == 0
         assert "Implementation 3 (3, 2, 0)" in capsys.readouterr().out
+        # No engine flag at all: the product build, named as such.
+        assert main(["index", corpus_dir]) == 0
+        assert capsys.readouterr().out.startswith("Search.build (en-bloc): ")
 
     def test_cli_rejects_updaters_with_process(self, corpus_dir, capsys):
         from repro.cli import main

@@ -424,7 +424,7 @@ class TestCompaction:
         segment = DiskSegment(0, path)
         try:
             monkeypatch.setattr(
-                type(segment._reader),
+                type(segment.reader),
                 "doc_paths",
                 lambda self: pytest.fail("doc_paths() called again"),
             )
@@ -443,7 +443,7 @@ class TestCompaction:
             fh.write(seg(0, docs).to_ridx2())
         segment = DiskSegment(0, path)
         try:
-            reader = type(segment._reader)
+            reader = type(segment.reader)
             real, calls = reader.term_info, []
 
             def counting(self, term):

@@ -2,11 +2,11 @@
 
 ``save_index``/``load_index`` subsume what used to be four entry
 points.  Covered here: explicit ``"ridx2"``/``"binary"`` selection on
-save (RIDX2 whatever the extension; JSON-lines is no longer written),
-magic-driven auto on load (including raw RWIRE1 wire bytes, JSON-lines
-files older versions wrote, and renamed files), loud mismatch
-failures, and the removal of the ``*_binary`` aliases 3.0.0 had
-deprecated.
+save (RIDX2 whatever the extension), magic-driven auto on load
+(including raw RWIRE1 wire bytes and renamed files), the refusal of
+the JSON-lines files older versions wrote (neither written nor read
+any more), loud mismatch failures, and the removal of the ``*_binary``
+aliases 3.0.0 had deprecated.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 
 from repro.index import (
     INDEX_FORMATS,
+    IndexFormatError,
     InvertedIndex,
     index_to_bytes,
     load_index,
@@ -46,14 +47,23 @@ def write_legacy(path) -> int:
         return fh.write(LEGACY_JSON_LINES)
 
 
+def refuses_legacy(path) -> None:
+    """``load_index`` refuses a JSON-lines file, naming what it reads."""
+    with pytest.raises(IndexFormatError) as excinfo:
+        load_index(path)
+    message = str(excinfo.value)
+    assert "RIDX1, RIDX2, RWIRE1" in message and "JSON" not in message
+
+
 class TestExplicitFormats:
     @pytest.mark.parametrize("format", ("json", "binary", "ridx2"))
     def test_round_trip(self, index, tmp_path, format):
         path = str(tmp_path / "out.dat")
-        if format == "json":  # loaded, no longer written
-            written = write_legacy(path)
-        else:
-            written = save_index(index, path, format=format)
+        if format == "json":  # neither written nor read any more
+            write_legacy(path)
+            refuses_legacy(path)
+            return
+        written = save_index(index, path, format=format)
         assert written > 0
         assert load_index(path, format=format) == index
 
@@ -69,11 +79,12 @@ class TestExplicitFormats:
             with pytest.raises(ValueError, match="format"):
                 save_index(index, path, format=refused)
         save_index(index, path)
-        with pytest.raises(ValueError, match="format"):
-            load_index(path, format="pickle")
+        for refused in ("pickle", "json"):
+            with pytest.raises(ValueError, match="format"):
+                load_index(path, format=refused)
 
     def test_formats_constant_is_the_contract(self):
-        assert INDEX_FORMATS == ("json", "binary", "ridx2", "auto")
+        assert INDEX_FORMATS == ("binary", "ridx2", "auto")
 
 
 class TestAutoSave:
@@ -117,7 +128,7 @@ class TestAutoLoad:
     def test_sniffs_json_despite_binary_extension(self, index, tmp_path):
         path = str(tmp_path / "lying-name.ridx")
         write_legacy(path)
-        assert load_index(path) == index
+        refuses_legacy(path)
 
     def test_loads_wire_bytes(self, index, tmp_path):
         path = str(tmp_path / "replica.ridx")
@@ -136,7 +147,7 @@ class TestMismatchesFailLoudly:
     def test_binary_file_as_json(self, index, tmp_path):
         path = str(tmp_path / "out.ridx")
         save_index(index, path, format="binary")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="format"):
             load_index(path, format="json")
 
 
