@@ -2,7 +2,7 @@
 
 Builds a session over a synthetic corpus, then runs mutate/refresh
 rounds (adds, edits, deletes) while a :class:`BackgroundCompactor`
-folds sealed segments together on the process pool.  The oracle is
+folds sealed segments together in-process.  The oracle is
 merge equivalence: after a final forced compaction the manifest's
 canonical RIDX2 bytes must be *identical* to a from-scratch rebuild of
 the filesystem — any divergence in the segment/tombstone bookkeeping
@@ -30,10 +30,10 @@ def main() -> int:
     corpus = CorpusGenerator(TINY_PROFILE).generate()
     session = Search.build(corpus.fs)
     print(f"indexed {len(session)} files; running {ROUNDS} churn rounds "
-          f"with background compaction on the process pool")
+          f"with background compaction")
 
     policy = CompactionPolicy(fanin=2, max_segments=3)
-    compactor = session.start_compactor(0.02, policy=policy, workers=2)
+    compactor = session.start_compactor(0.02, policy=policy)
     try:
         for round_no in range(1, ROUNDS + 1):
             corpus.fs.write_file(
@@ -56,7 +56,7 @@ def main() -> int:
     finally:
         compactor.stop()
 
-    session.compact(workers=2, force=True)
+    session.compact(force=True)
     manifest = session.manifest
     print(f"final: {manifest.segment_count} segment(s), "
           f"generation {manifest.generation}")

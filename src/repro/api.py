@@ -52,6 +52,7 @@ session's generation and answers repeats from the same cache.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from typing import List, Optional, Union
 
 from repro.engine.config import Implementation, ThreadConfig
@@ -62,7 +63,11 @@ from repro.engine.sequential import SequentialIndexer
 from repro.extract.registry import resolve_extractor
 from repro.fsmodel.realfs import OsFileSystem
 from repro.index.atomic import atomic_write
-from repro.index.binfmt import dump_index_ridx2, parse_ridx2_header
+from repro.index.binfmt import (
+    IndexFormatError,
+    dump_index_ridx2,
+    parse_ridx2_header,
+)
 from repro.index.fingerprint import (
     load_fingerprints,
     save_fingerprints,
@@ -172,7 +177,6 @@ class Search:
         fault: Optional[FaultPolicy] = None,
         cache: int = 128,
         root: str = "",
-        segment_dir: Optional[str] = None,
         sync=None,
         extractor=None,
     ) -> "Search":
@@ -183,9 +187,7 @@ class Search:
         threaded or multiprocessing engines (defaults: Implementation 3
         on threads, Implementation 2 on the process backend).
         ``fault`` applies the per-file error policy and, for the
-        process backend, the retry/timeout ladder.  ``segment_dir``
-        makes compaction write its product as an RIDX2 file served off
-        mmap instead of keeping it in memory.  ``extractor`` picks the
+        process backend, the retry/timeout ladder.  ``extractor`` picks the
         extraction pipeline — an :class:`~repro.extract.Extractor`
         instance or a registered name (``"ascii"``, ``"code"``,
         ``"tsv"``).
@@ -194,11 +196,7 @@ class Search:
         fault = fault or FaultPolicy()
         extractor = resolve_extractor(extractor)
         segmented = SegmentedIndexer(
-            fs,
-            extractor=extractor,
-            root=root,
-            segment_dir=segment_dir,
-            on_error=fault.on_error,
+            fs, extractor=extractor, root=root, on_error=fault.on_error
         )
         if config is None:
             report = SequentialIndexer(
@@ -251,7 +249,6 @@ class Search:
         source=None,
         cache: int = 128,
         root: str = "",
-        segment_dir: Optional[str] = None,
         sync=None,
         extractor=None,
     ) -> "Search":
@@ -260,7 +257,8 @@ class Search:
         An RIDX2 file (what :meth:`save` writes) is not loaded: it is
         mapped and adopted as the manifest's one
         :class:`~repro.index.segments.DiskSegment` after a checksum
-        pass (``IndexFormatError`` on a cut or flipped file), so no
+        pass (``IndexFormatError`` naming ``path`` on a cut or flipped
+        file), so no
         posting is decoded before a query asks.  Until a refresh
         changes the index the DAAT engine answers off the map, and
         ranks off the file's frequencies; an uncached query costs
@@ -277,18 +275,17 @@ class Search:
             index = _flatten(load_multi_index(path))
         else:
             format = sniff_file(path)
-            if format == "ridx2":
-                index = DiskSegment(0, path)
-            else:
-                index = load_index(path, format)
+            try:
+                if format == "ridx2":
+                    index = DiskSegment(0, path)
+                else:
+                    index = load_index(path, format)
+            except IndexFormatError as exc:
+                # The sniffer names the file; the decoders cannot.
+                raise IndexFormatError(f"{path}: {exc}") from exc
         fs = _as_filesystem(source) if source is not None else None
         extractor = resolve_extractor(extractor)
-        segmented = SegmentedIndexer(
-            fs,
-            extractor=extractor,
-            root=root,
-            segment_dir=segment_dir,
-        )
+        segmented = SegmentedIndexer(fs, extractor=extractor, root=root)
         # Only a session that can refresh has a use for the state file,
         # and only one naming the mapped file describes this index.
         fingerprints = None
@@ -406,7 +403,6 @@ class Search:
             cache=0,
             extractor=self._extractor,
             root=self._root,
-            segment_dir=self._segmented.segment_dir,
             sync=self._sync,
         )
         with self._write_lock:
@@ -418,29 +414,19 @@ class Search:
     def compact(
         self,
         policy: Optional[CompactionPolicy] = None,
-        workers: int = 0,
         force: bool = True,
     ) -> bool:
-        """Fold the manifest's segments back down with k-way merges.
+        """Fold the manifest's segments back down with k-way merges,
+        in-process, into one in-memory segment.
 
-        ``workers > 0`` runs the merge groups on the fault-tolerant
-        process pool (:class:`~repro.engine.procbackend.
-        CompactionExecutor`); otherwise they run in-process.  With
-        ``force=False`` the ``policy`` decides whether compaction is
-        due (the background-compactor mode).  Returns whether a
+        With ``force=False`` the ``policy`` decides whether compaction
+        is due (the background-compactor mode).  Returns whether a
         compaction ran.  Queries are unaffected either way: the live
         view of a compacted manifest is identical, only its shape
         changes.
         """
-        executor = None
-        if workers:
-            from repro.engine.procbackend import CompactionExecutor
-
-            executor = CompactionExecutor(max_workers=workers)
         with self._write_lock:
-            ran = self._segmented.compact(
-                policy=policy, executor=executor, force=force
-            )
+            ran = self._segmented.compact(policy=policy, force=force)
             if ran:
                 self._bump("compact")
         return ran
@@ -449,7 +435,6 @@ class Search:
         self,
         interval_s: float = 5.0,
         policy: Optional[CompactionPolicy] = None,
-        workers: int = 0,
         sync=None,
     ) -> BackgroundCompactor:
         """Run :meth:`compact` periodically on a background thread.
@@ -461,7 +446,7 @@ class Search:
         """
         policy = policy or CompactionPolicy()
         compactor = BackgroundCompactor(
-            lambda: self.compact(policy=policy, workers=workers, force=False),
+            lambda: self.compact(policy=policy, force=False),
             interval_s=interval_s,
             sync=sync if sync is not None else self._sync,
         )
@@ -476,9 +461,15 @@ class Search:
         with ``source=`` resumes from them only beside that file, so a
         lost state write costs one reconciling refresh, never a stale
         answer.  Both are replaced atomically: ``path`` may be a mapped
-        file.
+        file.  A lone segment and no tombstone is written as that
+        segment's own bytes, so an opened file a refresh did not change
+        is kept as it is, term frequencies included.
         """
-        data = dump_index_ridx2(self.index)
+        manifest = self._segmented.manifest
+        if manifest.segment_count == 1 and not manifest.tombstones:
+            data = manifest.segments[0].to_ridx2()
+        else:
+            data = dump_index_ridx2(self.index)
         with atomic_write(path) as fh:
             fh.write(data)
         save_fingerprints(
@@ -501,7 +492,6 @@ class Search:
         self,
         workers: int = 2,
         max_inflight: int = 32,
-        shed: str = "reject",
         sync=None,
     ) -> SearchService:
         """A :class:`~repro.service.service.SearchService` over this
@@ -524,7 +514,6 @@ class Search:
             refresher=refresher,
             workers=workers,
             max_inflight=max_inflight,
-            shed=shed,
             sync=sync if sync is not None else self._sync,
         )
 
@@ -567,10 +556,8 @@ class Search:
         partial: str = "degrade",
         workers: int = 1,
         max_inflight: int = 32,
-        shed: str = "reject",
         bm25: bool = False,
         backend: str = "local",
-        ridx2_dir: Optional[str] = None,
         sync=None,
     ):
         """Document-partitioned serving: N shards behind a
@@ -591,9 +578,10 @@ class Search:
         ``shards_ok/shards_total`` health tuple; ``"fail"`` raises).  ``bm25=True`` builds the collection's
         frequency sidecar (needs the session's filesystem) so
         ``rank="bm25"`` works.  ``backend="process"`` spawns one OS
-        process per replica serving RIDX2 off mmap (``ridx2_dir``
-        defaults to a temp directory); ``backend="local"`` keeps shards
-        in-process (in-memory, or off mmap when ``ridx2_dir`` is set).
+        process per replica serving an RIDX2 shard file off mmap; the
+        files live in a temporary directory the broker removes on
+        ``close()``.  ``backend="local"`` keeps in-memory shards
+        in-process.
 
         The sharded topology is immutable — built from this session's
         current state; rebuild and re-serve to pick up changes.  For
@@ -611,26 +599,32 @@ class Search:
                 extractor=self._extractor,
                 root=self._root,
             )
-        if backend == "process" and ridx2_dir is None:
-            import tempfile
+        with ExitStack() as cleanup:
+            ridx2_dir = None
+            if backend == "process":
+                import tempfile
 
-            ridx2_dir = tempfile.mkdtemp(prefix="repro-shards-")
-        return build_sharded_service(
-            self.index,
-            self.snapshot().universe,
-            shards=shards,
-            replicas=replicas,
-            strategy=strategy,
-            partial=partial,
-            frequencies=frequencies,
-            workers=workers,
-            max_inflight=max_inflight,
-            shed=shed,
-            sync=sync if sync is not None else self._sync,
-            generation=self._generation,
-            ridx2_dir=ridx2_dir,
-            backend=backend,
-        )
+                ridx2_dir = cleanup.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-shards-")
+                )
+            broker = build_sharded_service(
+                self.index,
+                self.snapshot().universe,
+                shards=shards,
+                replicas=replicas,
+                strategy=strategy,
+                partial=partial,
+                frequencies=frequencies,
+                workers=workers,
+                max_inflight=max_inflight,
+                sync=sync if sync is not None else self._sync,
+                generation=self._generation,
+                ridx2_dir=ridx2_dir,
+                backend=backend,
+            )
+            # From here the broker's close() removes the shard files.
+            broker.resources.enter_context(cleanup.pop_all())
+        return broker
 
     # -- internals --------------------------------------------------------
 

@@ -219,9 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-segments", type=int, default=6,
                    help="compaction triggers once the manifest holds "
                    "more than this many segments (default 6)")
-    p.add_argument("--compact-workers", type=int, default=0,
-                   help="run compaction merges on a process pool of "
-                   "this size (default 0 = in-process)")
     p.add_argument("--async", dest="async_frontend", action="store_true",
                    help="serve through the batched asyncio front end: "
                    "the whole query stream is submitted up front, "
@@ -467,7 +464,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     fs = OsFileSystem(args.directory)
     registry = default_registry() if args.formats else None
     extractor = get_extractor(args.extractor, registry=registry)
-    summary = None
     try:
         if not _engine_flagged(args):
             from repro.api import Search
@@ -476,11 +472,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
                 fs, fault=FaultPolicy(on_error=args.on_error),
                 extractor=extractor, cache=0,
             ).report
-            # The report's "(1, 0, 0)" is the sequential label: name the
-            # build that ran instead.
-            summary = "Search.build (en-bloc): " + (
-                report.summary().partition(": ")[2]
-            )
         elif args.sequential:
             report = SequentialIndexer(
                 fs, extractor=extractor, on_error=args.on_error
@@ -510,7 +501,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         print(f"error: build failed: {exc}", file=sys.stderr)
         return 1
     _print_failure_summary(report)
-    print(summary or report.summary())
+    print(report.summary())
     if observing:
         _emit_observability(args, report)
     if args.save:
@@ -688,9 +679,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: --compact-every requires a positive interval "
               "in seconds", file=sys.stderr)
         return 2
-    if args.fanin < 2 or args.max_segments < 1 or args.compact_workers < 0:
-        print("error: --fanin must be >= 2, --max-segments >= 1 and "
-              "--compact-workers >= 0", file=sys.stderr)
+    if args.fanin < 2 or args.max_segments < 1:
+        print("error: --fanin must be >= 2 and --max-segments >= 1",
+              file=sys.stderr)
         return 2
     observing = _observability_requested(args)
 
@@ -750,7 +741,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     policy=CompactionPolicy(
                         fanin=args.fanin, max_segments=args.max_segments
                     ),
-                    workers=args.compact_workers,
                 )
             frontend = None
             if args.async_frontend:

@@ -523,59 +523,3 @@ class ProcessReplicatedIndexer:
             if process.is_alive():  # pragma: no cover - truly stuck
                 process.kill()
 
-
-class CompactionExecutor:
-    """Runs independent compaction merge jobs on a process pool.
-
-    The segmented index's compaction rounds (:func:`repro.index.
-    segments.compact_manifest`) produce groups that merge independently
-    — the same shape as a build's replica batches, so they get the same
-    resilience contract: if the pool cannot be created
-    (:class:`PoolUnavailableError`) or dies mid-round
-    (``BrokenProcessPool``), the remaining jobs run in-parent instead
-    of failing the compaction.  Merges are pure functions of picklable
-    plain data, so the fallback is result-identical, just slower.
-    """
-
-    def __init__(
-        self,
-        max_workers: int = 2,
-        oversubscribe: bool = True,
-        start_method: str = "spawn",
-    ) -> None:
-        validate_worker_count(max_workers, oversubscribe=oversubscribe)
-        self.max_workers = max_workers
-        self.start_method = start_method
-        self.fallbacks = 0
-
-    def run(self, fn: Callable, payloads: Sequence) -> List:
-        """``[fn(p) for p in payloads]``, pool-parallel when possible."""
-        if len(payloads) <= 1:
-            return [fn(p) for p in payloads]
-        try:
-            context = multiprocessing.get_context(self.start_method)
-            executor = ProcessPoolExecutor(
-                max_workers=min(self.max_workers, len(payloads)),
-                mp_context=context,
-            )
-        except (OSError, ValueError, ImportError):
-            self.fallbacks += 1
-            return [fn(p) for p in payloads]
-        results: List = [None] * len(payloads)
-        pending = list(range(len(payloads)))
-        try:
-            futures = {
-                executor.submit(fn, payloads[i]): i for i in pending
-            }
-            for future, i in futures.items():
-                results[i] = future.result()
-                pending.remove(i)
-        except (BrokenProcessPool, OSError):
-            # A dead pool fails the round, not the compaction: finish
-            # the unfinished jobs in-parent, deterministically.
-            self.fallbacks += 1
-            for i in pending:
-                results[i] = fn(payloads[i])
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return results

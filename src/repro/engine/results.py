@@ -153,6 +153,9 @@ class BuildReport:
     # Flat observability stats: files/s, bytes/s, terms/s, plus a
     # snapshot of the global metrics registry (see build_metrics).
     metrics: Dict[str, float] = field(default_factory=dict)
+    # What summary() calls the run when it is none of the paper's
+    # (x, y, z) implementations: the sequential builds.
+    label: Optional[str] = None
 
     @property
     def indexed_file_count(self) -> int:
@@ -181,9 +184,9 @@ class BuildReport:
 
     def summary(self) -> str:
         """One-line human-readable result, echoing the paper's tables."""
+        name = self.label or f"{self.implementation.paper_name} {self.config}"
         text = (
-            f"{self.implementation.paper_name} {self.config}: "
-            f"{self.wall_time:.3f}s, {self.file_count} files, "
+            f"{name}: {self.wall_time:.3f}s, {self.file_count} files, "
             f"{self.term_count} terms, {self.posting_count} postings"
         )
         if self.metrics.get("build.files_per_s"):

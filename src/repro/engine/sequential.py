@@ -125,4 +125,9 @@ class SequentialIndexer:
             documents=documents,
             spans=spans,
             metrics=metrics,
+            label=(
+                "Sequential baseline (1, 0, 0)"
+                if self.naive
+                else "Search.build (en-bloc)"
+            ),
         )

@@ -41,7 +41,6 @@ from repro.index.segments import (
     SegmentManifest,
     SegmentedIndexer,
     compact_manifest,
-    merge_segment_payload,
 )
 from repro.index.serialize import (
     INDEX_FORMATS,
@@ -84,7 +83,6 @@ __all__ = [
     "load_index_wire",
     "load_multi_index",
     "merge_into",
-    "merge_segment_payload",
     "merge_wire_replica",
     "save_index",
     "save_multi_index",

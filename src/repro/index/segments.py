@@ -8,9 +8,9 @@ reference, or an mmap'd RIDX2 file — plus the set of paths sealed in
 it; no second, per-document copy is kept beside the postings:
 
 * **immutable sealed segments** — each refresh seals the batch of
-  changed documents into a new :class:`MemorySegment` (or, once
-  compacted to disk, a :class:`DiskSegment` served off an mmap'd RIDX2
-  file).  Sealed segments are never mutated;
+  changed documents into a new :class:`MemorySegment`; a saved RIDX2
+  file is adopted as a :class:`DiskSegment` served off its mmap.
+  Sealed segments are never mutated;
 * **tombstones** — deletions never touch old segments: the path goes
   into a global tombstone set and simply stops being visible;
 * **newest-wins ownership** — a path may appear in several segments
@@ -25,10 +25,8 @@ it; no second, per-document copy is kept beside the postings:
 * **layered k-way compaction** — :func:`compact_manifest` merges runs
   of segments ``fanin`` at a time (the ``parallel_merge --fanin``
   pattern) with the one postings-wise newest-wins merge,
-  :func:`merge_postings`, dropping tombstoned docs.
-  Merge groups are independent, so they run on the fault-tolerant
-  process pool (:class:`~repro.engine.procbackend.CompactionExecutor`)
-  with an in-parent fallback.  A fully compacted manifest's canonical
+  :func:`merge_postings`, dropping tombstoned docs, in-process and
+  into memory.  A fully compacted manifest's canonical
   RIDX2 bytes are identical to a from-scratch rebuild's — the invariant
   the test suite pins after every mutation sequence.
 
@@ -47,7 +45,6 @@ Refresh correctness (the bugfix half of this layer):
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -65,13 +62,7 @@ from typing import (
 
 from repro.engine.faults import FileFailure, check_on_error
 from repro.engine.stage2 import read_file_terms
-from repro.index.atomic import atomic_write
-from repro.index.binfmt import (
-    dump_index_ridx2,
-    dump_index_wire,
-    load_index_ridx2,
-    load_index_wire,
-)
+from repro.index.binfmt import dump_index_ridx2, load_index_ridx2
 from repro.index.fingerprint import FingerprintMap, read_fingerprinted
 from repro.index.inverted import InvertedIndex
 from repro.index.ondisk import MmapPostingsReader
@@ -246,8 +237,8 @@ class DiskSegment(_SealedSegment):
         return self.reader.postings()
 
     def to_ridx2(self) -> bytes:
-        with open(self.path, "rb") as fh:
-            return fh.read()
+        """The mapped file's bytes, as checked at adoption."""
+        return self.reader._mm[:]
 
     def stats(self) -> Dict[str, int]:
         """The reader's block counters since the file was adopted."""
@@ -293,8 +284,7 @@ def merge_postings(
     whole, or filtered in C by its dead set, then concatenated per term
     and sorted, so a document's terms are never regrouped and no
     posting is inserted twice.  Serves :meth:`SegmentManifest.materialize`
-    and every compaction group, in-process or in a pool worker.  The
-    inputs are only read.
+    and every compaction group.  The inputs are only read.
     """
     merged: Dict[str, List[str]] = {}
     setdefault = merged.setdefault
@@ -523,38 +513,16 @@ class CompactionPolicy:
         )
 
 
-def merge_segment_payload(payload) -> bytes:
-    """Merge one compaction group in a pool worker; RWIRE1 in and out.
-
-    ``payload`` is picklable plain data — ``(wires, dead, live)``: the
-    group's segment indexes oldest→newest as RWIRE1 bytes, their dead
-    sets, and the group's live path count.  The worker runs the same
-    :func:`merge_postings` the parent would, so the in-parent fallback
-    is result-identical.  Must stay a module-level function of plain
-    data.
-    """
-    wires, dead, live = payload
-    return dump_index_wire(
-        merge_postings([load_index_wire(w).items() for w in wires], dead, live)
-    )
-
-
 def compact_manifest(
     manifest: SegmentManifest,
     policy: Optional[CompactionPolicy] = None,
-    executor=None,
-    segment_dir: Optional[str] = None,
 ) -> SegmentManifest:
-    """Layered k-way merge down to a single sealed segment.
+    """Layered k-way merge down to a single in-memory segment.
 
     Each round groups consecutive segments ``fanin`` at a time and
-    merges every group independently with :func:`merge_postings` —
-    directly when in-process, and on ``executor`` (a
-    :class:`~repro.engine.procbackend.CompactionExecutor`) through
-    :func:`merge_segment_payload`.  Tombstones are applied during the
-    merges, so the compacted manifest carries none.  With
-    ``segment_dir`` the final product is written as an RIDX2 file and
-    served as a :class:`DiskSegment`; otherwise it stays in memory.
+    merges every group independently with :func:`merge_postings`.
+    Tombstones are applied during the merges, so the compacted
+    manifest carries none.
     """
     policy = policy or CompactionPolicy()
     segments: List = list(manifest.segments)
@@ -580,20 +548,10 @@ def compact_manifest(
             with obsrec.span(
                 "compaction.round", round=rounds, groups=len(groups)
             ):
-                if executor is not None:
-                    blobs = executor.run(
-                        merge_segment_payload,
-                        [
-                            ([dump_index_wire(s.index) for s in g], d, len(o))
-                            for g, o, d in zip(groups, owners, deads)
-                        ],
-                    )
-                    products = [load_index_wire(blob) for blob in blobs]
-                else:
-                    products = [
-                        merge_postings([s.postings() for s in g], d, len(o))
-                        for g, o, d in zip(groups, owners, deads)
-                    ]
+                products = [
+                    merge_postings([s.postings() for s in g], d, len(o))
+                    for g, o, d in zip(groups, owners, deads)
+                ]
             if obsrec.enabled():
                 # Only the counter reads it: not walked otherwise.
                 merged_postings += sum(p.posting_count for p in products)
@@ -607,15 +565,6 @@ def compact_manifest(
             next_id += len(products)
             # Tombstoned paths are gone from every merged product.
             tombstones = frozenset()
-    if segment_dir is not None and segments:
-        final = segments[-1]
-        os.makedirs(segment_dir, exist_ok=True)
-        path = os.path.join(
-            segment_dir, f"segment-{final.segment_id:08d}.ridx2"
-        )
-        with atomic_write(path) as fh:
-            fh.write(final.to_ridx2())
-        segments[-1] = DiskSegment(final.segment_id, path)
     if obsrec.enabled():
         metrics = obsrec.metrics()
         metrics.counter("compaction.runs").inc()
@@ -647,7 +596,6 @@ class SegmentedIndexer:
         root: str = "",
         manifest: Optional[SegmentManifest] = None,
         fingerprints: Optional[FingerprintMap] = None,
-        segment_dir: Optional[str] = None,
         extractor=None,
         on_error: str = "strict",
     ) -> None:
@@ -660,7 +608,6 @@ class SegmentedIndexer:
         # (see repro.engine.faults); refresh and reconcile honour it.
         self.on_error = check_on_error(on_error)
         self.root = root
-        self.segment_dir = segment_dir
         self._manifest = manifest or SegmentManifest()
         self._fingerprints: FingerprintMap = dict(fingerprints or {})
         self.last_scan_stats: Dict[str, int] = {}
@@ -880,7 +827,6 @@ class SegmentedIndexer:
     def compact(
         self,
         policy: Optional[CompactionPolicy] = None,
-        executor=None,
         force: bool = True,
     ) -> bool:
         """Compact the current manifest in place (swap on completion).
@@ -894,9 +840,7 @@ class SegmentedIndexer:
             return False
         if manifest.segment_count <= 1 and not manifest.tombstones:
             return False
-        self._manifest = compact_manifest(
-            manifest, policy, executor=executor, segment_dir=self.segment_dir
-        )
+        self._manifest = compact_manifest(manifest, policy)
         return True
 
     # -- internals ------------------------------------------------------

@@ -17,9 +17,8 @@ changing.  This package is that layer, in the mould of the query-broker
   :class:`~repro.concurrency.provider.SyncProvider` seam, so the
   schedule checker can sweep the swap/read interleavings;
 * admission control — a bounded in-flight budget with a queue-depth
-  gauge; at the bound the service either sheds
-  (:class:`~repro.service.service.ServiceOverloadedError`) or blocks,
-  per policy;
+  gauge; at the bound the service sheds
+  (:class:`~repro.service.service.ServiceOverloadedError`);
 * graceful shutdown — :meth:`~repro.service.service.SearchService.close`
   returns once every accepted query has finished;
 * :class:`~repro.service.frontend.AsyncSearchFrontend` — the batched,
@@ -46,7 +45,6 @@ The one-liner front doors are :meth:`repro.api.Search.serve`,
 
 from repro.service.snapshot import IndexSnapshot, QueryResult
 from repro.service.service import (
-    SHED_POLICIES,
     RefreshOutcome,
     SearchService,
     ServiceClosedError,
@@ -80,7 +78,6 @@ __all__ = [
     "QueryTicket",
     "RefreshOutcome",
     "SHARD_STRATEGIES",
-    "SHED_POLICIES",
     "ScatterGatherBroker",
     "SearchService",
     "ServiceClosedError",

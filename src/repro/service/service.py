@@ -17,10 +17,9 @@ maintenance:
   slots bound how many callers evaluate at once, and callers beyond
   them wait for a slot in arrival order;
 * **admission control** — at most ``max_inflight`` queries may be
-  waiting for a slot or evaluating.  Beyond that the service sheds
-  (:class:`ServiceOverloadedError`, policy ``"reject"``, the default)
-  or makes the caller wait to be admitted (policy ``"block"``).  The
-  queue depth and in-flight count are published as gauges;
+  waiting for a slot or evaluating.  Beyond that the service sheds:
+  the caller gets :class:`ServiceOverloadedError` at once.  The queue
+  depth and in-flight count are published as gauges;
 * **graceful shutdown** — :meth:`SearchService.close` stops admission
   and returns once every accepted query has finished.
 
@@ -37,16 +36,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs import recorder as obsrec
 from repro.service.snapshot import IndexSnapshot, QueryResult
 
-SHED_POLICIES: Tuple[str, ...] = ("reject", "block")
-
-
 class ServiceOverloadedError(RuntimeError):
-    """The in-flight bound is reached and the policy is ``"reject"``."""
+    """The in-flight bound is reached: the query is shed."""
 
 
 class ServiceClosedError(RuntimeError):
@@ -82,7 +78,6 @@ class SearchService:
         refresher: Optional[Callable[[], object]] = None,
         workers: int = 2,
         max_inflight: int = 32,
-        shed: str = "reject",
         sync=None,
         name: str = "service",
     ) -> None:
@@ -92,10 +87,6 @@ class SearchService:
             raise ValueError(
                 f"max_inflight must be at least 1, got {max_inflight}"
             )
-        if shed not in SHED_POLICIES:
-            raise ValueError(
-                f"shed must be one of {SHED_POLICIES}, got {shed!r}"
-            )
         if sync is None:
             from repro.concurrency.provider import THREADING_SYNC
 
@@ -103,7 +94,6 @@ class SearchService:
         self.name = name
         self.workers = workers
         self.max_inflight = max_inflight
-        self.shed = shed
         self._sync = sync
         self._refresher = refresher
 
@@ -163,28 +153,21 @@ class SearchService:
         ``hits``); it needs a ranking-capable snapshot, e.g. one opened
         via :meth:`IndexSnapshot.from_ondisk`.  Raises
         :class:`ServiceOverloadedError` when the in-flight bound is hit
-        under the ``"reject"`` policy (or the caller is still waiting
-        for a slot at ``close(drain=False)``) and
-        :class:`ServiceClosedError` once shutdown has begun.
+        (or the caller is still waiting for a slot at
+        ``close(drain=False)``) and :class:`ServiceClosedError` once
+        shutdown has begun.
         """
         if rank not in ("bool", "bm25"):
             raise ValueError(f"rank must be 'bool' or 'bm25', got {rank!r}")
         metrics = obsrec.metrics()
         with self._lock:
             if self._inflight >= self.max_inflight and not self._closing:
-                if self.shed == "reject":
-                    self._shed_count += 1
-                    metrics.counter(f"{self.name}.shed").inc()
-                    raise ServiceOverloadedError(
-                        f"{self.name}: {self._inflight} queries in flight "
-                        f"(bound {self.max_inflight})"
-                    )
-                # A blocked-then-admitted (or blocked-then-closed) query
-                # is never counted as shed: it was never rejected.
-                while (
-                    self._inflight >= self.max_inflight and not self._closing
-                ):
-                    self._wait_locked()
+                self._shed_count += 1
+                metrics.counter(f"{self.name}.shed").inc()
+                raise ServiceOverloadedError(
+                    f"{self.name}: {self._inflight} queries in flight "
+                    f"(bound {self.max_inflight})"
+                )
             if self._closing:
                 raise ServiceClosedError(f"{self.name} is shut down")
             self._inflight += 1
@@ -307,10 +290,8 @@ class SearchService:
         callers still waiting for a slot: each raises
         :class:`ServiceOverloadedError` and is counted on the shed
         counter exactly once; callers already evaluating still complete.
-        Either way callers blocked on admission (``shed="block"``) are
-        woken and raise :class:`ServiceClosedError` — close never
-        leaves a waiter hanging — and close returns only once no
-        accepted query is still running.
+        Either way close never leaves a waiter hanging, and it returns
+        only once no accepted query is still running.
         """
         metrics = obsrec.metrics()
         with self._lock:

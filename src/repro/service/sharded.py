@@ -72,6 +72,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from contextlib import ExitStack
 from typing import (
     Dict,
     FrozenSet,
@@ -240,7 +241,6 @@ class LocalShardReplica:
         snapshot: IndexSnapshot,
         workers: int = 1,
         max_inflight: int = 32,
-        shed: str = "reject",
         sync=None,
     ) -> None:
         if sync is None:
@@ -257,7 +257,6 @@ class LocalShardReplica:
             snapshot,
             workers=workers,
             max_inflight=max_inflight,
-            shed=shed,
             sync=sync,
             name=self.name,
         )
@@ -581,6 +580,9 @@ class ScatterGatherBroker:
         self.max_inflight = max_inflight
         self._lock = sync.lock(f"{name}.stats-lock")
         self._closing = False
+        # What the broker releases on close, after its replicas: the
+        # shard files a Search.serve_sharded process backend wrote.
+        self.resources = ExitStack()
         self._served = 0
         self._degraded = 0
         self._shed = 0
@@ -676,13 +678,17 @@ class ScatterGatherBroker:
         }
 
     def close(self) -> None:
-        """Stop admission, then close every replica of every shard."""
+        """Stop admission, close every replica of every shard, then
+        release :attr:`resources`."""
         with self._lock:
             if self._closing:
                 return
             self._closing = True
-        for group in self.groups:
-            group.close()
+        try:
+            for group in self.groups:
+                group.close()
+        finally:
+            self.resources.close()
 
     @property
     def closed(self) -> bool:
@@ -705,7 +711,6 @@ def local_broker(
     partial: str = "degrade",
     workers: int = 1,
     max_inflight: int = 32,
-    shed: str = "reject",
     sync=None,
     name: str = "broker",
     generation: int = 0,
@@ -726,7 +731,6 @@ def local_broker(
                 snapshot,
                 workers=workers,
                 max_inflight=max_inflight,
-                shed=shed,
                 sync=sync,
             )
             for replica_id in range(replicas)
@@ -747,7 +751,6 @@ def build_sharded_service(
     frequencies: Optional[FrequencyIndex] = None,
     workers: int = 1,
     max_inflight: int = 32,
-    shed: str = "reject",
     sync=None,
     name: str = "broker",
     generation: int = 0,
@@ -789,7 +792,6 @@ def build_sharded_service(
             partial=partial,
             workers=workers,
             max_inflight=max_inflight,
-            shed=shed,
             sync=sync,
             name=name,
             generation=generation,
@@ -843,7 +845,6 @@ def build_sharded_service(
         partial=partial,
         workers=workers,
         max_inflight=max_inflight,
-        shed=shed,
         sync=sync,
         name=name,
         generation=generation,

@@ -569,6 +569,26 @@ class TestServe:
             with pytest.raises(ValueError):
                 service.refresh()
 
+    def test_process_shards_remove_their_directory_on_close(
+        self, small_fs, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        session = Search.build(small_fs)
+
+        def shard_dirs():
+            return [p for p in tmp_path.iterdir() if "repro-shards-" in p.name]
+
+        with session.serve_sharded(shards=2, backend="process") as broker:
+            assert broker.query("cat").paths == session.query("cat").paths
+            [directory] = shard_dirs()
+            assert sorted(p.name for p in directory.iterdir()) == [
+                "shard-0000.ridx2",
+                "shard-0001.ridx2",
+            ]
+        assert shard_dirs() == []
+
     def test_refresh_error_names_the_missing_source(self, small_fs, tmp_path):
         path = str(tmp_path / "index.idx")
         Search.build(small_fs).save(path)

@@ -300,6 +300,42 @@ class TestCutFile:
         assert err.startswith("error:") and "truncated" in err
 
 
+class TestUnchangedRefreshKeepsTheFile:
+    """A refresh that changes nothing saves the opened file as it is:
+    the same bytes, term frequencies included, so BM25 still ranks."""
+
+    def test_bytes_state_and_bm25_hits_survive(
+        self, corpus_dir, ridx2_path, tmp_path, capsys
+    ):
+        from repro.index import MmapPostingsReader
+        from repro.index.binfmt import parse_ridx2_header
+
+        path = str(tmp_path / "t.ridx2")
+        with open(ridx2_path, "rb") as fh:
+            saved = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(saved)
+        with MmapPostingsReader(path) as reader:
+            term = next(reader.terms())
+        ranked = ["search", path, term, "--rank", "bm25"]
+        capsys.readouterr()
+        assert main(ranked) == 0
+        hits = capsys.readouterr().out
+        assert hits
+        for _ in range(2):  # a reconciling refresh, then one from state
+            assert main(["refresh", corpus_dir, "--index", path]) == 0
+            assert "+0 added, -0 removed, ~0 modified" in (
+                capsys.readouterr().out
+            )
+            with open(path, "rb") as fh:
+                assert fh.read() == saved
+            with open(path + ".state", encoding="utf-8") as fh:
+                state = json.load(fh)
+            assert state["index"] == parse_ridx2_header(saved).crc32
+        assert main(ranked) == 0
+        assert capsys.readouterr().out == hits
+
+
 #: stdout of the saved-index doors over one fixed corpus, recorded while
 #: they were ``search F Q --ondisk``, ``search F Q --ondisk --rank bm25
 #: --topk 5`` and ``serve DIR --index F --ondisk [--rank bm25]``.
@@ -369,4 +405,4 @@ class TestGoldenStdout:
             assert main(argv) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.count("\n") == 1
-            assert err.startswith("error: ")
+            assert err.startswith(f"error: {path}: ")

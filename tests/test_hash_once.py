@@ -34,7 +34,6 @@ from repro.index import (
     index_from_bytes,
 )
 from repro.index.serialize import load_index, save_index
-from repro.index.segments import merge_segment_payload
 from tests.test_native_build import assert_same_content
 from tests.test_serialize_formats import write_legacy
 
@@ -140,8 +139,6 @@ def test_product_paths_evaluate_fnv_zero_times(churned_fs, tmp_path, monkeypatch
         session.refresh()
         assert session.manifest.segment_count == 2
         assert session.query("zebra").paths == sorted([paths[0], "added.txt"])
-        wires = [dump_index_wire(s.index) for s in session.manifest.segments]
-        merge_segment_payload((wires, [{paths[0]}, set()], 1))
         assert session.compact()
         index = session.index
         for format in ("binary", "ridx2"):

@@ -282,6 +282,12 @@ class TestProcessBackendCli:
         # No engine flag at all: the product build, named as such.
         assert main(["index", corpus_dir]) == 0
         assert capsys.readouterr().out.startswith("Search.build (en-bloc): ")
+        # The naive run is the paper's sequential baseline, not one of
+        # its three implementations.
+        assert main(["index", corpus_dir, "--sequential"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "Sequential baseline (1, 0, 0): "
+        )
 
     def test_cli_rejects_updaters_with_process(self, corpus_dir, capsys):
         from repro.cli import main

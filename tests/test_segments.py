@@ -6,7 +6,7 @@ The two load-bearing invariants:
   mid-refresh crash — the manifest's live view equals a from-scratch
   rebuild of the current filesystem state;
 * a compacted manifest's canonical RIDX2 bytes are *identical* to the
-  rebuild's, whether the merges ran in-process or on the process pool.
+  rebuild's.
 """
 
 import os
@@ -15,11 +15,10 @@ import pytest
 
 from repro.api import Search
 from repro.engine.config import ThreadConfig
-from repro.engine.procbackend import CompactionExecutor
 from repro.engine.sequential import SequentialIndexer
 from repro.fsmodel.faultfs import FaultInjectingFileSystem, FaultSpec
 from repro.fsmodel.vfs import VirtualFileSystem
-from repro.index.binfmt import dump_index_ridx2, dump_index_wire
+from repro.index.binfmt import dump_index_ridx2
 from repro.index.fingerprint import state_path
 from repro.index.inverted import InvertedIndex
 from repro.index.segments import (
@@ -30,7 +29,6 @@ from repro.index.segments import (
     SegmentManifest,
     SegmentedIndexer,
     compact_manifest,
-    merge_segment_payload,
 )
 from repro.obs import recorder as obsrec
 from repro.text.termblock import TermBlock
@@ -348,30 +346,6 @@ class TestCompaction:
         assert manifest.tombstones == frozenset()
         assert manifest.to_ridx2() == rebuild_bytes(fs)
 
-    def test_compaction_on_the_process_pool(self):
-        fs = make_fs()
-        indexer = bootstrapped(fs)
-        self.churn(fs, indexer)
-        executor = CompactionExecutor(max_workers=2, oversubscribe=True)
-        indexer.compact(policy=CompactionPolicy(fanin=2), executor=executor)
-        assert indexer.manifest.to_ridx2() == rebuild_bytes(fs)
-
-    def test_executor_falls_back_in_parent(self, monkeypatch):
-        import repro.engine.procbackend as pb
-
-        def broken(*_args, **_kwargs):
-            raise OSError("no pool for you")
-
-        monkeypatch.setattr(pb.multiprocessing, "get_context", broken)
-        executor = CompactionExecutor(max_workers=2, oversubscribe=True)
-        payloads = [
-            ([dump_index_wire(seg(0, {path: [term]}).index)], [set()], 1)
-            for path, term in (("a.txt", "cat"), ("b.txt", "dog"))
-        ]
-        blobs = executor.run(merge_segment_payload, payloads)
-        assert executor.fallbacks == 1
-        assert blobs == [merge_segment_payload(p) for p in payloads]
-
     def test_tombstone_only_compaction(self):
         fs = make_fs()
         indexer = bootstrapped(fs)
@@ -392,17 +366,20 @@ class TestCompaction:
         assert indexer.manifest.segment_count == 1
 
     def test_disk_segment_serving_after_compaction(self, tmp_path):
+        """A saved file adopted as a disk segment serves, takes a
+        refresh segment beside it, and compacts with it into memory."""
         fs = make_fs()
-        indexer = SegmentedIndexer(fs, segment_dir=str(tmp_path))
-        fingerprints = indexer.fingerprint_corpus()
-        indexer.adopt(
-            SequentialIndexer(fs, naive=False).build().index, fingerprints
-        )
+        path = str(tmp_path / "s.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(rebuild_bytes(fs))
+        indexer = SegmentedIndexer(fs)
+        indexer.adopt(DiskSegment(0, path), indexer.fingerprint_corpus())
+        assert sorted(indexer.manifest.lookup("cat")) == ["a.txt", "c.txt"]
         fs.write_file("d.txt", b"newt cat")
         indexer.refresh()
         indexer.compact()
         [segment] = indexer.manifest.segments
-        assert isinstance(segment, DiskSegment)
+        assert isinstance(segment, MemorySegment)
         assert sorted(indexer.manifest.lookup("cat")) == [
             "a.txt",
             "c.txt",

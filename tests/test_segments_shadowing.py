@@ -233,19 +233,6 @@ def test_a_compacted_disk_segment_and_an_opened_file_seal_every_posting_path(
     tmp_path,
 ):
     fs = churned_fs()
-    indexer = SegmentedIndexer(fs, segment_dir=str(tmp_path / "segments"))
-    indexer.adopt(
-        SequentialIndexer(fs, naive=False).build().index,
-        indexer.fingerprint_corpus(),
-    )
-    churn(fs, 0)
-    indexer.refresh()
-    indexer.compact()
-    (segment,) = indexer.manifest.segments
-    assert isinstance(segment, DiskSegment)
-    assert_postings_covered(indexer.manifest)
-    segment.close()
-
     saved = str(tmp_path / "saved.ridx")
     Search.build(fs).save(saved)
     manifest = Search.open(saved).manifest
@@ -253,5 +240,21 @@ def test_a_compacted_disk_segment_and_an_opened_file_seal_every_posting_path(
     try:
         assert isinstance(segment, DiskSegment)
         assert_postings_covered(manifest)
+    finally:
+        segment.close()
+
+    # The saved file as a disk segment beside a delta, then compacted.
+    indexer = SegmentedIndexer(fs)
+    segment = DiskSegment(0, saved)
+    try:
+        indexer.adopt(segment, indexer.fingerprint_corpus())
+        churn(fs, 0)
+        indexer.refresh()
+        assert indexer.manifest.segment_count == 2
+        assert_postings_covered(indexer.manifest)
+        indexer.compact()
+        (compacted,) = indexer.manifest.segments
+        assert isinstance(compacted, MemorySegment)
+        assert_postings_covered(indexer.manifest)
     finally:
         segment.close()

@@ -3,7 +3,7 @@
 Covers the single-threaded contracts of :mod:`repro.service`: snapshot
 immutability and succession, caller-runs evaluation (the engine runs on
 the caller's thread, ``workers`` slots, FIFO slot waiters), admission
-control (shed vs block), the refresher protocol, graceful drain on
+control (shed at the bound), the refresher protocol, graceful drain on
 close, and the stats/metrics surface.  The interleaving-level guarantees live in
 ``test_service_concurrency.py``.
 """
@@ -149,8 +149,8 @@ class TestServiceBasics:
             SearchService(snapshot, workers=0)
         with pytest.raises(ValueError):
             SearchService(snapshot, max_inflight=0)
-        with pytest.raises(ValueError):
-            SearchService(snapshot, shed="panic")
+        with pytest.raises(TypeError):
+            SearchService(snapshot, shed="block")  # one policy: shed
 
     def test_query_error_propagates_to_caller(self):
         with SearchService(IndexSnapshot(index_for(0))) as service:
@@ -371,31 +371,6 @@ class TestAdmissionControl:
             background.join()
             service.close()
 
-    def test_block_policy_waits_for_a_slot(self):
-        service, engine = blocking_service(
-            workers=1, max_inflight=1, shed="block"
-        )
-        results = []
-        try:
-            first = threading.Thread(target=lambda: service.query("probe"))
-            first.start()
-            assert engine.entered.wait(timeout=5.0)
-            second = threading.Thread(
-                target=lambda: results.append(service.query("probe"))
-            )
-            second.start()
-            time.sleep(0.05)  # second must still be waiting, not shed
-            assert results == []
-            engine.release.set()
-            second.join(timeout=5.0)
-            first.join(timeout=5.0)
-            assert len(results) == 1
-            assert results[0].paths == ["blocked.txt"]
-            assert service.stats()["service.shed"] == 0.0
-        finally:
-            engine.release.set()
-            service.close()
-
 
 class TestLifecycle:
     def test_close_drains_accepted_queries(self):
@@ -437,19 +412,17 @@ class TestLifecycle:
 
 
 class TestShedAccountingAndShutdown:
-    """Regressions: shed counting under ``shed="block"`` and shutdown.
+    """Shed counting and shutdown for callers queued for a slot.
 
-    Two bugs this pins down: (a) a query that blocked at admission and
-    was later admitted (or turned away by shutdown) must never be
-    counted as shed — it was never rejected; (b) ``close()`` must wake
-    callers blocked at admission with a typed error instead of leaving
-    them waiting on a condition nobody will ever signal again.
+    Two bugs this pins down: (a) a query that waited for an evaluation
+    slot and was then served must never be counted as shed — it was
+    never rejected; (b) a draining ``close()`` must hand the slot on to
+    a queued caller instead of leaving it waiting on a condition
+    nobody will ever signal again.
     """
 
     def test_blocked_then_admitted_counts_served_not_shed(self):
-        service, engine = blocking_service(
-            workers=1, max_inflight=1, shed="block"
-        )
+        service, engine = blocking_service(workers=1, max_inflight=2)
         results = []
         try:
             first = threading.Thread(
@@ -461,7 +434,8 @@ class TestShedAccountingAndShutdown:
                 target=lambda: results.append(service.query("probe"))
             )
             second.start()
-            time.sleep(0.05)
+            time.sleep(0.05)  # second is queued for the slot, not shed
+            assert results == []
             engine.release.set()
             first.join(timeout=5.0)
             second.join(timeout=5.0)
@@ -474,15 +448,13 @@ class TestShedAccountingAndShutdown:
             service.close()
 
     def test_close_wakes_blocked_admitters(self):
-        service, engine = blocking_service(
-            workers=1, max_inflight=1, shed="block"
-        )
+        service, engine = blocking_service(workers=1, max_inflight=2)
         outcomes = []
 
         def blocked_admitter():
             try:
                 outcomes.append(service.query("probe"))
-            except ServiceClosedError as exc:
+            except (ServiceClosedError, ServiceOverloadedError) as exc:
                 outcomes.append(exc)
 
         first = threading.Thread(target=lambda: service.query("probe"))
@@ -490,7 +462,7 @@ class TestShedAccountingAndShutdown:
         assert engine.entered.wait(timeout=5.0)
         second = threading.Thread(target=blocked_admitter)
         second.start()
-        time.sleep(0.05)  # let it park on the admission condition
+        time.sleep(0.05)  # let it queue for the slot
         closer = threading.Thread(target=service.close)
         closer.start()
         time.sleep(0.05)
@@ -499,9 +471,14 @@ class TestShedAccountingAndShutdown:
         assert not second.is_alive(), "blocked admitter never woke"
         first.join(timeout=5.0)
         closer.join(timeout=5.0)
+        assert not closer.is_alive(), "close never returned"
+        # The draining close served the queued caller, shed nobody,
+        # and refuses everyone after it.
         assert len(outcomes) == 1
-        assert isinstance(outcomes[0], ServiceClosedError)
+        assert outcomes[0].paths == ["blocked.txt"]
         assert service.stats()["service.shed"] == 0.0
+        with pytest.raises(ServiceClosedError):
+            service.query("probe")
 
     def test_close_without_drain_sheds_queued_jobs_once_each(self):
         service, engine = blocking_service(workers=1, max_inflight=8)

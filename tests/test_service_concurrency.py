@@ -228,22 +228,22 @@ class TestTwoPublishersSweep:
 
 
 def block_shutdown_scenario(provider):
-    """``shed="block"`` admitters racing ``close()``: no hang, ever.
+    """Callers queued for the one slot racing a draining ``close()``.
 
-    A query that blocks at the admission bound while another executes
-    must end one of exactly two ways whatever the interleaving: served
-    (admitted before the close took effect) or a typed
-    ``ServiceClosedError`` — and never counted as shed.  A schedule
-    that left the admitter parked forever would deadlock the
-    cooperative scheduler and fail the sweep.
+    One evaluation slot and room for every reader in flight, so no
+    query is shed for load, and a draining close sheds nobody: a
+    caller admitted before the close is served, even one still queued
+    for the slot when it lands, and one arriving after gets a typed
+    ``ServiceClosedError``.  A schedule that left a queued caller
+    parked forever would deadlock the cooperative scheduler and fail
+    the sweep.
     """
     from repro.service import ServiceClosedError
 
     service = SearchService(
         IndexSnapshot(index_for(0)),
         workers=1,
-        max_inflight=1,
-        shed="block",
+        max_inflight=4,
         sync=provider,
     )
     served = []
@@ -273,7 +273,10 @@ def block_shutdown_scenario(provider):
     assert len(served) + len(turned_away) == 4
     for result in served:
         assert result.paths == EXPECTED[result.generation]
-    assert service.stats()["service.shed"] == 0.0
+    stats = service.stats()
+    assert stats["service.shed"] == 0.0
+    assert stats["service.served"] == len(served)
+    assert stats["service.inflight"] == 0.0
 
 
 class TestBlockShutdownSweep:

@@ -248,9 +248,13 @@ class TestExactCounts:
 
         monkeypatch.setattr(_SealedSegment, "_sorted_terms", counted)
         fs = fresh_tiny_fs()
-        session = Search.build(
-            fs, segment_dir=str(tmp_path) if on_disk else None
-        )
+        session = Search.build(fs)
+        if on_disk:
+            # The base segment is a saved file, adopted as a DiskSegment.
+            saved = str(tmp_path / "base.ridx2")
+            session.save(saved)
+            session = Search.open(saved, source=fs)
+            assert isinstance(session.manifest.segments[0], DiskSegment)
         seen = {}
 
         def prefix_queries():
@@ -267,7 +271,7 @@ class TestExactCounts:
             prefix_queries()
         assert session.compact()
         prefix_queries()
-        assert isinstance(session.manifest.segments[0], DiskSegment) == on_disk
+        assert isinstance(session.manifest.segments[0], MemorySegment)
         churn(fs, 3)
         session.refresh()
         prefix_queries()
