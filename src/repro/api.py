@@ -62,15 +62,10 @@ from repro.engine.runner import IndexGenerator
 from repro.engine.sequential import SequentialIndexer
 from repro.extract.registry import resolve_extractor
 from repro.fsmodel.realfs import OsFileSystem
-from repro.index.atomic import atomic_write
-from repro.index.binfmt import (
-    IndexFormatError,
-    dump_index_ridx2,
-    parse_ridx2_header,
-)
+from repro.index.binfmt import IndexFormatError, dump_index_ridx2
 from repro.index.fingerprint import (
     load_fingerprints,
-    save_fingerprints,
+    save_with_state,
     state_path,
 )
 from repro.index.inverted import InvertedIndex
@@ -268,8 +263,8 @@ class Search:
         :meth:`refresh`: with the fingerprints :meth:`save` left beside
         this very file (the state names its header CRC) the first
         refresh reads only what changed since; without them — no state,
-        a state naming another file, a non-RIDX2 index — it reconciles
-        the index against every live file.
+        a state naming another file, a non-RIDX2 index — it reads every
+        live file once and compares its terms with the indexed ones.
         """
         if os.path.isdir(path):
             index = _flatten(load_multi_index(path))
@@ -346,14 +341,14 @@ class Search:
     def __len__(self) -> int:
         return len(self._segmented.manifest)
 
-    def query(self, query_text: str, parallel: bool = False) -> QueryResult:
+    def query(self, query_text: str) -> QueryResult:
         """Evaluate a boolean/wildcard query: the published
         snapshot's ``answer``, parsed once and memoized in its LRU
         cache (normalized on the optimized AST).  The result's
         ``generation`` is the one the answer was computed on, even when
         an index change lands mid-query (see :meth:`_publish`).
         """
-        return self._published.answer(query_text, parallel)
+        return self._published.answer(query_text)
 
     # -- updating ---------------------------------------------------------
 
@@ -365,8 +360,9 @@ class Search:
         and tombstones removals — the manifest swap is the last step,
         so a previously served snapshot (see :meth:`serve`) never
         observes a half-applied delta and a crashed refresh replays
-        cleanly.  A session opened from disk reconciles on first
-        refresh: the saved index is diffed against the live filesystem.
+        cleanly.  A session opened from disk without its state reads
+        every live file on its first refresh and keeps each whose terms
+        are the indexed ones.
         Files are read under the error policy :meth:`build` was given
         (strict after :meth:`open`): under ``"skip"`` a file that fails
         is left out, as a rebuild would leave it, and reported on
@@ -374,11 +370,7 @@ class Search:
         """
         self._require_fs("refresh")
         with self._write_lock:
-            segmented = self._segmented
-            if not segmented.fingerprints and len(segmented.manifest):
-                change = segmented.reconcile()
-            else:
-                change = segmented.refresh()
+            change = self._segmented.refresh()
             if change.total == 0:
                 # Nothing changed: keep the published view and the warm
                 # cache; the freshly verified fingerprints are already
@@ -470,14 +462,7 @@ class Search:
             data = manifest.segments[0].to_ridx2()
         else:
             data = dump_index_ridx2(self.index)
-        with atomic_write(path) as fh:
-            fh.write(data)
-        save_fingerprints(
-            self._segmented.fingerprints,
-            state_path(path),
-            parse_ridx2_header(data).crc32,
-        )
-        return len(data)
+        return save_with_state(data, path, self._segmented.fingerprints)
 
     # -- serving ----------------------------------------------------------
 

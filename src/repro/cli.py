@@ -61,12 +61,14 @@ from repro.index import (
     ChangeReport,
     DiskSegment,
     MultiIndex,
+    dump_index_ridx2,
     join_indices,
     load_index,
     load_multi_index,
     save_index,
     save_multi_index,
 )
+from repro.index.fingerprint import save_with_state
 from repro.platforms import ALL_PLATFORMS, platform_by_name
 from repro.query import ParseError, QueryEngine
 from repro.query.cache import plan_query
@@ -518,27 +520,27 @@ def _cmd_index(args: argparse.Namespace) -> int:
                 return 2
             save_multi_index(index, args.save)
             print(f"index saved to {args.save}")
-        elif ridx2:
-            # RIDX2 can carry real term frequencies and document
-            # lengths; re-scan the corpus for them so BM25 served off
-            # this file scores exactly like the in-memory ranker.
-            from repro.query import FrequencyIndex
-
-            frequencies = FrequencyIndex.from_fs(fs, extractor=extractor)
-            written = save_index(
-                index, args.save, format="ridx2",
-                frequencies=frequencies,
-            )
-            print(f"index saved to {args.save} ({written} bytes, "
-                  "RIDX2 with frequencies)")
+        elif args.binary:
+            written = save_index(index, args.save, format="binary")
+            print(f"index saved to {args.save} ({written} bytes, RIDX1)")
         else:
-            written = save_index(
-                index,
+            frequencies = None
+            if ridx2:
+                # RIDX2 can carry real term frequencies and document
+                # lengths; re-scan the corpus for them so BM25 served
+                # off this file scores exactly like the in-memory ranker.
+                from repro.query import FrequencyIndex
+
+                frequencies = FrequencyIndex.from_fs(fs, extractor=extractor)
+            # The build's fingerprints go beside the file, as
+            # Search.save leaves them: a first refresh reads the delta.
+            written = save_with_state(
+                dump_index_ridx2(index, frequencies=frequencies),
                 args.save,
-                format="binary" if args.binary else "ridx2",
+                report.fingerprints,
             )
-            print(f"index saved to {args.save} ({written} bytes, "
-                  f"{'RIDX1' if args.binary else 'RIDX2'})")
+            print(f"index saved to {args.save} ({written} bytes, RIDX2"
+                  f"{' with frequencies' if ridx2 else ''})")
     return 0
 
 
@@ -563,7 +565,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     manifest = None
     try:
         # A malformed query is refused before any index is read.
-        plan = plan_query(args.query, args.parallel, args.rank, args.topk)
+        plan = plan_query(args.query, args.rank, args.topk)
         if os.path.isdir(args.index_path):
             # Implementation 3's unjoined replicas, searched as they
             # are: the reproduction, which stores no term frequencies.
@@ -868,7 +870,12 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
     observing = _observability_requested(args)
     source = OsFileSystem(args.directory)
     if os.path.exists(args.index):
-        session = Search.open(args.index, source=source)
+        try:
+            session = Search.open(args.index, source=source)
+        except (ValueError, OSError) as exc:
+            # Cut, flipped, an older revision: refused as search does.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         report = session.refresh()
     else:
         session = Search.build(source)

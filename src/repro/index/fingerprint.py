@@ -3,7 +3,7 @@
 A fingerprint is ``(size, stamp, content hash)``: size and stamp decide
 *whether to read* a file, the hash decides *whether its content actually
 changed* once read.  Every site that reads a file for indexing — the
-engines' extraction pass, ``refresh``, ``reconcile`` — goes through
+engines' extraction pass and ``refresh`` — goes through
 :func:`read_fingerprinted`, so the fingerprint always describes exactly
 the bytes that were indexed and a build needs no second walk over the
 corpus to bootstrap incremental refresh.
@@ -21,6 +21,8 @@ This module also owns the one persisted form of a fingerprint map
 header naming the hash and the CRC-32 of the RIDX2 index it describes,
 so a state written under another hash, or beside another index, reads
 as absent instead of as "every file changed" or "nothing changed".
+``Search.save`` and ``repro-cli index --save`` both write an RIDX2
+image and its state through :func:`save_with_state`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from hashlib import blake2b
 from typing import Dict, Optional, Tuple
 
 from repro.index.atomic import atomic_write
+from repro.index.binfmt import parse_ridx2_header
 
 #: path -> (size, stamp, content hash).  The stamp is ``st_mtime_ns``
 #: on a real filesystem and the VFS's logical clock in memory; 0 when
@@ -76,9 +79,9 @@ def save_fingerprints(
 
     Callers persist the index first and this second.  A crash in
     between leaves a state that names the previous index, so it reads
-    as absent beside the new one and the next refresh reconciles: the
-    fingerprints of one revision never vouch for another (an old state
-    beside a newer index would let a file edited back to its old
+    as absent beside the new one and the next refresh reads every file:
+    the fingerprints of one revision never vouch for another (an old
+    state beside a newer index would let a file edited back to its old
     bytes pass as unchanged).  Replaced atomically: a crash leaves the
     old state or the new.
     """
@@ -91,17 +94,30 @@ def save_fingerprints(
         json.dump(state, fh)
 
 
+def save_with_state(data, path: str, fingerprints: FingerprintMap) -> int:
+    """Write the RIDX2 image ``data`` to ``path``, then ``fingerprints``
+    beside it (:func:`state_path`) naming it by its header CRC; returns
+    the bytes written.  Index first, state second, each replaced
+    atomically: ``path`` may be a mapped file."""
+    with atomic_write(path) as fh:
+        fh.write(data)
+    save_fingerprints(
+        fingerprints, state_path(path), parse_ridx2_header(data).crc32
+    )
+    return len(data)
+
+
 def load_fingerprints(path: str, index_crc: int) -> Optional[FingerprintMap]:
     """The state file at ``path`` as a fingerprint map, or ``None``.
 
     Anything but this module's own format under :data:`HASH_NAME`,
     describing the index whose header CRC is ``index_crc`` — a missing
     file, another tool's JSON, a 3.0.0 state of FNV hashes, the state
-    of an index since overwritten — reads as absent: the caller
-    reconciles and rewrites it.  A hash of -1, which builds that
-    extracted huge files in chunks once recorded, loads as it is: it
-    equals no content hash, so the file is re-indexed once its stat
-    changes, never called unchanged.
+    of an index since overwritten — reads as absent: the next refresh
+    reads every file once and the caller rewrites it.  A hash of -1,
+    which builds that extracted huge files in chunks once recorded,
+    loads as it is: it equals no content hash, so the file is
+    re-indexed once its stat changes, never called unchanged.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

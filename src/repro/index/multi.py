@@ -3,12 +3,13 @@
 Implementation 3 never joins the replicas "because the search can work
 with multiple indices in parallel".  :class:`MultiIndex` is that search
 side: a read-only view over several replicas whose lookup unions the
-per-replica postings, optionally with one thread per replica.
+per-replica postings; :class:`~repro.query.evaluator.QueryEngine`
+fetches a query's postings from it with one thread per replica when
+asked to search in parallel.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import List, Sequence
 
 from repro.index.inverted import InvertedIndex
@@ -28,23 +29,6 @@ class MultiIndex:
         for replica in self.replicas:
             paths.extend(replica.lookup(term))
         return paths
-
-    def lookup_parallel(self, term: str) -> List[str]:
-        """Same union, one thread per replica (the paper's future work)."""
-        results: List[List[str]] = [[] for _ in self.replicas]
-
-        def work(i: int, replica: InvertedIndex) -> None:
-            results[i] = replica.lookup(term)
-
-        threads = [
-            threading.Thread(target=work, args=(i, r), daemon=True)
-            for i, r in enumerate(self.replicas)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return [path for chunk in results for path in chunk]
 
     def __contains__(self, term: str) -> bool:
         return any(term in replica for replica in self.replicas)

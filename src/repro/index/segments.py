@@ -95,8 +95,9 @@ def forward_view(postings) -> Dict[str, Tuple[str, ...]]:
     """Transpose ``(term, paths)`` pairs into path -> its terms.
 
     The only forward (document -> terms) structure in the system, and
-    only :meth:`SegmentedIndexer.reconcile` ever asks for one: queries,
-    refreshes and merges all work on postings.
+    only a refresh that meets a live document with no recorded
+    fingerprint ever asks for one: queries, other refreshes and merges
+    all work on postings.
     """
     by_path: Dict[str, List[str]] = {}
     for term, paths in postings:
@@ -605,7 +606,7 @@ class SegmentedIndexer:
         # One Extractor seam (see repro.extract).
         self.extractor = resolve_extractor(extractor)
         # The per-file error policy of the build this index came from
-        # (see repro.engine.faults); refresh and reconcile honour it.
+        # (see repro.engine.faults); refresh honours it.
         self.on_error = check_on_error(on_error)
         self.root = root
         self._manifest = manifest or SegmentManifest()
@@ -666,7 +667,10 @@ class SegmentedIndexer:
         one stat and nothing more.  Files that must be read are
         read **once**, through stage 2's file ladder
         (:func:`~repro.engine.stage2.read_file_terms`): the same bytes
-        feed both the fingerprint hash and term extraction.  Under
+        feed both the fingerprint hash and term extraction.  A live
+        document with no recorded fingerprint — every one, the first
+        time a session opened without its state refreshes — is read and
+        kept when its term set equals the live revision's.  Under
         ``on_error="skip"`` a file that fails gets no fingerprint and
         no place in the index, exactly as a rebuild would leave it.
         Nothing observable mutates until the final two assignments, so
@@ -704,7 +708,14 @@ class SegmentedIndexer:
                     # so refresh the stamp, skip re-indexing, and —
                     # critically — do not classify it removed/modified.
                     continue
-                changed[ref.path] = _term_block(ref.path, terms)
+                block = _term_block(ref.path, terms)
+                if (
+                    old is None
+                    and ref.path in manifest
+                    and set(manifest.doc_terms(ref.path)) == set(block.terms)
+                ):
+                    continue  # no fingerprint, but unchanged terms
+                changed[ref.path] = block
 
             # A document is a file with at least one term: a term-less
             # one keeps its fingerprint (it is not read again) and no
@@ -712,9 +723,7 @@ class SegmentedIndexer:
             termless = {p for p, block in changed.items() if not block.terms}
             for path in termless:
                 del changed[path]
-            modified = sorted(
-                p for p in changed if p in previous and p in manifest
-            )
+            modified = sorted(p for p in changed if p in manifest)
             added = sorted(set(changed).difference(modified))
             # Every indexed path the scan did not see, or saw emptied,
             # goes.
@@ -735,49 +744,6 @@ class SegmentedIndexer:
             metrics.counter("segments.files_seen").inc(files_seen)
         return ChangeReport(
             added=added, removed=removed, modified=modified, failures=failures
-        )
-
-    def reconcile(self) -> ChangeReport:
-        """First refresh with no recorded fingerprints (post-``open``).
-
-        Without fingerprints the only truth is the manifest itself, so
-        every live file is read once (hash and term extraction share
-        the bytes) and compared against the manifest's live revision;
-        the computed delta is then applied exactly like a refresh (a
-        file skipped under ``on_error="skip"`` included).
-        """
-        manifest = self._manifest
-        fingerprints: FingerprintMap = {}
-        changed: Dict[str, TermBlock] = {}
-        failures: List[FileFailure] = []
-        # Live paths not (yet) seen as a file with terms.
-        unseen = set(manifest.document_paths())
-        modified: List[str] = []
-        added: List[str] = []
-        with obsrec.span("segments.reconcile", live=len(unseen)):
-            for ref in self.fs.list_files(self.root):
-                unit = self._read(ref, failures)
-                if unit is None:
-                    continue  # skipped: removed if it was live
-                terms, fingerprints[ref.path] = unit
-                block = _term_block(ref.path, terms)
-                if not block.terms:
-                    continue  # not a document: removed if it was one
-                if ref.path in unseen:
-                    unseen.remove(ref.path)
-                    if set(manifest.doc_terms(ref.path)) != set(block.terms):
-                        changed[ref.path] = block
-                        modified.append(ref.path)
-                else:
-                    changed[ref.path] = block
-                    added.append(ref.path)
-            removed = sorted(unseen)
-            self.apply_delta(changed, removed, fingerprints)
-        return ChangeReport(
-            added=sorted(added),
-            removed=removed,
-            modified=sorted(modified),
-            failures=failures,
         )
 
     def apply_delta(

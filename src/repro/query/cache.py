@@ -3,7 +3,7 @@
 Desktop-search users repeat queries (retyping, paging, live-search
 keystrokes), and the index between refreshes is immutable — ideal
 caching conditions.  :class:`QueryCache` is a from-scratch LRU keyed by
-(normalized query, parallel flag, ranking mode, top-K) that a published
+(normalized query, ranking mode, top-K) that a published
 :class:`~repro.service.snapshot.IndexSnapshot` owns:
 :meth:`~repro.service.snapshot.IndexSnapshot.answer` is the one cached
 answer path.  Nothing is ever invalidated — an index change publishes a
@@ -38,22 +38,20 @@ from repro.query.ast import Query
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
 
-#: Cache key: (normalized query, parallel flag, ranking mode, top-K).
-#: Boolean lookups use mode ``"bool"`` with ``topk=None``; BM25 lookups
-#: use mode ``"bm25"`` with their K, so the two can never collide.  No
-#: serving topology is part of it: a sharded broker answers every query
-#: exactly as one unsharded engine would (``docs/sharded.md``).
-CacheKey = Tuple[str, bool, str, Optional[int]]
+#: Cache key: (normalized query, ranking mode, top-K).  Boolean lookups
+#: use mode ``"bool"`` with ``topk=None``; BM25 lookups use mode
+#: ``"bm25"`` with their K, so the two can never collide.  No serving
+#: topology is part of it: a sharded broker answers every query exactly
+#: as one unsharded engine would (``docs/sharded.md``), and no session,
+#: snapshot or shard holds unjoined replicas to fan a lookup out over.
+CacheKey = Tuple[str, str, Optional[int]]
 
 
 def cache_key(
-    normalized: str,
-    parallel: bool,
-    mode: str = "bool",
-    topk: Optional[int] = None,
+    normalized: str, mode: str = "bool", topk: Optional[int] = None
 ) -> CacheKey:
     """The canonical cache key for one lookup."""
-    return (normalized, parallel, mode, topk)
+    return (normalized, mode, topk)
 
 
 def normalize_query(query_text: str) -> str:
@@ -69,24 +67,23 @@ def normalize_query(query_text: str) -> str:
 
 
 class Plan(NamedTuple):
-    """A request parsed once: ``answer``'s four arguments, then the
+    """A request parsed once: ``answer``'s three arguments, then the
     optimised AST a boolean match evaluates and the cache key."""
 
     text: str
-    parallel: bool
     rank: str
     topk: int
     query: Query
     key: CacheKey
 
 
-def plan_query(text, parallel=False, rank="bool", topk=10) -> Plan:
+def plan_query(text, rank="bool", topk=10) -> Plan:
     """Parse, optimise and key a request (``topk`` keys BM25 only);
     raises :class:`~repro.query.parser.ParseError` if it is malformed."""
     query = optimize(parse_query(text))
     bm25_topk = topk if rank == "bm25" else None
-    key = cache_key(str(query), parallel, rank, bm25_topk)
-    return Plan(text, parallel, rank, topk, query, key)
+    key = cache_key(str(query), rank, bm25_topk)
+    return Plan(text, rank, topk, query, key)
 
 
 class QueryCache:

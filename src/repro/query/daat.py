@@ -77,11 +77,10 @@ class DaatQueryEngine:
     """Evaluates boolean queries against an RIDX2 file via mmap.
 
     Drop-in for :class:`~repro.query.evaluator.QueryEngine` on the
-    read path: ``search`` has the same signature (``parallel`` is
-    accepted for interface parity — there are no replicas to fan out
-    over) and returns the identical sorted path list.  BM25 reads N,
-    avgdl and df from the file, or from the collection ``statistics``
-    of a shard's whole corpus when given
+    read path: ``search`` returns the identical sorted path list (it
+    takes no ``parallel``: one file has no replicas to fan out over).
+    BM25 reads N, avgdl and df from the file, or from the collection
+    ``statistics`` of a shard's whole corpus when given
     (:class:`~repro.query.ranking.CollectionStatistics`).
     """
 
@@ -90,22 +89,17 @@ class DaatQueryEngine:
         self.statistics = statistics
         self._norms: Optional[Tuple[tuple, List[float], List[float]]] = None
 
-    def search(
-        self, query_text: str, parallel: bool = False, optimize: bool = True
-    ) -> List[str]:
+    def search(self, query_text: str) -> List[str]:
         """Parse, optimise, :meth:`search_ast` — the contract of
         :meth:`repro.query.evaluator.QueryEngine.search`, ``ParseError``
         before anything is evaluated or counted included."""
-        query = parse_query(query_text)
-        if optimize:
-            query = optimize_query(query)
-        return self.search_ast(query, parallel=parallel)
+        return self.search_ast(optimize_query(parse_query(query_text)))
 
-    def search_ast(self, query: Query, parallel: bool = False) -> List[str]:
+    def search_ast(self, query: Query) -> List[str]:
         """Evaluate a parsed query; returns sorted file paths.  Wildcards
         are expanded here, *after* the caller's optimisation, so the
         optimiser never walks the expanded ``Or``."""
-        with obsrec.span("query.daat", parallel=parallel):
+        with obsrec.span("query.daat"):
             obsrec.metrics().counter("query.daat.searches").inc()
             query, infos = self._resolve(query)
             return self.reader.doc_paths_of(self._match(query, infos))

@@ -41,22 +41,19 @@ class QueryEngine:
         )
         self._prefix_dictionary = None
 
-    def search(
-        self, query_text: str, parallel: bool = False, optimize: bool = True
-    ) -> List[str]:
+    def search(self, query_text: str, parallel: bool = False) -> List[str]:
         """Parse and evaluate ``query_text``; returns sorted file paths.
 
-        Parse, simplify the AST (``optimize=False`` skips that, for
-        tests), then :meth:`search_ast`.  A caller that has already
-        parsed the text — for a cache key, say — should hand the AST to
-        :meth:`search_ast` instead of having it parsed twice.  A
-        malformed query raises :class:`~repro.query.parser.ParseError`
-        before anything is evaluated or counted.
+        Parse, simplify the AST, then :meth:`search_ast`.  A caller
+        that has already parsed the text — for a cache key, say — should
+        hand the AST to :meth:`search_ast` instead of having it parsed
+        twice.  A malformed query raises
+        :class:`~repro.query.parser.ParseError` before anything is
+        evaluated or counted.
         """
-        query = parse_query(query_text)
-        if optimize:
-            query = optimize_query(query)
-        return self.search_ast(query, parallel=parallel)
+        return self.search_ast(
+            optimize_query(parse_query(query_text)), parallel=parallel
+        )
 
     def search_ast(self, query: Query, parallel: bool = False) -> List[str]:
         """Evaluate a parsed query; returns sorted file paths.

@@ -207,7 +207,6 @@ def search_bm25(
     ranker: BM25Ranker,
     query_text: str,
     topk: int = 10,
-    parallel: bool = False,
 ) -> List[RankedHit]:
     """Boolean match via ``engine``, then BM25 top-``topk`` ordering.
 
@@ -219,5 +218,5 @@ def search_bm25(
     """
     if topk < 1:
         raise ValueError(f"topk must be at least 1, got {topk}")
-    paths = engine.search(query_text, parallel=parallel)
+    paths = engine.search(query_text)
     return ranker.rank(paths, scoring_terms(engine, query_text), topk=topk)

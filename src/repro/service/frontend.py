@@ -9,9 +9,9 @@ serving-side analogue of what the build side got from batching:
 
 * **single-flight coalescing** — duplicate in-flight queries share one
   evaluation.  The key is the ranking-aware
-  :func:`~repro.query.cache.cache_key` (normalized query, parallel
-  flag, ranking mode, top-K), so ``a AND a`` coalesces onto ``a`` but a
-  BM25 query can never satisfy a boolean waiter.  Followers get their
+  :func:`~repro.query.cache.cache_key` (normalized query, ranking
+  mode, top-K), so ``a AND a`` coalesces onto ``a`` but a BM25 query
+  can never satisfy a boolean waiter.  Followers get their
   *own* :class:`~repro.service.snapshot.QueryResult` — same paths/hits/
   generation, their own ``elapsed_s`` (time *they* waited, not the
   leader's evaluation time), and ``coalesced=True``;
@@ -81,7 +81,7 @@ class QueryTicket:
     """
 
     __slots__ = (
-        "text", "parallel", "rank", "topk", "submitted",
+        "text", "rank", "topk", "submitted",
         "plan", "key", "snapshot", "followers", "done", "value", "error",
         "_frontend", "_callbacks",
     )
@@ -90,12 +90,10 @@ class QueryTicket:
         self,
         frontend: "AsyncSearchFrontend",
         text: str,
-        parallel: bool,
         rank: str,
         topk: int,
     ) -> None:
         self.text = text
-        self.parallel = parallel
         self.rank = rank
         self.topk = topk
         self.submitted = time.perf_counter()
@@ -228,7 +226,6 @@ class AsyncSearchFrontend:
     def submit(
         self,
         query_text: str,
-        parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
     ) -> QueryTicket:
@@ -241,7 +238,7 @@ class AsyncSearchFrontend:
         """
         if rank not in ("bool", "bm25"):
             raise ValueError(f"rank must be 'bool' or 'bm25', got {rank!r}")
-        ticket = QueryTicket(self, query_text, parallel, rank, topk)
+        ticket = QueryTicket(self, query_text, rank, topk)
         metrics = obsrec.metrics()
         with self._lock:
             if self._closing:
@@ -255,23 +252,13 @@ class AsyncSearchFrontend:
         return ticket
 
     def query(
-        self,
-        query_text: str,
-        parallel: bool = False,
-        rank: str = "bool",
-        topk: int = 10,
+        self, query_text: str, rank: str = "bool", topk: int = 10
     ) -> QueryResult:
         """Submit and wait — the drop-in synchronous convenience."""
-        return self.submit(
-            query_text, parallel=parallel, rank=rank, topk=topk
-        ).result()
+        return self.submit(query_text, rank=rank, topk=topk).result()
 
     async def query_async(
-        self,
-        query_text: str,
-        parallel: bool = False,
-        rank: str = "bool",
-        topk: int = 10,
+        self, query_text: str, rank: str = "bool", topk: int = 10
     ) -> QueryResult:
         """The asyncio face: await one query without blocking the loop.
 
@@ -283,9 +270,7 @@ class AsyncSearchFrontend:
 
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[QueryResult]" = loop.create_future()
-        ticket = self.submit(
-            query_text, parallel=parallel, rank=rank, topk=topk
-        )
+        ticket = self.submit(query_text, rank=rank, topk=topk)
 
         def deliver(resolved: QueryTicket) -> None:
             def transfer() -> None:
@@ -410,7 +395,7 @@ class AsyncSearchFrontend:
         try:
             with obsrec.span(f"{self.name}.plan"):
                 ticket.plan = plan = plan_query(
-                    ticket.text, ticket.parallel, ticket.rank, ticket.topk
+                    ticket.text, ticket.rank, ticket.topk
                 )
                 ticket.key = plan.key
                 hit = None

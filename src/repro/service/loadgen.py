@@ -66,7 +66,6 @@ class QuerySpec:
     text: str
     rank: str = "bool"
     topk: int = 10
-    parallel: bool = False
 
 
 @dataclass(frozen=True)
@@ -272,10 +271,7 @@ class OpenLoopLoadGenerator:
             spec = arrival.spec
             try:
                 ticket = frontend.submit(
-                    spec.text,
-                    parallel=spec.parallel,
-                    rank=spec.rank,
-                    topk=spec.topk,
+                    spec.text, rank=spec.rank, topk=spec.topk
                 )
             except (ServiceClosedError, ServiceOverloadedError) as exc:
                 self._complete(
@@ -336,12 +332,7 @@ class OpenLoopLoadGenerator:
                 spec = arrival.spec
                 error: Optional[BaseException] = None
                 try:
-                    service.query(
-                        spec.text,
-                        parallel=spec.parallel,
-                        rank=spec.rank,
-                        topk=spec.topk,
-                    )
+                    service.query(spec.text, rank=spec.rank, topk=spec.topk)
                 except Exception as exc:
                     error = exc
                 self._complete(

@@ -142,7 +142,6 @@ class SearchService:
     def query(
         self,
         query_text: str,
-        parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
     ) -> QueryResult:
@@ -191,7 +190,7 @@ class SearchService:
             with obsrec.span(
                 f"{self.name}.query", generation=snapshot.generation
             ):
-                return snapshot.answer(query_text, parallel, rank, topk)
+                return snapshot.answer(query_text, rank, topk)
         except BaseException:
             metrics.counter(f"{self.name}.errors").inc()
             raise

@@ -270,16 +270,13 @@ class LocalShardReplica:
     def query(
         self,
         query_text: str,
-        parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
     ) -> QueryResult:
         if not self.alive:
             raise ShardDeadError(f"{self.name} is dead")
         try:
-            return self.service.query(
-                query_text, parallel=parallel, rank=rank, topk=topk
-            )
+            return self.service.query(query_text, rank=rank, topk=topk)
         except ServiceClosedError as exc:
             # The service closed under us: from the broker's seat that
             # is a dead replica, not a client error.
@@ -343,7 +340,6 @@ class ShardGroup:
     def query(
         self,
         query_text: str,
-        parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
     ) -> QueryResult:
@@ -354,9 +350,7 @@ class ShardGroup:
                 if not replica.alive:
                     continue
                 try:
-                    return replica.query(
-                        query_text, parallel=parallel, rank=rank, topk=topk
-                    )
+                    return replica.query(query_text, rank=rank, topk=topk)
                 except ShardDeadError:
                     metrics.counter("broker.failovers").inc()
                     continue
@@ -421,7 +415,7 @@ class ShardedSnapshot:
     def shards_ok(self) -> int:
         return sum(1 for group in self.groups if group.alive)
 
-    def _scatter(self, query_text: str, parallel: bool, rank: str, topk: int):
+    def _scatter(self, query_text: str, rank: str, topk: int):
         """Fan the request out to every shard; gather and classify.
 
         Returns ``(per_shard_results, shards_ok)`` over the shards
@@ -438,9 +432,7 @@ class ShardedSnapshot:
 
         def run(i: int, group: ShardGroup) -> None:
             try:
-                results[i] = group.query(
-                    query_text, parallel=parallel, rank=rank, topk=topk
-                )
+                results[i] = group.query(query_text, rank=rank, topk=topk)
             except BaseException as exc:  # classified in the gather
                 errors[i] = exc
 
@@ -487,7 +479,6 @@ class ShardedSnapshot:
     def answer(
         self,
         query_text: Union[str, Plan],
-        parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
     ) -> QueryResult:
@@ -502,8 +493,8 @@ class ShardedSnapshot:
         """
         started = time.perf_counter()
         if isinstance(query_text, Plan):
-            query_text, parallel, rank, topk = query_text[:4]
-        answered, shards_ok = self._scatter(query_text, parallel, rank, topk)
+            query_text, rank, topk = query_text[:3]
+        answered, shards_ok = self._scatter(query_text, rank, topk)
         hits = None
         if rank == "bm25":
             merged = heapq.merge(
@@ -605,7 +596,6 @@ class ScatterGatherBroker:
     def query(
         self,
         query_text: str,
-        parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
     ) -> QueryResult:
@@ -628,7 +618,7 @@ class ScatterGatherBroker:
             with obsrec.span(
                 f"{self.name}.query", rank=rank, shards=len(self.groups)
             ):
-                result = self.snapshot.answer(query_text, parallel, rank, topk)
+                result = self.snapshot.answer(query_text, rank, topk)
         except ServiceOverloadedError:
             with self._lock:
                 self._shed += 1

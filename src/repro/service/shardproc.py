@@ -45,7 +45,7 @@ def shard_worker_main(ridx2_path, statistics, requests, responses) -> None:
 
     Opens the shard's RIDX2 file off mmap, ranking on the collection
     ``statistics`` it was spawned with (or the file's own), and serves
-    ``(req_id, text, parallel, rank, topk)`` requests until a ``None``
+    ``(req_id, text, rank, topk)`` requests until a ``None``
     sentinel arrives.  Per-query failures travel back as
     ``("error", message)`` — the worker itself stays up; only a crash
     (or kill) takes it down, which the parent detects by liveness.
@@ -60,9 +60,9 @@ def shard_worker_main(ridx2_path, statistics, requests, responses) -> None:
         item = requests.get()
         if item is None:
             return
-        req_id, text, parallel, rank, topk = item
+        req_id, text, rank, topk = item
         try:
-            result = snapshot.answer(text, parallel, rank, topk)
+            result = snapshot.answer(text, rank, topk)
             if rank == "bm25":
                 payload = ("hits", [(h.path, h.score) for h in result.hits])
             else:
@@ -138,7 +138,6 @@ class ProcessShardReplica:
     def query(
         self,
         query_text: str,
-        parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
     ) -> QueryResult:
@@ -156,7 +155,7 @@ class ProcessShardReplica:
                 raise ShardDeadError(f"{self.name}: worker process is dead")
             req_id = next(self._ids)
             try:
-                self._requests.put((req_id, query_text, parallel, rank, topk))
+                self._requests.put((req_id, query_text, rank, topk))
             except (OSError, ValueError) as exc:
                 self._dead = True
                 raise ShardDeadError(

@@ -116,9 +116,9 @@ class IndexSnapshot:
             engine=DaatQueryEngine(reader, statistics),
         )
 
-    def search(self, query_text: str, parallel: bool = False) -> List[str]:
+    def search(self, query_text: str) -> List[str]:
         """Evaluate ``query_text`` against this snapshot only."""
-        return self.engine.search(query_text, parallel=parallel)
+        return self.engine.search(query_text)
 
     def search_bm25(self, query_text: str, topk: int = 10) -> list:
         """BM25 top-``topk`` against this snapshot; needs a scoring
@@ -131,7 +131,6 @@ class IndexSnapshot:
     def answer(
         self,
         query: Union[str, Plan],
-        parallel: bool = False,
         rank: str = "bool",
         topk: int = 10,
     ) -> "QueryResult":
@@ -147,21 +146,21 @@ class IndexSnapshot:
         cache = self.cache
         value = None
         if isinstance(query, Plan):
-            query, parallel, rank, topk, parsed, key = query
+            query, rank, topk, parsed, key = query
         elif cache is not None or rank != "bm25":
             # plan_query's recipe inline: a call and a Plan per request
             # cost Search.query 4 % of its p50.
             parsed = optimize(parse_query(query))
             if cache is not None:
                 bm25_topk = topk if rank == "bm25" else None
-                key = cache_key(str(parsed), parallel, rank, bm25_topk)
+                key = cache_key(str(parsed), rank, bm25_topk)
                 value = cache.get(key)
         cached = value is not None
         if not cached:
             if rank == "bm25":
                 value = self.search_bm25(query, topk)
             else:
-                value = self.engine.search_ast(parsed, parallel=parallel)
+                value = self.engine.search_ast(parsed)
             if cache is not None:
                 cache.put(key, value)
         return self._result(value, started, rank == "bm25", cached)

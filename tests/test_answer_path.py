@@ -28,6 +28,8 @@ deadline, and a done-callback sees its own evaluation counted.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import queue
 import sys
 import threading
 
@@ -52,6 +54,7 @@ from repro.query import (
 )
 from repro.query import daat as daat_module
 from repro.query import optimizer as optimizer_module
+from repro.query.cache import Plan, cache_key, plan_query
 from repro.query.daat import DaatQueryEngine
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
@@ -62,12 +65,19 @@ from repro.service import (
     ShardDeadError,
 )
 from repro.service import frontend as frontend_module
+from repro.service.frontend import QueryTicket
+from repro.service.loadgen import QuerySpec
 from repro.service.sharded import (
+    LocalShardReplica,
     RankedQueryEngine,
+    ScatterGatherBroker,
+    ShardedSnapshot,
+    ShardGroup,
     build_sharded_service,
     local_broker,
     shard_snapshots,
 )
+from repro.service.shardproc import ProcessShardReplica, shard_worker_main
 from repro.text.termblock import TermBlock
 from tests.test_sharded_service import DOCS, build_corpus
 from tests.test_term_dictionary import parses  # noqa: F401 - a fixture
@@ -209,23 +219,49 @@ class TestOneAnswer:
             views["frontends"][-1].query(text, rank=rank, topk=topk), expected
         )
 
-    def test_parallel_is_handed_through(self):
+    def test_no_door_takes_parallel(self, views, tmp_path):
+        """A request is (text, rank, topk) at every door: the engine is
+        handed the parsed query alone, ``parallel=`` is a TypeError,
+        and a shard worker serves the four-slot request tuple."""
         seen = []
 
         class Engine:
-            def search(self, text, parallel=False):
-                seen.append(parallel)
+            def search_ast(self, query):
+                seen.append(str(query))
                 return []
 
-            def search_ast(self, query, parallel=False):
-                return self.search(str(query), parallel)
-
         snapshot = IndexSnapshot(InvertedIndex(), engine=Engine())
-        snapshot.answer("alpha", parallel=True)
+        snapshot.answer("alpha")
         with SearchService(snapshot, workers=1) as service:
-            service.query("alpha", parallel=True)
             service.query("alpha")
-        assert seen == [True, True, False]
+            for door in (snapshot.answer, service.query, views["broker"].query):
+                with pytest.raises(TypeError):
+                    door("alpha", parallel=True)
+        assert seen == ["alpha", "alpha"]
+        doors = [
+            Search.query, IndexSnapshot.search, IndexSnapshot.answer,
+            SearchService.query, AsyncSearchFrontend.submit,
+            AsyncSearchFrontend.query, AsyncSearchFrontend.query_async,
+            QueryTicket, ScatterGatherBroker.query, ShardedSnapshot.answer,
+            ShardedSnapshot._scatter, ShardGroup.query,
+            LocalShardReplica.query, ProcessShardReplica.query,
+            DaatQueryEngine.search, DaatQueryEngine.search_ast,
+            search_bm25, plan_query, cache_key, QuerySpec,
+        ]
+        for door in doors:
+            assert "parallel" not in inspect.signature(door).parameters, door
+        assert "parallel" not in Plan._fields
+        assert "optimize" not in inspect.signature(QueryEngine.search).parameters
+        requests, responses = queue.Queue(), queue.Queue()
+        requests.put((1, "alpha", "bool", 10))
+        requests.put(None)
+        path = str(tmp_path / "shard.ridx2")
+        index, frequencies = build_corpus()
+        save_index(index, path, format="ridx2", frequencies=frequencies)
+        shard_worker_main(path, None, requests, responses)
+        assert responses.get_nowait() == (
+            1, "paths", views["memory"].search("alpha")
+        )
 
     @pytest.mark.parametrize("partial", ("degrade", "fail"))
     def test_dead_shard_reaches_the_answer(self, partial):
@@ -445,9 +481,9 @@ class TestOnePublishedView:
         evaluated = []
         real = engine.search_ast
 
-        def recording(query, parallel=False):
+        def recording(query):
             evaluated.append(query)
-            return real(query, parallel=parallel)
+            return real(query)
 
         engine.search_ast = recording
         assert session.query("alpha AND beta").paths == ["a.txt"]
@@ -535,9 +571,9 @@ class TestTheSnapshotOwnsTheCache:
         evaluated = []
         real = engine.search_ast
 
-        def recording(query, parallel=False):
+        def recording(query):
             evaluated.append(str(query))
-            return real(query, parallel=parallel)
+            return real(query)
 
         engine.search_ast = recording
         with session.serve(workers=1) as service:
@@ -681,12 +717,12 @@ class TestEvaluatorOrder:
     def test_both_engines_take_the_optimised_ast(self, views, text):
         memory = views["memory"].engine
         daat = views["ondisk"].engine
-        expected = memory.search(text, optimize=False)
+        expected = memory.search_ast(parse_query(text))
         query = optimize(parse_query(text))
         assert daat.search_ast(query) == expected
         assert memory.search_ast(query) == expected
         assert daat.search(text) == expected
-        assert daat.search(text, optimize=False) == expected
+        assert daat.search_ast(parse_query(text)) == expected
 
     def test_a_parse_error_surfaces_before_the_daat_span(
         self, corpus_engines, fresh_metrics
@@ -741,12 +777,12 @@ class TestTicketDeadline:
         gate = threading.Event()
 
         class Held:
-            def search(self, text, parallel=False):
+            def search(self, text):
                 assert gate.wait(timeout=30)
                 return []
 
-            def search_ast(self, query, parallel=False):
-                return self.search(str(query), parallel)
+            def search_ast(self, query):
+                return self.search(str(query))
 
         service = SearchService(tiny_snapshot(Held()), workers=1)
         frontend = AsyncSearchFrontend(service, own_service=True)
@@ -787,12 +823,12 @@ class TestEvaluationIsCountedBeforeTheCallerKnows:
         gate = threading.Event()
 
         class Held:
-            def search(self, text, parallel=False):
+            def search(self, text):
                 assert gate.wait(timeout=30)
                 return []
 
-            def search_ast(self, query, parallel=False):
-                return self.search(str(query), parallel)
+            def search_ast(self, query):
+                return self.search(str(query))
 
         service = SearchService(tiny_snapshot(Held()), workers=1)
         with AsyncSearchFrontend(service, own_service=True) as frontend:

@@ -23,7 +23,7 @@ import threading
 
 import pytest
 
-from repro.query.cache import QueryCache
+from repro.query.cache import QueryCache, cache_key
 from repro.query.evaluator import QueryEngine
 from repro.schedcheck import (
     CooperativeScheduler,
@@ -45,7 +45,7 @@ class TestThreadStress:
 
     def test_hammered_cache_stays_consistent(self):
         cache = QueryCache(capacity=16)
-        keys = [(f"q{i}", False) for i in range(40)]
+        keys = [cache_key(f"q{i}") for i in range(40)]
         start = threading.Barrier(self.THREADS)
         errors = []
 
@@ -80,10 +80,10 @@ class TestThreadStress:
         assert cache.hits + cache.misses == gets
         assert 0.0 <= cache.hit_rate <= 1.0
         # surviving entries are uncorrupted
-        for (query, parallel), _ in [(k, None) for k in keys]:
-            value = cache.get((query, parallel))
+        for key in keys:
+            value = cache.get(key)
             if value is not None:
-                assert value == [f"{query}.txt"]
+                assert value == [f"{key[0]}.txt"]
 
     def test_caching_engine_answers_match_under_threads(self, tiny_fs):
         from repro.engine import SequentialIndexer

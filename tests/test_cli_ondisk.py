@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -336,6 +337,61 @@ class TestUnchangedRefreshKeepsTheFile:
         assert capsys.readouterr().out == hits
 
 
+def files_read(out: str) -> int:
+    """The ``segments.files_read`` counter a ``--stats`` digest prints."""
+    (line,) = [
+        line for line in out.splitlines()
+        if line.strip().startswith("segments.files_read =")
+    ]
+    return int(line.split("=")[1])
+
+
+class TestIndexSavesItsState:
+    """``index --save F.ridx2`` leaves the build's fingerprints beside
+    the file, as ``Search.save`` does, so the first ``refresh`` reads
+    only what changed; without them it reads every file once."""
+
+    def test_the_first_refresh_reads_only_the_delta(
+        self, corpus_dir, tmp_path, capsys, fresh_metrics
+    ):
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(corpus_dir, corpus)
+        path = str(tmp_path / "t.ridx2")
+        assert main(["index", corpus, "--sequential", "--save", path]) == 0
+        assert os.path.exists(path + ".state")
+        with open(path, "rb") as fh:
+            saved = fh.read()
+        refresh = ["refresh", corpus, "--index", path, "--stats"]
+        capsys.readouterr()
+        assert main(refresh) == 0
+        out = capsys.readouterr().out
+        assert "+0 added, -0 removed, ~0 modified" in out
+        assert files_read(out) == 0
+        with open(path, "rb") as fh:
+            assert fh.read() == saved
+        victim = sorted(
+            os.path.join(root, name)
+            for root, _, names in os.walk(corpus) for name in names
+        )[0]
+        with open(victim, "a", encoding="utf-8") as fh:
+            fh.write(" zyzzyva\n")
+        assert main(refresh) == 0
+        out = capsys.readouterr().out
+        assert "~1 modified" in out and files_read(out) == 1
+
+    def test_without_a_state_every_file_is_read_once(
+        self, corpus_dir, ridx2_path, tmp_path, capsys, fresh_metrics
+    ):
+        path = str(tmp_path / "t.ridx2")
+        shutil.copyfile(ridx2_path, path)  # the index, not its state
+        count = sum(len(names) for _, _, names in os.walk(corpus_dir))
+        capsys.readouterr()
+        assert main(["refresh", corpus_dir, "--index", path, "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "+0 added, -0 removed, ~0 modified" in out
+        assert files_read(out) == count
+
+
 #: stdout of the saved-index doors over one fixed corpus, recorded while
 #: they were ``search F Q --ondisk``, ``search F Q --ondisk --rank bm25
 #: --topk 5`` and ``serve DIR --index F --ondisk [--rank bm25]``.
@@ -361,7 +417,8 @@ def golden_files(tmp_path_factory):
 class TestGoldenStdout:
     """The flagless doors, through ``Search.open``, print what the
     ``--ondisk`` doors printed, byte for byte; a damaged file is one
-    ``error:`` line and exit 2 through ``search`` and ``serve``."""
+    ``error:`` line and exit 2 through ``search``, ``serve`` and
+    ``refresh``, which leaves it as it is."""
 
     def test_search(self, golden_files, capsys):
         _, index, _ = golden_files
@@ -401,8 +458,12 @@ class TestGoldenStdout:
         capsys.readouterr()
         for argv in (["search", path, GOLDEN["queries"][0]],
                      ["serve", corpus, "--index", path,
-                      "--queries", queries]):
+                      "--queries", queries],
+                     ["refresh", corpus, "--index", path]):
             assert main(argv) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.count("\n") == 1
             assert err.startswith(f"error: {path}: ")
+        with open(path, "rb") as fh:
+            assert fh.read() == data
+        assert not os.path.exists(path + ".state")

@@ -60,18 +60,16 @@ class StubEngine:
         if self.gate is not None:
             assert self.gate.wait(timeout=10.0)
 
-    def search(self, text: str, parallel: bool = False):
+    def search(self, text: str):
         self._wait()
         self.calls.append(("bool", text))
-        return [f"bool:{normalize_query(text)}:{int(parallel)}"]
+        return [f"bool:{normalize_query(text)}"]
 
-    def search_ast(self, query, parallel: bool = False):
+    def search_ast(self, query):
         # The text as the tests write it: the AST's string without the
         # outer parentheses an And / Or / Not prints around itself.
         text = str(query)
-        return self.search(
-            text[1:-1] if text.startswith("(") else text, parallel
-        )
+        return self.search(text[1:-1] if text.startswith("(") else text)
 
     def search_bm25(self, text: str, topk: int = 10):
         self._wait()

@@ -1,7 +1,7 @@
 """Property: single-flight coalescing is result-transparent.
 
 Hypothesis drives bursts of concurrent queries — identical and
-distinct texts, boolean and BM25, mixed top-K and parallel flags —
+distinct texts, boolean and BM25, mixed top-K —
 through an :class:`~repro.service.frontend.AsyncSearchFrontend` over a
 stub engine whose answers are a *pure function of the cache key*.  The
 oracle: every caller gets exactly the result a solo run of its own key
@@ -47,7 +47,6 @@ submissions = st.lists(
         st.sampled_from(TEXTS),
         st.sampled_from(("bool", "bm25")),
         st.sampled_from((1, 3, 10)),
-        st.booleans(),
     ),
     min_size=1,
     max_size=10,
@@ -57,11 +56,11 @@ submissions = st.lists(
 class PureKeyEngine:
     """Answers are a deterministic pure function of the cache key."""
 
-    def search(self, text: str, parallel: bool = False):
-        return [f"bool:{normalize_query(text)}:parallel={int(parallel)}"]
+    def search(self, text: str):
+        return [f"bool:{normalize_query(text)}"]
 
-    def search_ast(self, query, parallel: bool = False):
-        return [f"bool:{query}:parallel={int(parallel)}"]
+    def search_ast(self, query):
+        return [f"bool:{query}"]
 
     def search_bm25(self, text: str, topk: int = 10):
         normalized = normalize_query(text)
@@ -79,12 +78,12 @@ def tiny_snapshot() -> IndexSnapshot:
 
 def solo_answer(spec):
     """What a lone run of this exact submission must return."""
-    text, rank, topk, parallel = spec
+    text, rank, topk = spec
     engine = PureKeyEngine()
     if rank == "bm25":
         hits = engine.search_bm25(text, topk=topk)
         return [hit.path for hit in hits], hits
-    return engine.search(text, parallel=parallel), None
+    return engine.search(text), None
 
 
 class TestCoalescingTransparency:
@@ -102,8 +101,8 @@ class TestCoalescingTransparency:
         )
         try:
             tickets = [
-                frontend.submit(text, parallel=parallel, rank=rank, topk=topk)
-                for text, rank, topk, parallel in burst
+                frontend.submit(text, rank=rank, topk=topk)
+                for text, rank, topk in burst
             ]
             results = [ticket.result(timeout=30) for ticket in tickets]
             for spec, result in zip(burst, results):
@@ -161,9 +160,8 @@ class TestCachedSnapshot:
         try:
             for burst in bursts:
                 tickets = [
-                    frontend.submit(text, parallel=parallel, rank=rank,
-                                    topk=topk)
-                    for text, rank, topk, parallel in burst
+                    frontend.submit(text, rank=rank, topk=topk)
+                    for text, rank, topk in burst
                 ]
                 keys = []
                 for spec, ticket in zip(burst, tickets):
@@ -174,8 +172,7 @@ class TestCachedSnapshot:
                         assert result.hits is None, spec
                     else:
                         assert result.hits == expected_hits, spec
-                    text, rank, topk, parallel = spec
-                    key = plan_query(text, parallel, rank, topk).key
+                    key = plan_query(*spec).key
                     if key in earlier:  # answered and put before: a hit
                         assert result.cached and not result.coalesced
                     cached += result.cached

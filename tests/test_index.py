@@ -181,10 +181,6 @@ class TestMultiIndex:
     def test_lookup_unions(self):
         assert sorted(self.make().lookup("a")) == ["f1", "f2"]
 
-    def test_lookup_parallel_matches_sequential(self):
-        multi = self.make()
-        assert sorted(multi.lookup_parallel("a")) == sorted(multi.lookup("a"))
-
     def test_contains(self):
         multi = self.make()
         assert "b" in multi and "z" not in multi

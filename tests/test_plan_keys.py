@@ -13,7 +13,9 @@ phrases left the grammar, as no index stores term positions.
 
 A changed key would silently split the result cache and the front
 end's single-flight map, so a row that no longer matches is a
-regression, not a fixture to regenerate.
+regression, not a fixture to regenerate.  (The keys lost their
+second slot, the request's ``parallel`` flag, when that flag left the
+serving path; nothing else in a row changed.)
 """
 
 import json
@@ -50,7 +52,7 @@ def test_plan_key_matches_the_recorded_one(row):
         assert str(raised.value) == row["error"]
         return
     assert repr(parse_query(text)) == row["parsed"]
-    plan = plan_query(text, False, "bool", 10)
+    plan = plan_query(text, "bool", 10)
     assert repr(plan.query) == row["optimized"]
     assert list(plan.key) == row["bool"]
-    assert list(plan_query(text, True, "bm25", 7).key) == row["bm25"]
+    assert list(plan_query(text, "bm25", 7).key) == row["bm25"]

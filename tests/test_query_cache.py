@@ -25,9 +25,9 @@ class TestCacheKeySchema:
     """Pins the key tuple — every producer and consumer shares it, so
     a silent reshape would let entries cross lookup modes."""
 
-    def test_schema_is_the_four_tuple(self):
-        assert cache_key("cat", False) == ("cat", False, "bool", None)
-        assert cache_key("cat", True, "bm25", 10) == ("cat", True, "bm25", 10)
+    def test_schema_is_the_three_tuple(self):
+        assert cache_key("cat") == ("cat", "bool", None)
+        assert cache_key("cat", "bm25", 10) == ("cat", "bm25", 10)
 
 
 class TestQueryCache:
@@ -96,12 +96,6 @@ class TestCachingQueryEngine:
         caching.answer("cat AND cat")
         caching.answer("cat")
         assert caching.cache.hits == 1
-
-    def test_parallel_flag_separates_entries(self):
-        caching = make_snapshot()
-        caching.answer("cat", parallel=False)
-        caching.answer("cat", parallel=True)
-        assert caching.cache.hits == 0
 
     def test_incremental_workflow(self):
         """Cache + session refresh: the refreshed manifest is published

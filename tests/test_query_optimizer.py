@@ -112,7 +112,7 @@ class TestEngineIntegration:
 
     def test_optimize_flag_off_still_correct(self, engine):
         query = "a AND (a OR b)"
-        assert engine.search(query, optimize=False) == engine.search(query)
+        assert engine.search_ast(parse_query(query)) == engine.search(query)
 
 
 # -- equivalence property: optimize() never changes evaluation --------------

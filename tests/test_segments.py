@@ -206,7 +206,7 @@ class TestSegmentedRefresh:
         fs.write_file("d.txt", b"brand new")
         indexer = SegmentedIndexer(fs)
         indexer.adopt(index, {})
-        change = indexer.reconcile()
+        change = indexer.refresh()
         assert change.added == ["d.txt"]
         assert change.removed == ["b.txt"]
         assert change.modified == ["a.txt"]
@@ -216,7 +216,7 @@ class TestSegmentedRefresh:
 
 class TestTermlessFiles:
     """A document is a file with at least one term — after a build, a
-    refresh, a reconcile and a save alike, so ``len()``, a ``NOT``
+    refresh with or without recorded fingerprints and a save alike, so ``len()``, a ``NOT``
     answer and BM25's N never depend on the path a session took."""
 
     @staticmethod
@@ -318,7 +318,7 @@ class TestTermlessFiles:
         fs.write_file("empty2.txt", b"")
         indexer = SegmentedIndexer(fs)
         indexer.adopt(index, {})
-        change = indexer.reconcile()
+        change = indexer.refresh()
         assert (change.added, change.modified) == ([], [])
         assert change.removed == ["a.txt"]
         assert sorted(indexer.manifest.live_paths()) == ["b.txt"]
@@ -498,7 +498,8 @@ class TestCompaction:
 class TestSegmentsAreTheIndex:
     """A sealed segment is the index it serves: adopted and merged
     indexes are held by reference and never mutated, and nothing builds
-    a forward (path -> terms) view unless ``reconcile`` asks."""
+    a forward (path -> terms) view unless a refresh without recorded
+    fingerprints (a reconcile) asks."""
 
     def churn(self, fs, step):
         fs.write_file(f"new{step}.txt", f"word{step} cat".encode())
@@ -551,7 +552,7 @@ class TestSegmentsAreTheIndex:
         assert built == []
 
         # Without the saved fingerprints the reopened session has only
-        # the index to diff against: the reconcile path.
+        # the index to diff against: its first refresh reconciles.
         os.remove(state_path(saved))
         self.churn(fs, 2)
         reopened = Search.open(saved, source=fs)

@@ -51,13 +51,13 @@ class BlockingEngine:
         self.release = threading.Event()
         self.entered = threading.Event()
 
-    def search(self, query_text, parallel=False):
+    def search(self, query_text):
         self.entered.set()
         assert self.release.wait(timeout=5.0), "never released"
         return ["blocked.txt"]
 
-    def search_ast(self, query, parallel=False):
-        return self.search(str(query), parallel)
+    def search_ast(self, query):
+        return self.search(str(query))
 
 
 class RecordingEngine(BlockingEngine):
@@ -68,13 +68,13 @@ class RecordingEngine(BlockingEngine):
         super().__init__()
         self.calls = []
 
-    def search(self, query_text, parallel=False):
+    def search(self, query_text):
         self.calls.append((query_text, threading.get_ident()))
-        return super().search(query_text, parallel)
+        return super().search(query_text)
 
 
 class FailingEngine:
-    def search_ast(self, query, parallel=False):
+    def search_ast(self, query):
         raise RuntimeError(f"engine failed on {query}")
 
 

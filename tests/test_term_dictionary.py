@@ -431,7 +431,7 @@ class TestParseOnce:
     ):
         manifest = churned.manifest
         engine = QueryEngine(manifest, universe=manifest.document_paths())
-        expected = engine.search(text, optimize=False)
+        expected = engine.search_ast(parse_query(text))
         assert engine.search_ast(optimize(parse_query(text))) == expected
         assert engine.search(text) == expected
         assert churned.query(text).paths == expected
