@@ -143,6 +143,24 @@ class _Job:
         ]
 
 
+class _Tally:
+    """One build's accounting, kept off the indexer while the build
+    runs: ``build`` publishes it only when the build completes, so a
+    strict build aborted by one batch keeps none of what its sibling
+    batches, collected first, added."""
+
+    __slots__ = ("times", "failures", "succeeded", "fingerprints", "retries")
+
+    def __init__(self, workers: int) -> None:
+        self.times = [0.0] * workers
+        self.failures: List = []
+        # Paths the batches indexed (vs. recorded as failures); used
+        # after the ladder finishes to reconcile the failure list.
+        self.succeeded: set = set()
+        self.fingerprints: FingerprintMap = {}
+        self.retries = 0
+
+
 class ProcessReplicatedIndexer:
     """Implementation 2 semantics on a pool of worker processes."""
 
@@ -188,8 +206,6 @@ class ProcessReplicatedIndexer:
         self.last_extractor_times: List[float] = []
         self.last_failures: List = []
         self.last_retries = 0
-        self._succeeded_paths: set = set()
-        self._fingerprints: FingerprintMap = {}
         self._recorder = obsrec.Recorder()
         if start_method is not None:
             if start_method not in multiprocessing.get_all_start_methods():
@@ -216,8 +232,7 @@ class ProcessReplicatedIndexer:
         self.last_extractor_times = [0.0] * config.extractors
         self.last_failures = []
         self.last_retries = 0
-        self._succeeded_paths = set()
-        self._fingerprints = {}
+        tally = _Tally(config.extractors)
         rec = self._recorder = obsrec.Recorder()
 
         root_span = rec.span(
@@ -230,7 +245,9 @@ class ProcessReplicatedIndexer:
             with root_span:
                 with rec.span("phase.stage1"):
                     files = list(self.fs.list_files(root))
-                index, documents, posting_count = self._build(config, files)
+                index, documents, posting_count = self._build(
+                    config, files, tally
+                )
         except PoolUnavailableError as exc:
             return self._degrade(config, root, exc)
 
@@ -238,8 +255,10 @@ class ProcessReplicatedIndexer:
         # attempt (or in the parent) must not count as a failure — the
         # report's indexed_file_count subtracts failed paths.
         self.last_failures = reconcile_failures(
-            self.last_failures, self._succeeded_paths
+            tally.failures, tally.succeeded
         )
+        self.last_extractor_times = tally.times
+        self.last_retries = tally.retries
 
         spans = rec.spans
         wall = root_span.duration
@@ -265,7 +284,7 @@ class ProcessReplicatedIndexer:
             posting_count=posting_count,
             extractor_times=list(self.last_extractor_times),
             failures=list(self.last_failures),
-            fingerprints=self._fingerprints,
+            fingerprints=tally.fingerprints,
             documents=documents,
             retries=self.last_retries,
             spans=spans,
@@ -304,7 +323,7 @@ class ProcessReplicatedIndexer:
     # -- stages ----------------------------------------------------------
 
     def _build(
-        self, config: ThreadConfig, files: Sequence[FileRef]
+        self, config: ThreadConfig, files: Sequence[FileRef], tally: _Tally
     ) -> Tuple[InvertedIndex, List[str], int]:
         """Extract on the pool, then join in the parent; returns the
         index, its documents and its posting count."""
@@ -313,17 +332,18 @@ class ProcessReplicatedIndexer:
         # inline_update marker) so StageTimings.total does not
         # double-count the entire parallel phase.
         with self._recorder.span("phase.extract"):
-            blobs = self._run_workers(config, files)
+            blobs = self._run_workers(config, files, tally)
         # The pool's completion is the barrier; now the join phase runs
         # in the parent.
         with self._recorder.span("phase.join", joiners=config.joiners):
             return join_wire_replicas(blobs)
 
     def _run_workers(
-        self, config: ThreadConfig, files: Sequence[FileRef]
+        self, config: ThreadConfig, files: Sequence[FileRef], tally: _Tally
     ) -> List[bytes]:
         """Fan the batches out to the pool; returns the replica blobs
-        in stage-1 order.
+        in stage-1 order, and accounts each collected batch in
+        ``tally``.
 
         Dispatches per-batch (not one blocking ``map``) and walks the
         recovery ladder on crash/timeout: retry → split → in-parent.
@@ -389,13 +409,11 @@ class ProcessReplicatedIndexer:
             # Only a result that reaches this line is merged, so a batch
             # the ladder re-runs contributes its fingerprints once.
             blobs[position[job.batch.refs[0].path]] = result.replica
-            self._fingerprints.update(result.fingerprints)
-            self.last_extractor_times[job.slot] += result.elapsed
-            self.last_failures.extend(result.failures)
-            # Paths the batch indexed (vs. recorded as failures); used
-            # after the ladder finishes to reconcile the failure list.
+            tally.fingerprints.update(result.fingerprints)
+            tally.times[job.slot] += result.elapsed
+            tally.failures.extend(result.failures)
             failed = {failure.path for failure in result.failures}
-            self._succeeded_paths.update(
+            tally.succeeded.update(
                 ref.path for ref in job.batch.refs if ref.path not in failed
             )
             absorb_spans(job, result)
@@ -420,7 +438,7 @@ class ProcessReplicatedIndexer:
             if dispatch:
                 requeued = self._dispatch_round(dispatch, pool_size, collect)
                 if requeued:
-                    self.last_retries += len(requeued)
+                    tally.retries += len(requeued)
                     if policy.retry_backoff > 0:
                         attempt = min(job.attempt for job in requeued)
                         time.sleep(policy.retry_backoff * attempt)

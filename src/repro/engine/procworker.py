@@ -169,7 +169,7 @@ def build_replica(batch: WorkerBatch) -> WorkerResult:
         fs = batch.fs.open()
         extractor = batch.extractor.build()
         builder = ReplicaBuilder()
-        add_scan = builder.add_scan
+        add_terms = builder.add_terms
         trace = batch.trace
         failures: List[FileFailure] = []
         skipped = failures if batch.on_error == "skip" else None
@@ -179,10 +179,12 @@ def build_replica(batch: WorkerBatch) -> WorkerResult:
                 rec.span("extract.file", path=ref.path) if trace else NULL_SPAN
             )
             with file_span:
-                unit = read_file_terms(fs, ref, extractor, skipped)
+                unit = read_file_terms(
+                    fs, ref, extractor, skipped, distinct=True
+                )
                 if unit is not None:
                     terms, fingerprint = unit
-                    add_scan(ref.path, terms)
+                    add_terms(ref.path, terms)
                     fingerprints.append((ref.path, fingerprint))
         blob = builder.to_bytes()
     return WorkerResult(

@@ -6,10 +6,11 @@ Two variants, matching the paper's narrative:
   speed-ups in Tables 2-4 are measured against: every term *occurrence*
   is inserted via :meth:`InvertedIndex.add_term_naive`, paying the
   linear (term, file) duplicate search the paper's analysis condemns;
-* ``naive=False`` — the en-bloc pipeline and the product's build: a
-  native dict de-duplicates each file, native lists collect postings,
-  and that dict becomes the index (:meth:`InvertedIndex.from_postings`)
-  — Implementation 1 ``(1, 0, 0)``'s postings, with no FNV map built.
+* ``naive=False`` — the en-bloc pipeline and the product's build:
+  stage 2 hands over each file's distinct terms (``distinct=True``),
+  native lists collect postings, and that dict becomes the index
+  (:meth:`InvertedIndex.from_postings`) — Implementation 1
+  ``(1, 0, 0)``'s postings, with no FNV map built.
 
 Timing is span-based like the threaded engines: one
 ``phase.extract`` / ``phase.update`` span pair per file on a per-build
@@ -72,13 +73,15 @@ class SequentialIndexer:
             for ref in files:
                 with rec.span("phase.extract"):
                     unit = read_file_terms(
-                        self.fs, ref, self.extractor, skipped
+                        self.fs,
+                        ref,
+                        self.extractor,
+                        skipped,
+                        distinct=not self.naive,
                     )
                     if unit is None:
                         continue
                     terms, fingerprints[ref.path] = unit
-                    if not self.naive:
-                        terms = dict.fromkeys(terms)
                 if terms:
                     documents.append(ref.path)
                 with rec.span("phase.update"):

@@ -5,8 +5,11 @@ is the unit every implementation hands out; the implementations differ
 in how they distribute it and join its output, not in what it does.
 :func:`read_file_terms` is that unit — read a whole file
 (fingerprinting the raw bytes under the walk's stamp), prepare it,
-tokenize it — minus the de-duplication each engine keeps for itself (a
-native ``dict``, an ``FnvHashSet``, ``ReplicaBuilder.add_scan``).
+tokenize it.  The product's builds, refreshes and process workers ask
+for the ``distinct`` form (``Extractor.distinct_terms``: each term
+once, de-duplicated before it is filtered); the reproduction's engines
+take every occurrence and keep their own de-duplication (an
+``FnvHashSet``, or the naive baseline's search per occurrence).
 
 It takes the error policy as ``failures``: ``None`` is ``"strict"``
 (the error propagates unchanged), a list is ``"skip"`` (the stage that
@@ -29,8 +32,10 @@ def read_file_terms(
     extractor,
     failures: Optional[List[FileFailure]],
     previous: Optional[Fingerprint] = None,
+    distinct: bool = False,
 ) -> Optional[Tuple[Optional[List[str]], Fingerprint]]:
-    """One file's terms, in order with duplicates, and its fingerprint.
+    """One file's terms, in order with duplicates (or each once, in
+    first-seen order, when ``distinct``), and its fingerprint.
 
     Materialized, not streamed: ``tokenize`` returns a list, so a
     tokenizer error is raised here, before any term reaches an index —
@@ -52,6 +57,8 @@ def read_file_terms(
         stage = "extract"
         content = extractor.prepare(ref.path, content)
         stage = "tokenize"
+        if distinct:
+            return extractor.distinct_terms(content), fingerprint
         return extractor.tokenize(content), fingerprint
     except Exception as exc:
         if failures is None:

@@ -103,6 +103,19 @@ class Extractor:
         """Terms of prepared ``content``, in order, with duplicates."""
         return self.tokenizer.tokenize(content)
 
+    def distinct_terms(self, content: bytes) -> List[str]:
+        """Distinct terms of prepared ``content``, first-seen order:
+        exactly ``list(dict.fromkeys(self.tokenize(content)))``.
+
+        The product's stage 2 form
+        (:meth:`~repro.text.tokenizer.Tokenizer.distinct_terms`); a
+        subclass that overrides :meth:`tokenize` is de-duplicated after
+        it, so its own tokenize still runs.
+        """
+        if type(self).tokenize is not Extractor.tokenize:
+            return list(dict.fromkeys(self.tokenize(content)))
+        return self.tokenizer.distinct_terms(content)
+
     # -- composed faces -------------------------------------------------
 
     def terms(self, path: str, content: bytes) -> List[str]:
@@ -112,11 +125,11 @@ class Extractor:
     def term_block(self, path: str, content: bytes) -> TermBlock:
         """The file's de-duplicated term block, ready for ``add_block``.
 
-        De-duplicated natively, in :func:`~repro.text.dedup.dedup_terms`'
-        first-seen order: this is the product's stage 2 (a refresh's).
+        In :func:`~repro.text.dedup.dedup_terms`' first-seen order,
+        through :meth:`distinct_terms`: this is the product's stage 2.
         """
-        terms = self.terms(path, content)
-        return TermBlock(path=path, terms=tuple(dict.fromkeys(terms)))
+        content = self.prepare(path, content)
+        return TermBlock(path=path, terms=tuple(self.distinct_terms(content)))
 
     # -- worker boundary ------------------------------------------------
 

@@ -14,15 +14,16 @@ in exactly the shape the RWIRE1 wire format wants:
 
 Appending a doc id costs the same as appending a path reference, so
 interning is free at build time; the payoff is that serialization and
-the parent's merge both run at C speed.  The builder also fuses
-duplicate elimination into the update (:meth:`add_scan`): a worker
-pipes the tokenizer straight in and never materializes a term block.
+the parent's merge both run at C speed.  A worker hands each file's
+distinct terms straight in (:meth:`add_terms`, stage 2's distinct
+form) and never materializes a term block; :meth:`add_scan` takes a
+raw, duplicate-bearing stream instead.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List
+from typing import Collection, Dict, Iterable, List
 
 from repro.index.binfmt import load_index_wire, pack_wire_sections
 from repro.index.inverted import InvertedIndex
@@ -41,31 +42,32 @@ class ReplicaBuilder:
 
     # -- update paths ---------------------------------------------------
 
-    def add_scan(self, path: str, terms: Iterable[str]) -> int:
-        """Index one file from a raw (duplicate-bearing) term stream.
-
-        Fuses the per-file duplicate elimination with the replica
-        update: each distinct term gets the file's doc id appended to
-        its postings array, first-seen order preserved.  Returns the
-        number of distinct terms.
-        """
+    def add_terms(self, path: str, terms: Collection[str]) -> int:
+        """Index one file from its distinct terms: each gets the file's
+        doc id appended to its postings array, in the order given.
+        Returns the number of terms."""
         doc_id = len(self._docs)
         self._docs.append(path)
         self._block_count += 1
         postings = self._postings
         get = postings.get
-        distinct = dict.fromkeys(terms)
-        for term in distinct:
+        for term in terms:
             ids = get(term)
             if ids is None:
                 ids = postings[term] = array("I")
             ids.append(doc_id)
-        return len(distinct)
+        return len(terms)
+
+    def add_scan(self, path: str, terms: Iterable[str]) -> int:
+        """Index one file from a raw (duplicate-bearing) term stream,
+        de-duplicated in first-seen order; returns the number of
+        distinct terms."""
+        return self.add_terms(path, dict.fromkeys(terms))
 
     def add_block(self, block: TermBlock) -> None:
         """Index one pre-deduplicated term block (same contract as
         :meth:`InvertedIndex.add_block`)."""
-        self.add_scan(block.path, block.terms)
+        self.add_terms(block.path, block.terms)
 
     # -- introspection --------------------------------------------------
 

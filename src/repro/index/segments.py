@@ -708,7 +708,7 @@ class SegmentedIndexer:
                     # so refresh the stamp, skip re-indexing, and —
                     # critically — do not classify it removed/modified.
                     continue
-                block = _term_block(ref.path, terms)
+                block = TermBlock(path=ref.path, terms=tuple(terms))
                 if (
                     old is None
                     and ref.path in manifest
@@ -812,20 +812,17 @@ class SegmentedIndexer:
     # -- internals ------------------------------------------------------
 
     def _read(self, ref, failures: List[FileFailure], previous=None):
-        """Stage 2 for one file under the indexer's error policy;
-        ``previous`` is its indexed fingerprint, when a refresh has one."""
+        """Stage 2 for one file under the indexer's error policy, in its
+        distinct form; ``previous`` is its indexed fingerprint, when a
+        refresh has one."""
         return read_file_terms(
             self.fs,
             ref,
             self.extractor,
             failures if self.on_error == "skip" else None,
             previous,
+            distinct=True,
         )
-
-
-def _term_block(path: str, terms: List[str]) -> TermBlock:
-    """The product's de-duplication (native, first-seen order)."""
-    return TermBlock(path=path, terms=tuple(dict.fromkeys(terms)))
 
 
 class BackgroundCompactor:

@@ -9,7 +9,8 @@ Three levels of processing, matching the paper's measurements:
   ("read files and extract terms");
 * :func:`extract_term_block` — tokenization plus FNV-hash-set
   de-duplication, producing the per-file :class:`TermBlock` that is
-  inserted into the index *en bloc*.
+  inserted into the index *en bloc*; the product's stage 2 builds the
+  same list de-duplicating first (:meth:`Tokenizer.distinct_terms`).
 """
 
 from repro.text.scanner import empty_scan

@@ -3,8 +3,9 @@
 Terms typically appear many times in a document; the paper's extractor
 collapses them with an FNV hash set before the index update, and so do
 the threaded Implementations 1-3 and ``measure_stage_times``.  The
-product's builds and refreshes keep the same first-seen order with a
-native dict (:meth:`repro.extract.Extractor.term_block`).
+product's builds, refreshes and process workers keep the same
+first-seen order, de-duplicating the raw words before they are
+filtered (:meth:`repro.text.Tokenizer.distinct_terms`).
 """
 
 from __future__ import annotations

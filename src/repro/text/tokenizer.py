@@ -125,6 +125,32 @@ class Tokenizer:
             ]
         return [word[:max_length] for word in words if len(word) >= min_length]
 
+    def distinct_terms(self, content: bytes) -> List[str]:
+        """Exactly ``list(dict.fromkeys(self.tokenize(content)))``, the
+        condensed word list the paper's stage 2 hands the index, built
+        the other way round: ``dict.fromkeys`` collapses the raw words
+        in C first, so the length filter, truncation and stopword check
+        run once per distinct word.  Each word maps to its term on its
+        own, so first-seen order holds; only truncation can alias two
+        words, so only then is the list collapsed again.  A subclass
+        with its own :meth:`tokenize` is de-duplicated after it.
+        """
+        if type(self).tokenize is not Tokenizer.tokenize:
+            return list(dict.fromkeys(self.tokenize(content)))
+        words = dict.fromkeys(
+            content.translate(self._table).decode("ascii").split()
+        )
+        min_length = self.min_length
+        terms = [word for word in words if len(word) >= min_length]
+        max_length = self.max_length
+        if terms and max(map(len, terms)) > max_length:
+            terms = list(dict.fromkeys([term[:max_length] for term in terms]))
+        if self.stopwords:
+            dropped = self.stopwords.intersection(terms)
+            if dropped:
+                terms = [term for term in terms if term not in dropped]
+        return terms
+
     def iter_terms(self, content: bytes) -> Iterator[str]:
         """Terms of ``content`` in order of appearance.
 

@@ -140,6 +140,103 @@ class TestMaxLengthAliasing:
         assert tok.tokenize(b"cats") == []
 
 
+# -- the distinct form: stage 2 de-duplicates before it filters ----------
+
+#: Words that collide with each other once truncated, stay under or
+#: pass every length tested, and include the stopwords drawn below.
+_SHORT = st.text(alphabet="aAb1_", min_size=1, max_size=2)
+_LONG = st.text(alphabet="aAb1_", min_size=5, max_size=9)
+_SEP = st.sampled_from([" ", "  ", "\t", "\n", "-", ".", "\t\n"])
+
+
+def _joined(words):
+    return st.lists(_SEP, min_size=len(words), max_size=len(words)).map(
+        lambda seps: "".join(w + sep for w, sep in zip(words, seps)).encode()
+    )
+
+
+_CONTENT = st.one_of(
+    st.just(b""),
+    st.binary(max_size=300),
+    st.lists(_SHORT, max_size=40).flatmap(_joined),
+    st.lists(_LONG, max_size=40).flatmap(_joined),
+    st.lists(st.one_of(_SHORT, _LONG), max_size=40).flatmap(_joined),
+)
+
+
+class TestDistinctTerms:
+    """``distinct_terms`` is exactly ``list(dict.fromkeys(tokenize(c)))``
+    for every built-in extractor: the product's builds, refreshes and
+    process workers take it, so any difference would change what they
+    index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["ascii", "code", "tsv"]),
+        content=_CONTENT,
+        min_length=st.integers(min_value=1, max_value=3),
+        extra=st.integers(min_value=0, max_value=3),
+        stopwords=st.lists(
+            st.sampled_from(["a", "aa", "ab", "b1", "aab", "abab", "a1"]),
+            max_size=3,
+        ),
+    )
+    def test_equals_the_deduplicated_stream(
+        self, kind, content, min_length, extra, stopwords
+    ):
+        extractor = ExtractorSpec(
+            kind=kind,
+            min_length=min_length,
+            max_length=min_length + extra,
+            stopwords=tuple(sorted(set(stopwords))),
+        ).build()
+        expected = list(dict.fromkeys(extractor.tokenize(content)))
+        assert extractor.distinct_terms(content) == expected
+        assert extractor.tokenizer.distinct_terms(content) == expected
+
+    def test_truncation_aliases_are_collapsed(self):
+        tok = Tokenizer(max_length=3)
+        content = b"abcd abce ab abcf xyz abc"
+        assert tok.tokenize(content) == [
+            "abc", "abc", "ab", "abc", "xyz", "abc",
+        ]
+        assert tok.distinct_terms(content) == ["abc", "ab", "xyz"]
+
+    def test_stopwords_drop_after_truncation(self):
+        tok = Tokenizer(max_length=3, stopwords={"cat"})
+        assert tok.distinct_terms(b"cats dog cat catalog dogs") == ["dog"]
+
+    def test_an_overridden_tokenize_still_runs(self):
+        # An extractor or tokenizer with its own tokenize (a fault
+        # injector, the code tokenizer) is de-duplicated after it: the
+        # fast path must not step round it.
+        class Shouting(AsciiExtractor):
+            def tokenize(self, content):
+                return [term.upper() for term in super().tokenize(content)]
+
+        class Doubling(Tokenizer):
+            def tokenize(self, content):
+                terms = super().tokenize(content)
+                return [t for term in terms for t in (term, "x" + term)]
+
+        assert Shouting().distinct_terms(b"cat dog cat") == ["CAT", "DOG"]
+        doubling = AsciiExtractor(tokenizer=Doubling())
+        assert doubling.distinct_terms(b"cat dog cat") == [
+            "cat", "xcat", "dog", "xdog",
+        ]
+        assert CodeExtractor().distinct_terms(b"getX get_x getX") == [
+            "get", "getx",
+        ]
+
+    def test_term_block_takes_the_distinct_form(self, monkeypatch):
+        def refuse(self, content):
+            raise AssertionError("the duplicate-bearing stream was built")
+
+        monkeypatch.setattr(Tokenizer, "tokenize", refuse)
+        block = AsciiExtractor().term_block("a.txt", b"cat dog cat")
+        assert block.terms == ("cat", "dog")
+
+
 # -- the code tokenizer ------------------------------------------------
 
 

@@ -15,6 +15,8 @@ worker counts so they behave on single-CPU CI boxes.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import pytest
 
 from repro.engine import (
@@ -560,6 +562,75 @@ class TestObservability:
         assert strict.last_failures == []
         assert strict.last_extractor_times == [0.0, 0.0]
         assert report.retries == 0
+
+    def test_batch_collected_before_the_failing_one_is_not_published(
+        self, tiny_fs, monkeypatch
+    ):
+        # The race above, made deterministic: the healthy batch is
+        # collected first, then the strict batch raises.
+        config = ThreadConfig(2, 0, 1, backend="process")
+        indexer = ProcessReplicatedIndexer(tiny_fs, **PROC_KW)
+        batches = indexer.strategy.distribute(list(tiny_fs.list_files()), 2)
+        victim = batches.assignments[-1][0].path
+        fs = FaultInjectingFileSystem(tiny_fs, {victim: FaultSpec()})
+        strict = ProcessReplicatedIndexer(fs, on_error="strict", **PROC_KW)
+        executor = InOrderExecutor()
+        monkeypatch.setattr(strict, "_create_executor", lambda n: executor)
+        with pytest.raises(OSError, match="injected fault"):
+            strict.build(config)
+        assert executor.results_taken == 2  # healthy collected, then failed
+        assert strict.last_extractor_times == [0.0, 0.0]
+        assert strict.last_failures == []
+        assert strict.last_retries == 0
+
+
+class InOrderExecutor:
+    """Stands in for the process pool: runs each batch in this process
+    when it is submitted, but completes a batch's future only once the
+    previous batch's result has been taken, so the parent collects the
+    batches strictly in submission order."""
+
+    def __init__(self) -> None:
+        self.futures = []
+        self.results_taken = 0
+
+    def submit(self, fn, *args):
+        try:
+            outcome = (fn(*args), None)
+        except Exception as exc:
+            outcome = (None, exc)
+        future = _InOrderFuture(self, len(self.futures), outcome)
+        self.futures.append(future)
+        if future.position == 0:
+            future.settle()
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _InOrderFuture(Future):
+    def __init__(self, executor, position, outcome) -> None:
+        super().__init__()
+        self.executor = executor
+        self.position = position
+        self.outcome = outcome
+
+    def settle(self) -> None:
+        value, exc = self.outcome
+        if exc is None:
+            self.set_result(value)
+        else:
+            self.set_exception(exc)
+
+    def result(self, timeout=None):
+        try:
+            return super().result(timeout)
+        finally:
+            self.executor.results_taken += 1
+            following = self.executor.futures[self.position + 1:]
+            if following:
+                following[0].settle()
 
 
 # -- pool capped at non-empty batches (satellite) ----------------------

@@ -23,6 +23,7 @@ from repro.engine import (
     FaultPolicy,
     Implementation,
     IndexGenerator,
+    ProcessReplicatedIndexer,
     SequentialIndexer,
     ThreadConfig,
     measure_stage_times,
@@ -235,3 +236,92 @@ class TestReproductionKeepsFnvContainers:
     def test_table1_stage_times(self, containers, fs):
         measure_stage_times(fs)
         assert containers["add_all"] == 4
+
+
+class TestWhichStreamEachEngineSees:
+    """The product's stage 2 hands over each file's distinct terms; the
+    reproduction still sees every occurrence."""
+
+    FILES = {
+        "a.txt": b"alpha beta gamma alpha x",
+        "d/b.txt": b"beta beta delta",
+        "d/c.txt": b"",
+    }
+
+    @pytest.fixture
+    def fs(self):
+        return filesystem(self.FILES)
+
+    @staticmethod
+    def occurrences(fs):
+        tokenizer = Tokenizer()
+        return [
+            term
+            for ref in fs.list_files()
+            for term in tokenizer.tokenize(fs.read_file(ref.path))
+        ]
+
+    def test_naive_baseline_inserts_every_occurrence(self, fs, monkeypatch):
+        inserted = []
+        add_term_naive = InvertedIndex.add_term_naive
+
+        def counting(self, term, path):
+            inserted.append(term)
+            return add_term_naive(self, term, path)
+
+        monkeypatch.setattr(InvertedIndex, "add_term_naive", counting)
+        SequentialIndexer(fs, naive=True).build()
+        assert len(inserted) == len(self.occurrences(fs)) == 7
+        assert sorted(inserted) == sorted(self.occurrences(fs))
+
+    @pytest.mark.parametrize(
+        "implementation, config",
+        [
+            (Implementation.SHARED_LOCKED, ThreadConfig(2, 0, 0)),
+            (Implementation.REPLICATED_JOINED, ThreadConfig(2, 0, 1)),
+            (Implementation.REPLICATED_UNJOINED, ThreadConfig(2, 0, 0)),
+        ],
+    )
+    def test_threaded_engines_dedup_every_occurrence(
+        self, fs, monkeypatch, implementation, config
+    ):
+        streamed = []
+        add_all = FnvHashSet.add_all
+
+        def counting(self, elements):
+            elements = list(elements)
+            streamed.extend(elements)
+            return add_all(self, elements)
+
+        monkeypatch.setattr(FnvHashSet, "add_all", counting)
+        IndexGenerator(fs).build(implementation, config)
+        assert sorted(streamed) == sorted(self.occurrences(fs))
+
+    @pytest.mark.parametrize("backend", ["product", "refresh", "process"])
+    def test_product_paths_never_build_the_stream(
+        self, fs, monkeypatch, backend
+    ):
+        reference = SequentialIndexer(fs, naive=True).build().index
+
+        def refuse(self, content):
+            raise AssertionError("the duplicate-bearing stream was built")
+
+        # Forked process workers inherit the patch.
+        monkeypatch.setattr(Tokenizer, "tokenize", refuse)
+        if backend == "product":
+            index = Search.build(fs, cache=0).index
+        elif backend == "refresh":
+            live = VirtualFileSystem()
+            session = Search.build(live, cache=0)
+            live.mkdir("d")
+            for path, content in self.FILES.items():
+                live.write_file(path, content)
+            session.refresh()
+            index = session.index
+        else:
+            index = ProcessReplicatedIndexer(fs, oversubscribe=True).build(
+                ThreadConfig(2, 0, 1, backend="process")
+            ).index
+        assert {t: p.paths() for t, p in index.items()} == {
+            t: p.paths() for t, p in reference.items()
+        }
