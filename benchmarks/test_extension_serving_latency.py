@@ -174,7 +174,7 @@ def _run_point(snapshot, specs, qps: float) -> dict:
     obsrec.set_recorder(obsrec.Recorder(enabled=True))
     backing = SearchService(snapshot, workers=1, max_inflight=MAX_INFLIGHT)
     frontend = AsyncSearchFrontend(
-        backing, batch_window=0.002, single_flight=True,
+        backing, batch_window=0.002,
         workers=EVAL_WORKERS, max_inflight=MAX_INFLIGHT, own_service=True,
     )
     try:

@@ -52,7 +52,6 @@ session's generation and answers repeats from the same cache.
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack
 from typing import List, Optional, Union
 
 from repro.engine.config import Implementation, ThreadConfig
@@ -507,7 +506,6 @@ class Search:
         workers: int = 2,
         max_inflight: int = 32,
         batch_window: float = 0.0,
-        single_flight: bool = True,
         sync=None,
     ) -> AsyncSearchFrontend:
         """An :class:`~repro.service.frontend.AsyncSearchFrontend` over
@@ -526,7 +524,6 @@ class Search:
         return AsyncSearchFrontend(
             service,
             batch_window=batch_window,
-            single_flight=single_flight,
             workers=workers,
             max_inflight=max_inflight,
             own_service=True,
@@ -537,7 +534,6 @@ class Search:
         self,
         shards: int = 2,
         replicas: int = 1,
-        strategy: str = "roundrobin",
         partial: str = "degrade",
         workers: int = 1,
         max_inflight: int = 32,
@@ -548,9 +544,9 @@ class Search:
         """Document-partitioned serving: N shards behind a
         scatter-gather broker.
 
-        The corpus is partitioned by document (``strategy`` picks the
-        ``distribute/`` partitioner: ``"roundrobin"`` or
-        ``"sizebalanced"``), each shard serves its slice from its own
+        The corpus is partitioned by document (sorted paths dealt
+        round-robin, the paper's rule), each shard serves its slice
+        from its own
         :class:`~repro.service.service.SearchService` (× ``replicas``
         for failover/throughput), and the returned
         :class:`~repro.service.sharded.ScatterGatherBroker` fans every
@@ -584,32 +580,19 @@ class Search:
                 extractor=self._extractor,
                 root=self._root,
             )
-        with ExitStack() as cleanup:
-            ridx2_dir = None
-            if backend == "process":
-                import tempfile
-
-                ridx2_dir = cleanup.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro-shards-")
-                )
-            broker = build_sharded_service(
-                self.index,
-                self.snapshot().universe,
-                shards=shards,
-                replicas=replicas,
-                strategy=strategy,
-                partial=partial,
-                frequencies=frequencies,
-                workers=workers,
-                max_inflight=max_inflight,
-                sync=sync if sync is not None else self._sync,
-                generation=self._generation,
-                ridx2_dir=ridx2_dir,
-                backend=backend,
-            )
-            # From here the broker's close() removes the shard files.
-            broker.resources.enter_context(cleanup.pop_all())
-        return broker
+        return build_sharded_service(
+            self.index,
+            self.snapshot().universe,
+            shards=shards,
+            replicas=replicas,
+            partial=partial,
+            frequencies=frequencies,
+            workers=workers,
+            max_inflight=max_inflight,
+            sync=sync if sync is not None else self._sync,
+            generation=self._generation,
+            backend=backend,
+        )
 
     # -- internals --------------------------------------------------------
 

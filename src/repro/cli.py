@@ -232,14 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --async: hold each admission flush open "
                    "this long so a burst accumulates into one batch "
                    "(default 0.002; 0 flushes immediately)")
-    p.add_argument("--single-flight", dest="single_flight",
-                   action="store_true", default=True,
-                   help="with --async: coalesce duplicate in-flight "
-                   "queries onto one evaluation (default)")
-    p.add_argument("--no-single-flight", dest="single_flight",
-                   action="store_false",
-                   help="with --async: evaluate every query, even "
-                   "duplicates")
     p.add_argument("--shards", type=int, default=0, metavar="N",
                    help="document-partition the corpus across N shard "
                    "services behind a scatter-gather broker: boolean "
@@ -257,11 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    "shard is dead, answer from the live shards and "
                    "mark the result degraded (default) or fail the "
                    "query with a typed error")
-    p.add_argument("--shard-strategy",
-                   choices=("roundrobin", "sizebalanced"),
-                   default="roundrobin",
-                   help="with --shards: how documents are assigned "
-                   "to shards (default roundrobin)")
     _add_observability_args(p)
     p.set_defaults(func=_cmd_serve)
 
@@ -706,7 +693,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service_cm = session.serve_sharded(
             shards=args.shards,
             replicas=args.replicas,
-            strategy=args.shard_strategy,
             partial=args.partial,
             workers=1 if args.async_frontend else args.workers,
             max_inflight=args.max_inflight,
@@ -751,7 +737,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 frontend = AsyncSearchFrontend(
                     service,
                     batch_window=args.batch_window,
-                    single_flight=args.single_flight,
                     workers=args.workers,
                     max_inflight=args.max_inflight,
                 )

@@ -172,21 +172,13 @@ class ProcessReplicatedIndexer:
         *,
         strategy: Optional[DistributionStrategy] = None,
         buffer_capacity: int = 256,
-        dynamic: Optional[str] = None,
         oversubscribe: bool = False,
-        start_method: Optional[str] = None,
         on_error: str = "strict",
         max_retries: int = 2,
         batch_timeout: Optional[float] = None,
         retry_backoff: float = 0.05,
         extractor=None,
     ) -> None:
-        if dynamic is not None:
-            raise ValueError(
-                "the process backend distributes work as static batches; "
-                "dynamic acquisition across process boundaries "
-                f"({dynamic!r}) is not supported"
-            )
         self.fs = fs
         # One Extractor seam (see repro.extract).
         self.extractor = resolve_extractor(extractor)
@@ -207,19 +199,10 @@ class ProcessReplicatedIndexer:
         self.last_failures: List = []
         self.last_retries = 0
         self._recorder = obsrec.Recorder()
-        if start_method is not None:
-            if start_method not in multiprocessing.get_all_start_methods():
-                raise ValueError(
-                    f"start method {start_method!r} not available on this "
-                    f"platform; choose from "
-                    f"{multiprocessing.get_all_start_methods()}"
-                )
-            self.start_method = start_method
-        else:
-            # fork is the cheap path (no re-import, instant corpus
-            # visibility); fall back to the platform default elsewhere.
-            methods = multiprocessing.get_all_start_methods()
-            self.start_method = "fork" if "fork" in methods else methods[0]
+        # fork is the cheap path (no re-import, instant corpus
+        # visibility); fall back to the platform default elsewhere.
+        methods = multiprocessing.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else methods[0]
 
     # -- public API ------------------------------------------------------
 

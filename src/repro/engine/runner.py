@@ -81,13 +81,18 @@ class IndexGenerator:
         multiprocessing Implementation 2 engine.
         """
         if config.backend == "process":
+            if self.dynamic is not None:
+                raise ValueError(
+                    "the process backend distributes work as static "
+                    "batches; dynamic acquisition across process "
+                    f"boundaries ({self.dynamic!r}) is not supported"
+                )
             config.validate_for(implementation)
             indexer = ProcessReplicatedIndexer(
                 self.fs,
                 extractor=self.extractor,
                 strategy=self.strategy,
                 buffer_capacity=self.buffer_capacity,
-                dynamic=self.dynamic,
                 oversubscribe=self.oversubscribe,
                 on_error=self.on_error,
                 max_retries=self.max_retries,

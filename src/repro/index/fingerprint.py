@@ -82,13 +82,16 @@ def save_fingerprints(
     as absent beside the new one and the next refresh reads every file:
     the fingerprints of one revision never vouch for another (an old
     state beside a newer index would let a file edited back to its old
-    bytes pass as unchanged).  Replaced atomically: a crash leaves the
-    old state or the new.
+    bytes pass as unchanged).  Entries are written sorted by path, so
+    equal maps give equal bytes whatever order a build inserted them
+    in.  Replaced atomically: a crash leaves the old state or the new.
     """
     state = {
         "hash": HASH_NAME,
         "index": index_crc,
-        "files": {p: list(entry) for p, entry in fingerprints.items()},
+        "files": {
+            p: list(fingerprints[p]) for p in sorted(fingerprints)
+        },
     }
     with atomic_write(path, text=True) as fh:
         json.dump(state, fh)

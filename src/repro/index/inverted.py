@@ -108,23 +108,6 @@ class InvertedIndex:
         """Total number of (term, file) pairs stored."""
         return sum(len(p) for p in self._map.values())
 
-    def subset(self, keep) -> "InvertedIndex":
-        """A new index holding only postings whose path is in ``keep``.
-
-        The document-partitioning primitive: a shard's index is the
-        full index restricted to the shard's documents.  Posting order
-        within a term is preserved, terms whose postings all fall
-        outside ``keep`` are dropped entirely, and the source index is
-        untouched.  ``keep`` can be any container supporting ``in``
-        (pass a set/frozenset; a list would make this quadratic).
-        """
-        sub = InvertedIndex()
-        for term, postings in self.items():
-            kept = [path for path in postings.paths() if path in keep]
-            if kept:
-                sub._map[term] = PostingsList(kept)
-        return sub
-
     def copy(self) -> "InvertedIndex":
         """A deep, read-only copy: fresh postings lists, shared strings."""
         postings = {term: paths.paths() for term, paths in self.items()}

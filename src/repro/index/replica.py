@@ -16,14 +16,13 @@ Appending a doc id costs the same as appending a path reference, so
 interning is free at build time; the payoff is that serialization and
 the parent's merge both run at C speed.  A worker hands each file's
 distinct terms straight in (:meth:`add_terms`, stage 2's distinct
-form) and never materializes a term block; :meth:`add_scan` takes a
-raw, duplicate-bearing stream instead.
+form) and never materializes a term block.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Collection, Dict, Iterable, List
+from typing import Collection, Dict, List
 
 from repro.index.binfmt import load_index_wire, pack_wire_sections
 from repro.index.inverted import InvertedIndex
@@ -57,12 +56,6 @@ class ReplicaBuilder:
                 ids = postings[term] = array("I")
             ids.append(doc_id)
         return len(terms)
-
-    def add_scan(self, path: str, terms: Iterable[str]) -> int:
-        """Index one file from a raw (duplicate-bearing) term stream,
-        de-duplicated in first-seen order; returns the number of
-        distinct terms."""
-        return self.add_terms(path, dict.fromkeys(terms))
 
     def add_block(self, block: TermBlock) -> None:
         """Index one pre-deduplicated term block (same contract as

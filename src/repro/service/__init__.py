@@ -58,7 +58,6 @@ from repro.service.loadgen import (
 )
 from repro.service.sharded import (
     PARTIAL_POLICIES,
-    SHARD_STRATEGIES,
     ScatterGatherBroker,
     ShardDeadError,
     ShardGroup,
@@ -77,7 +76,6 @@ __all__ = [
     "QuerySpec",
     "QueryTicket",
     "RefreshOutcome",
-    "SHARD_STRATEGIES",
     "ScatterGatherBroker",
     "SearchService",
     "ServiceClosedError",

@@ -158,7 +158,6 @@ class AsyncSearchFrontend:
         self,
         service: SearchService,
         batch_window: float = 0.0,
-        single_flight: bool = True,
         workers: int = 2,
         max_inflight: Optional[int] = None,
         own_service: bool = False,
@@ -184,7 +183,6 @@ class AsyncSearchFrontend:
         self.name = name
         self.service = service
         self.batch_window = batch_window
-        self.single_flight = single_flight
         self.max_inflight = max_inflight
         self._own_service = own_service
         self._sync = sync
@@ -418,20 +416,16 @@ class AsyncSearchFrontend:
         with self._lock:
             batch: List[QueryTicket] = []
             for ticket in planned:
-                if self.single_flight:
-                    self._sync.access(f"{self.name}.inflight-map",
-                                      write=False)
-                    leader = self._inflight_map.get(ticket.key)
-                    if leader is not None:
-                        self._sync.access(f"{self.name}.inflight-map",
-                                          write=True)
-                        leader.followers.append(ticket)
-                        self._coalesced += 1
-                        metrics.counter(f"{self.name}.coalesced").inc()
-                        continue
-                    self._sync.access(f"{self.name}.inflight-map",
-                                      write=True)
-                    self._inflight_map[ticket.key] = ticket
+                self._sync.access(f"{self.name}.inflight-map", write=False)
+                leader = self._inflight_map.get(ticket.key)
+                if leader is not None:
+                    self._sync.access(f"{self.name}.inflight-map", write=True)
+                    leader.followers.append(ticket)
+                    self._coalesced += 1
+                    metrics.counter(f"{self.name}.coalesced").inc()
+                    continue
+                self._sync.access(f"{self.name}.inflight-map", write=True)
+                self._inflight_map[ticket.key] = ticket
                 batch.append(ticket)
             if self._closing:
                 admit_count = len(batch) if self._drain_on_close else 0
@@ -503,7 +497,7 @@ class AsyncSearchFrontend:
         metrics = obsrec.metrics()
         callbacks: List[tuple] = []
         with self._lock:
-            if ticket.key is not None and self.single_flight:
+            if ticket.key is not None:
                 self._sync.access(f"{self.name}.inflight-map", write=True)
                 if self._inflight_map.get(ticket.key) is ticket:
                     del self._inflight_map[ticket.key]

@@ -5,7 +5,7 @@ Distributed Web Search Engine*: the corpus is partitioned **by
 document** across N shards, each shard runs today's
 :class:`~repro.service.service.SearchService` over its *own*
 :class:`~repro.service.snapshot.IndexSnapshot` (in-memory, or RIDX2
-served off mmap, or a whole separate OS process —
+served off mmap in a separate OS process —
 :mod:`repro.service.shardproc`), and a :class:`ScatterGatherBroker`
 fans each query out to every shard, gathers the per-shard answers and
 merges them into one result.
@@ -55,8 +55,9 @@ their queues on kill, process replicas are detected by liveness checks
 and bounded waits.
 
 The broker wears the service's face (``query``/``snapshot``/``stats``/
-``close``/``max_inflight``), so the PR-8 pieces compose unchanged: the
-open-loop load generator drives it directly, and
+``close``/``max_inflight``) and is its own snapshot (``answer``), so
+the serving pieces compose unchanged: the open-loop load generator
+drives it directly, and
 :class:`~repro.service.frontend.AsyncSearchFrontend` seats on top so
 single-flight coalescing happens *before* fan-out (one popular query
 costs one scatter, not one per duplicate).  Admission control stays
@@ -84,8 +85,6 @@ from typing import (
     Union,
 )
 
-from repro.distribute import RoundRobinStrategy, SizeBalancedStrategy
-from repro.fsmodel.nodes import FileRef
 from repro.index.inverted import InvertedIndex
 from repro.obs import recorder as obsrec
 from repro.query.cache import Plan
@@ -102,9 +101,6 @@ from repro.service.snapshot import IndexSnapshot, QueryResult
 #: Broker behaviour when a shard cannot answer.
 PARTIAL_POLICIES: Tuple[str, ...] = ("fail", "degrade")
 
-#: Document-to-shard assignment strategies (reusing ``distribute/``).
-SHARD_STRATEGIES: Tuple[str, ...] = ("roundrobin", "sizebalanced")
-
 
 class ShardDeadError(RuntimeError):
     """A shard (all of its replicas) cannot answer.
@@ -118,38 +114,20 @@ class ShardDeadError(RuntimeError):
 # -- partitioning ---------------------------------------------------------
 
 
-def partition_paths(
-    paths: Iterable[str],
-    shards: int,
-    strategy: str = "roundrobin",
-    sizes: Optional[Dict[str, int]] = None,
-) -> List[List[str]]:
-    """Assign documents to ``shards`` buckets, deterministically.
+def partition_paths(paths: Iterable[str], shards: int) -> List[List[str]]:
+    """Deal documents to ``shards`` buckets like cards: bucket ``i`` is
+    ``sorted(paths)[i::shards]``.
 
-    Reuses the stage-1 work-distribution strategies: ``"roundrobin"``
-    deals the (sorted) paths out like cards, ``"sizebalanced"`` runs
-    the LPT greedy on ``sizes`` (bytes, term counts — any load proxy;
-    missing entries weigh 1).  Paths are sorted first so the
-    partition is a pure function of the document set, not of traversal
-    order — the differential gate depends on that reproducibility.
+    The paper's stage-1 rule (round-robin, which it measured fastest
+    and kept over size-balanced and shared-queue distribution).  Paths
+    are sorted first so the partition is a pure function of the
+    document set, not of traversal order — the differential gate
+    depends on that reproducibility.
     """
     if shards < 1:
         raise ValueError(f"shards must be at least 1, got {shards}")
-    if strategy not in SHARD_STRATEGIES:
-        raise ValueError(
-            f"strategy must be one of {SHARD_STRATEGIES}, got {strategy!r}"
-        )
-    sizes = sizes or {}
-    refs = [FileRef(path, int(sizes.get(path, 1))) for path in sorted(paths)]
-    chooser = (
-        RoundRobinStrategy()
-        if strategy == "roundrobin"
-        else SizeBalancedStrategy()
-    )
-    distribution = chooser.distribute(refs, shards)
-    return [
-        [ref.path for ref in bucket] for bucket in distribution.assignments
-    ]
+    ordered = sorted(paths)
+    return [ordered[i::shards] for i in range(shards)]
 
 
 class RankedQueryEngine(QueryEngine):
@@ -175,32 +153,31 @@ def shard_snapshots(
     index: InvertedIndex,
     universe: Iterable[str],
     shards: int,
-    strategy: str = "roundrobin",
     frequencies: Optional[FrequencyIndex] = None,
     generation: int = 0,
 ) -> List[IndexSnapshot]:
     """Split one flat index into per-shard in-memory snapshots.
 
-    Each shard gets the full index restricted to its documents
-    (:meth:`~repro.index.inverted.InvertedIndex.subset`) and its slice
-    of the universe (so per-shard ``NOT`` complements compose to the
-    global one).  With ``frequencies``, each shard also gets a
-    :class:`RankedQueryEngine` over that whole-collection sidecar,
-    enabling sharded BM25.  Size-balanced partitioning weighs documents
-    by their term-occurrence length when frequencies are available.
+    One walk of ``index`` cuts every shard: each posting goes to the
+    shard its path was dealt to (:func:`partition_paths`), in the
+    order the term lists it, and a path outside ``universe`` goes
+    nowhere.  Each shard also gets its slice of the universe (so
+    per-shard ``NOT`` complements compose to the global one).  With
+    ``frequencies``, each shard also gets a :class:`RankedQueryEngine`
+    over that whole-collection sidecar, enabling sharded BM25.
     """
-    universe = list(universe)
-    sizes = None
-    if frequencies is not None:
-        sizes = {
-            path: max(1, frequencies.document_length(path))
-            for path in universe
-        }
-    parts = partition_paths(universe, shards, strategy, sizes=sizes)
+    parts = partition_paths(universe, shards)
+    owner = {path: shard for shard, part in enumerate(parts) for path in part}
+    cuts: List[Dict[str, List[str]]] = [{} for _ in parts]
+    for term, postings in index.items():
+        for path in postings:
+            shard = owner.get(path)
+            if shard is not None:
+                cuts[shard].setdefault(term, []).append(path)
     snapshots = []
-    for part in parts:
+    for part, cut in zip(parts, cuts):
         keep: FrozenSet[str] = frozenset(part)
-        sub = index.subset(keep)
+        sub = InvertedIndex.from_postings(cut)
         engine = None
         if frequencies is not None:
             engine = RankedQueryEngine(
@@ -372,24 +349,38 @@ class ShardGroup:
             replica.close()
 
 
-# -- the broker's view ---------------------------------------------------
+# -- the broker -----------------------------------------------------------
 
 
-class ShardedSnapshot:
-    """The broker's immutable topology view, wearing the snapshot face.
+class ScatterGatherBroker:
+    """N shard groups behind one service-shaped face.
 
-    Exposes ``generation`` / ``answer`` like an
-    :class:`~repro.service.snapshot.IndexSnapshot`, which is exactly
-    what lets :class:`~repro.service.frontend.AsyncSearchFrontend`
-    seat on a broker with zero changes to its batch/eval machinery:
-    the frontend loads one snapshot pointer per admitted batch and
-    asks it for the answer; here "answering" is the scatter-gather.
+    ``query``/``snapshot``/``stats``/``close`` mirror
+    :class:`~repro.service.service.SearchService`, so every existing
+    consumer — the open-loop load generator, the async frontend, the
+    CLI serve loop — drives a broker exactly like a single service.
+    ``max_inflight`` defaults to the *weakest* shard's total replica
+    budget: every query touches every shard, so global concurrency is
+    bounded by the smallest shard's capacity.
 
-    The object itself is immutable (the shard set is fixed at
-    construction); *health* is read live from the shard groups at
-    query time, so a snapshot loaded before a shard died still answers
-    — degraded or failing per ``partial`` — without a republish, and
-    it carries no ``cache``, where a degraded answer would outlive it.
+    The broker is also its own snapshot: :attr:`snapshot` returns the
+    broker, which wears the snapshot face (``generation``, ``cache``,
+    :meth:`answer`), so
+    :class:`~repro.service.frontend.AsyncSearchFrontend` seats on a
+    broker with no changes to its batch/eval machinery — it loads one
+    snapshot per batch and asks it for the answer, and here answering
+    is the scatter-gather.  The shard set is fixed at construction;
+    *health* is read live from the shard groups at query time, so a
+    query after a shard died answers — degraded or failing per
+    ``partial`` — without a republish.  ``cache`` is None: a degraded
+    answer must not outlive the shard's death.
+
+    Spans: each query records ``<name>.query`` wrapping one
+    ``<name>.scatter`` (fan-out) and one ``<name>.gather``
+    (join + merge), with per-shard ``shard.query`` spans inside the
+    scatter.  Gauges ``<name>.shards_ok``/``<name>.shards_total``
+    publish topology health; counters count served, degraded, shed
+    and failed queries plus replica failovers.
     """
 
     cache = None
@@ -397,16 +388,50 @@ class ShardedSnapshot:
     def __init__(
         self,
         groups: Sequence[ShardGroup],
-        generation: int,
-        partial: str,
-        sync,
+        partial: str = "degrade",
+        max_inflight: Optional[int] = None,
+        sync=None,
         name: str = "broker",
+        generation: int = 0,
     ) -> None:
+        if not groups:
+            raise ValueError("a broker needs at least one shard group")
+        if partial not in PARTIAL_POLICIES:
+            raise ValueError(
+                f"partial must be one of {PARTIAL_POLICIES}, got {partial!r}"
+            )
+        if sync is None:
+            from repro.concurrency.provider import THREADING_SYNC
+
+            sync = THREADING_SYNC
+        self.name = name
+        self.partial = partial
         self.groups = list(groups)
         self.generation = generation
-        self.partial = partial
-        self.name = name
         self._sync = sync
+        if max_inflight is None:
+            max_inflight = min(
+                sum(replica.max_inflight for replica in group.replicas)
+                for group in self.groups
+            )
+        self.max_inflight = max_inflight
+        self._lock = sync.lock(f"{name}.stats-lock")
+        self._closing = False
+        # What the broker releases on close, after its replicas: the
+        # shard files a process backend wrote.
+        self.resources = ExitStack()
+        self._served = 0
+        self._degraded = 0
+        self._shed = 0
+        self._failed = 0
+        self._refresh_health_gauges()
+
+    # -- the snapshot face -------------------------------------------------
+
+    @property
+    def snapshot(self) -> "ScatterGatherBroker":
+        """The broker itself (one pointer load, like a service's)."""
+        return self
 
     @property
     def shards_total(self) -> int:
@@ -514,84 +539,7 @@ class ShardedSnapshot:
             shards_total=self.shards_total,
         )
 
-
-# -- the broker -----------------------------------------------------------
-
-
-class ScatterGatherBroker:
-    """N shard groups behind one service-shaped face.
-
-    ``query``/``snapshot``/``stats``/``close`` mirror
-    :class:`~repro.service.service.SearchService`, so every existing
-    consumer — the open-loop load generator, the async frontend, the
-    CLI serve loop — drives a broker exactly like a single service.
-    ``max_inflight`` defaults to the *weakest* shard's total replica
-    budget: every query touches every shard, so global concurrency is
-    bounded by the smallest shard's capacity.
-
-    Spans: each query records ``<name>.query`` wrapping one
-    ``<name>.scatter`` (fan-out) and one ``<name>.gather``
-    (join + merge), with per-shard ``shard.query`` spans inside the
-    scatter.  Gauges ``<name>.shards_ok``/``<name>.shards_total``
-    publish topology health; counters count served, degraded, shed
-    and failed queries plus replica failovers.
-    """
-
-    def __init__(
-        self,
-        groups: Sequence[ShardGroup],
-        partial: str = "degrade",
-        max_inflight: Optional[int] = None,
-        sync=None,
-        name: str = "broker",
-        generation: int = 0,
-    ) -> None:
-        if not groups:
-            raise ValueError("a broker needs at least one shard group")
-        if partial not in PARTIAL_POLICIES:
-            raise ValueError(
-                f"partial must be one of {PARTIAL_POLICIES}, got {partial!r}"
-            )
-        if sync is None:
-            from repro.concurrency.provider import THREADING_SYNC
-
-            sync = THREADING_SYNC
-        self.name = name
-        self.partial = partial
-        self.groups = list(groups)
-        self._sync = sync
-        self._snapshot = ShardedSnapshot(
-            self.groups, generation, partial, sync, name=name
-        )
-        if max_inflight is None:
-            max_inflight = min(
-                sum(replica.max_inflight for replica in group.replicas)
-                for group in self.groups
-            )
-        self.max_inflight = max_inflight
-        self._lock = sync.lock(f"{name}.stats-lock")
-        self._closing = False
-        # What the broker releases on close, after its replicas: the
-        # shard files a Search.serve_sharded process backend wrote.
-        self.resources = ExitStack()
-        self._served = 0
-        self._degraded = 0
-        self._shed = 0
-        self._failed = 0
-        metrics = obsrec.metrics()
-        metrics.gauge(f"{name}.shards_total").set(len(self.groups))
-        metrics.gauge(f"{name}.shards_ok").set(self._snapshot.shards_ok())
-
     # -- the service face --------------------------------------------------
-
-    @property
-    def snapshot(self) -> ShardedSnapshot:
-        """The topology view (one pointer load, like a service's)."""
-        return self._snapshot
-
-    @property
-    def generation(self) -> int:
-        return self._snapshot.generation
 
     def query(
         self,
@@ -618,7 +566,7 @@ class ScatterGatherBroker:
             with obsrec.span(
                 f"{self.name}.query", rank=rank, shards=len(self.groups)
             ):
-                result = self.snapshot.answer(query_text, rank, topk)
+                result = self.answer(query_text, rank, topk)
         except ServiceOverloadedError:
             with self._lock:
                 self._shed += 1
@@ -643,7 +591,7 @@ class ScatterGatherBroker:
 
     def _refresh_health_gauges(self, metrics=None) -> None:
         metrics = metrics or obsrec.metrics()
-        metrics.gauge(f"{self.name}.shards_ok").set(self._snapshot.shards_ok())
+        metrics.gauge(f"{self.name}.shards_ok").set(self.shards_ok())
         metrics.gauge(f"{self.name}.shards_total").set(len(self.groups))
 
     def kill_shard(self, shard_id: int) -> None:
@@ -660,7 +608,7 @@ class ScatterGatherBroker:
             failed = self._failed
         return {
             "broker.shards_total": float(len(self.groups)),
-            "broker.shards_ok": float(self._snapshot.shards_ok()),
+            "broker.shards_ok": float(self.shards_ok()),
             "broker.served": float(served),
             "broker.degraded": float(degraded),
             "broker.shed": float(shed),
@@ -709,6 +657,9 @@ def local_broker(
 
     Replicas of a shard share the (immutable) snapshot object; each
     gets its own ``SearchService`` evaluation slots and admission budget.
+    Any snapshot serves — in-memory (:func:`shard_snapshots`) or an
+    RIDX2 file off mmap (:meth:`IndexSnapshot.from_ondisk
+    <repro.service.snapshot.IndexSnapshot.from_ondisk>`).
     """
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
@@ -731,12 +682,71 @@ def local_broker(
     )
 
 
+def _process_broker(
+    snapshots: Sequence[IndexSnapshot],
+    frequencies: Optional[FrequencyIndex],
+    replicas: int,
+    partial: str,
+    max_inflight: int,
+    sync,
+    name: str,
+    generation: int,
+) -> ScatterGatherBroker:
+    """Write each shard's RIDX2 file into a fresh temporary directory
+    and spawn ``replicas`` worker processes over it; the broker's
+    :meth:`~ScatterGatherBroker.close` removes the directory, and a
+    failure before the broker exists closes what started and removes
+    it at once."""
+    import os
+    import tempfile
+
+    from repro.index.serialize import save_index
+    from repro.service.shardproc import ProcessShardReplica
+
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
+    directory = tempfile.TemporaryDirectory(prefix="repro-shards-")
+    statistics = frequencies.statistics() if frequencies is not None else None
+    started: List[ProcessShardReplica] = []
+    try:
+        groups = []
+        for shard_id, snapshot in enumerate(snapshots):
+            path = os.path.join(directory.name, f"shard-{shard_id:04d}.ridx2")
+            save_index(
+                snapshot.index, path, format="ridx2", frequencies=frequencies
+            )
+            for replica_id in range(replicas):
+                started.append(
+                    ProcessShardReplica(
+                        shard_id,
+                        replica_id,
+                        path,
+                        max_inflight=max_inflight,
+                        sync=sync,
+                        statistics=statistics,
+                    )
+                )
+            groups.append(
+                ShardGroup(shard_id, started[-replicas:], sync, name=name)
+            )
+        broker = ScatterGatherBroker(
+            groups, partial=partial, sync=sync, name=name,
+            generation=generation,
+        )
+    except BaseException:
+        for replica in started:
+            replica.close()
+        directory.cleanup()
+        raise
+    broker.resources.callback(directory.cleanup)
+    return broker
+
+
 def build_sharded_service(
     index: InvertedIndex,
     universe: Iterable[str],
     shards: int = 2,
     replicas: int = 1,
-    strategy: str = "roundrobin",
     partial: str = "degrade",
     frequencies: Optional[FrequencyIndex] = None,
     workers: int = 1,
@@ -744,93 +754,40 @@ def build_sharded_service(
     sync=None,
     name: str = "broker",
     generation: int = 0,
-    ridx2_dir: Optional[str] = None,
     backend: str = "local",
 ) -> ScatterGatherBroker:
     """Partition ``index`` and stand up a serving broker over it.
 
-    ``backend="local"`` serves each shard from an in-process
-    ``SearchService`` (in-memory subset index, or — with ``ridx2_dir``
-    — an RIDX2 file served off mmap).  ``backend="process"`` writes
-    per-shard RIDX2 files and spawns one OS process per replica
+    ``backend="local"`` serves each in-memory shard from an in-process
+    ``SearchService``.  ``backend="process"`` writes per-shard RIDX2
+    files into a temporary directory the broker owns (``close()``
+    removes it) and spawns one OS process per replica
     (:class:`~repro.service.shardproc.ProcessShardReplica`), the real
     escape from the GIL.  BM25 needs ``frequencies``, the whole
     collection's sidecar: in-memory shards rank with it, each shard's
     RIDX2 file takes its documents' counts from it, and the DAAT
-    scorers over those files (in this process or, as plain data sent
-    at spawn, in a worker) read N, avgdl and df from its
-    :meth:`~repro.query.ranking.FrequencyIndex.statistics`.
+    scorer in each worker reads N, avgdl and df from its
+    :meth:`~repro.query.ranking.FrequencyIndex.statistics`, sent as
+    plain data at spawn.
     """
     if backend not in ("local", "process"):
         raise ValueError(
             f"backend must be 'local' or 'process', got {backend!r}"
         )
-    if backend == "process" and ridx2_dir is None:
-        raise ValueError("backend='process' needs ridx2_dir for shard files")
-    parts_snapshots = shard_snapshots(
+    snapshots = shard_snapshots(
         index,
         universe,
         shards,
-        strategy=strategy,
         frequencies=frequencies,
         generation=generation,
     )
-    if ridx2_dir is None:
-        return local_broker(
-            parts_snapshots,
-            replicas=replicas,
-            partial=partial,
-            workers=workers,
-            max_inflight=max_inflight,
-            sync=sync,
-            name=name,
-            generation=generation,
-        )
-    import os
-
-    from repro.index.serialize import save_index
-
-    os.makedirs(ridx2_dir, exist_ok=True)
-    shard_paths = []
-    for shard_id, snapshot in enumerate(parts_snapshots):
-        path = os.path.join(ridx2_dir, f"shard-{shard_id:04d}.ridx2")
-        save_index(
-            snapshot.index, path, format="ridx2", frequencies=frequencies
-        )
-        shard_paths.append(path)
-    statistics = frequencies.statistics() if frequencies is not None else None
     if backend == "process":
-        from repro.service.shardproc import ProcessShardReplica
-
-        groups = []
-        for shard_id, path in enumerate(shard_paths):
-            group_replicas = [
-                ProcessShardReplica(
-                    shard_id,
-                    replica_id,
-                    path,
-                    max_inflight=max_inflight,
-                    sync=sync,
-                    statistics=statistics,
-                )
-                for replica_id in range(replicas)
-            ]
-            groups.append(ShardGroup(shard_id, group_replicas, sync, name=name))
-        return ScatterGatherBroker(
-            groups, partial=partial, sync=sync, name=name,
-            generation=generation,
+        return _process_broker(
+            snapshots, frequencies, replicas, partial, max_inflight,
+            sync, name, generation,
         )
-    from repro.index.ondisk import MmapPostingsReader
-
-    ondisk_snapshots = [
-        IndexSnapshot.from_ondisk(
-            MmapPostingsReader(path), generation=generation,
-            provenance="shard-ondisk", statistics=statistics,
-        )
-        for path in shard_paths
-    ]
     return local_broker(
-        ondisk_snapshots,
+        snapshots,
         replicas=replicas,
         partial=partial,
         workers=workers,

@@ -30,7 +30,6 @@ import itertools
 import multiprocessing
 import queue as queue_mod
 import time
-from typing import Optional
 
 from repro.query.ranking import RankedHit
 from repro.service.sharded import ShardDeadError
@@ -38,6 +37,10 @@ from repro.service.snapshot import QueryResult
 
 #: How long the parent polls between liveness re-checks while waiting.
 _POLL_S = 0.05
+
+#: The longest the parent waits for one answer before it declares a
+#: live but silent worker hung, and so dead.
+_TIMEOUT_S = 30.0
 
 
 def shard_worker_main(ridx2_path, statistics, requests, responses) -> None:
@@ -95,13 +98,9 @@ class ProcessShardReplica:
         replica_id: int,
         ridx2_path: str,
         max_inflight: int = 32,
-        timeout_s: float = 30.0,
         sync=None,
-        start_method: Optional[str] = None,
         statistics=None,
     ) -> None:
-        if timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         if sync is None:
             from repro.concurrency.provider import THREADING_SYNC
 
@@ -111,15 +110,10 @@ class ProcessShardReplica:
         self.ridx2_path = ridx2_path
         self.name = f"shard{shard_id}.proc{replica_id}"
         self.max_inflight = max_inflight
-        self.timeout_s = timeout_s
         self._lock = sync.lock(f"{self.name}.io-lock")
         self._dead = False
         self._ids = itertools.count(1)
-        context = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else multiprocessing.get_context()
-        )
+        context = multiprocessing.get_context()
         self._requests = context.Queue()
         self._responses = context.Queue()
         self._process = context.Process(
@@ -161,13 +155,13 @@ class ProcessShardReplica:
                 raise ShardDeadError(
                     f"{self.name}: request pipe broken"
                 ) from exc
-            deadline = started + self.timeout_s
+            deadline = started + _TIMEOUT_S
             while True:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     self._dead = True
                     raise ShardDeadError(
-                        f"{self.name}: no answer in {self.timeout_s}s"
+                        f"{self.name}: no answer in {_TIMEOUT_S}s"
                     )
                 try:
                     item = self._responses.get(

@@ -136,8 +136,8 @@ class IndexSnapshot:
     ) -> "QueryResult":
         """One request answered against this snapshot, timed and
         labelled with its generation — the face every serving door
-        calls, shared with the broker's
-        :class:`~repro.service.sharded.ShardedSnapshot`.  A text is
+        calls, shared with
+        :class:`~repro.service.sharded.ScatterGatherBroker`.  A text is
         parsed once and looked up in :attr:`cache`; a
         :class:`~repro.query.cache.Plan` was looked up by its maker,
         the front end's batcher.  A miss is evaluated and put.  BM25

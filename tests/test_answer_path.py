@@ -3,7 +3,7 @@
 The claims of the read-path consolidation, each pinned where it can
 break:
 
-a. **one answer** — ``IndexSnapshot.answer`` / ``ShardedSnapshot.answer``
+a. **one answer** — ``IndexSnapshot.answer`` / ``ScatterGatherBroker.answer``
    carry exactly what ``search``/``search_bm25`` return, labelled with
    the snapshot's generation, and every serving door
    (``SearchService.query``, ``AsyncSearchFrontend.query``,
@@ -71,7 +71,6 @@ from repro.service.sharded import (
     LocalShardReplica,
     RankedQueryEngine,
     ScatterGatherBroker,
-    ShardedSnapshot,
     ShardGroup,
     build_sharded_service,
     local_broker,
@@ -242,8 +241,9 @@ class TestOneAnswer:
             Search.query, IndexSnapshot.search, IndexSnapshot.answer,
             SearchService.query, AsyncSearchFrontend.submit,
             AsyncSearchFrontend.query, AsyncSearchFrontend.query_async,
-            QueryTicket, ScatterGatherBroker.query, ShardedSnapshot.answer,
-            ShardedSnapshot._scatter, ShardGroup.query,
+            QueryTicket, ScatterGatherBroker.query,
+            ScatterGatherBroker.answer, ScatterGatherBroker._scatter,
+            ShardGroup.query,
             LocalShardReplica.query, ProcessShardReplica.query,
             DaatQueryEngine.search, DaatQueryEngine.search_ast,
             search_bm25, plan_query, cache_key, QuerySpec,
@@ -288,12 +288,12 @@ class TestOneAnswer:
                     path for path in whole.paths if path not in dead
                 ]
 
-    def test_process_shards_answer_in_the_same_shape(self, tmp_path):
+    def test_process_shards_answer_in_the_same_shape(self):
         index, frequencies = build_corpus()
         reference = QueryEngine(index, universe=frozenset(DOCS))
         broker = build_sharded_service(
             index, DOCS, shards=2, frequencies=frequencies,
-            ridx2_dir=str(tmp_path), backend="process", generation=4,
+            backend="process", generation=4,
         )
         with broker:
             snapshot = broker.snapshot
@@ -620,11 +620,13 @@ class TestTheSnapshotOwnsTheCache:
 
     def test_ondisk_and_sharded_snapshots_carry_no_cache(self, views):
         assert views["ondisk"].cache is None
-        assert views["broker"].snapshot.cache is None
+        # The broker is its own snapshot, and keeps no cache.
+        assert views["broker"].snapshot is views["broker"]
+        assert views["broker"].cache is None
         assert all(shard.cache is None for shard in views["shards"])
         for _ in range(2):
             assert not views["ondisk"].answer("alpha").cached
-            assert not views["broker"].snapshot.answer("alpha").cached
+            assert not views["broker"].answer("alpha").cached
 
 
 def leaves(query) -> int:

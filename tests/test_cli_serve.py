@@ -144,17 +144,6 @@ class TestServeAsync:
         )
         assert coalesced >= 1
 
-    def test_no_single_flight_evaluates_everything(
-        self, corpus_dir, tmp_path, capsys
-    ):
-        term = a_term(corpus_dir)
-        queries = query_file(tmp_path, [term, term, term])
-        assert main(["serve", corpus_dir, "--async", "--no-single-flight",
-                     "--queries", queries]) == 0
-        err = capsys.readouterr().err
-        assert "0 coalesced" in err
-        assert "3 evaluation(s)" in err
-
     def test_async_parse_error_reported_not_fatal(
         self, corpus_dir, tmp_path, capsys
     ):

@@ -138,18 +138,17 @@ class TestColumnarDifferential:
         index, frequencies = build_corpus(docs)
         engine = QueryEngine(index, universe=frozenset(docs))
         ranker = BM25Ranker(frequencies)
-        with tempfile.TemporaryDirectory() as directory:
-            broker = build_sharded_service(
-                index, docs, shards=2, frequencies=frequencies,
-                ridx2_dir=directory, backend="process",
-            )
-            with broker:
-                for text in texts:
-                    assert broker.query(text).paths == engine.search(text)
-                    hits = broker.query(text, rank="bm25", topk=topk).hits
-                    assert hits == search_bm25(
-                        engine, ranker, text, topk=topk
-                    ), text
+        broker = build_sharded_service(
+            index, docs, shards=2, frequencies=frequencies,
+            backend="process",
+        )
+        with broker:
+            for text in texts:
+                assert broker.query(text).paths == engine.search(text)
+                hits = broker.query(text, rank="bm25", topk=topk).hits
+                assert hits == search_bm25(
+                    engine, ranker, text, topk=topk
+                ), text
 
 
 # -- totality: the doc-table decoders under damage ----------------------------

@@ -593,6 +593,17 @@ class TestStateFile:
         # The same fingerprints describe no other index file.
         assert load_fingerprints(path, CRC + 1) is None
 
+    def test_insertion_order_does_not_reach_the_bytes(self, tmp_path):
+        # A threaded build inserts in extractor completion order.
+        entries = [(f"d{n % 3}/f{n}.txt", (n, 7 * n, n * n)) for n in range(9)]
+        forward = str(tmp_path / "forward.json")
+        backward = str(tmp_path / "backward.json")
+        save_fingerprints(dict(entries), forward, CRC)
+        save_fingerprints(dict(reversed(entries)), backward, CRC)
+        with open(forward, "rb") as a, open(backward, "rb") as b:
+            assert a.read() == b.read()
+        assert list(load_fingerprints(forward, CRC)) == sorted(dict(entries))
+
     @pytest.mark.parametrize(
         "state",
         [

@@ -147,18 +147,6 @@ class TestSingleFlight:
         finally:
             frontend.close()
 
-    def test_single_flight_disabled_evaluates_every_query(self):
-        engine = StubEngine()
-        frontend = make_frontend(engine, single_flight=False)
-        try:
-            for _ in range(3):
-                frontend.query("alpha AND bravo")
-            stats = frontend.stats()
-            assert stats["frontend.evaluations"] == 3
-            assert stats["frontend.coalesced"] == 0
-        finally:
-            frontend.close()
-
     def test_bm25_never_satisfies_a_boolean_waiter(self):
         gate = threading.Event()
         engine = StubEngine(gate)

@@ -10,10 +10,9 @@ a BM25 entry can never satisfy a boolean waiter (their keys differ, so
 their pure-function answers differ), and two texts that normalize to
 the same plan share one evaluation without changing anyone's answer.
 
-Bookkeeping must balance too: with single-flight on, every submission
-is either an evaluated leader or a coalesced follower —
-``evaluations + coalesced == submitted`` — and with it off, coalescing
-never happens at all.  Over a snapshot that carries a result cache the
+Bookkeeping must balance too: every submission is either an evaluated
+leader or a coalesced follower — ``evaluations + coalesced ==
+submitted``.  Over a snapshot that carries a result cache the
 batcher answers repeats itself, and the law becomes ``evaluations +
 coalesced + cached == served``.
 """
@@ -88,14 +87,11 @@ def solo_answer(spec):
 
 class TestCoalescingTransparency:
     @settings(max_examples=30, deadline=None)
-    @given(burst=submissions, single_flight=st.booleans())
-    def test_every_caller_gets_its_own_keys_solo_result(
-        self, burst, single_flight
-    ):
+    @given(burst=submissions)
+    def test_every_caller_gets_its_own_keys_solo_result(self, burst):
         service = SearchService(tiny_snapshot(), workers=1, max_inflight=64)
         frontend = AsyncSearchFrontend(
             service,
-            single_flight=single_flight,
             workers=2,
             own_service=True,
         )
@@ -120,17 +116,12 @@ class TestCoalescingTransparency:
             assert stats["frontend.submitted"] == len(burst)
             assert stats["frontend.served"] == len(burst)
             assert stats["frontend.shed"] == 0
-            if single_flight:
-                # Every submission is either an evaluated leader or a
-                # coalesced follower.
-                assert (
-                    stats["frontend.evaluations"]
-                    + stats["frontend.coalesced"]
-                    == len(burst)
-                )
-            else:
-                assert stats["frontend.coalesced"] == 0
-                assert stats["frontend.evaluations"] == len(burst)
+            # Every submission is either an evaluated leader or a
+            # coalesced follower.
+            assert (
+                stats["frontend.evaluations"] + stats["frontend.coalesced"]
+                == len(burst)
+            )
         finally:
             frontend.close()
 
@@ -140,18 +131,12 @@ class TestCachedSnapshot:
     a result cache: the batcher answers repeats from it."""
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        bursts=st.lists(submissions, min_size=1, max_size=3),
-        single_flight=st.booleans(),
-    )
-    def test_every_caller_is_counted_once_and_answered_solo(
-        self, bursts, single_flight
-    ):
+    @given(bursts=st.lists(submissions, min_size=1, max_size=3))
+    def test_every_caller_is_counted_once_and_answered_solo(self, bursts):
         snapshot = dataclasses.replace(tiny_snapshot(), cache=QueryCache(128))
         service = SearchService(snapshot, workers=1, max_inflight=64)
         frontend = AsyncSearchFrontend(
             service,
-            single_flight=single_flight,
             workers=2,
             own_service=True,
         )
@@ -188,7 +173,5 @@ class TestCachedSnapshot:
                 + stats["frontend.cached"]
                 == stats["frontend.served"]
             )
-            if not single_flight:
-                assert stats["frontend.coalesced"] == 0
         finally:
             frontend.close()

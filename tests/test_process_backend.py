@@ -86,11 +86,10 @@ class TestConfigValidation:
 
     def test_rejects_dynamic_acquisition(self, tiny_fs):
         with pytest.raises(ValueError, match="dynamic"):
-            ProcessReplicatedIndexer(tiny_fs, dynamic="steal")
-
-    def test_rejects_unknown_start_method(self, tiny_fs):
-        with pytest.raises(ValueError, match="start method"):
-            ProcessReplicatedIndexer(tiny_fs, start_method="teleport")
+            IndexGenerator(tiny_fs, dynamic="steal").build(
+                Implementation.REPLICATED_JOINED,
+                ThreadConfig(2, 0, 1, backend="process"),
+            )
 
 
 class TestWorkerBoundary:

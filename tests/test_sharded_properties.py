@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) of the sharded scoring contract.
 
-Random corpora, random shard counts and partition strategies, random
-boolean queries — the broker must honour the two halves of the
-contract in ``docs/sharded.md``:
+Random corpora, random shard counts, random boolean queries — the
+round-robin partition and its one-pass cut must deal every posting to
+exactly the shard its document went to, and the broker must honour the
+two halves of the contract in ``docs/sharded.md``:
 
 * **boolean**: the merged answer is byte-identical to the unsharded
   engine's, for *any* query the language can express (document
@@ -10,7 +11,7 @@ contract in ``docs/sharded.md``:
 * **BM25**: every shard scores on the whole collection's statistics,
   so the merged top-K — paths and float scores, compared with ``==`` —
   equals the unsharded in-memory ranker's and the DAAT engine's over
-  the unsharded RIDX2 file, for any shard count, strategy and backend,
+  the unsharded RIDX2 file, for any shard count and backend,
   term-less files included; it is also the first K of the
   concatenated per-shard top-K lists under the ``(score desc, path
   asc)`` tie-break.
@@ -28,16 +29,16 @@ from hypothesis import strategies as st
 from repro.index.binfmt import dump_index_ridx2
 from repro.index.inverted import InvertedIndex
 from repro.index.ondisk import MmapPostingsReader
+from repro.index.serialize import save_index
 from repro.query.daat import DaatQueryEngine
 from repro.query.evaluator import QueryEngine
 from repro.query.ranking import BM25Ranker, FrequencyIndex, search_bm25
 from repro.service.sharded import (
-    SHARD_STRATEGIES,
-    build_sharded_service,
     local_broker,
     partition_paths,
     shard_snapshots,
 )
+from repro.service.snapshot import IndexSnapshot
 from repro.text.termblock import TermBlock
 
 #: A small shared vocabulary so random documents overlap on terms —
@@ -53,7 +54,6 @@ corpora = st.dictionaries(
     max_size=10,
 )
 shard_counts = st.integers(min_value=1, max_value=4)
-strategies = st.sampled_from(SHARD_STRATEGIES)
 
 atoms = st.sampled_from(VOCAB + ("nosuchterm", "alph*", "ze*", "qq*"))
 queries = st.recursive(
@@ -92,29 +92,52 @@ def build_corpus(docs):
 
 
 class TestPartitionProperties:
-    @given(docs=corpora, shards=shard_counts, strategy=strategies)
+    @given(docs=corpora, shards=shard_counts)
     @settings(max_examples=40, deadline=None)
-    def test_partition_is_always_a_disjoint_cover(self, docs, shards,
-                                                  strategy):
-        sizes = {path: len(words) for path, words in docs.items()}
-        parts = partition_paths(docs, shards, strategy, sizes=sizes)
+    def test_partition_is_always_a_disjoint_cover(self, docs, shards):
+        parts = partition_paths(docs, shards)
         assert len(parts) == shards
         flat = [path for part in parts for path in part]
         assert sorted(flat) == sorted(docs)
         assert len(flat) == len(set(flat))
 
+    @given(docs=corpora, data=st.data(),
+           shards=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_cut_equals_a_filter_per_shard(self, docs, data,
+                                                    shards):
+        # Blocks go in the drawn order, so a term's postings are not
+        # sorted; paths left out of the universe belong to no shard.
+        index = InvertedIndex()
+        for path, words in docs.items():
+            index.add_block(TermBlock(path, tuple(dict.fromkeys(words))))
+        universe = data.draw(st.sets(st.sampled_from(sorted(docs))))
+        parts = partition_paths(universe, shards)
+        snapshots = shard_snapshots(index, universe, shards)
+        assert len(snapshots) == shards
+        for part, snapshot in zip(parts, snapshots):
+            keep = set(part)
+            expected = {}
+            for term in index.terms():
+                kept = [path for path in index.lookup(term) if path in keep]
+                if kept:
+                    expected[term] = kept
+            cut = snapshot.index
+            assert {term: cut.lookup(term) for term in cut.terms()} == (
+                expected
+            )
+            assert snapshot.universe == frozenset(part)
+
 
 class TestBooleanEquivalence:
-    @given(docs=corpora, shards=shard_counts, strategy=strategies,
-           query=queries)
+    @given(docs=corpora, shards=shard_counts, query=queries)
     @settings(max_examples=25, deadline=None)
     def test_sharded_boolean_equals_unsharded_byte_for_byte(
-        self, docs, shards, strategy, query
+        self, docs, shards, query
     ):
         index, _ = build_corpus(docs)
         engine = QueryEngine(index, universe=frozenset(docs))
-        snapshots = shard_snapshots(index, docs, shards,
-                                    strategy=strategy)
+        snapshots = shard_snapshots(index, docs, shards)
         broker = local_broker(snapshots)
         try:
             result = broker.query(query)
@@ -153,11 +176,11 @@ class TestBM25Prefix:
 class TestBM25EqualsUnsharded:
     @given(docs=corpora_with_termless,
            shards=st.integers(min_value=1, max_value=5),
-           strategy=strategies, ondisk=st.booleans(), query=queries,
+           ondisk=st.booleans(), query=queries,
            topk=st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
     def test_sharded_bm25_equals_the_unsharded_ranking(
-        self, docs, shards, strategy, ondisk, query, topk
+        self, docs, shards, ondisk, query, topk
     ):
         index, frequencies = build_corpus(docs)
         universe = frozenset(path for path, words in docs.items() if words)
@@ -175,11 +198,26 @@ class TestBM25EqualsUnsharded:
             finally:
                 reader.close()
             assert daat == expected
-            broker = build_sharded_service(
-                index, universe, shards=shards, strategy=strategy,
-                frequencies=frequencies,
-                ridx2_dir=os.path.join(directory, "shards") if ondisk else None,
+            snapshots = shard_snapshots(
+                index, universe, shards, frequencies=frequencies
             )
-            with broker:
-                hits = broker.query(query, rank="bm25", topk=topk).hits
+            readers = []
+            if ondisk:
+                # Each shard's RIDX2 file served off mmap, in-process.
+                for shard_id, snapshot in enumerate(snapshots):
+                    path = os.path.join(directory, f"shard-{shard_id}.ridx2")
+                    save_index(snapshot.index, path, frequencies=frequencies)
+                    readers.append(MmapPostingsReader(path))
+                snapshots = [
+                    IndexSnapshot.from_ondisk(
+                        reader, statistics=frequencies.statistics()
+                    )
+                    for reader in readers
+                ]
+            try:
+                with local_broker(snapshots) as broker:
+                    hits = broker.query(query, rank="bm25", topk=topk).hits
+            finally:
+                for reader in readers:
+                    reader.close()
         assert hits == expected

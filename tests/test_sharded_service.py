@@ -4,7 +4,7 @@ Four claims under test, mirroring ``docs/sharded.md``:
 
 1. the **differential gate** — a boolean query answered by the broker
    is byte-identical to the unsharded engine's answer, across the
-   in-memory, RIDX2-off-mmap and process shard backends, for every
+   in-memory and process (RIDX2 off mmap) shard backends, for every
    operator the query language has (document partitioning commutes
    with per-document evaluation);
 2. the **scoring contract** — every shard scores BM25 on the whole
@@ -108,17 +108,15 @@ class TestPartitioning:
         backward = partition_paths(sorted(DOCS, reverse=True), 3)
         assert forward == backward
 
-    def test_sizebalanced_splits_by_load(self):
-        sizes = {"big.txt": 100, "s1.txt": 1, "s2.txt": 1, "s3.txt": 1}
-        parts = partition_paths(sizes, 2, "sizebalanced", sizes=sizes)
-        big = next(part for part in parts if "big.txt" in part)
-        assert big == ["big.txt"]  # LPT keeps the giant alone
+    def test_partition_deals_sorted_paths_round_robin(self):
+        ordered = sorted(DOCS)
+        assert partition_paths(DOCS, 3) == [
+            ordered[0::3], ordered[1::3], ordered[2::3]
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             partition_paths(DOCS, 0)
-        with pytest.raises(ValueError):
-            partition_paths(DOCS, 2, "hashring")
 
     def test_shard_snapshots_slice_universe_and_statistics(self):
         index, frequencies = build_corpus()
@@ -140,14 +138,14 @@ class TestPartitioning:
 class TestDifferentialBoolean:
     """The gate: sharded boolean == unsharded, byte for byte."""
 
-    @pytest.mark.parametrize("shards", (1, 2, 3, 5))
-    @pytest.mark.parametrize("strategy", ("roundrobin", "sizebalanced"))
-    def test_in_memory_backend(self, shards, strategy):
+    @pytest.mark.parametrize(
+        "shards", (1, 2, 3, 5), ids=lambda shards: f"roundrobin-{shards}"
+    )
+    def test_in_memory_backend(self, shards):
         index, frequencies = build_corpus()
         engine = reference_engine()
         broker = build_sharded_service(
-            index, DOCS, shards=shards, strategy=strategy,
-            frequencies=frequencies,
+            index, DOCS, shards=shards, frequencies=frequencies,
         )
         with broker:
             for text in QUERIES:
@@ -155,23 +153,23 @@ class TestDifferentialBoolean:
                 assert result.paths == engine.search(text), text
                 assert result.shards_ok == result.shards_total == shards
 
-    def test_ridx2_backend(self, tmp_path):
+    def test_ridx2_backend(self):
         index, frequencies = build_corpus()
         engine = reference_engine()
         broker = build_sharded_service(
             index, DOCS, shards=3, frequencies=frequencies,
-            ridx2_dir=str(tmp_path),
+            backend="process",
         )
         with broker:
             for text in QUERIES:
                 assert broker.query(text).paths == engine.search(text), text
 
-    def test_process_backend(self, tmp_path):
+    def test_process_backend(self):
         index, frequencies = build_corpus()
         engine = reference_engine()
         broker = build_sharded_service(
             index, DOCS, shards=2, frequencies=frequencies,
-            ridx2_dir=str(tmp_path), backend="process",
+            backend="process",
         )
         with broker:
             for text in ("alpha AND beta", "NOT delta", "alph*"):
@@ -203,7 +201,7 @@ class TestBM25Merge:
             per_shard.sort(key=lambda hit: (-hit.score, hit.path))
             assert merged.hits == per_shard[:topk]
 
-    def test_ondisk_shards_score_identically_to_in_memory(self, tmp_path):
+    def test_ondisk_shards_score_identically_to_in_memory(self):
         # Same collection statistics -> same scores, whichever engine
         # (in-memory ranker vs DAAT off mmap) computes them.
         index, frequencies = build_corpus()
@@ -212,18 +210,18 @@ class TestBM25Merge:
         )
         ondisk = build_sharded_service(
             index, DOCS, shards=3, frequencies=frequencies,
-            ridx2_dir=str(tmp_path),
+            backend="process",
         )
         with memory, ondisk:
             a = memory.query("alpha AND beta", rank="bm25", topk=8).hits
             b = ondisk.query("alpha AND beta", rank="bm25", topk=8).hits
             assert a == b
 
-    def test_process_shards_rank_like_one_unsharded_engine(self, tmp_path):
+    def test_process_shards_rank_like_one_unsharded_engine(self):
         index, frequencies = build_corpus()
         broker = build_sharded_service(
             index, DOCS, shards=3, frequencies=frequencies,
-            ridx2_dir=str(tmp_path), backend="process",
+            backend="process",
         )
         with broker:
             for text in QUERIES:
@@ -288,12 +286,12 @@ class TestDeadShards:
             assert not result.degraded
             assert broker.groups[0].alive
 
-    def test_process_shard_kill_is_detected_not_waited_out(self, tmp_path):
+    def test_process_shard_kill_is_detected_not_waited_out(self):
         index, frequencies = build_corpus()
         engine = reference_engine()
         broker = build_sharded_service(
             index, DOCS, shards=3, frequencies=frequencies,
-            ridx2_dir=str(tmp_path), backend="process",
+            backend="process",
         )
         with broker:
             victim = broker.groups[1].replicas[0]
@@ -345,8 +343,6 @@ class TestBrokerFace:
             local_broker(snapshots, replicas=0)
         with pytest.raises(ValueError):
             build_sharded_service(index, DOCS, backend="remote")
-        with pytest.raises(ValueError):
-            build_sharded_service(index, DOCS, backend="process")
 
     def test_rank_validation(self):
         index, _ = build_corpus()
@@ -354,6 +350,57 @@ class TestBrokerFace:
         with broker:
             with pytest.raises(ValueError):
                 broker.query("alpha", rank="pagerank")
+
+
+class TestProcessShardFiles:
+    """The process backend's shard files belong to the broker: they
+    live in one ``repro-shards-*`` temporary directory that ``close()``
+    removes, and that a failed start removes at once."""
+
+    @pytest.fixture
+    def tempdir(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_close_removes_the_shard_directory(self, tempdir):
+        index, frequencies = build_corpus()
+        broker = build_sharded_service(
+            index, DOCS, shards=2, frequencies=frequencies,
+            backend="process",
+        )
+        with broker:
+            (directory,) = tempdir.glob("repro-shards-*")
+            assert sorted(p.name for p in directory.iterdir()) == [
+                "shard-0000.ridx2", "shard-0001.ridx2",
+            ]
+            assert broker.query("alpha").paths == (
+                reference_engine().search("alpha")
+            )
+        assert list(tempdir.glob("repro-shards-*")) == []
+
+    def test_a_replica_that_fails_to_start_leaves_nothing(
+        self, tempdir, monkeypatch
+    ):
+        import repro.service.shardproc as shardproc
+
+        real = shardproc.ProcessShardReplica
+        started = []
+
+        def flaky(*args, **kwargs):
+            if started:
+                raise OSError("cannot spawn")
+            started.append(real(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(shardproc, "ProcessShardReplica", flaky)
+        index, _ = build_corpus()
+        with pytest.raises(OSError, match="cannot spawn"):
+            build_sharded_service(index, DOCS, shards=2, backend="process")
+        assert list(tempdir.glob("repro-shards-*")) == []
+        (first,) = started
+        assert not first.alive  # the replica that did start was closed
 
 
 class TestFrontendSeating:

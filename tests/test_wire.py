@@ -139,14 +139,6 @@ class TestMergeWireReplica:
 
 
 class TestReplicaBuilder:
-    def test_add_scan_dedups_preserving_order(self):
-        builder = ReplicaBuilder()
-        distinct = builder.add_scan("a.txt", ["dog", "cat", "dog", "ant"])
-        assert distinct == 3
-        index = builder.to_index()
-        assert list(index.terms()).count("dog") == 1
-        assert index.lookup("dog") == ["a.txt"]
-
     def test_matches_inverted_index(self):
         tokenizer = Tokenizer()
         files = {
@@ -157,7 +149,9 @@ class TestReplicaBuilder:
         builder = ReplicaBuilder()
         reference = InvertedIndex()
         for path, content in files.items():
-            builder.add_scan(path, tokenizer.iter_terms(content))
+            builder.add_terms(
+                path, dict.fromkeys(tokenizer.iter_terms(content))
+            )
             from repro.text import extract_term_block
 
             reference.add_block(extract_term_block(path, content, tokenizer))
@@ -168,8 +162,8 @@ class TestReplicaBuilder:
 
     def test_counters(self):
         builder = ReplicaBuilder()
-        builder.add_scan("a.txt", ["cat", "dog"])
-        builder.add_scan("b.txt", ["dog"])
+        builder.add_terms("a.txt", ["cat", "dog"])
+        builder.add_terms("b.txt", ["dog"])
         assert len(builder) == 2
         assert builder.doc_count == 2
         assert builder.block_count == 2
@@ -178,14 +172,16 @@ class TestReplicaBuilder:
     @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=20),
                     max_size=5))
     @settings(max_examples=40, deadline=None)
-    def test_add_scan_writes_the_bytes_add_block_writes(self, streams):
-        # A duplicate-bearing stream and its first-seen de-duplication
+    def test_add_terms_writes_the_bytes_add_block_writes(self, streams):
+        # A duplicate-bearing stream, de-duplicated in first-seen order,
         # must produce the same replica, wire byte for wire byte.
         scanned, blocked = ReplicaBuilder(), ReplicaBuilder()
         for n, stream in enumerate(streams):
             path = f"f{n}.txt"
             distinct = tuple(dict.fromkeys(stream))
-            assert scanned.add_scan(path, iter(stream)) == len(distinct)
+            assert scanned.add_terms(path, dict.fromkeys(stream)) == len(
+                distinct
+            )
             blocked.add_block(TermBlock(path=path, terms=distinct))
         assert scanned.to_bytes() == blocked.to_bytes()
         # First-seen order across the whole stream, as the wire keeps it.
@@ -202,7 +198,7 @@ class TestReplicaBuilder:
     def test_builder_equivalent_to_index(self, blocks):
         builder = ReplicaBuilder()
         for path, terms in blocks.items():
-            builder.add_scan(path, terms)
+            builder.add_terms(path, dict.fromkeys(terms))
         assert_same_content(builder.to_index(), _index_of(blocks))
         assert dump_index_wire(builder.to_index()) == dump_index_wire(
             _load(builder.to_bytes())
@@ -246,7 +242,7 @@ class TestJoinWireReplicas:
         for files in replicas:
             builder = ReplicaBuilder()
             for terms in files:
-                builder.add_scan(next(paths), terms)
+                builder.add_terms(next(paths), dict.fromkeys(terms))
             blobs.append(builder.to_bytes())
         index, documents, posting_count = join_wire_replicas(blobs)
         oracle = _fold(blobs)
@@ -258,13 +254,13 @@ class TestJoinWireReplicas:
 
     def test_documents_in_join_order_without_termless_files(self):
         left = ReplicaBuilder()
-        left.add_scan("b.txt", ["cat"])
-        left.add_scan("empty.txt", [])
-        left.add_scan("a.txt", ["cat", "dog"])
+        left.add_terms("b.txt", ["cat"])
+        left.add_terms("empty.txt", [])
+        left.add_terms("a.txt", ["cat", "dog"])
         right = ReplicaBuilder()
-        right.add_scan("c.txt", ["dog", "emu"])
-        right.add_scan("blank.txt", [])
-        right.add_scan("d.txt", ["emu"])
+        right.add_terms("c.txt", ["dog", "emu"])
+        right.add_terms("blank.txt", [])
+        right.add_terms("d.txt", ["emu"])
         index, documents, posting_count = join_wire_replicas(
             [left.to_bytes(), right.to_bytes()]
         )
