@@ -12,18 +12,17 @@ onto processes:
 2. a process pool of up to ``x`` workers each runs read → scan →
    dedup → private-replica update in its own interpreter
    (:func:`repro.engine.procworker.build_replica`) and ships its replica
-   back as RWIRE1 wire bytes;
-3. the parent joins the blobs in batch order, never completion order,
-   in one bulk pass (:func:`repro.index.binfmt.join_wire_replicas`:
-   one decode per blob, native lists that become the index) that also
-   yields the build's documents and posting count.  One joiner only:
-   the paper's reduction tree (``z > 1``) is the threaded
-   Implementation 2's, since parent-side joiner threads would share
-   one GIL.
+   back as the ``{term: [path, ...]}`` dict the index keeps, through
+   the pool's own pickle;
+3. the parent folds the dicts in batch order, never completion order,
+   in one pass (:func:`_fold`) that also yields the build's documents
+   and posting count.  One joiner only: the paper's reduction tree
+   (``z > 1``) is the threaded Implementation 2's, since parent-side
+   joiner threads would share one GIL.
 
 Workers and parent exchange only picklable data — batches of the walk's
-``FileRef`` records and extractor specs in, wire bytes out — so the backend
-works under both ``fork`` and ``spawn`` start methods.
+``FileRef`` records and extractor specs in, native postings out — so the
+backend works under both ``fork`` and ``spawn`` start methods.
 
 Fault tolerance
 ---------------
@@ -79,9 +78,37 @@ from repro.extract.registry import resolve_extractor
 from repro.obs import recorder as obsrec
 from repro.obs.spans import rebase_spans
 from repro.fsmodel.nodes import FileRef
-from repro.index.binfmt import join_wire_replicas
 from repro.index.fingerprint import FingerprintMap
 from repro.index.inverted import InvertedIndex
+
+
+def _fold(
+    results: Sequence[WorkerResult],
+) -> Tuple[InvertedIndex, List[str], int]:
+    """Join the batches' postings, in the order given, into one index;
+    returns it with its documents and posting count.  The first dict is
+    adopted; a later one extends a held term's list or inserts a new
+    term — :func:`repro.index.binfmt.join_wire_replicas`'s result, with
+    nothing encoded or decoded."""
+    merged: Dict[str, List[str]] = {}
+    documents: List[str] = []
+    block_count = posting_count = 0
+    for result in results:
+        documents += result.documents
+        block_count += len(result.fingerprints)
+        posting_count += result.posting_count
+        if not merged:
+            merged = result.postings
+            continue
+        get = merged.get
+        for term, paths in result.postings.items():
+            held = get(term)
+            if held is None:
+                merged[term] = paths
+            else:
+                held += paths
+    index = InvertedIndex.from_postings(merged, block_count)
+    return index, documents, posting_count
 
 
 def available_cpus() -> int:
@@ -315,17 +342,17 @@ class ProcessReplicatedIndexer:
         # inline_update marker) so StageTimings.total does not
         # double-count the entire parallel phase.
         with self._recorder.span("phase.extract"):
-            blobs = self._run_workers(config, files, tally)
+            results = self._run_workers(config, files, tally)
         # The pool's completion is the barrier; now the join phase runs
         # in the parent.
         with self._recorder.span("phase.join", joiners=config.joiners):
-            return join_wire_replicas(blobs)
+            return _fold(results)
 
     def _run_workers(
         self, config: ThreadConfig, files: Sequence[FileRef], tally: _Tally
-    ) -> List[bytes]:
-        """Fan the batches out to the pool; returns the replica blobs
-        in stage-1 order, and accounts each collected batch in
+    ) -> List[WorkerResult]:
+        """Fan the batches out to the pool; returns the batches'
+        results in stage-1 order, and accounts each collected batch in
         ``tally``.
 
         Dispatches per-batch (not one blocking ``map``) and walks the
@@ -333,7 +360,7 @@ class ProcessReplicatedIndexer:
         """
         workers = config.extractors
         policy = self.policy
-        # Join order is stage-1 order: a blob is keyed by its batch's
+        # Join order is stage-1 order: a result is keyed by its batch's
         # first path (a retried or split batch too), so completion
         # order never reaches the index.
         position = {ref.path: i for i, ref in enumerate(files)}
@@ -364,7 +391,7 @@ class ProcessReplicatedIndexer:
                 )
             )
 
-        blobs: Dict[int, bytes] = {}
+        results: Dict[int, WorkerResult] = {}
 
         def absorb_spans(job: _Job, result: WorkerResult) -> None:
             if not result.spans:
@@ -391,7 +418,7 @@ class ProcessReplicatedIndexer:
         def collect(job: _Job, result: WorkerResult) -> None:
             # Only a result that reaches this line is merged, so a batch
             # the ladder re-runs contributes its fingerprints once.
-            blobs[position[job.batch.refs[0].path]] = result.replica
+            results[position[job.batch.refs[0].path]] = result
             tally.fingerprints.update(result.fingerprints)
             tally.times[job.slot] += result.elapsed
             tally.failures.extend(result.failures)
@@ -426,7 +453,7 @@ class ProcessReplicatedIndexer:
                         attempt = min(job.attempt for job in requeued)
                         time.sleep(policy.retry_backoff * attempt)
                     jobs = requeued
-        return [blobs[key] for key in sorted(blobs)]
+        return [results[key] for key in sorted(results)]
 
     # -- dispatch machinery ----------------------------------------------
 

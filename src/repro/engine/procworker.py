@@ -2,7 +2,8 @@
 
 Worker processes cannot share live engine objects with the parent —
 everything they receive must survive a pickle round-trip, and everything
-they produce must come back as bytes.  This module is that boundary:
+they produce must survive one on the way back.  This module is that
+boundary:
 
 * :class:`FilesystemSpec` — how a worker re-opens the corpus: by root
   path for the real filesystem (each process gets its own descriptors),
@@ -11,19 +12,19 @@ they produce must come back as bytes.  This module is that boundary:
   ``FileRef`` records (path, size, stamp) +
   :class:`~repro.extract.ExtractorSpec` (format registry included);
 * :func:`build_replica` — the worker body: read → (convert) → scan →
-  dedup → private-replica update, returning the replica as RWIRE1 wire
-  bytes plus its elapsed time.
+  dedup → private-replica update, returning the replica as the
+  ``{term: [path, ...]}`` dict the parent keeps, plus its elapsed time.
 
 The worker pipeline is deliberately lean.  Where the threaded engines
 route every file through ``FnvHashSet`` de-duplication and an
 ``FnvHashMap``-backed index — chained containers probed by Python
-loops, one frame per posting — a worker feeds the tokenizer straight
-into a :class:`~repro.index.replica.ReplicaBuilder`, which
-de-duplicates with a native set and stores postings as doc-id arrays.
-The output is identical (the merge-equivalence tests prove it); only
-the constant factor differs, and on a multi-core machine the workers
-additionally run truly in parallel because each owns its own
-interpreter and GIL.
+loops, one frame per posting — a worker appends each distinct term's
+path to a native list, as the sequential en-bloc build does; the
+pool's pickle writes each path once per batch, and the parent decodes
+nothing.  The output is identical (the process-join tests pin it
+against the RWIRE1 join); only the constant factor differs, and on a
+multi-core machine the workers additionally run truly in parallel
+because each owns its own interpreter and GIL.
 
 The factor, measured in one process on the ``build_paper`` corpus
 (102 files, 1.7 MB; tokenize → de-dup → update, best of 15 interleaved
@@ -42,15 +43,15 @@ sequential one is gone on a 2-CPU host (``docs/process_backend.md``).
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.faults import FileFailure, check_on_error
 from repro.engine.stage2 import read_file_terms
 from repro.extract.base import ExtractorSpec
 from repro.fsmodel.nodes import FileRef
 from repro.index.fingerprint import Fingerprint
-from repro.index.replica import ReplicaBuilder
 from repro.obs.recorder import NULL_SPAN, Recorder
 from repro.obs.spans import SpanRecord, rebase_spans
 
@@ -130,15 +131,18 @@ class WorkerBatch:
 
 @dataclass(frozen=True)
 class WorkerResult:
-    """One worker's output: its replica as wire bytes, plus timings."""
+    """One worker's output: its replica's postings, plus timings."""
 
-    replica: bytes
+    # {term: [path, ...]}, first-seen term order, one path object per
+    # file; documents: the paths with a term.  Both in file order.
+    postings: Dict[str, List[str]]
+    documents: List[str]
+    posting_count: int
     elapsed: float
     file_count: int
     failures: Tuple[FileFailure, ...] = ()
     # (path, fingerprint) of every file in the replica, hashed here in
-    # the worker from the bytes it indexed; travels beside the RWIRE1
-    # blob, not in it.
+    # the worker from the bytes it indexed, term-less files included.
     fingerprints: Tuple[Tuple[str, Fingerprint], ...] = ()
     # Spans recorded inside the worker, with ``start`` *relative to the
     # worker body's start* so the parent can re-base them onto its own
@@ -148,11 +152,11 @@ class WorkerResult:
 
 
 def build_replica(batch: WorkerBatch) -> WorkerResult:
-    """The worker body: index ``batch.refs`` into a wire-format replica.
+    """The worker body: index ``batch.refs`` into a private replica.
 
     Runs stage 2 (:func:`~repro.engine.stage2.read_file_terms`) and the
     replica update for every file in the batch, entirely inside this
-    process, and returns the replica serialized as RWIRE1 bytes.  Must
+    process, and returns the replica as native postings lists.  Must
     stay a module-level function so the multiprocessing pool can pickle
     a reference to it.
 
@@ -168,8 +172,9 @@ def build_replica(batch: WorkerBatch) -> WorkerResult:
     with worker_span:
         fs = batch.fs.open()
         extractor = batch.extractor.build()
-        builder = ReplicaBuilder()
-        add_terms = builder.add_terms
+        postings: Dict[str, List[str]] = defaultdict(list)
+        documents: List[str] = []
+        posting_count = 0
         trace = batch.trace
         failures: List[FileFailure] = []
         skipped = failures if batch.on_error == "skip" else None
@@ -184,11 +189,18 @@ def build_replica(batch: WorkerBatch) -> WorkerResult:
                 )
                 if unit is not None:
                     terms, fingerprint = unit
-                    add_terms(ref.path, terms)
-                    fingerprints.append((ref.path, fingerprint))
-        blob = builder.to_bytes()
+                    path = ref.path
+                    fingerprints.append((path, fingerprint))
+                    if terms:
+                        documents.append(path)
+                        posting_count += len(terms)
+                        for term in terms:
+                            postings[term].append(path)
     return WorkerResult(
-        replica=blob,
+        # A plain dict unpickles in the parent through pickle's fast path.
+        postings=dict(postings),
+        documents=documents,
+        posting_count=posting_count,
         elapsed=time.perf_counter() - started,
         file_count=len(batch.refs),
         failures=tuple(failures),

@@ -24,14 +24,16 @@ The format canonicalizes postings order (sorted by doc id); index
 equality is order-insensitive, so round-trips preserve equality.
 
 Next to RIDX1 lives its speed-first sibling, the **RWIRE1 wire format**
-(:func:`dump_index_wire` / :func:`load_index_wire`): the to_bytes /
-from_bytes fast path the multiprocessing build backend uses to ship
-index replicas from worker processes to the parent.  Where RIDX1
+(:func:`dump_index_wire` / :func:`load_index_wire`), a to_bytes /
+from_bytes fast path for index replicas; the process build's workers
+no longer ship it (they pickle native postings), so it is a format, a
+harness row and the process fold's test oracle.  Where RIDX1
 optimizes for bytes on disk (sorted, canonical, ~1 byte per posting),
 RWIRE1 optimizes for encode/decode *time*: every section is a bulk
 operation over a length-prefixed array — one ``bytes.join`` to encode,
 one ``array.frombytes`` to decode — so (de)serialization runs at C
-speed instead of a Python loop per posting.
+speed instead of a Python loop per posting.  Its decoder checks
+lengths only, so some corrupt blobs load as a wrong index.
 
 Layout (all integers little-endian)::
 
@@ -355,11 +357,11 @@ def dump_index_wire(index: InvertedIndex) -> bytes:
 def merge_wire_replica(target: InvertedIndex, data: bytes) -> int:
     """Decode RWIRE1 ``data`` and fold it into ``target``; returns doc count.
 
-    This is the parent side of the "Join Forces" process backend: one
-    replica arrives as a blob, and its postings are appended to the
+    One replica arrives as a blob, and its postings are appended to the
     target per term — the same single-probe merge a threaded join does,
     without materializing an intermediate index.  The en-bloc invariant
     (each file indexed by exactly one replica) makes the append safe.
+    The product's process build no longer runs it.
     """
     block_count, docs, terms, counts, doc_ids = _unpack_wire(data)
     target_map = target._map
@@ -388,6 +390,7 @@ def join_wire_replicas(
     in the order the key-by-key fold (:func:`merge_wire_replica`)
     appends them; terms iterate in
     first-seen order, where the fold's FNV map iterates in bucket order.
+    It is the process build's fold's test oracle.
     """
     postings: Dict[str, List[str]] = {}
     get = postings.get

@@ -1,9 +1,7 @@
-"""Wire-ready index replicas for worker processes.
+"""Wire-ready index replicas: RWIRE1 built directly.
 
-A multiprocessing worker cannot hand live :class:`InvertedIndex`
-objects back to its parent — everything that crosses the process
-boundary is bytes.  :class:`ReplicaBuilder` therefore keeps a replica
-in exactly the shape the RWIRE1 wire format wants:
+:class:`ReplicaBuilder` keeps a replica in exactly the shape the
+RWIRE1 wire format wants:
 
 * paths are interned to dense doc ids the moment a file is added, so
   each path string is stored once per replica;
@@ -12,11 +10,8 @@ in exactly the shape the RWIRE1 wire format wants:
   (:func:`repro.index.binfmt.pack_wire_sections`) — no per-posting
   work at serialization time.
 
-Appending a doc id costs the same as appending a path reference, so
-interning is free at build time; the payoff is that serialization and
-the parent's merge both run at C speed.  A worker hands each file's
-distinct terms straight in (:meth:`add_terms`, stage 2's distinct
-form) and never materializes a term block.
+The product's process build no longer runs it (its workers pickle
+native dicts); it stays for a harness row and the fold's test oracle.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ Implementation 2 joins replicas after a barrier.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.engine.config import Implementation, ThreadConfig
 from repro.platforms.profile import PlatformProfile
@@ -62,6 +62,20 @@ class SimPipeline:
         # Optional repro.sim.trace.Tracer attached to every kernel this
         # pipeline creates (see examples/trace_timeline.py).
         self.tracer = tracer
+        self._batches: Dict[Tuple[int, int], List[List[WorkBatch]]] = {}
+
+    def _batch_lists(self, x: int, target: int) -> List[List[WorkBatch]]:
+        """The workload dealt round-robin into ``x`` vectors, each cut
+        into at most ``target`` batches.  They depend on nothing else
+        this pipeline varies, so a sweep computes each set once."""
+        key = (x, target)
+        lists = self._batches.get(key)
+        if lists is None:
+            files = self.workload.files
+            lists = self._batches[key] = [
+                make_batches(files[i::x], self.model, target) for i in range(x)
+            ]
+        return lists
 
     # -- kernel/resource scaffolding ----------------------------------------
 
@@ -86,10 +100,7 @@ class SimPipeline:
         search); ``naive=False`` is the en-bloc sequential pipeline.
         """
         kernel, cpu, disk = self._fresh_kernel()
-        model = self.model
-        batches = make_batches(
-            self.workload.files, model, self.batches_per_extractor * 4
-        )
+        batches = self._batch_lists(1, self.batches_per_extractor * 4)[0]
 
         stream_bw = self.platform.per_stream_mbps * _MB
 
@@ -130,9 +141,7 @@ class SimPipeline:
 
     def _timed_stage(self, read: bool, scan: bool, update: bool) -> float:
         kernel, cpu, disk = self._fresh_kernel()
-        batches = make_batches(
-            self.workload.files, self.model, self.batches_per_extractor * 4
-        )
+        batches = self._batch_lists(1, self.batches_per_extractor * 4)[0]
 
         stream_bw = self.platform.per_stream_mbps * _MB
 
@@ -181,11 +190,7 @@ class SimPipeline:
         # Round-robin distribution into private per-extractor vectors,
         # identical to the threaded engine's default strategy.
         x = config.extractors
-        per_extractor = [self.workload.files[i::x] for i in range(x)]
-        batch_lists: List[List[WorkBatch]] = [
-            make_batches(files, model, self.batches_per_extractor)
-            for files in per_extractor
-        ]
+        batch_lists = self._batch_lists(x, self.batches_per_extractor)
 
         shared = implementation is Implementation.SHARED_LOCKED
         sharers = x + config.updaters if config.uses_buffer else x

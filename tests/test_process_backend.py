@@ -24,9 +24,10 @@ from repro.engine.procworker import (
     WorkerBatch,
     build_replica,
 )
-from repro.index.binfmt import WIRE_MAGIC, dump_index_bytes
+from repro.index.binfmt import dump_index_bytes, load_index_wire
 from repro.extract import AsciiExtractor
 from repro.text import Tokenizer
+from tests.test_process_join import wire_replica
 
 IMPL2 = Implementation.REPLICATED_JOINED
 
@@ -121,10 +122,26 @@ class TestWorkerBoundary:
             extractor=AsciiExtractor().spec(),
         )
         batch = pickle.loads(pickle.dumps(batch))
-        result = build_replica(batch)
+        result = pickle.loads(pickle.dumps(build_replica(batch)))
         assert result.file_count == 5
-        assert result.replica.startswith(WIRE_MAGIC)
         assert result.elapsed >= 0.0
+        # The result holds the batch's postings: the RWIRE1 replica a
+        # ReplicaBuilder makes of the same files, term and path order
+        # included.
+        expected = load_index_wire(
+            wire_replica(tiny_fs, [ref.path for ref in refs])
+        )
+        assert list(result.postings.items()) == [
+            (term, list(paths)) for term, paths in expected.items()
+        ]
+        assert result.posting_count == expected.posting_count
+        indexed = {path for _, paths in expected.items() for path in paths}
+        assert result.documents == [
+            ref.path for ref in refs if ref.path in indexed
+        ]
+        assert [path for path, _ in result.fingerprints] == [
+            ref.path for ref in refs
+        ]
 
 
 class TestProcessBuild:

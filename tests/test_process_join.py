@@ -1,22 +1,29 @@
-"""The process build's join: one bulk pass, in batch order.
+"""The process build's join: one fold, in batch order.
 
-The parent joins the workers' RWIRE1 replicas in a single pass
-(:func:`repro.index.binfmt.join_wire_replicas`) and takes the build's
-documents and posting count from it.  These tests pin the product
+Workers ship their postings as native dicts and the parent folds them
+in batch order (``procbackend._fold``), taking the build's documents
+and posting count from the same pass.  These tests pin the product
 level: a 2-worker process build is byte for byte the sequential one,
 reports the same documents and posting count, and its RWIRE1 does not
-depend on which worker finished first.
+depend on which worker finished first.  The RWIRE1 join
+(:func:`repro.index.binfmt.join_wire_replicas` over
+:class:`~repro.index.replica.ReplicaBuilder` replicas of the batches
+the build folded) is the fold's oracle: same map order, same per-term
+path order, documents, posting count and block count.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import repro.engine.procbackend as procbackend
 from repro.api import Search
 from repro.distribute.roundrobin import RoundRobinStrategy
 from repro.engine import FaultPolicy, ProcessReplicatedIndexer, ThreadConfig
-from repro.engine.procworker import FilesystemSpec, WorkerBatch, build_replica
 from repro.extract import AsciiExtractor
 from repro.extract.registry import register_extractor
 from repro.fsmodel import (
@@ -27,9 +34,11 @@ from repro.fsmodel import (
 from repro.index.binfmt import (
     dump_index_ridx2,
     dump_index_wire,
+    join_wire_replicas,
     merge_wire_replica,
 )
 from repro.index.inverted import InvertedIndex
+from repro.index.replica import ReplicaBuilder
 from tests.test_native_build import assert_same_content
 
 PROCESS = ThreadConfig(2, 0, 1, backend="process")
@@ -114,15 +123,29 @@ class TestProductBuild:
         ]
 
 
+def wire_replica(fs, paths):
+    """One batch's RWIRE1 replica, built by :class:`ReplicaBuilder`
+    from each file's distinct terms: the old worker pipe's bytes."""
+    extractor = AsciiExtractor()
+    builder = ReplicaBuilder()
+    for path in paths:
+        content = extractor.prepare(path, fs.read_file(path))
+        builder.add_terms(path, extractor.distinct_terms(content))
+    return builder.to_bytes()
+
+
+def round_robin(fs, workers):
+    """The paths of each non-empty round-robin batch, in stage-1 order."""
+    files = list(fs.list_files())
+    assignments = RoundRobinStrategy().distribute(files, workers).assignments
+    return [[ref.path for ref in batch] for batch in assignments if batch]
+
+
 def batch_order_fold(fs):
     """The two round-robin replicas folded key by key in batch order."""
-    files = list(fs.list_files())
-    spec = FilesystemSpec.from_filesystem(fs)
-    extractor = AsciiExtractor().spec()
     index = InvertedIndex()
-    for assignment in RoundRobinStrategy().distribute(files, 2).assignments:
-        batch = WorkerBatch(fs=spec, refs=tuple(assignment), extractor=extractor)
-        merge_wire_replica(index, build_replica(batch).replica)
+    for paths in round_robin(fs, 2):
+        merge_wire_replica(index, wire_replica(fs, paths))
     return index
 
 
@@ -145,9 +168,153 @@ class TestBatchOrder:
         report = ProcessReplicatedIndexer(delayed).build(PROCESS)
         assert report.failures == [] and report.retries == 0
         assert_same_content(undelayed.index, batch_order_fold(fs))
+        assert pairs(report.index) == pairs(undelayed.index)
         assert dump_index_wire(report.index) == dump_index_wire(
             undelayed.index
         )
         assert dump_index_ridx2(report.index) == dump_index_ridx2(
             undelayed.index
+        )
+
+
+# -- the fold against the RWIRE1 join ----------------------------------
+
+
+def build_with_oracle(fs, config, source=None, **kw):
+    """A process build, the batches it folded (each batch's indexed
+    paths, in fold order), and the RWIRE1 join of those batches read
+    from ``source`` (default ``fs``)."""
+    folded = []
+    fold = procbackend._fold
+
+    def spy(results):
+        folded.extend([path for path, _ in r.fingerprints] for r in results)
+        return fold(results)
+
+    with mock.patch.object(procbackend, "_fold", spy):
+        report = ProcessReplicatedIndexer(fs, oversubscribe=True, **kw).build(
+            config
+        )
+    source = fs if source is None else source
+    oracle = join_wire_replicas(wire_replica(source, paths) for paths in folded)
+    return report, folded, oracle
+
+
+def pairs(index):
+    return [(term, list(paths)) for term, paths in index.items()]
+
+
+def assert_equals_oracle(report, oracle):
+    """Map order, per-term path order, documents, posting count and
+    block count all equal the RWIRE1 join's."""
+    index, documents, posting_count = oracle
+    assert pairs(report.index) == pairs(index)
+    assert report.documents == documents
+    assert report.posting_count == posting_count
+    assert report.index.block_count == index.block_count
+
+
+WORDS = ("alpha", "beta", "gamma", "delta", "omega", "zeta", "a", "b", "1")
+texts = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
+corpora = st.lists(texts, min_size=1, max_size=10)
+
+
+def drawn_fs(contents):
+    """Files in two directories; a file of only "a", "b" and "1" (or
+    none at all) has no term."""
+    fs = VirtualFileSystem()
+    fs.mkdir("docs")
+    for i, text in enumerate(contents):
+        where = "docs/" if i % 2 else ""
+        fs.write_file(f"{where}f{i:02d}.txt", text.encode())
+    return fs
+
+
+WIDE = [PROCESS, ThreadConfig(3, 0, 1, backend="process")]
+
+
+class TestFoldEqualsWireJoin:
+    @pytest.mark.parametrize("config", WIDE, ids=str)
+    @seed(7)
+    @settings(max_examples=8, deadline=None)
+    @given(contents=corpora)
+    def test_round_robin_batches(self, config, contents):
+        fs = drawn_fs(contents)
+        report, folded, oracle = build_with_oracle(fs, config)
+        assert folded == round_robin(fs, config.extractors)
+        assert_equals_oracle(report, oracle)
+
+    @seed(7)
+    @settings(max_examples=8, deadline=None)
+    @given(contents=corpora, victim=st.integers(min_value=0))
+    def test_skip_drops_a_poisoned_file(self, contents, victim):
+        inner = drawn_fs(contents)
+        paths = [ref.path for ref in inner.list_files()]
+        poisoned = paths[victim % len(paths)]
+        fs = FaultInjectingFileSystem(inner, {poisoned: FaultSpec()})
+        report, folded, oracle = build_with_oracle(
+            fs, PROCESS, source=inner, on_error="skip"
+        )
+        assert [f.path for f in report.failures] == [poisoned]
+        assert folded == [
+            [path for path in batch if path != poisoned]
+            for batch in round_robin(inner, 2)
+        ]
+        assert_equals_oracle(report, oracle)
+
+    def test_termless_files(self):
+        fs = corpus()
+        report, folded, oracle = build_with_oracle(fs, PROCESS)
+        assert folded == round_robin(fs, 2)
+        assert_equals_oracle(report, oracle)
+        assert report.index.block_count == len(report.fingerprints)
+        assert not {"empty.txt", "docs/short.txt"} & set(report.documents)
+
+    @pytest.mark.parametrize("parent_action", ["error", "pass"])
+    def test_crash_split_retry_and_in_parent_batches(self, parent_action):
+        """A worker crash splits its batch; the half holding the victim
+        crashes again and ends in the parent, which skips the file
+        ("error") or indexes it ("pass").  However the pool collapsed,
+        the folded batches are slices of the round-robin batches,
+        keyed by their first path's stage-1 position."""
+        inner = corpus()
+        victim = round_robin(inner, 2)[0][1]
+        fs = FaultInjectingFileSystem(
+            inner,
+            {victim: FaultSpec(action="crash", parent_action=parent_action)},
+        )
+        report, folded, oracle = build_with_oracle(
+            fs,
+            PROCESS,
+            source=inner,
+            on_error="skip",
+            max_retries=1,
+            retry_backoff=0.0,
+        )
+        assert report.retries > 0
+        stage1 = [ref.path for ref in inner.list_files()]
+        survivors = [
+            p for p in stage1 if parent_action == "pass" or p != victim
+        ]
+        assert sorted(p for batch in folded for p in batch) == sorted(survivors)
+        firsts = [stage1.index(batch[0]) for batch in folded]
+        assert firsts == sorted(firsts)
+        assert_equals_oracle(report, oracle)
+
+
+class TestSpawnedWorkers:
+    def test_spawn_build_equals_fork_build(self):
+        """Results carry Python objects across the pipe: a spawned
+        worker's postings must fold to the forked worker's index."""
+        fs = corpus()
+        forked = ProcessReplicatedIndexer(fs).build(PROCESS)
+        indexer = ProcessReplicatedIndexer(fs)
+        indexer.start_method = "spawn"
+        spawned = indexer.build(PROCESS)
+        assert pairs(spawned.index) == pairs(forked.index)
+        assert spawned.documents == forked.documents
+        assert spawned.posting_count == forked.posting_count
+        assert spawned.index.block_count == forked.index.block_count
+        assert dump_index_ridx2(spawned.index) == dump_index_ridx2(
+            forked.index
         )
