@@ -145,12 +145,6 @@ class TestQueryCost:
         query = f"{terms[0]} OR ({terms[1]} AND NOT {terms[2]})"
         benchmark(query_engine.search, query)
 
-    def test_bench_parallel_multi_index_query(self, benchmark, engine):
-        query_engine, report = engine
-        term = next(iter(report.index.replicas[0].terms()))
-        hits = benchmark(query_engine.search, term, True)
-        assert hits
-
 
 class TestPrefixQueryAfterIndexChange:
     """The first wildcard query after the index changes, beside the

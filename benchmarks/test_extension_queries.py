@@ -11,12 +11,28 @@ Expected shape: intra-query parallelism cuts latency severalfold while
 cores are idle, costs nothing while the merge overhead is hidden, and
 loses throughput once every core is busy — quantifying when
 Implementation 3's "search works with multiple indices in parallel"
-claim pays off.
+claim pays off.  The prediction is *uncalibrated*: ``replicas-parallel``
+charges no cost to start a lookup task.
+
+The measured half times the same question on this engine: the bench
+corpus's Implementation 3 replica sets (2, 4 and 8 replicas) answer a
+drawn query stream four ways — the ``join_indices`` flattening, the
+serial ``QueryEngine(MultiIndex)`` the product keeps, one thread per
+replica per query, and one long-lived ``ThreadPoolExecutor`` of replica
+workers.  The two fan-outs live here, not in ``src/``: the table is why.
 """
+
+import random
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.engine import Implementation, IndexGenerator, ThreadConfig
+from repro.index import join_indices
 from repro.platforms import MANYCORE_32
+from repro.query import QueryEngine, optimize, parse_query
 from repro.simengine.querysim import QuerySimulation, QueryWorkloadSpec
 
 WORKER_POINTS = (1, 4, 16, 64)
@@ -81,3 +97,148 @@ class TestQueryStudy:
         )
         result = benchmark(simulation.run, "replicas-parallel", 8, REPLICAS)
         assert result.throughput_qps > 0
+
+
+# -- measured: Implementation 3's replicas probed on this engine -----------
+
+MEASURED_REPLICAS = (2, 4, 8)
+DRAWN = 300  # drawn ``a AND b`` queries, and as many drawn terms
+PASSES = 2  # best of
+PROBES = ("joined", "serial", "thread-per-replica", "pool")
+
+
+class _Fetched:
+    """One query's postings, fetched by a fan-out, as an index."""
+
+    def __init__(self, postings):
+        self.lookup = postings.__getitem__
+
+
+def _fetch(replica, terms):
+    return {term: replica.lookup(term) for term in terms}
+
+
+def _merged(partials, terms):
+    """The replicas' partial postings, concatenated in replica order
+    (what ``MultiIndex.lookup`` returns term by term)."""
+    merged = {term: [] for term in terms}
+    for partial in partials:
+        for term, paths in partial.items():
+            merged[term] += paths
+    return merged
+
+
+def _thread_per_replica(replicas, terms):
+    """A thread started per replica per query, each fetching every
+    term from its replica."""
+    partials = [None] * len(replicas)
+
+    def work(i, replica):
+        partials[i] = _fetch(replica, terms)
+
+    threads = [
+        threading.Thread(target=work, args=(i, replica))
+        for i, replica in enumerate(replicas)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return _merged(partials, terms)
+
+
+def _pooled(pool, replicas, terms):
+    """The same fetch on long-lived replica workers."""
+    futures = [pool.submit(_fetch, replica, terms) for replica in replicas]
+    return _merged([future.result() for future in futures], terms)
+
+
+def _drawn_queries(terms, seed=7):
+    rng = random.Random(seed)
+    texts = [f"{rng.choice(terms)} AND {rng.choice(terms)}"
+             for _ in range(DRAWN)]
+    texts += [rng.choice(terms) for _ in range(DRAWN)]
+    return [optimize(parse_query(text)) for text in texts]
+
+
+def _time_per_query(answer, queries):
+    """Best-of-``PASSES`` µs per query, and the last pass's answers."""
+    best = float("inf")
+    for _ in range(PASSES):
+        started = time.perf_counter()
+        answers = [answer(query) for query in queries]
+        best = min(best, time.perf_counter() - started)
+    return best / len(queries) * 1e6, answers
+
+
+@pytest.fixture(scope="module")
+def measured(bench_corpus, write_result):
+    generator = IndexGenerator(bench_corpus.fs)
+    rows = {}
+    for count in MEASURED_REPLICAS:
+        multi = generator.build(
+            Implementation.REPLICATED_UNJOINED, ThreadConfig(2, count, 0)
+        ).index
+        replicas = multi.replicas
+        assert len(replicas) == count
+        joined = QueryEngine(join_indices(replicas))
+        queries = _drawn_queries(sorted(joined.index.terms()))
+        serial = QueryEngine(multi)
+        with ThreadPoolExecutor(max_workers=count) as pool:
+            probes = {
+                "joined": joined.search_ast,
+                "serial": serial.search_ast,
+                "thread-per-replica": lambda q: QueryEngine(
+                    _Fetched(_thread_per_replica(replicas, q.terms()))
+                ).search_ast(q),
+                "pool": lambda q: QueryEngine(
+                    _Fetched(_pooled(pool, replicas, q.terms()))
+                ).search_ast(q),
+            }
+            rows[count] = {
+                name: _time_per_query(probes[name], queries)
+                for name in PROBES
+            }
+    lines = [
+        "Implementation 3's replicas probed on this engine (bench corpus, "
+        f"{len(list(bench_corpus.fs.list_files()))} files, -i 3 -x 2 "
+        f"-y N -z 0; {DRAWN} drawn 'a AND b' + {DRAWN} drawn terms; "
+        f"µs per query, best of {PASSES} passes)",
+        f"{'replicas':>8}{'joined':>10}{'serial':>10}{'threads':>10}"
+        f"{'pool':>10}{'ser/join':>10}{'thr/ser':>10}{'pool/ser':>10}"
+        f"{'thr µs/task':>13}{'pool µs/task':>14}",
+    ]
+    for count, row in rows.items():
+        joined_us, serial_us, threads_us, pool_us = (
+            row[name][0] for name in PROBES
+        )
+        lines.append(
+            f"{count:>8}{joined_us:>10.1f}{serial_us:>10.1f}"
+            f"{threads_us:>10.1f}{pool_us:>10.1f}"
+            f"{serial_us / joined_us:>9.2f}x{threads_us / serial_us:>9.1f}x"
+            f"{pool_us / serial_us:>9.1f}x"
+            f"{(threads_us - serial_us) / count:>13.1f}"
+            f"{(pool_us - serial_us) / count:>14.1f}"
+        )
+    lines.append(
+        "thr/pool µs/task: the fan-out's cost over the serial probe, per "
+        "replica task — the start cost replicas-parallel does not charge"
+    )
+    write_result("extension_queries_measured.txt", "\n".join(lines))
+    return rows
+
+
+class TestMeasuredReplicaProbes:
+    def test_every_probe_gives_the_joined_answers(self, measured):
+        for row in measured.values():
+            expected = row["joined"][1]
+            for name in PROBES:
+                assert row[name][1] == expected, name
+
+    def test_no_fan_out_beats_the_serial_probe(self, measured):
+        """The data the serial-only ``QueryEngine`` rests on: on this
+        engine neither fan-out pays for itself at any replica count."""
+        for row in measured.values():
+            serial_us = row["serial"][0]
+            assert row["thread-per-replica"][0] > serial_us
+            assert row["pool"][0] > serial_us

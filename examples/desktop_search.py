@@ -64,7 +64,7 @@ def main() -> None:
         loaded = load_multi_index(index_dir)
         print(f"saved and reloaded {len(loaded.replicas)} replicas")
 
-        # 4. Query the saved index.
+        # 4. Query the saved index: the replicas are probed in turn.
         universe = [ref.path for ref in fs.list_files()]
         engine = QueryEngine(loaded, universe=universe)
         vocabulary = corpus.vocabulary
@@ -74,7 +74,7 @@ def main() -> None:
             f"({vocabulary[0]} OR {vocabulary[1]}) AND NOT {vocabulary[2]}",
         ]
         for query in queries:
-            hits = engine.search(query, parallel=True)
+            hits = engine.search(query)
             print(f"  search {query!r}: {len(hits)} file(s)")
     finally:
         shutil.rmtree(workdir)

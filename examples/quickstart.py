@@ -26,14 +26,14 @@ def main() -> None:
     print(report.summary())
 
     # 3. Search.  Implementation 3 leaves the replicas unjoined; the
-    #    query engine unions them (optionally with a thread per replica).
+    #    query engine probes them one after another and unions the hits.
     universe = [ref.path for ref in corpus.fs.list_files()]
     engine = QueryEngine(report.index, universe=universe)
 
     common = corpus.vocabulary[0]  # rank-0 word: appears almost everywhere
     rare = corpus.vocabulary[len(corpus.vocabulary) - 1]
     for query in (common, f"{common} AND {rare}", f"{common} AND NOT {rare}"):
-        hits = engine.search(query, parallel=True)
+        hits = engine.search(query)
         print(f"  {query!r}: {len(hits)} file(s)"
               + (f", e.g. {hits[0]}" if hits else ""))
 

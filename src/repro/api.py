@@ -269,14 +269,14 @@ class Search:
             index = _flatten(load_multi_index(path))
         else:
             format = sniff_file(path)
-            try:
-                if format == "ridx2":
+            if format != "ridx2":
+                index = load_index(path, format)
+            else:
+                try:
                     index = DiskSegment(0, path)
-                else:
-                    index = load_index(path, format)
-            except IndexFormatError as exc:
-                # The sniffer names the file; the decoders cannot.
-                raise IndexFormatError(f"{path}: {exc}") from exc
+                except IndexFormatError as exc:
+                    # load_index names its file; the map reader cannot.
+                    raise IndexFormatError(f"{path}: {exc}") from exc
         fs = _as_filesystem(source) if source is not None else None
         extractor = resolve_extractor(extractor)
         segmented = SegmentedIndexer(fs, extractor=extractor, root=root)

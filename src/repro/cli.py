@@ -173,8 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    "directory")
     p.add_argument("query", help='boolean query, e.g. "cat AND (dog* OR '
                    'NOT fox)"; a trailing * makes a term a prefix wildcard')
-    p.add_argument("--parallel", action="store_true",
-                   help="search replicas with one thread each")
     p.add_argument("--rank", choices=("bool", "bm25"), default="bool",
                    help="result ordering: plain sorted boolean match "
                    "(default) or BM25 top-K off an RIDX2 file's term "
@@ -554,12 +552,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
         # A malformed query is refused before any index is read.
         plan = plan_query(args.query, args.rank, args.topk)
         if os.path.isdir(args.index_path):
-            # Implementation 3's unjoined replicas, searched as they
-            # are: the reproduction, which stores no term frequencies.
+            # Implementation 3's unjoined replicas, probed one after
+            # another: the reproduction, which stores no term frequencies.
             if args.rank == "bm25":
                 raise ValueError(CANNOT_RANK)
             hits = QueryEngine(load_multi_index(args.index_path)).search_ast(
-                plan.query, parallel=args.parallel
+                plan.query
             )
         else:
             session = Search.open(args.index_path, cache=0)
@@ -828,7 +826,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     observing = _observability_requested(args)
     # Whole-index statistics: every format loads in full, sniffed.
     load = load_multi_index if os.path.isdir(args.index_path) else load_index
-    index = load(args.index_path)
+    try:
+        index = load(args.index_path)
+    except (ValueError, OSError) as exc:
+        # Missing, not an index, cut or flipped: refused as search does.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     stats = analyze(index)
     print(f"terms:            {stats.term_count}")
     print(f"postings:         {stats.posting_count}")

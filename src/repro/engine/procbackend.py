@@ -57,7 +57,9 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.distribute.base import DistributionStrategy
 from repro.distribute.roundrobin import RoundRobinStrategy
@@ -146,27 +148,29 @@ def validate_worker_count(
         )
 
 
-class _Job:
-    """One dispatchable unit: a batch, its worker slot, its attempt."""
+class _Job(NamedTuple):
+    """One dispatchable unit: a batch, its worker slot, its attempt,
+    and its fold key — the original batch's key, then the part's
+    offset inside that batch."""
 
-    __slots__ = ("batch", "slot", "attempt")
-
-    def __init__(self, batch: WorkerBatch, slot: int, attempt: int) -> None:
-        self.batch = batch
-        self.slot = slot
-        self.attempt = attempt
+    batch: WorkerBatch
+    slot: int
+    attempt: int
+    key: Tuple[int, int]
 
     def split(self) -> List["_Job"]:
         """The retry shape: halves (to isolate poisoned files) at
-        attempt + 1.  A single-file batch cannot split further and
-        just re-enters the ladder."""
-        refs = self.batch.refs
+        attempt + 1, keyed to fold where the whole batch would.  A
+        single-file batch cannot split further and just re-enters the
+        ladder."""
+        refs, (batch, offset) = self.batch.refs, self.key
         if len(refs) <= 1:
-            return [_Job(self.batch, self.slot, self.attempt + 1)]
+            return [self._replace(attempt=self.attempt + 1)]
         mid = len(refs) // 2
         return [
-            _Job(replace(self.batch, refs=refs[:mid]), self.slot, self.attempt + 1),
-            _Job(replace(self.batch, refs=refs[mid:]), self.slot, self.attempt + 1),
+            _Job(replace(self.batch, refs=part), self.slot,
+                 self.attempt + 1, (batch, offset + start))
+            for start, part in ((0, refs[:mid]), (mid, refs[mid:]))
         ]
 
 
@@ -360,9 +364,10 @@ class ProcessReplicatedIndexer:
         """
         workers = config.extractors
         policy = self.policy
-        # Join order is stage-1 order: a result is keyed by its batch's
-        # first path (a retried or split batch too), so completion
-        # order never reaches the index.
+        # Join order is stage-1 order: a batch is keyed by its first
+        # path's position, and a retried or split part by that key and
+        # its offset inside the batch, so neither completion order nor
+        # a recovery reaches the index.
         position = {ref.path: i for i, ref in enumerate(files)}
         distribution = self.strategy.distribute(files, workers)
         fs_spec = FilesystemSpec.from_filesystem(self.fs)
@@ -388,10 +393,11 @@ class ProcessReplicatedIndexer:
                     ),
                     slot,
                     0,
+                    (position[assignment[0].path], 0),
                 )
             )
 
-        results: Dict[int, WorkerResult] = {}
+        results: Dict[Tuple[int, int], WorkerResult] = {}
 
         def absorb_spans(job: _Job, result: WorkerResult) -> None:
             if not result.spans:
@@ -418,7 +424,7 @@ class ProcessReplicatedIndexer:
         def collect(job: _Job, result: WorkerResult) -> None:
             # Only a result that reaches this line is merged, so a batch
             # the ladder re-runs contributes its fingerprints once.
-            results[position[job.batch.refs[0].path]] = result
+            results[job.key] = result
             tally.fingerprints.update(result.fingerprints)
             tally.times[job.slot] += result.elapsed
             tally.failures.extend(result.failures)

@@ -3,9 +3,8 @@
 Implementation 3 never joins the replicas "because the search can work
 with multiple indices in parallel".  :class:`MultiIndex` is that search
 side: a read-only view over several replicas whose lookup unions the
-per-replica postings; :class:`~repro.query.evaluator.QueryEngine`
-fetches a query's postings from it with one thread per replica when
-asked to search in parallel.
+per-replica postings, one replica after another, which is how
+:class:`~repro.query.evaluator.QueryEngine` probes it.
 """
 
 from __future__ import annotations

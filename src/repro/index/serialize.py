@@ -175,7 +175,8 @@ def load_index(path: str, format: str = "auto") -> InvertedIndex:
     RIDX1/RWIRE1 magic means binary, RIDX2 magic the blocked format.
     Anything else raises :class:`IndexFormatError` naming the bytes
     found.  Passing ``"binary"`` or ``"ridx2"`` enforces that encoding
-    and fails loudly on a mismatch.
+    and fails loudly on a mismatch.  A decoding error starts with
+    ``path``: a damaged file in a replica directory is named.
     """
     if format not in INDEX_FORMATS:
         raise ValueError(
@@ -183,13 +184,16 @@ def load_index(path: str, format: str = "auto") -> InvertedIndex:
         )
     if format == "auto":
         format = sniff_file(path)
-    if format == "ridx2":
-        from repro.index.binfmt import load_index_ridx2
+    from repro.index.binfmt import load_index_ridx2
 
-        with open(path, "rb") as fh:
-            return load_index_ridx2(fh.read())
+    decode = load_index_ridx2 if format == "ridx2" else index_from_bytes
     with open(path, "rb") as fh:
-        return index_from_bytes(fh.read())
+        data = fh.read()
+    try:
+        return decode(data)
+    except IndexFormatError as exc:
+        # The sniffer names the file; the decoders cannot.
+        raise IndexFormatError(f"{path}: {exc}") from exc
 
 
 def save_multi_index(multi: MultiIndex, directory: str) -> None:

@@ -8,8 +8,8 @@ indices" — which is exactly what makes Implementation 3 viable.
 
 This package implements that search side: a boolean query language
 (terms, AND/OR/NOT, parentheses, implicit AND), an evaluator over a
-single index, a parallel evaluator over the replicas of an unjoined
-multi-index, and a document-at-a-time evaluator
+single index or the replicas of an unjoined multi-index, probed one
+after another, and a document-at-a-time evaluator
 (:class:`~repro.query.daat.DaatQueryEngine`) that serves the same
 language off an mmap'd RIDX2 file with block skipping and BM25 top-K
 ranking.

@@ -2,9 +2,10 @@
 
 :class:`QueryEngine` evaluates a parsed query against either one
 :class:`~repro.index.inverted.InvertedIndex` or a
-:class:`~repro.index.multi.MultiIndex`.  For a multi-index it can
-prefetch every term's postings with one thread per replica — the
-paper's proposed parallel-search-over-multiple-indices design.
+:class:`~repro.index.multi.MultiIndex`.  A multi-index — Implementation
+3's unjoined replicas — is probed one replica after another: on this
+engine a per-query fan-out costs more than the probes it overlaps
+(``benchmarks/test_extension_queries.py``).
 
 ``NOT`` is evaluated as set difference against the universe of indexed
 files, which the engine is given at construction (the engine-produced
@@ -13,7 +14,6 @@ build reports know their file set).
 
 from __future__ import annotations
 
-import threading
 from typing import (
     AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Union,
 )
@@ -41,7 +41,7 @@ class QueryEngine:
         )
         self._prefix_dictionary = None
 
-    def search(self, query_text: str, parallel: bool = False) -> List[str]:
+    def search(self, query_text: str) -> List[str]:
         """Parse and evaluate ``query_text``; returns sorted file paths.
 
         Parse, simplify the AST, then :meth:`search_ast`.  A caller
@@ -51,25 +51,24 @@ class QueryEngine:
         :class:`~repro.query.parser.ParseError` before anything is
         evaluated or counted.
         """
-        return self.search_ast(
-            optimize_query(parse_query(query_text)), parallel=parallel
-        )
+        return self.search_ast(optimize_query(parse_query(query_text)))
 
-    def search_ast(self, query: Query, parallel: bool = False) -> List[str]:
+    def search_ast(self, query: Query) -> List[str]:
         """Evaluate a parsed query; returns sorted file paths.
 
         The one evaluation entry point: one ``query.search`` span and
         one ``query.searches`` count per call.  Wildcard terms
         (``inter*``) are expanded against :meth:`prefix_dictionary`.
-        With ``parallel=True`` and a multi-index, the term postings are
-        fetched with one thread per replica before evaluation.
         """
-        with obsrec.span("query.search", parallel=parallel):
+        with obsrec.span("query.search"):
             obsrec.metrics().counter("query.searches").inc()
             if has_prefixes(query):
                 query = expand_prefixes(query, self.prefix_dictionary())
             with obsrec.span("query.fetch"):
-                postings = self._fetch_postings(query.terms(), parallel)
+                postings = {
+                    term: set(self.index.lookup(term))
+                    for term in query.terms()
+                }
             return sorted(self._evaluate(query, postings))
 
     def prefix_dictionary(self):
@@ -92,43 +91,6 @@ class QueryEngine:
         return self._prefix_dictionary
 
     # -- internals --------------------------------------------------------
-
-    def _fetch_postings(
-        self, terms: FrozenSet[str], parallel: bool
-    ) -> Dict[str, Set[str]]:
-        if parallel and isinstance(self.index, MultiIndex):
-            return self._fetch_parallel(terms, self.index)
-        return {term: set(self.index.lookup(term)) for term in terms}
-
-    @staticmethod
-    def _fetch_parallel(
-        terms: FrozenSet[str], index: MultiIndex
-    ) -> Dict[str, Set[str]]:
-        """One thread per replica; each fetches all terms from its replica."""
-        partials: List[Dict[str, List[str]]] = [
-            {} for _ in index.replicas
-        ]
-
-        def work(i: int, replica: InvertedIndex) -> None:
-            with obsrec.span("query.fetch.replica", replica=i):
-                partials[i] = {
-                    term: replica.lookup(term) for term in terms
-                }
-
-        threads = [
-            threading.Thread(target=work, args=(i, replica), daemon=True)
-            for i, replica in enumerate(index.replicas)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        merged: Dict[str, Set[str]] = {term: set() for term in terms}
-        for partial in partials:
-            for term, paths in partial.items():
-                merged[term].update(paths)
-        return merged
 
     def _evaluate(
         self, query: Query, postings: Dict[str, Set[str]]

@@ -12,6 +12,8 @@ either
   probed one after another by the query's worker;
 * ``replicas-parallel`` — the k replicas probed by k concurrent
   lookup tasks per query, then merged (the paper's proposal).
+  *Uncalibrated*: a task starts free here, while on the real engine
+  each costs 30–794 µs (``benchmarks/test_extension_queries.py``).
 
 Costs derive from the platform's calibrated index-touch rates: a hash
 probe per (replica, term) plus a per-posting materialization cost, with

@@ -246,6 +246,7 @@ class TestOneAnswer:
             ShardGroup.query,
             LocalShardReplica.query, ProcessShardReplica.query,
             DaatQueryEngine.search, DaatQueryEngine.search_ast,
+            QueryEngine.search, QueryEngine.search_ast,
             search_bm25, plan_query, cache_key, QuerySpec,
         ]
         for door in doors:

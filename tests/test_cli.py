@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -93,14 +95,68 @@ class TestSearchCommand:
         assert out.split() == sorted(everything - set(index.lookup(term)))
 
     def test_search_multi_parallel(self, corpus_dir, tmp_path, capsys):
+        """Implementation 3's replica directory is probed one replica
+        after another and answers as its joined index; ``--parallel``
+        is no option any more, so argparse refuses it with exit 2."""
         save = str(tmp_path / "replicas")
         main(["index", corpus_dir, "-i", "3", "-x", "2", "-y", "2",
               "--save", save])
         capsys.readouterr()
-        from repro.index import load_multi_index
+        from repro.index import join_indices, load_multi_index
 
-        term = next(iter(load_multi_index(save).replicas[0].terms()))
-        assert main(["search", save, term, "--parallel"]) == 0
+        joined = join_indices(load_multi_index(save).replicas)
+        term = max(joined.terms(), key=lambda t: len(joined.lookup(t)))
+        assert main(["search", save, term]) == 0
+        assert capsys.readouterr().out.split() == sorted(joined.lookup(term))
+        with pytest.raises(SystemExit) as refused:
+            main(["search", save, term, "--parallel"])
+        assert refused.value.code == 2
+
+    def test_a_cut_replica_is_named_once(self, corpus_dir, tmp_path, capsys):
+        """One cut ``replica-000.idx``: ``search DIR`` and
+        ``Search.open(DIR)`` name that file, once; so does
+        ``Search.open`` of a cut single file."""
+        from repro.api import Search
+        from repro.index import IndexFormatError
+
+        save = str(tmp_path / "replicas")
+        main(["index", corpus_dir, "-i", "3", "-x", "2", "-y", "2",
+              "--save", save])
+        victim = os.path.join(save, "replica-000.idx")
+        with open(victim, "rb") as fh:
+            data = fh.read()
+        with open(victim, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        capsys.readouterr()
+        assert main(["search", save, "anything"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {victim}: ")
+        with pytest.raises(IndexFormatError) as opened:
+            Search.open(save)
+        assert str(opened.value).startswith(f"{victim}: ")
+        assert str(opened.value).count(victim) == 1
+        # A lone cut file is mapped, not loaded, and named once too.
+        single = str(tmp_path / "cut.ridx2")
+        with open(single, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        with pytest.raises(IndexFormatError) as opened:
+            Search.open(single)
+        assert str(opened.value).startswith(f"{single}: ")
+        assert str(opened.value).count(single) == 1
+
+
+class TestAnalyzeCommand:
+    def test_garbage_and_missing_paths_are_one_error_line(
+        self, tmp_path, capsys
+    ):
+        garbage = tmp_path / "garbage.idx"
+        garbage.write_bytes(b"\x00not an index at all\xff")
+        for path in (str(garbage), str(tmp_path / "missing.idx")):
+            assert main(["analyze", path]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: ") and path in err
 
 
 class TestSimulateCommand:

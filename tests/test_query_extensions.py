@@ -129,7 +129,7 @@ class TestWildcardSearch:
         r2 = InvertedIndex()
         r2.add_block(TermBlock("f2", ("internet",)))
         engine = QueryEngine(MultiIndex([r1, r2]))
-        assert engine.search("inter*", parallel=True) == ["f1", "f2"]
+        assert engine.search("inter*") == ["f1", "f2"]
 
 
 class TestFrequencyIndex:
