@@ -19,8 +19,11 @@ as many blocks as its boolean twin (BM25 scores from the blocks its
 match decoded), and prints the blocks read per query.  It checks that
 the service starts no thread and that every ``service.query`` span ran
 on the thread that asked, that a fresh reader ranks the 90 queries
-exactly as the warmed one does (the lexicon probe memo changes no
-answer), and that the warmed reader's memo stays within its bound.
+exactly as the warmed one does (the lexicon probe memo and the term
+memo change no answer), that the warmed reader's probe memo stays
+within its bound, that its term memo holds between 1 and
+``term_count`` entries, and that a burst of absent-term probes does
+not grow it.
 
 Run:  PYTHONPATH=src python examples/ondisk_smoke.py [index.ridx2]
 """
@@ -118,6 +121,7 @@ def run(path: str) -> int:
     recorder = obsrec.Recorder()
     previous = obsrec.set_recorder(recorder)
     with MmapPostingsReader(path) as reader:
+        term_count = reader.term_count
         snapshot = IndexSnapshot.from_ondisk(reader)
         with SearchService(snapshot, workers=2) as service:
             started = set(threading.enumerate()) - threads_before
@@ -143,6 +147,10 @@ def run(path: str) -> int:
         engine.search_bm25(term, topk=TOPK)
         ranked_blocks = reader.blocks_read - before - boolean_blocks
         memoized = len(reader._probe_memo)
+        terms_memoized = len(reader._term_memo)
+        for i in range(1000):
+            reader.term_info(f"zzzabsent{i}")
+        absent_grew = len(reader._term_memo) - terms_memoized
         with MmapPostingsReader(path) as fresh_reader:
             fresh = DaatQueryEngine(fresh_reader)
             for query in ranked:
@@ -185,6 +193,14 @@ def run(path: str) -> int:
         print(f"FAIL: the warmed reader memoized {memoized} lexicon "
               f"records, outside 1..{PROBE_MEMO_MAX}", file=sys.stderr)
         return 1
+    if not 0 < terms_memoized <= term_count:
+        print(f"FAIL: the warmed reader memoized {terms_memoized} terms, "
+              f"outside 1..{term_count}", file=sys.stderr)
+        return 1
+    if absent_grew:
+        print(f"FAIL: 1000 absent-term probes grew the term memo by "
+              f"{absent_grew} entries", file=sys.stderr)
+        return 1
     if blocks["ondisk.blocks_skipped"] <= 0:
         print("FAIL: no posting blocks were skipped — the DAAT seek "
               "path never engaged", file=sys.stderr)
@@ -193,7 +209,8 @@ def run(path: str) -> int:
           "with block skipping engaged, on the caller's thread; ranked "
           f"{term!r} read {ranked_blocks} blocks, as its boolean twin; "
           f"a fresh reader ranked as the warmed one ({memoized} lexicon "
-          "records memoized)")
+          f"records and {terms_memoized} of {term_count} terms memoized; "
+          "absent terms kept none)")
     return 0
 
 

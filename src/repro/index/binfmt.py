@@ -219,27 +219,31 @@ def dump_index_bytes(index: InvertedIndex) -> bytes:
 
 
 def load_index_bytes(data: bytes) -> InvertedIndex:
-    """Deserialize binary-format bytes into an index."""
+    """Deserialize binary-format bytes into an index; a body that does
+    not decode (a cut file, say) is an :class:`IndexFormatError`."""
     if not data.startswith(MAGIC):
         raise ValueError("not a RIDX1 binary index")
-    offset = len(MAGIC)
+    try:
+        doc_count, offset = decode_varint(data, len(MAGIC))
+        paths: List[str] = []
+        for _ in range(doc_count):
+            length, offset = decode_varint(data, offset)
+            paths.append(data[offset : offset + length].decode("utf-8"))
+            offset += length
 
-    doc_count, offset = decode_varint(data, offset)
-    paths: List[str] = []
-    for _ in range(doc_count):
-        length, offset = decode_varint(data, offset)
-        paths.append(data[offset : offset + length].decode("utf-8"))
-        offset += length
-
-    term_count, offset = decode_varint(data, offset)
-    postings: Dict[str, List[str]] = {}
-    for _ in range(term_count):
-        length, offset = decode_varint(data, offset)
-        term = data[offset : offset + length].decode("utf-8")
-        offset += length
-        postings_count, offset = decode_varint(data, offset)
-        ids, offset = decode_gaps(data, offset, postings_count)
-        postings[term] = [paths[i] for i in ids]
+        term_count, offset = decode_varint(data, offset)
+        postings: Dict[str, List[str]] = {}
+        for _ in range(term_count):
+            length, offset = decode_varint(data, offset)
+            term = data[offset : offset + length].decode("utf-8")
+            offset += length
+            postings_count, offset = decode_varint(data, offset)
+            ids, offset = decode_gaps(data, offset, postings_count)
+            postings[term] = [paths[i] for i in ids]
+    except IndexFormatError:
+        raise
+    except (ValueError, IndexError) as exc:
+        raise IndexFormatError(f"RIDX1 body does not decode: {exc}") from exc
     return InvertedIndex.from_postings(postings)
 
 

@@ -3,10 +3,11 @@
 The in-memory :class:`~repro.index.inverted.InvertedIndex` caps corpus
 size at RAM and index-open time at full-file decode.
 :class:`MmapPostingsReader` removes both limits for serving: opening an
-RIDX2 file maps it and parses only the 61-byte header; terms are found
+RIDX2 file maps it and parses only the 61-byte header; a term is found
 by binary search over the sorted on-disk lexicon (O(log B) record
-probes, no lexicon materialization); postings are decoded one
-fixed-size block at a time, on demand.
+probes, no lexicon materialization) the first time it is asked for,
+and by one dict hit after that; postings are decoded one fixed-size
+block at a time, on demand.
 
 :meth:`MmapPostingsReader.read_postings` is the list-at-a-time
 primitive the query evaluator runs on: a term's whole list, or only
@@ -21,7 +22,9 @@ the CI smoke prove skipping actually happens.
 
 No per-query state lives on the reader, so queries on several threads
 share one read-only mapping, which the OS page cache deduplicates
-across queries and processes.
+across queries and processes.  Per term it keeps each :class:`TermInfo`
+found and each multi-block list's block table, filled lock-free and
+bounded by the file: an absent term is never stored.
 """
 
 from __future__ import annotations
@@ -98,6 +101,8 @@ class MmapPostingsReader:
         self._lengths: Optional[List[int]] = None
         self._doc_cache: Dict[int, str] = {}
         self._probe_memo: Dict[int, Tuple[bytes, int, int]] = {}
+        self._term_memo: Dict[str, TermInfo] = {}
+        self._table_memo: Dict[int, Tuple[list, List[int]]] = {}
         self.blocks_read = 0
         self.blocks_skipped = 0
         metrics = obsrec.metrics()
@@ -112,6 +117,7 @@ class MmapPostingsReader:
         if self._map is not None:
             self._map.close()
             self._map = None
+            self._term_memo, self._table_memo = {}, {}
 
     @property
     def _mm(self) -> mmap.mmap:
@@ -205,12 +211,17 @@ class MmapPostingsReader:
     # -- terms -------------------------------------------------------------
 
     def term_info(self, term: str) -> Optional[TermInfo]:
-        """Binary-search the on-disk lexicon; None when absent."""
-        _index, offset, end = self._search(term.encode("utf-8"), 0)
-        if offset is None:
-            return None
-        df, offset = decode_varint(self._mm, offset)
-        return TermInfo(term, df, offset, self._header.lex_data_off + end)
+        """The term's lexicon entry, None when absent: binary-searched
+        the first time, then memoized (an absent term never is)."""
+        info = self._term_memo.get(term)
+        if info is None:
+            _index, offset, end = self._search(term.encode("utf-8"), 0)
+            if offset is None:
+                return None
+            df, offset = decode_varint(self._mm, offset)
+            info = TermInfo(term, df, offset, self._header.lex_data_off + end)
+            self._term_memo[term] = info
+        return info
 
     def __contains__(self, term: str) -> bool:
         return self.term_info(term) is not None
@@ -222,20 +233,24 @@ class MmapPostingsReader:
         reader is its own term dictionary).  Two lower-bound searches —
         ``prefix`` and ``prefix + U+10FFFF``, ``PrefixDictionary``'s own
         range — then one walk over the records between, each term's
-        :class:`TermInfo` put in ``into`` when given: no lexicon copy."""
+        :class:`TermInfo` memoized, and put in ``into`` when given: no
+        lexicon copy."""
         if not prefix:
             raise ValueError("empty prefix")
         lo = self._search(prefix.encode("utf-8"), 0)[0]
         hi = self._search((prefix + "\U0010ffff").encode("utf-8"), lo)[0]
-        mm, base = self._mm, self._header.lex_data_off
+        mm, base, memo = self._mm, self._header.lex_data_off, self._term_memo
         terms = []
         for index in range(lo, min(hi, lo + limit)):
             found, offset, end = self._record(index)
             term = found.decode("utf-8")
             terms.append(term)
-            if into is not None:
+            info = memo.get(term)
+            if info is None:
                 df, offset = decode_varint(mm, offset)
-                into[term] = TermInfo(term, df, offset, base + end)
+                info = memo[term] = TermInfo(term, df, offset, base + end)
+            if into is not None:
+                into[term] = info
         return terms
 
     def read_postings(
@@ -255,7 +270,8 @@ class MmapPostingsReader:
         is what BM25 scores from.  A decoded block counts as
         *read*; a block a filter jumps over — below the block that
         holds its last candidate, or anywhere when that candidate lies
-        past the list — counts as *skipped*.
+        past the list — counts as *skipped*.  A block table is decoded
+        once and memoized (a filter picks from it, never into it).
         """
         _term, df, start, end = info
         mm = self._mm
@@ -266,7 +282,11 @@ class MmapPostingsReader:
             blocks = [(start, df, doc_bytes, end - start - doc_bytes)]
             self._count_read(1)
         else:
-            blocks, lasts = decode_block_table(mm, start, df, self.block_size)
+            table = self._table_memo.get(start)
+            if table is None:
+                table = decode_block_table(mm, start, df, self.block_size)
+                self._table_memo[start] = table
+            blocks, lasts = table
             if candidates is not None:
                 chosen, block, i = [], 0, 0
                 while i < len(candidates):

@@ -145,6 +145,39 @@ class TestSearchCommand:
         assert str(opened.value).startswith(f"{single}: ")
         assert str(opened.value).count(single) == 1
 
+    def test_a_cut_ridx1_file_is_named_once_at_every_door(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        """A cut RIDX1 file (``--binary``) is an ``IndexFormatError``
+        naming it once from ``load_index`` and ``Search.open``, and one
+        ``error:`` line naming it once from ``search`` and ``analyze``:
+        cut after its doc count, past its middle, and one byte short."""
+        from repro.api import Search
+        from repro.index import IndexFormatError, load_index
+
+        whole = str(tmp_path / "whole.ridx")
+        assert main(["index", corpus_dir, "--sequential", "--save", whole,
+                     "--binary"]) == 0
+        with open(whole, "rb") as fh:
+            data = fh.read()
+        assert data.startswith(b"RIDX1")
+        cut = str(tmp_path / "cut.ridx")
+        for size in (9, len(data) // 2 + 1, len(data) - 1):
+            with open(cut, "wb") as fh:
+                fh.write(data[:size])
+            for door in (load_index, Search.open):
+                with pytest.raises(IndexFormatError) as refused:
+                    door(cut)
+                assert str(refused.value).startswith(f"{cut}: ")
+                assert str(refused.value).count(cut) == 1
+            for command in (["search", cut, "anything"], ["analyze", cut]):
+                capsys.readouterr()
+                assert main(command) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith(f"error: {cut}: ")
+                assert err.count(cut) == 1
+
 
 class TestAnalyzeCommand:
     def test_garbage_and_missing_paths_are_one_error_line(

@@ -8,7 +8,9 @@ magic sniffing failure modes (:class:`IndexFormatError` for
 RIDX1/RIDX2/RWIRE1/JSON/unknown/truncated), and the
 :class:`MmapPostingsReader` serving surface — lexicon binary search
 and the memo of its top levels (bounded, and invisible in any answer
-from two threads), ``read_postings`` (whole lists and candidate
+from two threads), the term and block-table memos (a repeated lookup
+searches nothing, an absent term is never kept, no answer changes),
+``read_postings`` (whole lists and candidate
 filters, ids or aligned ``(ids, tfs)`` columns), block-skip accounting
 (exact per query), frequency storage, and the length column's one-pass
 decode against the varint loop.
@@ -1150,24 +1152,25 @@ class TestDocTableOnePass:
             assert read_ridx2_lengths(data, header) == expected
 
 
+@pytest.fixture(scope="module", params=[50, 2], ids=["deep", "shallow"])
+def wide_file(request, tmp_path_factory):
+    # 5 001 terms: a 13-level search tree, deeper than the probe memo;
+    # or 201, a tree the probe memo holds whole, neighbours included.
+    docs = {
+        f"d{i:02d}.txt": [f"t{i:02d}{j:03d}" for j in range(100)]
+        + ["every"] * (1 + i % 3)
+        for i in range(request.param)
+    }
+    index, frequencies = build_index(docs)
+    path = str(tmp_path_factory.mktemp("wide") / "wide.ridx2")
+    with open(path, "wb") as fh:
+        fh.write(dump_index_ridx2(index, frequencies, block_size=8))
+    return path
+
+
 class TestProbeMemo:
     """The top of the lexicon's search tree, memoized: bounded, and
     invisible in every answer."""
-
-    @pytest.fixture(scope="class", params=[50, 2], ids=["deep", "shallow"])
-    def wide_file(self, request, tmp_path_factory):
-        # 5 001 terms: a 13-level search tree, deeper than the memo; or
-        # 201, a tree the memo holds whole, neighbours included.
-        docs = {
-            f"d{i:02d}.txt": [f"t{i:02d}{j:03d}" for j in range(100)]
-            + ["every"] * (1 + i % 3)
-            for i in range(request.param)
-        }
-        index, frequencies = build_index(docs)
-        path = str(tmp_path_factory.mktemp("wide") / "wide.ridx2")
-        with open(path, "wb") as fh:
-            fh.write(dump_index_ridx2(index, frequencies, block_size=8))
-        return path
 
     def test_every_search_from_the_root_stays_within_the_bound(
         self, wide_file
@@ -1268,3 +1271,168 @@ class TestProbeMemo:
             assert 0 < len(warm._probe_memo) <= PROBE_MEMO_MAX
             for term in terms:
                 assert warm.term_info(term) == lexicon[term]
+
+
+class TestTermMemo:
+    """Each term's lexicon entry and each multi-block list's block
+    table, memoized: a repeated lookup searches nothing, absent terms
+    are never kept, and no answer changes."""
+
+    @pytest.fixture(scope="class")
+    def layered_file(self, tmp_path_factory):
+        # w1..w6 hold every k-th of 60 documents (df 60 down to 10):
+        # with 4-posting blocks every one is a multi-block list, which
+        # filtered and whole reads share.  r00..r59 are singletons.
+        docs = {
+            f"d{i:02d}.txt": [f"w{k}" for k in range(1, 7) if i % k == 0]
+            * (1 + i % 3)
+            + [f"r{i:02d}"]
+            for i in range(60)
+        }
+        index, frequencies = build_index(docs)
+        path = str(tmp_path_factory.mktemp("layered") / "layered.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(dump_index_ridx2(index, frequencies, block_size=4))
+        return path
+
+    def test_a_repeated_term_info_searches_nothing(self, layered_file):
+        with MmapPostingsReader(layered_file) as reader:
+            searched = []
+            search = reader._search
+
+            def counting(probe, lo):
+                searched.append(probe)
+                return search(probe, lo)
+
+            reader._search = counting
+            first = [reader.term_info(t) for t in ("w1", "w5", "r07")]
+            assert len(searched) == 3
+            for _round in range(3):
+                assert [reader.term_info(t) for t in ("w1", "w5", "r07")] == first
+            assert len(searched) == 3
+            # An absent term is searched every time: it is never kept.
+            assert reader.term_info("zz") is None
+            assert reader.term_info("zz") is None
+            assert len(searched) == 5
+
+    def test_absent_terms_never_grow_the_memo(self, wide_file):
+        with MmapPostingsReader(wide_file) as reader:
+            terms = list(reader.terms())
+            for term in terms[::7]:
+                reader.term_info(term)
+            held = len(reader._term_memo)
+            assert held == len(terms[::7])
+            for i in range(1000):
+                assert reader.term_info(f"{terms[i % len(terms)]}~{i}") is None
+            assert len(reader._term_memo) == held
+            for term in terms:
+                reader.term_info(term)
+            reader.expand("t")
+            reader.expand("e")
+            assert len(reader._term_memo) == reader.term_count
+            # A closed reader answers no term, memoized or not.
+            reader.close()
+            with pytest.raises(ValueError, match="is closed"):
+                reader.term_info(terms[0])
+
+    def test_expand_stores_what_term_info_returns(self, wide_file):
+        with MmapPostingsReader(wide_file) as walked, MmapPostingsReader(
+            wide_file
+        ) as probed:
+            into = {}
+            for prefix in ("t0", "t1", "e"):
+                walked.expand(prefix, limit=10_000, into=into)
+            assert into and into.keys() == walked._term_memo.keys()
+            for term, info in walked._term_memo.items():
+                assert into[term] is info
+                assert info == probed.term_info(term)
+            # A limited walk memoizes only what it walked.
+            with MmapPostingsReader(wide_file) as limited:
+                assert limited._term_memo == {}
+                shown = limited.expand("t", limit=5)
+                assert sorted(limited._term_memo) == shown
+
+    def test_a_warmed_reader_answers_as_fresh_ones_from_two_threads(
+        self, layered_file
+    ):
+        import sys
+        import threading
+
+        from repro.index.binfmt import decode_block_table
+        from repro.query.daat import DaatQueryEngine
+
+        with open(layered_file, "rb") as fh:
+            data = fh.read()
+        queries = [
+            "w1",
+            "w2 AND w3",
+            "w3 AND w2",
+            "w1 AND r30",
+            "w1 AND (r12 OR r48)",
+            "w2 OR w5",
+            "w1 AND NOT w4",
+            "(w2 OR r07) AND NOT (w3 AND w5)",
+            "w* AND r3*",
+            "w6 AND w4 AND w1",
+            "zz OR w5",
+        ]
+        expected = []
+        for query in queries:  # each answer from a reader of its own
+            with MmapPostingsReader(layered_file) as fresh:
+                engine = DaatQueryEngine(fresh)
+                expected.append(
+                    (engine.search(query), engine.search_bm25(query, topk=7))
+                )
+        multi = [f"w{k}" for k in range(1, 7)]
+        with MmapPostingsReader(layered_file) as fresh:
+            whole = {t: fresh.read_postings(fresh.term_info(t)) for t in multi}
+        with MmapPostingsReader(layered_file) as warm:
+            engine = DaatQueryEngine(warm)
+            failures = []
+
+            def worker(shift):
+                try:
+                    for round_ in range(4):
+                        for i, query in enumerate(queries):
+                            if (i + round_ + shift) % 2:
+                                continue
+                            got = (
+                                engine.search(query),
+                                engine.search_bm25(query, topk=7),
+                            )
+                            if got != expected[i]:
+                                failures.append(query)
+                        for term in multi:
+                            info = warm.term_info(term)
+                            ids = whole[term]
+                            picked = ids[shift::5] + [ids[-1] + 1]
+                            if warm.read_postings(info, picked) != ids[shift::5]:
+                                failures.append(("filtered", term))
+                            if warm.read_postings(info) != ids:
+                                failures.append(("whole", term))
+                except Exception as exc:  # reported below, not lost
+                    failures.append(("raised", exc))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(shift,))
+                    for shift in range(2)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                sys.setswitchinterval(interval)
+            assert failures == []
+            # Every multi-block list read has one table, and a filter
+            # never narrowed it.
+            assert len(warm._table_memo) == len(multi)
+            for term in multi:
+                info = warm.term_info(term)
+                assert warm._table_memo[info.start] == decode_block_table(
+                    data, info.start, info.df, warm.block_size
+                )
