@@ -18,12 +18,13 @@ would not be testing it — that a ranked single-term query reads exactly
 as many blocks as its boolean twin (BM25 scores from the blocks its
 match decoded), and prints the blocks read per query.  It checks that
 the service starts no thread and that every ``service.query`` span ran
-on the thread that asked, that a fresh reader ranks the 90 queries
-exactly as the warmed one does (the lexicon probe memo and the term
-memo change no answer), that the warmed reader's probe memo stays
-within its bound, that its term memo holds between 1 and
-``term_count`` entries, and that a burst of absent-term probes does
-not grow it.
+on the thread that asked, that a fresh reader ranks the 90 queries and
+answers the 80 boolean ones exactly as the warmed one does (the
+lexicon probe memo, the term memo and the decode memo change no
+answer), that the warmed reader's probe memo stays within its bound,
+that its term memo holds between 1 and ``term_count`` entries, that a
+burst of absent-term probes does not grow it, and that its decode memo
+holds between 1 and ``DECODE_MEMO_POSTINGS`` postings after serving.
 
 Run:  PYTHONPATH=src python examples/ondisk_smoke.py [index.ridx2]
 """
@@ -38,7 +39,7 @@ import threading
 from repro.corpus import CorpusGenerator, PAPER_PROFILE
 from repro.engine import SequentialIndexer
 from repro.index import MmapPostingsReader, save_index
-from repro.index.ondisk import PROBE_MEMO_MAX
+from repro.index.ondisk import DECODE_MEMO_POSTINGS, PROBE_MEMO_MAX
 from repro.obs import recorder as obsrec
 from repro.query import BM25Ranker, FrequencyIndex, QueryEngine, search_bm25
 from repro.query.daat import DaatQueryEngine
@@ -139,6 +140,7 @@ def run(path: str) -> int:
                     mismatches.append(("bm25", query, hits, expected))
             stats = service.stats()
         blocks = reader.stats()
+        decoded = blocks["ondisk.memo_postings"]
         # A fresh engine, so no cached answer hides a read.
         engine, term = DaatQueryEngine(reader), boolean[0]
         before = reader.blocks_read
@@ -153,6 +155,10 @@ def run(path: str) -> int:
         absent_grew = len(reader._term_memo) - terms_memoized
         with MmapPostingsReader(path) as fresh_reader:
             fresh = DaatQueryEngine(fresh_reader)
+            for query in boolean:
+                got, expected = engine.search(query), fresh.search(query)
+                if got != expected:
+                    mismatches.append(("warm bool", query, got, expected))
             for query in ranked:
                 got = engine.search_bm25(query, topk=TOPK)
                 expected = fresh.search_bm25(query, topk=TOPK)
@@ -201,6 +207,10 @@ def run(path: str) -> int:
         print(f"FAIL: 1000 absent-term probes grew the term memo by "
               f"{absent_grew} entries", file=sys.stderr)
         return 1
+    if not 0 < decoded <= DECODE_MEMO_POSTINGS:
+        print(f"FAIL: the warmed reader's decode memo holds {decoded} "
+              f"postings, outside 1..{DECODE_MEMO_POSTINGS}", file=sys.stderr)
+        return 1
     if blocks["ondisk.blocks_skipped"] <= 0:
         print("FAIL: no posting blocks were skipped — the DAAT seek "
               "path never engaged", file=sys.stderr)
@@ -208,9 +218,9 @@ def run(path: str) -> int:
     print("OK: every mmap answer matched the in-memory engine, "
           "with block skipping engaged, on the caller's thread; ranked "
           f"{term!r} read {ranked_blocks} blocks, as its boolean twin; "
-          f"a fresh reader ranked as the warmed one ({memoized} lexicon "
-          f"records and {terms_memoized} of {term_count} terms memoized; "
-          "absent terms kept none)")
+          f"a fresh reader answered as the warmed one ({memoized} lexicon "
+          f"records, {terms_memoized} of {term_count} terms and "
+          f"{decoded} decoded postings memoized; absent terms kept none)")
     return 0
 
 

@@ -23,8 +23,9 @@ the CI smoke prove skipping actually happens.
 No per-query state lives on the reader, so queries on several threads
 share one read-only mapping, which the OS page cache deduplicates
 across queries and processes.  Per term it keeps each :class:`TermInfo`
-found and each multi-block list's block table, filled lock-free and
-bounded by the file: an absent term is never stored.
+found and each multi-block list's block table, bounded by the file (an
+absent term is never stored), and per block the ids and tfs decoded, up
+to :data:`DECODE_MEMO_POSTINGS`: all filled lock-free.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ _SPAN = struct.Struct("<II")
 #: holds at most ``2 ** d`` records, so the memo at most 2 047.
 PROBE_MEMO_LEVELS = 11
 PROBE_MEMO_MAX = 2**PROBE_MEMO_LEVELS - 1
+
+#: Decoded doc ids plus tfs a reader keeps, per block, before it stops
+#: keeping more: ``serve_ondisk`` holds about 89 000 once warm, and
+#: past the cap a block decodes on every read, with no eviction.
+DECODE_MEMO_POSTINGS = 2**17
 
 
 class TermInfo(NamedTuple):
@@ -97,14 +103,10 @@ class MmapPostingsReader:
             except Exception:
                 self.close()
                 raise
-        self._paths: Optional[List[str]] = None
-        self._lengths: Optional[List[int]] = None
-        self._doc_cache: Dict[int, str] = {}
-        self._probe_memo: Dict[int, Tuple[bytes, int, int]] = {}
-        self._term_memo: Dict[str, TermInfo] = {}
-        self._table_memo: Dict[int, Tuple[list, List[int]]] = {}
+        self._forget()
         self.blocks_read = 0
         self.blocks_skipped = 0
+        self.memo_hits = 0
         metrics = obsrec.metrics()
         self._read_counter = metrics.counter("ondisk.blocks_read")
         self._skip_counter = metrics.counter("ondisk.blocks_skipped")
@@ -114,10 +116,24 @@ class MmapPostingsReader:
         return cls(path)
 
     def close(self) -> None:
+        """Unmap the file and drop every cache: a closed reader answers
+        nothing, not even what it has decoded (``ValueError``)."""
         if self._map is not None:
             self._map.close()
             self._map = None
-            self._term_memo, self._table_memo = {}, {}
+        self._forget()
+
+    def _forget(self) -> None:
+        self._paths: Optional[List[str]] = None
+        self._lengths: Optional[List[int]] = None
+        self._doc_cache: Dict[int, str] = {}
+        self._probe_memo: Dict[int, Tuple[bytes, int, int]] = {}
+        self._term_memo: Dict[str, TermInfo] = {}
+        self._table_memo: Dict[int, Tuple[list, List[int]]] = {}
+        # Block offset -> that block's doc ids, and -> its tfs.
+        self._ids_memo: Dict[int, List[int]] = {}
+        self._tfs_memo: Dict[int, List[int]] = {}
+        self.memo_postings = 0
 
     @property
     def _mm(self) -> mmap.mmap:
@@ -267,19 +283,27 @@ class MmapPostingsReader:
         the list holds, ascending; without, it is every doc id of the
         list.  ``with_freqs`` answers two aligned columns instead, the
         doc ids and tfs of every posting of the decoded blocks, which
-        is what BM25 scores from.  A decoded block counts as
-        *read*; a block a filter jumps over — below the block that
-        holds its last candidate, or anywhere when that candidate lies
-        past the list — counts as *skipped*.  A block table is decoded
-        once and memoized (a filter picks from it, never into it).
+        is what BM25 scores from.  A block decoded or found memoized
+        counts as *read*; a block a filter jumps over — below the block
+        that holds its last candidate, or anywhere when that candidate
+        lies past the list — counts as *skipped*.  A block table is
+        memoized (a filter picks from it, never into it), and so are a
+        block's ids and tfs; every list returned is the caller's own.
         """
         _term, df, start, end = info
-        mm = self._mm
+        mm, ids_memo, tfs_memo = self._mm, self._ids_memo, self._tfs_memo
         if df <= self.block_size:
             if candidates is not None and not candidates:
                 return ([], []) if with_freqs else []
-            ids, doc_bytes = decode_single_block(mm, start, end, df)
-            blocks = [(start, df, doc_bytes, end - start - doc_bytes)]
+            ids = ids_memo.get(start)
+            if ids is None or with_freqs and start not in tfs_memo:
+                ids, doc_bytes = decode_single_block(mm, start, end, df)
+                self._keep(ids_memo, start, ids)
+                blocks = [(start, df, doc_bytes, end - start - doc_bytes)]
+            else:  # the tfs loop below finds this block's tfs memoized
+                self.memo_hits += 1
+                blocks = [(start, df, None, None)]
+            ids = ids[:]
             self._count_read(1)
         else:
             table = self._table_memo.get(start)
@@ -302,12 +326,25 @@ class MmapPostingsReader:
             self._count_read(len(blocks))
             ids = []
             for offset, count, doc_bytes, _freq_bytes in blocks:
-                ids += decode_block_docids(mm, offset, count, doc_bytes)
+                got = ids_memo.get(offset)
+                if got is None:
+                    got = decode_block_docids(mm, offset, count, doc_bytes)
+                    self._keep(ids_memo, offset, got)
+                else:
+                    self.memo_hits += 1
+                ids += got
         if with_freqs:
             tfs: List[int] = []
             for offset, count, doc_bytes, freq_bytes in blocks:
-                offset += doc_bytes
-                tfs += decode_block_freqs(mm, offset, count, freq_bytes)
+                got = tfs_memo.get(offset)
+                if got is None:
+                    got = decode_block_freqs(
+                        mm, offset + doc_bytes, count, freq_bytes
+                    )
+                    self._keep(tfs_memo, offset, got)
+                else:
+                    self.memo_hits += 1
+                tfs += got
             return ids, tfs
         if candidates is None:
             return ids
@@ -337,10 +374,12 @@ class MmapPostingsReader:
         return self.doc_paths_of(self.read_postings(info))
 
     def stats(self) -> Dict[str, int]:
-        """Block-level I/O counters since open."""
+        """Block-level I/O counters since open, and the decode memo's."""
         return {
             "ondisk.blocks_read": self.blocks_read,
             "ondisk.blocks_skipped": self.blocks_skipped,
+            "ondisk.memo_hits": self.memo_hits,
+            "ondisk.memo_postings": self.memo_postings,
         }
 
     def __repr__(self) -> str:
@@ -411,6 +450,14 @@ class MmapPostingsReader:
             else:
                 return mid, record[1], record[2]
         return lo, None, 0
+
+    def _keep(self, memo: dict, offset: int, values: List[int]) -> None:
+        """Memoize a decoded block column while under the cap; of equal
+        lists stored by racing threads the first stays, counted once."""
+        if self.memo_postings < DECODE_MEMO_POSTINGS:
+            size = len(values)  # no call between the count's read and write
+            if memo.setdefault(offset, values) is values:
+                self.memo_postings += size
 
     def _count_read(self, n: int) -> None:
         self.blocks_read += n

@@ -10,7 +10,9 @@ RIDX1/RIDX2/RWIRE1/JSON/unknown/truncated), and the
 and the memo of its top levels (bounded, and invisible in any answer
 from two threads), the term and block-table memos (a repeated lookup
 searches nothing, an absent term is never kept, no answer changes),
-``read_postings`` (whole lists and candidate
+the decode memo (a repeated read decodes nothing, a returned list is
+the caller's own, the cap holds from two threads, a memo hit still
+counts as a block read), ``read_postings`` (whole lists and candidate
 filters, ids or aligned ``(ids, tfs)`` columns), block-skip accounting
 (exact per query), frequency storage, and the length column's one-pass
 decode against the varint loop.
@@ -855,14 +857,26 @@ class TestRefusals:
 
     def test_closed_reader_raises_value_error(self, fruit_file):
         reader = MmapPostingsReader(fruit_file)
+        # Warmed first: nothing decoded before close answers after it.
+        info = reader.term_info("apple")
+        reader.lookup("apple")
+        reader.read_postings(info, with_freqs=True)
+        reader.doc_paths()
+        reader.doc_length(0)
         reader.close()
         reader.close()  # idempotent
+        assert reader.stats()["ondisk.memo_postings"] == 0
         for use in (
             lambda: reader.term_info("apple"),
             lambda: reader.lookup("apple"),
+            lambda: reader.read_postings(info),
+            lambda: reader.read_postings(info, with_freqs=True),
             lambda: list(reader.terms()),
             lambda: list(reader.postings()),
             lambda: reader.doc_length(0),
+            reader.doc_paths,
+            lambda: reader.doc_path(0),
+            lambda: reader.doc_paths_of([0, 1]),
             reader.verify,
         ):
             with pytest.raises(ValueError, match="is closed"):
@@ -1273,27 +1287,28 @@ class TestProbeMemo:
                 assert warm.term_info(term) == lexicon[term]
 
 
+@pytest.fixture(scope="module")
+def layered_file(tmp_path_factory):
+    # w1..w6 hold every k-th of 60 documents (df 60 down to 10): with
+    # 4-posting blocks every one is a multi-block list, which filtered
+    # and whole reads share.  r00..r59 are singletons.
+    docs = {
+        f"d{i:02d}.txt": [f"w{k}" for k in range(1, 7) if i % k == 0]
+        * (1 + i % 3)
+        + [f"r{i:02d}"]
+        for i in range(60)
+    }
+    index, frequencies = build_index(docs)
+    path = str(tmp_path_factory.mktemp("layered") / "layered.ridx2")
+    with open(path, "wb") as fh:
+        fh.write(dump_index_ridx2(index, frequencies, block_size=4))
+    return path
+
+
 class TestTermMemo:
     """Each term's lexicon entry and each multi-block list's block
     table, memoized: a repeated lookup searches nothing, absent terms
     are never kept, and no answer changes."""
-
-    @pytest.fixture(scope="class")
-    def layered_file(self, tmp_path_factory):
-        # w1..w6 hold every k-th of 60 documents (df 60 down to 10):
-        # with 4-posting blocks every one is a multi-block list, which
-        # filtered and whole reads share.  r00..r59 are singletons.
-        docs = {
-            f"d{i:02d}.txt": [f"w{k}" for k in range(1, 7) if i % k == 0]
-            * (1 + i % 3)
-            + [f"r{i:02d}"]
-            for i in range(60)
-        }
-        index, frequencies = build_index(docs)
-        path = str(tmp_path_factory.mktemp("layered") / "layered.ridx2")
-        with open(path, "wb") as fh:
-            fh.write(dump_index_ridx2(index, frequencies, block_size=4))
-        return path
 
     def test_a_repeated_term_info_searches_nothing(self, layered_file):
         with MmapPostingsReader(layered_file) as reader:
@@ -1436,3 +1451,183 @@ class TestTermMemo:
                 assert warm._table_memo[info.start] == decode_block_table(
                     data, info.start, info.df, warm.block_size
                 )
+            # Each block's ids and tfs were kept once, and counted once.
+            held = [*warm._ids_memo.values(), *warm._tfs_memo.values()]
+            assert held and warm.memo_postings == sum(map(len, held))
+
+
+class TestDecodeMemo:
+    """Each block's decoded doc ids and tfs, memoized under a fixed
+    cap: a repeated read decodes nothing, no caller can change what a
+    later read answers, and a memo hit still counts as a block read."""
+
+    SINGLE, MULTI = "r07", "w1"  # one inline block; 15 blocks of 4
+
+    @staticmethod
+    def count_decodes(monkeypatch):
+        import repro.index.ondisk as ondisk
+
+        calls = []
+        for name in (
+            "decode_single_block",
+            "decode_block_docids",
+            "decode_block_freqs",
+        ):
+            decoder = getattr(ondisk, name)
+
+            def counting(*args, _decoder=decoder, _name=name):
+                calls.append(_name)
+                return _decoder(*args)
+
+            monkeypatch.setattr(ondisk, name, counting)
+        return calls
+
+    def test_a_second_whole_read_decodes_nothing(
+        self, layered_file, monkeypatch
+    ):
+        calls = self.count_decodes(monkeypatch)
+        with MmapPostingsReader(layered_file) as reader:
+            for term in (self.SINGLE, self.MULTI):
+                info = reader.term_info(term)
+                for with_freqs in (False, True):
+                    first = reader.read_postings(info, with_freqs=with_freqs)
+                    decoded = len(calls)
+                    assert decoded
+                    again = reader.read_postings(info, with_freqs=with_freqs)
+                    assert again == first and len(calls) == decoded
+                    del calls[:]
+
+    def test_reads_in_either_order_equal_a_fresh_readers(self, layered_file):
+        def whole(reader, term):
+            return reader.read_postings(reader.term_info(term), with_freqs=True)
+
+        def filtered(reader, term):
+            info = reader.term_info(term)
+            return (
+                reader.read_postings(info, [5, 30, 59]),
+                reader.read_postings(info, [5, 30, 59], with_freqs=True),
+            )
+
+        def fresh(read, term):
+            with MmapPostingsReader(layered_file) as reader:
+                return read(reader, term)
+
+        terms = (self.SINGLE, "r30", self.MULTI, "w5")
+        expected = {t: (fresh(whole, t), fresh(filtered, t)) for t in terms}
+        for filtered_first in (True, False):
+            with MmapPostingsReader(layered_file) as reader:
+                for term in terms:
+                    if filtered_first:
+                        got_filtered = filtered(reader, term)
+                        got = (whole(reader, term), got_filtered)
+                    else:
+                        got = (whole(reader, term), filtered(reader, term))
+                    assert got == expected[term]
+
+    def test_a_returned_list_is_the_callers_own(self, layered_file):
+        with MmapPostingsReader(layered_file) as reader, MmapPostingsReader(
+            layered_file
+        ) as fresh:
+            for term in (self.SINGLE, self.MULTI):
+                info = reader.term_info(term)
+                first_id = fresh.read_postings(info)[0]
+                reads = (
+                    lambda: (reader.read_postings(info),),
+                    lambda: reader.read_postings(info, with_freqs=True),
+                    # One block of a multi-block list, chosen by a filter.
+                    lambda: reader.read_postings(
+                        info, [first_id], with_freqs=True
+                    ),
+                )
+                for read in reads:
+                    expected = [list(column) for column in read()]
+                    for _round in range(2):
+                        for column in read():
+                            column.append(-1)
+                            column[0] = -2
+                        assert [list(c) for c in read()] == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_memo_stops_at_its_cap(
+        self, layered_file, monkeypatch, threads
+    ):
+        import sys
+        import threading
+
+        import repro.index.ondisk as ondisk
+        from repro.query.daat import DaatQueryEngine
+
+        cap = 10
+        queries = ["w1", "w2 AND w3", "w1 AND NOT w4", "r07 OR w5", "w*"]
+        with MmapPostingsReader(layered_file) as fresh:
+            oracle = DaatQueryEngine(fresh)
+            expected = [
+                (oracle.search(q), oracle.search_bm25(q, topk=7))
+                for q in queries
+            ]
+        monkeypatch.setattr(ondisk, "DECODE_MEMO_POSTINGS", cap)
+        with MmapPostingsReader(layered_file) as reader:
+            engine = DaatQueryEngine(reader)
+            failures = []
+
+            def worker():
+                try:
+                    for _round in range(3):
+                        for i, query in enumerate(queries):
+                            got = (
+                                engine.search(query),
+                                engine.search_bm25(query, topk=7),
+                            )
+                            if got != expected[i]:
+                                failures.append(query)
+                except Exception as exc:  # reported below, not lost
+                    failures.append(("raised", exc))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                workers = [
+                    threading.Thread(target=worker) for _ in range(threads)
+                ]
+                for thread in workers:
+                    thread.start()
+                for thread in workers:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in workers)
+            finally:
+                sys.setswitchinterval(interval)
+            assert failures == []
+            held = [*reader._ids_memo.values(), *reader._tfs_memo.values()]
+            assert reader.memo_postings == sum(map(len, held))
+            # Under the cap when the last block went in: one block more
+            # per racing thread at most.
+            assert cap <= reader.memo_postings < cap + threads * 4
+
+    def test_a_memo_hit_counts_as_a_block_read(self, layered_file):
+        from repro.query.daat import DaatQueryEngine
+
+        queries = [
+            "w1",
+            "w2 AND w3",
+            "w1 AND r30",
+            "w1 AND (r12 OR r48)",
+            "w2 OR w5",
+            "w1 AND NOT w4",
+            "(w2 OR r07) AND NOT (w3 AND w5)",
+            "w* AND r3*",
+            "w6 AND w4 AND w1",
+        ]
+        with MmapPostingsReader(layered_file) as reader:
+            engine = DaatQueryEngine(reader)
+            for passes in (1, 2):
+                for query in queries:
+                    engine.search(query)
+                    engine.search_bm25(query, topk=5)
+                # Per pass, the counts of a reader that memoizes nothing.
+                assert (reader.blocks_read, reader.blocks_skipped) == (
+                    235 * passes,
+                    84 * passes,
+                )
+            stats = reader.stats()
+            assert stats["ondisk.memo_hits"] > 0
+            assert stats["ondisk.memo_postings"] == reader.memo_postings > 0
