@@ -13,7 +13,9 @@ checks the health signals rather than the performance claims —
 * a ``Search.serve_async`` leg over a session snapshot, which carries
   the result cache: repeats are answered from it (``frontend.cached``
   > 0), every caller is counted once (evaluations + coalesced + cached
-  == served), and every answer equals ``snapshot.search``.
+  == served), and every answer equals ``snapshot.search`` — including
+  the repeats answered at the door, inside ``submit()``
+  (``frontend.door_hits`` > 0), each checked on its own.
 
 Writes the digest as JSON (default ``serving-latency-smoke.json``) for
 the CI artifact upload.
@@ -61,12 +63,13 @@ def _corpus() -> VirtualFileSystem:
 
 def serve_async_leg(specs) -> dict:
     """Bursts of the workload through ``Search.serve_async``; returns
-    the front end's counters and how many answers differed from
-    ``snapshot.search``."""
+    the front end's counters, how many answers differed from
+    ``snapshot.search``, and how many tickets were answered at the door
+    (never planned by the batcher) and how many of those differed."""
     session = Search.build(_corpus())
     snapshot = session.snapshot()
     assert snapshot.cache is not None
-    wrong = 0
+    wrong = at_door = wrong_at_door = 0
     with session.serve_async(workers=2) as frontend:
         for _ in range(4):
             for at in range(0, len(specs), 8):
@@ -74,9 +77,18 @@ def serve_async_leg(specs) -> dict:
                 tickets = [frontend.submit(spec.text) for spec in burst]
                 for spec, ticket in zip(burst, tickets):
                     result = ticket.result(timeout=30)
-                    wrong += result.paths != snapshot.search(spec.text)
+                    differs = result.paths != snapshot.search(spec.text)
+                    wrong += differs
+                    if ticket.plan is None:
+                        at_door += 1
+                        wrong_at_door += differs
         stats = frontend.stats()
-    return {**stats, "wrong_answers": float(wrong)}
+    return {
+        **stats,
+        "wrong_answers": float(wrong),
+        "door_answers": float(at_door),
+        "wrong_door_answers": float(wrong_at_door),
+    }
 
 
 def main(out_path: str = "serving-latency-smoke.json") -> int:
@@ -155,6 +167,12 @@ def main(out_path: str = "serving-latency-smoke.json") -> int:
         )
     if cached_leg["wrong_answers"]:
         failures.append("a serve_async answer differs from snapshot.search")
+    if cached_leg["frontend.door_hits"] <= 0:
+        failures.append("serve_async never answered a repeat at the door")
+    if cached_leg["door_answers"] != cached_leg["frontend.door_hits"]:
+        failures.append("door answers disagree with frontend.door_hits")
+    if cached_leg["wrong_door_answers"]:
+        failures.append("a door-hit answer differs from snapshot.search")
 
     if failures:
         for failure in failures:
@@ -162,7 +180,9 @@ def main(out_path: str = "serving-latency-smoke.json") -> int:
         return 1
     print(f"OK: p99={result.p99_ms:.2f} ms, "
           f"{int(stats['frontend.coalesced'])} coalesced, "
-          f"{int(cached_leg['frontend.cached'])} cached (serve_async), "
+          f"{int(cached_leg['frontend.cached'])} cached "
+          f"({int(cached_leg['frontend.door_hits'])} at the door, "
+          "serve_async), "
           f"shed_rate={result.shed_rate:.3f} -> {out_path}")
     return 0
 

@@ -17,11 +17,17 @@ a boolean search returns paths, a BM25 search returns scored
 :class:`~repro.query.ranking.RankedHit` entries truncated to K — a
 cache keyed on the text alone would happily serve one for the other.
 
+Beside its entries the cache keeps *aliases*, an LRU of at most
+``capacity`` requests as asked, ``(text, mode, top-K)``, each mapped to
+its key; :meth:`QueryCache.recall` answers a repeat by text, unparsed
+(the serving front end's door).  An alias moves to the recent end each
+time its request meets its entry (a hit, or a put that names it).
+
 Thread safety: a desktop search serves queries from whatever thread the
 UI or API happens to be on, so one cache is hammered concurrently.
 Every operation — the LRU reorder in :meth:`QueryCache.get`, the
-evict-and-insert in :meth:`QueryCache.put`, and the hit/miss tallies —
-runs under one lock, which comes from a
+evict-and-insert in :meth:`QueryCache.put`, the hit/miss tallies
+and the alias map beside them — runs under one lock, which comes from a
 :class:`~repro.concurrency.provider.SyncProvider` so the schedule
 checker can drive the same cache deterministically.  Results are copied
 *in* on put and *out* on get, both under the lock: a caller mutating a
@@ -45,6 +51,9 @@ from repro.query.parser import parse_query
 #: as one unsharded engine would (``docs/sharded.md``), and no session,
 #: snapshot or shard holds unjoined replicas to fan a lookup out over.
 CacheKey = Tuple[str, str, Optional[int]]
+
+#: A request as asked: (query text, ranking mode, top-K for BM25 only).
+Request = Tuple[str, str, Optional[int]]
 
 
 def cache_key(
@@ -86,6 +95,11 @@ def plan_query(text, rank="bool", topk=10) -> Plan:
     return Plan(text, rank, topk, query, key)
 
 
+def request_of(text: str, rank: str = "bool", topk: int = 10) -> Request:
+    """The :data:`Request` of one ask (``topk`` keys BM25 only)."""
+    return (text, rank, topk if rank == "bm25" else None)
+
+
 class QueryCache:
     """A fixed-capacity LRU cache of query results (thread-safe)."""
 
@@ -104,6 +118,7 @@ class QueryCache:
         self._lock = sync.lock(f"{name}.lock")
         # dict preserves insertion order; recency = reinsertion order.
         self._entries: Dict[CacheKey, list] = {}
+        self._aliases: Dict[Request, CacheKey] = {}
         self.hits = 0
         self.misses = 0
 
@@ -111,30 +126,37 @@ class QueryCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: CacheKey) -> Optional[list]:
+    def get(self, key: CacheKey, request=None) -> Optional[list]:
         """Cached result for ``key`` (refreshing recency), else None.
 
         The returned list is a copy made under the lock — mutate it
-        freely, the cached value is unaffected.
+        freely, the cached value is unaffected.  A hit aliases
+        ``request``, when given, to ``key``.
         """
         with self._lock:
-            self._sync.access(f"{self.name}.entries")
-            if key not in self._entries:
+            result = self._take_locked(key, request)
+            if result is None:
                 self.misses += 1
-                hit = False
-                result = None
-            else:
-                self.hits += 1
-                hit = True
-                value = self._entries.pop(key)
-                self._entries[key] = value
-                result = list(value)
             hit_rate = self._hit_rate_locked()
-        self._record(hit, hit_rate)
+        self._record(result is not None, hit_rate)
         return result
 
-    def put(self, key: CacheKey, value: list) -> None:
-        """Insert a result, evicting the least recently used if full.
+    def recall(self, request: Request) -> Optional[list]:
+        """Cached result for ``request`` by its alias, else None; a
+        probe that finds no live alias counts nothing (the lookup by
+        key that follows counts the request)."""
+        with self._lock:
+            self._sync.access(f"{self.name}.aliases", write=False)
+            key = self._aliases.get(request)
+            result = None if key is None else self._take_locked(key, request)
+            hit_rate = self._hit_rate_locked()
+        if result is not None:
+            self._record(True, hit_rate)
+        return result
+
+    def put(self, key: CacheKey, value: list, request=None) -> None:
+        """Insert a result, evicting the least recently used if full,
+        and alias ``request``, when given, to ``key``.
 
         The value is copied in under the lock, so later caller-side
         mutation of ``value`` cannot change what a future hit returns.
@@ -147,6 +169,8 @@ class QueryCache:
                 oldest = next(iter(self._entries))
                 del self._entries[oldest]
             self._entries[key] = list(value)
+            if request is not None:
+                self._alias_locked(request, key)
             size = len(self._entries)
         obsrec.metrics().gauge(f"{self.name}.size").set(size)
 
@@ -155,6 +179,29 @@ class QueryCache:
         """hits / (hits + misses), 0.0 before any lookup."""
         with self._lock:
             return self._hit_rate_locked()
+
+    def _take_locked(self, key: CacheKey, request) -> Optional[list]:
+        """A copy of ``key``'s value, counted as a hit, moved to the
+        recent end and aliased by ``request``; None, uncounted, when
+        the cache has no entry for ``key``."""
+        self._sync.access(f"{self.name}.entries")
+        value = self._entries.pop(key, None)
+        if value is None:
+            return None
+        self.hits += 1
+        self._entries[key] = value
+        if request is not None:
+            self._alias_locked(request, key)
+        return list(value)
+
+    def _alias_locked(self, request: Request, key: CacheKey) -> None:
+        """Alias ``request`` at the recent end, evicting the least
+        recent alias past capacity."""
+        self._sync.access(f"{self.name}.aliases")
+        aliases = self._aliases
+        if aliases.pop(request, None) is None and len(aliases) >= self.capacity:
+            del aliases[next(iter(aliases))]
+        aliases[request] = key
 
     def _hit_rate_locked(self) -> float:
         total = self.hits + self.misses

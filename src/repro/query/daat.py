@@ -37,15 +37,15 @@ BM25 ranking rides the same machinery, one decode per list:
 candidates holding every match; any other term is read again over the
 matches.  Scores add up per term in sorted order, as
 :class:`~repro.query.ranking.BM25Ranker` adds them, so ondisk and
-in-memory BM25 agree to the last float; the scores at or above the
-k-th largest, stably sorted over ascending doc ids, are the top-K.  A
-file written without term frequencies refuses to rank
-(:data:`NO_FREQS`).
+in-memory BM25 agree to the last float; ``heapq.nlargest`` over
+ascending doc ids, a stable sort cut to K, picks the top-K.  A file
+written without term frequencies refuses to rank (:data:`NO_FREQS`).
 """
 
 from __future__ import annotations
 
 import math
+from heapq import nlargest
 from itertools import compress, filterfalse
 from functools import partial
 from operator import itemgetter
@@ -166,15 +166,12 @@ class DaatQueryEngine:
                         scores[doc_id] += one / ones[doc_id]
                     else:
                         scores[doc_id] += idf * (tf * k1_plus) / (tf + norms[doc_id])
-            kept = scores.items()
-            if len(scores) > topk:
-                kth = sorted(scores.values(), reverse=True)[topk - 1]
-                kept = [hit for hit in kept if hit[1] >= kth]
-            # Stable over ascending doc ids: ties keep path order.
-            ranked = sorted(kept, key=itemgetter(1), reverse=True)
+            # Equal to a stable sort over ascending doc ids, cut to
+            # topk: ties keep path order.
+            ranked = nlargest(topk, scores.items(), key=itemgetter(1))
             return [
                 RankedHit(reader.doc_path(doc_id), score)
-                for doc_id, score in ranked[:topk]
+                for doc_id, score in ranked
             ]
 
     def prefix_dictionary(self) -> MmapPostingsReader:

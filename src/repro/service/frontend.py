@@ -15,18 +15,22 @@ serving-side analogue of what the build side got from batching:
   *own* :class:`~repro.service.snapshot.QueryResult` — same paths/hits/
   generation, their own ``elapsed_s`` (time *they* waited, not the
   leader's evaluation time), and ``coalesced=True``;
-* **cache hits without a hop** — the batcher resolves a ticket the
-  snapshot's result cache answers itself (``cached=True``); a miss
-  takes its plan to ``snapshot.answer``, which puts the answer before
-  the leader leaves the single-flight map, so the text is parsed once;
-* **batched admission** — ``submit()`` only enqueues; the batcher
-  thread takes everything that has arrived, loads **one** snapshot
-  pointer, plans it (parse + key, outside the lock) and then registers
-  single-flight and admits the misses in **one** queue transaction,
-  instead of a load and a transaction per query.  ``batch_window`` > 0
-  holds the flush open briefly so a burst accumulates; 0 flushes as
-  soon as the batcher wakes.  Admission control happens at the flush:
-  leaders beyond the in-flight budget are shed
+* **cache hits at the door** — ``submit()`` asks the published
+  snapshot's cache for the request by text
+  (:meth:`~repro.service.snapshot.IndexSnapshot.recall`); a hit comes
+  back resolved (``cached=True``): no queue, parse or wake-up.  The
+  batcher resolves a hit by key; a miss takes its plan to
+  ``snapshot.answer``, which puts the answer before the leader leaves
+  the single-flight map.  Both alias the text for the next repeat;
+* **batched admission** — ``submit()`` enqueues what the door did not
+  answer; the batcher thread takes everything that has arrived, loads
+  **one** snapshot pointer, plans it (parse + key, outside the lock)
+  and then registers single-flight and admits the misses in **one**
+  queue transaction, instead of a load and a transaction per query (a
+  door probe loads its own).  ``batch_window`` > 0 holds the flush
+  open briefly so a burst accumulates; 0 flushes as soon as the
+  batcher wakes.  Admission control happens at the flush: leaders
+  beyond the in-flight budget are shed
   (:class:`~repro.service.service.ServiceOverloadedError`) along with
   their followers, each affected caller counted exactly once;
 * **two thread roles** — one batcher, ``workers`` evaluators.  Planning
@@ -63,7 +67,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs import recorder as obsrec
-from repro.query.cache import CacheKey, Plan, plan_query
+from repro.query.cache import CacheKey, Plan, plan_query, request_of
 from repro.service.service import (
     SearchService,
     ServiceClosedError,
@@ -146,9 +150,9 @@ class AsyncSearchFrontend:
 
     Sits in front of a :class:`~repro.service.service.SearchService`
     and evaluates directly against its published snapshots (one pointer
-    load per *batch*).  ``workers`` evaluation threads plus
-    one batcher thread, which plans what it flushes, come from the
-    ``sync`` provider.  ``max_inflight`` bounds admitted,
+    load per *batch*, plus one per door probe).  ``workers`` evaluation
+    threads plus one batcher thread, which plans what it flushes, come
+    from the ``sync`` provider.  ``max_inflight`` bounds admitted,
     unresolved leaders (coalesced followers ride free — that is the
     point); beyond it the flush sheds.  ``own_service=True`` makes
     :meth:`close` also close the wrapped service.
@@ -206,6 +210,7 @@ class AsyncSearchFrontend:
         self._served = 0
         self._coalesced = 0
         self._cached = 0
+        self._door_hits = 0           # of _cached: answered in submit()
         self._shed = 0
         self._batches = 0
         self._evaluations = 0
@@ -229,6 +234,7 @@ class AsyncSearchFrontend:
     ) -> QueryTicket:
         """Enqueue one query; returns immediately with its ticket.
 
+        A request the snapshot's cache holds by text comes back resolved.
         Raises :class:`~repro.service.service.ServiceClosedError` if
         shutdown has begun.  Parse errors are *not* raised here — they
         travel on the ticket, like any other per-query failure, so a
@@ -238,13 +244,27 @@ class AsyncSearchFrontend:
             raise ValueError(f"rank must be 'bool' or 'bm25', got {rank!r}")
         ticket = QueryTicket(self, query_text, rank, topk)
         metrics = obsrec.metrics()
+        snapshot = self.service.snapshot
+        hit = None
+        if snapshot.cache is not None:
+            hit = snapshot.recall(
+                request_of(query_text, rank, topk), ticket.submitted
+            )
         with self._lock:
             if self._closing:
                 raise ServiceClosedError(f"{self.name} is shut down")
             self._submitted += 1
+            metrics.counter(f"{self.name}.queries").inc()
+            if hit is not None:
+                ticket.value, ticket.done = hit, True
+                self._served += 1
+                self._cached += 1
+                self._door_hits += 1
+                metrics.counter(f"{self.name}.cached").inc()
+                self._record_sojourn(ticket, time.perf_counter())
+                return ticket
             self._sync.access(f"{self.name}.batch-queue", write=True)
             self._arrivals.append(ticket)
-            metrics.counter(f"{self.name}.queries").inc()
             self._set_depth_gauge_locked(metrics)
             self._flush.notify()
         return ticket
@@ -329,6 +349,7 @@ class AsyncSearchFrontend:
                 "frontend.served": float(self._served),
                 "frontend.coalesced": float(self._coalesced),
                 "frontend.cached": float(self._cached),
+                "frontend.door_hits": float(self._door_hits),
                 "frontend.shed": float(self._shed),
                 "frontend.batches": float(self._batches),
                 "frontend.evaluations": float(self._evaluations),

@@ -545,6 +545,10 @@ def served_session():
 
 class TestTheSnapshotOwnsTheCache:
     def test_every_door_parses_once_hit_or_miss(self, parses):
+        # A miss parses once at every door.  A repeat parses once at
+        # Search.query and service.query, and not at all at the front
+        # end: its batcher's put aliased the text, so submit() answers
+        # the repeat from the cache by text.
         for door in ("Search.query", "service.query", "frontend"):
             session = Search.build(small_fs())
             server = None
@@ -561,7 +565,7 @@ class TestTheSnapshotOwnsTheCache:
                     del parses[:]
                     again = ask(text)
                     assert again.cached and not again.coalesced, door
-                    assert len(parses) == 1, door
+                    assert len(parses) == (door != "frontend"), door
             finally:
                 if server is not None:
                     server.close()

@@ -549,6 +549,21 @@ class TestBm25ParameterGrid:
                         (h.path, h.score) for h in expected
                     ], (query, topk)
 
+    def test_a_tie_across_the_cut_keeps_path_order(self, tmp_path):
+        # The k-th score is shared by hits kept and hits cut: the kept
+        # ones are the first in path order, as a stable sort gives.
+        docs = {f"t{i}.txt": ["every", "pad"] for i in range(5)}
+        docs["z.txt"] = ["every", "every"]
+        memory, frequencies, path = write_corpus(tmp_path, docs, 2)
+        expected = search_bm25(memory, BM25Ranker(frequencies), "every", 6)
+        with MmapPostingsReader(path) as reader:
+            engine = DaatQueryEngine(reader)
+            assert engine.search_bm25("every", topk=6) == expected
+            got = engine.search_bm25("every", topk=3)
+        assert [hit.path for hit in got] == ["z.txt", "t0.txt", "t1.txt"]
+        assert got == expected[:3]
+        assert expected[2].score == expected[3].score < expected[0].score
+
     @settings(max_examples=60, deadline=None)
     @given(corpora(), nested_queries, st.sampled_from(BM25_GRID))
     def test_drawn_queries_equal_the_ranker(

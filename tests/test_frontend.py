@@ -14,7 +14,11 @@ Functional guarantees of
   rejected at batch admission after passing single-flight lands on the
   shed counter exactly once per affected caller;
 * error plumbing (parse errors on the ticket, closed/overloaded
-  raises), done-callbacks that raise, and the asyncio face.
+  raises), done-callbacks that raise, and the asyncio face;
+* answers at the door: a repeat the snapshot's cache holds by text
+  comes back from ``submit()`` resolved, equal to what the snapshot's
+  ``search`` / ``search_bm25`` return, and never for another mode,
+  another top-K or another generation.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ import pytest
 
 from repro.index.inverted import InvertedIndex
 from repro.obs import recorder as obsrec
-from repro.query import ParseError, RankedHit, normalize_query
+from repro.obs.recorder import Recorder
+from repro.query import ParseError, QueryCache, RankedHit, normalize_query
+from repro.service import frontend as frontend_module
 from repro.service import (
     AsyncSearchFrontend,
     IndexSnapshot,
@@ -35,7 +41,9 @@ from repro.service import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
+from repro.service.sharded import RankedQueryEngine
 from repro.text.termblock import TermBlock
+from tests.test_sharded_service import DOCS, build_corpus
 
 
 def tiny_index() -> InvertedIndex:
@@ -396,3 +404,172 @@ class TestDoneCallbackErrors:
             assert frontend.submit("bravo").result(timeout=5).paths
         finally:
             frontend.close()
+
+
+def ranked_snapshot(generation: int = 0) -> IndexSnapshot:
+    """The shared test corpus, ranking, with an empty cache of its own."""
+    index, frequencies = build_corpus()
+    universe = frozenset(DOCS)
+    engine = RankedQueryEngine(
+        index, universe=universe, frequencies=frequencies
+    )
+    return IndexSnapshot(
+        index, generation=generation, universe=universe, engine=engine,
+        cache=QueryCache(8),
+    )
+
+
+def door_hits(frontend) -> float:
+    return frontend.stats()["frontend.door_hits"]
+
+
+def assert_balanced(frontend) -> None:
+    stats = frontend.stats()
+    assert (
+        stats["frontend.evaluations"]
+        + stats["frontend.coalesced"]
+        + stats["frontend.cached"]
+        == stats["frontend.served"]
+        == stats["frontend.submitted"]
+    )
+    assert stats["frontend.door_hits"] <= stats["frontend.cached"]
+
+
+@pytest.fixture
+def door():
+    service = SearchService(ranked_snapshot(), workers=1)
+    frontend = AsyncSearchFrontend(service, workers=1, own_service=True)
+    yield frontend, service
+    frontend.close()
+
+
+class TestAnswersAtTheDoor:
+    REQUESTS = (
+        ("alpha AND beta", "bool", 10),
+        ("NOT delta", "bool", 10),
+        ("alph*", "bool", 10),
+        ("alpha OR gamma", "bm25", 4),
+        ("alpha", "bm25", 10),
+    )
+
+    def test_a_repeat_is_the_snapshots_answer_resolved_at_submit(self, door):
+        frontend, service = door
+        snapshot = service.snapshot
+        for count, (text, rank, topk) in enumerate(self.REQUESTS, 1):
+            first = frontend.query(text, rank=rank, topk=topk)
+            assert not first.cached  # the batcher answered and aliased it
+            ticket = frontend.submit(text, rank=rank, topk=topk)
+            assert ticket.done  # resolved before submit() returned
+            again = ticket.result(timeout=0)
+            assert again.cached and not again.coalesced
+            assert door_hits(frontend) == count
+            if rank == "bm25":
+                hits = snapshot.search_bm25(text, topk=topk)
+                assert again.hits == first.hits == hits
+                assert again.paths == [hit.path for hit in hits]
+            else:
+                assert again.paths == first.paths == snapshot.search(text)
+                assert again.hits is None
+            assert again.generation == snapshot.generation
+            assert again.elapsed_s >= 0.0
+        assert_balanced(frontend)
+
+    def test_a_door_hit_plans_nothing(self, door, monkeypatch):
+        frontend, _service = door
+        frontend.query("alpha AND beta")
+        planned = []
+        real = frontend_module.plan_query
+
+        def recording(*args):
+            planned.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(frontend_module, "plan_query", recording)
+        for _ in range(3):
+            assert frontend.query("alpha AND beta").cached
+        assert planned == []
+        assert door_hits(frontend) == 3
+        assert frontend.stats()["frontend.batches"] == 1
+
+    def test_a_shared_entry_keeps_one_alias_per_text(self, door):
+        frontend, service = door
+        frontend.query("alpha")
+        # Same key, new text: the batcher's hit by key aliases it.
+        assert frontend.query("alpha AND alpha").cached
+        assert door_hits(frontend) == 0
+        for text in ("alpha", "alpha AND alpha"):
+            assert frontend.query(text).cached
+        assert door_hits(frontend) == 2
+        assert len(service.snapshot.cache) == 1
+
+    def test_bm25_and_top_k_never_cross(self, door):
+        frontend, service = door
+        snapshot = service.snapshot
+        for _ in range(2):
+            ranked = frontend.query("alpha", rank="bm25", topk=10)
+        assert ranked.cached and door_hits(frontend) == 1
+        boolean = frontend.query("alpha")
+        assert not boolean.cached and boolean.hits is None
+        assert boolean.paths == snapshot.search("alpha")
+        fewer = frontend.query("alpha", rank="bm25", topk=5)
+        assert not fewer.cached
+        assert fewer.hits == snapshot.search_bm25("alpha", topk=5)
+        assert len(fewer.hits) == 5 < len(ranked.hits)
+        assert door_hits(frontend) == 1
+        # A boolean request's top-K is no part of it.
+        assert frontend.query("alpha", topk=3).cached
+        assert door_hits(frontend) == 2
+        assert_balanced(frontend)
+
+    def test_a_publish_sends_the_repeat_to_the_new_snapshot(self, door):
+        frontend, service = door
+        for _ in range(2):
+            assert frontend.query("alpha AND beta").generation == 0
+        assert door_hits(frontend) == 1
+        service.publish(ranked_snapshot(generation=1))
+        after = frontend.query("alpha AND beta")
+        assert not after.cached and after.generation == 1
+        assert door_hits(frontend) == 1
+        assert frontend.stats()["frontend.evaluations"] == 2
+        again = frontend.query("alpha AND beta")
+        assert again.cached and again.generation == 1
+        assert door_hits(frontend) == 2
+
+    def test_callbacks_and_asyncio_run_at_once(self, door):
+        frontend, _service = door
+        frontend.query("alpha OR gamma", rank="bm25", topk=4)
+        ticket = frontend.submit("alpha OR gamma", rank="bm25", topk=4)
+        ran_on = []
+        ticket.add_done_callback(
+            lambda resolved: ran_on.append(threading.current_thread())
+        )
+        assert ran_on == [threading.current_thread()]
+
+        async def drive():
+            return await frontend.query_async(
+                "alpha OR gamma", rank="bm25", topk=4
+            )
+
+        result = asyncio.run(drive())
+        assert result.cached and result.hits == ticket.value.hits
+        assert door_hits(frontend) == 2
+
+    def test_a_door_hit_records_its_sojourn(self, door):
+        frontend, _service = door
+        frontend.query("alpha")
+        previous = obsrec.set_recorder(Recorder(enabled=True))
+        try:
+            frontend.query("alpha")
+            spans = obsrec.get_recorder().spans
+        finally:
+            obsrec.set_recorder(previous)
+        assert [span.name for span in spans] == ["frontend.query"]
+        assert spans[0].thread == threading.current_thread().name
+
+    def test_a_closed_front_end_refuses_a_would_be_hit(self, door):
+        frontend, _service = door
+        frontend.query("alpha")
+        frontend.close()
+        with pytest.raises(ServiceClosedError):
+            frontend.submit("alpha")
+        assert frontend.stats()["frontend.submitted"] == 1

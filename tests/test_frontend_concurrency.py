@@ -15,12 +15,14 @@ Four layers of evidence:
    result matches exactly one generation and (b) the race detector
    finds nothing on the frontend's seams — and, over a snapshot that
    carries a result cache, a publish landing between two batches never
-   hands a hit the wrong generation's answer;
+   hands a hit the wrong generation's answer, whether the batcher or
+   the door (a repeat answered by text inside ``submit()``) serves it;
 2. a record-mode run proving those seams (``frontend.inflight-map``,
    ``frontend.batch-queue``, ``service.snapshot``) actually reach the
    tracer — the sweep's silence is informed silence;
-3. a mutation run with the snapshot lock broken that *does* race on
-   the swap seam the batcher's one-pointer-load-per-batch depends on.
+3. mutation runs that *do* race: the snapshot lock broken on the swap
+   seam the batcher's one-pointer-load-per-batch depends on, and a
+   cache whose door probe reads its alias map outside the cache lock.
    (The frontend's own state lock cannot be no-op'd this way: its three
    conditions are built on it, and a condition over a no-op lock is
    structurally invalid rather than racy);
@@ -133,18 +135,30 @@ def frontend_scenario(provider):
     return frontend
 
 
-def cached_publish_scenario(provider):
-    """Two batches per submitter over a snapshot that carries a result
-    cache, with a publish racing in between.
+class AliasReadOutsideTheLock(QueryCache):
+    """Mutant: the door's probe reads the alias map before it takes the
+    cache lock, so it races the batcher's and evaluators' alias writes."""
 
-    The second batch of a submitter is a cache hit when its key was put
-    on the snapshot the batch loaded — or an evaluation on a successor,
-    whose cache starts empty.  Either way the paths must be those of
-    the generation the result is labelled with.  Returns (hits, whether
-    some submitter's two results straddled the publish).
+    def recall(self, request):
+        self._sync.access(f"{self.name}.aliases", write=False)
+        if self._aliases.get(request) is None:
+            return None
+        return super().recall(request)
+
+
+def cached_publish_scenario(provider, cache_type=QueryCache):
+    """Three requests per submitter, each awaited, over a snapshot that
+    carries a result cache, with a publish racing in between.
+
+    A repeat is a cache hit when its key was put on the snapshot it
+    loaded — at the door, or on the batcher — or an evaluation on a
+    successor, whose cache starts empty.  Either way the paths must be
+    those of the generation the result is labelled with.  Returns
+    (hits, door hits, whether some submitter's results straddled the
+    publish).
     """
     service = SearchService(
-        IndexSnapshot(index_for(0), cache=QueryCache(8, sync=provider)),
+        IndexSnapshot(index_for(0), cache=cache_type(8, sync=provider)),
         workers=1,
         max_inflight=8,
         sync=provider,
@@ -161,13 +175,13 @@ def cached_publish_scenario(provider):
 
     def submitter() -> None:
         mine = []
-        for _ in range(2):  # waits in between: two batches
+        for _ in range(3):  # waits in between: one batch or door each
             mine.append(frontend.submit("probe").result())
         per_submitter.append(mine)
 
     def publisher() -> None:
         service.publish(
-            snapshot_for(1, cache=QueryCache(8, sync=provider))
+            snapshot_for(1, cache=cache_type(8, sync=provider))
         )
 
     threads = [
@@ -182,24 +196,29 @@ def cached_publish_scenario(provider):
     frontend.close()
 
     outcomes = [result for mine in per_submitter for result in mine]
-    assert len(outcomes) == 4
+    assert len(outcomes) == 6
     for result in outcomes:
         assert result.paths == EXPECTED[result.generation]
         assert not (result.cached and result.coalesced)
+    for mine in per_submitter:  # one submitter never sees time reverse
+        assert [r.generation for r in mine] == sorted(
+            r.generation for r in mine
+        )
     stats = frontend.stats()
     hits = sum(result.cached for result in outcomes)
     assert stats["frontend.cached"] == hits
+    assert stats["frontend.door_hits"] <= hits
     assert (
         stats["frontend.evaluations"]
         + stats["frontend.coalesced"]
         + stats["frontend.cached"]
         == stats["frontend.served"]
-        == 4
+        == 6
     )
     straddled = any(
-        [r.generation for r in mine] == [0, 1] for mine in per_submitter
+        len({r.generation for r in mine}) == 2 for mine in per_submitter
     )
-    return hits, straddled
+    return hits, stats["frontend.door_hits"], straddled
 
 
 def submit_each(frontend, texts, accepted, closed_out) -> None:
@@ -370,7 +389,7 @@ class TestScheduleSweep:
         assert map_writes  # registrations and removals reach the tracer
 
     def test_a_publish_between_batches_never_mislabels_a_hit(self):
-        hits = straddled = 0
+        hits = door_hits = straddled = 0
         for strategy in ("random", "pct"):
             for seed in range(6):
                 tracer = Tracer()
@@ -380,16 +399,44 @@ class TestScheduleSweep:
                 provider = InstrumentedSyncProvider(
                     tracer=tracer, scheduler=scheduler
                 )
-                found, landed = provider.run(
+                found, at_door, landed = provider.run(
                     lambda: cached_publish_scenario(provider)
                 )
                 hits += found
+                door_hits += at_door
                 straddled += landed
                 assert find_races(tracer) == []
-        # Informed silence: schedules did answer from the cache, and
-        # some did land the publish between a submitter's two batches.
-        assert hits > 0
+        # Informed silence: schedules did answer from the cache, at the
+        # door too, and some did land the publish between a
+        # submitter's requests.
+        assert hits > door_hits > 0
         assert straddled > 0
+
+    def test_an_alias_read_outside_the_cache_lock_is_caught(self):
+        # Mutation self-test: the door's probe reads the alias map
+        # outside the cache lock; the detector must report a race
+        # there in at least one schedule (or the oracle must trip).
+        for strategy in ("random", "pct"):
+            for seed in range(6):
+                tracer = Tracer()
+                scheduler = CooperativeScheduler(
+                    make_strategy(strategy, seed)
+                )
+                provider = InstrumentedSyncProvider(
+                    tracer=tracer, scheduler=scheduler
+                )
+                try:
+                    provider.run(
+                        lambda: cached_publish_scenario(
+                            provider, AliasReadOutsideTheLock
+                        )
+                    )
+                except AssertionError:
+                    return
+                races = find_races(tracer)
+                if any("query.cache.aliases" in r.location for r in races):
+                    return
+        pytest.fail("no schedule exposed the lock-free alias read")
 
     def test_broken_snapshot_lock_is_caught(self):
         # Mutation self-test: strip the lock under the one-pointer-load

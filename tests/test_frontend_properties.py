@@ -12,9 +12,10 @@ the same plan share one evaluation without changing anyone's answer.
 
 Bookkeeping must balance too: every submission is either an evaluated
 leader or a coalesced follower — ``evaluations + coalesced ==
-submitted``.  Over a snapshot that carries a result cache the
-batcher answers repeats itself, and the law becomes ``evaluations +
-coalesced + cached == served``.
+submitted``.  Over a snapshot that carries a result cache repeats are
+answered from it, at the door or by the batcher, and the law becomes
+``evaluations + coalesced + cached == served``, door hits a part of
+``cached``.
 """
 
 from __future__ import annotations
@@ -173,5 +174,6 @@ class TestCachedSnapshot:
                 + stats["frontend.cached"]
                 == stats["frontend.served"]
             )
+            assert 0 <= stats["frontend.door_hits"] <= cached
         finally:
             frontend.close()
