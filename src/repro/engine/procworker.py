@@ -12,8 +12,10 @@ boundary:
   ``FileRef`` records (path, size, stamp) +
   :class:`~repro.extract.ExtractorSpec` (format registry included);
 * :func:`build_replica` — the worker body: read → (convert) → scan →
-  dedup → private-replica update, returning the replica as the
-  ``{term: [path, ...]}`` dict the parent keeps, plus its elapsed time.
+  dedup → private-replica update, returning the replica as a
+  ``{term: [path, ...]}`` dict of plain lists (pickle's fast path),
+  plus its elapsed time; the parent keeps the dict and copies each
+  list into a :class:`~repro.index.postings.PostingsList` in C.
 
 The worker pipeline is deliberately lean.  Where the threaded engines
 route every file through ``FnvHashSet`` de-duplication and an

@@ -8,9 +8,9 @@ Two variants, matching the paper's narrative:
   linear (term, file) duplicate search the paper's analysis condemns;
 * ``naive=False`` — the en-bloc pipeline and the product's build:
   stage 2 hands over each file's distinct terms (``distinct=True``),
-  native lists collect postings, and that dict becomes the index
-  (:meth:`InvertedIndex.from_postings`) — Implementation 1
-  ``(1, 0, 0)``'s postings, with no FNV map built.
+  postings lists (``list`` subclasses) collect postings, and that dict
+  becomes the index (:meth:`InvertedIndex.from_postings`) —
+  Implementation 1 ``(1, 0, 0)``'s postings, with no FNV map built.
 
 Timing is span-based like the threaded engines: one
 ``phase.extract`` / ``phase.update`` span pair per file on a per-build
@@ -32,6 +32,7 @@ from repro.engine.stage2 import read_file_terms
 from repro.extract.registry import resolve_extractor
 from repro.index.fingerprint import FingerprintMap
 from repro.index.inverted import InvertedIndex
+from repro.index.postings import PostingsList
 from repro.obs import recorder as obsrec
 
 
@@ -66,7 +67,7 @@ class SequentialIndexer:
                 files = list(self.fs.list_files(root))
 
             index = InvertedIndex()
-            postings: Dict[str, List[str]] = defaultdict(list)
+            postings: Dict[str, PostingsList] = defaultdict(PostingsList)
             documents: List[str] = []
             fingerprints: FingerprintMap = {}
             skipped = self.last_failures if self.on_error == "skip" else None

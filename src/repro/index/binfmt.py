@@ -374,8 +374,7 @@ def merge_wire_replica(target: InvertedIndex, data: bytes) -> int:
     for term, count in zip(terms, counts):
         chunk = doc_ids[position : position + count]
         position += count
-        postings = get_or_insert(term, PostingsList)
-        postings._paths.extend([docs[i] for i in chunk])
+        get_or_insert(term, PostingsList).extend([docs[i] for i in chunk])
     target._block_count += block_count
     return len(docs)
 

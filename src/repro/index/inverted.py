@@ -1,9 +1,9 @@
 """The inverted index.
 
-Maps term -> :class:`~repro.index.postings.PostingsList` inside an
-:class:`~repro.adt.FnvHashMap` when grown key by key (the reproduction),
-or inside the read-only ``dict`` the product assembled it in
-(:meth:`InvertedIndex.from_postings`).  The index itself is *not*
+Maps term -> :class:`~repro.index.postings.PostingsList` (a ``list``)
+inside an :class:`~repro.adt.FnvHashMap` when grown key by key (the
+reproduction), or inside the read-only ``dict`` the product assembled
+it in (:meth:`InvertedIndex.from_postings`).  The index itself is *not*
 thread-safe; concurrency policy (a shared lock, replication, buffering)
 is exactly what the three implementations in :mod:`repro.engine` differ
 in, so it is layered on top rather than baked in.
@@ -32,14 +32,15 @@ class InvertedIndex:
         """The index holding ``postings``, assembled at once.
 
         The product's stage 3 (builds, refresh deltas, joins, merges,
-        loaders).  The lists are adopted and the dict becomes the map:
-        nothing is copied or hashed with FNV, so the caller stops using
+        loaders).  The dict becomes the map, a plain list in it (a
+        process worker's, a loader's) copied into a :class:`PostingsList`
+        in C; nothing is hashed with FNV, so the caller stops using
         ``postings``.  Read-only: the update paths below belong to an
         index grown key by key from ``InvertedIndex()``.
         """
-        adopt = PostingsList.adopt
         for term, paths in postings.items():
-            postings[term] = adopt(paths)
+            if type(paths) is not PostingsList:
+                postings[term] = PostingsList(paths)
         index = cls.__new__(cls)
         index._map = postings
         index._block_count = block_count
@@ -81,7 +82,7 @@ class InvertedIndex:
     def lookup(self, term: str) -> List[str]:
         """Paths of the files containing ``term`` (empty list if none)."""
         postings = self._map.get(term)
-        return postings.paths() if postings is not None else []
+        return list(postings) if postings is not None else []
 
     def __contains__(self, term: str) -> bool:
         return term in self._map
@@ -106,11 +107,11 @@ class InvertedIndex:
     @property
     def posting_count(self) -> int:
         """Total number of (term, file) pairs stored."""
-        return sum(len(p) for p in self._map.values())
+        return sum(map(len, self._map.values()))
 
     def copy(self) -> "InvertedIndex":
         """A deep, read-only copy: fresh postings lists, shared strings."""
-        postings = {term: paths.paths() for term, paths in self.items()}
+        postings = {term: PostingsList(paths) for term, paths in self.items()}
         return InvertedIndex.from_postings(postings, self._block_count)
 
     def __eq__(self, other: object) -> bool:

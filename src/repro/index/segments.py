@@ -66,6 +66,7 @@ from repro.index.binfmt import dump_index_ridx2, load_index_ridx2
 from repro.index.fingerprint import FingerprintMap, read_fingerprinted
 from repro.index.inverted import InvertedIndex
 from repro.index.ondisk import MmapPostingsReader
+from repro.index.postings import PostingsList
 from repro.obs import recorder as obsrec
 from repro.text.termblock import TermBlock
 
@@ -287,12 +288,12 @@ def merge_postings(
     posting is inserted twice.  Serves :meth:`SegmentManifest.materialize`
     and every compaction group.  The inputs are only read.
     """
-    merged: Dict[str, List[str]] = {}
+    merged: Dict[str, PostingsList] = {}
     setdefault = merged.setdefault
     for postings, shadowed in zip(sources, dead):
         drop = shadowed.__contains__
         for term, paths in postings:
-            kept = list(filterfalse(drop, paths)) if shadowed else list(paths)
+            kept = PostingsList(filterfalse(drop, paths) if shadowed else paths)
             if kept:
                 held = setdefault(term, kept)
                 if held is not kept:
@@ -773,7 +774,7 @@ class SegmentedIndexer:
         segments = manifest.segments
         if changed:
             with obsrec.span("segments.seal", docs=len(changed)):
-                postings: Dict[str, List[str]] = defaultdict(list)
+                postings: Dict[str, PostingsList] = defaultdict(PostingsList)
                 for path in sorted(changed):
                     for term in changed[path].terms:
                         postings[term].append(path)

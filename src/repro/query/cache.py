@@ -11,11 +11,15 @@ new snapshot with an empty cache, and the old cache dies with the old
 snapshot.
 
 Normalization runs the query optimizer first, so ``a AND a`` and ``a``
-share a cache entry.  The ranking mode and top-K are part of the key
-because the same query text produces *different value types* per mode:
-a boolean search returns paths, a BM25 search returns scored
-:class:`~repro.query.ranking.RankedHit` entries truncated to K — a
-cache keyed on the text alone would happily serve one for the other.
+share a cache entry.  A BM25 key also names what it scores: the
+optimised AST decides the match set, but the *un*optimised parse's
+terms decide the score, so a text whose optimiser dropped a scored
+term (``a AND (a OR b)`` is matched as ``a`` but scores ``b`` too)
+keys apart (:func:`request_key`).  The ranking mode and top-K are part
+of the key because the same query text produces *different value
+types* per mode: a boolean search returns paths, a BM25 search returns
+scored :class:`~repro.query.ranking.RankedHit` entries truncated to K —
+a cache keyed on the text alone would happily serve one for the other.
 
 Beside its entries the cache keeps *aliases*, an LRU of at most
 ``capacity`` requests as asked, ``(text, mode, top-K)``, each mapped to
@@ -37,10 +41,10 @@ later hit observes.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.obs import recorder as obsrec
-from repro.query.ast import Query
+from repro.query.ast import And, Not, Or, Prefix, Query, Term
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
 
@@ -66,13 +70,45 @@ def cache_key(
 def normalize_query(query_text: str) -> str:
     """The canonical string of the optimized AST.
 
-    This is the normalization every cache-key producer must share —
+    This is the text of every boolean key (:func:`request_key`) —
     the snapshot cache and the serving front end's single-flight map
     both key on it, so ``a AND a`` and ``a`` coalesce everywhere or
     nowhere.  Raises :class:`~repro.query.parser.ParseError` on
     malformed queries.
     """
     return str(optimize(parse_query(query_text)))
+
+
+def _scored(query: Query) -> FrozenSet[str]:
+    """What BM25 scores over ``query``: its terms, and its prefixes
+    unexpanded (``b*``); a snapshot's dictionary never changes under
+    its cache."""
+    if isinstance(query, Term):
+        return frozenset((query.value,))
+    if isinstance(query, Prefix):
+        return frozenset((str(query),))
+    if isinstance(query, Not):
+        return _scored(query.operand)
+    if isinstance(query, (And, Or)):
+        return frozenset().union(*map(_scored, query.operands))
+    return frozenset()
+
+
+def request_key(
+    parsed: Query, query: Query, rank: str, topk: int
+) -> CacheKey:
+    """The key of a request parsed to ``parsed`` and optimised to
+    ``query``: its text is the optimised AST, which decides the match
+    set.  A BM25 key adds ``" | "`` and the parse's sorted scoring
+    terms whenever the optimised AST does not name exactly those (no
+    AST's text holds ``|``), so two texts that match alike but score
+    apart never share an answer; only BM25 keys on ``topk``."""
+    if rank != "bm25":
+        return cache_key(str(query), rank)
+    scored = _scored(parsed)
+    if scored == _scored(query):
+        return cache_key(str(query), rank, topk)
+    return cache_key(f"{query} | {' '.join(sorted(scored))}", rank, topk)
 
 
 class Plan(NamedTuple):
@@ -89,9 +125,9 @@ class Plan(NamedTuple):
 def plan_query(text, rank="bool", topk=10) -> Plan:
     """Parse, optimise and key a request (``topk`` keys BM25 only);
     raises :class:`~repro.query.parser.ParseError` if it is malformed."""
-    query = optimize(parse_query(text))
-    bm25_topk = topk if rank == "bm25" else None
-    key = cache_key(str(query), rank, bm25_topk)
+    parsed = parse_query(text)
+    query = optimize(parsed)
+    key = request_key(parsed, query, rank, topk)
     return Plan(text, rank, topk, query, key)
 
 

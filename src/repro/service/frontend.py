@@ -9,10 +9,11 @@ serving-side analogue of what the build side got from batching:
 
 * **single-flight coalescing** — duplicate in-flight queries share one
   evaluation.  The key is the ranking-aware
-  :func:`~repro.query.cache.cache_key` (normalized query, ranking
+  :func:`~repro.query.cache.request_key` (normalized query, ranking
   mode, top-K), so ``a AND a`` coalesces onto ``a`` but a BM25 query
-  can never satisfy a boolean waiter.  Followers get their
-  *own* :class:`~repro.service.snapshot.QueryResult` — same paths/hits/
+  can never satisfy a boolean waiter, nor one that scores other terms.
+  Followers get their *own*
+  :class:`~repro.service.snapshot.QueryResult` — same paths/hits/
   generation, their own ``elapsed_s`` (time *they* waited, not the
   leader's evaluation time), and ``coalesced=True``;
 * **cache hits at the door** — ``submit()`` asks the published

@@ -25,7 +25,7 @@ from typing import FrozenSet, List, Optional, Union
 
 from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
-from repro.query.cache import Plan, QueryCache, Request, cache_key, request_of
+from repro.query.cache import Plan, QueryCache, Request, request_key, request_of
 from repro.query.evaluator import QueryEngine
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
@@ -153,10 +153,10 @@ class IndexSnapshot:
         elif cache is not None or rank != "bm25":
             # plan_query's recipe inline: a call and a Plan per request
             # cost Search.query 4 % of its p50.
-            parsed = optimize(parse_query(query))
+            raw = parse_query(query)
+            parsed = optimize(raw)
             if cache is not None:
-                bm25_topk = topk if rank == "bm25" else None
-                key = cache_key(str(parsed), rank, bm25_topk)
+                key = request_key(raw, parsed, rank, topk)
                 value = cache.get(key)
         cached = value is not None
         if not cached:

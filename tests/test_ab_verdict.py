@@ -92,3 +92,42 @@ class TestVerdict:
             ab.verdict([], [])
         with pytest.raises(ValueError):
             ab.verdict([1.0], [1.0], better="bigger")
+
+
+class TestParentWorktree:
+    """The checkout's git calls, recorded instead of run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch, tmp_path):
+        recorded = []
+
+        def fake_git(*args):
+            recorded.append(args[:2])
+            return type("Done", (), {"returncode": 0, "stdout": ""})()
+
+        monkeypatch.setattr(ab, "_git", fake_git)
+        monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+        return recorded
+
+    def test_a_fresh_run_asks_git_to_remove_nothing(self, calls):
+        path = ab.add_parent_worktree("0123456789abcdef")
+        assert path.endswith("ab-parent-0123456789ab")
+        assert calls == [("worktree", "prune"), ("worktree", "add")]
+
+    def test_a_leftover_is_removed_first(self, calls, tmp_path):
+        os.makedirs(tmp_path / ".bench_work" / "ab-parent-0123456789ab")
+        ab.add_parent_worktree("0123456789abcdef")
+        assert calls == [
+            ("worktree", "remove"),
+            ("worktree", "prune"),
+            ("worktree", "add"),
+        ]
+
+    def test_a_failed_add_stays_loud(self, monkeypatch, tmp_path):
+        def failing_git(*args):
+            return type("Done", (), {"returncode": 128, "stdout": ""})()
+
+        monkeypatch.setattr(ab, "_git", failing_git)
+        monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+        with pytest.raises(SystemExit, match="worktree add failed"):
+            ab.add_parent_worktree("0123456789abcdef")

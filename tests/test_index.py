@@ -2,9 +2,13 @@
 serialization."""
 
 import os
+import pickle
 
 import pytest
 
+from repro.api import Search
+from repro.engine import Implementation, ProcessReplicatedIndexer, ThreadConfig
+from repro.fsmodel import VirtualFileSystem
 from repro.index import (
     InvertedIndex,
     MultiIndex,
@@ -17,6 +21,15 @@ from repro.index import (
     save_index,
     save_multi_index,
 )
+from repro.index.binfmt import (
+    dump_index_bytes,
+    dump_index_ridx2,
+    dump_index_wire,
+    load_index_bytes,
+    load_index_ridx2,
+    load_index_wire,
+)
+from repro.index.segments import compact_manifest
 from repro.text import TermBlock
 
 
@@ -51,6 +64,116 @@ class TestPostingsList:
         paths = postings.paths()
         paths.append("b")
         assert list(postings) == ["a"]
+
+    def test_is_a_list_and_never_equals_a_plain_one(self):
+        postings = PostingsList(["a", "b"])
+        assert isinstance(postings, list)
+        assert postings != ["a", "b"] and ["a", "b"] != postings
+        assert not postings == ["a", "b"] and not ["a", "b"] == postings
+        assert postings != PostingsList(["a"])
+        assert not postings != PostingsList(["b", "a"])
+        with pytest.raises(TypeError):
+            hash(postings)
+
+    def test_remove_returns_whether_it_was_present(self):
+        postings = PostingsList(["a", "b", "a"])
+        assert postings.remove("a") is True
+        assert postings.remove("z") is False
+        assert list(postings) == ["b", "a"]
+
+    def test_pickle_round_trip(self):
+        postings = PostingsList(["b", "a"])
+        back = pickle.loads(pickle.dumps(postings))
+        assert type(back) is PostingsList
+        assert list(back) == ["b", "a"]
+        assert repr(back) == "PostingsList(['b', 'a'])"
+
+
+class TestOneObjectPerTerm:
+    """Every producer's map holds :class:`PostingsList` values, each a
+    ``list`` itself: no wrapper object per term."""
+
+    FILES = {
+        "a.txt": b"alpha beta gamma",
+        "b.txt": b"beta delta",
+        "c.txt": b"gamma alpha epsilon",
+    }
+
+    @staticmethod
+    def filesystem(files):
+        fs = VirtualFileSystem()
+        for path, content in files.items():
+            fs.write_file(path, content)
+        return fs
+
+    @staticmethod
+    def assert_one_object_per_term(index):
+        assert len(index) > 0
+        for term, postings in index.items():
+            assert type(postings) is PostingsList, term
+            assert isinstance(postings, list), term
+
+    def test_the_sequential_build(self):
+        index = Search.build(self.filesystem(self.FILES), cache=0).index
+        self.assert_one_object_per_term(index)
+
+    def test_the_process_build(self):
+        index = ProcessReplicatedIndexer(
+            self.filesystem(self.FILES), oversubscribe=True
+        ).build(ThreadConfig(2, 0, 1, backend="process")).index
+        self.assert_one_object_per_term(index)
+
+    def test_a_refresh_seal_a_compaction_and_materialize(self):
+        fs = self.filesystem(self.FILES)
+        session = Search.build(fs, cache=0)
+        fs.write_file("d.txt", b"zeta alpha")
+        fs.remove_file("b.txt")
+        session.refresh()
+        manifest = session._segmented.manifest
+        assert manifest.segment_count == 2 and manifest.tombstones
+        self.assert_one_object_per_term(manifest.segments[-1].index)
+        self.assert_one_object_per_term(manifest.materialize())
+        compacted = compact_manifest(manifest)
+        self.assert_one_object_per_term(compacted.segments[0].index)
+
+    @pytest.mark.parametrize(
+        "dump, load",
+        [
+            (dump_index_bytes, load_index_bytes),
+            (dump_index_ridx2, load_index_ridx2),
+            (dump_index_wire, load_index_wire),
+        ],
+        ids=["RIDX1", "RIDX2", "RWIRE1"],
+    )
+    def test_the_loaders(self, dump, load):
+        index = Search.build(self.filesystem(self.FILES), cache=0).index
+        self.assert_one_object_per_term(load(dump(index)))
+
+    def test_equality_is_order_insensitive_across_the_two_builds(self):
+        fs = self.filesystem(self.FILES)
+        fnv = Search.build(
+            fs,
+            implementation=Implementation.SHARED_LOCKED,
+            config=ThreadConfig(1, 0, 0),
+            cache=0,
+        ).index
+        product = Search.build(fs, cache=0).index
+        assert fnv == product
+        reversed_paths = InvertedIndex.from_postings(
+            {term: paths[::-1] for term, paths in product.items()}
+        )
+        assert any(len(paths) > 1 for _, paths in product.items())
+        assert reversed_paths == fnv
+
+    def test_copy_shares_no_list(self):
+        index = Search.build(self.filesystem(self.FILES), cache=0).index
+        copied = index.copy()
+        assert copied == index
+        self.assert_one_object_per_term(copied)
+        for term, postings in copied.items():
+            assert postings is not index._map[term]
+        copied._map["alpha"].append("z.txt")
+        assert "z.txt" not in index.lookup("alpha")
 
 
 class TestInvertedIndex:

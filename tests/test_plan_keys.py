@@ -15,7 +15,10 @@ A changed key would silently split the result cache and the front
 end's single-flight map, so a row that no longer matches is a
 regression, not a fixture to regenerate.  (The keys lost their
 second slot, the request's ``parallel`` flag, when that flag left the
-serving path; nothing else in a row changed.)
+serving path.  The ``bm25`` key of the 77 texts whose optimiser drops a
+term the score still counts — absorption, a complement law — gained
+``" | "`` and the parse's scoring terms, because those texts had shared
+an answer with a text that scores less; nothing else in a row changed.)
 """
 
 import json

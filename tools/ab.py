@@ -105,7 +105,11 @@ def add_parent_worktree(sha: str) -> str:
 
 
 def remove_parent_worktree(path: str) -> None:
-    _git("worktree", "remove", "--force", path)
+    """Remove the worktree at ``path`` if there is one (git would print
+    a false ``fatal:`` for a path that is not), then prune any that a
+    deleted directory left registered."""
+    if os.path.exists(path):
+        _git("worktree", "remove", "--force", path)
     _git("worktree", "prune")
 
 
