@@ -15,7 +15,9 @@ checks the health signals rather than the performance claims —
   > 0), every caller is counted once (evaluations + coalesced + cached
   == served), and every answer equals ``snapshot.search`` — including
   the repeats answered at the door, inside ``submit()``
-  (``frontend.door_hits`` > 0), each checked on its own.
+  (``frontend.door_hits`` > 0), each checked on its own.  The door's
+  probe is the only one a request gets, so ``frontend.door_hits ==
+  frontend.cached``.
 
 Writes the digest as JSON (default ``serving-latency-smoke.json``) for
 the CI artifact upload.
@@ -171,6 +173,8 @@ def main(out_path: str = "serving-latency-smoke.json") -> int:
         failures.append("serve_async never answered a repeat at the door")
     if cached_leg["door_answers"] != cached_leg["frontend.door_hits"]:
         failures.append("door answers disagree with frontend.door_hits")
+    if cached_leg["frontend.door_hits"] != cached_leg["frontend.cached"]:
+        failures.append("a cached answer came from past the door")
     if cached_leg["wrong_door_answers"]:
         failures.append("a door-hit answer differs from snapshot.search")
 

@@ -342,8 +342,8 @@ class Search:
 
     def query(self, query_text: str) -> QueryResult:
         """Evaluate a boolean/wildcard query: the published
-        snapshot's ``answer``, parsed once and memoized in its LRU
-        cache (normalized on the optimized AST).  The result's
+        snapshot's ``answer``, memoized in its LRU cache by the text as
+        asked and parsed only on a miss.  The result's
         ``generation`` is the one the answer was computed on, even when
         an index change lands mid-query (see :meth:`_publish`).
         """

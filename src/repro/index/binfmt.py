@@ -232,14 +232,14 @@ def load_index_bytes(data: bytes) -> InvertedIndex:
             offset += length
 
         term_count, offset = decode_varint(data, offset)
-        postings: Dict[str, List[str]] = {}
+        postings: Dict[str, PostingsList] = {}
         for _ in range(term_count):
             length, offset = decode_varint(data, offset)
             term = data[offset : offset + length].decode("utf-8")
             offset += length
             postings_count, offset = decode_varint(data, offset)
             ids, offset = decode_gaps(data, offset, postings_count)
-            postings[term] = [paths[i] for i in ids]
+            postings[term] = PostingsList(map(paths.__getitem__, ids))
     except IndexFormatError:
         raise
     except (ValueError, IndexError) as exc:
@@ -387,15 +387,16 @@ def join_wire_replicas(
     Returns ``(index, documents, posting_count)``: the paths with at
     least one posting, in join order, and the number of postings.  Each
     blob is decoded once, its doc ids resolved to paths with one
-    ``map``, and every term's paths sliced into a native dict (a later
-    replica extends the list the first one left), which becomes the
-    index (:meth:`InvertedIndex.from_postings`).  Each term's paths are
+    ``map``, and every term's paths sliced into a
+    :class:`PostingsList` (a later replica extends the one the first
+    left), whose dict becomes the index
+    (:meth:`InvertedIndex.from_postings`).  Each term's paths are
     in the order the key-by-key fold (:func:`merge_wire_replica`)
     appends them; terms iterate in
     first-seen order, where the fold's FNV map iterates in bucket order.
     It is the process build's fold's test oracle.
     """
-    postings: Dict[str, List[str]] = {}
+    postings: Dict[str, PostingsList] = {}
     get = postings.get
     documents: List[str] = []
     block_count = posting_count = 0
@@ -409,7 +410,7 @@ def join_wire_replicas(
         for term, end in zip(terms, accumulate(counts)):
             held = get(term)
             if held is None:
-                postings[term] = paths[start:end]
+                postings[term] = PostingsList(paths[start:end])
             else:
                 held += paths[start:end]
             start = end
@@ -886,7 +887,7 @@ def load_index_ridx2(data: bytes) -> InvertedIndex:
     check_ridx2_crc(data, header)
     paths = read_ridx2_paths(data, header)
     postings = {
-        term: [paths[i] for i in ids]
+        term: PostingsList(map(paths.__getitem__, ids))
         for term, ids in iter_ridx2_postings(data, header)
     }
     return InvertedIndex.from_postings(postings, header.doc_count)

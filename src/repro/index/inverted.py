@@ -33,7 +33,7 @@ class InvertedIndex:
 
         The product's stage 3 (builds, refresh deltas, joins, merges,
         loaders).  The dict becomes the map, a plain list in it (a
-        process worker's, a loader's) copied into a :class:`PostingsList`
+        process worker's, unpickled) copied into a :class:`PostingsList`
         in C; nothing is hashed with FNV, so the caller stops using
         ``postings``.  Read-only: the update paths below belong to an
         index grown key by key from ``InvertedIndex()``.

@@ -45,9 +45,8 @@ class QueryEngine:
         """Parse and evaluate ``query_text``; returns sorted file paths.
 
         Parse, simplify the AST, then :meth:`search_ast`.  A caller
-        that has already parsed the text — for a cache key, say — should
-        hand the AST to :meth:`search_ast` instead of having it parsed
-        twice.  A malformed query raises
+        that has already parsed the text should hand the AST to
+        :meth:`search_ast` instead of having it parsed twice.  A malformed query raises
         :class:`~repro.query.parser.ParseError` before anything is
         evaluated or counted.
         """

@@ -8,27 +8,27 @@ costs dominate the tail.  :class:`AsyncSearchFrontend` is the
 serving-side analogue of what the build side got from batching:
 
 * **single-flight coalescing** — duplicate in-flight queries share one
-  evaluation.  The key is the ranking-aware
-  :func:`~repro.query.cache.request_key` (normalized query, ranking
-  mode, top-K), so ``a AND a`` coalesces onto ``a`` but a BM25 query
-  can never satisfy a boolean waiter, nor one that scores other terms.
+  evaluation.  The key is the request as it was asked,
+  :func:`~repro.query.cache.request_of` (query text, ranking mode,
+  top-K for BM25 only), the cache's key, so a BM25 query can never
+  satisfy a boolean waiter and two texts never share an answer.
   Followers get their *own*
   :class:`~repro.service.snapshot.QueryResult` — same paths/hits/
   generation, their own ``elapsed_s`` (time *they* waited, not the
   leader's evaluation time), and ``coalesced=True``;
 * **cache hits at the door** — ``submit()`` asks the published
-  snapshot's cache for the request by text
-  (:meth:`~repro.service.snapshot.IndexSnapshot.recall`); a hit comes
-  back resolved (``cached=True``): no queue, parse or wake-up.  The
-  batcher resolves a hit by key; a miss takes its plan to
+  snapshot's cache for the request
+  (:meth:`~repro.service.snapshot.IndexSnapshot.probe`), the one probe
+  a request gets; a hit comes back resolved (``cached=True``): no
+  queue, parse or wake-up.  A miss takes its plan to
   ``snapshot.answer``, which puts the answer before the leader leaves
-  the single-flight map.  Both alias the text for the next repeat;
+  the single-flight map;
 * **batched admission** — ``submit()`` enqueues what the door did not
   answer; the batcher thread takes everything that has arrived, loads
-  **one** snapshot pointer, plans it (parse + key, outside the lock)
-  and then registers single-flight and admits the misses in **one**
-  queue transaction, instead of a load and a transaction per query (a
-  door probe loads its own).  ``batch_window`` > 0 holds the flush
+  **one** snapshot pointer, plans it (parse, outside the lock) and then
+  registers single-flight and admits the misses in **one** queue
+  transaction, instead of a load and a transaction per query (a door
+  probe loads its own).  ``batch_window`` > 0 holds the flush
   open briefly so a burst accumulates; 0 flushes as soon as the
   batcher wakes.  Admission control happens at the flush: leaders
   beyond the in-flight budget are shed
@@ -68,7 +68,13 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs import recorder as obsrec
-from repro.query.cache import CacheKey, Plan, plan_query, request_of
+from repro.query.cache import (
+    CacheKey,
+    Plan,
+    check_rank,
+    plan_query,
+    request_of,
+)
 from repro.service.service import (
     SearchService,
     ServiceClosedError,
@@ -103,7 +109,7 @@ class QueryTicket:
         self.topk = topk
         self.submitted = time.perf_counter()
         self.plan: Optional[Plan] = None
-        self.key: Optional[CacheKey] = None
+        self.key: CacheKey = request_of(text, rank, topk)
         self.snapshot: Optional[IndexSnapshot] = None
         self.followers: List["QueryTicket"] = []
         self.done = False
@@ -210,8 +216,7 @@ class AsyncSearchFrontend:
         self._submitted = 0
         self._served = 0
         self._coalesced = 0
-        self._cached = 0
-        self._door_hits = 0           # of _cached: answered in submit()
+        self._cached = 0              # answered in submit()
         self._shed = 0
         self._batches = 0
         self._evaluations = 0
@@ -235,22 +240,19 @@ class AsyncSearchFrontend:
     ) -> QueryTicket:
         """Enqueue one query; returns immediately with its ticket.
 
-        A request the snapshot's cache holds by text comes back resolved.
+        A request the snapshot's cache holds comes back resolved.
         Raises :class:`~repro.service.service.ServiceClosedError` if
         shutdown has begun.  Parse errors are *not* raised here — they
         travel on the ticket, like any other per-query failure, so a
         bad query in a burst never blocks the submitter.
         """
-        if rank not in ("bool", "bm25"):
-            raise ValueError(f"rank must be 'bool' or 'bm25', got {rank!r}")
+        check_rank(rank)
         ticket = QueryTicket(self, query_text, rank, topk)
         metrics = obsrec.metrics()
         snapshot = self.service.snapshot
         hit = None
         if snapshot.cache is not None:
-            hit = snapshot.recall(
-                request_of(query_text, rank, topk), ticket.submitted
-            )
+            hit = snapshot.probe(ticket.key, ticket.submitted)
         with self._lock:
             if self._closing:
                 raise ServiceClosedError(f"{self.name} is shut down")
@@ -260,7 +262,6 @@ class AsyncSearchFrontend:
                 ticket.value, ticket.done = hit, True
                 self._served += 1
                 self._cached += 1
-                self._door_hits += 1
                 metrics.counter(f"{self.name}.cached").inc()
                 self._record_sojourn(ticket, time.perf_counter())
                 return ticket
@@ -350,7 +351,7 @@ class AsyncSearchFrontend:
                 "frontend.served": float(self._served),
                 "frontend.coalesced": float(self._coalesced),
                 "frontend.cached": float(self._cached),
-                "frontend.door_hits": float(self._door_hits),
+                "frontend.door_hits": float(self._cached),
                 "frontend.shed": float(self._shed),
                 "frontend.batches": float(self._batches),
                 "frontend.evaluations": float(self._evaluations),
@@ -408,24 +409,13 @@ class AsyncSearchFrontend:
                 )
 
     def _plan(self, ticket: QueryTicket) -> bool:
-        """Parse, key and look up one ticket; False when that settled
-        it: a cache hit, or a bad query, which resolves on its own
-        ticket and never holds up the rest of the burst."""
-        snapshot = ticket.snapshot
+        """Parse one ticket; False for a bad query, which resolves on
+        its own ticket and never holds up the rest of the burst."""
         try:
             with obsrec.span(f"{self.name}.plan"):
-                ticket.plan = plan = plan_query(
-                    ticket.text, ticket.rank, ticket.topk
-                )
-                ticket.key = plan.key
-                hit = None
-                if snapshot.cache is not None:
-                    hit = snapshot.lookup(plan, ticket.submitted)
+                ticket.plan = plan_query(ticket.text, ticket.rank, ticket.topk)
         except Exception as exc:  # ParseError etc. → the caller
             self._resolve(ticket, error=exc)
-            return False
-        if hit is not None:
-            self._resolve(ticket, value=hit)
             return False
         return True
 
@@ -509,20 +499,18 @@ class AsyncSearchFrontend:
         A follower's :class:`QueryResult` is its own: same paths, hits
         and generation as the leader's (lists of its own), but
         ``elapsed_s`` measured from the *follower's* submission and
-        ``coalesced=True``; a value never admitted is a cache hit.  Shed
-        resolution (``error`` without ``admitted``) counts each caller
-        on the shed counter exactly once — a ticket that passed
-        single-flight and was then rejected at batch admission has
-        never been counted before this point.
+        ``coalesced=True``.  Shed resolution (``error`` without
+        ``admitted``) counts each caller on the shed counter exactly
+        once — a ticket that passed single-flight and was then rejected
+        at batch admission has never been counted before this point.
         """
         now = time.perf_counter()
         metrics = obsrec.metrics()
         callbacks: List[tuple] = []
         with self._lock:
-            if ticket.key is not None:
-                self._sync.access(f"{self.name}.inflight-map", write=True)
-                if self._inflight_map.get(ticket.key) is ticket:
-                    del self._inflight_map[ticket.key]
+            self._sync.access(f"{self.name}.inflight-map", write=True)
+            if self._inflight_map.get(ticket.key) is ticket:
+                del self._inflight_map[ticket.key]
             party = [ticket] + ticket.followers
             for waiter in party:
                 if waiter.done:  # pragma: no cover - defensive
@@ -555,9 +543,6 @@ class AsyncSearchFrontend:
                 self._evaluations += 1
                 self._inflight -= 1
                 metrics.gauge(f"{self.name}.inflight").set(self._inflight)
-            elif value is not None:
-                self._cached += 1
-                metrics.counter(f"{self.name}.cached").inc()
             self._done.notify_all()
         # Callbacks run on the batcher or an evaluator: one that raises
         # (a closed event loop, say) must not end the thread.

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs import recorder as obsrec
+from repro.query.cache import check_rank
 from repro.service.snapshot import IndexSnapshot, QueryResult
 
 class ServiceOverloadedError(RuntimeError):
@@ -156,8 +157,7 @@ class SearchService:
         ``close(drain=False)``) and :class:`ServiceClosedError` once
         shutdown has begun.
         """
-        if rank not in ("bool", "bm25"):
-            raise ValueError(f"rank must be 'bool' or 'bm25', got {rank!r}")
+        check_rank(rank)
         metrics = obsrec.metrics()
         with self._lock:
             if self._inflight >= self.max_inflight and not self._closing:

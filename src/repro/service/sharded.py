@@ -73,6 +73,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections import defaultdict
 from contextlib import ExitStack
 from typing import (
     Dict,
@@ -86,8 +87,9 @@ from typing import (
 )
 
 from repro.index.inverted import InvertedIndex
+from repro.index.postings import PostingsList
 from repro.obs import recorder as obsrec
-from repro.query.cache import Plan
+from repro.query.cache import Plan, check_rank
 from repro.query.evaluator import QueryEngine
 from repro.query.ranking import BM25Ranker, FrequencyIndex
 from repro.query.ranking import search_bm25 as _ranked_search_bm25
@@ -168,12 +170,12 @@ def shard_snapshots(
     """
     parts = partition_paths(universe, shards)
     owner = {path: shard for shard, part in enumerate(parts) for path in part}
-    cuts: List[Dict[str, List[str]]] = [{} for _ in parts]
+    cuts = [defaultdict(PostingsList) for _ in parts]
     for term, postings in index.items():
         for path in postings:
             shard = owner.get(path)
             if shard is not None:
-                cuts[shard].setdefault(term, []).append(path)
+                cuts[shard][term].append(path)
     snapshots = []
     for part, cut in zip(parts, cuts):
         keep: FrozenSet[str] = frozenset(part)
@@ -555,8 +557,7 @@ class ScatterGatherBroker:
         shard's admission control sheds on every replica, and
         :class:`ServiceClosedError` after :meth:`close`.
         """
-        if rank not in ("bool", "bm25"):
-            raise ValueError(f"rank must be 'bool' or 'bm25', got {rank!r}")
+        check_rank(rank)
         with self._lock:
             if self._closing:
                 raise ServiceClosedError(f"{self.name} is shut down")

@@ -25,7 +25,13 @@ from typing import FrozenSet, List, Optional, Union
 
 from repro.index.inverted import InvertedIndex
 from repro.index.multi import MultiIndex
-from repro.query.cache import Plan, QueryCache, Request, request_key, request_of
+from repro.query.cache import (
+    CacheKey,
+    Plan,
+    QueryCache,
+    check_rank,
+    request_of,
+)
 from repro.query.evaluator import QueryEngine
 from repro.query.optimizer import optimize
 from repro.query.parser import parse_query
@@ -138,53 +144,37 @@ class IndexSnapshot:
         labelled with its generation — the face every serving door
         calls, shared with
         :class:`~repro.service.sharded.ScatterGatherBroker`.  A text is
-        parsed once and looked up in :attr:`cache`; a
-        :class:`~repro.query.cache.Plan` was looked up by its maker,
-        the front end's batcher.  A miss is evaluated and put; a plan's
-        put aliases its text, which :meth:`recall` then answers.  BM25
-        hands the engine the text, whose unoptimised terms it scores."""
+        looked up in :attr:`cache` as it was asked, and parsed only on a
+        miss; a :class:`~repro.query.cache.Plan` was probed by its
+        maker, the front end's door.  A miss is evaluated and put.
+        BM25 hands the engine the text, which parses it."""
         started = time.perf_counter()
-        cache = self.cache
-        value = None
-        request = None
+        parsed = None
         if isinstance(query, Plan):
             query, rank, topk, parsed, key = query
-            request = request_of(query, rank, topk)
-        elif cache is not None or rank != "bm25":
-            # plan_query's recipe inline: a call and a Plan per request
-            # cost Search.query 4 % of its p50.
-            raw = parse_query(query)
-            parsed = optimize(raw)
-            if cache is not None:
-                key = request_key(raw, parsed, rank, topk)
-                value = cache.get(key)
-        cached = value is not None
-        if not cached:
-            if rank == "bm25":
-                value = self.search_bm25(query, topk)
-            else:
-                value = self.engine.search_ast(parsed)
-            if cache is not None:
-                cache.put(key, value, request)
-        return self._result(value, started, rank == "bm25", cached)
+        check_rank(rank)
+        if parsed is None and self.cache is not None:
+            key = request_of(query, rank, topk)
+            hit = self.probe(key, started)
+            if hit is not None:
+                return hit
+        if rank == "bm25":
+            value = self.search_bm25(query, topk)
+        else:
+            if parsed is None:
+                parsed = optimize(parse_query(query))
+            value = self.engine.search_ast(parsed)
+        if self.cache is not None:
+            self.cache.put(key, value)
+        return self._result(value, started, rank == "bm25", False)
 
-    def lookup(self, plan: Plan, started: float) -> Optional["QueryResult"]:
-        """``plan``'s answer from :attr:`cache` (which must be set),
-        labelled ``cached``; None on a miss.  A hit aliases the
-        request's text to its key, as ``answer(plan)``'s put does."""
-        request = request_of(plan.text, plan.rank, plan.topk)
-        value = self.cache.get(plan.key, request)
+    def probe(self, key: CacheKey, started: float) -> Optional["QueryResult"]:
+        """The answer :attr:`cache` (which must be set) holds for the
+        request ``key``, labelled ``cached``; None on a miss."""
+        value = self.cache.get(key)
         if value is None:
             return None
-        return self._result(value, started, plan.rank == "bm25", True)
-
-    def recall(self, request: Request, started) -> Optional["QueryResult"]:
-        """:meth:`lookup` by a request's text alone, unparsed: a hit
-        only for a request the cache has aliased; else None."""
-        value = self.cache.recall(request)
-        if value is None:
-            return None
-        return self._result(value, started, request[1] == "bm25", True)
+        return self._result(value, started, key[1] == "bm25", True)
 
     def _result(self, value, started, ranked, cached) -> "QueryResult":
         return QueryResult(

@@ -403,7 +403,7 @@ class TestPlanningAtTheFlush:
             assert stats["frontend.batches"] == 1
             assert stats["frontend.evaluations"] == 8
             assert fresh_metrics.gauge("frontend.batch_size").value == 8
-            # All eight were keyed by the one planning pass.
+            # Eight texts, eight single-flight keys.
             assert len({ticket.key for ticket in tickets}) == 8
 
     def test_a_malformed_query_fails_alone_inside_the_batch(
@@ -545,10 +545,8 @@ def served_session():
 
 class TestTheSnapshotOwnsTheCache:
     def test_every_door_parses_once_hit_or_miss(self, parses):
-        # A miss parses once at every door.  A repeat parses once at
-        # Search.query and service.query, and not at all at the front
-        # end: its batcher's put aliased the text, so submit() answers
-        # the repeat from the cache by text.
+        # A miss parses once at every door.  A repeat parses not at
+        # all: every door looks the text up as asked before parsing.
         for door in ("Search.query", "service.query", "frontend"):
             session = Search.build(small_fs())
             server = None
@@ -565,7 +563,7 @@ class TestTheSnapshotOwnsTheCache:
                     del parses[:]
                     again = ask(text)
                     assert again.cached and not again.coalesced, door
-                    assert len(parses) == (door != "frontend"), door
+                    assert len(parses) == 0, door
             finally:
                 if server is not None:
                     server.close()
@@ -632,6 +630,28 @@ class TestTheSnapshotOwnsTheCache:
         for _ in range(2):
             assert not views["ondisk"].answer("alpha").cached
             assert not views["broker"].answer("alpha").cached
+
+
+@pytest.mark.parametrize("rank", ["BM25", "tfidf", ""])
+def test_an_unknown_rank_is_refused_at_every_door(rank):
+    session = Search.build(small_fs())
+    index, frequencies = build_corpus()
+    broker = local_broker(shard_snapshots(index, DOCS, 2, frequencies))
+    with session.serve(workers=1) as service, session.serve_async(
+        workers=1
+    ) as frontend, broker:
+        for ask in (
+            lambda: session.snapshot().answer("alpha", rank=rank, topk=3),
+            lambda: service.query("alpha", rank=rank, topk=3),
+            lambda: frontend.submit("alpha", rank=rank, topk=3),
+            lambda: broker.query("alpha", rank=rank, topk=3),
+        ):
+            with pytest.raises(ValueError, match="rank must be"):
+                ask()
+        assert frontend.stats()["frontend.submitted"] == 0
+        assert broker.stats()["broker.served"] == 0
+    cache = session.snapshot().cache
+    assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
 
 
 def leaves(query) -> int:
@@ -716,7 +736,7 @@ class TestEvaluatorOrder:
             assert len(parses) == 1
             del parses[:]
             assert caching.answer(text).paths == first
-            assert len(parses) == 1
+            assert len(parses) == 0
         assert caching.cache.hits == 3 and caching.cache.misses == 3
 
     @settings(max_examples=150, deadline=None)

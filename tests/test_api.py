@@ -92,7 +92,10 @@ class TestBuildAndQuery:
         again = session.query("cat")
         assert not first.cached and again.cached
         assert again.paths == first.paths
-        # normalization: an equivalent query shape hits the same entry
+        # The key is the text as asked: an equivalent shape is its own
+        # entry, answered alike.
+        other = session.query("(cat)")
+        assert not other.cached and other.paths == first.paths
         assert session.query("(cat)").cached
 
     def test_cache_can_be_disabled(self, small_fs):

@@ -1,14 +1,15 @@
-"""A cached BM25 answer is the answer: its key names what it scores.
+"""A cached BM25 answer is the answer: its key is the request as asked.
 
 The optimiser decides a request's match set, but BM25 scores the
 *un*optimised parse's terms (:func:`~repro.query.ranking.scoring_terms`):
 ``alpha AND (alpha OR beta)`` matches as ``alpha`` yet scores ``beta``
 too.  Keyed on the optimised AST alone, the two texts shared one cache
 entry and one single-flight slot, so the text asked second was served
-the first one's scores and order.  Every door that answers from a
-snapshot's cache is asked both texts here — ``SearchService.query``,
-the front end's batcher, its door and two texts in flight at once — and
-each answer must equal the uncached engine's, float for float.
+the first one's scores and order.  Keyed on its text, no request shares
+an entry with another text.  Every door that answers from a snapshot's
+cache is asked both texts here — ``SearchService.query``, the front
+end's door and two texts in flight at once — and each answer must equal
+the uncached engine's, float for float.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def engine(session, text):
 
 
 def test_the_two_texts_match_alike_and_score_apart(session):
-    assert plan_query(WIDE).key == plan_query(NARROW).key
+    assert plan_query(WIDE).query == plan_query(NARROW).query
     wide, narrow = engine(session, WIDE), engine(session, NARROW)
     assert [hit.path for hit in wide] != [hit.path for hit in narrow]
     assert plan_query(WIDE, "bm25", TOPK).key != plan_query(
@@ -56,13 +57,12 @@ def test_the_two_texts_match_alike_and_score_apart(session):
     ).key
 
 
-def test_a_bm25_key_still_shares_what_scores_alike():
-    assert plan_query("alpha AND alpha", "bm25", TOPK).key == plan_query(
-        NARROW, "bm25", TOPK
-    ).key
-    assert plan_query("NOT NOT alpha", "bm25", TOPK).key == plan_query(
-        NARROW, "bm25", TOPK
-    ).key
+def test_texts_that_score_alike_keep_keys_of_their_own(session):
+    narrow = plan_query(NARROW, "bm25", TOPK)
+    for text in ("alpha AND alpha", "NOT NOT alpha"):
+        plan = plan_query(text, "bm25", TOPK)
+        assert plan.query == narrow.query and plan.key != narrow.key
+        assert engine(session, text) == engine(session, NARROW)
 
 
 def test_search_service_query(session):
@@ -75,7 +75,7 @@ def test_search_service_query(session):
     assert not second.cached
     assert second.hits == engine(session, NARROW)
     assert again.cached and again.hits == second.hits
-    assert same.cached and same.hits == second.hits
+    assert not same.cached and same.hits == second.hits
 
 
 def test_the_front_end_batcher_and_door(session):
@@ -83,8 +83,8 @@ def test_the_front_end_batcher_and_door(session):
         first = frontend.query(WIDE, rank="bm25", topk=TOPK)
         second = frontend.query(NARROW, rank="bm25", topk=TOPK)
         doors = frontend.stats()["frontend.door_hits"]
-        # The repeat is answered at the door, by the alias the
-        # batcher's put left.
+        # The repeat is answered at the door, by the entry the
+        # evaluation put under its text.
         again = frontend.query(NARROW, rank="bm25", topk=TOPK)
         assert frontend.stats()["frontend.door_hits"] == doors + 1
     assert first.hits == engine(session, WIDE)

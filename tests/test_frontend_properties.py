@@ -3,19 +3,19 @@
 Hypothesis drives bursts of concurrent queries — identical and
 distinct texts, boolean and BM25, mixed top-K —
 through an :class:`~repro.service.frontend.AsyncSearchFrontend` over a
-stub engine whose answers are a *pure function of the cache key*.  The
-oracle: every caller gets exactly the result a solo run of its own key
-would have produced, no matter what it coalesced with.  In particular
-a BM25 entry can never satisfy a boolean waiter (their keys differ, so
-their pure-function answers differ), and two texts that normalize to
-the same plan share one evaluation without changing anyone's answer.
+stub engine whose answers are a *pure function of the optimised plan,
+its mode and top-K*.  The oracle: every caller gets exactly the result
+a solo run of its own request would have produced, no matter what it
+coalesced with.  In particular a BM25 entry can never satisfy a boolean
+waiter (their keys differ, so their pure-function answers differ), and
+two texts that optimise to the same plan take an evaluation each (the
+key is the text as asked) and still get the same answer.
 
 Bookkeeping must balance too: every submission is either an evaluated
 leader or a coalesced follower — ``evaluations + coalesced ==
 submitted``.  Over a snapshot that carries a result cache repeats are
-answered from it, at the door or by the batcher, and the law becomes
-``evaluations + coalesced + cached == served``, door hits a part of
-``cached``.
+answered from it at the door, and the law becomes ``evaluations +
+coalesced + cached == served``, with every hit a door hit.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from hypothesis import strategies as st
 
 from repro.index.inverted import InvertedIndex
 from repro.query import QueryCache, RankedHit, normalize_query
-from repro.query.cache import plan_query
+from repro.query.cache import request_of
 from repro.service import AsyncSearchFrontend, IndexSnapshot, SearchService
 from repro.text.termblock import TermBlock
 
-#: texts chosen so some pairs normalize identically ("alpha AND bravo"
-#: vs the whitespace variant) and others are genuinely distinct.
+#: texts chosen so some pairs optimise identically ("alpha AND bravo"
+#: vs the whitespace variant), keyed apart but answered alike, and
+#: others are genuinely distinct.
 TEXTS = (
     "alpha",
     "bravo",
@@ -54,7 +55,7 @@ submissions = st.lists(
 
 
 class PureKeyEngine:
-    """Answers are a deterministic pure function of the cache key."""
+    """Answers are a deterministic pure function of the optimised plan."""
 
     def search(self, text: str):
         return [f"bool:{normalize_query(text)}"]
@@ -129,7 +130,7 @@ class TestCoalescingTransparency:
 
 class TestCachedSnapshot:
     """The same bursts, several in a row, over a snapshot that carries
-    a result cache: the batcher answers repeats from it."""
+    a result cache: the door answers repeats from it."""
 
     @settings(max_examples=30, deadline=None)
     @given(bursts=st.lists(submissions, min_size=1, max_size=3))
@@ -158,7 +159,7 @@ class TestCachedSnapshot:
                         assert result.hits is None, spec
                     else:
                         assert result.hits == expected_hits, spec
-                    key = plan_query(*spec).key
+                    key = request_of(*spec)
                     if key in earlier:  # answered and put before: a hit
                         assert result.cached and not result.coalesced
                     cached += result.cached
@@ -174,6 +175,6 @@ class TestCachedSnapshot:
                 + stats["frontend.cached"]
                 == stats["frontend.served"]
             )
-            assert 0 <= stats["frontend.door_hits"] <= cached
+            assert stats["frontend.door_hits"] == cached
         finally:
             frontend.close()

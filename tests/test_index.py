@@ -25,11 +25,13 @@ from repro.index.binfmt import (
     dump_index_bytes,
     dump_index_ridx2,
     dump_index_wire,
+    join_wire_replicas,
     load_index_bytes,
     load_index_ridx2,
     load_index_wire,
 )
 from repro.index.segments import compact_manifest
+from repro.service.sharded import shard_snapshots
 from repro.text import TermBlock
 
 
@@ -148,6 +150,31 @@ class TestOneObjectPerTerm:
     def test_the_loaders(self, dump, load):
         index = Search.build(self.filesystem(self.FILES), cache=0).index
         self.assert_one_object_per_term(load(dump(index)))
+
+    def test_loaders_and_shard_cuts_hand_over_postings_lists(
+        self, monkeypatch
+    ):
+        # Each builds a PostingsList per term, so from_postings copies
+        # none of them; only the process fold's unpickled lists need it.
+        index = Search.build(self.filesystem(self.FILES), cache=0).index
+        universe = sorted({path for _, paths in index.items() for path in paths})
+        handed = []
+        real = InvertedIndex.from_postings.__func__
+
+        def spying(cls, postings, block_count=0):
+            handed.extend(type(paths) for paths in postings.values())
+            return real(cls, postings, block_count)
+
+        monkeypatch.setattr(InvertedIndex, "from_postings", classmethod(spying))
+        for make in (
+            lambda: load_index_bytes(dump_index_bytes(index)),
+            lambda: load_index_ridx2(dump_index_ridx2(index)),
+            lambda: join_wire_replicas([dump_index_wire(index)] * 2),
+            lambda: shard_snapshots(index, universe, 2),
+        ):
+            del handed[:]
+            make()
+            assert handed and set(handed) == {PostingsList}
 
     def test_equality_is_order_insensitive_across_the_two_builds(self):
         fs = self.filesystem(self.FILES)

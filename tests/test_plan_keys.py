@@ -1,24 +1,21 @@
-"""Golden plan keys: the parser and optimizer may get faster, never different.
+"""Golden plans: the parser and optimizer may get faster, never different.
 
 ``golden_plan_keys.json`` was recorded from the 4.0.0 parser and
 optimizer over 320 query texts that cover the grammar: adjacency,
 nested and redundant parentheses, ``NOT NOT``, duplicates, both
 complement laws, absorption both ways, quoted single words, prefixes,
 mixed-case operators, and 43 malformed texts.  Per text it holds the
-parsed AST's ``repr``, the optimised AST's ``repr`` and
-:func:`~repro.query.cache.plan_query`'s key for a boolean and a BM25
-request — or the :class:`~repro.query.parser.ParseError` message.  The
-39 texts with a multi-word quote hold the phrase refusal's message:
-phrases left the grammar, as no index stores term positions.
+parsed AST's ``repr`` and the optimised AST's ``repr`` — or the
+:class:`~repro.query.parser.ParseError` message.  The 39 texts with a
+multi-word quote hold the phrase refusal's message: phrases left the
+grammar, as no index stores term positions.
 
-A changed key would silently split the result cache and the front
-end's single-flight map, so a row that no longer matches is a
-regression, not a fixture to regenerate.  (The keys lost their
-second slot, the request's ``parallel`` flag, when that flag left the
-serving path.  The ``bm25`` key of the 77 texts whose optimiser drops a
-term the score still counts — absorption, a complement law — gained
-``" | "`` and the parse's scoring terms, because those texts had shared
-an answer with a text that scores less; nothing else in a row changed.)
+A changed row would silently change what a request matches, so a row
+that no longer matches is a regression, not a fixture to regenerate.
+(The table also held :func:`~repro.query.cache.plan_query`'s cache key
+for a boolean and a BM25 request, the optimised AST's text; those two
+columns went when the key became the request as it was asked, which
+every row now checks against its own text.)
 """
 
 import json
@@ -57,5 +54,5 @@ def test_plan_key_matches_the_recorded_one(row):
     assert repr(parse_query(text)) == row["parsed"]
     plan = plan_query(text, "bool", 10)
     assert repr(plan.query) == row["optimized"]
-    assert list(plan.key) == row["bool"]
-    assert list(plan_query(text, "bm25", 7).key) == row["bm25"]
+    assert plan.key == (text, "bool", None)
+    assert plan_query(text, "bm25", 7).key == (text, "bm25", 7)

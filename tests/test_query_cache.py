@@ -4,7 +4,7 @@ import pytest
 
 from repro.index import InvertedIndex
 from repro.query import QueryEngine
-from repro.query.cache import QueryCache, cache_key
+from repro.query.cache import QueryCache, cache_key, request_of
 from repro.service.snapshot import IndexSnapshot
 from repro.text import TermBlock
 
@@ -28,6 +28,9 @@ class TestCacheKeySchema:
     def test_schema_is_the_three_tuple(self):
         assert cache_key("cat") == ("cat", "bool", None)
         assert cache_key("cat", "bm25", 10) == ("cat", "bm25", 10)
+        # A request's key is its text as asked; only BM25 keys on K.
+        assert request_of(" Cat ", "bool", 5) == (" Cat ", "bool", None)
+        assert request_of("cat", "bm25", 5) == ("cat", "bm25", 5)
 
 
 class TestQueryCache:
@@ -91,11 +94,14 @@ class TestCachingQueryEngine:
         caching.answer("cat")
         assert caching.cache.hits == 1
 
-    def test_normalization_shares_entries(self):
+    def test_texts_that_optimise_alike_take_an_entry_each(self):
+        # The key is the request as asked: no normal form is shared.
         caching = make_snapshot()
-        caching.answer("cat AND cat")
-        caching.answer("cat")
-        assert caching.cache.hits == 1
+        first = caching.answer("cat AND cat")
+        second = caching.answer("cat")
+        assert not second.cached and second.paths == first.paths
+        assert caching.cache.hits == 0 and len(caching.cache) == 2
+        assert caching.answer("cat AND cat").cached
 
     def test_incremental_workflow(self):
         """Cache + session refresh: the refreshed manifest is published

@@ -376,6 +376,7 @@ query_texts = st.recursive(
 
 class TestParseOnce:
     def test_search_query_parses_once_hit_or_miss(self, parses):
+        # Once on a miss; a hit is looked up by its text, unparsed.
         session = small_session()
         for text in ("alpha AND beta", "a*", "NOT gamma"):
             del parses[:]
@@ -383,7 +384,7 @@ class TestParseOnce:
             assert len(parses) == 1
             del parses[:]
             assert session.query(text).cached
-            assert len(parses) == 1
+            assert len(parses) == 0
 
     def test_uncached_session_parses_once(self, parses):
         session = small_session(cache=0)
@@ -404,7 +405,7 @@ class TestParseOnce:
             assert len(parses) == 1
             del parses[:]
             assert caching.answer(text).paths == first
-            assert len(parses) == 1
+            assert len(parses) == 0
         assert caching.cache.hits == 3 and caching.cache.misses == 3
 
     def test_caching_engine_still_drives_a_text_only_engine(self, tmp_path):
@@ -436,23 +437,25 @@ class TestParseOnce:
         assert engine.search(text) == expected
         assert churned.query(text).paths == expected
 
-    def test_parse_error_surfaces_before_the_cache_is_touched(
-        self, monkeypatch
-    ):
-        touched = []
-        original = QueryCache.get
+    def test_a_parse_error_is_never_stored(self, monkeypatch):
+        # The text is looked up before it is parsed, so a malformed one
+        # is a miss, and raises on every ask.
+        stored = []
+        original = QueryCache.put
 
-        def get(self, key):
-            touched.append(key)
-            return original(self, key)
+        def put(self, key, value):
+            stored.append(key)
+            return original(self, key, value)
 
-        monkeypatch.setattr(QueryCache, "get", get)
+        monkeypatch.setattr(QueryCache, "put", put)
         session = small_session()
-        with pytest.raises(ParseError):
-            session.query("(")
-        assert touched == []
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                session.query("(")
+        assert stored == []
+        assert session.snapshot().cache.misses == 2
         session.query("alpha")
-        assert len(touched) == 1
+        assert stored == [("alpha", "bool", None)]
 
 
 @pytest.fixture(scope="module")
