@@ -24,7 +24,9 @@ lexicon probe memo, the term memo and the decode memo change no
 answer), that the warmed reader's probe memo stays within its bound,
 that its term memo holds between 1 and ``term_count`` entries, that a
 burst of absent-term probes does not grow it, and that its decode memo
-holds between 1 and ``DECODE_MEMO_POSTINGS`` postings after serving.
+holds between 1 and ``DECODE_MEMO_POSTINGS`` postings after serving,
+exactly the ids and tfs its one block map holds.  A fresh bare reader,
+never asked for its doc table, must resolve ids as that table does.
 
 Run:  PYTHONPATH=src python examples/ondisk_smoke.py [index.ridx2]
 """
@@ -141,6 +143,10 @@ def run(path: str) -> int:
             stats = service.stats()
         blocks = reader.stats()
         decoded = blocks["ondisk.memo_postings"]
+        held = sum(
+            len(value) for value in reader._blocks.values()
+            if isinstance(value, list)
+        )
         # A fresh engine, so no cached answer hides a read.
         engine, term = DaatQueryEngine(reader), boolean[0]
         before = reader.blocks_read
@@ -153,6 +159,11 @@ def run(path: str) -> int:
         for i in range(1000):
             reader.term_info(f"zzzabsent{i}")
         absent_grew = len(reader._term_memo) - terms_memoized
+        with MmapPostingsReader(path) as bare:
+            ids = list(range(bare.doc_count))[::-7]
+            by_id = bare.doc_paths_of(ids)
+            table = bare.doc_paths()
+            table_ids = [table[i] for i in ids]
         with MmapPostingsReader(path) as fresh_reader:
             fresh = DaatQueryEngine(fresh_reader)
             for query in boolean:
@@ -210,6 +221,14 @@ def run(path: str) -> int:
     if not 0 < decoded <= DECODE_MEMO_POSTINGS:
         print(f"FAIL: the warmed reader's decode memo holds {decoded} "
               f"postings, outside 1..{DECODE_MEMO_POSTINGS}", file=sys.stderr)
+        return 1
+    if held != decoded:
+        print(f"FAIL: the warmed reader counts {decoded} memoized postings "
+              f"but its block map holds {held} ids and tfs", file=sys.stderr)
+        return 1
+    if by_id != table_ids:
+        print(f"FAIL: a bare reader resolved {len(ids)} ids to paths its "
+              "doc table does not hold", file=sys.stderr)
         return 1
     if blocks["ondisk.blocks_skipped"] <= 0:
         print("FAIL: no posting blocks were skipped — the DAAT seek "

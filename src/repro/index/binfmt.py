@@ -775,7 +775,8 @@ def iter_ridx2_postings(data, header: Ridx2Header):
 
 
 def read_ridx2_doc(data, header: Ridx2Header, doc_id: int) -> str:
-    """Decode one document's path through its two offsets."""
+    """Decode one document's path through its two offsets: the
+    per-record reference :func:`read_ridx2_paths` is tested against."""
     if not 0 <= doc_id < header.doc_count:
         raise IndexError(
             f"doc id {doc_id} out of range [0, {header.doc_count})"

@@ -22,10 +22,12 @@ the CI smoke prove skipping actually happens.
 
 No per-query state lives on the reader, so queries on several threads
 share one read-only mapping, which the OS page cache deduplicates
-across queries and processes.  Per term it keeps each :class:`TermInfo`
-found and each multi-block list's block table, bounded by the file (an
-absent term is never stored), and per block the ids and tfs decoded, up
-to :data:`DECODE_MEMO_POSTINGS`: all filled lock-free.
+across queries and processes.  It keeps five structures, all filled
+lock-free: the doc table and the length column, each decoded whole on
+first use; the top of the lexicon's search tree; each :class:`TermInfo`
+found (an absent term is never stored); and one block map, holding each
+multi-block list's block table, bounded by the file, and each block's
+decoded ids and tfs, up to :data:`DECODE_MEMO_POSTINGS`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from repro.index.binfmt import (
     iter_ridx2_lexicon,
     iter_ridx2_postings,
     parse_ridx2_header,
-    read_ridx2_doc,
     read_ridx2_lengths,
     read_ridx2_paths,
 )
@@ -126,13 +127,12 @@ class MmapPostingsReader:
     def _forget(self) -> None:
         self._paths: Optional[List[str]] = None
         self._lengths: Optional[List[int]] = None
-        self._doc_cache: Dict[int, str] = {}
         self._probe_memo: Dict[int, Tuple[bytes, int, int]] = {}
         self._term_memo: Dict[str, TermInfo] = {}
-        self._table_memo: Dict[int, Tuple[list, List[int]]] = {}
-        # Block offset -> that block's doc ids, and -> its tfs.
-        self._ids_memo: Dict[int, List[int]] = {}
-        self._tfs_memo: Dict[int, List[int]] = {}
+        # A multi-block list's table at its payload start, a block's doc
+        # ids at its offset and its tfs at the negated offset (a one-block
+        # list's block starts at its payload start, where no table is).
+        self._blocks: Dict[int, object] = {}
         self.memo_postings = 0
 
     @property
@@ -187,10 +187,8 @@ class MmapPostingsReader:
     # -- documents ---------------------------------------------------------
 
     def doc_path(self, doc_id: int) -> str:
-        """The path of ``doc_id`` (decoded on demand, memoized)."""
-        if self._paths is not None:
-            return self._paths[doc_id]
-        return self._doc(doc_id)
+        """The path of ``doc_id``, through the doc table."""
+        return self._doc_table()[doc_id]
 
     def doc_length(self, doc_id: int) -> int:
         """Term occurrences in ``doc_id`` (the length column, decoded
@@ -206,23 +204,20 @@ class MmapPostingsReader:
         return self._lengths
 
     def doc_paths(self) -> List[str]:
-        """Every indexed path in doc-id order == sorted-path order.
-
-        Materializes the paths once, in one pass over the path blob,
-        and caches them; the length column stays undecoded.  Queries
-        that only return a few hits never need this.
-        """
-        if self._paths is None:
-            self._paths = read_ridx2_paths(self._mm, self._header)
-        return list(self._paths)
+        """Every indexed path in doc-id order == sorted-path order (the
+        caller's own list)."""
+        return list(self._doc_table())
 
     def doc_paths_of(self, ids: List[int]) -> List[str]:
-        """The paths of ``ids``: through the materialized doc table when
-        :meth:`doc_paths` has built it, else one record per id."""
-        paths = self._paths
-        if paths is not None:
-            return list(map(paths.__getitem__, ids))
-        return list(map(self._doc, ids))
+        """The paths of ``ids``, through the doc table."""
+        return list(map(self._doc_table().__getitem__, ids))
+
+    def _doc_table(self) -> List[str]:
+        """The paths, decoded and checked whole on first use, so a corrupt
+        record is an ``IndexFormatError`` for any id (shared: never mutate)."""
+        if self._paths is None:
+            self._paths = read_ridx2_paths(self._mm, self._header)
+        return self._paths
 
     # -- terms -------------------------------------------------------------
 
@@ -288,17 +283,18 @@ class MmapPostingsReader:
         that holds its last candidate, or anywhere when that candidate
         lies past the list — counts as *skipped*.  A block table is
         memoized (a filter picks from it, never into it), and so are a
-        block's ids and tfs; every list returned is the caller's own.
+        block's ids and tfs, all in one map; every list returned is the
+        caller's own.
         """
         _term, df, start, end = info
-        mm, ids_memo, tfs_memo = self._mm, self._ids_memo, self._tfs_memo
+        mm, memo = self._mm, self._blocks
         if df <= self.block_size:
             if candidates is not None and not candidates:
                 return ([], []) if with_freqs else []
-            ids = ids_memo.get(start)
-            if ids is None or with_freqs and start not in tfs_memo:
+            ids = memo.get(start)
+            if ids is None or with_freqs and -start not in memo:
                 ids, doc_bytes = decode_single_block(mm, start, end, df)
-                self._keep(ids_memo, start, ids)
+                self._keep(start, ids)
                 blocks = [(start, df, doc_bytes, end - start - doc_bytes)]
             else:  # the tfs loop below finds this block's tfs memoized
                 self.memo_hits += 1
@@ -306,10 +302,10 @@ class MmapPostingsReader:
             ids = ids[:]
             self._count_read(1)
         else:
-            table = self._table_memo.get(start)
+            table = memo.get(start)
             if table is None:
                 table = decode_block_table(mm, start, df, self.block_size)
-                self._table_memo[start] = table
+                memo[start] = table  # a table is bounded by the file, uncapped
             blocks, lasts = table
             if candidates is not None:
                 chosen, block, i = [], 0, 0
@@ -326,22 +322,22 @@ class MmapPostingsReader:
             self._count_read(len(blocks))
             ids = []
             for offset, count, doc_bytes, _freq_bytes in blocks:
-                got = ids_memo.get(offset)
+                got = memo.get(offset)
                 if got is None:
                     got = decode_block_docids(mm, offset, count, doc_bytes)
-                    self._keep(ids_memo, offset, got)
+                    self._keep(offset, got)
                 else:
                     self.memo_hits += 1
                 ids += got
         if with_freqs:
             tfs: List[int] = []
             for offset, count, doc_bytes, freq_bytes in blocks:
-                got = tfs_memo.get(offset)
+                got = memo.get(-offset)
                 if got is None:
                     got = decode_block_freqs(
                         mm, offset + doc_bytes, count, freq_bytes
                     )
-                    self._keep(tfs_memo, offset, got)
+                    self._keep(-offset, got)
                 else:
                     self.memo_hits += 1
                 tfs += got
@@ -389,13 +385,6 @@ class MmapPostingsReader:
         )
 
     # -- internals --------------------------------------------------------
-
-    def _doc(self, doc_id: int) -> str:
-        path = self._doc_cache.get(doc_id)
-        if path is None:
-            path = read_ridx2_doc(self._mm, self._header, doc_id)
-            self._doc_cache[doc_id] = path
-        return path
 
     def _record(self, index: int) -> Tuple[bytes, int, int]:
         """Record ``index``: term bytes, offset of its df, relative end."""
@@ -451,12 +440,12 @@ class MmapPostingsReader:
                 return mid, record[1], record[2]
         return lo, None, 0
 
-    def _keep(self, memo: dict, offset: int, values: List[int]) -> None:
+    def _keep(self, key: int, values: List[int]) -> None:
         """Memoize a decoded block column while under the cap; of equal
         lists stored by racing threads the first stays, counted once."""
         if self.memo_postings < DECODE_MEMO_POSTINGS:
             size = len(values)  # no call between the count's read and write
-            if memo.setdefault(offset, values) is values:
+            if self._blocks.setdefault(key, values) is values:
                 self.memo_postings += size
 
     def _count_read(self, n: int) -> None:

@@ -14,8 +14,9 @@ the decode memo (a repeated read decodes nothing, a returned list is
 the caller's own, the cap holds from two threads, a memo hit still
 counts as a block read), ``read_postings`` (whole lists and candidate
 filters, ids or aligned ``(ids, tfs)`` columns), block-skip accounting
-(exact per query), frequency storage, and the length column's one-pass
-decode against the varint loop.
+(exact per query), frequency storage, the doc table decoded whole by
+any id door of a bare reader, and the length column's one-pass decode
+against the varint loop.
 """
 
 from __future__ import annotations
@@ -1107,6 +1108,90 @@ class TestDocTableOnePass:
             read_ridx2_doc(bytes(data), header, 0)
         assert read_ridx2_doc(bytes(data), header, 1) == "b.txt"
 
+    def test_a_bare_reader_resolves_every_id_through_the_whole_table(
+        self, layered_file, tmp_path
+    ):
+        """A reader never asked for ``doc_paths()`` answers ``doc_path``,
+        ``doc_paths_of``, ``lookup`` and a DAAT search from two threads
+        as ``read_ridx2_paths`` does; and one corrupt record refuses the
+        first resolution of any id, as every product door refuses the
+        file at open."""
+        import sys
+        import threading
+
+        from repro.query import QueryEngine
+        from repro.query.daat import DaatQueryEngine
+
+        with open(layered_file, "rb") as fh:
+            data = fh.read()
+        paths = read_ridx2_paths(data, parse_ridx2_header(data))
+        terms = ["w1", "w4", "r07", "r59"]
+        queries = [
+            "w1", "w2 AND w3", "w1 AND NOT w4", "r07 OR w5", "w* AND r3*"
+        ]
+        with MmapPostingsReader(layered_file) as oracle:
+            looked_up = {}
+            for term in terms:
+                held = oracle.read_postings(oracle.term_info(term))
+                looked_up[term] = [paths[i] for i in held]
+        memory = QueryEngine(load_index_ridx2(data), universe=frozenset(paths))
+        searched = {q: memory.search(q) for q in queries}
+        ids = list(range(len(paths)))[::-3]
+        with MmapPostingsReader(layered_file) as bare:
+            engine = DaatQueryEngine(bare)
+            failures = []
+
+            def worker(shift):
+                try:
+                    for i in ids[shift:] + ids[:shift]:
+                        if bare.doc_path(i) != paths[i]:
+                            failures.append(("doc_path", i))
+                    if bare.doc_paths_of(ids) != [paths[i] for i in ids]:
+                        failures.append("doc_paths_of")
+                    for term in terms[shift:] + terms[:shift]:
+                        if bare.lookup(term) != looked_up[term]:
+                            failures.append(("lookup", term))
+                    for query in queries[shift:] + queries[:shift]:
+                        if engine.search(query) != searched[query]:
+                            failures.append(("search", query))
+                except Exception as exc:  # reported below, not lost
+                    failures.append(("raised", exc))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(shift,))
+                    for shift in range(2)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                sys.setswitchinterval(interval)
+            assert failures == []
+
+        # Record 0 is not UTF-8; ids 1.. and the docs of "alpha" are whole.
+        index, _ = build_index(awkward_docs())
+        damaged = bytearray(dump_index_ridx2(index))
+        damaged[parse_ridx2_header(damaged).doc_data_off] = 0xFF
+        path = str(tmp_path / "damaged.ridx2")
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        last = len(awkward_docs()) - 1
+        for door in (
+            lambda r: r.doc_path(last),
+            lambda r: r.doc_paths_of([1, last]),
+            lambda r: r.lookup("alpha"),
+            lambda r: DaatQueryEngine(r).search("alpha AND beta"),
+        ):
+            with MmapPostingsReader(path) as reader:
+                assert 0 not in reader.read_postings(reader.term_info("alpha"))
+                with pytest.raises(IndexFormatError, match="record 0"):
+                    door(reader)
+
     @pytest.mark.parametrize("change", [-1, 1])
     def test_a_length_column_short_or_long_is_refused(self, change):
         import dataclasses
@@ -1443,16 +1528,30 @@ class TestTermMemo:
             finally:
                 sys.setswitchinterval(interval)
             assert failures == []
-            # Every multi-block list read has one table, and a filter
-            # never narrowed it.
-            assert len(warm._table_memo) == len(multi)
+            # Every multi-block list read has one table in the block map,
+            # at its payload start, and a filter never narrowed it; each
+            # block's ids sit at its offset, its tfs (when a ranked read
+            # decoded them) at the negated offset.
+            memo, ranked = warm._blocks, 0
+            tables = [v for v in memo.values() if isinstance(v, tuple)]
+            assert len(tables) == len(multi)
             for term in multi:
                 info = warm.term_info(term)
-                assert warm._table_memo[info.start] == decode_block_table(
+                table = decode_block_table(
                     data, info.start, info.df, warm.block_size
                 )
+                assert memo[info.start] == table
+                for offset, count, doc_bytes, freq_bytes in table[0]:
+                    ids = decode_block_docids(data, offset, count, doc_bytes)
+                    tfs = decode_block_freqs(
+                        data, offset + doc_bytes, count, freq_bytes
+                    )
+                    assert memo[offset] == ids
+                    assert memo.get(-offset, tfs) == tfs
+                    ranked += -offset in memo
+            assert ranked
             # Each block's ids and tfs were kept once, and counted once.
-            held = [*warm._ids_memo.values(), *warm._tfs_memo.values()]
+            held = [v for v in memo.values() if isinstance(v, list)]
             assert held and warm.memo_postings == sum(map(len, held))
 
 
@@ -1597,7 +1696,7 @@ class TestDecodeMemo:
             finally:
                 sys.setswitchinterval(interval)
             assert failures == []
-            held = [*reader._ids_memo.values(), *reader._tfs_memo.values()]
+            held = [v for v in reader._blocks.values() if isinstance(v, list)]
             assert reader.memo_postings == sum(map(len, held))
             # Under the cap when the last block went in: one block more
             # per racing thread at most.
